@@ -141,6 +141,21 @@ def custom_activation(name: str, fn: Callable, **kwargs) -> ActivationSpec:
 # ---------------------------------------------------------------------------
 
 
+def _scaled_by_inverse_modulus(z, s, r, mask):
+    """z * s / r where ``mask`` holds and 0 elsewhere, for real s and r = |z|.
+
+    Multiplies by a real reciprocal instead of dividing by r as a complex
+    number.  numpy's complex / real division also multiplies by 1/r, so the
+    values agree with ``np.divide(s * z, r, where=mask)`` into a zero buffer
+    up to the sign of exact zeros, without the complex temporaries.
+    """
+    scl = np.zeros(r.shape)
+    np.divide(1.0, r, out=scl, where=mask)
+    out = z * s
+    out *= scl
+    return out
+
+
 def _modrelu(params: Mapping) -> ActivationSpec:
     b = float(params.get("b", -1.0))
     if b >= 0:
@@ -149,10 +164,8 @@ def _modrelu(params: Mapping) -> ActivationSpec:
     def fn(z):
         z = np.asarray(z, dtype=np.complex128)
         r = np.abs(z)
-        out = np.zeros_like(z)
-        mask = r + b > 0
-        np.divide((r + b) * z, r, out=out, where=mask)
-        return out
+        s = r + b
+        return _scaled_by_inverse_modulus(z, s, r, s > 0)
 
     def first(z0):
         r = abs(z0)
@@ -178,10 +191,9 @@ def _cardioid(params: Mapping) -> ActivationSpec:
     def fn(z):
         z = np.asarray(z, dtype=np.complex128)
         r = np.abs(z)
-        out = np.zeros_like(z)
-        mask = r > 0
-        np.divide(0.5 * (r + np.real(z)) * z, r, out=out, where=mask)
-        return out
+        s = r + z.real
+        s *= 0.5
+        return _scaled_by_inverse_modulus(z, s, r, r > 0)
 
     def first(z0):
         r = abs(z0)

@@ -23,7 +23,7 @@ from .blocks import (DEFAULT_H_SCHEDULE, block_error, conj_block, identity_block
                      id_conj_pair_block, mul_block, pair_block, square_block)
 from .core import (CompactBox, Cvnn, GridSpec, cvnn_from_json, cvnn_to_json,
                    depth_of, eval_cvnn, sample_box, width_of)
-from .errors import (ConstructionError, DimensionMismatch, FitSingular,
+from .errors import (ConstructionError, DimensionMismatch, EvaluationFailure, FitSingular,
                      InvalidActivationParams, StrategyMismatch, UnknownActivation)
 from .fitting import FitConfig, fit_poly, fit_shallow
 from .lowering import default_strategy, lower, STRATEGIES
@@ -40,6 +40,7 @@ _ERR_CODES = (
     (StrategyMismatch, ("STRATEGY_MISMATCH", 3)),
     (ConstructionError, ("CONSTRUCTION", 3)),
     (FitSingular, ("FIT_SINGULAR", 3)),
+    (EvaluationFailure, ("EVALUATION", 3)),
     (DimensionMismatch, ("DIMENSION", 2)),
     (KeyError, ("BAD_NAME", 2)),
     (ValueError, ("BAD_VALUE", 2)),

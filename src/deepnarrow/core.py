@@ -30,12 +30,12 @@ __all__ = [
     "eval_affine",
     "eval_cvnn",
     "fuse_affine",
-    "fuse_adjacent",
     "width_of",
     "depth_of",
     "hidden_widths",
     "pad_hidden_width",
     "sample_box",
+    "MAX_SAMPLE_POINTS",
     "identity_affine",
     "cvnn_to_json",
     "cvnn_from_json",
@@ -105,7 +105,9 @@ def eval_affine(amap: ComplexAffineMap, z) -> np.ndarray:
     if zv.ndim == 2:
         if zv.shape[1] != amap.in_dim:
             raise DimensionMismatch(f"input width {zv.shape[1]} != in_dim {amap.in_dim}")
-        return zv @ amap.matrix.T + amap.bias
+        out = zv @ amap.matrix.T
+        out += amap.bias
+        return out
     raise DimensionMismatch(f"input must be 1-d or 2-d, got shape {zv.shape}")
 
 
@@ -205,12 +207,6 @@ def hidden_widths(net: Cvnn) -> tuple:
     return tuple(m.out_dim for m in net.affine_maps[:-1])
 
 
-def fuse_adjacent(net: Cvnn) -> Cvnn:
-    """No-op on a strict network (kept for symmetry with builders that emit
-    unfused chains); re-validates the chain."""
-    return Cvnn(net.affine_maps, net.activation)
-
-
 def pad_hidden_width(net: Cvnn, width: int) -> Cvnn:
     """Pad every hidden layer to the given width with zero rows and columns.
 
@@ -284,27 +280,41 @@ class GridSpec:
             raise ValueError(f"unknown sampling mode {self.sampling!r}")
 
 
+#: Most points ``sample_box`` returns.  The point count p^(2n) grows with the
+#: dimension as well as the grid: n = 3 at 18 points per axis would be 3.4e7
+#: points, 1.6 GB for the lattice alone before any layer is evaluated.
+MAX_SAMPLE_POINTS = 2 ** 22
+
+
 def sample_box(box: CompactBox, spec: GridSpec, seed: int = 0) -> np.ndarray:
     """Sample the box as an (N, n) complex array.
 
     Lattice mode returns the full tensor grid (points_per_axis per real axis,
     2n real axes), which always covers the corners.  Random mode draws the
     same number of points uniformly; identical seeds give identical output.
+    Raises ValueError, before allocating, when N = points_per_axis^(2n) is
+    above ``MAX_SAMPLE_POINTS``.
     """
-    p = spec.points_per_axis
+    p = int(spec.points_per_axis)
     n = box.n
+    count = p ** (2 * n)
+    if count > MAX_SAMPLE_POINTS:
+        nbytes = count * n * np.dtype(np.complex128).itemsize
+        raise ValueError(
+            f"{p} points per axis over {2 * n} real axes make {count} points "
+            f"({nbytes} bytes as complex128), above the budget of "
+            f"{MAX_SAMPLE_POINTS} points")
     if spec.sampling == "uniform-lattice":
         axes = []
         for re_lo, re_hi, im_lo, im_hi in box.intervals:
             axes.append(np.linspace(re_lo, re_hi, p))
             axes.append(np.linspace(im_lo, im_hi, p))
         mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.empty((p ** (2 * n), n), dtype=np.complex128)
+        pts = np.empty((count, n), dtype=np.complex128)
         for j in range(n):
             pts[:, j] = mesh[2 * j].ravel() + 1j * mesh[2 * j + 1].ravel()
         return pts
     rng = np.random.default_rng(seed)
-    count = p ** (2 * n)
     pts = np.empty((count, n), dtype=np.complex128)
     for j, (re_lo, re_hi, im_lo, im_hi) in enumerate(box.intervals):
         pts[:, j] = rng.uniform(re_lo, re_hi, count) + 1j * rng.uniform(im_lo, im_hi, count)

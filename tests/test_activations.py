@@ -136,3 +136,71 @@ def test_scale_combinator():
     assert ds == pytest.approx((2 - 1j) * d)
     with pytest.raises(InvalidActivationParams):
         scale_activation(rs, 0)
+
+
+# Reference forms of the cardioid and modrelu evaluators: divide the complex
+# numerator by |z| into a zero buffer wherever the scaling is defined.
+def _divide_cardioid(z):
+    r = np.abs(z)
+    out = np.zeros_like(z)
+    np.divide(0.5 * (r + np.real(z)) * z, r, out=out, where=r > 0)
+    return out
+
+
+def _divide_modrelu(b):
+    def fn(z):
+        r = np.abs(z)
+        out = np.zeros_like(z)
+        np.divide((r + b) * z, r, out=out, where=r + b > 0)
+        return out
+    return fn
+
+
+def _evaluator_edge_points():
+    """0 and -0 with every sign of the imaginary part, and many moduli (subnormal,
+    near the modrelu dead-zone boundaries |z| = 0.5, 1, 5, huge) along the real
+    and imaginary axes and off them."""
+    zeros = [complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
+    moduli = [5e-324, 1e-310, 2.2e-308, 1e-300, 1e-8, 0.3, 1e154, 1e200, 1e300, 1.7e308]
+    for edge in (0.5, 1.0, 5.0):
+        moduli += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2 * edge)]
+    units = [1, -1, 1j, -1j, np.exp(0.3j), np.exp(2.5j), np.exp(-1.2j), (1 + 1j) / np.sqrt(2)]
+    pts = [m * u for m in moduli for u in units]
+    # the same moduli placed exactly on the axes and diagonals, no rounding
+    pts += [complex(s * m, t * m) for m in moduli for s in (1, -1, 0) for t in (1, -1, 0)]
+    return np.array(zeros + pts, dtype=np.complex128)
+
+
+@pytest.mark.parametrize("name, params, reference", [
+    ("cardioid", {}, _divide_cardioid),
+    ("modrelu", {"b": -1.0}, _divide_modrelu(-1.0)),
+    ("modrelu", {"b": -0.5}, _divide_modrelu(-0.5)),
+    ("modrelu", {"b": -5.0}, _divide_modrelu(-5.0)),
+])
+def test_lean_evaluators_match_divide_form(name, params, reference):
+    spec = get_activation(name, params)
+    c = 0.5 - 2j
+    cases = [
+        (spec.fn, reference),
+        (get_activation(f"conj:{name}", params).fn, lambda z: np.conj(reference(z))),
+        (scale_activation(spec, c).fn, lambda z: c * reference(z)),
+    ]
+    zs = _evaluator_edge_points()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for fn, ref in cases:
+            assert np.array_equal(fn(zs), ref(zs), equal_nan=True)
+            assert np.array_equal(fn(zs[None, :]), ref(zs[None, :]), equal_nan=True)
+            for z0 in zs:
+                got = fn(np.asarray(z0))
+                assert np.ndim(got) == 0
+                assert np.array_equal(got, ref(np.asarray(z0)), equal_nan=True)
+
+
+@pytest.mark.parametrize("name, params", [("cardioid", {}), ("modrelu", {"b": -1.0})])
+def test_lean_evaluators_propagate_nan(name, params):
+    # the divide form returned 0 for a NaN input (NaN fails the mask); the
+    # lean form returns NaN, which eval_cvnn reports as an EvaluationFailure
+    fn = get_activation(name, params).fn
+    with np.errstate(invalid="ignore"):
+        out = fn(np.array([np.nan, complex(np.nan, 1.0), 2.0]))
+    assert np.isnan(out[:2]).all() and np.isfinite(out[2])

@@ -58,6 +58,23 @@ def test_compile_refuses_holomorphic(capsys):
     assert capsys.readouterr().err.startswith("error[STRATEGY_MISMATCH]")
 
 
+def test_compile_without_finite_sweep_row_is_an_evaluation_error(monkeypatch, tmp_path, capsys):
+    from deepnarrow import verifier
+    from deepnarrow.errors import EvaluationFailure
+
+    def failing_eval(*args, **kwargs):
+        raise EvaluationFailure("activation produced non-finite values")
+
+    # every lowered network fails to evaluate, so every sweep row is inf
+    monkeypatch.setattr(verifier, "eval_cvnn", failing_eval)
+    out = tmp_path / "none"
+    rc = run(["compile", "--target", "zzbar", "--activation", "re_square",
+              "--degree", "2", "--no-timestamp", "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("error[EVALUATION] no h in the sweep")
+    assert not (tmp_path / "none.net.json").exists()
+
+
 def test_compile_explicit_h(tmp_path, capsys):
     out = tmp_path / "one"
     rc = run(["compile", "--target", "zzbar", "--activation", "re_square",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from deepnarrow.activations import get_activation
-from deepnarrow.core import (CompactBox, ComplexAffineMap, Cvnn, GridSpec,
+from deepnarrow.core import (MAX_SAMPLE_POINTS, CompactBox, ComplexAffineMap, Cvnn, GridSpec,
                              cvnn_from_json, cvnn_to_json, depth_of, eval_affine,
                              eval_cvnn, fuse_affine, hidden_widths,
                              pad_hidden_width, sample_box, width_of)
@@ -144,6 +144,30 @@ def test_sample_box_seeded_random_deterministic():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("n, points_per_axis", [(1, 2049), (2, 46), (3, 13), (3, 18)])
+def test_sample_box_refuses_grids_above_budget_before_allocating(n, points_per_axis):
+    import tracemalloc
+
+    count = points_per_axis ** (2 * n)
+    assert count > MAX_SAMPLE_POINTS
+    box = CompactBox.square(n, 1.0)
+    for sampling in ("uniform-lattice", "seeded-random"):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"{count} points \\({count * n * 16} bytes"):
+                sample_box(box, GridSpec(points_per_axis, sampling))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
+def test_sample_box_accepts_the_largest_grids_in_use():
+    # 21^4 (an n = 2 fit grid) is the largest grid the tests and the benchmark
+    # sample; the n = 2 verification lattice is 18^4
+    assert sample_box(CompactBox.square(2, 1.0), GridSpec(21)).shape == (21 ** 4, 2)
+
+
 def test_grid_spec_validation():
     with pytest.raises(ValueError):
         GridSpec(1)
@@ -179,16 +203,6 @@ def test_serialization_schema_fields(rng):
     assert first["rows"] == 3 and first["cols"] == 2
     assert len(first["matrix"]) == 6 and len(first["matrix"][0]) == 2
     assert len(first["bias"]) == 3
-
-
-def test_fuse_adjacent_preserves_evaluation(rng):
-    from deepnarrow.core import fuse_adjacent
-
-    card = get_activation("cardioid")
-    net = random_shallow(rng, 2, 1, 4, card.activation_id)
-    zs = random_points(rng, 50, 2)
-    assert np.max(np.abs(eval_cvnn(fuse_adjacent(net), zs, card.fn)
-                         - eval_cvnn(net, zs, card.fn))) < 1e-12
 
 
 def test_eval_cvnn_identity_block_net():

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from deepnarrow.activations import get_activation
-from deepnarrow.core import CompactBox, GridSpec, eval_cvnn, width_of
+from deepnarrow import verifier
+from deepnarrow.activations import custom_activation, get_activation
+from deepnarrow.core import (CompactBox, ComplexAffineMap, Cvnn, GridSpec, eval_cvnn,
+                             sample_box, width_of)
+from deepnarrow.errors import EvaluationFailure
 from deepnarrow.fitting import FitConfig
 from deepnarrow.register import PolyZZbar, eval_register
 from deepnarrow.verifier import (DEFAULT_SWEEP_SCHEDULE, SweepReport, SweepRow,
@@ -13,6 +16,8 @@ from deepnarrow.verifier import (DEFAULT_SWEEP_SCHEDULE, SweepReport, SweepRow,
                                  nowhere_diff_demo, sup_error)
 from deepnarrow.blocks import identity_block, square_block
 from deepnarrow.wirtinger import ToleranceProfile
+
+from conftest import random_affine
 
 PROF = ToleranceProfile()
 BOX = CompactBox.square(1, 1.0)
@@ -233,3 +238,105 @@ def test_nowhere_diff_demo():
 def test_mul_kind_for():
     assert mul_kind_for(get_activation("re_square"), PROF) == "mul2"
     assert mul_kind_for(get_activation("z_plus_zbar_sq"), PROF) == "mul3"
+
+
+# ---------------------------------------------------------------------------
+# Row blocks: the error measures evaluate _ROW_BLOCK rows at a time and must
+# return exactly what one pass over all rows returns.
+# ---------------------------------------------------------------------------
+
+
+def _one_pass_norms(f, g, pts):
+    fv = np.asarray(f(pts), dtype=np.complex128).reshape(pts.shape[0], -1)
+    gv = np.asarray(g(pts), dtype=np.complex128).reshape(pts.shape[0], -1)
+    return np.linalg.norm(fv - gv, axis=1)
+
+
+def _card_net_pair(n, target):
+    card = get_activation("cardioid")
+    fn, m = named_target(target)
+    rng = np.random.default_rng(7)
+    net = Cvnn((random_affine(rng, 5, n), random_affine(rng, 5, 5, 0.5),
+                random_affine(rng, m, 5, 0.5)), card.activation_id)
+    return fn, lambda zs: eval_cvnn(net, zs, card.fn)
+
+
+@pytest.mark.parametrize("n, target, points_per_axis, block", [
+    (1, "zzbar", 5, 32),      # 25 rows < one block
+    (1, "zzbar", 4, 8),       # 16 = 2 blocks
+    (1, "zzbar", 9, 8),       # 81 = 10 blocks + 1 row
+    (2, "norm0", 2, 32),      # 16 rows < one block
+    (2, "norm0", 4, 16),      # 256 = 16 blocks
+    (2, "norm0", 3, 16),      # 81 = 5 blocks + 1 row
+    (1, "zzbar", 64, None),   # 4096 = 2 blocks of the module's size
+])
+def test_sup_error_blocks_equal_one_pass(monkeypatch, n, target, points_per_axis, block):
+    if block is not None:
+        monkeypatch.setattr(verifier, "_ROW_BLOCK", block)
+    f, g = _card_net_pair(n, target)
+    box = CompactBox.square(n, 1.0)
+    for grid in (GridSpec(points_per_axis), GridSpec(points_per_axis, "seeded-random")):
+        want = float(np.max(_one_pass_norms(f, g, sample_box(box, grid, 3))))
+        assert sup_error(f, g, box, grid, seed=3) == want
+
+
+@pytest.mark.parametrize("samples", [100, 2048, 4096, 4097])
+def test_l1_error_mc_blocks_equal_one_pass(samples):
+    assert verifier._ROW_BLOCK == 2048
+    f, g = _card_net_pair(2, "norm0")
+    box = CompactBox.square(2, 1.0)
+    rng = np.random.default_rng(11)
+    pts = np.empty((samples, 2), dtype=np.complex128)
+    for j, (re_lo, re_hi, im_lo, im_hi) in enumerate(box.intervals):
+        pts[:, j] = rng.uniform(re_lo, re_hi, samples) + 1j * rng.uniform(im_lo, im_hi, samples)
+    norms = _one_pass_norms(f, g, pts)
+    est = l1_error_mc(f, g, box, samples, seed=11)
+    assert est.value == float(np.mean(norms) * 16.0)
+    assert est.stderr == float(np.std(norms, ddof=1) / np.sqrt(samples) * 16.0)
+
+
+def test_sup_error_nan_in_last_block_is_nan(monkeypatch):
+    monkeypatch.setattr(verifier, "_ROW_BLOCK", 8)
+    # 81 lattice points, the last one (1+1j) alone in the eleventh block
+    g = lambda zs: np.where(zs[:, 0] == 1 + 1j, np.nan, zs[:, 0])
+    assert np.isnan(sup_error(lambda zs: zs[:, 0], g, BOX, GridSpec(9)))
+
+
+def test_late_block_evaluation_failure_gives_inf_row(monkeypatch):
+    monkeypatch.setattr(verifier, "_ROW_BLOCK", 8)
+    # finite except at RE z = 1, the last 9 of 81 lattice rows (blocks 10 and 11)
+    spec = custom_activation("blows_up_at_re_1",
+                             lambda z: np.where(z.real < 0.99, z, np.inf))
+    one = ComplexAffineMap(np.eye(1), np.zeros(1))
+    net = Cvnn((one, one), spec.activation_id)
+    ident = lambda zs: zs[:, 0]
+    head = sample_box(BOX, GridSpec(9))[:72]
+    assert np.all(np.isfinite(eval_cvnn(net, head, spec.fn)))
+    with pytest.raises(EvaluationFailure):
+        sup_error(ident, lambda zs: eval_cvnn(net, zs, spec.fn), BOX, GridSpec(9))
+    report = h_sweep(lambda h: net, (1e-1, 1e-2), BOX, GridSpec(9), ident, spec)
+    assert [r.sup_error for r in report.rows] == [np.inf, np.inf]
+    with pytest.raises(EvaluationFailure):
+        report.best_row()
+
+
+def test_best_row_skips_non_finite_rows():
+    rows = [SweepRow(1e-1, float("nan"), 1.0, 4, 3), SweepRow(1e-2, 0.5, 1.0, 4, 3),
+            SweepRow(1e-3, float("inf"), 1.0, 4, 3), SweepRow(1e-4, 0.25, 1.0, 4, 3)]
+    assert SweepReport(rows).best_row().h == 1e-4
+
+
+def test_best_row_without_finite_rows_raises():
+    rows = [SweepRow(1e-1, float("nan"), 1.0, 4, 3), SweepRow(1e-2, float("inf"), 1.0, 4, 3)]
+    with pytest.raises(EvaluationFailure, match="no h in the sweep"):
+        SweepReport(rows).best_row()
+
+
+def test_end_to_end_nonpoly_all_infinite_sweep_raises():
+    # z|z| has dbar = z^2 / (2|z|) != 0 off 0: the NMplus1 lowering has no
+    # lone-d point and overflows at every h of the default schedule
+    spec = custom_activation("z_abs_z", lambda z: z * np.abs(z))
+    fn, m = named_target("zzbar")
+    cfg = FitConfig(num_features=40, grid=GridSpec(21), seed=0)
+    with pytest.raises(EvaluationFailure, match="no h in the sweep"):
+        end_to_end_nonpoly(fn, spec, 1, m, cfg, "NonPoly_NMplus1", BOX)
