@@ -9,9 +9,8 @@ budgets numerically on compact boxes.
 from .activations import (ActivationSpec, PolyharmonicFlag, available_activations,
                           conjugate_activation, custom_activation, eval_activation,
                           get_activation, scale_activation)
-from .blocks import (DEFAULT_H_SCHEDULE, ShallowBlock, auto_tune_h, block_error,
-                     conj_block, id_conj_pair_block, identity_block, mul_block,
-                     pair_block, square_block)
+from .blocks import (ShallowBlock, block_error, conj_block, id_conj_pair_block,
+                     identity_block, mul_block, pair_block, square_block)
 from .core import (CompactBox, ComplexAffineMap, Cvnn, GridSpec, cvnn_from_json,
                    cvnn_to_json, depth_of, eval_affine, eval_cvnn, fuse_affine,
                    hidden_widths, pad_hidden_width, sample_box, width_of)
@@ -25,9 +24,9 @@ from .register import (MonomialPlan, PolyZZbar, RegisterProgram, eval_register,
                        program_to_json, shallow_to_register)
 from .verifier import (SweepReport, end_to_end_nonpoly, end_to_end_poly, h_sweep,
                        l1_error_mc, sup_error)
-from .wirtinger import (Classification, ToleranceProfile, WirtingerProbe,
+from .wirtinger import (Classification, ProbeAtlas, ToleranceProfile, WirtingerProbe,
                         classify_activation, find_active_point,
-                        find_nonzero_second_point, laplacian_iterate,
+                        find_nonzero_second_point, laplacian_iterate, probe_atlas,
                         taylor_remainder_probe, wirt_first, wirt_second)
 
 __version__ = "0.1.0"

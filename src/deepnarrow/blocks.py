@@ -27,7 +27,7 @@ import numpy as np
 from .activations import ActivationSpec
 from .core import CompactBox, ComplexAffineMap, Cvnn, GridSpec, eval_affine, sample_box
 from .errors import ConstructionError
-from .wirtinger import ToleranceProfile, first_derivs, second_derivs
+from .wirtinger import ToleranceProfile, first_derivs, probe_atlas, second_derivs
 
 __all__ = [
     "ShallowBlock",
@@ -37,16 +37,13 @@ __all__ = [
     "conj_block",
     "pair_block",
     "id_conj_pair_block",
+    "routed_pair_block",
     "square_block",
     "mul_block",
     "block_error",
-    "auto_tune_h",
-    "DEFAULT_H_SCHEDULE",
 ]
 
 SQRT_I = np.exp(1j * np.pi / 4)  # the fixed square root of i
-
-DEFAULT_H_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 
 #: polarization multiplication variants, keyed by which square is available
 MUL_KINDS = ("mul1", "mul2", "mul3")  # z*w | z*conj(w) | conj(z*w)
@@ -81,7 +78,6 @@ class ShallowBlock:
     z0: tuple
     h: float
     post_scale: float
-    two_point_residual: float = 0.0
 
     def to_cvnn(self, spec: ActivationSpec) -> Cvnn:
         return Cvnn((self.pre, self.post), spec.activation_id)
@@ -151,42 +147,36 @@ def pair_block(spec: ActivationSpec, z0: complex, h: float,
     return ShallowBlock("pair", pre, post, 2, (z0,), h, scale)
 
 
-def _scan_first(spec: ActivationSpec, prof: ToleranceProfile):
-    from .wirtinger import _probe_candidates
-
-    return _probe_candidates(spec, prof)
-
-
 def id_conj_pair_block(spec: ActivationSpec, prof: ToleranceProfile, h: float,
                        target_tol: float = 1e-2) -> ShallowBlock:
-    """Width-2 approximation of z -> (z, conj z), routing on the probe grid.
+    """Width-2 approximation of z -> (z, conj z), routed on the probe grid
+    by ``ProbeAtlas.pair_route``; see ``routed_pair_block``."""
+    return routed_pair_block(spec, probe_atlas(spec, prof).pair_route(), h, prof, target_tol)
 
-    If some point carries both nonzero derivatives, that point's pair block is
-    used (best conditioning: maximize min(|d|, |dbar|)).  Otherwise one
-    identity block at a lone-d point and one conjugation block at a lone-dbar
-    point sit side by side.  In the two-point route the tolerance-level
-    residual of the "zero" derivative enters the output as an O(residual/h)
-    term; a warning is raised when that exceeds target_tol.
+
+def routed_pair_block(spec: ActivationSpec, route, h: float,
+                      prof: ToleranceProfile = ToleranceProfile(),
+                      target_tol: float = 1e-2) -> ShallowBlock:
+    """Width-2 approximation of z -> (z, conj z) on a pair route.
+
+    A one-point route (z0,) uses the pair block there.  A two-point route
+    (z_id, z_conj) puts one identity block at a lone-d point and one
+    conjugation block at a lone-dbar point side by side.  There the
+    tolerance-level residual of the "zero" derivative enters the output as
+    an O(residual/h) term; a warning is raised when that exceeds target_tol.
+    A missing route (None) raises ConstructionError.
     """
-    cands = _scan_first(spec, prof)
-    tol = prof.zero_tol
-    both = [(z0, d, dbar) for z0, d, dbar, _ in cands
-            if abs(d) > tol and abs(dbar) > tol]
-    if both:
-        z0 = max(both, key=lambda t: min(abs(t[1]), abs(t[2])))[0]
-        blk = pair_block(spec, z0, h, prof)
-        return ShallowBlock("id_conj_pair", blk.pre, blk.post, 2, blk.z0, h, blk.post_scale)
-
-    id_pts = [(z0, d, dbar) for z0, d, dbar, _ in cands
-              if abs(d) > tol and abs(dbar) <= tol]
-    conj_pts = [(z0, d, dbar) for z0, d, dbar, _ in cands
-                if abs(dbar) > tol and abs(d) <= tol]
-    if not id_pts or not conj_pts:
+    if route is None:
         raise ConstructionError(
             "no usable probe points for id/conj pair: activation appears "
             "holomorphic, antiholomorphic, or R-affine on the probe grid")
-    z1, d1, r1 = max(id_pts, key=lambda t: abs(t[1]))
-    z2, r2, dbar2 = max(conj_pts, key=lambda t: abs(t[2]))
+    if len(route) == 1:
+        blk = pair_block(spec, route[0], h, prof)
+        return ShallowBlock("id_conj_pair", blk.pre, blk.post, 2, blk.z0, h, blk.post_scale)
+
+    z1, z2 = route
+    d1, r1, _ = first_derivs(spec, z1, prof)
+    r2, dbar2, _ = first_derivs(spec, z2, prof)
     residual = max(abs(r1) / abs(d1), abs(r2) / abs(dbar2))
     if residual / h > target_tol:
         warnings.warn(
@@ -202,7 +192,7 @@ def id_conj_pair_block(spec: ActivationSpec, prof: ToleranceProfile, h: float,
         [-f1 * c1, -f2 * c2],
     )
     return ShallowBlock("id_conj_pair", pre, post, 2, (complex(z1), complex(z2)), h,
-                        max(abs(c1), abs(c2)), residual)
+                        max(abs(c1), abs(c2)))
 
 
 def square_block(spec: ActivationSpec, z0: complex, h: float,
@@ -299,25 +289,3 @@ def block_error(block: ShallowBlock, spec: ActivationSpec, target: Callable,
     if got.shape != want.shape:
         raise ValueError(f"target shape {want.shape} != block output {got.shape}")
     return float(np.max(np.linalg.norm(got - want, axis=1)))
-
-
-def auto_tune_h(builder: Callable, spec: ActivationSpec, target: Callable,
-                box: CompactBox, grid: GridSpec,
-                schedule=DEFAULT_H_SCHEDULE):
-    """Walk a descending h schedule, stopping once the measured error rises
-    (float cancellation floor); returns (best_h, best_block, best_error).
-
-    ``builder(h)`` returns the block (or (block, extra), extra ignored).
-    """
-    best = None
-    prev_err = None
-    for h in schedule:
-        built = builder(h)
-        block = built[0] if isinstance(built, tuple) else built
-        err = block_error(block, spec, target, box, grid)
-        if best is None or err < best[2]:
-            best = (h, block, err)
-        if prev_err is not None and err > prev_err:
-            break
-        prev_err = err
-    return best

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import verifier
 from .activations import get_activation
-from .blocks import (DEFAULT_H_SCHEDULE, block_error, conj_block, identity_block,
-                     id_conj_pair_block, mul_block, pair_block, square_block)
+from .blocks import (block_error, conj_block, identity_block, mul_apply, mul_block,
+                     pair_block, square_block)
 from .core import (CompactBox, Cvnn, GridSpec, cvnn_from_json, cvnn_to_json,
                    depth_of, eval_cvnn, sample_box, width_of)
 from .errors import (ConstructionError, DimensionMismatch, EvaluationFailure, FitSingular,
@@ -226,11 +226,31 @@ def _cmd_lower(args):
     return 0
 
 
-_BLOCK_TARGETS = {
-    "identity": lambda zs: zs,
-    "conjugation": lambda zs: np.conj(zs),
-    "pair": lambda zs: np.hstack([zs, np.conj(zs)]),
+_SWEEP_BLOCKS = ("conjugation", "identity", "mul", "pair", "square")
+
+_SQUARE_TARGETS = {
+    "zzbar": lambda zs: zs * np.conj(zs),
+    "z2": lambda zs: zs**2,
+    "zbar2": lambda zs: np.conj(zs) ** 2,
 }
+
+
+def _sweep_case(block: str, spec, z0: complex, h: float, prof, box: CompactBox):
+    """(block at z0 and h, the function it approximates, the box to measure
+    on).  Square and mul blocks approximate the product that the second
+    derivatives at z0 afford."""
+    if block == "identity":
+        return identity_block(spec, z0, h, prof), lambda zs: zs, box
+    if block == "conjugation":
+        return conj_block(spec, z0, h, prof), np.conj, box
+    if block == "pair":
+        return pair_block(spec, z0, h, prof), lambda zs: np.hstack([zs, np.conj(zs)]), box
+    if block == "square":
+        blk, which = square_block(spec, z0, h, prof)
+        return blk, _SQUARE_TARGETS[which], box
+    blk, kind = mul_block(spec, z0, h, prof)
+    return (blk, lambda zs: mul_apply(kind, zs[:, 0], zs[:, 1])[:, None],
+            CompactBox(tuple(box.intervals) * 2))
 
 
 def _cmd_sweep(args):
@@ -239,37 +259,12 @@ def _cmd_sweep(args):
     z0 = complex(*[float(x) for x in args.z0.split(",")]) if args.z0 else 1.0
     box = _box_or_default(args, 1)
     grid = GridSpec(args.grid)
-    builders = {
-        "identity": lambda h: identity_block(spec, z0, h, prof),
-        "conjugation": lambda h: conj_block(spec, z0, h, prof),
-        "pair": lambda h: pair_block(spec, z0, h, prof),
-        "square": lambda h: square_block(spec, z0, h, prof)[0],
-        "mul": lambda h: mul_block(spec, z0, h, prof)[0],
-    }
-    if args.block not in builders:
-        raise ValueError(f"unknown block {args.block!r}; known: {sorted(builders)}")
+    if args.block not in _SWEEP_BLOCKS:
+        raise ValueError(f"unknown block {args.block!r}; known: {list(_SWEEP_BLOCKS)}")
     rows = []
-    for h in _schedule(args) if args.h else DEFAULT_H_SCHEDULE:
-        blk = builders[args.block](h)
-        if args.block == "square":
-            which = square_block(spec, z0, h, prof)[1]
-            target = {"zzbar": lambda zs: zs * np.conj(zs),
-                      "z2": lambda zs: zs**2,
-                      "zbar2": lambda zs: np.conj(zs) ** 2}[which]
-        elif args.block == "mul":
-            kind = mul_block(spec, z0, h, prof)[1]
-            bibox = CompactBox(tuple(box.intervals) * 2)
-            err = block_error(blk, spec,
-                              lambda zs: verifier.TARGETS["z1zbar2"][0](zs)[:, None]
-                              if kind == "mul2" else (
-                                  (zs[:, 0] * zs[:, 1])[:, None] if kind == "mul1"
-                                  else np.conj(zs[:, 0] * zs[:, 1])[:, None]),
-                              bibox, grid)
-            rows.append(verifier.SweepRow(h, err, blk.post_scale, 2, blk.width))
-            continue
-        else:
-            target = _BLOCK_TARGETS[args.block]
-        err = block_error(blk, spec, target, box, grid)
+    for h in _schedule(args):
+        blk, target, blk_box = _sweep_case(args.block, spec, z0, h, prof, box)
+        err = block_error(blk, spec, target, blk_box, grid)
         rows.append(verifier.SweepRow(h, err, blk.post_scale, 2, blk.width))
     report = SweepReport(rows, {"block": args.block, "activation": spec.name,
                                 "z0": repr(z0)})
@@ -426,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--block", required=True,
                    help="identity | conjugation | pair | square | mul")
     p.add_argument("--z0", default=None, metavar="RE,IM")
-    p.add_argument("--h", default=None)
+    p.add_argument("--h", default="auto")
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("demo", help="necessity and robustness demos")

@@ -35,6 +35,7 @@ __all__ = [
     "hidden_widths",
     "pad_hidden_width",
     "sample_box",
+    "check_sample_budget",
     "MAX_SAMPLE_POINTS",
     "identity_affine",
     "cvnn_to_json",
@@ -286,6 +287,22 @@ class GridSpec:
 MAX_SAMPLE_POINTS = 2 ** 22
 
 
+def check_sample_budget(box: CompactBox, spec: GridSpec) -> int:
+    """The number of points ``sample_box(box, spec)`` returns,
+    points_per_axis^(2n); raises ValueError when that is above
+    ``MAX_SAMPLE_POINTS``."""
+    p = int(spec.points_per_axis)
+    n = box.n
+    count = p ** (2 * n)
+    if count > MAX_SAMPLE_POINTS:
+        nbytes = count * n * np.dtype(np.complex128).itemsize
+        raise ValueError(
+            f"{p} points per axis over {2 * n} real axes make {count} points "
+            f"({nbytes} bytes as complex128), above the budget of "
+            f"{MAX_SAMPLE_POINTS} points")
+    return count
+
+
 def sample_box(box: CompactBox, spec: GridSpec, seed: int = 0) -> np.ndarray:
     """Sample the box as an (N, n) complex array.
 
@@ -297,13 +314,7 @@ def sample_box(box: CompactBox, spec: GridSpec, seed: int = 0) -> np.ndarray:
     """
     p = int(spec.points_per_axis)
     n = box.n
-    count = p ** (2 * n)
-    if count > MAX_SAMPLE_POINTS:
-        nbytes = count * n * np.dtype(np.complex128).itemsize
-        raise ValueError(
-            f"{p} points per axis over {2 * n} real axes make {count} points "
-            f"({nbytes} bytes as complex128), above the budget of "
-            f"{MAX_SAMPLE_POINTS} points")
+    count = check_sample_budget(box, spec)
     if spec.sampling == "uniform-lattice":
         axes = []
         for re_lo, re_hi, im_lo, im_hi in box.intervals:

@@ -37,13 +37,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .activations import ActivationSpec, conjugate_activation
-from .blocks import (ShallowBlock, identity_block, id_conj_pair_block,
-                     mul_block, pair_block)
+from .blocks import (_SQUARE_TO_MUL, ShallowBlock, identity_block, mul_block,
+                     routed_pair_block)
 from .core import ComplexAffineMap, Cvnn, eval_affine, fuse_affine, width_of
-from .errors import StrategyMismatch
-from .register import FlushLayer, MulLayer, RegisterProgram, RhoLayer
-from .wirtinger import ToleranceProfile, find_nonzero_second_point, first_derivs
-from .wirtinger import _probe_candidates
+from .errors import ConstructionError, StrategyMismatch
+from .register import FlushLayer, RegisterProgram
+from .wirtinger import ToleranceProfile, first_derivs, probe_atlas
 
 __all__ = [
     "STRATEGIES",
@@ -53,6 +52,8 @@ __all__ = [
     "assemble_pieces",
     "eval_pieces",
     "default_strategy",
+    "LoweringPlan",
+    "plan_lowering",
 ]
 
 STRATEGIES = (
@@ -72,9 +73,6 @@ _BUDGETS = {
     "Poly_Narrow_2N2Mplus5": lambda n, m: 2 * n + 2 * m + 5,
     "Poly_NMplus4": lambda n, m: n + m + 4,
 }
-
-_SQUARE_TO_MUL = {"zzbar": "mul2", "z2": "mul1", "zbar2": "mul3"}
-
 
 def strategy_width_budget(strategy: str, n: int, m: int) -> int:
     return _BUDGETS[strategy](n, m)
@@ -198,15 +196,82 @@ def _make_conj_realizer(spec: ActivationSpec, z0c: complex, hc: float,
 
 
 # ---------------------------------------------------------------------------
-# Block kit: templates shared by all slots of one lowering
+# Plan (h-independent) and block kit (one per h)
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LoweringPlan:
+    """Everything a lowering decides before h is known.
+
+    sigma is the activation the program's neurons are written against
+    (conj o activation when realizer_point is set: the lone-dbar point of
+    the activation at which conjugation blocks undo the conj).  The other
+    fields are the points of the identity block, the (z, conj z) pair route
+    and the square block, and the product the multiplication block affords;
+    None where the strategy needs no such block.
+    """
+
+    strategy: str
+    sigma: ActivationSpec
+    realizer_point: Optional[complex] = None
+    id_point: Optional[complex] = None
+    pair_route: Optional[tuple] = None
+    square_point: Optional[complex] = None
+    mul_kind: Optional[str] = None
+
+
+def plan_lowering(spec: ActivationSpec, strategy: str,
+                  prof: ToleranceProfile = ToleranceProfile()) -> LoweringPlan:
+    """Pick sigma and every block point for a strategy from the probe atlas;
+    raises StrategyMismatch (or ConstructionError for the pair route) when
+    the activation lacks a point the strategy needs."""
+    if strategy not in STRATEGIES:
+        raise StrategyMismatch(f"unknown strategy {strategy!r}")
+    atlas = probe_atlas(spec, prof)
+    sigma, realizer = spec, None
+    lone_d, lone_db, _ = atlas.pattern_points()
+    if strategy == "NonPoly_Conj_NMplus1" or (strategy == "Poly_NMplus4" and lone_d is None):
+        if lone_db is None:
+            raise StrategyMismatch(
+                f"{strategy}: no probe point with lone nonzero dbar for the activation")
+        sigma, realizer = conjugate_activation(spec), lone_db
+        atlas = atlas.conjugated()
+    s_lone_d, _, s_both = atlas.pattern_points()
+
+    if strategy in ("NonPoly_NMplus1", "NonPoly_Conj_NMplus1"):
+        if s_lone_d is None:
+            raise StrategyMismatch(
+                f"{strategy}: needs a point with nonzero d and vanishing dbar")
+        return LoweringPlan(strategy, sigma, realizer, id_point=s_lone_d)
+
+    if strategy == "NonPoly_2N2Mplus1":
+        if s_both is None:
+            raise StrategyMismatch(
+                f"{strategy}: needs a point with both Wirtinger derivatives nonzero")
+        return LoweringPlan(strategy, sigma, realizer, pair_route=(s_both,))
+
+    square = atlas.square_point()
+    if square is None:
+        raise StrategyMismatch(f"{strategy}: activation is R-affine on the probe grid")
+    id_point = None
+    if strategy == "Poly_NMplus4":
+        if s_lone_d is None:
+            raise StrategyMismatch(
+                f"{strategy}: needs a point with exactly one nonzero first derivative")
+        id_point = s_lone_d
+    route = atlas.pair_route()
+    if route is None:
+        raise ConstructionError(
+            "no usable probe points for id/conj pair: activation appears "
+            "holomorphic, antiholomorphic, or R-affine on the probe grid")
+    return LoweringPlan(strategy, sigma, realizer, id_point, route, square[0],
+                        _SQUARE_TO_MUL[square[1]])
 
 
 @dataclass
 class _Kit:
     sigma: ActivationSpec
-    prof: ToleranceProfile
-    h: float
     realize: Callable
     id_blk: Optional[ShallowBlock] = None     # width-1 identity
     pair_blk: Optional[ShallowBlock] = None   # width-2 (z, conj z)
@@ -229,131 +294,33 @@ class _Kit:
                 builder.block_output(self.pair_blk, units, 1))
 
 
-def _healthy_square_point(sigma: ActivationSpec, prof: ToleranceProfile):
-    """Square-block point selection for lowering.
-
-    The kind priority matches find_nonzero_second_point, but among points
-    whose winning second derivative is within 2x of the best, prefer small
-    |f(z0)|, |d|, |dbar|: the inner register expansion carries partial sums
-    whose magnitude is driven by exactly those loads.
-    """
-    from .core import sample_box
-    from .wirtinger import second_derivs
-
-    pts = sample_box(prof.probe_box, prof.probe_grid, seed=0)[:, 0]
-    rows = []
-    for z0 in pts:
-        z0 = complex(z0)
-        if sigma.is_excluded(z0):
-            continue
-        try:
-            d2, ddbar, dbar2, _ = second_derivs(sigma, z0, prof)
-            d, dbar, _ = first_derivs(sigma, z0, prof)
-        except Exception:
-            continue
-        f0 = abs(complex(sigma(np.array([z0]))[0]))
-        rows.append((z0, {"ddbar": abs(ddbar), "d2": abs(d2), "dbar2": abs(dbar2)},
-                     f0 + abs(d) + abs(dbar)))
-    for key in ("ddbar", "d2", "dbar2"):
-        vals = [r[1][key] for r in rows]
-        if not vals or max(vals) <= prof.zero_tol:
-            continue
-        best = max(vals)
-        shortlist = [r for r in rows if r[1][key] >= 0.5 * best]
-        return min(shortlist, key=lambda r: r[2])[0]
-    return None
-
-
-def _scan_points(sigma: ActivationSpec, prof: ToleranceProfile):
-    """Best probe points per derivative pattern: (lone-d, lone-dbar, both).
-
-    Within 2x of the best conditioning score, points with small |sigma(z0)|
-    are preferred: the activation magnitude at the localization point sets
-    the cancellation load of every block built there.
-    """
-    tol = prof.zero_tol
-    lone_d, lone_db, both = [], [], []
-    for z0, d, dbar, _ in _probe_candidates(sigma, prof):
-        mag = abs(complex(sigma(np.array([z0]))[0]))
-        if abs(d) > tol and abs(dbar) <= tol:
-            lone_d.append((z0, abs(d), mag))
-        elif abs(dbar) > tol and abs(d) <= tol:
-            lone_db.append((z0, abs(dbar), mag))
-        elif abs(d) > tol and abs(dbar) > tol:
-            both.append((z0, min(abs(d), abs(dbar)), mag))
-
-    def pick(lst):
-        if not lst:
-            return None
-        best = max(t[1] for t in lst)
-        shortlist = [t for t in lst if t[1] >= 0.5 * best]
-        return min(shortlist, key=lambda t: t[2])[0]
-
-    return pick(lone_d), pick(lone_db), pick(both)
-
-
 def _h_for(h_map, role, h):
     return h if h_map is None else float(h_map.get(role, h))
 
 
-def _build_kit(spec: ActivationSpec, strategy: str, h: float,
+def _build_kit(spec: ActivationSpec, plan: LoweringPlan, h: float,
                prof: ToleranceProfile, h_map=None) -> _Kit:
-    needs_sigma = strategy == "NonPoly_Conj_NMplus1"
-    lone_d, lone_db, both = _scan_points(spec, prof)
-
-    if strategy == "Poly_NMplus4" and lone_d is None:
-        needs_sigma = True
-    if needs_sigma:
-        if lone_db is None:
-            raise StrategyMismatch(
-                f"{strategy}: no probe point with lone nonzero dbar for the activation")
-        sigma = conjugate_activation(spec)
-        realize = _make_conj_realizer(spec, lone_db, _h_for(h_map, "conj", h), prof)
-        s_lone_d, s_lone_db, s_both = lone_db, lone_d, both
-    else:
-        sigma = spec
-        realize = _direct_realizer
-        s_lone_d, s_lone_db, s_both = lone_d, lone_db, both
-
-    kit = _Kit(sigma=sigma, prof=prof, h=h, realize=realize)
-
-    if strategy in ("NonPoly_NMplus1", "NonPoly_Conj_NMplus1"):
-        if s_lone_d is None:
-            raise StrategyMismatch(
-                f"{strategy}: needs a point with nonzero d and vanishing dbar")
-        kit.id_blk = identity_block(sigma, s_lone_d, _h_for(h_map, "id", h), prof)
-        return kit
-
-    if strategy == "NonPoly_2N2Mplus1":
-        if s_both is None:
-            raise StrategyMismatch(
-                f"{strategy}: needs a point with both Wirtinger derivatives nonzero")
-        kit.pair_blk = pair_block(sigma, s_both, _h_for(h_map, "pair", h), prof)
-        return kit
-
-    # Polynomial strategies need the multiplication block.  The serialized
-    # variants (Narrow, NMplus4) cross the running accumulator through
-    # first-order blocks whose per-layer drift is O(h); pairing that drift
-    # with the square block's h^-2 post-scale would leave an h-independent
-    # error floor, so the square scale is slaved to sqrt(h) there (the proof
-    # fixes the multiplication approximant first and shrinks the identity
-    # blocks afterwards; sqrt coupling keeps the sweep one-dimensional).
-    sq = _healthy_square_point(sigma, prof)
-    if sq is None:
-        raise StrategyMismatch(f"{strategy}: activation is R-affine on the probe grid")
-    sq_default = h if strategy == "Poly_Wide_2N2Mplus12" else float(np.sqrt(h))
-    kit.mul_blk, kit.mul_kind = mul_block(sigma, sq, _h_for(h_map, "square", sq_default), prof)
-
-    if strategy == "Poly_NMplus4":
-        if s_lone_d is None:
-            raise StrategyMismatch(
-                f"{strategy}: needs a point with exactly one nonzero first derivative")
-        kit.id_blk = identity_block(sigma, s_lone_d, _h_for(h_map, "id", h), prof)
-        kit.pair_blk = id_conj_pair_block(sigma, prof, _h_for(h_map, "pair", h))
-        return kit
-
-    # Wide / Narrow: registers via the routed (z, conj z) block
-    kit.pair_blk = id_conj_pair_block(sigma, prof, _h_for(h_map, "pair", h))
+    """Build the plan's blocks at localization scale h."""
+    realize = _direct_realizer
+    if plan.realizer_point is not None:
+        realize = _make_conj_realizer(spec, plan.realizer_point, _h_for(h_map, "conj", h), prof)
+    kit = _Kit(sigma=plan.sigma, realize=realize)
+    # The serialized poly variants (Narrow, NMplus4) cross the running
+    # accumulator through first-order blocks whose per-layer drift is O(h);
+    # pairing that drift with the square block's h^-2 post-scale would leave
+    # an h-independent error floor, so the square scale is slaved to sqrt(h)
+    # there (the proof fixes the multiplication approximant first and shrinks
+    # the identity blocks afterwards; sqrt coupling keeps the sweep
+    # one-dimensional).
+    if plan.square_point is not None:
+        sq_default = h if plan.strategy == "Poly_Wide_2N2Mplus12" else float(np.sqrt(h))
+        kit.mul_blk, kit.mul_kind = mul_block(plan.sigma, plan.square_point,
+                                              _h_for(h_map, "square", sq_default), prof)
+    if plan.id_point is not None:
+        kit.id_blk = identity_block(plan.sigma, plan.id_point, _h_for(h_map, "id", h), prof)
+    if plan.pair_route is not None:
+        kit.pair_blk = routed_pair_block(plan.sigma, plan.pair_route,
+                                         _h_for(h_map, "pair", h), prof)
     return kit
 
 
@@ -412,10 +379,7 @@ def _lower_shallow(program: RegisterProgram, kit: _Kit, wide: bool) -> list:
             trans[n + 1 + j, iu] = lay.flush[j]
         _emit_affine(pieces, _affine(trans, trans_b))
 
-    end = np.zeros((m, s), dtype=np.complex128)
-    for j in range(m):
-        end[j, n + 1 + j] = 1
-    _emit_affine(pieces, _affine(end, np.asarray(program.end_bias)))
+    _emit_affine(pieces, _end_map(program, s, n + 1))
     return pieces
 
 
@@ -477,87 +441,101 @@ def _ladder_transition(ladder: _InnerLadder, k: int, s: int, i_acc: int,
     return _affine(exit_m, exit_b)
 
 
+def _end_map(program: RegisterProgram, s: int, iv: int) -> ComplexAffineMap:
+    """Read the m output registers, from slot iv on, and add the end bias."""
+    end = np.zeros((program.output_dim, s), dtype=np.complex128)
+    for j in range(program.output_dim):
+        end[j, iv + j] = 1
+    return _affine(end, np.asarray(program.end_bias))
+
+
+def _flush_map(lay: FlushLayer, s: int, iw: int, iv: int) -> ComplexAffineMap:
+    """Add coeff * w to output register dst and reset w to 1."""
+    trans = _identity_rows(s).copy()
+    trans_b = np.zeros(s, dtype=np.complex128)
+    trans[iw, iw] = 0
+    trans_b[iw] = 1
+    trans[iv + lay.dst, iw] = lay.coeff
+    return _affine(trans, trans_b)
+
+
+def _emit_mul_ladder(pieces: list, kit: _Kit, ladder: _InnerLadder, s: int,
+                     op_idx: int, iw: int, cross_registers: Callable):
+    """w <- operand * w as an inner register program: the state widens by an
+    accumulator and a compute slot, one hidden layer per multiplication
+    neuron crosses the s registers (``cross_registers(builder)`` returns
+    their outputs in slot order) and the accumulator, and the last
+    transition writes the product back into w."""
+    i_acc, i_cmp = s, s + 1
+    enter = np.zeros((s + 2, s), dtype=np.complex128)
+    enter[:s, :] = _identity_rows(s)
+    enter_b = np.zeros(s + 2, dtype=np.complex128)
+    enter[i_cmp, op_idx] = ladder.rows[0, 0]
+    enter[i_cmp, iw] = ladder.rows[0, 1]
+    enter_b[i_cmp] = ladder.biases[0]
+    _emit_affine(pieces, _affine(enter, enter_b))
+
+    for k in range(len(ladder.biases)):
+        builder = _StageBuilder(s + 2)
+        outputs = cross_registers(builder)
+        outputs.append(kit.id_cross(builder, builder.slot(i_acc)))
+        raw = builder.unit(*builder.slot(i_cmp))
+        outputs.append(([(raw, 1.0)], 0j))
+        _emit(pieces, kit, builder.finish(outputs))
+        _emit_affine(pieces, _ladder_transition(ladder, k, s, i_acc, i_cmp, op_idx, iw))
+
+
 def _lower_poly_wide_or_narrow(program: RegisterProgram, kit: _Kit, narrow: bool) -> list:
     n, m = program.input_dim, program.output_dim
     s = 2 * n + m + 1
     iw = 2 * n
     iv = 2 * n + 1
     pieces = []
+
+    def cross_pairs(builder):
+        """(z, conj z) registers rebuilt from the z slots; 2n neurons."""
+        z_outs, zb_outs = [], []
+        for q in range(n):
+            a, b = kit.pair_cross(builder, builder.slot(q))
+            z_outs.append(a)
+            zb_outs.append(b)
+        return z_outs + zb_outs
+
     # T_init: (z, conj z, 1, 0) built by one hidden layer of n pair blocks
     builder = _StageBuilder(n)
-    z_outs, zb_outs = [], []
-    for i in range(n):
-        a, b = kit.pair_cross(builder, builder.slot(i))
-        z_outs.append(a)
-        zb_outs.append(b)
-    outputs = z_outs + zb_outs + [([], 1 + 0j)] + [([], 0j)] * m
+    outputs = cross_pairs(builder) + [([], 1 + 0j)] + [([], 0j)] * m
     _emit_affine(pieces, _affine(_identity_rows(n), np.zeros(n)))
     _emit(pieces, kit, builder.finish(outputs))
     _emit_affine(pieces, _affine(_identity_rows(s), np.zeros(s)))
 
     ladder = _mul_ladder(kit)
-    k_units = len(ladder.biases)
+
+    def cross_registers(builder):
+        return (cross_pairs(builder) + [kit.id_cross(builder, builder.slot(iw))]
+                + [kit.id_cross(builder, builder.slot(iv + j)) for j in range(m)])
 
     for lay in program.layers:
         if isinstance(lay, FlushLayer):
-            trans = _identity_rows(s).copy()
-            trans_b = np.zeros(s, dtype=np.complex128)
-            trans[iw, iw] = 0
-            trans_b[iw] = 1
-            trans[iv + lay.dst, iw] = lay.coeff
-            _emit_affine(pieces, _affine(trans, trans_b))
+            _emit_affine(pieces, _flush_map(lay, s, iw, iv))
             continue
         side, i = lay.operand
         op_idx = i if side == "z" else n + i
 
         if not narrow:
             builder = _StageBuilder(s)
-            z_outs, zb_outs = [], []
-            for k in range(n):
-                a, b = kit.pair_cross(builder, builder.slot(k))
-                z_outs.append(a)
-                zb_outs.append(b)
+            z_outs = cross_pairs(builder)
             units = builder.block_units(kit.mul_blk,
                                         [builder.slot(op_idx), builder.slot(iw)])
             w_out = builder.block_output(kit.mul_blk, units, 0)
             v_outs = [kit.id_cross(builder, builder.slot(iv + j)) for j in range(m)]
-            outputs = z_outs + zb_outs + [w_out] + v_outs
-            _emit(pieces, kit, builder.finish(outputs))
+            _emit(pieces, kit, builder.finish(z_outs + [w_out] + v_outs))
             continue
 
         # narrow: run the multiplication as an inner register program over
         # (x1 = operand [read from the registers], x2 = w, compute, accumulator)
-        s_sub = s + 2
-        i_acc, i_cmp = s, s + 1
-        enter = np.zeros((s_sub, s), dtype=np.complex128)
-        enter[:s, :] = _identity_rows(s)
-        enter_b = np.zeros(s_sub, dtype=np.complex128)
-        enter[i_cmp, op_idx] = ladder.rows[0, 0]
-        enter[i_cmp, iw] = ladder.rows[0, 1]
-        enter_b[i_cmp] = ladder.biases[0]
-        _emit_affine(pieces, _affine(enter, enter_b))
+        _emit_mul_ladder(pieces, kit, ladder, s, op_idx, iw, cross_registers)
 
-        for k in range(k_units):
-            builder = _StageBuilder(s_sub)
-            z_outs, zb_outs = [], []
-            for q in range(n):
-                a, b = kit.pair_cross(builder, builder.slot(q))
-                z_outs.append(a)
-                zb_outs.append(b)
-            w_out = kit.id_cross(builder, builder.slot(iw))
-            v_outs = [kit.id_cross(builder, builder.slot(iv + j)) for j in range(m)]
-            acc_out = kit.id_cross(builder, builder.slot(i_acc))
-            raw = builder.unit(*builder.slot(i_cmp))
-            outputs = (z_outs + zb_outs + [w_out] + v_outs
-                       + [acc_out] + [([(raw, 1.0)], 0j)])
-            _emit(pieces, kit, builder.finish(outputs))
-            _emit_affine(pieces, _ladder_transition(ladder, k, s, i_acc, i_cmp,
-                                                    op_idx, iw))
-
-    end = np.zeros((m, s), dtype=np.complex128)
-    for j in range(m):
-        end[j, iv + j] = 1
-    _emit_affine(pieces, _affine(end, np.asarray(program.end_bias)))
+    _emit_affine(pieces, _end_map(program, s, iv))
     return pieces
 
 
@@ -575,17 +553,14 @@ def _lower_poly_nm4(program: RegisterProgram, kit: _Kit) -> list:
     _emit_affine(pieces, _affine(_identity_rows(s), np.zeros(s)))
 
     ladder = _mul_ladder(kit)
-    k_units = len(ladder.biases)
     conj_src = None
+
+    def cross_registers(builder):
+        return [kit.id_cross(builder, builder.slot(q)) for q in range(s)]
 
     for lay in program.layers:
         if isinstance(lay, FlushLayer):
-            trans = _identity_rows(s).copy()
-            trans_b = np.zeros(s, dtype=np.complex128)
-            trans[iw, iw] = 0
-            trans_b[iw] = 1
-            trans[iv + lay.dst, iw] = lay.coeff
-            _emit_affine(pieces, _affine(trans, trans_b))
+            _emit_affine(pieces, _flush_map(lay, s, iw, iv))
             continue
         side, i = lay.operand
         if side == "zbar" and conj_src != i:
@@ -606,34 +581,9 @@ def _lower_poly_nm4(program: RegisterProgram, kit: _Kit) -> list:
             _emit(pieces, kit, builder.finish(outputs))
             conj_src = i
         op_idx = i if side == "z" else ig
+        _emit_mul_ladder(pieces, kit, ladder, s, op_idx, iw, cross_registers)
 
-        s_sub = s + 2
-        i_acc, i_cmp = s, s + 1
-        enter = np.zeros((s_sub, s), dtype=np.complex128)
-        enter[:s, :] = _identity_rows(s)
-        enter_b = np.zeros(s_sub, dtype=np.complex128)
-        enter[i_cmp, op_idx] = ladder.rows[0, 0]
-        enter[i_cmp, iw] = ladder.rows[0, 1]
-        enter_b[i_cmp] = ladder.biases[0]
-        _emit_affine(pieces, _affine(enter, enter_b))
-
-        for k in range(k_units):
-            builder = _StageBuilder(s_sub)
-            outputs = [kit.id_cross(builder, builder.slot(q)) for q in range(n)]
-            outputs.append(kit.id_cross(builder, builder.slot(ig)))
-            outputs.append(kit.id_cross(builder, builder.slot(iw)))
-            outputs += [kit.id_cross(builder, builder.slot(iv + j)) for j in range(m)]
-            outputs.append(kit.id_cross(builder, builder.slot(i_acc)))
-            raw = builder.unit(*builder.slot(i_cmp))
-            outputs.append(([(raw, 1.0)], 0j))
-            _emit(pieces, kit, builder.finish(outputs))
-            _emit_affine(pieces, _ladder_transition(ladder, k, s, i_acc, i_cmp,
-                                                    op_idx, iw))
-
-    end = np.zeros((m, s), dtype=np.complex128)
-    for j in range(m):
-        end[j, iv + j] = 1
-    _emit_affine(pieces, _affine(end, np.asarray(program.end_bias)))
+    _emit_affine(pieces, _end_map(program, s, iv))
     return pieces
 
 
@@ -681,7 +631,7 @@ def lower_pieces(program: RegisterProgram, spec: ActivationSpec, strategy: str,
         raise StrategyMismatch(f"{strategy} needs a shallow-family program")
     if strategy.startswith("Poly") and program.family != "poly":
         raise StrategyMismatch(f"{strategy} needs a poly-family program")
-    kit = _build_kit(spec, strategy, h, prof, h_map)
+    kit = _build_kit(spec, plan_lowering(spec, strategy, prof), h, prof, h_map)
     if program.family == "poly" and program.mul_kind != kit.mul_kind:
         raise StrategyMismatch(
             f"program was planned for {program.mul_kind} but the activation "

@@ -26,14 +26,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .activations import ActivationSpec, conjugate_activation, get_activation
-from .core import (CompactBox, ComplexAffineMap, Cvnn, GridSpec, eval_cvnn,
-                   sample_box, width_of, depth_of)
+from .activations import ActivationSpec, get_activation
+from .blocks import _SQUARE_TO_MUL
+from .core import (CompactBox, ComplexAffineMap, Cvnn, GridSpec, check_sample_budget,
+                   eval_cvnn, sample_box, width_of, depth_of)
 from .errors import DimensionMismatch, EvaluationFailure, StrategyMismatch
 from .fitting import FitConfig, fit_shallow, solve_complex_ridge
-from .lowering import lower
+from .lowering import lower, plan_lowering
 from .register import RegisterProgram, eval_register, poly_to_register, shallow_to_register
-from .wirtinger import ToleranceProfile, find_nonzero_second_point
+from .wirtinger import ToleranceProfile, probe_atlas
 
 __all__ = [
     "MCEstimate",
@@ -282,10 +283,10 @@ def _finer(grid: GridSpec) -> GridSpec:
 def mul_kind_for(spec: ActivationSpec, prof: ToleranceProfile = ToleranceProfile()) -> str:
     """Which product the square probe affords: a mixed second derivative
     gives mul2, a plain one mul1, a conjugate one mul3."""
-    found = find_nonzero_second_point(spec, prof)
+    found = probe_atlas(spec, prof).square_point()
     if found is None:
         raise StrategyMismatch("activation is R-affine on the probe grid")
-    return {"ddbar": "mul2", "d2": "mul1", "dbar2": "mul3"}[found[1]]
+    return _SQUARE_TO_MUL[found[1]]
 
 
 def end_to_end_poly(f: Callable, spec: ActivationSpec, n: int, m: int,
@@ -293,18 +294,12 @@ def end_to_end_poly(f: Callable, spec: ActivationSpec, n: int, m: int,
                     fit_grid: GridSpec = GridSpec(9),
                     schedule: Sequence[float] = DEFAULT_SWEEP_SCHEDULE,
                     prof: ToleranceProfile = ToleranceProfile()):
-    """fit_poly -> poly_to_register (kind from the square probe) -> lower,
+    """fit_poly -> poly_to_register (kind from the lowering plan) -> lower,
     sweeping h.  Returns (best network, SweepReport)."""
     from .fitting import fit_poly
 
-    sigma = spec
-    if strategy == "Poly_NMplus4":
-        from .lowering import _scan_points
-
-        lone_d, lone_db, _ = _scan_points(spec, prof)
-        if lone_d is None and lone_db is not None:
-            sigma = conjugate_activation(spec)
-    kind = mul_kind_for(sigma, prof)
+    check_sample_budget(box, _finer(fit_grid))
+    kind = plan_lowering(spec, strategy, prof).mul_kind
     polys = fit_poly(f, n, degree, box, fit_grid, m=m)
     program = poly_to_register(polys, kind)
     fit_err = sup_error(f, lambda zs: eval_register(program, zs), box, _finer(fit_grid))
@@ -332,7 +327,8 @@ def end_to_end_nonpoly(f: Callable, spec: ActivationSpec, n: int, m: int,
     Returns (best network, SweepReport); the report carries the shallow fit
     error so total error can be compared against fit error + lowering slack.
     """
-    sigma = conjugate_activation(spec) if strategy == "NonPoly_Conj_NMplus1" else spec
+    check_sample_budget(box, _finer(cfg.grid))
+    sigma = plan_lowering(spec, strategy, prof).sigma
     cfg = FitConfig(num_features=cfg.num_features, weight_scale=cfg.weight_scale,
                     ridge=cfg.ridge, box=box, grid=cfg.grid, seed=cfg.seed)
     shallow, fit_err = fit_shallow(f, sigma, n, m, cfg)

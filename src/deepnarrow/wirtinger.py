@@ -26,6 +26,7 @@ n+m+4, or 2n+2m+5).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -46,6 +47,8 @@ __all__ = [
     "second_partials_to_wirtinger",
     "laplacian_iterate",
     "taylor_remainder_probe",
+    "ProbeAtlas",
+    "probe_atlas",
     "find_active_point",
     "find_nonzero_second_point",
     "classify_activation",
@@ -296,11 +299,208 @@ def taylor_remainder_probe(spec: ActivationSpec, z0: complex, order: int,
     return TaylorReport(z0, order, tuple(prof.taylor_radii), tuple(ratios), floor, ok)
 
 
-def _probe_candidates(spec: ActivationSpec, prof: ToleranceProfile):
-    """First-derivative data at every non-excluded grid point."""
-    pts = sample_box(prof.probe_box, prof.probe_grid, seed=0)[:, 0]
-    out = []
-    for z0 in pts:
+class _AtlasPoint:
+    """Probe data at one grid point.  The first-order fields are filled by
+    the scan; ``f0``, ``second`` and ``taylor`` on first query."""
+
+    __slots__ = ("z0", "d", "dbar", "est", "f0", "second", "taylor")
+
+    def __init__(self, z0, d, dbar, est):
+        self.z0, self.d, self.dbar, self.est = z0, d, dbar, est
+        self.f0 = None       # f(z0)
+        self.second = None   # (d2, ddbar, dbar2, est) or the ProbeFailed message
+        self.taylor = None   # first-order remainder probe verdict
+
+
+class ProbeAtlas:
+    """Wirtinger data of one activation on the probe grid of one profile.
+
+    Built once by ``probe_atlas``: one scan keeps, for every non-excluded
+    grid point whose first probe succeeds, z0, d, dbar and the error
+    estimate, in grid order.  f(z0), second derivatives and Taylor verdicts
+    are evaluated per point on first query and kept (a classification needs
+    no f(z0)).  Every rule that picks a probe point is a method here, so the
+    classifier, the pipelines and the lowering read the same facts.
+
+    ``conjugated()`` is the atlas of conj o f without a rescan: its columns
+    are swapped and conjugated (d(conj f) = conj(dbar f), f -> conj f),
+    which finite differences reproduce exactly up to the sign of zeros.
+    """
+
+    def __init__(self, spec: ActivationSpec, prof: ToleranceProfile, points: tuple,
+                 conj: bool = False):
+        self.spec = spec
+        self.prof = prof
+        self._points = points
+        self._conj = conj
+
+    def __len__(self) -> int:
+        return len(self._points)
+
+    def conjugated(self) -> "ProbeAtlas":
+        """The atlas of conj o spec, sharing this one's points and lazy data."""
+        return ProbeAtlas(self.spec, self.prof, self._points, not self._conj)
+
+    def first(self, i: int) -> tuple:
+        """(z0, d, dbar, est_error) at point i."""
+        p = self._points[i]
+        if self._conj:
+            return p.z0, p.dbar.conjugate(), p.d.conjugate(), p.est
+        return p.z0, p.d, p.dbar, p.est
+
+    def value(self, i: int) -> complex:
+        """f(z0) at point i."""
+        p = self._points[i]
+        if p.f0 is None:
+            p.f0 = complex(self.spec(np.array([p.z0]))[0])
+        return p.f0.conjugate() if self._conj else p.f0
+
+    def second(self, i: int) -> tuple:
+        """(d2, ddbar, dbar2, est_error) at point i; raises ProbeFailed when
+        the second-order probe fails there."""
+        p = self._points[i]
+        if p.second is None:
+            try:
+                p.second = second_derivs(self.spec, p.z0, self.prof)
+            except ProbeFailed as exc:
+                p.second = str(exc)
+        if isinstance(p.second, str):
+            raise ProbeFailed(p.second)
+        d2, ddbar, dbar2, est = p.second
+        if self._conj:
+            return dbar2.conjugate(), ddbar.conjugate(), d2.conjugate(), est
+        return d2, ddbar, dbar2, est
+
+    def taylor_passed(self, i: int) -> bool:
+        """First-order remainder probe verdict at point i (the remainder of
+        conj o f is the conjugate of that of f)."""
+        p = self._points[i]
+        if p.taylor is None:
+            p.taylor = taylor_remainder_probe(self.spec, p.z0, 1, self.prof).passed
+        return p.taylor
+
+    def probe(self, i: int) -> WirtingerProbe:
+        """First- and second-order data at point i, as ``probe_point`` gives."""
+        z0, d, dbar, e1 = self.first(i)
+        d2, ddbar, dbar2, e2 = self.second(i)
+        return WirtingerProbe(z0, d, dbar, d2, ddbar, dbar2, max(e1, e2))
+
+    def _seconds(self):
+        """(i, second data) at the points whose second probe succeeds."""
+        for i in range(len(self)):
+            try:
+                second = self.second(i)
+            except ProbeFailed:
+                continue
+            yield i, second
+
+    # -- point rules -------------------------------------------------------
+
+    def pattern_points(self) -> tuple:
+        """Best point per first-order pattern: (lone d, lone dbar, both), each
+        None when absent.
+
+        Within 2x of the best conditioning score (|d|, |dbar| or
+        min(|d|, |dbar|)), the point with the least |f(z0)| wins: the
+        activation magnitude at the localization point sets the cancellation
+        load of every block built there.
+        """
+        tol = self.prof.zero_tol
+        lone_d, lone_db, both = [], [], []
+        for i in range(len(self)):
+            z0, d, dbar, _ = self.first(i)
+            mag = abs(self.value(i))
+            if abs(d) > tol and abs(dbar) <= tol:
+                lone_d.append((z0, abs(d), mag))
+            elif abs(dbar) > tol and abs(d) <= tol:
+                lone_db.append((z0, abs(dbar), mag))
+            elif abs(d) > tol and abs(dbar) > tol:
+                both.append((z0, min(abs(d), abs(dbar)), mag))
+
+        def pick(lst):
+            if not lst:
+                return None
+            best = max(t[1] for t in lst)
+            return min((t for t in lst if t[1] >= 0.5 * best), key=lambda t: t[2])[0]
+
+        return pick(lone_d), pick(lone_db), pick(both)
+
+    def square_point(self):
+        """(z0, which) for the square block, which in {"zzbar", "z2",
+        "zbar2"}, or None when every second derivative vanishes (R-affine).
+
+        The kind is the first of ddbar > d2 > dbar2 that is nonzero somewhere,
+        the order of the square block's cases.  Among points whose value of it
+        is within 2x of the best, the least |f(z0)| + |d| + |dbar| wins: the
+        inner register expansion carries partial sums driven by those loads.
+        """
+        rows = []
+        for i, second in self._seconds():
+            z0, d, dbar, _ = self.first(i)
+            rows.append((z0, second, abs(self.value(i)) + abs(d) + abs(dbar)))
+        for k, which in ((1, "zzbar"), (0, "z2"), (2, "zbar2")):
+            vals = [abs(r[1][k]) for r in rows]
+            if not vals or max(vals) <= self.prof.zero_tol:
+                continue
+            best = max(vals)
+            shortlist = [r for r, v in zip(rows, vals) if v >= 0.5 * best]
+            return min(shortlist, key=lambda r: r[2])[0], which
+        return None
+
+    def pair_route(self):
+        """Where a width-2 (z, conj z) block localizes: (z0,) at the point
+        maximizing min(|d|, |dbar|) when some point has both derivatives
+        nonzero, else (z_id, z_conj) at the lone-d point of largest |d| and
+        the lone-dbar point of largest |dbar|; None when either is missing."""
+        tol = self.prof.zero_tol
+        both, id_pts, conj_pts = [], [], []
+        for i in range(len(self)):
+            z0, d, dbar, _ = self.first(i)
+            if abs(d) > tol and abs(dbar) > tol:
+                both.append((z0, min(abs(d), abs(dbar))))
+            elif abs(d) > tol:
+                id_pts.append((z0, abs(d)))
+            elif abs(dbar) > tol:
+                conj_pts.append((z0, abs(dbar)))
+        if both:
+            return (max(both, key=lambda t: t[1])[0],)
+        if not id_pts or not conj_pts:
+            return None
+        return (max(id_pts, key=lambda t: t[1])[0], max(conj_pts, key=lambda t: t[1])[0])
+
+    def active_point(self) -> Optional[complex]:
+        """The point maximizing max(|d|, |dbar|) among those that pass the
+        first-order remainder probe; None when none does.  A point is probed
+        only when it would beat the best one so far."""
+        best, best_score = None, 0.0
+        for i in range(len(self)):
+            z0, d, dbar, _ = self.first(i)
+            score = max(abs(d), abs(dbar))
+            if score <= self.prof.zero_tol or score <= best_score:
+                continue
+            if self.taylor_passed(i):
+                best, best_score = z0, score
+        return best
+
+    def nonzero_second_point(self):
+        """(z0, which) with which the first of ddbar > d2 > dbar2 that is
+        nonzero somewhere, at the point of its largest magnitude; None in the
+        R-affine case."""
+        best = {"ddbar": (None, 0.0), "d2": (None, 0.0), "dbar2": (None, 0.0)}
+        for i, (d2, ddbar, dbar2, _) in self._seconds():
+            for key, val in (("ddbar", ddbar), ("d2", d2), ("dbar2", dbar2)):
+                if abs(val) > max(self.prof.zero_tol, best[key][1]):
+                    best[key] = (self.first(i)[0], abs(val))
+        for key in ("ddbar", "d2", "dbar2"):
+            if best[key][0] is not None:
+                return best[key][0], key
+        return None
+
+
+@functools.lru_cache(maxsize=8)
+def _scan(spec: ActivationSpec, prof: ToleranceProfile) -> ProbeAtlas:
+    points = []
+    for z0 in sample_box(prof.probe_box, prof.probe_grid, seed=0)[:, 0]:
         z0 = complex(z0)
         if spec.is_excluded(z0):
             continue
@@ -308,22 +508,26 @@ def _probe_candidates(spec: ActivationSpec, prof: ToleranceProfile):
             d, dbar, est = first_derivs(spec, z0, prof)
         except ProbeFailed:
             continue
-        out.append((z0, d, dbar, est))
-    return out
+        points.append(_AtlasPoint(z0, d, dbar, est))
+    return ProbeAtlas(spec, prof, tuple(points))
+
+
+def probe_atlas(spec: ActivationSpec, prof: ToleranceProfile = ToleranceProfile()) -> ProbeAtlas:
+    """The probe atlas of (spec, prof), scanned on first request.
+
+    The memo is keyed by value; specs compare their callables by identity,
+    so every ``get_activation`` call makes a new key while one spec shared
+    by a classification and a pipeline shares one atlas.  The 8 most
+    recently used atlases are kept.
+    """
+    return _scan(spec, prof)
 
 
 def find_active_point(spec: ActivationSpec, prof: ToleranceProfile = ToleranceProfile()) -> Optional[complex]:
     """Scan the probe grid for a point of real differentiability with
     non-vanishing derivative; returns the one maximizing max(|d|, |dbar|),
     or None when every candidate fails the remainder probe."""
-    best, best_score = None, 0.0
-    for z0, d, dbar, _ in _probe_candidates(spec, prof):
-        score = max(abs(d), abs(dbar))
-        if score <= prof.zero_tol or score <= best_score:
-            continue
-        if taylor_remainder_probe(spec, z0, 1, prof).passed:
-            best, best_score = z0, score
-    return best
+    return probe_atlas(spec, prof).active_point()
 
 
 def find_nonzero_second_point(spec: ActivationSpec, prof: ToleranceProfile = ToleranceProfile()):
@@ -333,23 +537,7 @@ def find_nonzero_second_point(spec: ActivationSpec, prof: ToleranceProfile = Tol
     so the mixed product (and hence mul2) is chosen whenever available.
     Returns (z0, which) or None (the R-affine case).
     """
-    pts = sample_box(prof.probe_box, prof.probe_grid, seed=0)[:, 0]
-    best = {"ddbar": (None, 0.0), "d2": (None, 0.0), "dbar2": (None, 0.0)}
-    for z0 in pts:
-        z0 = complex(z0)
-        if spec.is_excluded(z0):
-            continue
-        try:
-            d2, ddbar, dbar2, _ = second_derivs(spec, z0, prof)
-        except ProbeFailed:
-            continue
-        for key, val in (("ddbar", ddbar), ("d2", d2), ("dbar2", dbar2)):
-            if abs(val) > max(prof.zero_tol, best[key][1]):
-                best[key] = (z0, abs(val))
-    for key in ("ddbar", "d2", "dbar2"):
-        if best[key][0] is not None:
-            return best[key][0], key
-    return None
+    return probe_atlas(spec, prof).nonzero_second_point()
 
 
 VERDICTS = (
@@ -438,7 +626,8 @@ def classify_activation(spec: ActivationSpec, n: int = 1, m: int = 1,
         if flag in flags:
             return Classification(verdict, None, f"analytic flag: {flag}")
 
-    cands = _probe_candidates(spec, prof)
+    atlas = probe_atlas(spec, prof)
+    cands = [atlas.first(i) for i in range(len(atlas))]
     tol = prof.zero_tol
     if not flags and cands:
         # numeric structural heuristics, documented as heuristics
@@ -450,47 +639,37 @@ def classify_activation(spec: ActivationSpec, n: int = 1, m: int = 1,
             return Classification(
                 "NonUniversalAntiholomorphic", None,
                 f"heuristic: |d| <= {tol} at all {len(cands)} grid points")
-        seconds = []
-        affine = True
-        for z0, _, _, _ in cands:
+        # stops at the first point with a failed or nonzero second probe
+        for i in range(len(atlas)):
             try:
-                d2, ddbar, dbar2, _ = second_derivs(spec, z0, prof)
+                if max(abs(v) for v in atlas.second(i)[:3]) > tol:
+                    break
             except ProbeFailed:
-                affine = False
                 break
-            seconds.append((z0, d2, ddbar, dbar2))
-            if max(abs(d2), abs(ddbar), abs(dbar2)) > tol:
-                affine = False
-                break
-        if affine and seconds:
+        else:
             return Classification(
                 "NonUniversalRAffine", None,
                 f"heuristic: all second Wirtinger derivatives <= {tol} on the grid")
 
     # differentiable point with nonzero derivative
-    passing = []
-    for z0, d, dbar, est in cands:
-        if max(abs(d), abs(dbar)) <= tol:
-            continue
-        if taylor_remainder_probe(spec, z0, 1, prof).passed:
-            passing.append((z0, d, dbar))
+    passing = [(i, z0, d, dbar) for i, (z0, d, dbar, _) in enumerate(cands)
+               if max(abs(d), abs(dbar)) > tol and atlas.taylor_passed(i)]
     if not passing:
         return Classification(
             "Inconclusive", None,
             "no probe point is real differentiable with nonzero derivative")
 
-    lone = [(z0, d, dbar) for z0, d, dbar in passing
-            if (abs(d) > tol) != (abs(dbar) > tol)]
-    sample_pts = [z0 for z0, _, _ in passing]
+    lone = [t for t in passing if (abs(t[2]) > tol) != (abs(t[3]) > tol)]
+    sample_pts = [t[1] for t in passing]
     poly, poly_ev = _is_polyharmonic(spec, prof, sample_pts)
 
     if lone:
-        z0, d, dbar = max(lone, key=lambda t: max(abs(t[1]), abs(t[2])))
+        i, z0, d, dbar = max(lone, key=lambda t: max(abs(t[2]), abs(t[3])))
         side = "d" if abs(d) > tol else "dbar"
         verdict = "UniversalPoly_NMplus4" if poly else "UniversalNonPoly_NMplus1"
         ev = (f"lone nonzero {side} at {z0}: d={d:.6g}, dbar={dbar:.6g}; {poly_ev}")
     else:
-        z0, d, dbar = max(passing, key=lambda t: min(abs(t[1]), abs(t[2])))
+        i, z0, d, dbar = max(passing, key=lambda t: min(abs(t[2]), abs(t[3])))
         verdict = "UniversalPoly_2N2Mplus5" if poly else "UniversalNonPoly_2N2Mplus1"
         ev = (f"both derivatives nonzero at {z0}: d={d:.6g}, dbar={dbar:.6g}; {poly_ev}")
-    return Classification(verdict, z0, ev, probe_point(spec, z0, prof))
+    return Classification(verdict, z0, ev, atlas.probe(i))

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from deepnarrow.activations import custom_activation, get_activation
-from deepnarrow.blocks import (DEFAULT_H_SCHEDULE, auto_tune_h, block_error,
-                               conj_block, id_conj_pair_block, identity_block,
-                               mul_block, pair_block, square_block, mul_apply)
+from deepnarrow.blocks import (block_error, conj_block, id_conj_pair_block,
+                               identity_block, mul_block, pair_block, square_block,
+                               mul_apply)
 from deepnarrow.core import CompactBox, GridSpec, eval_cvnn, sample_box
 from deepnarrow.errors import ConstructionError
 from deepnarrow.wirtinger import ToleranceProfile, wirt_first
@@ -319,15 +319,6 @@ def test_mul_error_bounded_by_weighted_square_errors():
     target = pts[:, 0] * np.conj(pts[:, 1])
     mul_err = np.abs(mblk(spec, pts)[:, 0] - target)
     assert np.all(mul_err <= bound + 1e-12)
-
-
-def test_auto_tune_h_returns_argmin():
-    card = get_activation("cardioid")
-    h, blk, err = auto_tune_h(lambda h: identity_block(card, 1.0, h, PROF),
-                              card, T_ID, BOX, GRID)
-    assert err <= block_error(identity_block(card, 1.0, 1e-1, PROF), card,
-                              T_ID, BOX, GRID)
-    assert h in DEFAULT_H_SCHEDULE
 
 
 def test_block_to_cvnn_round_trip():

@@ -132,6 +132,50 @@ def test_sweep_command(tmp_path):
     assert errs[1] < errs[0]
 
 
+@pytest.mark.parametrize("block", ["square", "mul"])
+def test_sweep_builds_each_block_once_per_h(monkeypatch, tmp_path, block):
+    from deepnarrow import blocks, cli
+    from deepnarrow.verifier import DEFAULT_SWEEP_SCHEDULE
+
+    built = []
+    constructor = getattr(blocks, f"{block}_block")
+
+    def counting(*args, **kwargs):
+        built.append(args[2])
+        return constructor(*args, **kwargs)
+
+    monkeypatch.setattr(cli, f"{block}_block", counting)
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--activation", "cardioid", "--block", block, "--z0", "1,1",
+                "--no-timestamp", "--out", str(out)]) == 0
+    assert built == list(DEFAULT_SWEEP_SCHEDULE)
+    rows = [l for l in out.read_text().splitlines() if l[:1].isdigit()]
+    assert [float(l.split(",")[0]) for l in rows] == list(DEFAULT_SWEEP_SCHEDULE)
+
+
+@pytest.mark.parametrize("strategy, extra", [
+    ("Poly_Narrow_2N2Mplus5", ["--degree", "2"]),
+    ("NonPoly_2N2Mplus1", ["--features", "20"]),
+])
+def test_compile_refuses_over_budget_lattice_before_fitting(monkeypatch, capsys, strategy,
+                                                            extra):
+    """n = 3 verifies on 18^6 points, above core.MAX_SAMPLE_POINTS: refused
+    before the fit grid (9^6 points) is fitted."""
+    from deepnarrow import fitting
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fitted before the verification budget was checked")
+
+    monkeypatch.setattr(fitting, "fit_poly", no_fit)
+    monkeypatch.setattr(fitting, "fit_shallow", no_fit)
+    monkeypatch.setattr("deepnarrow.verifier.fit_shallow", no_fit)
+    rc = run(["compile", "--target", "z1zbar2", "--n", "3", "--activation", "cardioid",
+              "--strategy", strategy, *extra])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[BAD_VALUE]") and "34012224 points" in err
+
+
 def test_demo_commands(tmp_path):
     out = tmp_path / "demo.json"
     rc = run(["demo", "--name", "affine-closure", "--no-timestamp", "--out", str(out)])

@@ -1,0 +1,41 @@
+"""The benchmark's traced run (``perfbench/run.py --trace 1``) replaces
+deepnarrow's public functions by name with the shims of perfbench/tracing.py
+and reads the per-h rows back from the recorded spans.  A rename or a call
+path that bypasses those names would silently empty its per-layer figures;
+this keeps the shims working against the package."""
+
+import importlib.util
+from pathlib import Path
+
+import deepnarrow
+from deepnarrow import cli, lowering, verifier, wirtinger
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_compile_reports_one_row_per_h(tmp_path):
+    tracing = _load_tracing()
+    originals = (verifier.lower, verifier.sup_error, wirtinger.first_derivs)
+    tracer = tracing.Tracer()
+    installed = tracing.install(tracer, deepnarrow)
+    try:
+        assert cli.main(["compile", "--target", "zzbar", "--activation", "re_square",
+                         "--degree", "2", "--no-timestamp",
+                         "--out", str(tmp_path / "run")]) == 0
+        rows = tracer.per_h_rows()
+        metrics = tracing.layer_metrics(tracer)
+    finally:
+        installed.restore()
+    assert (verifier.lower, verifier.sup_error, wirtinger.first_derivs) == originals
+    assert lowering.lower is verifier.lower
+    assert [r["h"] for r in rows] == list(verifier.DEFAULT_SWEEP_SCHEDULE)
+    assert all(r["lower_s"] > 0 and r["sup_s"] > 0 for r in rows)
+    assert metrics["lowering.lower_s"] > 0
+    assert metrics["wirtinger.first_probes"] > 0
