@@ -11,6 +11,7 @@ single machine-parsable line "error[CODE] message" on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -26,7 +27,7 @@ from .core import (CompactBox, Cvnn, GridSpec, cvnn_from_json, cvnn_to_json,
 from .errors import (ConstructionError, DimensionMismatch, EvaluationFailure, FitSingular,
                      InvalidActivationParams, StrategyMismatch, UnknownActivation)
 from .fitting import FitConfig, fit_poly, fit_shallow
-from .lowering import default_strategy, lower, STRATEGIES
+from .lowering import default_strategy, lower, plan_lowering, STRATEGIES
 from .register import (poly_from_json_dict, poly_to_json_dict, poly_to_register,
                        program_from_json, program_to_json, shallow_to_register,
                        eval_register)
@@ -206,12 +207,11 @@ def _cmd_lower(args):
     prof = _profile(args)
     box = _box_or_default(args, program.input_dim)
     grid = GridSpec(args.grid)
-    sigma = spec
-    if args.strategy == "NonPoly_Conj_NMplus1":
-        from .activations import conjugate_activation
-
-        sigma = conjugate_activation(spec)
-    reference = lambda zs: eval_register(program, zs, sigma.fn)
+    # The program's neurons are written against the plan's sigma.  It is
+    # planned on first use: h_sweep lowers before it evaluates the reference,
+    # so a program of the wrong family reports lower's family error first.
+    sigma = functools.cache(lambda: plan_lowering(spec, args.strategy, prof).sigma)
+    reference = lambda zs: eval_register(program, zs, sigma().fn)
     report = h_sweep(lambda h: lower(program, spec, args.strategy, h, prof),
                      _schedule(args), box, grid, reference, spec,
                      metadata={"strategy": args.strategy, "activation": spec.name})

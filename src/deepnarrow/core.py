@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,12 +24,14 @@ from .errors import DimensionMismatch, EvaluationFailure
 
 __all__ = [
     "ComplexAffineMap",
+    "AffineArrays",
     "Cvnn",
     "CompactBox",
     "GridSpec",
     "eval_affine",
     "eval_cvnn",
     "fuse_affine",
+    "fuse_arrays",
     "width_of",
     "depth_of",
     "hidden_widths",
@@ -51,7 +53,7 @@ def _as_complex_matrix(m) -> np.ndarray:
 
 
 def _check_finite(a: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(a.view(np.float64))):
+    if not np.isfinite(a).all():
         raise ValueError(f"non-finite entries in {what}")
 
 
@@ -112,11 +114,34 @@ def eval_affine(amap: ComplexAffineMap, z) -> np.ndarray:
     raise DimensionMismatch(f"input must be 1-d or 2-d, got shape {zv.shape}")
 
 
-def fuse_affine(a: ComplexAffineMap, b: ComplexAffineMap) -> ComplexAffineMap:
-    """Compose a o b into a single affine map (composition of affines is affine)."""
+class AffineArrays(NamedTuple):
+    """A map z -> A z + b held as bare complex128 arrays: neither copied nor
+    checked.  Lowering builds its intermediate pieces this way and validates
+    only the ComplexAffineMaps of the network it assembles from them."""
+
+    matrix: np.ndarray
+    bias: np.ndarray
+
+    @property
+    def in_dim(self) -> int:
+        return self.matrix.shape[1]
+
+    @property
+    def out_dim(self) -> int:
+        return self.matrix.shape[0]
+
+
+def fuse_arrays(a, b) -> AffineArrays:
+    """Compose a o b (either may be a ComplexAffineMap or AffineArrays) into
+    bare arrays, unvalidated."""
     if a.in_dim != b.out_dim:
         raise DimensionMismatch(f"cannot fuse: a.in_dim {a.in_dim} != b.out_dim {b.out_dim}")
-    return ComplexAffineMap(a.matrix @ b.matrix, a.matrix @ b.bias + a.bias)
+    return AffineArrays(a.matrix @ b.matrix, a.matrix @ b.bias + a.bias)
+
+
+def fuse_affine(a: ComplexAffineMap, b: ComplexAffineMap) -> ComplexAffineMap:
+    """Compose a o b into a single affine map (composition of affines is affine)."""
+    return ComplexAffineMap(*fuse_arrays(a, b))
 
 
 @dataclass(frozen=True)

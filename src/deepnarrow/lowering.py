@@ -24,6 +24,10 @@ real work.  The width budgets, for input dimension n and output dimension m:
                                      demand by one 2-neuron pair block
 
 Adjacent affine maps are always fused, keeping the strict alternating form.
+The pieces are bare arrays (``core.AffineArrays``); only the maps of the
+assembled network are validated, as ComplexAffineMaps.  That catches every
+non-finite entry of a piece: inf * 0 = nan, so fusion spreads it to a whole
+row or column of each later product.
 Each strategy checks its derivative preconditions against probe data and
 raises StrategyMismatch when they fail.  Width bounds are asserted on the
 result, with zero tolerance.
@@ -39,7 +43,8 @@ import numpy as np
 from .activations import ActivationSpec, conjugate_activation
 from .blocks import (_SQUARE_TO_MUL, ShallowBlock, identity_block, mul_block,
                      routed_pair_block)
-from .core import ComplexAffineMap, Cvnn, eval_affine, fuse_affine, width_of
+from .core import (AffineArrays, ComplexAffineMap, Cvnn, eval_affine, fuse_arrays,
+                   width_of)
 from .errors import ConstructionError, StrategyMismatch
 from .register import FlushLayer, RegisterProgram
 from .wirtinger import ToleranceProfile, first_derivs, probe_atlas
@@ -87,8 +92,8 @@ def strategy_width_budget(strategy: str, n: int, m: int) -> int:
 class Stage:
     """One hidden layer: pre maps state -> neurons, post maps neurons -> state."""
 
-    pre: ComplexAffineMap
-    post: ComplexAffineMap
+    pre: AffineArrays
+    post: AffineArrays
 
 
 class _StageBuilder:
@@ -134,19 +139,19 @@ class _StageBuilder:
     def finish(self, outputs) -> Stage:
         """outputs: list of (combo, bias) with combo = [(unit, coef), ...]."""
         h = len(self._rows)
-        pre = ComplexAffineMap(np.vstack(self._rows), np.asarray(self._biases))
+        pre = _affine(np.vstack(self._rows), self._biases)
         post_m = np.zeros((len(outputs), h), dtype=np.complex128)
         post_b = np.zeros(len(outputs), dtype=np.complex128)
         for o, (combo, bias) in enumerate(outputs):
             for unit, coef in combo:
                 post_m[o, unit] += coef
             post_b[o] = bias
-        return Stage(pre, ComplexAffineMap(post_m, post_b))
+        return Stage(pre, AffineArrays(post_m, post_b))
 
 
-def _affine(rows, biases) -> ComplexAffineMap:
-    return ComplexAffineMap(np.asarray(rows, dtype=np.complex128),
-                            np.asarray(biases, dtype=np.complex128))
+def _affine(rows, biases) -> AffineArrays:
+    return AffineArrays(np.asarray(rows, dtype=np.complex128),
+                        np.asarray(biases, dtype=np.complex128))
 
 
 def _identity_rows(dim):
@@ -190,7 +195,7 @@ def _make_conj_realizer(spec: ActivationSpec, z0c: complex, hc: float,
         conj_pre = _affine(hc * eye, np.full(h, z0c, dtype=np.complex128))
         conj_post = _affine(cc * eye, -f0 * cc - theta0)
         return [Stage(stage.pre, pass_through),
-                Stage(conj_pre, fuse_affine(stage.post, conj_post))]
+                Stage(conj_pre, fuse_arrays(stage.post, conj_post))]
 
     return realize
 
@@ -334,7 +339,7 @@ def _emit(pieces: list, kit: _Kit, stage: Stage):
         pieces.append(("stage", realized))
 
 
-def _emit_affine(pieces: list, amap: ComplexAffineMap):
+def _emit_affine(pieces: list, amap: AffineArrays):
     pieces.append(("affine", amap))
 
 
@@ -351,32 +356,33 @@ def _lower_shallow(program: RegisterProgram, kit: _Kit, wide: bool) -> list:
     pieces = []
     _emit_affine(pieces, _affine(init, init_b))
 
-    for lay in program.layers:
-        builder = _StageBuilder(s)
-        outputs = []
-        for i in range(n):
-            inp = builder.slot(i)
-            outputs.append(kit.pair_cross(builder, inp)[0] if wide
-                           else kit.id_cross(builder, inp))
-        raw = builder.unit(*builder.slot(iu))
-        outputs.append(([(raw, 1.0)], 0j))
-        for j in range(m):
-            inp = builder.slot(n + 1 + j)
-            outputs.append(kit.pair_cross(builder, inp)[0] if wide
-                           else kit.id_cross(builder, inp))
-        _emit(pieces, kit, builder.finish(outputs))
+    # Every program layer crosses the same registers through the same blocks
+    # and applies the activation to u, so the hidden stage is built and
+    # realized once; only the transitions carry a layer's flush and reload.
+    builder = _StageBuilder(s)
 
-        trans = np.zeros((s, s), dtype=np.complex128)
+    def cross(slot):
+        inp = builder.slot(slot)
+        return kit.pair_cross(builder, inp)[0] if wide else kit.id_cross(builder, inp)
+
+    outputs = [cross(i) for i in range(n)]
+    raw = builder.unit(*builder.slot(iu))
+    outputs.append(([(raw, 1.0)], 0j))
+    outputs += [cross(n + 1 + j) for j in range(m)]
+    stages = [("stage", realized) for realized in kit.realize(builder.finish(outputs))]
+
+    keep = np.zeros((s, s), dtype=np.complex128)
+    keep[:n, :n] = _identity_rows(n)
+    keep[n + 1:, n + 1:] = _identity_rows(m)
+    for lay in program.layers:
+        pieces += stages
+        trans = keep.copy()
         trans_b = np.zeros(s, dtype=np.complex128)
-        for i in range(n):
-            trans[i, i] = 1
         if lay.reload is not None:
             a, b = lay.reload
             trans[iu, :n] = np.asarray(a)
             trans_b[iu] = b
-        for j in range(m):
-            trans[n + 1 + j, n + 1 + j] = 1
-            trans[n + 1 + j, iu] = lay.flush[j]
+        trans[n + 1:, iu] = lay.flush
         _emit_affine(pieces, _affine(trans, trans_b))
 
     _emit_affine(pieces, _end_map(program, s, n + 1))
@@ -413,7 +419,7 @@ def _mul_ladder(kit: _Kit) -> _InnerLadder:
 
 
 def _ladder_transition(ladder: _InnerLadder, k: int, s: int, i_acc: int,
-                       i_cmp: int, op_idx: int, iw: int) -> ComplexAffineMap:
+                       i_cmp: int, op_idx: int, iw: int) -> AffineArrays:
     """Affine map after inner stage k: accumulate the (rescaled, centered)
     neuron output and reload the next preactivation, or on the last step
     write the block value back into the w slot with the exact compensation
@@ -441,7 +447,7 @@ def _ladder_transition(ladder: _InnerLadder, k: int, s: int, i_acc: int,
     return _affine(exit_m, exit_b)
 
 
-def _end_map(program: RegisterProgram, s: int, iv: int) -> ComplexAffineMap:
+def _end_map(program: RegisterProgram, s: int, iv: int) -> AffineArrays:
     """Read the m output registers, from slot iv on, and add the end bias."""
     end = np.zeros((program.output_dim, s), dtype=np.complex128)
     for j in range(program.output_dim):
@@ -449,7 +455,7 @@ def _end_map(program: RegisterProgram, s: int, iv: int) -> ComplexAffineMap:
     return _affine(end, np.asarray(program.end_bias))
 
 
-def _flush_map(lay: FlushLayer, s: int, iw: int, iv: int) -> ComplexAffineMap:
+def _flush_map(lay: FlushLayer, s: int, iw: int, iv: int) -> AffineArrays:
     """Add coeff * w to output register dst and reset w to 1."""
     trans = _identity_rows(s).copy()
     trans_b = np.zeros(s, dtype=np.complex128)
@@ -593,21 +599,22 @@ def _lower_poly_nm4(program: RegisterProgram, kit: _Kit) -> list:
 
 
 def assemble_pieces(pieces: list, activation_id) -> Cvnn:
-    """Fuse the alternating affine/stage chain into a strict network."""
+    """Fuse the alternating affine/stage chain into a strict network; each
+    fused map is validated once, as a ComplexAffineMap of the result."""
     pending = None
     maps = []
     for kind, obj in pieces:
         if kind == "affine":
-            pending = obj if pending is None else fuse_affine(obj, pending)
+            pending = obj if pending is None else fuse_arrays(obj, pending)
         else:
-            maps.append(obj.pre if pending is None else fuse_affine(obj.pre, pending))
+            maps.append(obj.pre if pending is None else fuse_arrays(obj.pre, pending))
             pending = obj.post
     if pending is None:
         raise StrategyMismatch("no affine maps produced")
     maps.append(pending)
     if len(maps) < 2:
         raise StrategyMismatch("lowering produced a purely affine map; nothing to lower")
-    return Cvnn(tuple(maps), activation_id)
+    return Cvnn(tuple(ComplexAffineMap(a.matrix, a.bias) for a in maps), activation_id)
 
 
 def eval_pieces(pieces: list, spec: ActivationSpec, z) -> np.ndarray:

@@ -101,6 +101,54 @@ def test_lower_command(tmp_path, capsys):
     assert width_of(net) <= 9
 
 
+def test_lower_conj_strategy_sweeps_against_conjugated_activation(tmp_path):
+    """`lower` takes sigma from the lowering plan; for NonPoly_Conj_NMplus1
+    that is conj o activation, so the sweep equals, byte for byte, one built
+    by hand against conjugate_activation(spec)."""
+    from deepnarrow.activations import conjugate_activation
+    from deepnarrow.core import CompactBox, GridSpec, cvnn_to_json
+    from deepnarrow.lowering import lower
+    from deepnarrow.register import eval_register, shallow_to_register
+    from deepnarrow.verifier import DEFAULT_SWEEP_SCHEDULE, h_sweep
+    from deepnarrow.wirtinger import ToleranceProfile
+    from conftest import random_shallow
+
+    strategy = "NonPoly_Conj_NMplus1"
+    spec = get_activation("conj:cardioid")
+    sigma = conjugate_activation(spec)
+    net = random_shallow(np.random.default_rng(3), 1, 1, 4, sigma.activation_id, scale=0.5)
+    program = shallow_to_register(net)
+    prog_path = tmp_path / "prog.json"
+    prog_path.write_text(program_to_json(program))
+    out = tmp_path / "low"
+    assert run(["lower", "--program", str(prog_path), "--activation", "conj:cardioid",
+                "--strategy", strategy, "--no-timestamp", "--out", str(out)]) == 0
+
+    prof = ToleranceProfile()
+    report = h_sweep(lambda h: lower(program, spec, strategy, h, prof),
+                     DEFAULT_SWEEP_SCHEDULE, CompactBox.square(1, 1.0), GridSpec(9),
+                     lambda zs: eval_register(program, zs, sigma.fn), spec,
+                     metadata={"strategy": strategy, "activation": spec.name})
+    best = report.extras["nets"][report.best_row().h]
+    assert (tmp_path / "low.sweep.csv").read_text() == report.to_csv(False)
+    assert (tmp_path / "low.net.json").read_text() == cvnn_to_json(best)
+
+
+@pytest.mark.parametrize("strategy", ["NonPoly_NMplus1", "NonPoly_Conj_NMplus1",
+                                      "NonPoly_2N2Mplus1"])
+def test_lower_poly_program_with_nonpoly_strategy_reports_family(tmp_path, capsys, strategy):
+    # re_square has no lone-derivative point, so planning NonPoly_NMplus1 or
+    # NonPoly_Conj_NMplus1 would fail too; the family error comes first
+    p = PolyZZbar(1, ((1 + 0j, (0,), (2,)),))
+    prog_path = tmp_path / "prog.json"
+    prog_path.write_text(program_to_json(poly_to_register([p], "mul2")))
+    rc = run(["lower", "--program", str(prog_path), "--activation", "re_square",
+              "--strategy", strategy])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        f"error[STRATEGY_MISMATCH] {strategy} needs a shallow-family program\n")
+
+
 def test_fit_poly_command(tmp_path, capsys):
     out = tmp_path / "p"
     rc = run(["fit-poly", "--target", "zzbar", "--degree", "2",

@@ -40,6 +40,14 @@ def test_affine_rejects_nonfinite():
         ComplexAffineMap([[np.inf]], [0])
     with pytest.raises(ValueError):
         ComplexAffineMap([[1]], [np.nan * 1j])
+    # a complex entry is finite iff both of its parts are
+    for bad in (complex(np.inf, 0), complex(-np.inf, 1), complex(np.nan, 0),
+                complex(0, np.inf), complex(1, -np.inf), complex(0, np.nan)):
+        with pytest.raises(ValueError, match="non-finite entries in affine matrix"):
+            ComplexAffineMap(np.array([[1, bad], [0, 1]]), [0, 0])
+        with pytest.raises(ValueError, match="non-finite entries in affine bias"):
+            ComplexAffineMap(np.eye(2), np.array([0, bad]))
+    ComplexAffineMap([[complex(1e308, -1e308)]], [complex(-1e308, 5e-324)])
 
 
 def test_affine_is_immutable():

@@ -1,11 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from deepnarrow import lowering
 from deepnarrow.activations import get_activation
-from deepnarrow.core import eval_cvnn, hidden_widths, width_of
+from deepnarrow.core import ComplexAffineMap, depth_of, eval_cvnn, hidden_widths, width_of
 from deepnarrow.errors import StrategyMismatch
 from deepnarrow.lowering import (STRATEGIES, assemble_pieces, default_strategy,
-                                 eval_pieces, lower, lower_pieces,
+                                 eval_pieces, lower, lower_pieces, plan_lowering,
                                  strategy_width_budget)
 from deepnarrow.register import (PolyZZbar, eval_register, poly_to_register,
                                  shallow_to_register)
@@ -223,3 +227,109 @@ def test_default_strategy_mapping():
     assert default_strategy(cls.verdict, cls.witness_probe, PROF) == "Poly_NMplus4"
     with pytest.raises(StrategyMismatch):
         default_strategy("NonUniversalHolomorphic", None, PROF)
+
+
+# ---------------------------------------------------------------------------
+# Pieces are bare arrays; the assembled network's maps carry the checks
+# ---------------------------------------------------------------------------
+
+
+def _shallow_pieces(rng):
+    program = shallow_to_register(random_shallow(rng, 1, 1, 3, CARD.activation_id))
+    pieces, _ = lower_pieces(program, CARD, "NonPoly_NMplus1", 1e-3, PROF)
+    # init, (stage, transition) per program layer, end
+    assert [kind for kind, _ in pieces] == ["affine"] + ["stage", "affine"] * 3 + ["affine"]
+    assemble_pieces(pieces, CARD.activation_id)
+    return pieces
+
+
+def test_assemble_rejects_inf_in_a_transition_bias(rng):
+    pieces = _shallow_pieces(rng)
+    kind, trans = pieces[4]       # between program layers 1 and 2
+    bias = trans.bias.copy()
+    bias[1] = np.inf              # the reload of the compute slot u
+    pieces[4] = (kind, trans._replace(bias=bias))
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite entries"):
+        assemble_pieces(pieces, CARD.activation_id)
+
+
+def test_assemble_rejects_inf_in_a_stage_post_matrix(rng):
+    pieces = _shallow_pieces(rng)
+    kind, stage = pieces[3]       # program layer 1's hidden stage
+    post = stage.post.matrix.copy()
+    post[0, 0] = np.inf
+    pieces[3] = (kind, dataclasses.replace(stage, post=stage.post._replace(matrix=post)))
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite entries"):
+        assemble_pieces(pieces, CARD.activation_id)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES[:3])
+def test_lower_validates_only_network_and_block_maps(monkeypatch, rng, strategy):
+    """One lower of a depth-L shallow program constructs a ComplexAffineMap
+    for each map of the network and for the blocks built at that h, and for
+    nothing else."""
+    spec = STRATEGY_ACTIVATIONS[strategy]
+    program = shallow_to_register(random_shallow(rng, 2, 1, 25, spec.activation_id))
+    built = []
+    post_init = ComplexAffineMap.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    kit_maps = []
+    build_kit = lowering._build_kit
+
+    def counting_kit(*args, **kwargs):
+        start = len(built)
+        kit = build_kit(*args, **kwargs)
+        kit_maps.append(len(built) - start)
+        return kit
+
+    monkeypatch.setattr(ComplexAffineMap, "__post_init__", counting)
+    monkeypatch.setattr(lowering, "_build_kit", counting_kit)
+    net = lower(program, spec, strategy, 1e-3, PROF)
+    layers = 2 if strategy == "NonPoly_Conj_NMplus1" else 1
+    assert depth_of(net) == 25 * layers + 1
+    assert kit_maps == [2]        # one block: pre and post
+    assert len(built) == depth_of(net) + kit_maps[0]
+    assert all(a is b for a, b in zip(built[kit_maps[0]:], net.affine_maps))
+
+
+def _monomial(factors, n):
+    """Exponents (z degrees, conj z degrees) of a product of variables
+    indexed 0..2n-1 (z_1..z_n, then conj z_1..conj z_n)."""
+    degrees = [factors.count(k) for k in range(2 * n)]
+    return tuple(degrees[:n]), tuple(degrees[n:])
+
+
+def _random_poly(draw, rng, n):
+    """1-3 distinct monomials of total degree <= 2 with random coefficients."""
+    factors = st.lists(st.integers(0, 2 * n - 1), max_size=2).map(sorted).map(tuple)
+    keys = draw(st.lists(factors, min_size=1, max_size=3, unique=True))
+    return PolyZZbar(n, tuple((complex(*rng.standard_normal(2)), *_monomial(list(k), n))
+                              for k in keys))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(strategy=st.sampled_from(STRATEGIES), n=st.integers(1, 2), m=st.integers(1, 2),
+       h=st.sampled_from((1e-2, 1e-3, 1e-4)), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_fused_equals_unfused_on_random_programs(strategy, n, m, h, seed, data):
+    rng = np.random.default_rng(seed)
+    spec = STRATEGY_ACTIVATIONS[strategy]
+    if strategy.startswith("NonPoly"):
+        width = data.draw(st.integers(1, 6), label="width")
+        program = shallow_to_register(random_shallow(rng, n, m, width, spec.activation_id))
+    else:
+        polys = [_random_poly(data.draw, rng, n) for _ in range(m)]
+        program = poly_to_register(polys, plan_lowering(spec, strategy, PROF).mul_kind)
+    pieces, _ = lower_pieces(program, spec, strategy, h, PROF)
+    fused = assemble_pieces(pieces, spec.activation_id)
+    zs = random_points(rng, 30, n, scale=0.5)
+    a = eval_pieces(pieces, spec, zs)
+    b = eval_cvnn(fused, zs, spec.fn)
+    # the conditioning-relative tolerance of test_fusion_invariance
+    kappa = max(float(np.max(np.abs(obj.post.matrix))) for kind, obj in pieces
+                if kind == "stage")
+    assert np.max(np.abs(a - b)) < 1e-12 * kappa * (1 + np.max(np.abs(a)))

@@ -39,3 +39,27 @@ def test_traced_compile_reports_one_row_per_h(tmp_path):
     assert all(r["lower_s"] > 0 and r["sup_s"] > 0 for r in rows)
     assert metrics["lowering.lower_s"] > 0
     assert metrics["wirtinger.first_probes"] > 0
+
+
+def test_traced_deep_compile_counts_only_validated_maps(tmp_path):
+    """The tracer counts ComplexAffineMap constructions by wrapping
+    __post_init__: one NonPoly_NMplus1 compile builds a validated map for
+    each network map at each of the six h and for little else, and both
+    lowering phases record time."""
+    from deepnarrow.core import cvnn_from_json, depth_of
+
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    installed = tracing.install(tracer, deepnarrow)
+    try:
+        assert cli.main(["compile", "--target", "zzbar", "--activation", "cardioid",
+                         "--strategy", "NonPoly_NMplus1", "--features", "40",
+                         "--no-timestamp", "--out", str(tmp_path / "run")]) == 0
+        metrics = tracing.layer_metrics(tracer)
+    finally:
+        installed.restore()
+    depth = depth_of(cvnn_from_json((tmp_path / "run.net.json").read_text()))
+    assert depth == 41
+    assert metrics["lowering.pieces_s"] > 0
+    assert metrics["lowering.assemble_s"] > 0
+    assert 0 < metrics["core.affine_maps_built"] <= 6 * (depth + 8)
