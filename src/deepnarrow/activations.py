@@ -352,7 +352,14 @@ def _nowhere_diff(params: Mapping) -> ActivationSpec:
     freqs = _WEIERSTRASS_B**ks * np.pi
 
     def wsum(x):
-        return np.tensordot(amps, np.cos(np.multiply.outer(freqs, x)), axes=(0, 0))
+        # reduces each point's terms on its own, in a fixed order, so a value
+        # does not depend on the other points of the call (a BLAS tensordot
+        # may sum them differently for different batch shapes); one
+        # (points, terms) buffer, updated in place
+        terms = np.multiply.outer(x, freqs)
+        np.cos(terms, out=terms)
+        terms *= amps
+        return terms.sum(axis=-1)
 
     def fn(z):
         z = np.asarray(z, dtype=np.complex128)

@@ -35,6 +35,7 @@ result, with zero tolerance.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -230,7 +231,17 @@ def plan_lowering(spec: ActivationSpec, strategy: str,
                   prof: ToleranceProfile = ToleranceProfile()) -> LoweringPlan:
     """Pick sigma and every block point for a strategy from the probe atlas;
     raises StrategyMismatch (or ConstructionError for the pair route) when
-    the activation lacks a point the strategy needs."""
+    the activation lacks a point the strategy needs.
+
+    Memoised by value like ``probe_atlas`` (the 8 most recently used plans
+    are kept; a failed plan is not), so a compile plans once and every h of
+    its sweep shares that plan and its sigma.
+    """
+    return _plan(spec, strategy, prof)
+
+
+@functools.lru_cache(maxsize=8)
+def _plan(spec: ActivationSpec, strategy: str, prof: ToleranceProfile) -> LoweringPlan:
     if strategy not in STRATEGIES:
         raise StrategyMismatch(f"unknown strategy {strategy!r}")
     atlas = probe_atlas(spec, prof)

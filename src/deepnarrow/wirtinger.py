@@ -136,10 +136,18 @@ def _richardson(samples, levels: int):
     return best, abs(best - table[-1][-2])
 
 
+def _evaluate(spec: ActivationSpec, pts) -> np.ndarray:
+    return np.asarray(spec.fn(np.asarray(pts, dtype=np.complex128)), dtype=np.complex128)
+
+
+def _failure(pts) -> ProbeFailed:
+    return ProbeFailed(f"activation evaluation failed near {pts!r}")
+
+
 def _eval_scalar(spec: ActivationSpec, pts) -> np.ndarray:
-    out = np.asarray(spec.fn(np.asarray(pts, dtype=np.complex128)), dtype=np.complex128)
+    out = _evaluate(spec, pts)
     if not np.all(np.isfinite(out.view(np.float64))):
-        raise ProbeFailed(f"activation evaluation failed near {pts!r}")
+        raise _failure(pts)
     return out
 
 
@@ -239,7 +247,9 @@ def laplacian_iterate(spec: ActivationSpec, z0: complex, order: int,
 
     Each level amplifies roundoff by h^-2, so the step widens with the order
     and the estimate carries an explicit noise floor; `reliable` is False
-    when the value is within 10x of that floor.
+    when the value is within 10x of that floor.  The 5^order stencil leaves
+    are evaluated in one activation call and combined in the order of the
+    nested recursion.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -248,55 +258,121 @@ def laplacian_iterate(spec: ActivationSpec, z0: complex, order: int,
             f"order {order} exceeds polyharmonic_max_order {prof.polyharmonic_max_order}"
         )
     h = _EPS ** (1.0 / (2 * order + 2)) * max(1.0, abs(z0))
-    scale_box = [0.0]
+    leaves = []
 
-    def rec(z, k):
+    def collect(z, k):
         if k == 0:
-            v = _eval_scalar(spec, [z])[0]
-            scale_box[0] = max(scale_box[0], abs(v))
-            return v
-        return (rec(z + h, k - 1) + rec(z - h, k - 1) + rec(z + 1j * h, k - 1)
-                + rec(z - 1j * h, k - 1) - 4 * rec(z, k - 1)) / h**2
+            leaves.append(z)
+            return
+        for zz in (z + h, z - h, z + 1j * h, z - 1j * h, z):
+            collect(zz, k - 1)
 
-    value = rec(complex(z0), order)
-    fscale = max(1.0, scale_box[0])
+    collect(complex(z0), order)
+    vals = _evaluate(spec, leaves)
+    finite = np.isfinite(vals)
+    if not finite.all():
+        raise _failure([leaves[int(np.argmin(finite))]])
+    stream = iter(vals)
+
+    def rec(k):
+        # consumes the leaves in the order ``collect`` listed them
+        if k == 0:
+            return next(stream)
+        return (rec(k - 1) + rec(k - 1) + rec(k - 1) + rec(k - 1) - 4 * rec(k - 1)) / h**2
+
+    value = rec(order)
+    # np.hypot of the parts is abs() of each value bit for bit; np.abs of a
+    # complex array may differ from it in the last bit
+    fscale = max(1.0, float(np.max(np.hypot(vals.real, vals.imag))))
     noise = 5.0**order * _EPS * fscale / h ** (2 * order)
     return LaplacianEstimate(complex(value), float(noise), bool(abs(value) > 10 * noise))
 
 
-def taylor_remainder_probe(spec: ActivationSpec, z0: complex, order: int,
-                           prof: ToleranceProfile = ToleranceProfile()) -> TaylorReport:
+def taylor_remainder_probe(spec: ActivationSpec, z0, order: int,
+                           prof: ToleranceProfile = ToleranceProfile(), d=None, dbar=None):
     """Check that the Taylor remainder of the given order actually vanishes.
 
     Evaluates Theta_k(w) = f(z0+w) - Taylor_k(w) on shrinking circles |w| = r
     and reports max |Theta_k| / r^k per radius.  Differentiability shows up
     as a decreasing ratio sequence; a ratio sequence that stalls or grows
     marks a point where the expansion is invalid.
+
+    A scalar z0 gives one TaylorReport and raises ProbeFailed when an
+    evaluation is not finite.  A 1-D array of centres gives a list with one
+    entry per centre: its report, or the ProbeFailed that centre alone would
+    raise, returned rather than raised.  Either way the activation is called
+    once, on every f(z0) and every circle point, and each centre's arithmetic
+    is that of a lone call.  ``d`` and ``dbar`` (scalars or arrays like z0)
+    are the first derivatives when the caller holds them; otherwise they
+    come from ``first_derivs``.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    z0 = complex(z0)
-    d, dbar, _ = first_derivs(spec, z0, prof)
-    if order == 2:
-        d2, ddbar, dbar2, _ = second_derivs(spec, z0, prof)
-    f0 = _eval_scalar(spec, [z0])[0]
+    if np.ndim(z0) == 0:
+        out = _taylor_batch(spec, [complex(z0)], order, prof,
+                            None if d is None else [d], None if dbar is None else [dbar])[0]
+        if isinstance(out, ProbeFailed):
+            raise out
+        return out
+    centres = np.asarray(z0, dtype=np.complex128)
+    if centres.ndim != 1:
+        raise ValueError("z0 must be a scalar or a 1-D array of centres")
+    return _taylor_batch(spec, [complex(z) for z in centres], order, prof, d, dbar)
+
+
+def _taylor_batch(spec: ActivationSpec, zs: list, order: int, prof: ToleranceProfile,
+                  d, dbar) -> list:
+    out = [None] * len(zs)
+    live, coefs = [], []
+    for k, z in enumerate(zs):
+        try:
+            dk, dbk = (d[k], dbar[k]) if d is not None else first_derivs(spec, z, prof)[:2]
+            if order == 2:
+                d2, ddbar, dbar2, _ = second_derivs(spec, z, prof)
+                # grouped as a lone call groups 0.5 * d2 * w**2
+                coefs.append((dk, dbk, 0.5 * d2, ddbar, 0.5 * dbar2))
+            else:
+                coefs.append((dk, dbk))
+        except ProbeFailed as exc:
+            out[k] = exc
+            continue
+        live.append(k)
+    if not live:
+        return out
+    radii = prof.taylor_radii
     angles = np.exp(2j * np.pi * np.arange(prof.taylor_points_per_circle)
                     / prof.taylor_points_per_circle)
-    ratios = []
-    scale = 1.0
-    for r in prof.taylor_radii:
-        w = r * angles
-        fv = _eval_scalar(spec, z0 + w)
-        scale = max(scale, float(np.max(np.abs(fv))))
-        theta = fv - f0 - d * w - dbar * np.conj(w)
-        if order == 2:
-            theta = theta - 0.5 * d2 * w**2 - ddbar * w * np.conj(w) - 0.5 * dbar2 * np.conj(w) ** 2
-        ratios.append(float(np.max(np.abs(theta)) / r**order))
-    floor = 1e-8 * scale
-    ok = all(rt <= floor for rt in ratios) or all(
-        nxt <= max(0.9 * cur, floor) for cur, nxt in zip(ratios, ratios[1:])
-    )
-    return TaylorReport(z0, order, tuple(prof.taylor_radii), tuple(ratios), floor, ok)
+    w = np.stack([r * angles for r in radii])                       # (radius, angle)
+    z = np.array([zs[k] for k in live])
+    circles = z[:, None, None] + w                                  # (centre, radius, angle)
+    vals = _evaluate(spec, np.concatenate([z, circles.ravel()]))
+    f0, fv = vals[: len(z)], vals[len(z):].reshape(circles.shape)
+    f0_ok = np.isfinite(f0)
+    circle_ok = np.isfinite(fv).all(axis=2)
+    good = []
+    for j, k in enumerate(live):
+        if not f0_ok[j]:
+            out[k] = _failure([zs[k]])
+        elif not circle_ok[j].all():
+            out[k] = _failure(circles[j, int(np.argmin(circle_ok[j]))])
+        else:
+            good.append(j)
+    if not good:
+        return out
+    c = np.array([coefs[j] for j in good], dtype=np.complex128).T[:, :, None, None]
+    fv, wc = fv[good], np.conj(w)
+    theta = fv - f0[good][:, None, None] - c[0] * w - c[1] * wc
+    if order == 2:
+        theta = theta - c[2] * w**2 - c[3] * w * wc - c[4] * wc**2
+    ratios = np.max(np.abs(theta), axis=2) / np.array([r**order for r in radii])
+    scales = np.max(np.abs(fv), axis=(1, 2))
+    for j, rts, scale in zip(good, ratios.tolist(), scales.tolist()):
+        floor = 1e-8 * max(1.0, scale)
+        ok = all(rt <= floor for rt in rts) or all(
+            nxt <= max(0.9 * cur, floor) for cur, nxt in zip(rts, rts[1:])
+        )
+        out[live[j]] = TaylorReport(zs[live[j]], order, tuple(radii), tuple(rts), floor, ok)
+    return out
 
 
 class _AtlasPoint:
@@ -309,7 +385,7 @@ class _AtlasPoint:
         self.z0, self.d, self.dbar, self.est = z0, d, dbar, est
         self.f0 = None       # f(z0)
         self.second = None   # (d2, ddbar, dbar2, est) or the ProbeFailed message
-        self.taylor = None   # first-order remainder probe verdict
+        self.taylor = None   # first-order remainder verdict or the ProbeFailed message
 
 
 class ProbeAtlas:
@@ -317,10 +393,11 @@ class ProbeAtlas:
 
     Built once by ``probe_atlas``: one scan keeps, for every non-excluded
     grid point whose first probe succeeds, z0, d, dbar and the error
-    estimate, in grid order.  f(z0), second derivatives and Taylor verdicts
-    are evaluated per point on first query and kept (a classification needs
-    no f(z0)).  Every rule that picks a probe point is a method here, so the
-    classifier, the pipelines and the lowering read the same facts.
+    estimate, in grid order.  f(z0) and second derivatives are evaluated per
+    point on first query and kept (a classification needs no f(z0)); the
+    first Taylor query probes every candidate point in one batch.  Every
+    rule that picks a probe point is a method here, so the classifier, the
+    pipelines and the lowering read the same facts.
 
     ``conjugated()`` is the atlas of conj o f without a rescan: its columns
     are swapped and conjugated (d(conj f) = conj(dbar f), f -> conj f),
@@ -373,10 +450,24 @@ class ProbeAtlas:
 
     def taylor_passed(self, i: int) -> bool:
         """First-order remainder probe verdict at point i (the remainder of
-        conj o f is the conjugate of that of f)."""
+        conj o f is the conjugate of that of f); raises ProbeFailed when an
+        evaluation of the probe is not finite there.
+
+        The first query probes, in one batch, point i and every point with
+        max(|d|, |dbar|) > zero_tol, with the d and dbar of the scan; a
+        failure is kept and raised only when its point is queried."""
         p = self._points[i]
         if p.taylor is None:
-            p.taylor = taylor_remainder_probe(self.spec, p.z0, 1, self.prof).passed
+            tol = self.prof.zero_tol
+            todo = [q for q in self._points if q.taylor is None
+                    and (q is p or max(abs(q.d), abs(q.dbar)) > tol)]
+            reports = taylor_remainder_probe(
+                self.spec, np.array([q.z0 for q in todo]), 1, self.prof,
+                d=np.array([q.d for q in todo]), dbar=np.array([q.dbar for q in todo]))
+            for q, rep in zip(todo, reports):
+                q.taylor = str(rep) if isinstance(rep, ProbeFailed) else rep.passed
+        if isinstance(p.taylor, str):
+            raise ProbeFailed(p.taylor)
         return p.taylor
 
     def probe(self, i: int) -> WirtingerProbe:

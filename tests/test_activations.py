@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from deepnarrow.activations import (available_activations, conjugate_activation,
-                                    eval_activation, get_activation,
+                                    custom_activation, eval_activation, get_activation,
                                     scale_activation)
 from deepnarrow.errors import InvalidActivationParams, UnknownActivation
 from deepnarrow.wirtinger import ToleranceProfile, taylor_remainder_probe, wirt_first
@@ -204,3 +204,30 @@ def test_lean_evaluators_propagate_nan(name, params):
     with np.errstate(invalid="ignore"):
         out = fn(np.array([np.nan, complex(np.nan, 1.0), 2.0]))
     assert np.isnan(out[:2]).all() and np.isfinite(out[2])
+
+
+def _elementwise_specs():
+    specs = [get_activation(name) for name in available_activations()]
+    specs += [get_activation("modrelu", {"b": -0.5}),
+              get_activation("nowhere_diff", {"ktrunc": 5}),
+              get_activation("conj:cardioid"), get_activation("conj:nowhere_diff"),
+              scale_activation(get_activation("cardioid"), 0.5 + 0.5j),
+              scale_activation(get_activation("nowhere_diff"), -2j),
+              custom_activation("z_abs_z", lambda z: z * np.abs(z)),
+              custom_activation("sin_zbar", lambda z: np.sin(np.conj(z)) * np.exp(-np.real(z)))]
+    return specs
+
+
+@pytest.mark.parametrize("spec", _elementwise_specs(), ids=lambda s: s.name)
+def test_value_does_not_depend_on_the_batch(spec):
+    """An activation's value at a point is the same alone, inside a longer
+    1-D call and inside a 2-D block: row blocks and batched probes rely on it."""
+    rng = np.random.default_rng(7)
+    pts = np.concatenate([[0, 1, -1, 1j, -1j, 0.3 + 0.2j, 1.5 - 0.5j, 1e-300, 40j],
+                          random_points(rng, 55, 1, 2.0)[:, 0]])
+    bits = lambda v: np.asarray(v, dtype=np.complex128).view(np.uint64).ravel()
+    batch = bits(spec(pts))
+    alone = np.concatenate([bits(spec(pts[i : i + 1])) for i in range(len(pts))])
+    block = bits(spec(pts.reshape(8, 8)))
+    assert np.array_equal(alone, batch)
+    assert np.array_equal(block, batch)

@@ -10,11 +10,12 @@ replaced, so it also shows that the atlas keeps their choices.
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from deepnarrow import cli, wirtinger
+from deepnarrow import cli, lowering, wirtinger
 from deepnarrow.activations import (available_activations, conjugate_activation,
-                                    get_activation, scale_activation)
+                                    custom_activation, get_activation, scale_activation)
 from deepnarrow.errors import ConstructionError, ProbeFailed, StrategyMismatch
 from deepnarrow.lowering import STRATEGIES, plan_lowering
 from deepnarrow.wirtinger import (ToleranceProfile, classify_activation, find_active_point,
@@ -318,3 +319,82 @@ def test_classification_probes_second_order_lazily(monkeypatch):
     assert cls.verdict == "UniversalNonPoly_NMplus1"
     # the R-affine heuristic stops at the first point, plus the witness
     assert len(calls) <= 2
+
+
+def _holed(bad):
+    """z + |z|^2 / 4 (d = 1 + conj(z)/4, dbar = z/4, nonzero on the whole
+    grid away from 0) with a NaN at the single point ``bad``."""
+    return custom_activation("holed", lambda z: np.where(
+        z == bad, np.nan, z + 0.25 * z * np.conj(z)))
+
+
+def _grid_index(atlas, z0):
+    return [atlas.first(i)[0] for i in range(len(atlas))].index(z0)
+
+
+def test_taylor_failure_raises_only_where_queried(monkeypatch):
+    """One circle of the grid point 0.5 holds a NaN.  The first Taylor query
+    probes every candidate in one call; the failure is kept and raised only
+    when 0.5 itself is queried, so active_point, which never reaches 0.5,
+    gives the point it gives without the NaN, and the classifier, which
+    queries every candidate, raises."""
+    calls = []
+    probe = wirtinger.taylor_remainder_probe
+
+    def counting(*args, **kwargs):
+        calls.append(np.size(args[1]))
+        return probe(*args, **kwargs)
+
+    monkeypatch.setattr(wirtinger, "taylor_remainder_probe", counting)
+    bad_circle = 0.5 + PROF.taylor_radii[-1] * np.exp(0j)
+    clean = probe_atlas(_holed(np.inf), PROF)
+    atlas = probe_atlas(_holed(bad_circle), PROF)
+    bad = _grid_index(atlas, 0.5 + 0j)
+    assert atlas.active_point() == clean.active_point() != 0.5
+    assert calls == [len(clean), len(atlas)]
+    for i in range(len(atlas)):
+        if i != bad:
+            assert atlas.taylor_passed(i) == clean.taylor_passed(i)
+    for _ in range(2):
+        with pytest.raises(ProbeFailed, match="activation evaluation failed near"):
+            atlas.taylor_passed(bad)
+    with pytest.raises(ProbeFailed):
+        atlas.conjugated().taylor_passed(bad)
+    assert len(calls) == 2
+    with pytest.raises(ProbeFailed):
+        classify_activation(_holed(bad_circle), 1, 1, PROF)
+
+
+def test_taylor_failure_at_the_winning_point_raises():
+    """When the failing point would beat the best point so far,
+    active_point queries it and raises, as a per-point probe did."""
+    winner = find_active_point(_holed(np.inf), PROF)
+    with pytest.raises(ProbeFailed):
+        find_active_point(_holed(winner + PROF.taylor_radii[0]), PROF)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--activation", "cardioid", "--features", "20"],
+    ["--activation", "conj:cardioid", "--features", "20"],
+    ["--activation", "re_square", "--degree", "2"],
+    ["--activation", "cardioid", "--degree", "2", "--strategy", "Poly_NMplus4"],
+    ["--activation", "abs_square", "--degree", "2", "--strategy", "Poly_Wide_2N2Mplus12"],
+])
+def test_one_plan_per_compile(monkeypatch, tmp_path, argv):
+    """plan_lowering is memoised by value: a compile plans once, not once
+    for the pipeline and once more at each h.  Each plan opens the atlas
+    once, so lowering's atlas lookups count the plans."""
+    plans = []
+    atlas = lowering.probe_atlas
+
+    def counting(spec, prof=PROF):
+        plans.append(spec.name)
+        return atlas(spec, prof)
+
+    monkeypatch.setattr(lowering, "probe_atlas", counting)
+    argv = ["compile", "--target", "zzbar", *argv, "--no-timestamp",
+            "--out", str(tmp_path / "run")]
+    assert cli.main(argv) == 0
+    assert len(plans) == 1
+    assert cli.main(argv) == 0
+    assert len(plans) == 2

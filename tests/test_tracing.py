@@ -63,3 +63,19 @@ def test_traced_deep_compile_counts_only_validated_maps(tmp_path):
     assert metrics["lowering.pieces_s"] > 0
     assert metrics["lowering.assemble_s"] > 0
     assert 0 < metrics["core.affine_maps_built"] <= 6 * (depth + 8)
+
+
+def test_traced_classify_counts_taylor_probes(tmp_path):
+    """The batched Taylor probe keeps the name the tracer counts and times."""
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    installed = tracing.install(tracer, deepnarrow)
+    try:
+        assert cli.main(["classify", "--activation", "cardioid", "--no-timestamp",
+                         "--out", str(tmp_path / "c.json")]) == 0
+        metrics = tracing.layer_metrics(tracer)
+    finally:
+        installed.restore()
+    assert metrics["wirtinger.taylor_probes"] >= 1
+    assert metrics["wirtinger.probe_s"] > 0
+    assert metrics["wirtinger.classify_s"] > 0

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from deepnarrow.activations import (conjugate_activation, custom_activation,
-                                    get_activation, scale_activation)
+from deepnarrow.activations import (available_activations, conjugate_activation,
+                                    custom_activation, get_activation, scale_activation)
 from deepnarrow.core import CompactBox, GridSpec
-from deepnarrow.wirtinger import (Classification, ToleranceProfile,
+from deepnarrow.errors import ProbeFailed
+from deepnarrow.wirtinger import (Classification, TaylorReport, ToleranceProfile,
                                   classify_activation, find_active_point,
-                                  find_nonzero_second_point, laplacian_iterate,
+                                  find_nonzero_second_point, first_derivs,
+                                  laplacian_iterate, second_derivs,
                                   second_partials_to_wirtinger,
                                   taylor_remainder_probe, wirt_first, wirt_second)
 
@@ -103,6 +106,50 @@ def test_laplacian_order_bounds():
         laplacian_iterate(spec, 0.0, 0, PROF)
     with pytest.raises(ValueError):
         laplacian_iterate(spec, 0.0, PROF.polyharmonic_max_order + 1, PROF)
+
+
+def _counting(spec, calls):
+    """spec with every activation call's size appended to ``calls``."""
+    def fn(z):
+        calls.append(np.size(z))
+        return spec.fn(z)
+    return custom_activation(spec.name, fn)
+
+
+def _laplacian_per_leaf(spec, z0, order):
+    """The nested stencil evaluated one leaf per activation call."""
+    eps = float(np.finfo(np.float64).eps)
+    h = eps ** (1.0 / (2 * order + 2)) * max(1.0, abs(z0))
+    top = [0.0]
+
+    def rec(z, k):
+        if k == 0:
+            v = spec(np.array([z]))[0]
+            top[0] = max(top[0], abs(v))
+            return v
+        return (rec(z + h, k - 1) + rec(z - h, k - 1) + rec(z + 1j * h, k - 1)
+                + rec(z - 1j * h, k - 1) - 4 * rec(z, k - 1)) / h**2
+
+    value = rec(complex(z0), order)
+    return complex(value), float(5.0**order * eps * max(1.0, top[0]) / h ** (2 * order))
+
+
+@pytest.mark.parametrize("name", ["cardioid", "modrelu", "nowhere_diff", "exp_re", "conj:cardioid"])
+def test_laplacian_one_call_equals_per_leaf_stencil(name):
+    spec = get_activation(name)
+    for z0 in (0j, 0.5 - 0.25j, -1.5 + 2j):
+        for order in range(1, PROF.polyharmonic_max_order + 1):
+            calls = []
+            est = laplacian_iterate(_counting(spec, calls), z0, order, PROF)
+            assert calls == [5**order]
+            value, noise = _laplacian_per_leaf(spec, z0, order)
+            assert (est.value, est.noise_floor) == (value, noise), (z0, order)
+
+
+def test_laplacian_failure_names_the_first_bad_leaf():
+    spec = custom_activation("hole", lambda z: np.where(z == 0.5, np.nan, z * np.abs(z)))
+    with pytest.raises(ProbeFailed, match=r"near \[\(0\.5\+0j\)\]"):
+        laplacian_iterate(spec, 0.5, 2, PROF)
 
 
 def test_taylor_probe_cardioid_decreasing():
@@ -250,3 +297,82 @@ def test_classification_json_shape():
     assert doc["verdict"] == "UniversalNonPoly_NMplus1"
     assert isinstance(doc["witness"], list) and len(doc["witness"]) == 2
     assert doc["probes"] and "tolerances" in doc
+
+
+def _report_bits(rep):
+    if isinstance(rep, ProbeFailed):
+        return str(rep)
+    return (repr(rep.z0), rep.order, rep.radii, tuple(r.hex() for r in rep.ratios),
+            rep.floor.hex(), rep.passed)
+
+
+def _alone(spec, z0, order):
+    try:
+        return _report_bits(taylor_remainder_probe(spec, z0, order, PROF))
+    except ProbeFailed as exc:
+        return str(exc)
+
+
+def _taylor_per_radius(spec, z0, order):
+    """The remainder ratios of one centre, one activation call per radius."""
+    d, dbar, _ = first_derivs(spec, z0, PROF)
+    if order == 2:
+        d2, ddbar, dbar2, _ = second_derivs(spec, z0, PROF)
+    f0 = spec(np.array([z0]))[0]
+    n = PROF.taylor_points_per_circle
+    angles = np.exp(2j * np.pi * np.arange(n) / n)
+    ratios, scale = [], 1.0
+    for r in PROF.taylor_radii:
+        w = r * angles
+        fv = spec(z0 + w)
+        scale = max(scale, float(np.max(np.abs(fv))))
+        theta = fv - f0 - d * w - dbar * np.conj(w)
+        if order == 2:
+            theta = theta - 0.5 * d2 * w**2 - ddbar * w * np.conj(w) - 0.5 * dbar2 * np.conj(w) ** 2
+        ratios.append(float(np.max(np.abs(theta)) / r**order))
+    return tuple(r.hex() for r in ratios), (1e-8 * scale).hex()
+
+
+TAYLOR_SPECS = ([get_activation(name) for name in available_activations()]
+                + [get_activation("conj:cardioid"), get_activation("modrelu", {"b": -0.5})])
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(spec=st.sampled_from(TAYLOR_SPECS), order=st.sampled_from((1, 2)),
+       centres=st.lists(st.complex_numbers(max_magnitude=3.0, allow_nan=False,
+                                           allow_infinity=False), min_size=1, max_size=6))
+def test_taylor_batch_equals_per_centre_calls(spec, order, centres):
+    """An array of centres gives, bit for bit, the reports of lone calls, with
+    or without the caller's first derivatives, and a lone call the ratios of
+    a per-radius evaluation."""
+    alone = [_alone(spec, z0, order) for z0 in centres]
+    assert [a[3:5] for a in alone] == [_taylor_per_radius(spec, z0, order) for z0 in centres]
+    batch = taylor_remainder_probe(spec, np.array(centres, dtype=np.complex128), order, PROF)
+    assert [_report_bits(r) for r in batch] == alone
+    firsts = [first_derivs(spec, z0, PROF) for z0 in centres]
+    given_d = taylor_remainder_probe(spec, np.array(centres, dtype=np.complex128), order, PROF,
+                                     d=np.array([f[0] for f in firsts]),
+                                     dbar=np.array([f[1] for f in firsts]))
+    assert [_report_bits(r) for r in given_d] == alone
+
+
+def test_taylor_batch_keeps_failures_per_centre():
+    """A centre whose circle holds a non-finite value gets the ProbeFailed a
+    lone call raises, returned in its slot; the other centres get reports,
+    and the activation is called once."""
+    bad = 0.5 + 1e-3 * np.exp(0j)
+    spec = custom_activation("pole", lambda z: np.where(z == bad, np.inf, z * np.abs(z)))
+    centres = np.array([1j, 0.5, 1.0])
+    firsts = [first_derivs(spec, z0, PROF) for z0 in centres]
+    calls = []
+    out = taylor_remainder_probe(_counting(spec, calls), centres, 1, PROF,
+                                 d=np.array([f[0] for f in firsts]),
+                                 dbar=np.array([f[1] for f in firsts]))
+    assert calls == [3 * (1 + len(PROF.taylor_radii) * PROF.taylor_points_per_circle)]
+    assert isinstance(out[0], TaylorReport) and isinstance(out[2], TaylorReport)
+    assert isinstance(out[1], ProbeFailed)
+    with pytest.raises(ProbeFailed) as lone:
+        taylor_remainder_probe(spec, 0.5, 1, PROF)
+    assert str(lone.value) == str(out[1])
+    with pytest.raises(ValueError):
+        taylor_remainder_probe(spec, np.zeros((2, 2)), 1, PROF)
