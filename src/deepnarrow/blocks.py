@@ -279,9 +279,9 @@ def mul_block(spec: ActivationSpec, z0: complex, h: float,
 
 
 def block_error(block: ShallowBlock, spec: ActivationSpec, target: Callable,
-                box: CompactBox, grid: GridSpec, seed: int = 0) -> float:
+                box: CompactBox, grid: GridSpec) -> float:
     """Max Euclidean output error of the block against the target over the grid."""
-    pts = sample_box(box, grid, seed)
+    pts = sample_box(box, grid)
     got = block(spec, pts)
     want = np.asarray(target(pts), dtype=np.complex128)
     if want.ndim == 1:

@@ -326,7 +326,7 @@ def _cmd_eval(args):
         zs = np.asarray(pts, dtype=np.complex128)
     else:
         box = _box_or_default(args, net.input_dim)
-        zs = sample_box(box, GridSpec(args.grid), args.seed)
+        zs = sample_box(box, GridSpec(args.grid))
     vals = eval_cvnn(net, zs)
     lines = []
     if not args.no_timestamp:

@@ -39,7 +39,6 @@ __all__ = [
     "sample_box",
     "check_sample_budget",
     "MAX_SAMPLE_POINTS",
-    "identity_affine",
     "cvnn_to_json",
     "cvnn_from_json",
 ]
@@ -92,10 +91,6 @@ class ComplexAffineMap:
 
     def __call__(self, z):
         return eval_affine(self, z)
-
-
-def identity_affine(dim: int) -> ComplexAffineMap:
-    return ComplexAffineMap(np.eye(dim, dtype=np.complex128), np.zeros(dim, dtype=np.complex128))
 
 
 def eval_affine(amap: ComplexAffineMap, z) -> np.ndarray:
@@ -292,18 +287,26 @@ class CompactBox:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Discretization of the sup over a box: either the full uniform lattice
-    with ``points_per_axis`` points per real axis, or the same number of
-    points drawn uniformly at random (seeded)."""
+    """Discretization of the sup over a box: the uniform lattice with
+    ``points_per_axis`` points per real axis or, for ``stride`` s > 1, its
+    sub-lattice of the points with indices 0, s, 2s, ... on every real axis.
+    Each sub-lattice point is bit-identical to the same point of the full
+    lattice, so a maximum over the sub-lattice is a lower bound on the
+    maximum over the lattice."""
 
     points_per_axis: int
-    sampling: str = "uniform-lattice"
+    stride: int = 1
 
     def __post_init__(self):
         if self.points_per_axis < 2:
             raise ValueError("points_per_axis must be >= 2")
-        if self.sampling not in ("uniform-lattice", "seeded-random"):
-            raise ValueError(f"unknown sampling mode {self.sampling!r}")
+        if self.stride < 1:
+            raise ValueError("stride must be >= 1")
+
+    @property
+    def axis_points(self) -> int:
+        """Points per real axis that the spec keeps, ceil(points_per_axis / stride)."""
+        return -(-self.points_per_axis // self.stride)
 
 
 #: Most points ``sample_box`` returns.  The point count p^(2n) grows with the
@@ -314,46 +317,39 @@ MAX_SAMPLE_POINTS = 2 ** 22
 
 def check_sample_budget(box: CompactBox, spec: GridSpec) -> int:
     """The number of points ``sample_box(box, spec)`` returns,
-    points_per_axis^(2n); raises ValueError when that is above
+    spec.axis_points^(2n); raises ValueError when that is above
     ``MAX_SAMPLE_POINTS``."""
-    p = int(spec.points_per_axis)
+    q = spec.axis_points
     n = box.n
-    count = p ** (2 * n)
+    count = q ** (2 * n)
     if count > MAX_SAMPLE_POINTS:
         nbytes = count * n * np.dtype(np.complex128).itemsize
         raise ValueError(
-            f"{p} points per axis over {2 * n} real axes make {count} points "
+            f"{q} points per axis over {2 * n} real axes make {count} points "
             f"({nbytes} bytes as complex128), above the budget of "
             f"{MAX_SAMPLE_POINTS} points")
     return count
 
 
-def sample_box(box: CompactBox, spec: GridSpec, seed: int = 0) -> np.ndarray:
-    """Sample the box as an (N, n) complex array.
+def sample_box(box: CompactBox, spec: GridSpec) -> np.ndarray:
+    """The lattice of ``spec`` on the box as an (N, n) complex array, in
+    C order over the 2n real axes (re_1, im_1, re_2, ...).
 
-    Lattice mode returns the full tensor grid (points_per_axis per real axis,
-    2n real axes), which always covers the corners.  Random mode draws the
-    same number of points uniformly; identical seeds give identical output.
-    Raises ValueError, before allocating, when N = points_per_axis^(2n) is
-    above ``MAX_SAMPLE_POINTS``.
+    Each axis is ``np.linspace(lo, hi, points_per_axis)[::stride]``; at
+    stride 1 the lattice covers the corners.  Raises ValueError, before
+    allocating, when N = axis_points^(2n) is above ``MAX_SAMPLE_POINTS``.
     """
-    p = int(spec.points_per_axis)
+    p, s = int(spec.points_per_axis), int(spec.stride)
     n = box.n
     count = check_sample_budget(box, spec)
-    if spec.sampling == "uniform-lattice":
-        axes = []
-        for re_lo, re_hi, im_lo, im_hi in box.intervals:
-            axes.append(np.linspace(re_lo, re_hi, p))
-            axes.append(np.linspace(im_lo, im_hi, p))
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.empty((count, n), dtype=np.complex128)
-        for j in range(n):
-            pts[:, j] = mesh[2 * j].ravel() + 1j * mesh[2 * j + 1].ravel()
-        return pts
-    rng = np.random.default_rng(seed)
+    axes = []
+    for re_lo, re_hi, im_lo, im_hi in box.intervals:
+        axes.append(np.linspace(re_lo, re_hi, p)[::s])
+        axes.append(np.linspace(im_lo, im_hi, p)[::s])
+    mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.empty((count, n), dtype=np.complex128)
-    for j, (re_lo, re_hi, im_lo, im_hi) in enumerate(box.intervals):
-        pts[:, j] = rng.uniform(re_lo, re_hi, count) + 1j * rng.uniform(im_lo, im_hi, count)
+    for j in range(n):
+        pts[:, j] = mesh[2 * j].ravel() + 1j * mesh[2 * j + 1].ravel()
     return pts
 
 

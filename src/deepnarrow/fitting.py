@@ -39,7 +39,7 @@ class FitConfig:
     weight_scale: float = 1.0
     ridge: float = 1e-8
     box: CompactBox = CompactBox.square(1, 1.0)
-    grid: GridSpec = GridSpec(21, "uniform-lattice")
+    grid: GridSpec = GridSpec(21)
     seed: int = 0
 
     def __post_init__(self):
@@ -97,7 +97,7 @@ def fit_shallow(f: Callable, spec: ActivationSpec, n: int, m: int,
     scale = cfg.weight_scale
     a1 = scale * (rng.standard_normal((w, n)) + 1j * rng.standard_normal((w, n))) / np.sqrt(2)
     b1 = scale * (rng.standard_normal(w) + 1j * rng.standard_normal(w)) / np.sqrt(2)
-    pts = sample_box(cfg.box, cfg.grid, cfg.seed)
+    pts = sample_box(cfg.box, cfg.grid)
     targets = np.asarray(f(pts), dtype=np.complex128)
     if targets.ndim == 1:
         targets = targets[:, None]
@@ -126,7 +126,7 @@ def monomial_exponents(n: int, degree: int) -> list:
 
 
 def fit_poly(f: Callable, n: int, degree: int, box: CompactBox,
-             grid: GridSpec, m: Optional[int] = None, seed: int = 0,
+             grid: GridSpec, m: Optional[int] = None,
              prune_tol: float = 1e-12) -> list:
     """Least-squares fit of all monomials z^alpha conj(z)^beta with
     |alpha| + |beta| <= degree on the grid.  Returns one PolyZZbar per output
@@ -137,7 +137,7 @@ def fit_poly(f: Callable, n: int, degree: int, box: CompactBox,
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    pts = sample_box(box, grid, seed)
+    pts = sample_box(box, grid)
     targets = np.asarray(f(pts), dtype=np.complex128)
     if targets.ndim == 1:
         targets = targets[:, None]

@@ -5,8 +5,10 @@ max Euclidean error over a finite grid on a compact box (grids make every
 check deterministic), with Monte-Carlo L1 estimates and their standard errors
 where volume integrals are needed.  End-to-end pipelines chain fit ->
 register program -> lowering and sweep the localization scale h, reporting
-(h, sup_error, max_post_coeff, depth, width) rows; verification grids are
-always strictly finer (2x per axis) than the fitting grids upstream.
+(h, sup_error, max_post_coeff, depth, width) rows, where a row that cannot
+be the best may carry a lower bound on its sup error instead (named in the
+CSV); verification grids are always strictly finer (2x per axis) than the
+fitting grids upstream.
 
 The demo functions exercise the negative results: the rank-deficiency
 invariance of phi(RE z) first layers and the induced L1 lower bound, the
@@ -91,15 +93,15 @@ def _row_errors(f: Callable, g: Callable, pts: np.ndarray) -> np.ndarray:
         gv = _as_batch(g(block), block.shape[0])
         if fv.shape != gv.shape:
             raise DimensionMismatch(f"output shapes differ: {fv.shape} vs {gv.shape}")
-        norms[start:start + block.shape[0]] = np.linalg.norm(fv - gv, axis=1)
+        with np.errstate(over="ignore"):  # an error too large for a double is inf
+            norms[start:start + block.shape[0]] = np.linalg.norm(fv - gv, axis=1)
     return norms
 
 
-def sup_error(f: Callable, g: Callable, box: CompactBox, grid: GridSpec,
-              seed: int = 0) -> float:
+def sup_error(f: Callable, g: Callable, box: CompactBox, grid: GridSpec) -> float:
     """Discretized uniform norm: max over the grid of ||f(z) - g(z)||_2.
     NaN if any row's error is NaN."""
-    return float(np.max(_row_errors(f, g, sample_box(box, grid, seed))))
+    return float(np.max(_row_errors(f, g, sample_box(box, grid))))
 
 
 @dataclass(frozen=True)
@@ -194,26 +196,66 @@ def _net_max_coeff(net: Cvnn) -> float:
     return float(max(np.max(np.abs(m.matrix)) for m in net.affine_maps))
 
 
+def _bound_grid(box: CompactBox, grid: GridSpec) -> GridSpec:
+    """The sub-lattice of ``grid`` on which h_sweep bounds every row: the
+    smallest stride s whose axis_points^(2n) points fit in one _ROW_BLOCK.
+    Every lattice of at most _ROW_BLOCK points gets s = 1, itself."""
+    sub = GridSpec(grid.points_per_axis)
+    while sub.axis_points ** (2 * box.n) > _ROW_BLOCK:
+        sub = GridSpec(sub.points_per_axis, sub.stride + 1)
+    return sub
+
+
+def _net_error(reference: Callable, net: Cvnn, spec: ActivationSpec,
+               box: CompactBox, grid: GridSpec) -> float:
+    """sup_error of the network against the reference; inf when evaluating
+    the network fails."""
+    try:
+        return sup_error(reference, lambda zs: eval_cvnn(net, zs, spec.fn), box, grid)
+    except EvaluationFailure:
+        return float("inf")
+
+
 def h_sweep(factory: Callable, hs: Sequence[float], box: CompactBox,
             grid: GridSpec, reference: Callable, spec: ActivationSpec,
             metadata: Optional[dict] = None) -> SweepReport:
-    """Evaluate factory(h) against the reference on the grid, one row per h.
+    """Build the network factory(h) for every h and measure on the full grid
+    the rows that can still be the best; rows are kept in schedule order
+    (descending h).
 
-    ``factory`` returns a network; rows are computed independently and kept
-    in schedule order (descending h).
+    Pass 1 measures each network, right after it is built, on the
+    sub-lattice ``_bound_grid(box, grid)``: a maximum over a subset of the
+    grid is a lower bound on the maximum over the grid.  Pass 2 measures rows
+    on the full grid in order of increasing bound and stops at the first
+    bound strictly above the best full value; rows whose bound is non-finite
+    are never measured in full.  A row not measured in full keeps its bound
+    as its value and is named in the ``lower_bound_h`` metadata.  The best
+    row, its value and its network are those of a full measurement of every
+    row.  At stride 1 pass 1 is the full measurement.
     """
-    rows = []
-    nets = {}
+    sub = _bound_grid(box, grid)
+    nets, errs = [], []
     for h in hs:
-        net = factory(h)
-        try:
-            err = sup_error(reference, lambda zs: eval_cvnn(net, zs, spec.fn), box, grid)
-        except EvaluationFailure:
-            err = float("inf")
-        rows.append(SweepRow(h, err, _net_max_coeff(net), depth_of(net), width_of(net)))
-        nets[h] = net
+        nets.append(factory(h))
+        errs.append(_net_error(reference, nets[-1], spec, box, sub))
+    bounds = set()
+    if sub.stride > 1:
+        bounds = set(range(len(errs)))
+        best = float("inf")
+        for i in sorted((i for i, e in enumerate(errs) if np.isfinite(e)),
+                        key=errs.__getitem__):
+            if errs[i] > best:
+                break
+            errs[i] = _net_error(reference, nets[i], spec, box, grid)
+            bounds.discard(i)
+            if errs[i] < best:
+                best = errs[i]
+    rows = [SweepRow(h, err, _net_max_coeff(net), depth_of(net), width_of(net))
+            for h, err, net in zip(hs, errs, nets)]
     report = SweepReport(rows, dict(metadata or {}))
-    report.extras["nets"] = nets
+    if bounds:
+        report.metadata["lower_bound_h"] = ";".join(repr(hs[i]) for i in sorted(bounds))
+    report.extras["nets"] = dict(zip(hs, nets))
     return report
 
 
@@ -277,7 +319,34 @@ def named_target(name: str):
 
 
 def _finer(grid: GridSpec) -> GridSpec:
-    return GridSpec(2 * grid.points_per_axis, grid.sampling)
+    return GridSpec(2 * grid.points_per_axis)
+
+
+def _constant_sup_error(f: Callable, box: CompactBox, grid: GridSpec) -> float:
+    """Sup error on the grid of the constant at the centre of f's bounding
+    box on that grid, taken per output over real and imaginary parts.  For a
+    real-valued output this is the error of the best constant."""
+    pts = sample_box(box, grid)
+    v = _as_batch(f(pts), pts.shape[0])
+    centre = ((v.real.min(axis=0) + v.real.max(axis=0)) / 2
+              + 1j * (v.imag.min(axis=0) + v.imag.max(axis=0)) / 2)
+    return float(np.max(np.linalg.norm(v - centre, axis=1)))
+
+
+def _best_beating_constant(report: SweepReport, f: Callable, box: CompactBox,
+                           grid: GridSpec) -> SweepRow:
+    """The report's best row, once it is below the error of the constant of
+    ``_constant_sup_error`` (kept in ``extras["constant_sup_error"]``).
+    Raises EvaluationFailure otherwise: such a network has learned nothing
+    about the target."""
+    const = _constant_sup_error(f, box, grid)
+    report.extras["constant_sup_error"] = const
+    best = report.best_row()
+    if not best.sup_error < const:
+        raise EvaluationFailure(
+            f"best sup error {best.sup_error!r} (h={best.h:g}) is not below "
+            f"{const!r}, the error of a constant on the verification grid")
+    return best
 
 
 def mul_kind_for(spec: ActivationSpec, prof: ToleranceProfile = ToleranceProfile()) -> str:
@@ -311,7 +380,7 @@ def end_to_end_poly(f: Callable, spec: ActivationSpec, n: int, m: int,
     )
     report.extras["fit_sup_error"] = fit_err
     report.extras["program"] = program
-    best = report.best_row()
+    best = _best_beating_constant(report, f, box, _finer(fit_grid))
     return report.extras["nets"][best.h], report
 
 
@@ -347,7 +416,7 @@ def end_to_end_nonpoly(f: Callable, spec: ActivationSpec, n: int, m: int,
     # fit error re-measured on the verification grid (finer than the fit grid)
     report.extras["fit_sup_error_fine"] = sup_error(
         f, lambda zs: eval_register(program, zs, sigma.fn), box, eval_grid)
-    best = report.best_row()
+    best = _best_beating_constant(report, f, box, eval_grid)
     return report.extras["nets"][best.h], report
 
 
@@ -492,7 +561,7 @@ def fit_deep_random(f: Callable, spec: ActivationSpec, n: int, m: int,
     maps = [ComplexAffineMap(cplx((width, n), n), cplx(width, n))]
     for _ in range(depth - 2):
         maps.append(ComplexAffineMap(cplx((width, width), width), cplx(width, width)))
-    pts = sample_box(cfg.box, cfg.grid, cfg.seed)
+    pts = sample_box(cfg.box, cfg.grid)
     targets = _as_batch(f(pts), pts.shape[0])
     cur = pts
     for amap in maps:

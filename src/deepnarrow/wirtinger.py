@@ -61,7 +61,7 @@ __all__ = [
 _EPS = float(np.finfo(np.float64).eps)
 
 _DEFAULT_BOX = CompactBox.square(1, 2.0)
-_DEFAULT_GRID = GridSpec(9, "uniform-lattice")
+_DEFAULT_GRID = GridSpec(9)
 
 
 @dataclass(frozen=True)
@@ -591,7 +591,7 @@ class ProbeAtlas:
 @functools.lru_cache(maxsize=8)
 def _scan(spec: ActivationSpec, prof: ToleranceProfile) -> ProbeAtlas:
     points = []
-    for z0 in sample_box(prof.probe_box, prof.probe_grid, seed=0)[:, 0]:
+    for z0 in sample_box(prof.probe_box, prof.probe_grid)[:, 0]:
         z0 = complex(z0)
         if spec.is_excluded(z0):
             continue

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from deepnarrow.core import ComplexAffineMap, Cvnn
+
+# Every property test draws the same examples on every run and keeps no
+# example database.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 def random_affine(rng, out_dim, in_dim, scale=1.0):

@@ -75,6 +75,46 @@ def test_compile_without_finite_sweep_row_is_an_evaluation_error(monkeypatch, tm
     assert not (tmp_path / "none.net.json").exists()
 
 
+@pytest.mark.parametrize("seed, status", [(0, 0), (5, 3)])
+def test_compile_worse_than_a_constant_is_an_evaluation_error(tmp_path, capsys, seed, status):
+    # the 40-feature exp_re fit of |z| at feature seed 5 has sup error 1.94;
+    # the constant at the centre of |z|'s range on the lattice has 0.67
+    out = tmp_path / "abs"
+    rc = run(["compile", "--target", "abs", "--activation", "exp_re", "--features", "40",
+              "--seed", str(seed), "--no-timestamp", "--out", str(out)])
+    assert rc == status
+    if status:
+        assert capsys.readouterr().err.startswith("error[EVALUATION] best sup error")
+        assert not (tmp_path / "abs.net.json").exists()
+
+
+def test_compile_sweep_csv_names_the_bounded_rows(tmp_path, capsys):
+    """At --grid 24 (48^2 = 2,304 verification points) the sweep bounds its
+    rows on the stride-2 sub-lattice; the best row is a full measurement of
+    the written network and every other row is named as a bound."""
+    from deepnarrow.core import CompactBox, GridSpec
+    from deepnarrow.verifier import named_target, sup_error
+
+    out = tmp_path / "g24"
+    assert run(["compile", "--target", "zzbar", "--activation", "cardioid", "--features", "40",
+                "--grid", "24", "--no-timestamp", "--out", str(out)]) == 0
+    line = dict(kv.split("=") for kv in capsys.readouterr().out.split()[1:])
+    lines = (tmp_path / "g24.sweep.csv").read_text().splitlines()
+    meta = dict(l[2:].split("=", 1) for l in lines if l.startswith("#"))
+    rows = [l.split(",") for l in lines if not l.startswith("#")][1:]
+    best = min(rows, key=lambda r: float(r[1]))
+    assert float(best[0]) == float(line["h"])
+    bounded = meta["lower_bound_h"].split(";")
+    assert bounded and best[0] not in bounded
+    assert bounded == [r[0] for r in rows if r[0] in bounded]
+    assert all(float(r[1]) > float(best[1]) for r in rows if r[0] in bounded)
+    net = cvnn_from_json((tmp_path / "g24.net.json").read_text())
+    card = get_activation("cardioid")
+    fn, _ = named_target("zzbar")
+    assert float(best[1]) == sup_error(fn, lambda zs: eval_cvnn(net, zs, card.fn),
+                                       CompactBox.square(1, 1.0), GridSpec(48))
+
+
 def test_compile_explicit_h(tmp_path, capsys):
     out = tmp_path / "one"
     rc = run(["compile", "--target", "zzbar", "--activation", "re_square",

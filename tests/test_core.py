@@ -130,7 +130,7 @@ def test_pad_hidden_width(rng):
 
 def test_sample_box_lattice_corners():
     box = CompactBox.square(1, 1.0)
-    pts = sample_box(box, GridSpec(3, "uniform-lattice"))
+    pts = sample_box(box, GridSpec(3))
     assert pts.shape == (9, 1)
     vals = set(np.round(pts[:, 0], 12))
     for corner in (1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j):
@@ -139,17 +139,8 @@ def test_sample_box_lattice_corners():
 
 def test_sample_box_degenerate():
     box = CompactBox(((0.5, 0.5, -0.25, -0.25),))
-    pts = sample_box(box, GridSpec(3, "uniform-lattice"))
+    pts = sample_box(box, GridSpec(3))
     assert np.all(pts == 0.5 - 0.25j)
-
-
-def test_sample_box_seeded_random_deterministic():
-    box = CompactBox.square(2, 2.0)
-    a = sample_box(box, GridSpec(3, "seeded-random"), seed=7)
-    b = sample_box(box, GridSpec(3, "seeded-random"), seed=7)
-    c = sample_box(box, GridSpec(3, "seeded-random"), seed=8)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
 
 
 @pytest.mark.parametrize("n, points_per_axis", [(1, 2049), (2, 46), (3, 13), (3, 18)])
@@ -159,15 +150,14 @@ def test_sample_box_refuses_grids_above_budget_before_allocating(n, points_per_a
     count = points_per_axis ** (2 * n)
     assert count > MAX_SAMPLE_POINTS
     box = CompactBox.square(n, 1.0)
-    for sampling in ("uniform-lattice", "seeded-random"):
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match=f"{count} points \\({count * n * 16} bytes"):
-                sample_box(box, GridSpec(points_per_axis, sampling))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"{count} points \\({count * n * 16} bytes"):
+            sample_box(box, GridSpec(points_per_axis))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_sample_box_accepts_the_largest_grids_in_use():
@@ -180,7 +170,7 @@ def test_grid_spec_validation():
     with pytest.raises(ValueError):
         GridSpec(1)
     with pytest.raises(ValueError):
-        GridSpec(3, "fancy")
+        GridSpec(3, stride=0)
     with pytest.raises(ValueError):
         CompactBox(((1.0, 0.0, 0.0, 1.0),))
 

@@ -52,7 +52,7 @@ def test_fit_shallow_self_consistency(rng):
     # features directly
     gen = random_shallow(rng, 1, 1, 30, CARD.activation_id)
     target = lambda zs: eval_cvnn(gen, zs, CARD.fn)
-    pts = sample_box(BOX, GridSpec(21), 0)
+    pts = sample_box(BOX, GridSpec(21))
     feats = CARD.fn(pts @ gen.affine_maps[0].matrix.T + gen.affine_maps[0].bias)
     design = np.hstack([feats, np.ones((pts.shape[0], 1), complex)])
     coef = solve_complex_ridge(design, target(pts), 0.0)
@@ -153,7 +153,7 @@ def test_fit_poly_abs_target():
 def test_fit_poly_l2_residual_non_increasing_in_degree():
     # nested bases: the least-squares residual on the fit grid cannot grow
     fn, _ = named_target("abs")
-    pts = sample_box(BOX, GridSpec(9), 0)
+    pts = sample_box(BOX, GridSpec(9))
     target = fn(pts)
     resids = []
     for degree in (0, 1, 2, 3, 4, 5, 6):

@@ -311,7 +311,7 @@ def _random_poly(draw, rng, n):
                               for k in keys))
 
 
-@settings(derandomize=True, deadline=None, max_examples=100)
+@settings(max_examples=100)
 @given(strategy=st.sampled_from(STRATEGIES), n=st.integers(1, 2), m=st.integers(1, 2),
        h=st.sampled_from((1e-2, 1e-3, 1e-4)), seed=st.integers(0, 2**32 - 1),
        data=st.data())

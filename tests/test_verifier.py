@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from deepnarrow import verifier
 from deepnarrow.activations import custom_activation, get_activation
-from deepnarrow.core import (CompactBox, ComplexAffineMap, Cvnn, GridSpec, eval_cvnn,
-                             sample_box, width_of)
+from deepnarrow.core import (CompactBox, ComplexAffineMap, Cvnn, GridSpec, cvnn_to_json,
+                             eval_cvnn, sample_box, width_of)
 from deepnarrow.errors import EvaluationFailure
 from deepnarrow.fitting import FitConfig
-from deepnarrow.register import PolyZZbar, eval_register
+from deepnarrow.lowering import STRATEGIES, lower, plan_lowering
+from deepnarrow.register import (PolyZZbar, eval_register, poly_to_register,
+                                 shallow_to_register)
 from deepnarrow.verifier import (DEFAULT_SWEEP_SCHEDULE, SweepReport, SweepRow,
                                  affine_closure_demo, affine_subspace_floor_demo,
                                  ball_volume, end_to_end_nonpoly, end_to_end_poly,
@@ -17,7 +20,7 @@ from deepnarrow.verifier import (DEFAULT_SWEEP_SCHEDULE, SweepReport, SweepRow,
 from deepnarrow.blocks import identity_block, square_block
 from deepnarrow.wirtinger import ToleranceProfile
 
-from conftest import random_affine
+from conftest import random_affine, random_shallow
 
 PROF = ToleranceProfile()
 BOX = CompactBox.square(1, 1.0)
@@ -275,9 +278,9 @@ def test_sup_error_blocks_equal_one_pass(monkeypatch, n, target, points_per_axis
         monkeypatch.setattr(verifier, "_ROW_BLOCK", block)
     f, g = _card_net_pair(n, target)
     box = CompactBox.square(n, 1.0)
-    for grid in (GridSpec(points_per_axis), GridSpec(points_per_axis, "seeded-random")):
-        want = float(np.max(_one_pass_norms(f, g, sample_box(box, grid, 3))))
-        assert sup_error(f, g, box, grid, seed=3) == want
+    for grid in (GridSpec(points_per_axis), GridSpec(points_per_axis, stride=2)):
+        want = float(np.max(_one_pass_norms(f, g, sample_box(box, grid))))
+        assert sup_error(f, g, box, grid) == want
 
 
 @pytest.mark.parametrize("samples", [100, 2048, 4096, 4097])
@@ -340,3 +343,176 @@ def test_end_to_end_nonpoly_all_infinite_sweep_raises():
     cfg = FitConfig(num_features=40, grid=GridSpec(21), seed=0)
     with pytest.raises(EvaluationFailure, match="no h in the sweep"):
         end_to_end_nonpoly(fn, spec, 1, m, cfg, "NonPoly_NMplus1", BOX)
+
+
+# ---------------------------------------------------------------------------
+# The two-pass sweep against a full measurement of every row
+# ---------------------------------------------------------------------------
+
+
+def _full_errors(report, reference, spec, box, grid):
+    """Every row of the report measured on the full grid, as the sweep did
+    before it bounded rows on a sub-lattice."""
+    out = []
+    for net in report.extras["nets"].values():
+        try:
+            out.append(sup_error(reference, lambda zs: eval_cvnn(net, zs, spec.fn), box, grid))
+        except EvaluationFailure:
+            out.append(float("inf"))
+    return out
+
+
+def _strategy_case(strategy, n):
+    """(activation, program, reference) for one lowering strategy: a random
+    shallow program for the NonPoly strategies, a cross term plus a square
+    for the Poly ones."""
+    spec = {"NonPoly_NMplus1": get_activation("cardioid"),
+            "NonPoly_Conj_NMplus1": get_activation("conj:cardioid"),
+            "NonPoly_2N2Mplus1": get_activation("modrelu", {"b": -1}),
+            "Poly_Wide_2N2Mplus12": get_activation("re_square"),
+            "Poly_Narrow_2N2Mplus5": get_activation("re_square"),
+            "Poly_NMplus4": get_activation("z_plus_zbar_sq")}[strategy]
+    plan = plan_lowering(spec, strategy, PROF)
+    if strategy.startswith("NonPoly"):
+        shallow = random_shallow(np.random.default_rng(5), n, 1, 4,
+                                 plan.sigma.activation_id, scale=0.5)
+        program = shallow_to_register(shallow)
+        return spec, program, lambda zs: eval_register(program, zs, plan.sigma.fn)
+    other = min(1, n - 1)
+    poly = PolyZZbar(n, ((1 + 0j, tuple(int(i == 0) for i in range(n)),
+                          tuple(int(i == other and n > 1) for i in range(n))),
+                         (0.5 - 0.25j, (0,) * n, tuple(2 * int(i == 0) for i in range(n)))))
+    program = poly_to_register([poly], plan.mul_kind)
+    return spec, program, lambda zs: eval_register(program, zs)
+
+
+@pytest.mark.parametrize("strategy, n, points_per_axis, stride", [
+    # compile --grid 24: 48^2 = 2,304 points
+    *[(strategy, 1, 48, 2) for strategy in STRATEGIES],
+    # 12^4 = 20,736 points
+    *[(strategy, 2, 12, 2) for strategy in STRATEGIES],
+    # the 18^4 lattice of every n = 2 compile at the default grid
+    ("NonPoly_NMplus1", 2, 18, 3),
+])
+def test_sweep_best_row_equals_full_measurement(strategy, n, points_per_axis, stride):
+    """The best row, its value and its network are those of a full
+    measurement of every row; a bound is never above its row's full value,
+    and a row measured in full reports that value."""
+    spec, program, reference = _strategy_case(strategy, n)
+    box, grid = CompactBox.square(n, 1.0), GridSpec(points_per_axis)
+    assert verifier._bound_grid(box, grid).stride == stride
+    report = h_sweep(lambda h: lower(program, spec, strategy, h, PROF),
+                     DEFAULT_SWEEP_SCHEDULE, box, grid, reference, spec)
+    full = _full_errors(report, reference, spec, box, grid)
+    finite = [(e, h) for h, e in zip(DEFAULT_SWEEP_SCHEDULE, full) if np.isfinite(e)]
+    want_err, want_h = min(finite, key=lambda t: t[0])
+    bounds = report.metadata.get("lower_bound_h", "").split(";")
+    assert bounds[0], "every row measured in full: pass 1 bounded nothing"
+    for row, want in zip(report.rows, full):
+        if repr(row.h) in bounds:
+            assert row.sup_error <= want or not np.isfinite(want)
+            assert not row.sup_error <= want_err
+        else:
+            assert row.sup_error == want
+    best = report.best_row()
+    assert (best.h, best.sup_error) == (want_h, want_err)
+    assert repr(best.h) not in bounds
+    assert cvnn_to_json(report.extras["nets"][best.h]) == cvnn_to_json(
+        lower(program, spec, strategy, want_h, PROF))
+
+
+@pytest.mark.parametrize("n, points_per_axis, stride", [
+    (2, 18, 3), (1, 18, 1), (1, 48, 2), (1, 45, 1), (1, 46, 2), (2, 6, 1), (2, 7, 2),
+])
+def test_bound_grid_stride_rule(n, points_per_axis, stride):
+    """The smallest stride whose sub-lattice fits in one row block; every
+    lattice of at most 2,048 points is its own bound."""
+    sub = verifier._bound_grid(CompactBox.square(n, 1.0), GridSpec(points_per_axis))
+    assert (sub.points_per_axis, sub.stride) == (points_per_axis, stride)
+    assert sub.axis_points ** (2 * n) <= verifier._ROW_BLOCK
+    if stride > 1:
+        assert GridSpec(points_per_axis, stride - 1).axis_points ** (2 * n) > verifier._ROW_BLOCK
+
+
+def test_sweep_at_stride_1_measures_every_row_in_full():
+    card = get_activation("cardioid")
+    report = h_sweep(lambda h: identity_block(card, 1.0, h, PROF).to_cvnn(card),
+                     DEFAULT_SWEEP_SCHEDULE, BOX, GridSpec(18), lambda zs: zs, card)
+    assert "lower_bound_h" not in report.metadata
+    assert "lower_bound_h" not in report.to_csv()
+    assert [r.sup_error for r in report.rows] == _full_errors(
+        report, lambda zs: zs, card, BOX, GridSpec(18))
+
+
+@given(n=st.integers(1, 2), points=st.integers(2, 9), stride=st.integers(1, 9),
+       lows=st.lists(st.floats(-4, 4), min_size=4, max_size=4),
+       sides=st.lists(st.floats(0, 3), min_size=4, max_size=4))
+def test_strided_lattice_is_the_matching_rows_of_the_full_lattice(n, points, stride,
+                                                                  lows, sides):
+    box = CompactBox(tuple((lows[2 * j], lows[2 * j] + sides[2 * j],
+                            lows[2 * j + 1], lows[2 * j + 1] + sides[2 * j + 1])
+                           for j in range(n)))
+    full = sample_box(box, GridSpec(points)).reshape((points,) * (2 * n) + (n,))
+    want = full[(slice(None, None, stride),) * (2 * n)].reshape(-1, n)
+    got = sample_box(box, GridSpec(points, stride))
+    assert got.shape == (GridSpec(points, stride).axis_points ** (2 * n), n)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_sweep_without_finite_row_raises_at_any_stride(monkeypatch):
+    """Rows that are non-finite on the sub-lattice are not measured in full
+    and keep their bound; rows finite there but not on the full grid are
+    measured and become inf.  Either way no row is finite."""
+    one = ComplexAffineMap(np.eye(1), np.zeros(1))
+    ident = lambda zs: zs[:, 0]
+    everywhere = custom_activation("inf", lambda z: np.full_like(z, np.inf))
+    off_sub = custom_activation("inf_at_re_1", lambda z: np.where(z.real < 0.99, z, np.inf))
+    monkeypatch.setattr(verifier, "_ROW_BLOCK", 16)
+    # 9 points per axis: stride 3 keeps indices 0, 3, 6 (RE z <= 0.5)
+    assert verifier._bound_grid(BOX, GridSpec(9)).stride == 3
+    for spec, bounded in ((everywhere, "0.1;0.01"), (off_sub, None)):
+        net = Cvnn((one, one), spec.activation_id)
+        report = h_sweep(lambda h: net, (1e-1, 1e-2), BOX, GridSpec(9), ident, spec)
+        assert [r.sup_error for r in report.rows] == [np.inf, np.inf]
+        assert report.metadata.get("lower_bound_h") == bounded
+        with pytest.raises(EvaluationFailure, match="no h in the sweep"):
+            report.best_row()
+
+
+# ---------------------------------------------------------------------------
+# A network no better than a constant is a failure
+# ---------------------------------------------------------------------------
+
+
+def test_constant_sup_error_is_the_centre_of_the_bounding_box():
+    fn, _ = named_target("abs")
+    # |z| on the 18 x 18 lattice of [-1, 1]^2 ranges over [1/17, sqrt(2)]
+    grid = GridSpec(18)
+    vals = np.abs(sample_box(BOX, grid)[:, 0])
+    want = (vals.max() - vals.min()) / 2
+    assert verifier._constant_sup_error(fn, BOX, grid) == pytest.approx(want, rel=1e-15)
+    # per output: (|z|, 0) keeps the first output's half range
+    norm0, _ = named_target("norm0")
+    assert verifier._constant_sup_error(norm0, BOX, grid) == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize("seed, beats", [(0, True), (5, False)])
+def test_end_to_end_nonpoly_refuses_a_fit_worse_than_a_constant(seed, beats):
+    spec = get_activation("exp_re")
+    fn, m = named_target("abs")
+    cfg = FitConfig(num_features=40, ridge=1e-6, grid=GridSpec(9), seed=seed)
+    if beats:
+        _, report = end_to_end_nonpoly(fn, spec, 1, m, cfg, "NonPoly_2N2Mplus1", BOX)
+        assert report.best_row().sup_error < report.extras["constant_sup_error"]
+    else:
+        with pytest.raises(EvaluationFailure, match="not below"):
+            end_to_end_nonpoly(fn, spec, 1, m, cfg, "NonPoly_2N2Mplus1", BOX)
+
+
+def test_end_to_end_poly_reports_constant_error():
+    spec = get_activation("re_square")
+    fn, m = named_target("zzbar")
+    _, report = end_to_end_poly(fn, spec, 1, m, 2, "Poly_Narrow_2N2Mplus5", BOX, prof=PROF)
+    # z conj(z) = |z|^2 on the 18 x 18 lattice of [-1, 1]^2 ranges over [2/289, 2]
+    assert report.extras["constant_sup_error"] == pytest.approx(1 - 1 / 289, rel=1e-12)
+    assert report.best_row().sup_error < report.extras["constant_sup_error"]

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from deepnarrow.activations import (available_activations, conjugate_activation,
                                     custom_activation, get_activation, scale_activation)
@@ -337,7 +337,7 @@ TAYLOR_SPECS = ([get_activation(name) for name in available_activations()]
                 + [get_activation("conj:cardioid"), get_activation("modrelu", {"b": -0.5})])
 
 
-@settings(derandomize=True, deadline=None, max_examples=80)
+@settings(max_examples=80)
 @given(spec=st.sampled_from(TAYLOR_SPECS), order=st.sampled_from((1, 2)),
        centres=st.lists(st.complex_numbers(max_magnitude=3.0, allow_nan=False,
                                            allow_infinity=False), min_size=1, max_size=6))
@@ -376,3 +376,90 @@ def test_taylor_batch_keeps_failures_per_centre():
     assert str(lone.value) == str(out[1])
     with pytest.raises(ValueError):
         taylor_remainder_probe(spec, np.zeros((2, 2)), 1, PROF)
+
+
+# ---------------------------------------------------------------------------
+# Verdict properties
+# ---------------------------------------------------------------------------
+
+_COEFF = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40)
+@given(terms=st.lists(st.tuples(st.floats(-3.0, 3.0), _COEFF, _COEFF, _COEFF),
+                      min_size=1, max_size=3))
+def test_real_combinations_of_r_affine_classify_r_affine(terms):
+    """sum_k w_k (a_k z + b_k conj(z) + c_k) with real w_k is R-affine; given
+    without flags, the grid heuristic must say so unless the combination is
+    (close to) holomorphic or antiholomorphic."""
+    a = sum(w * ak for w, ak, _, _ in terms)
+    b = sum(w * bk for w, _, bk, _ in terms)
+    assume(abs(a) > 0.1 and abs(b) > 0.1)
+    specs = [(w, get_activation("r_affine", {"a": ak, "b": bk, "c": ck}))
+             for w, ak, bk, ck in terms]
+    combo = custom_activation("r_affine_sum",
+                              lambda z: sum(w * s.fn(z) for w, s in specs))
+    cls = classify_activation(combo, 1, 1, PROF)
+    assert cls.verdict == "NonUniversalRAffine", cls.evidence
+
+
+#: Catalog verdicts, without the two known faults (z|z|, which the
+#: classifier calls UniversalNonPoly_NMplus1, and modrelu b=-5, whose probe
+#: box lies in the dead zone).
+VERDICT_CASES = ([(name, {}) for name in available_activations()]
+                 + [("modrelu", {"b": -0.5}), ("modrelu", {"b": -1}),
+                    ("r_affine", {"a": 2, "b": 1, "c": 1})])
+_CONJ_VERDICT = {"NonUniversalHolomorphic": "NonUniversalAntiholomorphic",
+                 "NonUniversalAntiholomorphic": "NonUniversalHolomorphic"}
+
+
+@settings(max_examples=60)
+@given(case=st.sampled_from(VERDICT_CASES), numeric=st.booleans())
+def test_conjugation_swaps_holomorphic_and_antiholomorphic_verdicts(case, numeric):
+    """conj o f is antiholomorphic exactly when f is holomorphic and keeps
+    every other verdict, through the conj: prefix or, with ``numeric``, as
+    flag-free functions classified on the probe grid alone."""
+    name, params = case
+    spec = get_activation(name, params)
+    if numeric:
+        plain = custom_activation(name, spec.fn)
+        conj = custom_activation(f"conj:{name}", lambda z: np.conj(spec.fn(z)))
+    else:
+        plain, conj = spec, get_activation(f"conj:{name}", params)
+    verdict = classify_activation(plain, 1, 1, PROF).verdict
+    assert classify_activation(conj, 1, 1, PROF).verdict == _CONJ_VERDICT.get(verdict, verdict)
+
+
+def _float_bits(obj):
+    """The document with every float replaced by its hex form."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, dict):
+        return {k: _float_bits(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_float_bits(v) for v in obj]
+    return obj
+
+
+@settings(max_examples=30)
+@given(case=st.sampled_from(VERDICT_CASES), conj=st.booleans(), n=st.integers(1, 2))
+def test_classify_json_round_trip_is_bit_exact(case, conj, n):
+    """The document `classify` writes parses back to the classification's own
+    document, every float bit for bit."""
+    import contextlib
+    import io
+    import json
+
+    from deepnarrow.cli import main
+
+    name, params = case
+    name = f"conj:{name}" if conj else name
+    spec = get_activation(name, params)
+    want = dict(classify_activation(spec, n, 1, PROF).to_json_dict(PROF), activation=spec.name)
+    argv = ["classify", "--activation", name, "--n", str(n), "--no-timestamp", "--out", "-"]
+    for k, v in params.items():
+        argv += ["--param", f"{k}={v}"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    assert _float_bits(json.loads(out.getvalue())) == _float_bits(want)
