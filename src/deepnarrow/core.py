@@ -6,16 +6,19 @@ elementwise activation,
 
     V_L o act^(xW) o ... o act^(xW) o V_1 : C^n -> C^m,
 
-stored as the tuple of affine maps plus an activation identifier.  Complex
-scalars are double-precision pairs throughout (``numpy.complex128``); no
-arbitrary precision.  All values are immutable after construction, so they
-are safe to share between threads, and evaluation is pure.
+stored as stacks of its affine maps, one per run of maps of one shape, plus
+an activation identifier.  Complex scalars are double-precision pairs
+throughout (``numpy.complex128``); no arbitrary precision.  All values are
+immutable after construction, so they are safe to share between threads,
+and evaluation is pure.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -30,10 +33,12 @@ __all__ = [
     "GridSpec",
     "eval_affine",
     "eval_cvnn",
+    "eval_cvnns",
     "fuse_affine",
     "fuse_arrays",
     "width_of",
     "depth_of",
+    "max_coeff",
     "hidden_widths",
     "pad_hidden_width",
     "sample_box",
@@ -110,28 +115,30 @@ def eval_affine(amap: ComplexAffineMap, z) -> np.ndarray:
 
 
 class AffineArrays(NamedTuple):
-    """A map z -> A z + b held as bare complex128 arrays: neither copied nor
-    checked.  Lowering builds its intermediate pieces this way and validates
-    only the ComplexAffineMaps of the network it assembles from them."""
+    """A map z -> A z + b, or a stack of L maps ((L, out, in) and (L, out)),
+    held as bare complex128 arrays: neither copied nor checked.  Lowering
+    builds its intermediate pieces this way; the network it assembles from
+    them checks each of its runs once."""
 
     matrix: np.ndarray
     bias: np.ndarray
 
     @property
     def in_dim(self) -> int:
-        return self.matrix.shape[1]
+        return self.matrix.shape[-1]
 
     @property
     def out_dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-2]
 
 
 def fuse_arrays(a, b) -> AffineArrays:
-    """Compose a o b (either may be a ComplexAffineMap or AffineArrays) into
-    bare arrays, unvalidated."""
+    """Compose a o b (either may be a ComplexAffineMap or AffineArrays, and a
+    stack) into bare arrays, unvalidated; each map of a stacked result is bit
+    for bit the one its unstacked maps give."""
     if a.in_dim != b.out_dim:
         raise DimensionMismatch(f"cannot fuse: a.in_dim {a.in_dim} != b.out_dim {b.out_dim}")
-    return AffineArrays(a.matrix @ b.matrix, a.matrix @ b.bias + a.bias)
+    return AffineArrays(a.matrix @ b.matrix, (a.matrix @ b.bias[..., None])[..., 0] + a.bias)
 
 
 def fuse_affine(a: ComplexAffineMap, b: ComplexAffineMap) -> ComplexAffineMap:
@@ -150,37 +157,77 @@ class ActivationId:
         return dict(self.params)
 
 
-@dataclass(frozen=True)
+def _runs_of(maps) -> tuple:
+    """Consecutive maps of one shape as runs: a read-only copy of their
+    (L, out, in) matrices and (L, out) biases each.  Every item of ``maps``
+    has a ``matrix`` and a ``bias``, one (out, in) map or a stack of them."""
+    stacks = []
+    for amap in maps:
+        m, b = (np.asarray(a, dtype=np.complex128) for a in (amap.matrix, amap.bias))
+        m, b = (m, b) if m.ndim == 3 else (m[None], b[None])
+        if m.ndim != 3 or b.shape != m.shape[:2]:
+            raise DimensionMismatch(f"matrix {m.shape} and bias {b.shape} are no affine maps")
+        stacks.append((m, b))
+    runs = []
+    for _, group in itertools.groupby(stacks, key=lambda mb: mb[0].shape[1:]):
+        run = tuple(np.concatenate(arrays) for arrays in zip(*group))
+        for a in run:
+            a.setflags(write=False)
+        runs.append(run)
+    return tuple(runs)
+
+
+def _check_run(matrices: np.ndarray, biases: np.ndarray, k: int) -> None:
+    """The one finite-check of a run."""
+    if not (np.isfinite(matrices).all() and np.isfinite(biases).all()):
+        raise ValueError(f"non-finite entries in affine run {k}")
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Cvnn:
     """Strict alternating network: affine maps with the activation applied
     elementwise to every hidden coordinate between consecutive maps.
+
+    The maps (ComplexAffineMaps or AffineArrays, each one map or a stack)
+    are held as ``runs``: per run of consecutive maps of one shape, one
+    read-only (L, out, in) matrix stack and one (L, out) bias stack, checked
+    for non-finite entries once.  ``affine_maps`` views them map by map.
 
     Hidden layer widths may differ; the width of the network is the max over
     all layer dimensions including input and output.  Depth is the number of
     affine maps (>= 2).
     """
 
-    affine_maps: tuple
+    runs: tuple
     activation: ActivationId
 
-    def __post_init__(self):
-        maps = tuple(self.affine_maps)
-        if len(maps) < 2:
+    def __init__(self, affine_maps, activation: ActivationId):
+        runs = _runs_of(affine_maps)
+        if sum(len(m) for m, _ in runs) < 2:
             raise DimensionMismatch("a network needs at least 2 affine maps")
-        for a, b in zip(maps, maps[1:]):
-            if a.out_dim != b.in_dim:
+        links = [m.shape[1:] for m, _ in runs if len(m) > 1]
+        links += [(a.shape[1], b.shape[2]) for (a, _), (b, _) in zip(runs, runs[1:])]
+        for out_dim, in_dim in links:
+            if out_dim != in_dim:
                 raise DimensionMismatch(
-                    f"dimension chain broken: out_dim {a.out_dim} -> in_dim {b.in_dim}"
-                )
-        object.__setattr__(self, "affine_maps", maps)
+                    f"dimension chain broken: out_dim {out_dim} -> in_dim {in_dim}")
+        for k, (m, b) in enumerate(runs):
+            _check_run(m, b, k)
+        object.__setattr__(self, "runs", runs)
+        object.__setattr__(self, "activation", activation)
+
+    @functools.cached_property
+    def affine_maps(self) -> tuple:
+        """Every map in order, as AffineArrays over slices of the runs."""
+        return tuple(AffineArrays(m, b) for ms, bs in self.runs for m, b in zip(ms, bs))
 
     @property
     def input_dim(self) -> int:
-        return self.affine_maps[0].in_dim
+        return self.runs[0][0].shape[2]
 
     @property
     def output_dim(self) -> int:
-        return self.affine_maps[-1].out_dim
+        return self.runs[-1][0].shape[1]
 
     def __call__(self, z, activation_fn=None):
         return eval_cvnn(self, z, activation_fn)
@@ -194,38 +241,77 @@ def _resolve_activation(net: Cvnn, activation_fn) -> Callable:
     return get_activation(net.activation.name, net.activation.as_dict())
 
 
+def eval_cvnns(nets: Sequence[Cvnn], z, activation_fn=None) -> tuple:
+    """Evaluate H networks of one shape on (N, in) points, or on (H, N, in),
+    in one pass: per layer one batched matmul and one activation call
+    (``activation_fn`` overrides the catalog lookup).  Returns (values,
+    failed_at): the (H, N, out) values, each network's bit for bit those it
+    gives alone; per network the index of the map after which its
+    activation first gave a non-finite value, or -1.  A failed network's
+    values are inf, and it changes no other network's."""
+    shapes = [[m.shape for m, _ in net.runs] for net in nets]
+    if any(shape != shapes[0] for shape in shapes):
+        raise DimensionMismatch("networks evaluated together must have one shape")
+    act = _resolve_activation(nets[0], activation_fn)
+    cur = np.asarray(z, dtype=np.complex128)
+    if (cur.ndim not in (2, 3) or cur.shape[-1] != nets[0].input_dim
+            or cur.shape[:-2] not in ((), (len(nets),))):
+        raise DimensionMismatch(f"input shape {cur.shape} for {len(nets)} networks of "
+                                f"input dimension {nets[0].input_dim}")
+    failed_at = np.full(len(nets), -1)
+    last = depth_of(nets[0]) - 1
+    k = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(len(shapes[0])):
+            mats = np.stack([net.runs[r][0] for net in nets]).swapaxes(-1, -2)
+            biases = np.stack([net.runs[r][1] for net in nets])[:, :, None, :]
+            for l in range(mats.shape[1]):
+                cur = np.matmul(cur, mats[:, l])
+                cur += biases[:, l]
+                if k < last:
+                    cur = np.asarray(act(cur), dtype=np.complex128)
+                    if not np.isfinite(cur.view(np.float64)).all():
+                        bad = ~np.isfinite(cur.view(np.float64)).reshape(len(nets), -1).all(axis=1)
+                        failed_at[bad & (failed_at < 0)] = k
+                        cur[bad] = 0
+                k += 1
+    cur[failed_at >= 0] = np.inf
+    return cur, failed_at
+
+
 def eval_cvnn(net: Cvnn, z, activation_fn=None) -> np.ndarray:
-    """Evaluate the alternating composition.  ``activation_fn`` overrides the
-    catalog lookup (it must be vectorized over complex arrays).
+    """Evaluate the alternating composition at a single point (in_dim,) or a
+    batch (N, in_dim): ``eval_cvnns`` of the one network.  ``activation_fn``
+    overrides the catalog lookup (it must be vectorized over complex arrays).
 
     Raises EvaluationFailure if an activation output is non-finite.
     """
-    act = _resolve_activation(net, activation_fn)
-    cur = np.asarray(z, dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, amap in enumerate(net.affine_maps):
-            cur = eval_affine(amap, cur)
-            if k < len(net.affine_maps) - 1:
-                cur = np.asarray(act(cur), dtype=np.complex128)
-                if not np.all(np.isfinite(cur.view(np.float64))):
-                    raise EvaluationFailure(
-                        f"activation produced non-finite values after affine map {k}"
-                    )
-    return cur
+    zv = np.asarray(z, dtype=np.complex128)
+    if zv.ndim not in (1, 2):
+        raise DimensionMismatch(f"input must be 1-d or 2-d, got shape {zv.shape}")
+    values, failed_at = eval_cvnns((net,), np.atleast_2d(zv), activation_fn)
+    if failed_at[0] >= 0:
+        raise EvaluationFailure(
+            f"activation produced non-finite values after affine map {failed_at[0]}")
+    return values[0, 0] if zv.ndim == 1 else values[0]
 
 
 def width_of(net: Cvnn) -> int:
     """Max over all layer dimensions including input and output (unpadded)."""
-    dims = [net.affine_maps[0].in_dim] + [m.out_dim for m in net.affine_maps]
-    return max(dims)
+    return max([net.input_dim] + [m.shape[1] for m, _ in net.runs])
 
 
 def depth_of(net: Cvnn) -> int:
-    return len(net.affine_maps)
+    return sum(len(m) for m, _ in net.runs)
+
+
+def max_coeff(net: Cvnn) -> float:
+    """The largest modulus of any matrix entry of the network."""
+    return float(max(np.max(np.abs(m)) for m, _ in net.runs))
 
 
 def hidden_widths(net: Cvnn) -> tuple:
-    return tuple(m.out_dim for m in net.affine_maps[:-1])
+    return sum(((m.shape[1],) * len(m) for m, _ in net.runs), ())[:-1]
 
 
 def pad_hidden_width(net: Cvnn, width: int) -> Cvnn:
@@ -237,17 +323,14 @@ def pad_hidden_width(net: Cvnn, width: int) -> Cvnn:
     """
     if width < width_of(net):
         raise DimensionMismatch(f"cannot pad to {width} below current width {width_of(net)}")
-    maps = list(net.affine_maps)
+    maps = net.affine_maps
     out = []
     for k, amap in enumerate(maps):
-        rows = amap.out_dim if k == len(maps) - 1 else width
-        cols = amap.in_dim if k == 0 else width
-        m = np.zeros((rows, cols), dtype=np.complex128)
-        b = np.zeros(rows, dtype=np.complex128)
-        m[: amap.out_dim, : amap.in_dim] = amap.matrix
-        b[: amap.out_dim] = amap.bias
-        out.append(ComplexAffineMap(m, b))
-    return Cvnn(tuple(out), net.activation)
+        rows = 0 if k == len(maps) - 1 else width - amap.out_dim
+        cols = 0 if k == 0 else width - amap.in_dim
+        out.append(AffineArrays(np.pad(amap.matrix, ((0, rows), (0, cols))),
+                                np.pad(amap.bias, (0, rows))))
+    return Cvnn(out, net.activation)
 
 
 @dataclass(frozen=True)
@@ -379,15 +462,6 @@ def _param_value_from_json(v):
     return v
 
 
-def _affine_to_dict(amap: ComplexAffineMap) -> dict:
-    return {
-        "rows": amap.out_dim,
-        "cols": amap.in_dim,
-        "matrix": [_c2l(x) for x in amap.matrix.ravel()],
-        "bias": [_c2l(x) for x in amap.bias],
-    }
-
-
 def _affine_from_dict(d: dict) -> ComplexAffineMap:
     rows, cols = int(d["rows"]), int(d["cols"])
     flat = np.array([_l2c(x) for x in d["matrix"]], dtype=np.complex128)
@@ -404,8 +478,14 @@ def cvnn_to_json(net: Cvnn) -> str:
             "name": net.activation.name,
             "params": {k: _param_value_to_json(v) for k, v in net.activation.params},
         },
-        "affine_maps": [_affine_to_dict(m) for m in net.affine_maps],
+        "affine_maps": [],
     }
+    for ms, bs in net.runs:
+        length, rows, cols = ms.shape
+        mats, biases = (np.ascontiguousarray(a).view(np.float64).reshape(length, -1, 2).tolist()
+                        for a in (ms, bs))
+        doc["affine_maps"] += [{"rows": rows, "cols": cols, "matrix": m, "bias": b}
+                               for m, b in zip(mats, biases)]
     return json.dumps(doc, sort_keys=True)
 
 

@@ -24,10 +24,11 @@ real work.  The width budgets, for input dimension n and output dimension m:
                                      demand by one 2-neuron pair block
 
 Adjacent affine maps are always fused, keeping the strict alternating form.
-The pieces are bare arrays (``core.AffineArrays``); only the maps of the
-assembled network are validated, as ComplexAffineMaps.  That catches every
-non-finite entry of a piece: inf * 0 = nan, so fusion spreads it to a whole
-row or column of each later product.
+The pieces are bare arrays (``core.AffineArrays``); the shallow strategies
+emit the transitions of all program layers as one stack (``Layers``), fused
+by batched products.  Only the runs of the assembled network are validated,
+each once.  That catches every non-finite entry of a piece: inf * 0 = nan,
+so fusion spreads it to a whole row or column of each later product.
 Each strategy checks its derivative preconditions against probe data and
 raises StrategyMismatch when they fail.  Width bounds are asserted on the
 result, with zero tolerance.
@@ -44,7 +45,7 @@ import numpy as np
 from .activations import ActivationSpec, conjugate_activation
 from .blocks import (_SQUARE_TO_MUL, ShallowBlock, identity_block, mul_block,
                      routed_pair_block)
-from .core import (AffineArrays, ComplexAffineMap, Cvnn, eval_affine, fuse_arrays,
+from .core import (AffineArrays, Cvnn, depth_of, eval_affine, fuse_arrays, max_coeff,
                    width_of)
 from .errors import ConstructionError, StrategyMismatch
 from .register import FlushLayer, RegisterProgram
@@ -97,6 +98,17 @@ class Stage:
     post: AffineArrays
 
 
+@dataclass(frozen=True)
+class Layers:
+    """L program layers that cross the same stages.  Their first crossing is
+    emitted as plain stage pieces, since it fuses with the preceding map;
+    this piece follows it with transition 0 of ``trans``, an (L, s, s)
+    stack, then for each later l the stages in order and transition l."""
+
+    stages: tuple
+    trans: AffineArrays
+
+
 class _StageBuilder:
     """Collects hidden units wired to affine functionals of the state."""
 
@@ -109,9 +121,6 @@ class _StageBuilder:
         w = np.zeros(self.in_dim, dtype=np.complex128)
         w[idx] = 1
         return w, 0j
-
-    def const(self, value: complex):
-        return np.zeros(self.in_dim, dtype=np.complex128), complex(value)
 
     def unit(self, weights, bias) -> int:
         self._rows.append(np.asarray(weights, dtype=np.complex128))
@@ -350,10 +359,6 @@ def _emit(pieces: list, kit: _Kit, stage: Stage):
         pieces.append(("stage", realized))
 
 
-def _emit_affine(pieces: list, amap: AffineArrays):
-    pieces.append(("affine", amap))
-
-
 def _lower_shallow(program: RegisterProgram, kit: _Kit, wide: bool) -> list:
     n, m = program.input_dim, program.output_dim
     s = n + m + 1
@@ -365,11 +370,12 @@ def _lower_shallow(program: RegisterProgram, kit: _Kit, wide: bool) -> list:
     init_b = np.zeros(s, dtype=np.complex128)
     init_b[iu] = b0
     pieces = []
-    _emit_affine(pieces, _affine(init, init_b))
+    pieces.append(("affine", _affine(init, init_b)))
 
     # Every program layer crosses the same registers through the same blocks
     # and applies the activation to u, so the hidden stage is built and
-    # realized once; only the transitions carry a layer's flush and reload.
+    # realized once; only the transitions carry a layer's flush and reload,
+    # and they are built as one stack.
     builder = _StageBuilder(s)
 
     def cross(slot):
@@ -380,23 +386,21 @@ def _lower_shallow(program: RegisterProgram, kit: _Kit, wide: bool) -> list:
     raw = builder.unit(*builder.slot(iu))
     outputs.append(([(raw, 1.0)], 0j))
     outputs += [cross(n + 1 + j) for j in range(m)]
-    stages = [("stage", realized) for realized in kit.realize(builder.finish(outputs))]
+    stages = tuple(kit.realize(builder.finish(outputs)))
+    pieces += [("stage", stage) for stage in stages]
 
-    keep = np.zeros((s, s), dtype=np.complex128)
-    keep[:n, :n] = _identity_rows(n)
-    keep[n + 1:, n + 1:] = _identity_rows(m)
-    for lay in program.layers:
-        pieces += stages
-        trans = keep.copy()
-        trans_b = np.zeros(s, dtype=np.complex128)
+    layers = program.layers
+    trans = np.zeros((len(layers), s, s), dtype=np.complex128)
+    trans[:, :n, :n] = _identity_rows(n)
+    trans[:, n + 1:, n + 1:] = _identity_rows(m)
+    trans[:, n + 1:, iu] = [lay.flush for lay in layers]
+    trans_b = np.zeros((len(layers), s), dtype=np.complex128)
+    for k, lay in enumerate(layers):
         if lay.reload is not None:
-            a, b = lay.reload
-            trans[iu, :n] = np.asarray(a)
-            trans_b[iu] = b
-        trans[n + 1:, iu] = lay.flush
-        _emit_affine(pieces, _affine(trans, trans_b))
+            trans[k, iu, :n], trans_b[k, iu] = lay.reload
+    pieces.append(("layers", Layers(stages, AffineArrays(trans, trans_b))))
 
-    _emit_affine(pieces, _end_map(program, s, n + 1))
+    pieces.append(("affine", _end_map(program, s, n + 1)))
     return pieces
 
 
@@ -476,13 +480,24 @@ def _flush_map(lay: FlushLayer, s: int, iw: int, iv: int) -> AffineArrays:
     return _affine(trans, trans_b)
 
 
-def _emit_mul_ladder(pieces: list, kit: _Kit, ladder: _InnerLadder, s: int,
-                     op_idx: int, iw: int, cross_registers: Callable):
+def _ladder_stages(kit: _Kit, s: int, cross_registers: Callable) -> list:
+    """The realized stage of every inner multiplication step: the s registers
+    (``cross_registers``) and the accumulator s cross, and the compute slot
+    s + 1 feeds one raw neuron."""
+    builder = _StageBuilder(s + 2)
+    outputs = cross_registers(builder)
+    outputs.append(kit.id_cross(builder, builder.slot(s)))
+    raw = builder.unit(*builder.slot(s + 1))
+    outputs.append(([(raw, 1.0)], 0j))
+    return kit.realize(builder.finish(outputs))
+
+
+def _emit_mul_ladder(pieces: list, ladder: _InnerLadder, stages: list, s: int,
+                     op_idx: int, iw: int):
     """w <- operand * w as an inner register program: the state widens by an
-    accumulator and a compute slot, one hidden layer per multiplication
-    neuron crosses the s registers (``cross_registers(builder)`` returns
-    their outputs in slot order) and the accumulator, and the last
-    transition writes the product back into w."""
+    accumulator and a compute slot, one hidden layer (``_ladder_stages``) per
+    multiplication neuron, and the last transition writes the product back
+    into w."""
     i_acc, i_cmp = s, s + 1
     enter = np.zeros((s + 2, s), dtype=np.complex128)
     enter[:s, :] = _identity_rows(s)
@@ -490,117 +505,87 @@ def _emit_mul_ladder(pieces: list, kit: _Kit, ladder: _InnerLadder, s: int,
     enter[i_cmp, op_idx] = ladder.rows[0, 0]
     enter[i_cmp, iw] = ladder.rows[0, 1]
     enter_b[i_cmp] = ladder.biases[0]
-    _emit_affine(pieces, _affine(enter, enter_b))
+    pieces.append(("affine", _affine(enter, enter_b)))
 
     for k in range(len(ladder.biases)):
-        builder = _StageBuilder(s + 2)
-        outputs = cross_registers(builder)
-        outputs.append(kit.id_cross(builder, builder.slot(i_acc)))
-        raw = builder.unit(*builder.slot(i_cmp))
-        outputs.append(([(raw, 1.0)], 0j))
-        _emit(pieces, kit, builder.finish(outputs))
-        _emit_affine(pieces, _ladder_transition(ladder, k, s, i_acc, i_cmp, op_idx, iw))
+        pieces += [("stage", stage) for stage in stages]
+        pieces.append(("affine", _ladder_transition(ladder, k, s, i_acc, i_cmp, op_idx, iw)))
 
 
-def _lower_poly_wide_or_narrow(program: RegisterProgram, kit: _Kit, narrow: bool) -> list:
+def _lower_poly(program: RegisterProgram, kit: _Kit, strategy: str) -> list:
+    """Registers (z_1..z_n, conjugates, w, v_1..v_m), w starting at 1.
+
+    Wide and Narrow keep conj z_1..conj z_n and rebuild each pair (z, conj z)
+    from the z slot by a pair block in every hidden layer.  NMplus4 keeps a
+    single conjugation register g, crossed by an identity block and
+    refreshed from z_i by one pair block when an operand needs conj z_i.
+    Wide applies the multiplication block inline; Narrow and NMplus4 run it
+    as an inner register program (``_emit_mul_ladder``).
+    """
     n, m = program.input_dim, program.output_dim
-    s = 2 * n + m + 1
-    iw = 2 * n
-    iv = 2 * n + 1
+    pairs = strategy != "Poly_NMplus4"
+    s = (2 * n if pairs else n + 1) + m + 1
+    iw, iv = s - m - 1, s - m
     pieces = []
 
-    def cross_pairs(builder):
-        """(z, conj z) registers rebuilt from the z slots; 2n neurons."""
+    def cross_inputs(builder, refresh=None):
+        """Outputs for z, from the z slots, and for the conjugates that pair
+        blocks rebuild: every one with ``pairs``, else that of z_refresh."""
         z_outs, zb_outs = [], []
         for q in range(n):
-            a, b = kit.pair_cross(builder, builder.slot(q))
-            z_outs.append(a)
-            zb_outs.append(b)
-        return z_outs + zb_outs
+            if pairs or q == refresh:
+                z_out, zb_out = kit.pair_cross(builder, builder.slot(q))
+                zb_outs.append(zb_out)
+            else:
+                z_out = kit.id_cross(builder, builder.slot(q))
+            z_outs.append(z_out)
+        return z_outs, zb_outs
 
-    # T_init: (z, conj z, 1, 0) built by one hidden layer of n pair blocks
-    builder = _StageBuilder(n)
-    outputs = cross_pairs(builder) + [([], 1 + 0j)] + [([], 0j)] * m
-    _emit_affine(pieces, _affine(_identity_rows(n), np.zeros(n)))
-    _emit(pieces, kit, builder.finish(outputs))
-    _emit_affine(pieces, _affine(_identity_rows(s), np.zeros(s)))
-
-    ladder = _mul_ladder(kit)
-
-    def cross_registers(builder):
-        return (cross_pairs(builder) + [kit.id_cross(builder, builder.slot(iw))]
-                + [kit.id_cross(builder, builder.slot(iv + j)) for j in range(m)])
-
-    for lay in program.layers:
-        if isinstance(lay, FlushLayer):
-            _emit_affine(pieces, _flush_map(lay, s, iw, iv))
-            continue
-        side, i = lay.operand
-        op_idx = i if side == "z" else n + i
-
-        if not narrow:
-            builder = _StageBuilder(s)
-            z_outs = cross_pairs(builder)
-            units = builder.block_units(kit.mul_blk,
-                                        [builder.slot(op_idx), builder.slot(iw)])
+    def cross_registers(builder, refresh=None, op_idx=None):
+        """Outputs for every register in slot order; given ``op_idx`` (Wide),
+        w crosses the multiplication block with that operand."""
+        z_outs, zb_outs = cross_inputs(builder, refresh)
+        if not zb_outs:
+            zb_outs = [kit.id_cross(builder, builder.slot(n))]
+        if op_idx is None:
+            w_out = kit.id_cross(builder, builder.slot(iw))
+        else:
+            units = builder.block_units(kit.mul_blk, [builder.slot(op_idx), builder.slot(iw)])
             w_out = builder.block_output(kit.mul_blk, units, 0)
-            v_outs = [kit.id_cross(builder, builder.slot(iv + j)) for j in range(m)]
-            _emit(pieces, kit, builder.finish(z_outs + [w_out] + v_outs))
-            continue
+        return z_outs + zb_outs + [w_out] + [kit.id_cross(builder, builder.slot(iv + j))
+                                            for j in range(m)]
 
-        # narrow: run the multiplication as an inner register program over
-        # (x1 = operand [read from the registers], x2 = w, compute, accumulator)
-        _emit_mul_ladder(pieces, kit, ladder, s, op_idx, iw, cross_registers)
-
-    _emit_affine(pieces, _end_map(program, s, iv))
-    return pieces
-
-
-def _lower_poly_nm4(program: RegisterProgram, kit: _Kit) -> list:
-    n, m = program.input_dim, program.output_dim
-    s = n + m + 2
-    ig, iw, iv = n, n + 1, n + 2
-    pieces = []
-
+    # T_init: (z, conj z or g = 0, w = 1, v = 0) built by one hidden layer
     builder = _StageBuilder(n)
-    z_outs = [kit.id_cross(builder, builder.slot(i)) for i in range(n)]
-    outputs = z_outs + [([], 0j), ([], 1 + 0j)] + [([], 0j)] * m
-    _emit_affine(pieces, _affine(_identity_rows(n), np.zeros(n)))
+    z_outs, zb_outs = cross_inputs(builder)
+    outputs = z_outs + (zb_outs or [([], 0j)]) + [([], 1 + 0j)] + [([], 0j)] * m
+    pieces.append(("affine", _affine(_identity_rows(n), np.zeros(n))))
     _emit(pieces, kit, builder.finish(outputs))
-    _emit_affine(pieces, _affine(_identity_rows(s), np.zeros(s)))
+    pieces.append(("affine", _affine(_identity_rows(s), np.zeros(s))))
 
     ladder = _mul_ladder(kit)
+    stages = None
     conj_src = None
-
-    def cross_registers(builder):
-        return [kit.id_cross(builder, builder.slot(q)) for q in range(s)]
-
     for lay in program.layers:
         if isinstance(lay, FlushLayer):
-            _emit_affine(pieces, _flush_map(lay, s, iw, iv))
+            pieces.append(("affine", _flush_map(lay, s, iw, iv)))
             continue
         side, i = lay.operand
-        if side == "zbar" and conj_src != i:
-            # refresh the single conjugation register from input i
-            builder = _StageBuilder(s)
-            outputs = []
-            pair_out = None
-            for q in range(n):
-                if q == i:
-                    zi, gi = kit.pair_cross(builder, builder.slot(q))
-                    outputs.append(zi)
-                    pair_out = gi
-                else:
-                    outputs.append(kit.id_cross(builder, builder.slot(q)))
-            outputs.append(pair_out)
-            outputs.append(kit.id_cross(builder, builder.slot(iw)))
-            outputs += [kit.id_cross(builder, builder.slot(iv + j)) for j in range(m)]
-            _emit(pieces, kit, builder.finish(outputs))
-            conj_src = i
-        op_idx = i if side == "z" else ig
-        _emit_mul_ladder(pieces, kit, ladder, s, op_idx, iw, cross_registers)
+        op_idx = i if side == "z" else (n + i if pairs else n)
 
-    _emit_affine(pieces, _end_map(program, s, iv))
+        if strategy == "Poly_Wide_2N2Mplus12":
+            builder = _StageBuilder(s)
+            _emit(pieces, kit, builder.finish(cross_registers(builder, op_idx=op_idx)))
+            continue
+        if not pairs and side == "zbar" and conj_src != i:
+            builder = _StageBuilder(s)
+            _emit(pieces, kit, builder.finish(cross_registers(builder, refresh=i)))
+            conj_src = i
+        if stages is None:
+            stages = _ladder_stages(kit, s, cross_registers)
+        _emit_mul_ladder(pieces, ladder, stages, s, op_idx, iw)
+
+    pieces.append(("affine", _end_map(program, s, iv)))
     return pieces
 
 
@@ -609,33 +594,70 @@ def _lower_poly_nm4(program: RegisterProgram, kit: _Kit) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _interleave(heads: AffineArrays, links: list) -> AffineArrays:
+    """One stack of heads[0], links..., heads[1], links..., ...: the maps of
+    consecutive layers that cross the same stages."""
+    if not links:
+        return heads
+
+    def stack(head, rest):
+        per_layer = np.stack([head] + [np.broadcast_to(a, head.shape) for a in rest], axis=1)
+        return per_layer.reshape((-1,) + head.shape[1:])
+
+    return AffineArrays(stack(heads.matrix, [a.matrix for a in links]),
+                        stack(heads.bias, [a.bias for a in links]))
+
+
 def assemble_pieces(pieces: list, activation_id) -> Cvnn:
-    """Fuse the alternating affine/stage chain into a strict network; each
-    fused map is validated once, as a ComplexAffineMap of the result."""
+    """Fuse the alternating affine/stage chain into a strict network.  A
+    Layers piece is fused as stacks: its transitions with the post of the
+    stage crossed before them, then those with the first stage's pre, two
+    batched products.  Consecutive maps of one shape form one run of the
+    network, checked once for non-finite entries."""
     pending = None
     maps = []
     for kind, obj in pieces:
         if kind == "affine":
             pending = obj if pending is None else fuse_arrays(obj, pending)
-        else:
+        elif kind == "stage":
             maps.append(obj.pre if pending is None else fuse_arrays(obj.pre, pending))
             pending = obj.post
+        else:
+            if pending is not obj.stages[-1].post:
+                raise StrategyMismatch("a Layers piece must follow its stages' first crossing")
+            crossed = fuse_arrays(obj.trans, pending)
+            if len(crossed.matrix) > 1:
+                links = [fuse_arrays(b.pre, a.post) for a, b in zip(obj.stages, obj.stages[1:])]
+                heads = fuse_arrays(obj.stages[0].pre,
+                                    AffineArrays(crossed.matrix[:-1], crossed.bias[:-1]))
+                maps.append(_interleave(heads, links))
+            pending = AffineArrays(crossed.matrix[-1], crossed.bias[-1])
     if pending is None:
         raise StrategyMismatch("no affine maps produced")
     maps.append(pending)
     if len(maps) < 2:
         raise StrategyMismatch("lowering produced a purely affine map; nothing to lower")
-    return Cvnn(tuple(ComplexAffineMap(a.matrix, a.bias) for a in maps), activation_id)
+    return Cvnn(maps, activation_id)
 
 
 def eval_pieces(pieces: list, spec: ActivationSpec, z) -> np.ndarray:
     """Evaluate the unfused chain (oracle for fusion invariance)."""
     cur = np.asarray(z, dtype=np.complex128)
+
+    def cross(stage, cur):
+        return eval_affine(stage.post, spec.fn(eval_affine(stage.pre, cur)))
+
     for kind, obj in pieces:
         if kind == "affine":
             cur = eval_affine(obj, cur)
+        elif kind == "stage":
+            cur = cross(obj, cur)
         else:
-            cur = eval_affine(obj.post, spec.fn(eval_affine(obj.pre, cur)))
+            for k, trans in enumerate(zip(*obj.trans)):
+                if k:
+                    for stage in obj.stages:
+                        cur = cross(stage, cur)
+                cur = eval_affine(AffineArrays(*trans), cur)
     return cur
 
 
@@ -654,16 +676,10 @@ def lower_pieces(program: RegisterProgram, spec: ActivationSpec, strategy: str,
         raise StrategyMismatch(
             f"program was planned for {program.mul_kind} but the activation "
             f"affords {kit.mul_kind}")
-    if strategy in ("NonPoly_NMplus1", "NonPoly_Conj_NMplus1"):
-        pieces = _lower_shallow(program, kit, wide=False)
-    elif strategy == "NonPoly_2N2Mplus1":
-        pieces = _lower_shallow(program, kit, wide=True)
-    elif strategy == "Poly_Wide_2N2Mplus12":
-        pieces = _lower_poly_wide_or_narrow(program, kit, narrow=False)
-    elif strategy == "Poly_Narrow_2N2Mplus5":
-        pieces = _lower_poly_wide_or_narrow(program, kit, narrow=True)
+    if program.family == "shallow":
+        pieces = _lower_shallow(program, kit, wide=strategy == "NonPoly_2N2Mplus1")
     else:
-        pieces = _lower_poly_nm4(program, kit)
+        pieces = _lower_poly(program, kit, strategy)
     return pieces, kit
 
 
@@ -684,10 +700,10 @@ def lower(program: RegisterProgram, spec: ActivationSpec, strategy: str,
         info["pieces"] = pieces
         info["width"] = w
         info["budget"] = budget
-        info["depth"] = len(net.affine_maps)
+        info["depth"] = depth_of(net)
         info["sigma"] = kit.sigma.name
         info["mul_kind"] = kit.mul_kind
-        info["max_post_coeff"] = float(max(np.max(np.abs(m.matrix)) for m in net.affine_maps))
+        info["max_post_coeff"] = max_coeff(net)
     return net
 
 

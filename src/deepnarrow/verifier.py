@@ -20,6 +20,7 @@ from the truncated nowhere-differentiable activation.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -31,7 +32,7 @@ import numpy as np
 from .activations import ActivationSpec, get_activation
 from .blocks import _SQUARE_TO_MUL
 from .core import (CompactBox, ComplexAffineMap, Cvnn, GridSpec, check_sample_budget,
-                   eval_cvnn, sample_box, width_of, depth_of)
+                   depth_of, eval_cvnn, max_coeff, sample_box, width_of)
 from .errors import DimensionMismatch, EvaluationFailure, StrategyMismatch
 from .fitting import FitConfig, fit_shallow, solve_complex_ridge
 from .lowering import lower, plan_lowering
@@ -83,25 +84,54 @@ def _as_batch(values, count) -> np.ndarray:
 _ROW_BLOCK = 2048
 
 
-def _row_errors(f: Callable, g: Callable, pts: np.ndarray) -> np.ndarray:
-    """||f(z) - g(z)||_2 for every row z of pts, evaluated _ROW_BLOCK rows at
-    a time.  Each row's value is the one a single pass over all rows gives."""
+def _values(f: Callable, pts: np.ndarray) -> np.ndarray:
+    """f on every row of pts as an (N, m) array, evaluated _ROW_BLOCK rows at
+    a time."""
+    blocks = [pts[start:start + _ROW_BLOCK] for start in range(0, pts.shape[0], _ROW_BLOCK)]
+    return np.concatenate([_as_batch(f(block), block.shape[0]) for block in blocks])
+
+
+def _row_errors(fv: np.ndarray, g: Callable, pts: np.ndarray) -> np.ndarray:
+    """||f(z) - g(z)||_2 for every row z of pts, where fv holds the values of
+    f on pts and g is evaluated _ROW_BLOCK rows at a time.  Each row's value
+    is the one a single pass over all rows gives."""
     norms = np.empty(pts.shape[0])
     for start in range(0, pts.shape[0], _ROW_BLOCK):
         block = pts[start:start + _ROW_BLOCK]
-        fv = _as_batch(f(block), block.shape[0])
-        gv = _as_batch(g(block), block.shape[0])
-        if fv.shape != gv.shape:
-            raise DimensionMismatch(f"output shapes differ: {fv.shape} vs {gv.shape}")
+        want = fv[start:start + block.shape[0]]
+        got = _as_batch(g(block), block.shape[0])
+        if got.shape != want.shape:
+            raise DimensionMismatch(f"output shapes differ: {want.shape} vs {got.shape}")
         with np.errstate(over="ignore"):  # an error too large for a double is inf
-            norms[start:start + block.shape[0]] = np.linalg.norm(fv - gv, axis=1)
+            norms[start:start + block.shape[0]] = np.linalg.norm(want - got, axis=1)
     return norms
+
+
+class _Lattice:
+    """The lattice of ``grid`` on ``box`` and the values of the reference f
+    there, each computed on first use and then kept: every measure on one
+    lattice shares one sample of it and one evaluation of f."""
+
+    def __init__(self, f: Callable, box: CompactBox, grid: GridSpec):
+        self.f, self.box, self.grid = f, box, grid
+
+    @functools.cached_property
+    def pts(self) -> np.ndarray:
+        return sample_box(self.box, self.grid)
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        return _values(self.f, self.pts)
+
+    def sup_error(self, g: Callable) -> float:
+        """max over the lattice of ||f(z) - g(z)||_2; NaN if any row's error is NaN."""
+        return float(np.max(_row_errors(self.values, g, self.pts)))
 
 
 def sup_error(f: Callable, g: Callable, box: CompactBox, grid: GridSpec) -> float:
     """Discretized uniform norm: max over the grid of ||f(z) - g(z)||_2.
     NaN if any row's error is NaN."""
-    return float(np.max(_row_errors(f, g, sample_box(box, grid))))
+    return _Lattice(f, box, grid).sup_error(g)
 
 
 @dataclass(frozen=True)
@@ -127,7 +157,7 @@ def l1_error_mc(f: Callable, g: Callable, box: CompactBox, samples: int,
     pts = np.empty((samples, n), dtype=np.complex128)
     for j, (re_lo, re_hi, im_lo, im_hi) in enumerate(box.intervals):
         pts[:, j] = rng.uniform(re_lo, re_hi, samples) + 1j * rng.uniform(im_lo, im_hi, samples)
-    norms = _row_errors(f, g, pts)
+    norms = _row_errors(_values(f, pts), g, pts)
     vol = _box_volume(box)
     return MCEstimate(
         value=float(np.mean(norms) * vol),
@@ -192,10 +222,6 @@ class SweepReport:
         return buf.getvalue()
 
 
-def _net_max_coeff(net: Cvnn) -> float:
-    return float(max(np.max(np.abs(m.matrix)) for m in net.affine_maps))
-
-
 def _bound_grid(box: CompactBox, grid: GridSpec) -> GridSpec:
     """The sub-lattice of ``grid`` on which h_sweep bounds every row: the
     smallest stride s whose axis_points^(2n) points fit in one _ROW_BLOCK.
@@ -206,12 +232,11 @@ def _bound_grid(box: CompactBox, grid: GridSpec) -> GridSpec:
     return sub
 
 
-def _net_error(reference: Callable, net: Cvnn, spec: ActivationSpec,
-               box: CompactBox, grid: GridSpec) -> float:
-    """sup_error of the network against the reference; inf when evaluating
-    the network fails."""
+def _net_error(sup: Callable, net: Cvnn, spec: ActivationSpec) -> float:
+    """``sup(g)`` for the network's g, a sup error of the network; inf when
+    evaluating the network fails."""
     try:
-        return sup_error(reference, lambda zs: eval_cvnn(net, zs, spec.fn), box, grid)
+        return sup(lambda zs: eval_cvnn(net, zs, spec.fn))
     except EvaluationFailure:
         return float("inf")
 
@@ -232,12 +257,17 @@ def h_sweep(factory: Callable, hs: Sequence[float], box: CompactBox,
     as its value and is named in the ``lower_bound_h`` metadata.  The best
     row, its value and its network are those of a full measurement of every
     row.  At stride 1 pass 1 is the full measurement.
+
+    The full grid is kept, as a ``_Lattice`` with the reference's values
+    there once a measure needed them, in ``extras["lattice"]``: further
+    measures on it share that sample and that evaluation.
     """
     sub = _bound_grid(box, grid)
     nets, errs = [], []
     for h in hs:
         nets.append(factory(h))
-        errs.append(_net_error(reference, nets[-1], spec, box, sub))
+        errs.append(_net_error(lambda g: sup_error(reference, g, box, sub), nets[-1], spec))
+    lattice = _Lattice(reference, box, grid)
     bounds = set()
     if sub.stride > 1:
         bounds = set(range(len(errs)))
@@ -246,16 +276,17 @@ def h_sweep(factory: Callable, hs: Sequence[float], box: CompactBox,
                         key=errs.__getitem__):
             if errs[i] > best:
                 break
-            errs[i] = _net_error(reference, nets[i], spec, box, grid)
+            errs[i] = _net_error(lattice.sup_error, nets[i], spec)
             bounds.discard(i)
             if errs[i] < best:
                 best = errs[i]
-    rows = [SweepRow(h, err, _net_max_coeff(net), depth_of(net), width_of(net))
+    rows = [SweepRow(h, err, max_coeff(net), depth_of(net), width_of(net))
             for h, err, net in zip(hs, errs, nets)]
     report = SweepReport(rows, dict(metadata or {}))
     if bounds:
         report.metadata["lower_bound_h"] = ";".join(repr(hs[i]) for i in sorted(bounds))
     report.extras["nets"] = dict(zip(hs, nets))
+    report.extras["lattice"] = lattice
     return report
 
 
@@ -322,24 +353,22 @@ def _finer(grid: GridSpec) -> GridSpec:
     return GridSpec(2 * grid.points_per_axis)
 
 
-def _constant_sup_error(f: Callable, box: CompactBox, grid: GridSpec) -> float:
-    """Sup error on the grid of the constant at the centre of f's bounding
-    box on that grid, taken per output over real and imaginary parts.  For a
-    real-valued output this is the error of the best constant."""
-    pts = sample_box(box, grid)
-    v = _as_batch(f(pts), pts.shape[0])
+def _constant_sup_error(lattice: _Lattice) -> float:
+    """Sup error on the lattice of the constant at the centre of the
+    reference's bounding box there, taken per output over real and imaginary
+    parts.  For a real-valued output this is the error of the best constant."""
+    v = lattice.values
     centre = ((v.real.min(axis=0) + v.real.max(axis=0)) / 2
               + 1j * (v.imag.min(axis=0) + v.imag.max(axis=0)) / 2)
     return float(np.max(np.linalg.norm(v - centre, axis=1)))
 
 
-def _best_beating_constant(report: SweepReport, f: Callable, box: CompactBox,
-                           grid: GridSpec) -> SweepRow:
+def _best_beating_constant(report: SweepReport) -> SweepRow:
     """The report's best row, once it is below the error of the constant of
-    ``_constant_sup_error`` (kept in ``extras["constant_sup_error"]``).
-    Raises EvaluationFailure otherwise: such a network has learned nothing
-    about the target."""
-    const = _constant_sup_error(f, box, grid)
+    ``_constant_sup_error`` on the sweep's lattice (kept in
+    ``extras["constant_sup_error"]``).  Raises EvaluationFailure otherwise:
+    such a network has learned nothing about the target."""
+    const = _constant_sup_error(report.extras["lattice"])
     report.extras["constant_sup_error"] = const
     best = report.best_row()
     if not best.sup_error < const:
@@ -371,16 +400,16 @@ def end_to_end_poly(f: Callable, spec: ActivationSpec, n: int, m: int,
     kind = plan_lowering(spec, strategy, prof).mul_kind
     polys = fit_poly(f, n, degree, box, fit_grid, m=m)
     program = poly_to_register(polys, kind)
-    fit_err = sup_error(f, lambda zs: eval_register(program, zs), box, _finer(fit_grid))
     report = h_sweep(
         lambda h: lower(program, spec, strategy, h, prof),
         schedule, box, _finer(fit_grid), f, spec,
         metadata={"pipeline": "poly", "activation": spec.name, "strategy": strategy,
                   "degree": degree, "n": n, "m": m, "mul_kind": kind},
     )
-    report.extras["fit_sup_error"] = fit_err
+    report.extras["fit_sup_error"] = report.extras["lattice"].sup_error(
+        lambda zs: eval_register(program, zs))
     report.extras["program"] = program
-    best = _best_beating_constant(report, f, box, _finer(fit_grid))
+    best = _best_beating_constant(report)
     return report.extras["nets"][best.h], report
 
 
@@ -414,9 +443,9 @@ def end_to_end_nonpoly(f: Callable, spec: ActivationSpec, n: int, m: int,
     report.extras["program"] = program
     report.extras["sigma_name"] = sigma.name
     # fit error re-measured on the verification grid (finer than the fit grid)
-    report.extras["fit_sup_error_fine"] = sup_error(
-        f, lambda zs: eval_register(program, zs, sigma.fn), box, eval_grid)
-    best = _best_beating_constant(report, f, box, eval_grid)
+    report.extras["fit_sup_error_fine"] = report.extras["lattice"].sup_error(
+        lambda zs: eval_register(program, zs, sigma.fn))
+    best = _best_beating_constant(report)
     return report.extras["nets"][best.h], report
 
 

@@ -2,13 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from deepnarrow.activations import get_activation
-from deepnarrow.core import (MAX_SAMPLE_POINTS, CompactBox, ComplexAffineMap, Cvnn, GridSpec,
-                             cvnn_from_json, cvnn_to_json, depth_of, eval_affine,
-                             eval_cvnn, fuse_affine, hidden_widths,
+from deepnarrow.core import (MAX_SAMPLE_POINTS, AffineArrays, CompactBox, ComplexAffineMap, Cvnn,
+                             GridSpec, cvnn_from_json, cvnn_to_json, depth_of, eval_affine,
+                             eval_cvnn, eval_cvnns, fuse_affine, hidden_widths, max_coeff,
                              pad_hidden_width, sample_box, width_of)
-from deepnarrow.errors import DimensionMismatch
+from deepnarrow.errors import DimensionMismatch, EvaluationFailure
 
 from conftest import random_affine, random_points, random_shallow
 
@@ -221,3 +222,109 @@ def test_cvnn_dimension_chain_enforced(rng):
         Cvnn((random_affine(rng, 3, 2), random_affine(rng, 1, 4)), card.activation_id)
     with pytest.raises(DimensionMismatch):
         Cvnn((random_affine(rng, 3, 2),), card.activation_id)
+
+
+# ---------------------------------------------------------------------------
+# Networks held as runs of stacked maps, evaluated together
+# ---------------------------------------------------------------------------
+
+
+def _eval_map_by_map(net, z, fn):
+    """The forward pass one map at a time: the reference the batched pass
+    must equal bit for bit."""
+    cur = np.asarray(z, dtype=np.complex128)
+    maps = net.affine_maps
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, amap in enumerate(maps):
+            cur = cur @ amap.matrix.T
+            cur += amap.bias
+            if k < len(maps) - 1:
+                cur = np.asarray(fn(cur), dtype=np.complex128)
+                if not np.all(np.isfinite(cur)):
+                    return k
+    return cur
+
+
+#: cardioid, but inf wherever the real part is above 1e6: a network whose
+#: preactivation goes there at some layer fails from that layer on.
+_CARD = get_activation("cardioid")
+
+
+def _card_or_inf(z):
+    return np.where(z.real > 1e6, np.inf, _CARD.fn(z))
+
+
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 4),
+       dims=st.lists(st.integers(1, 4), min_size=3, max_size=7),
+       points=st.integers(1, 40), bad=st.integers(-1, 3), data=st.data())
+def test_batched_pass_equals_each_network_alone(seed, count, dims, points, bad, data):
+    """eval_cvnns over H networks of one shape gives, for every network, the
+    values of the map-by-map pass bit for bit.  A network whose activation
+    goes non-finite gets inf values, the others are unchanged, and on its
+    own it raises the EvaluationFailure that names the map."""
+    rng = np.random.default_rng(seed)
+    nets = []
+    for _ in range(count):
+        maps = [random_affine(rng, out, inp, 0.5) for inp, out in zip(dims, dims[1:])]
+        nets.append(Cvnn(maps, _CARD.activation_id))
+    fail_at = None
+    if 0 <= bad < count:
+        fail_at = data.draw(st.integers(0, len(dims) - 3), label="fail_at")
+        maps = list(nets[bad].affine_maps)
+        maps[fail_at] = AffineArrays(maps[fail_at].matrix, maps[fail_at].bias + 1e8)
+        nets[bad] = Cvnn(maps, _CARD.activation_id)
+    zs = random_points(rng, points, dims[0])
+    values, failed_at = eval_cvnns(nets, zs, _card_or_inf)
+    assert values.shape == (count, points, dims[-1])
+    for k, net in enumerate(nets):
+        want = _eval_map_by_map(net, zs, _card_or_inf)
+        if k == bad:
+            assert want == fail_at and failed_at[k] == fail_at
+            assert np.all(values[k] == np.inf)
+            with pytest.raises(EvaluationFailure,
+                               match=f"non-finite values after affine map {fail_at}$"):
+                eval_cvnn(net, zs, _card_or_inf)
+        else:
+            assert failed_at[k] == -1
+            assert values[k].tobytes() == want.tobytes()
+            assert eval_cvnn(net, zs, _card_or_inf).tobytes() == want.tobytes()
+    # each network's own points, as an (H, N, in) batch
+    per_net = np.stack([random_points(rng, points, dims[0]) for _ in nets])
+    values, _ = eval_cvnns(nets, per_net, _card_or_inf)
+    for k, net in enumerate(nets):
+        if k != bad:
+            assert values[k].tobytes() == _eval_map_by_map(net, per_net[k], _card_or_inf).tobytes()
+
+
+def test_batched_pass_refuses_mismatched_shapes(rng):
+    a = random_shallow(rng, 2, 1, 3, _CARD.activation_id)
+    b = random_shallow(rng, 2, 1, 4, _CARD.activation_id)
+    with pytest.raises(DimensionMismatch):
+        eval_cvnns([a, b], random_points(rng, 5, 2))
+    for z in (random_points(rng, 5, 3), np.zeros((3, 5, 2)), np.zeros(2)):
+        with pytest.raises(DimensionMismatch):
+            eval_cvnns([a, a], z)
+
+
+def test_runs_group_consecutive_maps_of_one_shape(rng):
+    maps = [random_affine(rng, 3, 2)] + [random_affine(rng, 3, 3) for _ in range(4)]
+    maps += [random_affine(rng, 1, 3)]
+    net = Cvnn(maps, _CARD.activation_id)
+    assert [m.shape for m, _ in net.runs] == [(1, 3, 2), (4, 3, 3), (1, 1, 3)]
+    assert depth_of(net) == 6 and hidden_widths(net) == (3,) * 5
+    assert max_coeff(net) == max(float(np.max(np.abs(a.matrix))) for a in maps)
+    for a, b in zip(maps, net.affine_maps):
+        assert a.matrix.tobytes() == b.matrix.tobytes() and a.bias.tobytes() == b.bias.tobytes()
+    with pytest.raises(ValueError):
+        net.runs[1][0][0, 0, 0] = 0
+    # bare stacks form the same runs, each checked once for non-finite entries
+    stacked = AffineArrays(np.stack([a.matrix for a in maps[1:5]]),
+                           np.stack([a.bias for a in maps[1:5]]))
+    assert cvnn_to_json(Cvnn([maps[0], stacked, maps[5]], _CARD.activation_id)) == cvnn_to_json(net)
+    bad = stacked.matrix.copy()
+    bad[2, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite entries in affine run 1"):
+        Cvnn([maps[0], stacked._replace(matrix=bad), maps[5]], _CARD.activation_id)
+    # a run of several maps must chain to itself
+    with pytest.raises(DimensionMismatch):
+        Cvnn([random_affine(rng, 3, 2), random_affine(rng, 3, 2)], _CARD.activation_id)

@@ -1,10 +1,11 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deepnarrow import lowering
+from deepnarrow import core, lowering
 from deepnarrow.activations import get_activation
 from deepnarrow.core import ComplexAffineMap, depth_of, eval_cvnn, hidden_widths, width_of
 from deepnarrow.errors import StrategyMismatch
@@ -15,7 +16,7 @@ from deepnarrow.register import (PolyZZbar, eval_register, poly_to_register,
                                  shallow_to_register)
 from deepnarrow.verifier import mul_kind_for, sup_error
 from deepnarrow.wirtinger import ToleranceProfile, classify_activation
-from deepnarrow.core import CompactBox, GridSpec
+from deepnarrow.core import CompactBox, GridSpec, cvnn_from_json, cvnn_to_json
 
 from conftest import random_points, random_shallow
 
@@ -237,45 +238,54 @@ def test_default_strategy_mapping():
 def _shallow_pieces(rng):
     program = shallow_to_register(random_shallow(rng, 1, 1, 3, CARD.activation_id))
     pieces, _ = lower_pieces(program, CARD, "NonPoly_NMplus1", 1e-3, PROF)
-    # init, (stage, transition) per program layer, end
-    assert [kind for kind, _ in pieces] == ["affine"] + ["stage", "affine"] * 3 + ["affine"]
+    # init, the first program layer's stage, the 3 program layers' transitions
+    # as one stack (the later layers cross the same stage), end
+    assert [kind for kind, _ in pieces] == ["affine", "stage", "layers", "affine"]
+    assert pieces[2][1].stages == (pieces[1][1],)
+    assert pieces[2][1].trans.matrix.shape == (3, 3, 3)
     assemble_pieces(pieces, CARD.activation_id)
     return pieces
 
 
 def test_assemble_rejects_inf_in_a_transition_bias(rng):
     pieces = _shallow_pieces(rng)
-    kind, trans = pieces[4]       # between program layers 1 and 2
-    bias = trans.bias.copy()
-    bias[1] = np.inf              # the reload of the compute slot u
-    pieces[4] = (kind, trans._replace(bias=bias))
+    layers = pieces[2][1]
+    bias = layers.trans.bias.copy()
+    bias[1, 1] = np.inf           # between program layers 1 and 2: the reload of u
+    pieces[2] = ("layers", dataclasses.replace(layers, trans=layers.trans._replace(bias=bias)))
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite entries"):
         assemble_pieces(pieces, CARD.activation_id)
 
 
 def test_assemble_rejects_inf_in_a_stage_post_matrix(rng):
     pieces = _shallow_pieces(rng)
-    kind, stage = pieces[3]       # program layer 1's hidden stage
+    kind, stage = pieces[1]       # the hidden stage every program layer crosses
     post = stage.post.matrix.copy()
     post[0, 0] = np.inf
-    pieces[3] = (kind, dataclasses.replace(stage, post=stage.post._replace(matrix=post)))
+    pieces[1] = (kind, dataclasses.replace(stage, post=stage.post._replace(matrix=post)))
+    pieces[2] = ("layers", dataclasses.replace(pieces[2][1], stages=(pieces[1][1],)))
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite entries"):
         assemble_pieces(pieces, CARD.activation_id)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES[:3])
 def test_lower_validates_only_network_and_block_maps(monkeypatch, rng, strategy):
-    """One lower of a depth-L shallow program constructs a ComplexAffineMap
-    for each map of the network and for the blocks built at that h, and for
-    nothing else."""
+    """One lower of a depth-L shallow program checks each run of the network
+    for non-finite entries once, and constructs a ComplexAffineMap only for
+    the blocks built at that h."""
     spec = STRATEGY_ACTIVATIONS[strategy]
     program = shallow_to_register(random_shallow(rng, 2, 1, 25, spec.activation_id))
-    built = []
+    built, checked = [], []
     post_init = ComplexAffineMap.__post_init__
+    check_run = core._check_run
 
     def counting(self):
         built.append(self)
         post_init(self)
+
+    def counting_check(matrices, biases, k):
+        checked.append(matrices)
+        check_run(matrices, biases, k)
 
     kit_maps = []
     build_kit = lowering._build_kit
@@ -287,13 +297,17 @@ def test_lower_validates_only_network_and_block_maps(monkeypatch, rng, strategy)
         return kit
 
     monkeypatch.setattr(ComplexAffineMap, "__post_init__", counting)
+    monkeypatch.setattr(core, "_check_run", counting_check)
     monkeypatch.setattr(lowering, "_build_kit", counting_kit)
     net = lower(program, spec, strategy, 1e-3, PROF)
     layers = 2 if strategy == "NonPoly_Conj_NMplus1" else 1
     assert depth_of(net) == 25 * layers + 1
+    # the first map, one run of every map between program layers, the last map
+    assert [len(m) for m, _ in net.runs] == [1, 25 * layers - 1, 1]
+    assert len(checked) == len(net.runs)
+    assert all(a is m for a, (m, _) in zip(checked, net.runs))
     assert kit_maps == [2]        # one block: pre and post
-    assert len(built) == depth_of(net) + kit_maps[0]
-    assert all(a is b for a, b in zip(built[kit_maps[0]:], net.affine_maps))
+    assert len(built) == kit_maps[0]
 
 
 def _monomial(factors, n):
@@ -333,3 +347,85 @@ def test_fused_equals_unfused_on_random_programs(strategy, n, m, h, seed, data):
     kappa = max(float(np.max(np.abs(obj.post.matrix))) for kind, obj in pieces
                 if kind == "stage")
     assert np.max(np.abs(a - b)) < 1e-12 * kappa * (1 + np.max(np.abs(a)))
+
+
+# ---------------------------------------------------------------------------
+# Stacked assembly and serialization against per-map references
+# ---------------------------------------------------------------------------
+
+
+def _assemble_map_by_map(pieces):
+    """The chain fused one piece at a time, each transition of a Layers piece
+    on its own: the reference the stacked assembly must equal bit for bit."""
+    def fuse(a, b):
+        return a.matrix @ b.matrix, a.matrix @ b.bias + a.bias
+
+    chain = []
+    for kind, obj in pieces:
+        if kind == "layers":
+            for k, (m, b) in enumerate(zip(*obj.trans)):
+                chain += [("stage", stage) for stage in obj.stages] if k else []
+                chain.append(("affine", lowering.AffineArrays(m, b)))
+        else:
+            chain.append((kind, obj))
+    pending, maps = None, []
+    for kind, obj in chain:
+        if kind == "affine":
+            pending = obj if pending is None else lowering.AffineArrays(*fuse(obj, pending))
+        else:
+            pre = obj.pre if pending is None else lowering.AffineArrays(*fuse(obj.pre, pending))
+            maps.append(pre)
+            pending = obj.post
+    return maps + [pending]
+
+
+def _lowered(strategy, n, m, seed, h=1e-3):
+    rng = np.random.default_rng(seed)
+    spec = STRATEGY_ACTIVATIONS[strategy]
+    if strategy.startswith("NonPoly"):
+        program = shallow_to_register(random_shallow(rng, n, m, 5, spec.activation_id))
+    else:
+        program = poly_to_register(_test_poly(n, m), plan_lowering(spec, strategy, PROF).mul_kind)
+    return lower_pieces(program, spec, strategy, h, PROF)[0], spec
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (1, 2)])
+def test_stacked_assembly_equals_fusing_map_by_map(strategy, n, m):
+    pieces, spec = _lowered(strategy, n, m, seed=n + 3 * m)
+    net = assemble_pieces(pieces, spec.activation_id)
+    want = _assemble_map_by_map(pieces)
+    assert len(net.affine_maps) == len(want)
+    for got, ref in zip(net.affine_maps, want):
+        assert got.matrix.tobytes() == ref.matrix.tobytes()
+        assert got.bias.tobytes() == ref.bias.tobytes()
+
+
+def _json_map_by_map(net):
+    """The network document written one map at a time."""
+    def pairs(values):
+        return [[float(np.real(x)), float(np.imag(x))] for x in values]
+
+    return json.dumps({
+        "input_dim": net.input_dim,
+        "output_dim": net.output_dim,
+        "activation": {"name": net.activation.name, "params": dict(net.activation.params)},
+        "affine_maps": [{"rows": a.out_dim, "cols": a.in_dim, "matrix": pairs(a.matrix.ravel()),
+                         "bias": pairs(a.bias)} for a in net.affine_maps],
+    }, sort_keys=True)
+
+
+@pytest.mark.parametrize("strategy, n, shapes", [
+    # a 4-wide layer, then a run of 11 x 11 maps
+    ("Poly_Narrow_2N2Mplus5", 2, [(1, 4, 2), (1, 11, 4), (47, 11, 11), (1, 1, 11)]),
+    # the realizer's activation and conjugation layers alternate in one run
+    ("NonPoly_Conj_NMplus1", 1, [(1, 3, 1), (9, 3, 3), (1, 1, 3)]),
+    ("NonPoly_2N2Mplus1", 2, [(1, 7, 2), (4, 7, 7), (1, 1, 7)]),
+])
+def test_json_equals_writing_map_by_map(strategy, n, shapes):
+    pieces, spec = _lowered(strategy, n, 1, seed=7)
+    net = assemble_pieces(pieces, spec.activation_id)
+    assert [m.shape for m, _ in net.runs] == shapes
+    text = cvnn_to_json(net)
+    assert text == _json_map_by_map(net)
+    assert cvnn_to_json(cvnn_from_json(text)) == text

@@ -490,10 +490,12 @@ def test_constant_sup_error_is_the_centre_of_the_bounding_box():
     grid = GridSpec(18)
     vals = np.abs(sample_box(BOX, grid)[:, 0])
     want = (vals.max() - vals.min()) / 2
-    assert verifier._constant_sup_error(fn, BOX, grid) == pytest.approx(want, rel=1e-15)
+    lattice = verifier._Lattice(fn, BOX, grid)
+    assert verifier._constant_sup_error(lattice) == pytest.approx(want, rel=1e-15)
     # per output: (|z|, 0) keeps the first output's half range
     norm0, _ = named_target("norm0")
-    assert verifier._constant_sup_error(norm0, BOX, grid) == pytest.approx(want, rel=1e-15)
+    lattice = verifier._Lattice(norm0, BOX, grid)
+    assert verifier._constant_sup_error(lattice) == pytest.approx(want, rel=1e-15)
 
 
 @pytest.mark.parametrize("seed, beats", [(0, True), (5, False)])
