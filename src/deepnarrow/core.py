@@ -360,13 +360,6 @@ class CompactBox:
         iv = (c.real - r, c.real + r, c.imag - r, c.imag + r)
         return CompactBox(tuple(iv for _ in range(n)))
 
-    def radius(self) -> float:
-        """Max Euclidean norm over the box (attained at a corner)."""
-        sq = 0.0
-        for re_lo, re_hi, im_lo, im_hi in self.intervals:
-            sq += max(re_lo**2, re_hi**2) + max(im_lo**2, im_hi**2)
-        return float(np.sqrt(sq))
-
 
 @dataclass(frozen=True)
 class GridSpec:

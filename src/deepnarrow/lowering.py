@@ -45,8 +45,7 @@ import numpy as np
 from .activations import ActivationSpec, conjugate_activation
 from .blocks import (_SQUARE_TO_MUL, ShallowBlock, identity_block, mul_block,
                      routed_pair_block)
-from .core import (AffineArrays, Cvnn, depth_of, eval_affine, fuse_arrays, max_coeff,
-                   width_of)
+from .core import AffineArrays, Cvnn, eval_affine, fuse_arrays, width_of
 from .errors import ConstructionError, StrategyMismatch
 from .register import FlushLayer, RegisterProgram
 from .wirtinger import ToleranceProfile, first_derivs, probe_atlas
@@ -110,35 +109,30 @@ class Layers:
 
 
 class _StageBuilder:
-    """Collects hidden units wired to affine functionals of the state."""
+    """Collects hidden units wired to the register slots of the state."""
 
     def __init__(self, in_dim: int):
         self.in_dim = in_dim
         self._rows = []
         self._biases = []
 
-    def slot(self, idx: int):
+    def _unit(self, slots, weights, bias) -> int:
         w = np.zeros(self.in_dim, dtype=np.complex128)
-        w[idx] = 1
-        return w, 0j
-
-    def unit(self, weights, bias) -> int:
-        self._rows.append(np.asarray(weights, dtype=np.complex128))
+        w[slots] += weights
+        self._rows.append(w)
         self._biases.append(complex(bias))
         return len(self._rows) - 1
 
-    def block_units(self, block: ShallowBlock, inputs) -> list:
-        """Instantiate a block's neurons on the given input functionals."""
-        pre_m, pre_b = block.pre.matrix, block.pre.bias
-        idxs = []
-        for r in range(pre_m.shape[0]):
-            w = np.zeros(self.in_dim, dtype=np.complex128)
-            b = pre_b[r]
-            for j, (wj, bj) in enumerate(inputs):
-                w = w + pre_m[r, j] * wj
-                b = b + pre_m[r, j] * bj
-            idxs.append(self.unit(w, b))
-        return idxs
+    def raw_unit(self, slot: int) -> int:
+        """One unit that applies the activation to a slot as it stands."""
+        return self._unit([slot], 1, 0j)
+
+    def block_units(self, block: ShallowBlock, slots) -> list:
+        """Instantiate a block's neurons on the given register slots: each
+        pre row of the block is added into those columns of a zero row, so
+        every zero weight is +0 whatever the sign of the block's zeros."""
+        return [self._unit(slots, row, bias)
+                for row, bias in zip(block.pre.matrix, block.pre.bias)]
 
     @staticmethod
     def block_output(block: ShallowBlock, unit_idxs, out_row: int):
@@ -162,10 +156,6 @@ class _StageBuilder:
 def _affine(rows, biases) -> AffineArrays:
     return AffineArrays(np.asarray(rows, dtype=np.complex128),
                         np.asarray(biases, dtype=np.complex128))
-
-
-def _identity_rows(dim):
-    return np.eye(dim, dtype=np.complex128)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +187,7 @@ def _make_conj_realizer(spec: ActivationSpec, z0c: complex, hc: float,
 
     def realize(stage: Stage) -> list:
         h = stage.pre.out_dim
-        eye = _identity_rows(h)
+        eye = np.eye(h, dtype=np.complex128)
         pass_through = _affine(eye, np.zeros(h))
         y0 = np.asarray(spec(stage.pre.bias), dtype=np.complex128)
         theta0 = (np.asarray(spec(z0c + hc * y0), dtype=np.complex128)
@@ -303,32 +293,27 @@ class _Kit:
     mul_blk: Optional[ShallowBlock] = None
     mul_kind: Optional[str] = None
 
-    def id_cross(self, builder: _StageBuilder, inp):
+    def id_cross(self, builder: _StageBuilder, slot: int):
         """Cheapest identity crossing: width-1 block when available, else the
         first output of the 2-neuron pair."""
-        if self.id_blk is not None:
-            units = builder.block_units(self.id_blk, [inp])
-            return builder.block_output(self.id_blk, units, 0)
-        units = builder.block_units(self.pair_blk, [inp])
-        return builder.block_output(self.pair_blk, units, 0)
+        blk = self.pair_blk if self.id_blk is None else self.id_blk
+        return builder.block_output(blk, builder.block_units(blk, [slot]), 0)
 
-    def pair_cross(self, builder: _StageBuilder, inp):
-        """(z, conj z) from one plain input; 2 neurons."""
-        units = builder.block_units(self.pair_blk, [inp])
+    def pair_cross(self, builder: _StageBuilder, slot: int):
+        """(z, conj z) from one plain slot; 2 neurons."""
+        units = builder.block_units(self.pair_blk, [slot])
         return (builder.block_output(self.pair_blk, units, 0),
                 builder.block_output(self.pair_blk, units, 1))
 
 
-def _h_for(h_map, role, h):
-    return h if h_map is None else float(h_map.get(role, h))
-
-
 def _build_kit(spec: ActivationSpec, plan: LoweringPlan, h: float,
-               prof: ToleranceProfile, h_map=None) -> _Kit:
-    """Build the plan's blocks at localization scale h."""
+               prof: ToleranceProfile) -> _Kit:
+    """Build the plan's blocks at localization scale h: the identity, pair
+    and conjugation blocks at h, the square block at sqrt(h), or at h under
+    Poly_Wide_2N2Mplus12."""
     realize = _direct_realizer
     if plan.realizer_point is not None:
-        realize = _make_conj_realizer(spec, plan.realizer_point, _h_for(h_map, "conj", h), prof)
+        realize = _make_conj_realizer(spec, plan.realizer_point, h, prof)
     kit = _Kit(sigma=plan.sigma, realize=realize)
     # The serialized poly variants (Narrow, NMplus4) cross the running
     # accumulator through first-order blocks whose per-layer drift is O(h);
@@ -338,14 +323,12 @@ def _build_kit(spec: ActivationSpec, plan: LoweringPlan, h: float,
     # the identity blocks afterwards; sqrt coupling keeps the sweep
     # one-dimensional).
     if plan.square_point is not None:
-        sq_default = h if plan.strategy == "Poly_Wide_2N2Mplus12" else float(np.sqrt(h))
-        kit.mul_blk, kit.mul_kind = mul_block(plan.sigma, plan.square_point,
-                                              _h_for(h_map, "square", sq_default), prof)
+        sq_h = h if plan.strategy == "Poly_Wide_2N2Mplus12" else float(np.sqrt(h))
+        kit.mul_blk, kit.mul_kind = mul_block(plan.sigma, plan.square_point, sq_h, prof)
     if plan.id_point is not None:
-        kit.id_blk = identity_block(plan.sigma, plan.id_point, _h_for(h_map, "id", h), prof)
+        kit.id_blk = identity_block(plan.sigma, plan.id_point, h, prof)
     if plan.pair_route is not None:
-        kit.pair_blk = routed_pair_block(plan.sigma, plan.pair_route,
-                                         _h_for(h_map, "pair", h), prof)
+        kit.pair_blk = routed_pair_block(plan.sigma, plan.pair_route, h, prof)
     return kit
 
 
@@ -364,8 +347,7 @@ def _lower_shallow(program: RegisterProgram, kit: _Kit, wide: bool) -> list:
     s = n + m + 1
     iu = n
     a0, b0 = program.init_load
-    init = np.zeros((s, n), dtype=np.complex128)
-    init[:n, :] = _identity_rows(n)
+    init = np.eye(s, n, dtype=np.complex128)
     init[iu, :] = np.asarray(a0)
     init_b = np.zeros(s, dtype=np.complex128)
     init_b[iu] = b0
@@ -379,20 +361,18 @@ def _lower_shallow(program: RegisterProgram, kit: _Kit, wide: bool) -> list:
     builder = _StageBuilder(s)
 
     def cross(slot):
-        inp = builder.slot(slot)
-        return kit.pair_cross(builder, inp)[0] if wide else kit.id_cross(builder, inp)
+        return kit.pair_cross(builder, slot)[0] if wide else kit.id_cross(builder, slot)
 
     outputs = [cross(i) for i in range(n)]
-    raw = builder.unit(*builder.slot(iu))
-    outputs.append(([(raw, 1.0)], 0j))
+    outputs.append(([(builder.raw_unit(iu), 1.0)], 0j))
     outputs += [cross(n + 1 + j) for j in range(m)]
     stages = tuple(kit.realize(builder.finish(outputs)))
     pieces += [("stage", stage) for stage in stages]
 
     layers = program.layers
     trans = np.zeros((len(layers), s, s), dtype=np.complex128)
-    trans[:, :n, :n] = _identity_rows(n)
-    trans[:, n + 1:, n + 1:] = _identity_rows(m)
+    trans[:, :n, :n] = np.eye(n)
+    trans[:, n + 1:, n + 1:] = np.eye(m)
     trans[:, n + 1:, iu] = [lay.flush for lay in layers]
     trans_b = np.zeros((len(layers), s), dtype=np.complex128)
     for k, lay in enumerate(layers):
@@ -402,64 +382,6 @@ def _lower_shallow(program: RegisterProgram, kit: _Kit, wide: bool) -> list:
 
     pieces.append(("affine", _end_map(program, s, n + 1)))
     return pieces
-
-
-@dataclass
-class _InnerLadder:
-    """Inner register view of the multiplication block.
-
-    Neuron k has preactivation row rows[k] over (x1, x2) plus bias, output
-    weight coeffs[k], and the block output is sum_k coeffs[k] y_k + bias0.
-    The running accumulator is kept rescaled by lam and with the constant
-    sigma(z0) load subtracted per step, so that the values crossing the
-    identity blocks stay O(1) even though coeffs scale like h^-2; the exact
-    affine compensation happens on exit.
-    """
-
-    rows: np.ndarray
-    biases: np.ndarray
-    coeffs: np.ndarray
-    bias0: complex
-    rho0: complex
-    lam: float
-
-
-def _mul_ladder(kit: _Kit) -> _InnerLadder:
-    blk = kit.mul_blk
-    coeffs = blk.post.matrix[0]
-    rho0 = complex(kit.sigma(np.array([blk.pre.bias[0]]))[0])
-    lam = 1.0 / max(1.0, float(np.max(np.abs(coeffs))))
-    return _InnerLadder(blk.pre.matrix, blk.pre.bias, coeffs,
-                        complex(blk.post.bias[0]), rho0, lam)
-
-
-def _ladder_transition(ladder: _InnerLadder, k: int, s: int, i_acc: int,
-                       i_cmp: int, op_idx: int, iw: int) -> AffineArrays:
-    """Affine map after inner stage k: accumulate the (rescaled, centered)
-    neuron output and reload the next preactivation, or on the last step
-    write the block value back into the w slot with the exact compensation
-    for the rescale and centering."""
-    k_units = len(ladder.biases)
-    if k + 1 < k_units:
-        s_sub = s + 2
-        trans = np.zeros((s_sub, s_sub), dtype=np.complex128)
-        trans[:s, :s] = _identity_rows(s)
-        trans_b = np.zeros(s_sub, dtype=np.complex128)
-        trans[i_acc, i_acc] = 1
-        trans[i_acc, i_cmp] = ladder.lam * ladder.coeffs[k]
-        trans_b[i_acc] = -ladder.lam * ladder.coeffs[k] * ladder.rho0
-        trans[i_cmp, op_idx] = ladder.rows[k + 1, 0]
-        trans[i_cmp, iw] = ladder.rows[k + 1, 1]
-        trans_b[i_cmp] = ladder.biases[k + 1]
-        return _affine(trans, trans_b)
-    exit_m = np.zeros((s, s + 2), dtype=np.complex128)
-    exit_m[:s, :s] = _identity_rows(s)
-    exit_b = np.zeros(s, dtype=np.complex128)
-    exit_m[iw, iw] = 0
-    exit_m[iw, i_acc] = 1.0 / ladder.lam
-    exit_m[iw, i_cmp] = ladder.coeffs[k_units - 1]
-    exit_b[iw] = ladder.bias0 + ladder.rho0 * np.sum(ladder.coeffs[: k_units - 1])
-    return _affine(exit_m, exit_b)
 
 
 def _end_map(program: RegisterProgram, s: int, iv: int) -> AffineArrays:
@@ -472,7 +394,7 @@ def _end_map(program: RegisterProgram, s: int, iv: int) -> AffineArrays:
 
 def _flush_map(lay: FlushLayer, s: int, iw: int, iv: int) -> AffineArrays:
     """Add coeff * w to output register dst and reset w to 1."""
-    trans = _identity_rows(s).copy()
+    trans = np.eye(s, dtype=np.complex128)
     trans_b = np.zeros(s, dtype=np.complex128)
     trans[iw, iw] = 0
     trans_b[iw] = 1
@@ -486,30 +408,61 @@ def _ladder_stages(kit: _Kit, s: int, cross_registers: Callable) -> list:
     s + 1 feeds one raw neuron."""
     builder = _StageBuilder(s + 2)
     outputs = cross_registers(builder)
-    outputs.append(kit.id_cross(builder, builder.slot(s)))
-    raw = builder.unit(*builder.slot(s + 1))
-    outputs.append(([(raw, 1.0)], 0j))
+    outputs.append(kit.id_cross(builder, s))
+    outputs.append(([(builder.raw_unit(s + 1), 1.0)], 0j))
     return kit.realize(builder.finish(outputs))
 
 
-def _emit_mul_ladder(pieces: list, ladder: _InnerLadder, stages: list, s: int,
+def _emit_mul_ladder(pieces: list, kit: _Kit, stages: list, s: int,
                      op_idx: int, iw: int):
-    """w <- operand * w as an inner register program: the state widens by an
-    accumulator and a compute slot, one hidden layer (``_ladder_stages``) per
-    multiplication neuron, and the last transition writes the product back
-    into w."""
+    """w <- operand * w as an inner register program over the K neurons of
+    the multiplication block (value sum_k c_k y_k + c_bias).  The state
+    widens by an accumulator (slot s) and a compute slot (s + 1).  The load
+    map puts neuron 0's preactivation into the compute slot; the map after
+    each of the first K-1 hidden layers (``stages``) accumulates the
+    neuron's output and loads the next preactivation; the exit map after the
+    last writes the block value back into w.
+
+    Since the c_k scale like h^-2, the accumulator holds the sum rescaled by
+    lam = 1 / max(1, max|c_k|) and centred by sigma(z0), the output at the
+    neurons' common pre bias z0: it gains lam c_k (y_k - sigma(z0)) per
+    step, so the values crossing the identity blocks stay O(1).  The exit
+    map undoes both exactly.
+    """
+    blk = kit.mul_blk
+    rows, biases, coeffs = blk.pre.matrix, blk.pre.bias, blk.post.matrix[0]
+    rho0 = complex(kit.sigma(np.array([biases[0]]))[0])
+    lam = 1.0 / max(1.0, float(np.max(np.abs(coeffs))))
     i_acc, i_cmp = s, s + 1
-    enter = np.zeros((s + 2, s), dtype=np.complex128)
-    enter[:s, :] = _identity_rows(s)
+    last = len(biases) - 1
+
+    def load(m, b, k):
+        m[i_cmp, op_idx], m[i_cmp, iw] = rows[k]
+        b[i_cmp] = biases[k]
+
+    enter = np.eye(s + 2, s, dtype=np.complex128)
     enter_b = np.zeros(s + 2, dtype=np.complex128)
-    enter[i_cmp, op_idx] = ladder.rows[0, 0]
-    enter[i_cmp, iw] = ladder.rows[0, 1]
-    enter_b[i_cmp] = ladder.biases[0]
+    load(enter, enter_b, 0)
     pieces.append(("affine", _affine(enter, enter_b)))
 
-    for k in range(len(ladder.biases)):
+    for k in range(last):
         pieces += [("stage", stage) for stage in stages]
-        pieces.append(("affine", _ladder_transition(ladder, k, s, i_acc, i_cmp, op_idx, iw)))
+        step = np.eye(s + 2, dtype=np.complex128)
+        step_b = np.zeros(s + 2, dtype=np.complex128)
+        step[i_acc, i_cmp] = lam * coeffs[k]
+        step_b[i_acc] = -lam * coeffs[k] * rho0
+        step[i_cmp, i_cmp] = 0
+        load(step, step_b, k + 1)
+        pieces.append(("affine", _affine(step, step_b)))
+
+    pieces += [("stage", stage) for stage in stages]
+    exit_m = np.eye(s, s + 2, dtype=np.complex128)
+    exit_b = np.zeros(s, dtype=np.complex128)
+    exit_m[iw, iw] = 0
+    exit_m[iw, i_acc] = 1.0 / lam
+    exit_m[iw, i_cmp] = coeffs[last]
+    exit_b[iw] = complex(blk.post.bias[0]) + rho0 * np.sum(coeffs[:last])
+    pieces.append(("affine", _affine(exit_m, exit_b)))
 
 
 def _lower_poly(program: RegisterProgram, kit: _Kit, strategy: str) -> list:
@@ -534,10 +487,10 @@ def _lower_poly(program: RegisterProgram, kit: _Kit, strategy: str) -> list:
         z_outs, zb_outs = [], []
         for q in range(n):
             if pairs or q == refresh:
-                z_out, zb_out = kit.pair_cross(builder, builder.slot(q))
+                z_out, zb_out = kit.pair_cross(builder, q)
                 zb_outs.append(zb_out)
             else:
-                z_out = kit.id_cross(builder, builder.slot(q))
+                z_out = kit.id_cross(builder, q)
             z_outs.append(z_out)
         return z_outs, zb_outs
 
@@ -546,24 +499,22 @@ def _lower_poly(program: RegisterProgram, kit: _Kit, strategy: str) -> list:
         w crosses the multiplication block with that operand."""
         z_outs, zb_outs = cross_inputs(builder, refresh)
         if not zb_outs:
-            zb_outs = [kit.id_cross(builder, builder.slot(n))]
+            zb_outs = [kit.id_cross(builder, n)]
         if op_idx is None:
-            w_out = kit.id_cross(builder, builder.slot(iw))
+            w_out = kit.id_cross(builder, iw)
         else:
-            units = builder.block_units(kit.mul_blk, [builder.slot(op_idx), builder.slot(iw)])
+            units = builder.block_units(kit.mul_blk, [op_idx, iw])
             w_out = builder.block_output(kit.mul_blk, units, 0)
-        return z_outs + zb_outs + [w_out] + [kit.id_cross(builder, builder.slot(iv + j))
-                                            for j in range(m)]
+        return z_outs + zb_outs + [w_out] + [kit.id_cross(builder, iv + j) for j in range(m)]
 
     # T_init: (z, conj z or g = 0, w = 1, v = 0) built by one hidden layer
     builder = _StageBuilder(n)
     z_outs, zb_outs = cross_inputs(builder)
     outputs = z_outs + (zb_outs or [([], 0j)]) + [([], 1 + 0j)] + [([], 0j)] * m
-    pieces.append(("affine", _affine(_identity_rows(n), np.zeros(n))))
+    pieces.append(("affine", _affine(np.eye(n), np.zeros(n))))
     _emit(pieces, kit, builder.finish(outputs))
-    pieces.append(("affine", _affine(_identity_rows(s), np.zeros(s))))
+    pieces.append(("affine", _affine(np.eye(s), np.zeros(s))))
 
-    ladder = _mul_ladder(kit)
     stages = None
     conj_src = None
     for lay in program.layers:
@@ -583,7 +534,7 @@ def _lower_poly(program: RegisterProgram, kit: _Kit, strategy: str) -> list:
             conj_src = i
         if stages is None:
             stages = _ladder_stages(kit, s, cross_registers)
-        _emit_mul_ladder(pieces, ladder, stages, s, op_idx, iw)
+        _emit_mul_ladder(pieces, kit, stages, s, op_idx, iw)
 
     pieces.append(("affine", _end_map(program, s, iv)))
     return pieces
@@ -662,8 +613,7 @@ def eval_pieces(pieces: list, spec: ActivationSpec, z) -> np.ndarray:
 
 
 def lower_pieces(program: RegisterProgram, spec: ActivationSpec, strategy: str,
-                 h: float, prof: ToleranceProfile = ToleranceProfile(),
-                 h_map=None):
+                 h: float, prof: ToleranceProfile = ToleranceProfile()):
     """Strategy dispatch; returns (pieces, kit) without fusing."""
     if strategy not in STRATEGIES:
         raise StrategyMismatch(f"unknown strategy {strategy!r}")
@@ -671,7 +621,7 @@ def lower_pieces(program: RegisterProgram, spec: ActivationSpec, strategy: str,
         raise StrategyMismatch(f"{strategy} needs a shallow-family program")
     if strategy.startswith("Poly") and program.family != "poly":
         raise StrategyMismatch(f"{strategy} needs a poly-family program")
-    kit = _build_kit(spec, plan_lowering(spec, strategy, prof), h, prof, h_map)
+    kit = _build_kit(spec, plan_lowering(spec, strategy, prof), h, prof)
     if program.family == "poly" and program.mul_kind != kit.mul_kind:
         raise StrategyMismatch(
             f"program was planned for {program.mul_kind} but the activation "
@@ -684,26 +634,17 @@ def lower_pieces(program: RegisterProgram, spec: ActivationSpec, strategy: str,
 
 
 def lower(program: RegisterProgram, spec: ActivationSpec, strategy: str,
-          h: float, prof: ToleranceProfile = ToleranceProfile(),
-          h_map=None, info: Optional[dict] = None) -> Cvnn:
+          h: float, prof: ToleranceProfile = ToleranceProfile()) -> Cvnn:
     """Lower a register program to a strict narrow network at localization
     scale h.  The evaluation error against the ideal program vanishes as
     h -> 0 on any fixed box (down to the float cancellation floor)."""
-    pieces, kit = lower_pieces(program, spec, strategy, h, prof, h_map)
+    pieces, _ = lower_pieces(program, spec, strategy, h, prof)
     net = assemble_pieces(pieces, spec.activation_id)
     budget = strategy_width_budget(strategy, program.input_dim, program.output_dim)
     w = width_of(net)
     if w > budget:
         raise AssertionError(
             f"width bound violated: {strategy} produced width {w} > budget {budget}")
-    if info is not None:
-        info["pieces"] = pieces
-        info["width"] = w
-        info["budget"] = budget
-        info["depth"] = depth_of(net)
-        info["sigma"] = kit.sigma.name
-        info["mul_kind"] = kit.mul_kind
-        info["max_post_coeff"] = max_coeff(net)
     return net
 
 

@@ -209,9 +209,6 @@ class RegisterProgram:
         n, m = self.input_dim, self.output_dim
         return n + m + 1 if self.family == "shallow" else 2 * n + m + 1
 
-    def compute_layer_count(self) -> int:
-        return sum(1 for lay in self.layers if not isinstance(lay, FlushLayer))
-
 
 def describe_layer(program: RegisterProgram, idx: int) -> list:
     """Typed slot list for one layer (serialization / inspection)."""

@@ -20,6 +20,7 @@ from the truncated nowhere-differentiable activation.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import io
 from dataclasses import dataclass, field
@@ -387,6 +388,24 @@ def mul_kind_for(spec: ActivationSpec, prof: ToleranceProfile = ToleranceProfile
     return _SQUARE_TO_MUL[found[1]]
 
 
+def _sweep_program(program: RegisterProgram, spec: ActivationSpec, strategy: str,
+                   f: Callable, box: CompactBox, grid: GridSpec,
+                   schedule: Sequence[float], prof: ToleranceProfile, metadata: dict,
+                   fit_key: str, program_fn: Optional[Callable] = None):
+    """The ending both pipelines share: lower the program at every h of the
+    schedule and sweep it against f on ``grid``.  The program's own sup error
+    on the sweep's lattice, with its neurons evaluated by ``program_fn``, goes
+    in ``extras[fit_key]``.  Returns (best network, SweepReport); the best row
+    must beat the constant (``_best_beating_constant``)."""
+    report = h_sweep(lambda h: lower(program, spec, strategy, h, prof),
+                     schedule, box, grid, f, spec, metadata=metadata)
+    report.extras["program"] = program
+    report.extras[fit_key] = report.extras["lattice"].sup_error(
+        lambda zs: eval_register(program, zs, program_fn))
+    best = _best_beating_constant(report)
+    return report.extras["nets"][best.h], report
+
+
 def end_to_end_poly(f: Callable, spec: ActivationSpec, n: int, m: int,
                     degree: int, strategy: str, box: CompactBox,
                     fit_grid: GridSpec = GridSpec(9),
@@ -400,17 +419,11 @@ def end_to_end_poly(f: Callable, spec: ActivationSpec, n: int, m: int,
     kind = plan_lowering(spec, strategy, prof).mul_kind
     polys = fit_poly(f, n, degree, box, fit_grid, m=m)
     program = poly_to_register(polys, kind)
-    report = h_sweep(
-        lambda h: lower(program, spec, strategy, h, prof),
-        schedule, box, _finer(fit_grid), f, spec,
+    return _sweep_program(
+        program, spec, strategy, f, box, _finer(fit_grid), schedule, prof,
         metadata={"pipeline": "poly", "activation": spec.name, "strategy": strategy,
                   "degree": degree, "n": n, "m": m, "mul_kind": kind},
-    )
-    report.extras["fit_sup_error"] = report.extras["lattice"].sup_error(
-        lambda zs: eval_register(program, zs))
-    report.extras["program"] = program
-    best = _best_beating_constant(report)
-    return report.extras["nets"][best.h], report
+        fit_key="fit_sup_error")
 
 
 def end_to_end_nonpoly(f: Callable, spec: ActivationSpec, n: int, m: int,
@@ -423,30 +436,23 @@ def end_to_end_nonpoly(f: Callable, spec: ActivationSpec, n: int, m: int,
     sigma = conj o activation, whose program the lowering realizes with
     activation layers followed by conjugation blocks.
     Returns (best network, SweepReport); the report carries the shallow fit
-    error so total error can be compared against fit error + lowering slack.
+    error so total error can be compared against fit error + lowering slack,
+    and that error re-measured on the verification grid (finer than the fit
+    grid).
     """
     check_sample_budget(box, _finer(cfg.grid))
     sigma = plan_lowering(spec, strategy, prof).sigma
-    cfg = FitConfig(num_features=cfg.num_features, weight_scale=cfg.weight_scale,
-                    ridge=cfg.ridge, box=box, grid=cfg.grid, seed=cfg.seed)
+    cfg = dataclasses.replace(cfg, box=box)
     shallow, fit_err = fit_shallow(f, sigma, n, m, cfg)
-    program = shallow_to_register(shallow)
-    eval_grid = _finer(cfg.grid)
-    report = h_sweep(
-        lambda h: lower(program, spec, strategy, h, prof),
-        schedule, box, eval_grid, f, spec,
-        metadata={"pipeline": "nonpoly", "activation": spec.name, "strategy": strategy,
-                  "features": cfg.num_features, "n": n, "m": m, "seed": cfg.seed},
-    )
+    net, report = _sweep_program(
+        shallow_to_register(shallow), spec, strategy, f, box, _finer(cfg.grid), schedule,
+        prof, metadata={"pipeline": "nonpoly", "activation": spec.name, "strategy": strategy,
+                        "features": cfg.num_features, "n": n, "m": m, "seed": cfg.seed},
+        fit_key="fit_sup_error_fine", program_fn=sigma.fn)
     report.extras["fit_sup_error"] = fit_err
     report.extras["shallow"] = shallow
-    report.extras["program"] = program
     report.extras["sigma_name"] = sigma.name
-    # fit error re-measured on the verification grid (finer than the fit grid)
-    report.extras["fit_sup_error_fine"] = report.extras["lattice"].sup_error(
-        lambda zs: eval_register(program, zs, sigma.fn))
-    best = _best_beating_constant(report)
-    return report.extras["nets"][best.h], report
+    return net, report
 
 
 # ---------------------------------------------------------------------------

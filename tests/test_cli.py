@@ -189,6 +189,38 @@ def test_lower_poly_program_with_nonpoly_strategy_reports_family(tmp_path, capsy
         f"error[STRATEGY_MISMATCH] {strategy} needs a shallow-family program\n")
 
 
+@pytest.mark.parametrize("strategy", ["Bogus", "NonPoly_Bogus", "Poly_Bogus"])
+def test_unknown_strategy_is_refused_before_fitting(monkeypatch, tmp_path, capsys, strategy):
+    """compile refuses an unknown strategy when it plans, before it fits;
+    lower refuses it before the program's family is checked (a poly program
+    for NonPoly_*, a shallow one for Poly_*)."""
+    from deepnarrow import fitting
+    from deepnarrow.register import shallow_to_register
+    from conftest import random_shallow
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fitted with an unknown strategy")
+
+    monkeypatch.setattr(fitting, "fit_poly", no_fit)
+    monkeypatch.setattr("deepnarrow.verifier.fit_shallow", no_fit)
+    want = f"error[STRATEGY_MISMATCH] unknown strategy {strategy!r}\n"
+    assert run(["compile", "--target", "zzbar", "--activation", "cardioid",
+                "--strategy", strategy]) == 3
+    assert capsys.readouterr().err == want
+
+    if strategy.startswith("Poly"):
+        net = random_shallow(np.random.default_rng(0), 1, 1, 3,
+                             get_activation("cardioid").activation_id)
+        program = shallow_to_register(net)
+    else:
+        program = poly_to_register([PolyZZbar(1, ((1 + 0j, (0,), (2,)),))], "mul2")
+    prog_path = tmp_path / "prog.json"
+    prog_path.write_text(program_to_json(program))
+    assert run(["lower", "--program", str(prog_path), "--activation", "cardioid",
+                "--strategy", strategy]) == 3
+    assert capsys.readouterr().err == want
+
+
 def test_fit_poly_command(tmp_path, capsys):
     out = tmp_path / "p"
     rc = run(["fit-poly", "--target", "zzbar", "--degree", "2",

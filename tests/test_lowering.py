@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from deepnarrow import core, lowering
 from deepnarrow.activations import get_activation
-from deepnarrow.core import ComplexAffineMap, depth_of, eval_cvnn, hidden_widths, width_of
+from deepnarrow.core import (ComplexAffineMap, depth_of, eval_cvnn, hidden_widths, max_coeff,
+                             width_of)
 from deepnarrow.errors import StrategyMismatch
 from deepnarrow.lowering import (STRATEGIES, assemble_pieces, default_strategy,
                                  eval_pieces, lower, lower_pieces, plan_lowering,
@@ -65,11 +66,9 @@ def test_width_budgets_hard(rng, strategy, n, m):
     else:
         kind = mul_kind_for(spec, PROF)
         program = poly_to_register(_test_poly(n, m), kind)
-    info = {}
-    lowered = lower(program, spec, strategy, 1e-3, PROF, info=info)
+    lowered = lower(program, spec, strategy, 1e-3, PROF)
     budget = strategy_width_budget(strategy, n, m)
     assert width_of(lowered) <= budget
-    assert info["width"] <= budget
 
 
 def test_nonpoly_nmplus1_converges_to_program(rng):
@@ -191,10 +190,9 @@ def test_fusion_invariance(rng):
 def test_depth_reported_not_bounded():
     p = PolyZZbar(1, ((1 + 0j, (0,), (2,)),))
     program = poly_to_register([p], "mul2")
-    info = {}
-    lower(program, RE_SQ, "Poly_Narrow_2N2Mplus5", 1e-3, PROF, info=info)
-    assert info["depth"] > 10  # each product expands into inner layers
-    assert info["max_post_coeff"] > 1
+    net = lower(program, RE_SQ, "Poly_Narrow_2N2Mplus5", 1e-3, PROF)
+    assert depth_of(net) > 10  # each product expands into inner layers
+    assert max_coeff(net) > 1
 
 
 def test_hidden_widths_within_budget_per_layer():
@@ -204,15 +202,38 @@ def test_hidden_widths_within_budget_per_layer():
     assert max(hidden_widths(low)) <= strategy_width_budget("Poly_Narrow_2N2Mplus5", 1, 1)
 
 
-def test_h_map_overrides():
-    p = PolyZZbar(1, ((1 + 0j, (0,), (2,)),))
-    program = poly_to_register([p], "mul2")
-    low = lower(program, RE_SQ, "Poly_Narrow_2N2Mplus5", 1e-4, PROF,
-                h_map={"square": 0.5})
-    box = CompactBox.square(1, 1.0)
-    err = sup_error(lambda zs: p(zs)[:, None],
-                    lambda zs: eval_cvnn(low, zs, RE_SQ.fn), box, GridSpec(9))
-    assert err < 1e-2  # square blocks are exact for quadratic activations
+@pytest.mark.parametrize("strategy, spec, roles", [
+    ("Poly_Narrow_2N2Mplus5", RE_SQ, ["square", "pair"]),
+    ("Poly_Wide_2N2Mplus12", RE_SQ, ["square", "pair"]),
+    ("Poly_NMplus4", ZB, ["square", "identity", "pair"]),
+    ("Poly_NMplus4", CONJ_ZB, ["conjugation", "square", "identity", "pair"]),
+    ("NonPoly_NMplus1", CARD, ["identity"]),
+    ("NonPoly_Conj_NMplus1", CONJ_CARD, ["conjugation", "identity"]),
+    ("NonPoly_2N2Mplus1", MODRELU, ["pair"]),
+])
+def test_each_block_built_at_its_h(monkeypatch, rng, strategy, spec, roles):
+    """The identity, pair and conjugation blocks are built at h; the square
+    block at sqrt(h), or at h under Poly_Wide_2N2Mplus12."""
+    h = 1e-4
+    built = []
+
+    def recording(role, build):
+        def wrapped(sigma, point, block_h, prof):
+            built.append((role, block_h))
+            return build(sigma, point, block_h, prof)
+        return wrapped
+
+    for role, name in [("identity", "identity_block"), ("pair", "routed_pair_block"),
+                       ("square", "mul_block"), ("conjugation", "_make_conj_realizer")]:
+        monkeypatch.setattr(lowering, name, recording(role, getattr(lowering, name)))
+    if strategy.startswith("NonPoly"):
+        program = shallow_to_register(random_shallow(rng, 1, 1, 3, spec.activation_id))
+    else:
+        kind = plan_lowering(spec, strategy, PROF).mul_kind
+        program = poly_to_register(_test_poly(1, 1), kind)
+    lower(program, spec, strategy, h, PROF)
+    square_h = h if strategy == "Poly_Wide_2N2Mplus12" else np.sqrt(h)
+    assert built == [(role, square_h if role == "square" else h) for role in roles]
 
 
 def test_default_strategy_mapping():
