@@ -12,7 +12,7 @@ Wirtinger derivative convention: d = (d/dx - i d/dy)/2, dbar = (d/dx + i d/dy)/2
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 import numpy as np

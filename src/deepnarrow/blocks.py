@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -91,34 +91,37 @@ def _col(values) -> np.ndarray:
     return np.asarray(values, dtype=np.complex128).reshape(-1, 1)
 
 
+def _lone_block(spec: ActivationSpec, z0: complex, h: float, prof: ToleranceProfile,
+                side: str) -> tuple:
+    """Width-1 block (w - f(z0)) / (h v) at a point whose only nonzero first
+    derivative v is ``side`` ("d" gives the identity, "dbar" conjugation).
+    Returns (block, |other derivative| / |v|): the residual that the
+    tolerance still lets through, relative to v."""
+    z0 = complex(z0)
+    d, dbar, _ = first_derivs(spec, z0, prof)
+    kind, other, v, r = (("identity", "dbar", d, dbar) if side == "d"
+                         else ("conjugation", "d", dbar, d))
+    if prof.pattern(d, dbar) != side:
+        raise ConstructionError(
+            f"{kind} block needs |{side}| > tol >= |{other}| at z0={z0}: "
+            f"d={d:.3g}, dbar={dbar:.3g}")
+    f0 = complex(spec(np.array([z0]))[0])
+    c = 1.0 / (h * v)
+    pre = ComplexAffineMap(_col([h]), [z0])
+    post = ComplexAffineMap(_col([c]).T, [-f0 * c])
+    return ShallowBlock(kind, pre, post, 1, (z0,), h, abs(c)), abs(r) / abs(v)
+
+
 def identity_block(spec: ActivationSpec, z0: complex, h: float,
                    prof: ToleranceProfile = ToleranceProfile()) -> ShallowBlock:
     """Width-1 approximation of the complex identity; needs d != 0 = dbar at z0."""
-    z0 = complex(z0)
-    d, dbar, _ = first_derivs(spec, z0, prof)
-    if abs(d) <= prof.zero_tol or abs(dbar) > prof.zero_tol:
-        raise ConstructionError(
-            f"identity block needs |d| > tol >= |dbar| at z0={z0}: d={d:.3g}, dbar={dbar:.3g}")
-    f0 = complex(spec(np.array([z0]))[0])
-    c = 1.0 / (h * d)
-    pre = ComplexAffineMap(_col([h]), [z0])
-    post = ComplexAffineMap(_col([c]).T, [-f0 * c])
-    return ShallowBlock("identity", pre, post, 1, (z0,), h, abs(c))
+    return _lone_block(spec, z0, h, prof, "d")[0]
 
 
 def conj_block(spec: ActivationSpec, z0: complex, h: float,
                prof: ToleranceProfile = ToleranceProfile()) -> ShallowBlock:
     """Width-1 approximation of complex conjugation; needs dbar != 0 = d at z0."""
-    z0 = complex(z0)
-    d, dbar, _ = first_derivs(spec, z0, prof)
-    if abs(dbar) <= prof.zero_tol or abs(d) > prof.zero_tol:
-        raise ConstructionError(
-            f"conjugation block needs |dbar| > tol >= |d| at z0={z0}: d={d:.3g}, dbar={dbar:.3g}")
-    f0 = complex(spec(np.array([z0]))[0])
-    c = 1.0 / (h * dbar)
-    pre = ComplexAffineMap(_col([h]), [z0])
-    post = ComplexAffineMap(_col([c]).T, [-f0 * c])
-    return ShallowBlock("conjugation", pre, post, 1, (z0,), h, abs(c))
+    return _lone_block(spec, z0, h, prof, "dbar")[0]
 
 
 def pair_block(spec: ActivationSpec, z0: complex, h: float,
@@ -132,7 +135,7 @@ def pair_block(spec: ActivationSpec, z0: complex, h: float,
     """
     z0 = complex(z0)
     d, dbar, _ = first_derivs(spec, z0, prof)
-    if abs(d) <= prof.zero_tol or abs(dbar) <= prof.zero_tol:
+    if prof.pattern(d, dbar) != "both":
         raise ConstructionError(
             f"pair block needs both derivatives nonzero at z0={z0}: d={d:.3g}, dbar={dbar:.3g}")
     f0 = complex(spec(np.array([z0]))[0])
@@ -160,11 +163,12 @@ def routed_pair_block(spec: ActivationSpec, route, h: float,
     """Width-2 approximation of z -> (z, conj z) on a pair route.
 
     A one-point route (z0,) uses the pair block there.  A two-point route
-    (z_id, z_conj) puts one identity block at a lone-d point and one
+    (z_id, z_conj) puts the identity block at a lone-d point and the
     conjugation block at a lone-dbar point side by side.  There the
     tolerance-level residual of the "zero" derivative enters the output as
     an O(residual/h) term; a warning is raised when that exceeds target_tol.
-    A missing route (None) raises ConstructionError.
+    A missing route (None), or a point without the pattern its block needs,
+    raises ConstructionError.
     """
     if route is None:
         raise ConstructionError(
@@ -175,24 +179,19 @@ def routed_pair_block(spec: ActivationSpec, route, h: float,
         return ShallowBlock("id_conj_pair", blk.pre, blk.post, 2, blk.z0, h, blk.post_scale)
 
     z1, z2 = route
-    d1, r1, _ = first_derivs(spec, z1, prof)
-    r2, dbar2, _ = first_derivs(spec, z2, prof)
-    residual = max(abs(r1) / abs(d1), abs(r2) / abs(dbar2))
+    ident, r1 = _lone_block(spec, z1, h, prof, "d")
+    conj, r2 = _lone_block(spec, z2, h, prof, "dbar")
+    residual = max(r1, r2)
     if residual / h > target_tol:
         warnings.warn(
             f"two-point id/conj pair: residual derivative {residual:.3g} over h={h:.3g} "
             f"exceeds target tolerance {target_tol:.3g}", RuntimeWarning)
-    f1 = complex(spec(np.array([z1]))[0])
-    f2 = complex(spec(np.array([z2]))[0])
-    c1 = 1.0 / (h * d1)
-    c2 = 1.0 / (h * dbar2)
-    pre = ComplexAffineMap(_col([h, h]), [z1, z2])
-    post = ComplexAffineMap(
-        np.array([[c1, 0], [0, c2]], dtype=np.complex128),
-        [-f1 * c1, -f2 * c2],
-    )
-    return ShallowBlock("id_conj_pair", pre, post, 2, (complex(z1), complex(z2)), h,
-                        max(abs(c1), abs(c2)))
+    pre = ComplexAffineMap(np.vstack([ident.pre.matrix, conj.pre.matrix]),
+                           np.concatenate([ident.pre.bias, conj.pre.bias]))
+    post = ComplexAffineMap(np.diag([ident.post.matrix[0, 0], conj.post.matrix[0, 0]]),
+                            np.concatenate([ident.post.bias, conj.post.bias]))
+    return ShallowBlock("id_conj_pair", pre, post, 2, ident.z0 + conj.z0, h,
+                        max(ident.post_scale, conj.post_scale))
 
 
 def square_block(spec: ActivationSpec, z0: complex, h: float,
@@ -214,19 +213,18 @@ def square_block(spec: ActivationSpec, z0: complex, h: float,
     z0 = complex(z0)
     d2, ddbar, dbar2, _ = second_derivs(spec, z0, prof)
     f0 = complex(spec(np.array([z0]))[0])
-    tol = prof.zero_tol
-    if abs(ddbar) > tol:
+    if prof.nonzero(ddbar):
         c = 1.0 / (4 * h**2 * ddbar)
         pre = ComplexAffineMap(_col([h, -h, 1j * h, -1j * h]), [z0] * 4)
         post = ComplexAffineMap(np.array([[c, c, c, c]]), [-4 * f0 * c])
         return ShallowBlock("square_zzbar", pre, post, 4, (z0,), h, abs(c)), "zzbar"
-    if abs(d2) > tol:
+    if prof.nonzero(d2):
         c = 1.0 / (2 * h**2 * d2)
         pre = ComplexAffineMap(_col([h, -h, SQRT_I * h, -SQRT_I * h]), [z0] * 4)
         post = ComplexAffineMap(np.array([[c, c, -1j * c, -1j * c]]),
                                 [2 * (-1 + 1j) * f0 * c])
         return ShallowBlock("square_z2", pre, post, 4, (z0,), h, abs(c)), "z2"
-    if abs(dbar2) > tol:
+    if prof.nonzero(dbar2):
         c = 1.0 / (h**2 * dbar2)
         pre = ComplexAffineMap(_col([h, -h, 0, 0]), [z0] * 4)
         post = ComplexAffineMap(np.array([[c, c, 0, 0]]), [-2 * f0 * c])

@@ -22,15 +22,13 @@ from . import verifier
 from .activations import get_activation
 from .blocks import (block_error, conj_block, identity_block, mul_apply, mul_block,
                      pair_block, square_block)
-from .core import (CompactBox, Cvnn, GridSpec, cvnn_from_json, cvnn_to_json,
-                   depth_of, eval_cvnn, sample_box, width_of)
+from .core import (CompactBox, GridSpec, cvnn_from_json, cvnn_to_json, depth_of,
+                   eval_cvnn, sample_box, width_of)
 from .errors import (ConstructionError, DimensionMismatch, EvaluationFailure, FitSingular,
                      InvalidActivationParams, StrategyMismatch, UnknownActivation)
 from .fitting import FitConfig, fit_poly, fit_shallow
 from .lowering import default_strategy, lower, plan_lowering, STRATEGIES
-from .register import (poly_from_json_dict, poly_to_json_dict, poly_to_register,
-                       program_from_json, program_to_json, shallow_to_register,
-                       eval_register)
+from .register import eval_register, poly_to_json_dict, program_from_json
 from .verifier import (DEFAULT_SWEEP_SCHEDULE, SweepReport, h_sweep, named_target,
                        sup_error)
 from .wirtinger import ToleranceProfile, classify_activation
@@ -84,11 +82,11 @@ def _box_or_default(args, n: int) -> CompactBox:
 
 def _profile(args) -> ToleranceProfile:
     kwargs = {}
-    if getattr(args, "zero_tol", None) is not None:
+    if args.zero_tol is not None:
         kwargs["zero_tol"] = args.zero_tol
-    if getattr(args, "fd_step", None) is not None:
+    if args.fd_step is not None:
         kwargs["fd_step"] = args.fd_step
-    if getattr(args, "probe_box", None):
+    if args.probe_box:
         kwargs["probe_box"] = _parse_box(args.probe_box)
     return ToleranceProfile(**kwargs)
 
@@ -113,11 +111,6 @@ def _schedule(args):
     return (float(args.h),)
 
 
-def _target_fn(args):
-    fn, m = named_target(args.target)
-    return fn, m
-
-
 # ---------------------------------------------------------------------------
 # Subcommand bodies
 # ---------------------------------------------------------------------------
@@ -135,7 +128,7 @@ def _cmd_classify(args):
 
 def _cmd_fit_shallow(args):
     spec = get_activation(args.activation, _parse_kv(args.param))
-    fn, m = _target_fn(args)
+    fn, m = named_target(args.target)
     m = args.m or m
     box = _box_or_default(args, args.n)
     cfg = FitConfig(num_features=args.features, weight_scale=args.scale,
@@ -150,7 +143,7 @@ def _cmd_fit_shallow(args):
 
 
 def _cmd_fit_poly(args):
-    fn, m = _target_fn(args)
+    fn, m = named_target(args.target)
     box = _box_or_default(args, args.n)
     polys = fit_poly(fn, args.n, args.degree, box, GridSpec(args.grid), m=m)
     doc = poly_to_json_dict(polys)
@@ -174,7 +167,7 @@ def _cmd_compile(args):
     if strategy in (None, "auto"):
         strategy = default_strategy(cls.verdict, cls.witness_probe, prof)
 
-    fn, m = _target_fn(args)
+    fn, m = named_target(args.target)
     m = args.m or m
     box = _box_or_default(args, args.n)
     schedule = _schedule(args)
@@ -348,19 +341,23 @@ def _cmd_eval(args):
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p, activation=True):
+def _add_common(p, activation=False, box=False, seed=False, tolerances=False):
+    """--out, --config and --no-timestamp, plus the option groups a subcommand reads."""
     if activation:
         p.add_argument("--activation", required=True)
         p.add_argument("--param", action="append", metavar="K=V")
-    p.add_argument("--box", help="per coordinate 're_lo,re_hi;im_lo,im_hi', '|'-separated")
-    p.add_argument("--grid", type=int, default=9)
-    p.add_argument("--seed", type=int, default=0)
+    if box:
+        p.add_argument("--box", help="per coordinate 're_lo,re_hi;im_lo,im_hi', '|'-separated")
+        p.add_argument("--grid", type=int, default=9)
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--no-timestamp", action="store_true")
-    p.add_argument("--zero-tol", type=float, default=None)
-    p.add_argument("--fd-step", type=float, default=None)
-    p.add_argument("--probe-box", default=None)
+    if tolerances:
+        p.add_argument("--zero-tol", type=float, default=None)
+        p.add_argument("--fd-step", type=float, default=None)
+        p.add_argument("--probe-box", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,13 +368,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="Wirtinger decision tree for one activation")
-    _add_common(p)
+    _add_common(p, activation=True, tolerances=True)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--m", type=int, default=1)
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("fit-shallow", help="random-feature ridge fit of a named target")
-    _add_common(p)
+    _add_common(p, activation=True, box=True, seed=True)
     p.add_argument("--target", required=True)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--m", type=int, default=None)
@@ -387,14 +384,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_fit_shallow)
 
     p = sub.add_parser("fit-poly", help="least-squares polynomial in z and conj(z)")
-    _add_common(p, activation=False)
+    _add_common(p, box=True)
     p.add_argument("--target", required=True)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--degree", type=int, required=True)
     p.set_defaults(fn=_cmd_fit_poly)
 
     p = sub.add_parser("compile", help="end-to-end target -> narrow network")
-    _add_common(p)
+    _add_common(p, activation=True, box=True, seed=True, tolerances=True)
     p.add_argument("--target", required=True)
     p.add_argument("--degree", type=int, default=3)
     p.add_argument("--n", type=int, default=1)
@@ -408,14 +405,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_compile)
 
     p = sub.add_parser("lower", help="lower a serialized register program")
-    _add_common(p)
+    _add_common(p, activation=True, box=True, tolerances=True)
     p.add_argument("--program", required=True)
     p.add_argument("--strategy", required=True)
     p.add_argument("--h", default="auto")
     p.set_defaults(fn=_cmd_lower)
 
     p = sub.add_parser("sweep", help="h-sweep one building block")
-    _add_common(p)
+    _add_common(p, activation=True, box=True, tolerances=True)
     p.add_argument("--block", required=True,
                    help="identity | conjugation | pair | square | mul")
     p.add_argument("--z0", default=None, metavar="RE,IM")
@@ -423,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("demo", help="necessity and robustness demos")
-    _add_common(p, activation=False)
+    _add_common(p, seed=True)
     p.add_argument("--name", required=True,
                    help="lower-bound | hyperplane-floor | holo-floor | "
                         "affine-closure | nowhere-diff")
@@ -432,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_demo)
 
     p = sub.add_parser("eval", help="evaluate a serialized network")
-    _add_common(p, activation=False)
+    _add_common(p, box=True)
     p.add_argument("--net", required=True)
     p.add_argument("--at", default=None,
                    help="points 're,im' (coords ';'-separated, points '|'-separated)")

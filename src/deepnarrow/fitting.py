@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as _iter_product
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 

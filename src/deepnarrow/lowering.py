@@ -179,7 +179,7 @@ def _make_conj_realizer(spec: ActivationSpec, z0c: complex, hc: float,
     leaving only the O(h)-decaying input-dependent remainder.
     """
     d, dbar, _ = first_derivs(spec, z0c, prof)
-    if abs(dbar) <= prof.zero_tol or abs(d) > prof.zero_tol:
+    if prof.pattern(d, dbar) != "dbar":
         raise StrategyMismatch(
             f"conjugate realization needs a lone-dbar point; at {z0c}: d={d:.3g}, dbar={dbar:.3g}")
     f0 = complex(spec(np.array([z0c]))[0])
@@ -651,7 +651,7 @@ def lower(program: RegisterProgram, spec: ActivationSpec, strategy: str,
 def default_strategy(verdict: str, witness_probe, prof: ToleranceProfile = ToleranceProfile()) -> str:
     """Map a classification verdict to the lowering strategy it certifies."""
     if verdict == "UniversalNonPoly_NMplus1":
-        if witness_probe is not None and abs(witness_probe.d) > prof.zero_tol:
+        if witness_probe is not None and prof.nonzero(witness_probe.d):
             return "NonPoly_NMplus1"
         return "NonPoly_Conj_NMplus1"
     if verdict == "UniversalNonPoly_2N2Mplus1":

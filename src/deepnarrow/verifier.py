@@ -380,8 +380,10 @@ def _best_beating_constant(report: SweepReport) -> SweepRow:
 
 
 def mul_kind_for(spec: ActivationSpec, prof: ToleranceProfile = ToleranceProfile()) -> str:
-    """Which product the square probe affords: a mixed second derivative
-    gives mul2, a plain one mul1, a conjugate one mul3."""
+    """Which product the square probe of the activation itself affords: a
+    mixed second derivative gives mul2, a plain one mul1, a conjugate one
+    mul3.  A lowering against conj o activation may afford another; the kind
+    a lowering accepts is ``plan_lowering(spec, strategy, prof).mul_kind``."""
     found = probe_atlas(spec, prof).square_point()
     if found is None:
         raise StrategyMismatch("activation is R-affine on the probe grid")

@@ -13,9 +13,10 @@ and second order via the invertible conversion
 Everything is estimated with central finite differences plus Richardson
 extrapolation.  "Nonzero" always means |value| > zero_tol after
 extrapolation, which separates analytic zeros from O(h^2) noise at desk
-scale.  Polyharmonicity (laplacian^m f == 0 for some m, with
-laplacian = 4 d dbar) is undecidable from samples; the iterated-stencil
-probe here is advisory and the catalog's analytic flags take precedence.
+scale; ``ToleranceProfile.nonzero`` and ``pattern`` alone apply that rule.
+Polyharmonicity (laplacian^m f == 0 for some m, with laplacian = 4 d dbar)
+is undecidable from samples; the iterated-stencil probe here is advisory and
+the catalog's analytic flags take precedence.
 
 The classifier walks the decision tree: holomorphic / antiholomorphic /
 R-affine activations are never universal; otherwise the pattern of nonzero
@@ -27,7 +28,7 @@ n+m+4, or 2n+2m+5).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -63,6 +64,14 @@ _EPS = float(np.finfo(np.float64).eps)
 _DEFAULT_BOX = CompactBox.square(1, 2.0)
 _DEFAULT_GRID = GridSpec(9)
 
+#: Richardson levels of every finite-difference derivative: steps h and h/2
+RICHARDSON_LEVELS = 2
+#: highest order of iterated laplacian the polyharmonicity heuristic tries
+POLYHARMONIC_MAX_ORDER = 4
+#: circle radii and points per circle of the Taylor-remainder probe
+TAYLOR_RADII = (1e-1, 1e-2, 1e-3, 1e-4)
+TAYLOR_POINTS_PER_CIRCLE = 16
+
 
 @dataclass(frozen=True)
 class ToleranceProfile:
@@ -71,23 +80,28 @@ class ToleranceProfile:
     fd_step is the relative first-order step (the actual step is
     fd_step * max(1, |z0|)); second-order stencils use sqrt(fd_step) since
     their roundoff grows like eps/h^2.  zero_tol is the nonzero threshold
-    applied after Richardson extrapolation.
+    applied after Richardson extrapolation, by ``nonzero`` alone.
     """
 
     zero_tol: float = 1e-6
     fd_step: float = 1e-5
-    richardson_levels: int = 2
-    polyharmonic_max_order: int = 4
     probe_box: CompactBox = _DEFAULT_BOX
     probe_grid: GridSpec = _DEFAULT_GRID
-    taylor_radii: tuple = (1e-1, 1e-2, 1e-3, 1e-4)
-    taylor_points_per_circle: int = 16
 
     def __post_init__(self):
         if min(self.zero_tol, self.fd_step) <= 0:
             raise ValueError("tolerances must be positive")
-        if self.richardson_levels < 1 or self.polyharmonic_max_order < 1:
-            raise ValueError("levels and max order must be >= 1")
+
+    def nonzero(self, v) -> bool:
+        """Whether the derivative estimate v counts as nonzero."""
+        return abs(v) > self.zero_tol
+
+    def pattern(self, d, dbar) -> Optional[str]:
+        """The first-order pattern at a point: "d" or "dbar" when only that
+        derivative is nonzero, "both" when both are, None when neither is."""
+        if self.nonzero(d):
+            return "both" if self.nonzero(dbar) else "d"
+        return "dbar" if self.nonzero(dbar) else None
 
 
 @dataclass(frozen=True)
@@ -120,20 +134,11 @@ class LaplacianEstimate:
     reliable: bool
 
 
-def _richardson(samples, levels: int):
-    """Extrapolate an O(h^2) difference quotient.  ``samples(h)`` returns the
-    quotient at step h; returns (best, discrepancy of the last two columns)."""
-    table = [[samples[0]]]
-    for k in range(1, levels):
-        row = [samples[k]]
-        for j in range(1, k + 1):
-            fac = 4.0**j
-            row.append((fac * row[j - 1] - table[k - 1][j - 1]) / (fac - 1.0))
-        table.append(row)
-    best = table[-1][-1]
-    if levels == 1:
-        return best, abs(best) * 1e-8
-    return best, abs(best - table[-1][-2])
+def _richardson(coarse, fine):
+    """Extrapolate an O(h^2) difference quotient from its values at steps h
+    and h/2; returns (best, |best - fine|)."""
+    best = (4.0 * fine - coarse) / 3.0
+    return best, abs(best - fine)
 
 
 def _evaluate(spec: ActivationSpec, pts) -> np.ndarray:
@@ -159,9 +164,8 @@ def wirt_first(spec: ActivationSpec, z0: complex, prof: ToleranceProfile = Toler
     dbar = (Dx + i Dy)/2.
     """
     z0 = complex(z0)
-    levels = prof.richardson_levels
     h0 = prof.fd_step * max(1.0, abs(z0))
-    hs = [h0 / 2.0**k for k in range(levels)]
+    hs = (h0, h0 / 2.0)
     pts = []
     for h in hs:
         pts.extend([z0 + h, z0 - h, z0 + 1j * h, z0 - 1j * h])
@@ -172,8 +176,8 @@ def wirt_first(spec: ActivationSpec, z0: complex, prof: ToleranceProfile = Toler
         fp, fm, fip, fim = vals[4 * k : 4 * k + 4]
         dx_samples.append((fp - fm) / (2 * h))
         dy_samples.append((fip - fim) / (2 * h))
-    dx, ex = _richardson(dx_samples, levels)
-    dy, ey = _richardson(dy_samples, levels)
+    dx, ex = _richardson(*dx_samples)
+    dy, ey = _richardson(*dy_samples)
     roundoff = _EPS * fscale / hs[-1]
     est = max(0.5 * (ex + ey), roundoff)
     return (dx - 1j * dy) / 2, (dx + 1j * dy) / 2, float(est)
@@ -196,9 +200,8 @@ def wirt_second(spec: ActivationSpec, z0: complex, prof: ToleranceProfile = Tole
     [[1,-2i,-1],[1,0,1],[1,2i,-1]].
     """
     z0 = complex(z0)
-    levels = prof.richardson_levels
     h0 = np.sqrt(prof.fd_step) * max(1.0, abs(z0))
-    hs = [h0 / 2.0**k for k in range(levels)]
+    hs = (h0, h0 / 2.0)
     f0 = _eval_scalar(spec, [z0])[0]
     xx_s, yy_s, xy_s = [], [], []
     fscale = max(1.0, abs(f0))
@@ -210,9 +213,9 @@ def wirt_second(spec: ActivationSpec, z0: complex, prof: ToleranceProfile = Tole
         xx_s.append((v[0] - 2 * f0 + v[1]) / h**2)
         yy_s.append((v[2] - 2 * f0 + v[3]) / h**2)
         xy_s.append((v[4] - v[5] - v[6] + v[7]) / (4 * h**2))
-    fxx, exx = _richardson(xx_s, levels)
-    fyy, eyy = _richardson(yy_s, levels)
-    fxy, exy = _richardson(xy_s, levels)
+    fxx, exx = _richardson(*xx_s)
+    fyy, eyy = _richardson(*yy_s)
+    fxy, exy = _richardson(*xy_s)
     roundoff = 8 * _EPS * fscale / hs[-1] ** 2
     est = max((exx + eyy + exy) / 3, roundoff)
     d2, ddbar, dbar2 = second_partials_to_wirtinger(fxx, fxy, fyy)
@@ -253,10 +256,8 @@ def laplacian_iterate(spec: ActivationSpec, z0: complex, order: int,
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if order > prof.polyharmonic_max_order:
-        raise ValueError(
-            f"order {order} exceeds polyharmonic_max_order {prof.polyharmonic_max_order}"
-        )
+    if order > POLYHARMONIC_MAX_ORDER:
+        raise ValueError(f"order {order} exceeds POLYHARMONIC_MAX_ORDER {POLYHARMONIC_MAX_ORDER}")
     h = _EPS ** (1.0 / (2 * order + 2)) * max(1.0, abs(z0))
     leaves = []
 
@@ -339,9 +340,8 @@ def _taylor_batch(spec: ActivationSpec, zs: list, order: int, prof: TolerancePro
         live.append(k)
     if not live:
         return out
-    radii = prof.taylor_radii
-    angles = np.exp(2j * np.pi * np.arange(prof.taylor_points_per_circle)
-                    / prof.taylor_points_per_circle)
+    radii = TAYLOR_RADII
+    angles = np.exp(2j * np.pi * np.arange(TAYLOR_POINTS_PER_CIRCLE) / TAYLOR_POINTS_PER_CIRCLE)
     w = np.stack([r * angles for r in radii])                       # (radius, angle)
     z = np.array([zs[k] for k in live])
     circles = z[:, None, None] + w                                  # (centre, radius, angle)
@@ -388,6 +388,10 @@ class _AtlasPoint:
         self.taylor = None   # first-order remainder verdict or the ProbeFailed message
 
 
+#: (index in (d2, ddbar, dbar2), name, square kind) in the square block's case order
+_SECOND_ORDER = ((1, "ddbar", "zzbar"), (0, "d2", "z2"), (2, "dbar2", "zbar2"))
+
+
 class ProbeAtlas:
     """Wirtinger data of one activation on the probe grid of one profile.
 
@@ -399,7 +403,9 @@ class ProbeAtlas:
     rule that picks a probe point is a method here, so the classifier, the
     pipelines and the lowering read the same facts.
 
-    ``conjugated()`` is the atlas of conj o f without a rescan: its columns
+    A view builds its (z0, d, dbar, est) rows and their first-order patterns
+    (``ToleranceProfile.pattern``) when it is made; every rule reads those.
+    ``conjugated()`` is the view of conj o f without a rescan: its columns
     are swapped and conjugated (d(conj f) = conj(dbar f), f -> conj f),
     which finite differences reproduce exactly up to the sign of zeros.
     """
@@ -410,6 +416,11 @@ class ProbeAtlas:
         self.prof = prof
         self._points = points
         self._conj = conj
+        if conj:
+            self._rows = tuple((p.z0, p.dbar.conjugate(), p.d.conjugate(), p.est) for p in points)
+        else:
+            self._rows = tuple((p.z0, p.d, p.dbar, p.est) for p in points)
+        self._patterns = tuple(prof.pattern(d, dbar) for _, d, dbar, _ in self._rows)
 
     def __len__(self) -> int:
         return len(self._points)
@@ -420,10 +431,11 @@ class ProbeAtlas:
 
     def first(self, i: int) -> tuple:
         """(z0, d, dbar, est_error) at point i."""
-        p = self._points[i]
-        if self._conj:
-            return p.z0, p.dbar.conjugate(), p.d.conjugate(), p.est
-        return p.z0, p.d, p.dbar, p.est
+        return self._rows[i]
+
+    def pattern(self, i: int) -> Optional[str]:
+        """The first-order pattern at point i: "d", "dbar", "both" or None."""
+        return self._patterns[i]
 
     def value(self, i: int) -> complex:
         """f(z0) at point i."""
@@ -453,14 +465,13 @@ class ProbeAtlas:
         conj o f is the conjugate of that of f); raises ProbeFailed when an
         evaluation of the probe is not finite there.
 
-        The first query probes, in one batch, point i and every point with
-        max(|d|, |dbar|) > zero_tol, with the d and dbar of the scan; a
-        failure is kept and raised only when its point is queried."""
+        The first query probes, in one batch, point i and every point with a
+        first-order pattern, with the d and dbar of the scan; a failure is
+        kept and raised only when its point is queried."""
         p = self._points[i]
         if p.taylor is None:
-            tol = self.prof.zero_tol
-            todo = [q for q in self._points if q.taylor is None
-                    and (q is p or max(abs(q.d), abs(q.dbar)) > tol)]
+            todo = [q for q, pat in zip(self._points, self._patterns)
+                    if q.taylor is None and (q is p or pat is not None)]
             reports = taylor_remainder_probe(
                 self.spec, np.array([q.z0 for q in todo]), 1, self.prof,
                 d=np.array([q.d for q in todo]), dbar=np.array([q.dbar for q in todo]))
@@ -476,116 +487,104 @@ class ProbeAtlas:
         d2, ddbar, dbar2, e2 = self.second(i)
         return WirtingerProbe(z0, d, dbar, d2, ddbar, dbar2, max(e1, e2))
 
-    def _seconds(self):
-        """(i, second data) at the points whose second probe succeeds."""
-        for i in range(len(self)):
-            try:
-                second = self.second(i)
-            except ProbeFailed:
-                continue
-            yield i, second
-
     # -- point rules -------------------------------------------------------
+
+    def _by_pattern(self) -> dict:
+        """Pattern -> [(i, conditioning score)] in grid order; the score is
+        |d|, |dbar| or min(|d|, |dbar|) for "d", "dbar" and "both"."""
+        out = {"d": [], "dbar": [], "both": []}
+        for i, (_, d, dbar, _) in enumerate(self._rows):
+            pat = self._patterns[i]
+            if pat is not None:
+                score = min(abs(d), abs(dbar)) if pat == "both" else abs(d if pat == "d" else dbar)
+                out[pat].append((i, score))
+        return out
+
+    def _least_load(self, scored, load) -> complex:
+        """z0 of the least load(i) among the (i, score) within 2x of the best
+        score."""
+        best = max(s for _, s in scored)
+        return self._rows[min((i for i, s in scored if s >= 0.5 * best), key=load)][0]
 
     def pattern_points(self) -> tuple:
         """Best point per first-order pattern: (lone d, lone dbar, both), each
         None when absent.
 
-        Within 2x of the best conditioning score (|d|, |dbar| or
-        min(|d|, |dbar|)), the point with the least |f(z0)| wins: the
-        activation magnitude at the localization point sets the cancellation
-        load of every block built there.
+        Within 2x of the best conditioning score, the point with the least
+        |f(z0)| wins: the activation magnitude at the localization point sets
+        the cancellation load of every block built there.
         """
-        tol = self.prof.zero_tol
-        lone_d, lone_db, both = [], [], []
-        for i in range(len(self)):
-            z0, d, dbar, _ = self.first(i)
-            mag = abs(self.value(i))
-            if abs(d) > tol and abs(dbar) <= tol:
-                lone_d.append((z0, abs(d), mag))
-            elif abs(dbar) > tol and abs(d) <= tol:
-                lone_db.append((z0, abs(dbar), mag))
-            elif abs(d) > tol and abs(dbar) > tol:
-                both.append((z0, min(abs(d), abs(dbar)), mag))
-
-        def pick(lst):
-            if not lst:
-                return None
-            best = max(t[1] for t in lst)
-            return min((t for t in lst if t[1] >= 0.5 * best), key=lambda t: t[2])[0]
-
-        return pick(lone_d), pick(lone_db), pick(both)
-
-    def square_point(self):
-        """(z0, which) for the square block, which in {"zzbar", "z2",
-        "zbar2"}, or None when every second derivative vanishes (R-affine).
-
-        The kind is the first of ddbar > d2 > dbar2 that is nonzero somewhere,
-        the order of the square block's cases.  Among points whose value of it
-        is within 2x of the best, the least |f(z0)| + |d| + |dbar| wins: the
-        inner register expansion carries partial sums driven by those loads.
-        """
-        rows = []
-        for i, second in self._seconds():
-            z0, d, dbar, _ = self.first(i)
-            rows.append((z0, second, abs(self.value(i)) + abs(d) + abs(dbar)))
-        for k, which in ((1, "zzbar"), (0, "z2"), (2, "zbar2")):
-            vals = [abs(r[1][k]) for r in rows]
-            if not vals or max(vals) <= self.prof.zero_tol:
-                continue
-            best = max(vals)
-            shortlist = [r for r, v in zip(rows, vals) if v >= 0.5 * best]
-            return min(shortlist, key=lambda r: r[2])[0], which
-        return None
+        groups = self._by_pattern()
+        mag = lambda i: abs(self.value(i))
+        return tuple(self._least_load(groups[p], mag) if groups[p] else None
+                     for p in ("d", "dbar", "both"))
 
     def pair_route(self):
-        """Where a width-2 (z, conj z) block localizes: (z0,) at the point
-        maximizing min(|d|, |dbar|) when some point has both derivatives
-        nonzero, else (z_id, z_conj) at the lone-d point of largest |d| and
-        the lone-dbar point of largest |dbar|; None when either is missing."""
-        tol = self.prof.zero_tol
-        both, id_pts, conj_pts = [], [], []
-        for i in range(len(self)):
-            z0, d, dbar, _ = self.first(i)
-            if abs(d) > tol and abs(dbar) > tol:
-                both.append((z0, min(abs(d), abs(dbar))))
-            elif abs(d) > tol:
-                id_pts.append((z0, abs(d)))
-            elif abs(dbar) > tol:
-                conj_pts.append((z0, abs(dbar)))
-        if both:
-            return (max(both, key=lambda t: t[1])[0],)
-        if not id_pts or not conj_pts:
+        """Where a width-2 (z, conj z) block localizes: (z0,) at the "both"
+        point of the best conditioning score when there is one, else (z_id,
+        z_conj) at the best lone-d and the best lone-dbar point; None when
+        either is missing."""
+        groups = self._by_pattern()
+        best = lambda group: self._rows[max(group, key=lambda t: t[1])[0]][0]
+        if groups["both"]:
+            return (best(groups["both"]),)
+        if not groups["d"] or not groups["dbar"]:
             return None
-        return (max(id_pts, key=lambda t: t[1])[0], max(conj_pts, key=lambda t: t[1])[0])
+        return best(groups["d"]), best(groups["dbar"])
 
     def active_point(self) -> Optional[complex]:
         """The point maximizing max(|d|, |dbar|) among those that pass the
         first-order remainder probe; None when none does.  A point is probed
         only when it would beat the best one so far."""
         best, best_score = None, 0.0
-        for i in range(len(self)):
-            z0, d, dbar, _ = self.first(i)
+        for i, (z0, d, dbar, _) in enumerate(self._rows):
             score = max(abs(d), abs(dbar))
-            if score <= self.prof.zero_tol or score <= best_score:
+            if self._patterns[i] is None or score <= best_score:
                 continue
             if self.taylor_passed(i):
                 best, best_score = z0, score
         return best
 
+    def _second_kind(self):
+        """(name, square kind, [(i, |value|)] over the points whose second
+        probe succeeds) for the first of ddbar > d2 > dbar2 that is nonzero
+        somewhere, the order of the square block's cases; None in the
+        R-affine case."""
+        seconds = []
+        for i in range(len(self)):
+            try:
+                seconds.append((i, self.second(i)))
+            except ProbeFailed:
+                continue
+        for k, name, which in _SECOND_ORDER:
+            if any(self.prof.nonzero(s[k]) for _, s in seconds):
+                return name, which, [(i, abs(s[k])) for i, s in seconds]
+        return None
+
+    def square_point(self):
+        """(z0, which) for the square block, which in {"zzbar", "z2",
+        "zbar2"}, or None when every second derivative vanishes (R-affine).
+
+        Among points whose value of that derivative is within 2x of the
+        best, the least |f(z0)| + |d| + |dbar| wins: the inner register
+        expansion carries partial sums driven by those loads.
+        """
+        found = self._second_kind()
+        if found is None:
+            return None
+        _, which, vals = found
+        load = lambda i: abs(self.value(i)) + abs(self._rows[i][1]) + abs(self._rows[i][2])
+        return self._least_load(vals, load), which
+
     def nonzero_second_point(self):
         """(z0, which) with which the first of ddbar > d2 > dbar2 that is
         nonzero somewhere, at the point of its largest magnitude; None in the
         R-affine case."""
-        best = {"ddbar": (None, 0.0), "d2": (None, 0.0), "dbar2": (None, 0.0)}
-        for i, (d2, ddbar, dbar2, _) in self._seconds():
-            for key, val in (("ddbar", ddbar), ("d2", d2), ("dbar2", dbar2)):
-                if abs(val) > max(self.prof.zero_tol, best[key][1]):
-                    best[key] = (self.first(i)[0], abs(val))
-        for key in ("ddbar", "d2", "dbar2"):
-            if best[key][0] is not None:
-                return best[key][0], key
-        return None
+        found = self._second_kind()
+        if found is None:
+            return None
+        name, _, vals = found
+        return self._rows[max(vals, key=lambda t: t[1])[0]][0], name
 
 
 @functools.lru_cache(maxsize=8)
@@ -678,8 +677,8 @@ class Classification:
             "tolerances": {
                 "zero_tol": prof.zero_tol,
                 "fd_step": prof.fd_step,
-                "richardson_levels": prof.richardson_levels,
-                "polyharmonic_max_order": prof.polyharmonic_max_order,
+                "richardson_levels": RICHARDSON_LEVELS,
+                "polyharmonic_max_order": POLYHARMONIC_MAX_ORDER,
             },
         }
 
@@ -694,13 +693,13 @@ def _is_polyharmonic(spec: ActivationSpec, prof: ToleranceProfile,
             return True, f"{tag}: polyharmonic of order {spec.poly_flag.order}"
         return False, f"{tag}: non-polyharmonic"
     pts = sample_points[: min(5, len(sample_points))]
-    for order in range(1, prof.polyharmonic_max_order + 1):
+    for order in range(1, POLYHARMONIC_MAX_ORDER + 1):
         ests = [laplacian_iterate(spec, z0, order, prof) for z0 in pts]
         tol = max(prof.zero_tol, 10 * max(e.noise_floor for e in ests))
         if all(abs(e.value) <= tol for e in ests):
             return True, f"heuristic: laplacian^{order} ~ 0 at {len(pts)} probe points"
     return False, (
-        f"heuristic: no vanishing iterated laplacian up to order {prof.polyharmonic_max_order}"
+        f"heuristic: no vanishing iterated laplacian up to order {POLYHARMONIC_MAX_ORDER}"
     )
 
 
@@ -718,22 +717,23 @@ def classify_activation(spec: ActivationSpec, n: int = 1, m: int = 1,
             return Classification(verdict, None, f"analytic flag: {flag}")
 
     atlas = probe_atlas(spec, prof)
-    cands = [atlas.first(i) for i in range(len(atlas))]
+    rows = [atlas.first(i) for i in range(len(atlas))]
+    pats = [atlas.pattern(i) for i in range(len(atlas))]
     tol = prof.zero_tol
-    if not flags and cands:
+    if not flags and pats:
         # numeric structural heuristics, documented as heuristics
-        if all(abs(dbar) <= tol for _, _, dbar, _ in cands):
+        if all(p in (None, "d") for p in pats):
             return Classification(
                 "NonUniversalHolomorphic", None,
-                f"heuristic: |dbar| <= {tol} at all {len(cands)} grid points")
-        if all(abs(d) <= tol for _, d, _, _ in cands):
+                f"heuristic: |dbar| <= {tol} at all {len(pats)} grid points")
+        if all(p in (None, "dbar") for p in pats):
             return Classification(
                 "NonUniversalAntiholomorphic", None,
-                f"heuristic: |d| <= {tol} at all {len(cands)} grid points")
+                f"heuristic: |d| <= {tol} at all {len(pats)} grid points")
         # stops at the first point with a failed or nonzero second probe
         for i in range(len(atlas)):
             try:
-                if max(abs(v) for v in atlas.second(i)[:3]) > tol:
+                if any(prof.nonzero(v) for v in atlas.second(i)[:3]):
                     break
             except ProbeFailed:
                 break
@@ -743,24 +743,23 @@ def classify_activation(spec: ActivationSpec, n: int = 1, m: int = 1,
                 f"heuristic: all second Wirtinger derivatives <= {tol} on the grid")
 
     # differentiable point with nonzero derivative
-    passing = [(i, z0, d, dbar) for i, (z0, d, dbar, _) in enumerate(cands)
-               if max(abs(d), abs(dbar)) > tol and atlas.taylor_passed(i)]
+    passing = [i for i, p in enumerate(pats) if p is not None and atlas.taylor_passed(i)]
     if not passing:
         return Classification(
             "Inconclusive", None,
             "no probe point is real differentiable with nonzero derivative")
 
-    lone = [t for t in passing if (abs(t[2]) > tol) != (abs(t[3]) > tol)]
-    sample_pts = [t[1] for t in passing]
-    poly, poly_ev = _is_polyharmonic(spec, prof, sample_pts)
+    lone = [i for i in passing if pats[i] != "both"]
+    poly, poly_ev = _is_polyharmonic(spec, prof, [rows[i][0] for i in passing])
 
     if lone:
-        i, z0, d, dbar = max(lone, key=lambda t: max(abs(t[2]), abs(t[3])))
-        side = "d" if abs(d) > tol else "dbar"
+        i = max(lone, key=lambda i: max(abs(rows[i][1]), abs(rows[i][2])))
+        z0, d, dbar, _ = rows[i]
         verdict = "UniversalPoly_NMplus4" if poly else "UniversalNonPoly_NMplus1"
-        ev = (f"lone nonzero {side} at {z0}: d={d:.6g}, dbar={dbar:.6g}; {poly_ev}")
+        ev = (f"lone nonzero {pats[i]} at {z0}: d={d:.6g}, dbar={dbar:.6g}; {poly_ev}")
     else:
-        i, z0, d, dbar = max(passing, key=lambda t: min(abs(t[2]), abs(t[3])))
+        i = max(passing, key=lambda i: min(abs(rows[i][1]), abs(rows[i][2])))
+        z0, d, dbar, _ = rows[i]
         verdict = "UniversalPoly_2N2Mplus5" if poly else "UniversalNonPoly_2N2Mplus1"
         ev = (f"both derivatives nonzero at {z0}: d={d:.6g}, dbar={dbar:.6g}; {poly_ev}")
     return Classification(verdict, z0, ev, atlas.probe(i))

@@ -15,13 +15,13 @@ from deepnarrow.blocks import (block_error, conj_block, identity_block, mul_bloc
 from deepnarrow.cli import main as cli_main
 from deepnarrow.core import (CompactBox, GridSpec, eval_cvnn, sample_box, width_of)
 from deepnarrow.fitting import FitConfig
-from deepnarrow.lowering import STRATEGIES, lower, strategy_width_budget
+from deepnarrow.lowering import STRATEGIES, lower, plan_lowering, strategy_width_budget
 from deepnarrow.register import (PolyZZbar, eval_register, plan_monomial,
                                  poly_to_register, shallow_to_register,
                                  simulate_plan)
 from deepnarrow.verifier import (affine_closure_demo, end_to_end_nonpoly,
                                  end_to_end_poly, holo_floor_demo,
-                                 kernel_invariance_demo, mul_kind_for, named_target,
+                                 kernel_invariance_demo, named_target,
                                  nowhere_diff_demo, sup_error)
 from deepnarrow.wirtinger import (ToleranceProfile, classify_activation,
                                   second_partials_to_wirtinger, wirt_first,
@@ -255,7 +255,7 @@ def test_acceptance_06_width_budgets(rng):
                     program = shallow_to_register(
                         random_shallow(rng, n, m, 3, spec.activation_id))
                 else:
-                    kind = mul_kind_for(spec, PROF)
+                    kind = plan_lowering(spec, strategy, PROF).mul_kind
                     comps = []
                     for j in range(m):
                         zd = tuple(1 if i == 0 else 0 for i in range(n))

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from deepnarrow.activations import custom_activation, get_activation
+from deepnarrow.activations import available_activations, custom_activation, get_activation
 from deepnarrow.blocks import (block_error, conj_block, id_conj_pair_block,
-                               identity_block, mul_block, pair_block, square_block,
-                               mul_apply)
+                               identity_block, mul_block, pair_block, routed_pair_block,
+                               square_block, mul_apply)
 from deepnarrow.core import CompactBox, GridSpec, eval_cvnn, sample_box
 from deepnarrow.errors import ConstructionError
-from deepnarrow.wirtinger import ToleranceProfile, wirt_first
+from deepnarrow.wirtinger import ToleranceProfile, probe_atlas, wirt_first
 
 PROF = ToleranceProfile()
 BOX = CompactBox.square(1, 1.0)
@@ -142,6 +142,36 @@ def test_id_conj_pair_rejects_affine():
     aff = get_activation("r_affine", {"a": 2, "b": 0, "c": 1})
     with pytest.raises(ConstructionError):
         id_conj_pair_block(aff, PROF, 1e-3)
+
+
+@pytest.mark.parametrize("route", [
+    (1 + 0j, 0j),        # both derivatives nonzero at 1, a lone d at 0
+    (0j, 0j),            # a lone d where the conjugation block goes
+    (1 + 0j, -1 + 1j),   # two points with both derivatives nonzero
+    (0j,),               # the pair block at a lone-d point
+])
+def test_routed_pair_rejects_a_bad_route(route):
+    # z + conj(z)^2: d = 1 everywhere, dbar = 2 conj(z)
+    with pytest.raises(ConstructionError):
+        routed_pair_block(get_activation("z_plus_zbar_sq"), route, 1e-3, PROF)
+
+
+@pytest.mark.parametrize("name", [*available_activations(),
+                                  *(f"conj:{n}" for n in available_activations())])
+def test_first_order_blocks_build_exactly_on_their_atlas_pattern(name):
+    """identity, conjugation and pair blocks build where the atlas pattern is
+    d, dbar and both respectively, and raise ConstructionError elsewhere."""
+    spec = get_activation(name)
+    atlas = probe_atlas(spec, PROF)
+    for i in range(len(atlas)):
+        z0 = atlas.first(i)[0]
+        for build, pattern in ((identity_block, "d"), (conj_block, "dbar"),
+                               (pair_block, "both")):
+            if atlas.pattern(i) == pattern:
+                assert build(spec, z0, 1e-3, PROF).z0 == (z0,)
+            else:
+                with pytest.raises(ConstructionError):
+                    build(spec, z0, 1e-3, PROF)
 
 
 def test_square_block_selection_and_exactness():

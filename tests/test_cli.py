@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from deepnarrow.cli import main
+from deepnarrow.cli import build_parser, main
 from deepnarrow.core import cvnn_from_json, eval_cvnn, width_of
 from deepnarrow.register import PolyZZbar, poly_to_register, program_to_json
 from deepnarrow.activations import get_activation
@@ -363,3 +363,36 @@ def test_config_file_prefills_defaults(tmp_path, capsys):
     rc = run(["classify", "--config", str(cfg), "--activation", "exp",
               "--out", str(out)])
     assert json.loads(out.read_text())["verdict"] == "NonUniversalHolomorphic"
+
+
+_BASE_ARGV = {
+    "classify": ["--activation", "cardioid"],
+    "fit-shallow": ["--activation", "cardioid", "--target", "zzbar"],
+    "fit-poly": ["--target", "zzbar", "--degree", "2"],
+    "lower": ["--activation", "re_square", "--program", "p.json", "--strategy", "Poly_NMplus4"],
+    "sweep": ["--activation", "cardioid", "--block", "identity"],
+    "demo": ["--name", "affine-closure"],
+    "eval": ["--net", "n.json"],
+}
+
+_FLAG_VALUE = {"--box": "0,1", "--grid": "5", "--seed": "1", "--zero-tol": "1e-3",
+               "--fd-step": "1e-4", "--probe-box": "0,1"}
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("classify", "--box"), ("classify", "--grid"), ("classify", "--seed"),
+    ("fit-shallow", "--zero-tol"), ("fit-shallow", "--fd-step"), ("fit-shallow", "--probe-box"),
+    ("fit-poly", "--seed"), ("fit-poly", "--zero-tol"), ("fit-poly", "--fd-step"),
+    ("fit-poly", "--probe-box"),
+    ("lower", "--seed"), ("sweep", "--seed"),
+    ("demo", "--box"), ("demo", "--grid"), ("demo", "--zero-tol"), ("demo", "--fd-step"),
+    ("demo", "--probe-box"),
+    ("eval", "--seed"), ("eval", "--zero-tol"), ("eval", "--fd-step"), ("eval", "--probe-box"),
+])
+def test_subcommand_refuses_a_flag_it_does_not_read(capsys, command, flag):
+    argv = [command, *_BASE_ARGV[command]]
+    build_parser().parse_args(argv)  # the argv without the flag parses
+    with pytest.raises(SystemExit) as exc:
+        run(argv + [flag, _FLAG_VALUE[flag]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err

@@ -15,7 +15,7 @@ from deepnarrow.lowering import (STRATEGIES, assemble_pieces, default_strategy,
                                  strategy_width_budget)
 from deepnarrow.register import (PolyZZbar, eval_register, poly_to_register,
                                  shallow_to_register)
-from deepnarrow.verifier import mul_kind_for, sup_error
+from deepnarrow.verifier import sup_error
 from deepnarrow.wirtinger import ToleranceProfile, classify_activation
 from deepnarrow.core import CompactBox, GridSpec, cvnn_from_json, cvnn_to_json
 
@@ -64,7 +64,7 @@ def test_width_budgets_hard(rng, strategy, n, m):
         net = random_shallow(rng, n, m, 4, spec.activation_id)
         program = shallow_to_register(net)
     else:
-        kind = mul_kind_for(spec, PROF)
+        kind = plan_lowering(spec, strategy, PROF).mul_kind
         program = poly_to_register(_test_poly(n, m), kind)
     lowered = lower(program, spec, strategy, 1e-3, PROF)
     budget = strategy_width_budget(strategy, n, m)
@@ -121,7 +121,7 @@ def test_nonpoly_conj_strategy(rng):
     ("Poly_NMplus4", CONJ_ZB, (1e-3, 1e-5), 1e-2),
 ])
 def test_poly_strategies_converge(strategy, spec, hs, tol):
-    kind = mul_kind_for(spec if spec is not CONJ_ZB else ZB, PROF)
+    kind = plan_lowering(spec, strategy, PROF).mul_kind
     p = PolyZZbar(1, ((1 + 0j, (1,), (0,)), (1 + 0j, (0,), (2,))))
     program = poly_to_register([p], kind)
     box = CompactBox.square(1, 1.0)

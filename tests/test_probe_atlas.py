@@ -18,8 +18,8 @@ from deepnarrow.activations import (available_activations, conjugate_activation,
                                     custom_activation, get_activation, scale_activation)
 from deepnarrow.errors import ConstructionError, ProbeFailed, StrategyMismatch
 from deepnarrow.lowering import STRATEGIES, plan_lowering
-from deepnarrow.wirtinger import (ToleranceProfile, classify_activation, find_active_point,
-                                  find_nonzero_second_point, probe_atlas)
+from deepnarrow.wirtinger import (TAYLOR_RADII, ToleranceProfile, classify_activation,
+                                  find_active_point, find_nonzero_second_point, probe_atlas)
 
 PROF = ToleranceProfile()
 
@@ -346,7 +346,7 @@ def test_taylor_failure_raises_only_where_queried(monkeypatch):
         return probe(*args, **kwargs)
 
     monkeypatch.setattr(wirtinger, "taylor_remainder_probe", counting)
-    bad_circle = 0.5 + PROF.taylor_radii[-1] * np.exp(0j)
+    bad_circle = 0.5 + TAYLOR_RADII[-1] * np.exp(0j)
     clean = probe_atlas(_holed(np.inf), PROF)
     atlas = probe_atlas(_holed(bad_circle), PROF)
     bad = _grid_index(atlas, 0.5 + 0j)
@@ -370,7 +370,7 @@ def test_taylor_failure_at_the_winning_point_raises():
     active_point queries it and raises, as a per-point probe did."""
     winner = find_active_point(_holed(np.inf), PROF)
     with pytest.raises(ProbeFailed):
-        find_active_point(_holed(winner + PROF.taylor_radii[0]), PROF)
+        find_active_point(_holed(winner + TAYLOR_RADII[0]), PROF)
 
 
 @pytest.mark.parametrize("argv", [

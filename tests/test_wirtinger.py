@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from deepnarrow.activations import (available_activations, conjugate_activation,
                                     custom_activation, get_activation, scale_activation)
 from deepnarrow.core import CompactBox, GridSpec
 from deepnarrow.errors import ProbeFailed
-from deepnarrow.wirtinger import (Classification, TaylorReport, ToleranceProfile,
+from deepnarrow.wirtinger import (POLYHARMONIC_MAX_ORDER, TAYLOR_POINTS_PER_CIRCLE,
+                                  TAYLOR_RADII, Classification, TaylorReport, ToleranceProfile,
                                   classify_activation, find_active_point,
                                   find_nonzero_second_point, first_derivs,
                                   laplacian_iterate, second_derivs,
@@ -105,7 +106,7 @@ def test_laplacian_order_bounds():
     with pytest.raises(ValueError):
         laplacian_iterate(spec, 0.0, 0, PROF)
     with pytest.raises(ValueError):
-        laplacian_iterate(spec, 0.0, PROF.polyharmonic_max_order + 1, PROF)
+        laplacian_iterate(spec, 0.0, POLYHARMONIC_MAX_ORDER + 1, PROF)
 
 
 def _counting(spec, calls):
@@ -138,7 +139,7 @@ def _laplacian_per_leaf(spec, z0, order):
 def test_laplacian_one_call_equals_per_leaf_stencil(name):
     spec = get_activation(name)
     for z0 in (0j, 0.5 - 0.25j, -1.5 + 2j):
-        for order in range(1, PROF.polyharmonic_max_order + 1):
+        for order in range(1, POLYHARMONIC_MAX_ORDER + 1):
             calls = []
             est = laplacian_iterate(_counting(spec, calls), z0, order, PROF)
             assert calls == [5**order]
@@ -238,12 +239,29 @@ def test_classifier_heuristic_without_flags():
     assert "heuristic" in cls.evidence
 
 
-def test_classifier_scale_invariance():
-    for name, params, verdict in CLASSIFY_TABLE:
-        spec = get_activation(name, params)
-        for c in (2.0, 1j, 1 - 2j):
-            scaled = scale_activation(spec, c)
-            assert classify_activation(scaled, 1, 1, PROF).verdict == verdict
+SCALE_TABLE = CLASSIFY_TABLE + [
+    ("exp_re", {}, "UniversalNonPoly_2N2Mplus1"),
+    ("tanh_re", {}, "UniversalNonPoly_2N2Mplus1"),
+    ("nowhere_diff", {}, "Inconclusive"),
+]
+
+
+def test_scale_table_covers_the_catalog():
+    assert {name for name, _, _ in SCALE_TABLE} == set(available_activations())
+
+
+@settings(max_examples=30)
+@given(c=st.complex_numbers(min_magnitude=0.25, max_magnitude=4.0,
+                            allow_nan=False, allow_infinity=False))
+@example(c=2.0 + 0j)
+@example(c=1j)
+@example(c=1 - 2j)
+def test_classifier_scale_invariance(c):
+    """Scaling by a constant with |c| in [0.25, 4] keeps the verdict of every
+    catalog activation."""
+    for name, params, verdict in SCALE_TABLE:
+        scaled = scale_activation(get_activation(name, params), c)
+        assert classify_activation(scaled, 1, 1, PROF).verdict == verdict, name
 
 
 def test_numeric_matches_analytic_within_error_estimate(rng):
@@ -319,10 +337,10 @@ def _taylor_per_radius(spec, z0, order):
     if order == 2:
         d2, ddbar, dbar2, _ = second_derivs(spec, z0, PROF)
     f0 = spec(np.array([z0]))[0]
-    n = PROF.taylor_points_per_circle
+    n = TAYLOR_POINTS_PER_CIRCLE
     angles = np.exp(2j * np.pi * np.arange(n) / n)
     ratios, scale = [], 1.0
-    for r in PROF.taylor_radii:
+    for r in TAYLOR_RADII:
         w = r * angles
         fv = spec(z0 + w)
         scale = max(scale, float(np.max(np.abs(fv))))
@@ -368,7 +386,7 @@ def test_taylor_batch_keeps_failures_per_centre():
     out = taylor_remainder_probe(_counting(spec, calls), centres, 1, PROF,
                                  d=np.array([f[0] for f in firsts]),
                                  dbar=np.array([f[1] for f in firsts]))
-    assert calls == [3 * (1 + len(PROF.taylor_radii) * PROF.taylor_points_per_circle)]
+    assert calls == [3 * (1 + len(TAYLOR_RADII) * TAYLOR_POINTS_PER_CIRCLE)]
     assert isinstance(out[0], TaylorReport) and isinstance(out[2], TaylorReport)
     assert isinstance(out[1], ProbeFailed)
     with pytest.raises(ProbeFailed) as lone:
