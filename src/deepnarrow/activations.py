@@ -377,9 +377,7 @@ def _nowhere_diff(params: Mapping) -> ActivationSpec:
 _BUILDERS = {
     "modrelu": _modrelu,
     "cardioid": _cardioid,
-    "card": _cardioid,
     "exp": _holo_exp,
-    "holo_exp": _holo_exp,
     "antiholo_exp": _antiholo_exp,
     "r_affine": _r_affine,
     "re_square": _re_square,
@@ -392,7 +390,7 @@ _BUILDERS = {
 
 
 def available_activations() -> tuple:
-    return tuple(sorted(set(_BUILDERS) - {"card", "holo_exp"}))
+    return tuple(sorted(_BUILDERS))
 
 
 def get_activation(name: str, params: Optional[Mapping] = None) -> ActivationSpec:

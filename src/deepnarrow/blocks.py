@@ -31,7 +31,6 @@ from .wirtinger import ToleranceProfile, first_derivs, probe_atlas, second_deriv
 
 __all__ = [
     "ShallowBlock",
-    "MUL_KINDS",
     "mul_apply",
     "identity_block",
     "conj_block",
@@ -45,9 +44,10 @@ __all__ = [
 
 SQRT_I = np.exp(1j * np.pi / 4)  # the fixed square root of i
 
-#: polarization multiplication variants, keyed by which square is available
-MUL_KINDS = ("mul1", "mul2", "mul3")  # z*w | z*conj(w) | conj(z*w)
+#: the largest residual/h a two-point id/conj pair takes without a warning
+PAIR_TARGET_TOL = 1e-2
 
+#: polarization multiplication variant (z*w | z*conj(w) | conj(z*w)) by square kind
 _SQUARE_TO_MUL = {"zzbar": "mul2", "z2": "mul1", "zbar2": "mul3"}
 
 
@@ -150,25 +150,23 @@ def pair_block(spec: ActivationSpec, z0: complex, h: float,
     return ShallowBlock("pair", pre, post, 2, (z0,), h, scale)
 
 
-def id_conj_pair_block(spec: ActivationSpec, prof: ToleranceProfile, h: float,
-                       target_tol: float = 1e-2) -> ShallowBlock:
+def id_conj_pair_block(spec: ActivationSpec, prof: ToleranceProfile, h: float) -> ShallowBlock:
     """Width-2 approximation of z -> (z, conj z), routed on the probe grid
     by ``ProbeAtlas.pair_route``; see ``routed_pair_block``."""
-    return routed_pair_block(spec, probe_atlas(spec, prof).pair_route(), h, prof, target_tol)
+    return routed_pair_block(spec, probe_atlas(spec, prof).pair_route(), h, prof)
 
 
 def routed_pair_block(spec: ActivationSpec, route, h: float,
-                      prof: ToleranceProfile = ToleranceProfile(),
-                      target_tol: float = 1e-2) -> ShallowBlock:
+                      prof: ToleranceProfile = ToleranceProfile()) -> ShallowBlock:
     """Width-2 approximation of z -> (z, conj z) on a pair route.
 
     A one-point route (z0,) uses the pair block there.  A two-point route
     (z_id, z_conj) puts the identity block at a lone-d point and the
     conjugation block at a lone-dbar point side by side.  There the
     tolerance-level residual of the "zero" derivative enters the output as
-    an O(residual/h) term; a warning is raised when that exceeds target_tol.
-    A missing route (None), or a point without the pattern its block needs,
-    raises ConstructionError.
+    an O(residual/h) term; a warning is raised when that exceeds
+    PAIR_TARGET_TOL.  A missing route (None), or a point without the pattern
+    its block needs, raises ConstructionError.
     """
     if route is None:
         raise ConstructionError(
@@ -182,10 +180,10 @@ def routed_pair_block(spec: ActivationSpec, route, h: float,
     ident, r1 = _lone_block(spec, z1, h, prof, "d")
     conj, r2 = _lone_block(spec, z2, h, prof, "dbar")
     residual = max(r1, r2)
-    if residual / h > target_tol:
+    if residual / h > PAIR_TARGET_TOL:
         warnings.warn(
             f"two-point id/conj pair: residual derivative {residual:.3g} over h={h:.3g} "
-            f"exceeds target tolerance {target_tol:.3g}", RuntimeWarning)
+            f"exceeds target tolerance {PAIR_TARGET_TOL:.3g}", RuntimeWarning)
     pre = ComplexAffineMap(np.vstack([ident.pre.matrix, conj.pre.matrix]),
                            np.concatenate([ident.pre.bias, conj.pre.bias]))
     post = ComplexAffineMap(np.diag([ident.post.matrix[0, 0], conj.post.matrix[0, 0]]),
@@ -272,7 +270,7 @@ def mul_block(spec: ActivationSpec, z0: complex, h: float,
     pre = ComplexAffineMap(np.array(pre_rows, dtype=np.complex128), pre_bias)
     post = ComplexAffineMap(np.array([post_coeffs], dtype=np.complex128), [bias])
     width = len(pre_rows)
-    scale = max(abs(c) for c in post_coeffs)
+    scale = float(max(abs(c) for c in post_coeffs))
     return ShallowBlock(kind, pre, post, width, (z0,), h, scale), kind
 
 

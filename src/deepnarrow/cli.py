@@ -3,9 +3,9 @@
 Subcommands: classify | fit-shallow | fit-poly | compile | lower | sweep |
 demo | eval.  Every run is a deterministic function of its flags and seed;
 the only non-reproducible output line is the timestamp header, suppressed by
---no-timestamp.  A flat key=value config file can prefill any long option
-(flags override the file).  Precondition violations exit nonzero with a
-single machine-parsable line "error[CODE] message" on stderr.
+--no-timestamp.  Each key=value line of a --config file is read as the flag
+--key=value (flags on the command line win).  Precondition violations exit
+nonzero with a single machine-parsable line "error[CODE] message" on stderr.
 """
 
 from __future__ import annotations
@@ -111,6 +111,18 @@ def _schedule(args):
     return (float(args.h),)
 
 
+def _write_compiled(args, verb: str, strategy: str, net, report: SweepReport) -> int:
+    """Write the network and the sweep CSV of compile or lower; print the best row."""
+    report.extras.clear()
+    best = report.best_row()
+    _write(f"{args.out}.net.json" if args.out else None, cvnn_to_json(net))
+    _write(f"{args.out}.sweep.csv" if args.out else None,
+           report.to_csv(not args.no_timestamp))
+    print(f"{verb} strategy={strategy} width={width_of(net)} depth={depth_of(net)} "
+          f"h={best.h:g} sup_error={best.sup_error:.6g}")
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # Subcommand bodies
 # ---------------------------------------------------------------------------
@@ -181,14 +193,7 @@ def _cmd_compile(args):
                         seed=args.seed)
         net, report = verifier.end_to_end_nonpoly(
             fn, spec, args.n, m, cfg, strategy, box, schedule=schedule, prof=prof)
-    report.extras.clear()
-    best = report.best_row()
-    _write(f"{args.out}.net.json" if args.out else None, cvnn_to_json(net))
-    _write(f"{args.out}.sweep.csv" if args.out else None,
-           report.to_csv(not args.no_timestamp))
-    print(f"compile strategy={strategy} width={width_of(net)} depth={depth_of(net)} "
-          f"h={best.h:g} sup_error={best.sup_error:.6g}")
-    return 0
+    return _write_compiled(args, "compile", strategy, net, report)
 
 
 def _cmd_lower(args):
@@ -206,15 +211,8 @@ def _cmd_lower(args):
     report = h_sweep(lambda h: lower(program, spec, args.strategy, h, prof),
                      _schedule(args), box, grid, reference, spec,
                      metadata={"strategy": args.strategy, "activation": spec.name})
-    best = report.best_row()
-    net = report.extras["nets"][best.h]
-    report.extras.clear()
-    _write(f"{args.out}.net.json" if args.out else None, cvnn_to_json(net))
-    _write(f"{args.out}.sweep.csv" if args.out else None,
-           report.to_csv(not args.no_timestamp))
-    print(f"lower strategy={args.strategy} width={width_of(net)} depth={depth_of(net)} "
-          f"h={best.h:g} sup_error={best.sup_error:.6g}")
-    return 0
+    net = report.extras["nets"][report.best_row().h]
+    return _write_compiled(args, "lower", args.strategy, net, report)
 
 
 _SWEEP_BLOCKS = ("conjugation", "identity", "mul", "pair", "square")
@@ -347,7 +345,8 @@ def _add_common(p, activation=False, box=False, seed=False, tolerances=False):
         p.add_argument("--activation", required=True)
         p.add_argument("--param", action="append", metavar="K=V")
     if box:
-        p.add_argument("--box", help="per coordinate 're_lo,re_hi;im_lo,im_hi', '|'-separated")
+        p.add_argument("--box", help="per coordinate 're_lo,re_hi;im_lo,im_hi', '|'-separated; "
+                                     "attach with '=' (--box=-1,1;-1,1) when it begins with '-'")
         p.add_argument("--grid", type=int, default=9)
     if seed:
         p.add_argument("--seed", type=int, default=0)
@@ -357,7 +356,8 @@ def _add_common(p, activation=False, box=False, seed=False, tolerances=False):
     if tolerances:
         p.add_argument("--zero-tol", type=float, default=None)
         p.add_argument("--fd-step", type=float, default=None)
-        p.add_argument("--probe-box", default=None)
+        p.add_argument("--probe-box", default=None,
+                       help="as --box; attach with '=' when it begins with '-'")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -415,7 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, activation=True, box=True, tolerances=True)
     p.add_argument("--block", required=True,
                    help="identity | conjugation | pair | square | mul")
-    p.add_argument("--z0", default=None, metavar="RE,IM")
+    p.add_argument("--z0", default=None, metavar="RE,IM",
+                   help="attach with '=' (--z0=-1,0) when it begins with '-'")
     p.add_argument("--h", default="auto")
     p.set_defaults(fn=_cmd_sweep)
 
@@ -432,47 +433,37 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, box=True)
     p.add_argument("--net", required=True)
     p.add_argument("--at", default=None,
-                   help="points 're,im' (coords ';'-separated, points '|'-separated)")
+                   help="points 're,im' (coords ';'-separated, points '|'-separated); "
+                        "attach with '=' when it begins with '-'")
     p.set_defaults(fn=_cmd_eval)
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv):
-    """Flat key=value file prefills defaults; explicit flags still win."""
-    if "--config" not in argv:
+def expand_config(argv: list) -> list:
+    """Read the file of ``--config PATH`` or ``--config=PATH`` as flags: each
+    ``key=value`` line becomes ``--key=value`` (``key=true`` the bare switch,
+    ``key=false`` nothing) right after the subcommand name, so argparse checks
+    it as it checks a flag, and flags on the command line, parsed later, win."""
+    pre = argparse.ArgumentParser(prog="deepnarrow", add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
         return argv
-    idx = argv.index("--config")
-    path = argv[idx + 1]
-    overrides = {}
+    flags = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            k, _, v = line.partition("=")
-            overrides[k.strip().replace("-", "_")] = v.strip()
-    for action in parser._subparsers._group_actions[0].choices.values():  # noqa: SLF001
-        keyed = {}
-        for act in action._actions:  # noqa: SLF001
-            if act.dest in overrides:
-                raw = overrides[act.dest]
-                if act.type is not None:
-                    keyed[act.dest] = act.type(raw)
-                elif isinstance(act.const, bool) or raw in ("true", "false"):
-                    keyed[act.dest] = raw == "true"
-                else:
-                    keyed[act.dest] = raw
-                act.required = False
-        action.set_defaults(**keyed)
-    return argv
+        for line in map(str.strip, fh):
+            if line and not line.startswith("#"):
+                key, _, value = line.partition("=")
+                flag, value = "--" + key.strip().replace("_", "-"), value.strip()
+                if value != "false":
+                    flags.append(flag if value == "true" else f"{flag}={value}")
+    return argv[:1] + flags + argv[1:]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        argv = _apply_config(parser, argv)
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(expand_config(argv))
         return args.fn(args)
     except SystemExit:
         raise

@@ -125,14 +125,17 @@ def monomial_exponents(n: int, degree: int) -> list:
     return out
 
 
+#: relative size below which fit_poly drops a coefficient
+PRUNE_TOL = 1e-12
+
+
 def fit_poly(f: Callable, n: int, degree: int, box: CompactBox,
-             grid: GridSpec, m: Optional[int] = None,
-             prune_tol: float = 1e-12) -> list:
+             grid: GridSpec, m: Optional[int] = None) -> list:
     """Least-squares fit of all monomials z^alpha conj(z)^beta with
     |alpha| + |beta| <= degree on the grid.  Returns one PolyZZbar per output
     component.  Raises when the grid under-determines the basis.
 
-    Coefficients below prune_tol * (1 + max |coeff|) are dropped so that
+    Coefficients below PRUNE_TOL * (1 + max |coeff|) are dropped so that
     exactly-representable targets compile to minimal register programs.
     """
     if degree < 0:
@@ -162,7 +165,7 @@ def fit_poly(f: Callable, n: int, degree: int, box: CompactBox,
     coef = solve_complex_ridge(design, targets, 0.0)
     polys = []
     for j in range(m):
-        cut = prune_tol * (1.0 + float(np.max(np.abs(coef[:, j]))))
+        cut = PRUNE_TOL * (1.0 + float(np.max(np.abs(coef[:, j]))))
         terms = [(coef[k, j], zd, bd) for k, (zd, bd) in enumerate(exps)
                  if abs(coef[k, j]) > cut]
         polys.append(PolyZZbar(n, tuple(terms)))

@@ -106,9 +106,6 @@ class PolyZZbar:
             out += term
         return out[0] if single else out
 
-    def total_degree(self) -> int:
-        return max((sum(zd) + sum(bd) for _, zd, bd in self.terms), default=0)
-
 
 def _graded_lex_key(term):
     _, zd, bd = term

@@ -485,9 +485,12 @@ def _random_phi_re_net(spec: ActivationSpec, n: int, m: int, width: int,
     return Cvnn((v1, v2, v3), spec.activation_id)
 
 
+#: random points on which kernel_invariance_demo measures the invariance residual
+_RESIDUAL_POINTS = 1000
+
+
 def kernel_invariance_demo(spec: ActivationSpec, n: int, width: Optional[int] = None,
-                           seed: int = 0, mc_samples: int = 100_000,
-                           residual_points: int = 1000) -> KernelDemoReport:
+                           seed: int = 0, mc_samples: int = 100_000) -> KernelDemoReport:
     """Width 2n-1 with a phi(RE z) activation forces a direction v in which
     the whole network is constant: RE(V1 v) = 0 has a nontrivial solution
     because RE o V1 is a real-linear map R^2n -> R^(2n-1).  That invariance
@@ -510,7 +513,8 @@ def kernel_invariance_demo(spec: ActivationSpec, n: int, width: Optional[int] = 
     v = v / np.linalg.norm(v)
 
     rng = np.random.default_rng(seed + 1)
-    zs = rng.uniform(-2, 2, (residual_points, n)) + 1j * rng.uniform(-2, 2, (residual_points, n))
+    shape = (_RESIDUAL_POINTS, n)
+    zs = rng.uniform(-2, 2, shape) + 1j * rng.uniform(-2, 2, shape)
     g = lambda pts: eval_cvnn(net, pts, spec.fn)
     residual = float(np.max(np.linalg.norm(g(zs + v) - g(zs), axis=1)))
 
@@ -546,16 +550,19 @@ def _curve_target(ts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _minmax_line_distance(points: np.ndarray, angle_steps: int = 720,
-                          offset_steps: int = 801, offset_range=(-1.0, 2.0)) -> float:
+#: the line grid of _minmax_line_distance: angles t in [0, pi), offsets c in [-1, 2]
+_LINE_THETAS = np.linspace(0.0, pi, 720, endpoint=False)
+_LINE_OFFSETS = np.linspace(-1.0, 2.0, 801)
+
+
+def _minmax_line_distance(points: np.ndarray) -> float:
     """Brute force over lines {x cos t + y sin t = c} of the max distance to
     the given planar points; returns the min over the line grid."""
-    thetas = np.linspace(0.0, pi, angle_steps, endpoint=False)
-    offsets = np.linspace(offset_range[0], offset_range[1], offset_steps)
-    proj = np.outer(np.cos(thetas), points[:, 0]) + np.outer(np.sin(thetas), points[:, 1])
+    proj = (np.outer(np.cos(_LINE_THETAS), points[:, 0])
+            + np.outer(np.sin(_LINE_THETAS), points[:, 1]))
     best = np.inf
-    for k in range(angle_steps):
-        dist = np.abs(proj[k][None, :] - offsets[:, None])
+    for row in proj:
+        dist = np.abs(row[None, :] - _LINE_OFFSETS[:, None])
         best = min(best, float(np.min(np.max(dist, axis=1))))
     return best
 

@@ -1,9 +1,12 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from deepnarrow.cli import build_parser, main
+from deepnarrow.cli import _parse_kv, build_parser, expand_config, main
 from deepnarrow.core import cvnn_from_json, eval_cvnn, width_of
 from deepnarrow.register import PolyZZbar, poly_to_register, program_to_json
 from deepnarrow.activations import get_activation
@@ -396,3 +399,144 @@ def test_subcommand_refuses_a_flag_it_does_not_read(capsys, command, flag):
         run(argv + [flag, _FLAG_VALUE[flag]])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def _subcommand_flags():
+    """(subcommand, option action) for every settable flag but --config."""
+    sub = build_parser()._subparsers._group_actions[0]  # the parser's only subparsers action
+    return [(name, act) for name, p in sub.choices.items() for act in p._actions
+            if act.option_strings and act.dest not in ("help", "config")]
+
+
+# a value for each flag of type None; the ones that begin with '-' must be
+# attached with '=' on the command line
+_STR_VALUE = {"param": "b=-2", "box": "-1,1;-1,1", "probe_box": "-2,2", "z0": "-1,0",
+              "at": "-0.5,0.5"}
+
+
+def _flag_value(action):
+    return {int: "3", float: "0.5"}.get(action.type, _STR_VALUE.get(action.dest, "x"))
+
+
+def _recorded_args(monkeypatch, command, argv):
+    """The Namespace main hands to the subcommand body for argv, without fn."""
+    from deepnarrow import cli
+
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_" + command.replace("-", "_"),
+                        lambda args: seen.append(args) or 0)
+    assert main(argv) == 0
+    return {k: v for k, v in vars(seen[0]).items() if k != "fn"}
+
+
+@pytest.mark.parametrize("command, action", _subcommand_flags(),
+                         ids=lambda x: x if isinstance(x, str) else x.option_strings[0])
+def test_config_line_parses_as_its_flag(monkeypatch, tmp_path, command, action):
+    flag = action.option_strings[0]
+    key = flag[2:].replace("-", "_")
+    required = [a for c, a in _subcommand_flags() if c == command and a.required]
+    base = [command] + [t for a in required if a is not action
+                        for t in (a.option_strings[0], _flag_value(a))]
+    cfg = tmp_path / "run.cfg"
+    if action.nargs == 0:
+        cfg.write_text(f"{key}=true\n")
+        on_line = [flag]
+    else:
+        value = _flag_value(action)
+        cfg.write_text(f"{key}={value}\n")
+        on_line = [f"{flag}={value}"] if value.startswith("-") else [flag, value]
+    from_file = _recorded_args(monkeypatch, command, base + ["--config", str(cfg)])
+    from_flag = _recorded_args(monkeypatch, command, base + on_line)
+    assert from_file.pop("config") == str(cfg)
+    assert from_flag.pop("config") is None
+    assert from_file == from_flag
+
+
+def test_config_equals_form_is_read(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("activation=cardioid\nno_timestamp=true\n")
+    out = tmp_path / "cfg.json"
+    assert run(["classify", f"--config={cfg}", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["verdict"] == "UniversalNonPoly_NMplus1"
+    assert "generated" not in doc
+    # a switch set to false adds nothing
+    cfg.write_text("activation=cardioid\nno_timestamp=false\n")
+    assert run(["classify", f"--config={cfg}", "--out", str(out)]) == 0
+    assert "generated" in json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("command, line", [
+    ("classify", "seedx=4"),
+    ("fit-poly", "zero_tol=1e-3"),
+])
+def test_config_key_the_subcommand_does_not_take_exits_2(tmp_path, capsys, command, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{line}\n")
+    argv = [command, *_BASE_ARGV[command], "--config", str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --" + line.replace("_", "-") in capsys.readouterr().err
+
+
+def test_config_param_lines_add_up_and_flags_win(monkeypatch, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("activation=r_affine\nparam=a=2\nparam=b=-1\n")
+    args = _recorded_args(monkeypatch, "classify",
+                          ["classify", "--config", str(cfg), "--param", "b=3"])
+    assert _parse_kv(args["param"]) == {"a": 2.0, "b": 3.0}
+
+
+def test_box_with_a_leading_minus_is_attached_with_equals(tmp_path, capsys):
+    argv = ["compile", "--target", "zzbar", "--activation", "re_square", "--degree", "2",
+            "--h", "1e-3", "--no-timestamp"]
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--box", "-1,1;-1,1"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("box=-1,1;-1,1\n")
+    for tag, extra in (("default", []), ("flag", ["--box=-1,1;-1,1"]),
+                       ("config", ["--config", str(cfg)])):
+        assert run(argv + extra + ["--out", str(tmp_path / tag)]) == 0
+    for suffix in (".net.json", ".sweep.csv"):
+        want = (tmp_path / f"default{suffix}").read_bytes()
+        assert (tmp_path / f"flag{suffix}").read_bytes() == want
+        assert (tmp_path / f"config{suffix}").read_bytes() == want
+
+
+def test_every_csv_cell_is_a_number(tmp_path):
+    p = PolyZZbar(1, ((1 + 0j, (0,), (2,)),))
+    prog_path = tmp_path / "prog.json"
+    prog_path.write_text(program_to_json(poly_to_register([p], "mul2")))
+    runs = {
+        "compile.sweep.csv": ["compile", "--target", "zzbar", "--activation", "re_square",
+                              "--degree", "2", "--out", str(tmp_path / "compile")],
+        "lower.sweep.csv": ["lower", "--program", str(prog_path), "--activation", "re_square",
+                            "--strategy", "Poly_Narrow_2N2Mplus5",
+                            "--out", str(tmp_path / "lower")],
+        "shallow.csv": ["fit-shallow", "--target", "re", "--activation", "modrelu",
+                        "--param", "b=-1", "--features", "40", "--out", str(tmp_path / "shallow")],
+    }
+    for block, act, z0 in (("identity", "cardioid", "1,0"), ("conjugation", "antiholo_exp", "1,0"),
+                           ("pair", "cardioid", "0.5,1"), ("square", "re_square", "1,0"),
+                           ("mul", "re_square", "1,0")):
+        runs[f"{block}.csv"] = ["sweep", "--activation", act, "--block", block,
+                                "--z0", z0, "--out", str(tmp_path / f"{block}.csv")]
+    for name, argv in runs.items():
+        assert run(argv + ["--no-timestamp"]) == 0, name
+        lines = [l for l in (tmp_path / name).read_text().splitlines() if l[:1] != "#"]
+        assert lines[0] == "h,sup_error,max_post_coeff,depth,width"
+        for cell in (c for l in lines[1:] for c in l.split(",")):
+            float(cell)
+
+
+def test_readme_cli_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## CLI", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1).replace("\\\n", " ")
+    commands = [shlex.split(l) for l in block.splitlines() if l.startswith("deepnarrow ")]
+    assert len(commands) == 14
+    for argv in commands:
+        build_parser().parse_args(expand_config(argv[1:]))
