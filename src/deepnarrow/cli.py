@@ -192,7 +192,7 @@ def _cmd_compile(args):
                         ridge=args.ridge, box=box, grid=GridSpec(args.grid),
                         seed=args.seed)
         net, report = verifier.end_to_end_nonpoly(
-            fn, spec, args.n, m, cfg, strategy, box, schedule=schedule, prof=prof)
+            fn, spec, args.n, m, cfg, strategy, schedule=schedule, prof=prof)
     return _write_compiled(args, "compile", strategy, net, report)
 
 
@@ -261,45 +261,20 @@ def _cmd_sweep(args):
     return 0
 
 
+_DEMOS = {
+    "lower-bound": lambda args: verifier.kernel_invariance_demo(args.n, args.seed,
+                                                                args.mc_samples),
+    "hyperplane-floor": lambda args: verifier.affine_subspace_floor_demo(),
+    "holo-floor": lambda args: verifier.holo_floor_demo(),
+    "affine-closure": lambda args: verifier.affine_closure_demo(),
+    "nowhere-diff": lambda args: verifier.nowhere_diff_demo(),
+}
+
+
 def _cmd_demo(args):
-    name = args.name
-    if name == "lower-bound":
-        spec = get_activation("tanh_re")
-        rep = verifier.kernel_invariance_demo(spec, args.n, seed=args.seed,
-                                              mc_samples=args.mc_samples)
-        doc = {
-            "demo": name,
-            "nullspace_found": rep.nullspace_found,
-            "invariance_residual": rep.invariance_residual,
-            "l1_estimate": None if rep.l1_estimate is None else
-            {"value": rep.l1_estimate.value, "stderr": rep.l1_estimate.stderr},
-            "l1_threshold": rep.l1_threshold,
-            "passed": rep.passed,
-            "note": rep.note,
-        }
-    elif name == "hyperplane-floor":
-        rep = verifier.affine_subspace_floor_demo()
-        doc = {"demo": name, "vertex_floor": rep.vertex_floor,
-               "degenerate_floor": rep.degenerate_floor,
-               "net_errors": rep.net_errors, "passed": rep.passed}
-    elif name == "holo-floor":
-        rep = verifier.holo_floor_demo()
-        doc = {"demo": name, "floor": rep.floor, "passed": rep.passed,
-               "attempts": len(rep.floor_errors),
-               "note": "true sup-distance on the closed unit disk is 1; the finite "
-                       "box grid only certifies the 0.5 level robustly"}
-    elif name == "affine-closure":
-        rep = verifier.affine_closure_demo()
-        doc = {"demo": name, "affinity_residual": rep.affinity_residual,
-               "passed": rep.passed}
-    elif name == "nowhere-diff":
-        rep = verifier.nowhere_diff_demo()
-        doc = {"demo": name, "best": {"h": rep.best[0], "k": rep.best[1],
-                                      "sup_error": rep.best[2]},
-               "cells": [{"h": h, "k": k, "sup_error": e} for h, k, e in rep.rows],
-               "passed": rep.passed}
-    else:
-        raise ValueError(f"unknown demo {name!r}")
+    if args.name not in _DEMOS:
+        raise ValueError(f"unknown demo {args.name!r}")
+    doc = dict(_DEMOS[args.name](args), demo=args.name)
     _write(args.out, _json_dump(doc, not args.no_timestamp))
     return 0
 
@@ -422,9 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="necessity and robustness demos")
     _add_common(p, seed=True)
-    p.add_argument("--name", required=True,
-                   help="lower-bound | hyperplane-floor | holo-floor | "
-                        "affine-closure | nowhere-diff")
+    p.add_argument("--name", required=True, help=" | ".join(_DEMOS))
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--mc-samples", type=int, default=100_000)
     p.set_defaults(fn=_cmd_demo)
@@ -443,9 +416,15 @@ def expand_config(argv: list) -> list:
     """Read the file of ``--config PATH`` or ``--config=PATH`` as flags: each
     ``key=value`` line becomes ``--key=value`` (``key=true`` the bare switch,
     ``key=false`` nothing) right after the subcommand name, so argparse checks
-    it as it checks a flag, and flags on the command line, parsed later, win."""
+    it as it checks a flag, and flags on the command line, parsed later, win.
+    An abbreviation of ``--config``, which the subcommand would accept without
+    the file being read, exits 2."""
     pre = argparse.ArgumentParser(prog="deepnarrow", add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
+    for flag in (arg.partition("=")[0] for arg in argv):
+        if 2 < len(flag) < len("--config") and "--config".startswith(flag):
+            pre.exit(2, f"deepnarrow: error: {flag} is not read as a config file: "
+                        "write --config in full\n")
     path = pre.parse_known_args(argv)[0].config
     if path is None:
         return argv

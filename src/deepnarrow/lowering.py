@@ -614,7 +614,7 @@ def eval_pieces(pieces: list, spec: ActivationSpec, z) -> np.ndarray:
 
 def lower_pieces(program: RegisterProgram, spec: ActivationSpec, strategy: str,
                  h: float, prof: ToleranceProfile = ToleranceProfile()):
-    """Strategy dispatch; returns (pieces, kit) without fusing."""
+    """Strategy dispatch; returns the pieces without fusing."""
     if strategy not in STRATEGIES:
         raise StrategyMismatch(f"unknown strategy {strategy!r}")
     if strategy.startswith("NonPoly") and program.family != "shallow":
@@ -627,10 +627,8 @@ def lower_pieces(program: RegisterProgram, spec: ActivationSpec, strategy: str,
             f"program was planned for {program.mul_kind} but the activation "
             f"affords {kit.mul_kind}")
     if program.family == "shallow":
-        pieces = _lower_shallow(program, kit, wide=strategy == "NonPoly_2N2Mplus1")
-    else:
-        pieces = _lower_poly(program, kit, strategy)
-    return pieces, kit
+        return _lower_shallow(program, kit, wide=strategy == "NonPoly_2N2Mplus1")
+    return _lower_poly(program, kit, strategy)
 
 
 def lower(program: RegisterProgram, spec: ActivationSpec, strategy: str,
@@ -638,7 +636,7 @@ def lower(program: RegisterProgram, spec: ActivationSpec, strategy: str,
     """Lower a register program to a strict narrow network at localization
     scale h.  The evaluation error against the ideal program vanishes as
     h -> 0 on any fixed box (down to the float cancellation floor)."""
-    pieces, _ = lower_pieces(program, spec, strategy, h, prof)
+    pieces = lower_pieces(program, spec, strategy, h, prof)
     net = assemble_pieces(pieces, spec.activation_id)
     budget = strategy_width_budget(strategy, program.input_dim, program.output_dim)
     w = width_of(net)

@@ -14,13 +14,13 @@ The demo functions exercise the negative results: the rank-deficiency
 invariance of phi(RE z) first layers and the induced L1 lower bound, the
 affine-subspace floor for real-valued activations, closure of R-affine /
 holomorphic / antiholomorphic network classes, and the identity block built
-from the truncated nowhere-differentiable activation.
+from the truncated nowhere-differentiable activation.  Each returns the JSON
+document that ``deepnarrow demo`` writes.
 """
 
 from __future__ import annotations
 
 import csv
-import dataclasses
 import functools
 import io
 from dataclasses import dataclass, field
@@ -429,7 +429,7 @@ def end_to_end_poly(f: Callable, spec: ActivationSpec, n: int, m: int,
 
 
 def end_to_end_nonpoly(f: Callable, spec: ActivationSpec, n: int, m: int,
-                       cfg: FitConfig, strategy: str, box: CompactBox,
+                       cfg: FitConfig, strategy: str,
                        schedule: Sequence[float] = DEFAULT_SWEEP_SCHEDULE,
                        prof: ToleranceProfile = ToleranceProfile()):
     """fit_shallow -> shallow_to_register -> lower, sweeping h.
@@ -442,34 +442,21 @@ def end_to_end_nonpoly(f: Callable, spec: ActivationSpec, n: int, m: int,
     and that error re-measured on the verification grid (finer than the fit
     grid).
     """
-    check_sample_budget(box, _finer(cfg.grid))
+    check_sample_budget(cfg.box, _finer(cfg.grid))
     sigma = plan_lowering(spec, strategy, prof).sigma
-    cfg = dataclasses.replace(cfg, box=box)
     shallow, fit_err = fit_shallow(f, sigma, n, m, cfg)
     net, report = _sweep_program(
-        shallow_to_register(shallow), spec, strategy, f, box, _finer(cfg.grid), schedule,
+        shallow_to_register(shallow), spec, strategy, f, cfg.box, _finer(cfg.grid), schedule,
         prof, metadata={"pipeline": "nonpoly", "activation": spec.name, "strategy": strategy,
                         "features": cfg.num_features, "n": n, "m": m, "seed": cfg.seed},
         fit_key="fit_sup_error_fine", program_fn=sigma.fn)
     report.extras["fit_sup_error"] = fit_err
-    report.extras["shallow"] = shallow
-    report.extras["sigma_name"] = sigma.name
     return net, report
 
 
 # ---------------------------------------------------------------------------
 # Necessity demos
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class KernelDemoReport:
-    nullspace_found: bool
-    invariance_residual: Optional[float]
-    l1_estimate: Optional[MCEstimate]
-    l1_threshold: Optional[float]
-    passed: Optional[bool]
-    note: str = ""
 
 
 def _random_phi_re_net(spec: ActivationSpec, n: int, m: int, width: int,
@@ -489,26 +476,19 @@ def _random_phi_re_net(spec: ActivationSpec, n: int, m: int, width: int,
 _RESIDUAL_POINTS = 1000
 
 
-def kernel_invariance_demo(spec: ActivationSpec, n: int, width: Optional[int] = None,
-                           seed: int = 0, mc_samples: int = 100_000) -> KernelDemoReport:
-    """Width 2n-1 with a phi(RE z) activation forces a direction v in which
-    the whole network is constant: RE(V1 v) = 0 has a nontrivial solution
-    because RE o V1 is a real-linear map R^2n -> R^(2n-1).  That invariance
-    costs an L1 error of at least 0.8 * vol(ball(0.1)) against (|z|, 0) on
-    [-2,2]^2n.  With width 2n the nullspace is generically empty and the demo
-    reports not-applicable.
+def kernel_invariance_demo(n: int, seed: int, mc_samples: int) -> dict:
+    """Width 2n-1 with the phi(RE z) activation tanh_re forces a direction v
+    in which the whole network is constant: RE(V1 v) = 0 has a nontrivial
+    solution because RE o V1 is a real-linear map R^2n -> R^(2n-1).  That
+    invariance costs an L1 error of at least 0.8 * vol(ball(0.1)) against
+    (|z|, 0) on [-2,2]^2n.
     """
+    spec = get_activation("tanh_re")
     m = 2
-    w = 2 * n - 1 if width is None else width
-    net = _random_phi_re_net(spec, n, m, w, seed)
+    net = _random_phi_re_net(spec, n, m, 2 * n - 1, seed)
     v1 = net.affine_maps[0].matrix
-    mreal = np.hstack([v1.real, -v1.imag])  # (w, 2n): RE(V1 v) as map of (vr, vi)
-    _, svals, vh = np.linalg.svd(mreal)
-    rank = int(np.sum(svals > 1e-12 * (svals[0] if svals.size else 1.0)))
-    if rank >= 2 * n:
-        return KernelDemoReport(False, None, None, None, None,
-                                note=f"width {w} >= 2n: RE(V1) has full rank, no invariant direction")
-    vreal = vh[-1]
+    mreal = np.hstack([v1.real, -v1.imag])  # (2n-1, 2n): RE(V1 v) as map of (vr, vi)
+    vreal = np.linalg.svd(mreal)[2][-1]
     v = vreal[:n] + 1j * vreal[n:]
     v = v / np.linalg.norm(v)
 
@@ -525,16 +505,10 @@ def kernel_invariance_demo(spec: ActivationSpec, n: int, width: Optional[int] = 
             pts.shape[0], dtype=np.complex128)] * (m - 1))
     est = l1_error_mc(f, g, box, mc_samples, seed)
     threshold = 0.8 * ball_volume(0.1, 2 * n)
-    passed = est.value >= threshold - 3 * est.stderr
-    return KernelDemoReport(True, residual, est, threshold, bool(passed))
-
-
-@dataclass
-class HyperplaneFloorReport:
-    vertex_floor: float
-    degenerate_floor: float
-    net_errors: list
-    passed: bool
+    return {"nullspace_found": True, "invariance_residual": residual,
+            "l1_estimate": {"value": est.value, "stderr": est.stderr},
+            "l1_threshold": threshold,
+            "passed": bool(est.value >= threshold - 3 * est.stderr), "note": ""}
 
 
 def _curve_target(ts: np.ndarray) -> np.ndarray:
@@ -567,18 +541,19 @@ def _minmax_line_distance(points: np.ndarray) -> float:
     return best
 
 
-def affine_subspace_floor_demo(seeds=(0, 1, 2, 3, 4)) -> HyperplaneFloorReport:
+def affine_subspace_floor_demo() -> dict:
     """Real-valued activations with one output and width 2m-1 = 1 confine the
     network range to a line in R^2; no line comes within 1/2 of all four unit
     square vertices, so the error against the vertex-visiting curve target
-    has a hard floor (0.45 allows for grid slack)."""
+    has a hard floor (0.45 allows for grid slack), checked for fits with
+    seeds 0-4."""
     vertices = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=float)
     floor = _minmax_line_distance(vertices)
     degenerate = _minmax_line_distance(np.array([[0, 0], [0.5, 0.5], [1, 1]], dtype=float))
     spec = get_activation("tanh_re")
     box = CompactBox(((-0.1, 1.1, -0.05, 0.05),))
     errors = []
-    for seed in seeds:
+    for seed in range(5):
         # the bound concerns width 2m-1 = 1: a single real feature, with only
         # the output affine map solved
         cfg = FitConfig(num_features=1, weight_scale=1.0, ridge=1e-10,
@@ -588,7 +563,8 @@ def affine_subspace_floor_demo(seeds=(0, 1, 2, 3, 4)) -> HyperplaneFloorReport:
                         lambda zs: eval_cvnn(net, zs, spec.fn), box, GridSpec(60))
         errors.append(err)
     passed = floor >= 0.5 - 2e-2 and all(e >= 0.45 for e in errors)
-    return HyperplaneFloorReport(floor, degenerate, errors, bool(passed))
+    return {"vertex_floor": floor, "degenerate_floor": degenerate, "net_errors": errors,
+            "passed": bool(passed)}
 
 
 def fit_deep_random(f: Callable, spec: ActivationSpec, n: int, m: int,
@@ -618,24 +594,16 @@ def fit_deep_random(f: Callable, spec: ActivationSpec, n: int, m: int,
     return net, err
 
 
-@dataclass
-class ClosureReport:
-    affinity_residual: Optional[float]
-    floor_errors: list
-    floor: Optional[float]
-    passed: bool
-
-
-def affine_closure_demo(seeds=(0, 1, 2), depths=(2, 3, 5), width: int = 6,
-                        alphas=(-0.5, 0.25, 0.75, 2.0)) -> ClosureReport:
+def affine_closure_demo() -> dict:
     """Networks over an R-affine activation are R-affine: for real alpha,
-    eval(alpha x + (1-alpha) y) = alpha eval(x) + (1-alpha) eval(y)."""
+    eval(alpha x + (1-alpha) y) = alpha eval(x) + (1-alpha) eval(y).  Checked
+    for width-6 networks of depths 2, 3 and 5, seeds 0-2."""
     spec = get_activation("r_affine", {"a": 2, "b": 1, "c": 1})
     worst = 0.0
-    for seed in seeds:
+    for seed in range(3):
         rng = np.random.default_rng(seed)
-        for depth in depths:
-            dims = [2] + [width] * (depth - 1) + [2]
+        for depth in (2, 3, 5):
+            dims = [2] + [6] * (depth - 1) + [2]
             maps = []
             for din, dout in zip(dims, dims[1:]):
                 maps.append(ComplexAffineMap(
@@ -644,62 +612,48 @@ def affine_closure_demo(seeds=(0, 1, 2), depths=(2, 3, 5), width: int = 6,
             net = Cvnn(tuple(maps), spec.activation_id)
             x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            for alpha in alphas:
+            for alpha in (-0.5, 0.25, 0.75, 2.0):
                 lhs = eval_cvnn(net, alpha * x + (1 - alpha) * y, spec.fn)
                 rhs = alpha * eval_cvnn(net, x, spec.fn) + (1 - alpha) * eval_cvnn(net, y, spec.fn)
                 worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    return ClosureReport(worst, [], None, worst < 1e-9)
+    return {"affinity_residual": worst, "passed": worst < 1e-9}
 
 
-def holo_floor_demo(activation: str = "exp", target: str = "zbar",
-                    widths=(8, 16, 32, 64), depths=(2, 3, 4),
-                    seeds=(0, 1, 2, 3, 4), weight_scale: float = 0.5) -> ClosureReport:
-    """Fit campaign against an unreachable target: holomorphic (resp.
-    antiholomorphic) networks cannot leave their closed class, so the sup
-    error against conj(z) (resp. z) stays above 1/2 on the unit box.  The
-    true distance on the closed unit disk is 1; the finite box/grid only
-    certifies the 0.5 level robustly, which is a measurement artifact of the
-    discretization, not of the theorem.
+def holo_floor_demo() -> dict:
+    """Fit campaign against an unreachable target: holomorphic exp networks
+    cannot leave their closed class, so the sup error against conj(z) stays
+    above 1/2 on the unit box, over widths 8-64, depths 2-4 and seeds 0-4.
     """
-    spec = get_activation(activation)
-    fn, m = named_target(target)
+    spec = get_activation("exp")
+    fn, m = named_target("zbar")
     box = CompactBox.square(1, 1.0)
     errors = []
-    for depth in depths:
-        for w in widths:
-            for seed in seeds:
-                cfg = FitConfig(num_features=w, weight_scale=weight_scale,
+    for depth in (2, 3, 4):
+        for w in (8, 16, 32, 64):
+            for seed in range(5):
+                cfg = FitConfig(num_features=w, weight_scale=0.5,
                                 ridge=1e-8, box=box, grid=GridSpec(17), seed=seed)
                 _, err = fit_deep_random(fn, spec, 1, m, w, depth, cfg)
                 errors.append(err)
     floor = min(errors)
-    return ClosureReport(None, errors, floor, floor >= 0.5)
+    return {"floor": floor, "passed": floor >= 0.5, "attempts": len(errors),
+            "note": "true sup-distance on the closed unit disk is 1; the finite "
+                    "box grid only certifies the 0.5 level robustly"}
 
 
-@dataclass
-class NowhereDiffReport:
-    rows: list  # (h, k, sup_error)
-    best: tuple
-    passed: bool
-
-
-def nowhere_diff_demo(hs=DEFAULT_SWEEP_SCHEDULE, k_max: int = 50,
-                      ktrunc: int = 20, tol: float = 1e-2) -> NowhereDiffReport:
+def nowhere_diff_demo() -> dict:
     """Identity block from the nowhere-differentiable activation.
 
     The block sends z -> act(h z + 2 pi k) / h; the sine part contributes
     sin(h z)/h -> z and the bounded rough part is crushed by exp(-2 pi k).
-    Scans (h, k) cells on [-1,1]^2 for sup error below tol.
+    Scans (h, k) cells on [-1,1]^2 for sup error below 1e-2.
     """
-    spec = get_activation("nowhere_diff", {"ktrunc": ktrunc})
-    box = CompactBox.square(1, 1.0)
-    pts = sample_box(box, GridSpec(33))
-    rows = []
-    ks = [1, 2, 3, 5, 8, 13, 21, 34, 50]
-    for h in hs:
-        for k in (k for k in ks if k <= k_max):
+    spec = get_activation("nowhere_diff")
+    pts = sample_box(CompactBox.square(1, 1.0), GridSpec(33))
+    cells = []
+    for h in DEFAULT_SWEEP_SCHEDULE:
+        for k in (1, 2, 3, 5, 8, 13, 21, 34, 50):
             vals = spec.fn(h * pts[:, 0] + 2 * pi * k) / h
-            err = float(np.max(np.abs(vals - pts[:, 0])))
-            rows.append((h, k, err))
-    best = min(rows, key=lambda r: r[2])
-    return NowhereDiffReport(rows, best, best[2] < tol)
+            cells.append({"h": h, "k": k, "sup_error": float(np.max(np.abs(vals - pts[:, 0])))})
+    best = min(cells, key=lambda c: c["sup_error"])
+    return {"best": best, "cells": cells, "passed": best["sup_error"] < 1e-2}

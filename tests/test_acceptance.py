@@ -283,7 +283,7 @@ def test_acceptance_07_end_to_end():
     fn, _ = named_target("zzbar")
     cfg = FitConfig(num_features=300, weight_scale=1.0, ridge=1e-6,
                     grid=GridSpec(21), seed=0)
-    net2, report2 = end_to_end_nonpoly(fn, card, 1, 1, cfg, "NonPoly_NMplus1", BOX)
+    net2, report2 = end_to_end_nonpoly(fn, card, 1, 1, cfg, "NonPoly_NMplus1")
     nonpoly_ok = (width_of(net2) <= 3
                   and report2.best_row().sup_error
                   <= report2.extras["fit_sup_error"] + 1e-2)
@@ -296,15 +296,15 @@ def test_acceptance_07_end_to_end():
 
 
 def test_acceptance_08_lower_bound_demo():
-    spec = get_activation("tanh_re")
-    rep = kernel_invariance_demo(spec, 2, seed=0, mc_samples=100_000)
+    rep = kernel_invariance_demo(2, seed=0, mc_samples=100_000)
     threshold = 0.8 * np.pi**2 * 0.1**4 / 2
-    ok = (rep.nullspace_found
-          and rep.invariance_residual < 1e-9
-          and abs(rep.l1_threshold - threshold) < 1e-12
-          and rep.l1_estimate.value >= threshold - 3 * rep.l1_estimate.stderr)
-    _report(8, f"kernel-vector invariance (residual {rep.invariance_residual:.1e}, "
-               f"L1 {rep.l1_estimate.value:.3g} >= {threshold:.3g})", ok)
+    l1 = rep["l1_estimate"]
+    ok = (rep["nullspace_found"]
+          and rep["invariance_residual"] < 1e-9
+          and abs(rep["l1_threshold"] - threshold) < 1e-12
+          and l1["value"] >= threshold - 3 * l1["stderr"])
+    _report(8, f"kernel-vector invariance (residual {rep['invariance_residual']:.1e}, "
+               f"L1 {l1['value']:.3g} >= {threshold:.3g})", ok)
 
 
 # -- 9 ----------------------------------------------------------------------
@@ -312,21 +312,19 @@ def test_acceptance_08_lower_bound_demo():
 
 def test_acceptance_09_closure_demos():
     aff = affine_closure_demo()
-    holo = holo_floor_demo(activation="exp", target="zbar",
-                           widths=(8, 16, 32, 64), depths=(2, 3, 4),
-                           seeds=(0, 1, 2, 3, 4))
-    ok = aff.affinity_residual < 1e-9 and holo.floor >= 0.5
-    _report(9, f"closure (affinity {aff.affinity_residual:.1e}, "
-               f"holo floor {holo.floor:.3f} over {len(holo.floor_errors)} fits)", ok)
+    holo = holo_floor_demo()
+    ok = aff["affinity_residual"] < 1e-9 and holo["floor"] >= 0.5
+    _report(9, f"closure (affinity {aff['affinity_residual']:.1e}, "
+               f"holo floor {holo['floor']:.3f} over {holo['attempts']} fits)", ok)
 
 
 # -- 10 ---------------------------------------------------------------------
 
 
 def test_acceptance_10_nowhere_diff_demo():
-    rep = nowhere_diff_demo(k_max=50, ktrunc=20, tol=1e-2)
-    h, k, err = rep.best
-    ok = rep.passed and err < 1e-2 and k <= 50
+    rep = nowhere_diff_demo()
+    h, k, err = rep["best"]["h"], rep["best"]["k"], rep["best"]["sup_error"]
+    ok = rep["passed"] and err < 1e-2 and k <= 50
     _report(10, f"nowhere-diff identity block (h={h:g}, k={k}, err {err:.1e})", ok)
 
 

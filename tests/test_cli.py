@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from deepnarrow import verifier
 from deepnarrow.cli import _parse_kv, build_parser, expand_config, main
 from deepnarrow.core import cvnn_from_json, eval_cvnn, width_of
 from deepnarrow.register import PolyZZbar, poly_to_register, program_to_json
@@ -312,6 +313,17 @@ def test_demo_commands(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("name, flags, api", [
+    ("lower-bound", ["--mc-samples", "1000"], lambda: verifier.kernel_invariance_demo(2, 0, 1000)),
+    ("hyperplane-floor", [], verifier.affine_subspace_floor_demo),
+    ("affine-closure", [], verifier.affine_closure_demo),
+])
+def test_demo_document_is_the_api_result_with_its_name(tmp_path, name, flags, api):
+    out = tmp_path / "demo.json"
+    assert run(["demo", "--name", name, *flags, "--no-timestamp", "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == json.loads(json.dumps(dict(api(), demo=name)))
+
+
 def test_eval_command(tmp_path):
     spec = get_activation("cardioid")
     from conftest import random_shallow
@@ -478,6 +490,20 @@ def test_config_key_the_subcommand_does_not_take_exits_2(tmp_path, capsys, comma
         run(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments: --" + line.replace("_", "-") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--config"[:k] for k in range(3, len("--config"))])
+@pytest.mark.parametrize("attached", [False, True])
+def test_config_abbreviation_exits_2(tmp_path, capsys, flag, attached):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("activation=exp\n")
+    given = [f"{flag}={cfg}"] if attached else [flag, str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        run(["classify", *given, "--activation", "cardioid", "--no-timestamp"])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+    # other abbreviations are still argparse's to expand
+    assert run(["classify", "--act", "cardioid", "--no-timestamp"]) == 0
 
 
 def test_config_param_lines_add_up_and_flags_win(monkeypatch, tmp_path):
