@@ -284,10 +284,17 @@ def _z_plus_zbar_sq(params: Mapping) -> ActivationSpec:
 
 
 def _abs_square(params: Mapping) -> ActivationSpec:
+    def fn(z):
+        # conj(z) is bound to a name so that numpy cannot reuse it in place:
+        # from 16,384 values on it would compute conj(z) * z, and a complex
+        # product in the other order can differ in the last bit
+        zbar = np.conj(z)
+        return (z * zbar).astype(np.complex128)
+
     return ActivationSpec(
         name="abs_square",
         params=(),
-        fn=lambda z: (z * np.conj(z)).astype(np.complex128),
+        fn=fn,
         analytic_first=lambda z0: (np.conj(z0), complex(z0)),
         analytic_second=lambda z0: (0j, 1 + 0j, 0j),
         poly_flag=PolyharmonicFlag(True, 2),
@@ -364,7 +371,8 @@ def _nowhere_diff(params: Mapping) -> ActivationSpec:
     def fn(z):
         z = np.asarray(z, dtype=np.complex128)
         w = wsum(np.real(z)) + 1j * wsum(np.imag(z))
-        return np.sin(z) + w * np.exp(-z)
+        decay = np.exp(-z)  # named, as conj(z) in _abs_square
+        return np.sin(z) + w * decay
 
     return ActivationSpec(
         name="nowhere_diff",

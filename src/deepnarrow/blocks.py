@@ -13,7 +13,7 @@ that vanishes as h -> 0:
                  one of z*w / z*conj(w) / conj(z*w)
 
 Post-map coefficients scale as h^-1 (first order) and h^-2 (squares), which
-is the conditioning price of small h; constructors record that scale.
+is the conditioning price of small h; a block's ``post_scale`` reads it off.
 """
 
 from __future__ import annotations
@@ -63,21 +63,23 @@ def mul_apply(kind: str, z, w):
 
 @dataclass(frozen=True)
 class ShallowBlock:
-    """One hidden layer with explicit pre/post affine maps.
+    """One hidden layer with explicit pre/post affine maps around the
+    activation, localized at the points z0.  Its width (the neurons) and its
+    post scale (the largest |post-map matrix coefficient|, h^-1 or h^-2
+    times the inverse derivative) are read off the maps."""
 
-    kind is one of identity | conjugation | pair | id_conj_pair |
-    square_zzbar | square_z2 | square_zbar2 | mul1 | mul2 | mul3.
-    ``post_scale`` records the predicted magnitude of the largest post-map
-    matrix coefficient (h^-1 or h^-2 times the inverse derivative).
-    """
-
-    kind: str
     pre: ComplexAffineMap
     post: ComplexAffineMap
-    width: int
     z0: tuple
-    h: float
-    post_scale: float
+
+    @property
+    def width(self) -> int:
+        return self.pre.out_dim
+
+    @property
+    def post_scale(self) -> float:
+        # scalar abs: numpy's vectorized complex abs may round differently
+        return float(max(map(abs, self.post.matrix.flat)))
 
     def to_cvnn(self, spec: ActivationSpec) -> Cvnn:
         return Cvnn((self.pre, self.post), spec.activation_id)
@@ -109,7 +111,7 @@ def _lone_block(spec: ActivationSpec, z0: complex, h: float, prof: ToleranceProf
     c = 1.0 / (h * v)
     pre = ComplexAffineMap(_col([h]), [z0])
     post = ComplexAffineMap(_col([c]).T, [-f0 * c])
-    return ShallowBlock(kind, pre, post, 1, (z0,), h, abs(c)), abs(r) / abs(v)
+    return ShallowBlock(pre, post, (z0,)), abs(r) / abs(v)
 
 
 def identity_block(spec: ActivationSpec, z0: complex, h: float,
@@ -146,8 +148,7 @@ def pair_block(spec: ActivationSpec, z0: complex, h: float,
         np.array([[1j * c1, c1], [-1j * c2, c2]], dtype=np.complex128),
         [-(1 + 1j) * f0 * c1, -(1 - 1j) * f0 * c2],
     )
-    scale = max(abs(c1), abs(c2))
-    return ShallowBlock("pair", pre, post, 2, (z0,), h, scale)
+    return ShallowBlock(pre, post, (z0,))
 
 
 def id_conj_pair_block(spec: ActivationSpec, prof: ToleranceProfile, h: float) -> ShallowBlock:
@@ -173,8 +174,7 @@ def routed_pair_block(spec: ActivationSpec, route, h: float,
             "no usable probe points for id/conj pair: activation appears "
             "holomorphic, antiholomorphic, or R-affine on the probe grid")
     if len(route) == 1:
-        blk = pair_block(spec, route[0], h, prof)
-        return ShallowBlock("id_conj_pair", blk.pre, blk.post, 2, blk.z0, h, blk.post_scale)
+        return pair_block(spec, route[0], h, prof)
 
     z1, z2 = route
     ident, r1 = _lone_block(spec, z1, h, prof, "d")
@@ -188,8 +188,7 @@ def routed_pair_block(spec: ActivationSpec, route, h: float,
                            np.concatenate([ident.pre.bias, conj.pre.bias]))
     post = ComplexAffineMap(np.diag([ident.post.matrix[0, 0], conj.post.matrix[0, 0]]),
                             np.concatenate([ident.post.bias, conj.post.bias]))
-    return ShallowBlock("id_conj_pair", pre, post, 2, ident.z0 + conj.z0, h,
-                        max(ident.post_scale, conj.post_scale))
+    return ShallowBlock(pre, post, ident.z0 + conj.z0)
 
 
 def square_block(spec: ActivationSpec, z0: complex, h: float,
@@ -215,18 +214,18 @@ def square_block(spec: ActivationSpec, z0: complex, h: float,
         c = 1.0 / (4 * h**2 * ddbar)
         pre = ComplexAffineMap(_col([h, -h, 1j * h, -1j * h]), [z0] * 4)
         post = ComplexAffineMap(np.array([[c, c, c, c]]), [-4 * f0 * c])
-        return ShallowBlock("square_zzbar", pre, post, 4, (z0,), h, abs(c)), "zzbar"
+        return ShallowBlock(pre, post, (z0,)), "zzbar"
     if prof.nonzero(d2):
         c = 1.0 / (2 * h**2 * d2)
         pre = ComplexAffineMap(_col([h, -h, SQRT_I * h, -SQRT_I * h]), [z0] * 4)
         post = ComplexAffineMap(np.array([[c, c, -1j * c, -1j * c]]),
                                 [2 * (-1 + 1j) * f0 * c])
-        return ShallowBlock("square_z2", pre, post, 4, (z0,), h, abs(c)), "z2"
+        return ShallowBlock(pre, post, (z0,)), "z2"
     if prof.nonzero(dbar2):
         c = 1.0 / (h**2 * dbar2)
         pre = ComplexAffineMap(_col([h, -h, 0, 0]), [z0] * 4)
         post = ComplexAffineMap(np.array([[c, c, 0, 0]]), [-2 * f0 * c])
-        return ShallowBlock("square_zbar2", pre, post, 4, (z0,), h, abs(c)), "zbar2"
+        return ShallowBlock(pre, post, (z0,)), "zbar2"
     raise ConstructionError(
         f"all second Wirtinger derivatives vanish at z0={z0} "
         f"(locally R-affine): d2={d2:.3g}, ddbar={ddbar:.3g}, dbar2={dbar2:.3g}")
@@ -269,9 +268,7 @@ def mul_block(spec: ActivationSpec, z0: complex, h: float,
         bias += coef * sq_bias
     pre = ComplexAffineMap(np.array(pre_rows, dtype=np.complex128), pre_bias)
     post = ComplexAffineMap(np.array([post_coeffs], dtype=np.complex128), [bias])
-    width = len(pre_rows)
-    scale = float(max(abs(c) for c in post_coeffs))
-    return ShallowBlock(kind, pre, post, width, (z0,), h, scale), kind
+    return ShallowBlock(pre, post, (z0,)), kind
 
 
 def block_error(block: ShallowBlock, spec: ActivationSpec, target: Callable,

@@ -127,18 +127,15 @@ class _StageBuilder:
         """One unit that applies the activation to a slot as it stands."""
         return self._unit([slot], 1, 0j)
 
-    def block_units(self, block: ShallowBlock, slots) -> list:
-        """Instantiate a block's neurons on the given register slots: each
-        pre row of the block is added into those columns of a zero row, so
-        every zero weight is +0 whatever the sign of the block's zeros."""
-        return [self._unit(slots, row, bias)
-                for row, bias in zip(block.pre.matrix, block.pre.bias)]
-
-    @staticmethod
-    def block_output(block: ShallowBlock, unit_idxs, out_row: int):
-        combo = [(unit_idxs[r], block.post.matrix[out_row, r])
-                 for r in range(len(unit_idxs))]
-        return combo, complex(block.post.bias[out_row])
+    def cross(self, block: ShallowBlock, slots, rows: int = 1) -> list:
+        """Instantiate a block's neurons on the given register slots and
+        return the outputs of its first ``rows`` post rows.  Each pre row of
+        the block is added into those columns of a zero row, so every zero
+        weight is +0 whatever the sign of the block's zeros."""
+        units = [self._unit(slots, row, bias)
+                 for row, bias in zip(block.pre.matrix, block.pre.bias)]
+        return [(list(zip(units, block.post.matrix[r])), complex(block.post.bias[r]))
+                for r in range(rows)]
 
     def finish(self, outputs) -> Stage:
         """outputs: list of (combo, bias) with combo = [(unit, coef), ...]."""
@@ -178,10 +175,7 @@ def _make_conj_realizer(spec: ActivationSpec, z0c: complex, hc: float,
     exactly from two activation evaluations and folded into the block bias,
     leaving only the O(h)-decaying input-dependent remainder.
     """
-    d, dbar, _ = first_derivs(spec, z0c, prof)
-    if prof.pattern(d, dbar) != "dbar":
-        raise StrategyMismatch(
-            f"conjugate realization needs a lone-dbar point; at {z0c}: d={d:.3g}, dbar={dbar:.3g}")
+    dbar = first_derivs(spec, z0c, prof)[1]
     f0 = complex(spec(np.array([z0c]))[0])
     cc = 1.0 / (hc * dbar)
 
@@ -288,29 +282,17 @@ def _plan(spec: ActivationSpec, strategy: str, prof: ToleranceProfile) -> Loweri
 class _Kit:
     sigma: ActivationSpec
     realize: Callable
-    id_blk: Optional[ShallowBlock] = None     # width-1 identity
+    id_blk: Optional[ShallowBlock] = None     # identity; the pair where the plan has none
     pair_blk: Optional[ShallowBlock] = None   # width-2 (z, conj z)
     mul_blk: Optional[ShallowBlock] = None
-    mul_kind: Optional[str] = None
-
-    def id_cross(self, builder: _StageBuilder, slot: int):
-        """Cheapest identity crossing: width-1 block when available, else the
-        first output of the 2-neuron pair."""
-        blk = self.pair_blk if self.id_blk is None else self.id_blk
-        return builder.block_output(blk, builder.block_units(blk, [slot]), 0)
-
-    def pair_cross(self, builder: _StageBuilder, slot: int):
-        """(z, conj z) from one plain slot; 2 neurons."""
-        units = builder.block_units(self.pair_blk, [slot])
-        return (builder.block_output(self.pair_blk, units, 0),
-                builder.block_output(self.pair_blk, units, 1))
 
 
 def _build_kit(spec: ActivationSpec, plan: LoweringPlan, h: float,
                prof: ToleranceProfile) -> _Kit:
     """Build the plan's blocks at localization scale h: the identity, pair
     and conjugation blocks at h, the square block at sqrt(h), or at h under
-    Poly_Wide_2N2Mplus12."""
+    Poly_Wide_2N2Mplus12.  Without an identity point, the first output of
+    the pair block is the identity crossing."""
     realize = _direct_realizer
     if plan.realizer_point is not None:
         realize = _make_conj_realizer(spec, plan.realizer_point, h, prof)
@@ -324,11 +306,13 @@ def _build_kit(spec: ActivationSpec, plan: LoweringPlan, h: float,
     # one-dimensional).
     if plan.square_point is not None:
         sq_h = h if plan.strategy == "Poly_Wide_2N2Mplus12" else float(np.sqrt(h))
-        kit.mul_blk, kit.mul_kind = mul_block(plan.sigma, plan.square_point, sq_h, prof)
+        kit.mul_blk = mul_block(plan.sigma, plan.square_point, sq_h, prof)[0]
     if plan.id_point is not None:
         kit.id_blk = identity_block(plan.sigma, plan.id_point, h, prof)
     if plan.pair_route is not None:
         kit.pair_blk = routed_pair_block(plan.sigma, plan.pair_route, h, prof)
+    if kit.id_blk is None:
+        kit.id_blk = kit.pair_blk
     return kit
 
 
@@ -342,7 +326,7 @@ def _emit(pieces: list, kit: _Kit, stage: Stage):
         pieces.append(("stage", realized))
 
 
-def _lower_shallow(program: RegisterProgram, kit: _Kit, wide: bool) -> list:
+def _lower_shallow(program: RegisterProgram, kit: _Kit) -> list:
     n, m = program.input_dim, program.output_dim
     s = n + m + 1
     iu = n
@@ -359,13 +343,9 @@ def _lower_shallow(program: RegisterProgram, kit: _Kit, wide: bool) -> list:
     # realized once; only the transitions carry a layer's flush and reload,
     # and they are built as one stack.
     builder = _StageBuilder(s)
-
-    def cross(slot):
-        return kit.pair_cross(builder, slot)[0] if wide else kit.id_cross(builder, slot)
-
-    outputs = [cross(i) for i in range(n)]
+    outputs = [builder.cross(kit.id_blk, [i])[0] for i in range(n)]
     outputs.append(([(builder.raw_unit(iu), 1.0)], 0j))
-    outputs += [cross(n + 1 + j) for j in range(m)]
+    outputs += [builder.cross(kit.id_blk, [n + 1 + j])[0] for j in range(m)]
     stages = tuple(kit.realize(builder.finish(outputs)))
     pieces += [("stage", stage) for stage in stages]
 
@@ -380,16 +360,14 @@ def _lower_shallow(program: RegisterProgram, kit: _Kit, wide: bool) -> list:
             trans[k, iu, :n], trans_b[k, iu] = lay.reload
     pieces.append(("layers", Layers(stages, AffineArrays(trans, trans_b))))
 
-    pieces.append(("affine", _end_map(program, s, n + 1)))
+    pieces.append(("affine", _end_map(program, s)))
     return pieces
 
 
-def _end_map(program: RegisterProgram, s: int, iv: int) -> AffineArrays:
-    """Read the m output registers, from slot iv on, and add the end bias."""
-    end = np.zeros((program.output_dim, s), dtype=np.complex128)
-    for j in range(program.output_dim):
-        end[j, iv + j] = 1
-    return _affine(end, np.asarray(program.end_bias))
+def _end_map(program: RegisterProgram, s: int) -> AffineArrays:
+    """Read the m output registers, the last m slots, and add the end bias."""
+    m = program.output_dim
+    return _affine(np.eye(m, s, s - m), program.end_bias)
 
 
 def _flush_map(lay: FlushLayer, s: int, iw: int, iv: int) -> AffineArrays:
@@ -408,7 +386,7 @@ def _ladder_stages(kit: _Kit, s: int, cross_registers: Callable) -> list:
     s + 1 feeds one raw neuron."""
     builder = _StageBuilder(s + 2)
     outputs = cross_registers(builder)
-    outputs.append(kit.id_cross(builder, s))
+    outputs += builder.cross(kit.id_blk, [s])
     outputs.append(([(builder.raw_unit(s + 1), 1.0)], 0j))
     return kit.realize(builder.finish(outputs))
 
@@ -487,10 +465,10 @@ def _lower_poly(program: RegisterProgram, kit: _Kit, strategy: str) -> list:
         z_outs, zb_outs = [], []
         for q in range(n):
             if pairs or q == refresh:
-                z_out, zb_out = kit.pair_cross(builder, q)
+                z_out, zb_out = builder.cross(kit.pair_blk, [q], rows=2)
                 zb_outs.append(zb_out)
             else:
-                z_out = kit.id_cross(builder, q)
+                z_out = builder.cross(kit.id_blk, [q])[0]
             z_outs.append(z_out)
         return z_outs, zb_outs
 
@@ -499,21 +477,19 @@ def _lower_poly(program: RegisterProgram, kit: _Kit, strategy: str) -> list:
         w crosses the multiplication block with that operand."""
         z_outs, zb_outs = cross_inputs(builder, refresh)
         if not zb_outs:
-            zb_outs = [kit.id_cross(builder, n)]
+            zb_outs = builder.cross(kit.id_blk, [n])
         if op_idx is None:
-            w_out = kit.id_cross(builder, iw)
+            w_outs = builder.cross(kit.id_blk, [iw])
         else:
-            units = builder.block_units(kit.mul_blk, [op_idx, iw])
-            w_out = builder.block_output(kit.mul_blk, units, 0)
-        return z_outs + zb_outs + [w_out] + [kit.id_cross(builder, iv + j) for j in range(m)]
+            w_outs = builder.cross(kit.mul_blk, [op_idx, iw])
+        return z_outs + zb_outs + w_outs + [builder.cross(kit.id_blk, [iv + j])[0]
+                                            for j in range(m)]
 
     # T_init: (z, conj z or g = 0, w = 1, v = 0) built by one hidden layer
     builder = _StageBuilder(n)
     z_outs, zb_outs = cross_inputs(builder)
     outputs = z_outs + (zb_outs or [([], 0j)]) + [([], 1 + 0j)] + [([], 0j)] * m
-    pieces.append(("affine", _affine(np.eye(n), np.zeros(n))))
     _emit(pieces, kit, builder.finish(outputs))
-    pieces.append(("affine", _affine(np.eye(s), np.zeros(s))))
 
     stages = None
     conj_src = None
@@ -536,7 +512,7 @@ def _lower_poly(program: RegisterProgram, kit: _Kit, strategy: str) -> list:
             stages = _ladder_stages(kit, s, cross_registers)
         _emit_mul_ladder(pieces, kit, stages, s, op_idx, iw)
 
-    pieces.append(("affine", _end_map(program, s, iv)))
+    pieces.append(("affine", _end_map(program, s)))
     return pieces
 
 
@@ -621,13 +597,14 @@ def lower_pieces(program: RegisterProgram, spec: ActivationSpec, strategy: str,
         raise StrategyMismatch(f"{strategy} needs a shallow-family program")
     if strategy.startswith("Poly") and program.family != "poly":
         raise StrategyMismatch(f"{strategy} needs a poly-family program")
-    kit = _build_kit(spec, plan_lowering(spec, strategy, prof), h, prof)
-    if program.family == "poly" and program.mul_kind != kit.mul_kind:
+    plan = plan_lowering(spec, strategy, prof)
+    if program.family == "poly" and program.mul_kind != plan.mul_kind:
         raise StrategyMismatch(
             f"program was planned for {program.mul_kind} but the activation "
-            f"affords {kit.mul_kind}")
+            f"affords {plan.mul_kind}")
+    kit = _build_kit(spec, plan, h, prof)
     if program.family == "shallow":
-        return _lower_shallow(program, kit, wide=strategy == "NonPoly_2N2Mplus1")
+        return _lower_shallow(program, kit)
     return _lower_poly(program, kit, strategy)
 
 

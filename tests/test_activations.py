@@ -231,3 +231,16 @@ def test_value_does_not_depend_on_the_batch(spec):
     block = bits(spec(pts.reshape(8, 8)))
     assert np.array_equal(alone, batch)
     assert np.array_equal(block, batch)
+
+
+@pytest.mark.parametrize("spec", _elementwise_specs(), ids=lambda s: s.name)
+def test_value_does_not_depend_on_the_call_size(spec):
+    """One call on 40,000 points gives the bits of calls on 2,000.  From
+    16,384 complex values on, numpy reuses a temporary operand in place,
+    which turns a * tmp into tmp * a, and a complex product in the other
+    order can differ in the last bit."""
+    rng = np.random.default_rng(8)
+    pts = random_points(rng, 40_000, 1, 2.0)[:, 0]
+    bits = lambda v: np.asarray(v, dtype=np.complex128).view(np.uint64)
+    parts = np.concatenate([bits(spec(pts[i : i + 2000])) for i in range(0, len(pts), 2000)])
+    assert np.array_equal(bits(spec(pts)), parts)

@@ -545,11 +545,15 @@ def test_every_csv_cell_is_a_number(tmp_path):
         "shallow.csv": ["fit-shallow", "--target", "re", "--activation", "modrelu",
                         "--param", "b=-1", "--features", "40", "--out", str(tmp_path / "shallow")],
     }
+    # the square block of cardioid and the pair block of modrelu at 1 (an
+    # excluded point) take finite-difference derivatives
     for block, act, z0 in (("identity", "cardioid", "1,0"), ("conjugation", "antiholo_exp", "1,0"),
                            ("pair", "cardioid", "0.5,1"), ("square", "re_square", "1,0"),
-                           ("mul", "re_square", "1,0")):
-        runs[f"{block}.csv"] = ["sweep", "--activation", act, "--block", block,
-                                "--z0", z0, "--out", str(tmp_path / f"{block}.csv")]
+                           ("mul", "re_square", "1,0"), ("square", "cardioid", "1,0"),
+                           ("pair", "modrelu", "1,0")):
+        name = f"{block}-{act}.csv"
+        runs[name] = ["sweep", "--activation", act, "--block", block,
+                      "--z0", z0, "--out", str(tmp_path / name)]
     for name, argv in runs.items():
         assert run(argv + ["--no-timestamp"]) == 0, name
         lines = [l for l in (tmp_path / name).read_text().splitlines() if l[:1] != "#"]

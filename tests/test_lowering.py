@@ -154,6 +154,19 @@ def test_lower_mul_kind_mismatch():
         lower(p, RE_SQ, "Poly_Narrow_2N2Mplus5", 1e-3, PROF)
 
 
+def test_wrong_mul_kind_is_refused_before_any_block_is_built(monkeypatch):
+    # abs_square affords mul2; the plan says so before any block exists
+    p = poly_to_register([PolyZZbar(1, ((1, (2,), (0,)),))], "mul1")
+    built = []
+    for name in ("mul_block", "identity_block", "routed_pair_block"):
+        build = getattr(lowering, name)
+        monkeypatch.setattr(lowering, name,
+                            lambda *a, _name=name, _build=build: built.append(_name) or _build(*a))
+    with pytest.raises(StrategyMismatch, match="planned for mul1 but the activation affords mul2"):
+        lower(p, ABS_SQ, "Poly_Narrow_2N2Mplus5", 1e-3, PROF)
+    assert built == []
+
+
 def test_lower_precondition_mismatch(rng):
     net = random_shallow(rng, 1, 1, 3, MODRELU.activation_id)
     program = shallow_to_register(net)
