@@ -336,6 +336,9 @@ def _add_common(p, activation=False, box=False, seed=False, tolerances=False):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand.  Each sets ``fn`` to a lambda that
+    looks its body up by name when called, so the parser holds no body and a
+    body replaced on the module is the one that runs."""
     parser = argparse.ArgumentParser(
         prog="deepnarrow",
         description="Classify complex activations, compile deep narrow "
@@ -344,9 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="Wirtinger decision tree for one activation")
     _add_common(p, activation=True, tolerances=True)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--m", type=int, default=1)
-    p.set_defaults(fn=_cmd_classify)
+    p.add_argument("--n", type=int, default=1,
+                   help="input dimension; the verdict does not depend on it")
+    p.add_argument("--m", type=int, default=1,
+                   help="output dimension; the verdict does not depend on it")
+    p.set_defaults(fn=lambda args: _cmd_classify(args))
 
     p = sub.add_parser("fit-shallow", help="random-feature ridge fit of a named target")
     _add_common(p, activation=True, box=True, seed=True)
@@ -356,14 +361,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", type=int, default=200)
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--ridge", type=float, default=1e-8)
-    p.set_defaults(fn=_cmd_fit_shallow)
+    p.set_defaults(fn=lambda args: _cmd_fit_shallow(args))
 
     p = sub.add_parser("fit-poly", help="least-squares polynomial in z and conj(z)")
     _add_common(p, box=True)
     p.add_argument("--target", required=True)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--degree", type=int, required=True)
-    p.set_defaults(fn=_cmd_fit_poly)
+    p.set_defaults(fn=lambda args: _cmd_fit_poly(args))
 
     p = sub.add_parser("compile", help="end-to-end target -> narrow network")
     _add_common(p, activation=True, box=True, seed=True, tolerances=True)
@@ -377,14 +382,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", type=int, default=120)
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--ridge", type=float, default=1e-6)
-    p.set_defaults(fn=_cmd_compile)
+    p.set_defaults(fn=lambda args: _cmd_compile(args))
 
     p = sub.add_parser("lower", help="lower a serialized register program")
     _add_common(p, activation=True, box=True, tolerances=True)
     p.add_argument("--program", required=True)
     p.add_argument("--strategy", required=True)
     p.add_argument("--h", default="auto")
-    p.set_defaults(fn=_cmd_lower)
+    p.set_defaults(fn=lambda args: _cmd_lower(args))
 
     p = sub.add_parser("sweep", help="h-sweep one building block")
     _add_common(p, activation=True, box=True, tolerances=True)
@@ -393,14 +398,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z0", default=None, metavar="RE,IM",
                    help="attach with '=' (--z0=-1,0) when it begins with '-'")
     p.add_argument("--h", default="auto")
-    p.set_defaults(fn=_cmd_sweep)
+    p.set_defaults(fn=lambda args: _cmd_sweep(args))
 
     p = sub.add_parser("demo", help="necessity and robustness demos")
     _add_common(p, seed=True)
     p.add_argument("--name", required=True, help=" | ".join(_DEMOS))
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--mc-samples", type=int, default=100_000)
-    p.set_defaults(fn=_cmd_demo)
+    p.set_defaults(fn=lambda args: _cmd_demo(args))
 
     p = sub.add_parser("eval", help="evaluate a serialized network")
     _add_common(p, box=True)
@@ -408,8 +413,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", default=None,
                    help="points 're,im' (coords ';'-separated, points '|'-separated); "
                         "attach with '=' when it begins with '-'")
-    p.set_defaults(fn=_cmd_eval)
+    p.set_defaults(fn=lambda args: _cmd_eval(args))
     return parser
+
+
+#: Built once, at import, so a process pays for them when it sets up, not on
+#: every call.  argparse makes a fresh Namespace on every parse and copies
+#: the defaults it appends to, so no parse sees another's flags.
+_PARSER = build_parser()
+
+_CONFIG_PARSER = argparse.ArgumentParser(prog="deepnarrow", add_help=False, allow_abbrev=False)
+_CONFIG_PARSER.add_argument("--config")
 
 
 def expand_config(argv: list) -> list:
@@ -419,13 +433,11 @@ def expand_config(argv: list) -> list:
     it as it checks a flag, and flags on the command line, parsed later, win.
     An abbreviation of ``--config``, which the subcommand would accept without
     the file being read, exits 2."""
-    pre = argparse.ArgumentParser(prog="deepnarrow", add_help=False, allow_abbrev=False)
-    pre.add_argument("--config")
     for flag in (arg.partition("=")[0] for arg in argv):
         if 2 < len(flag) < len("--config") and "--config".startswith(flag):
-            pre.exit(2, f"deepnarrow: error: {flag} is not read as a config file: "
-                        "write --config in full\n")
-    path = pre.parse_known_args(argv)[0].config
+            _CONFIG_PARSER.exit(2, f"deepnarrow: error: {flag} is not read as a config "
+                                   "file: write --config in full\n")
+    path = _CONFIG_PARSER.parse_known_args(argv)[0].config
     if path is None:
         return argv
     flags = []
@@ -442,7 +454,7 @@ def expand_config(argv: list) -> list:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(expand_config(argv))
+        args = _PARSER.parse_args(expand_config(argv))
         return args.fn(args)
     except SystemExit:
         raise

@@ -283,6 +283,9 @@ def eval_cvnn(net: Cvnn, z, activation_fn=None) -> np.ndarray:
     """Evaluate the alternating composition at a single point (in_dim,) or a
     batch (N, in_dim): ``eval_cvnns`` of the one network.  ``activation_fn``
     overrides the catalog lookup (it must be vectorized over complex arrays).
+    A single point, or a batch of one row, takes the one-row matmul kernel:
+    its values can differ in the last bits from that point's inside a
+    batch of several rows.
 
     Raises EvaluationFailure if an activation output is non-finite.
     """

@@ -85,26 +85,37 @@ def _as_batch(values, count) -> np.ndarray:
 _ROW_BLOCK = 2048
 
 
+def _row_blocks(count: int) -> list:
+    """The (start, stop) row ranges of count rows evaluated at once:
+    _ROW_BLOCK rows each, a lone last row folded into the block before it.
+    A one-row matmul takes another BLAS kernel than a block of rows, and its
+    values can differ from that row's inside a block in the last bits."""
+    starts = list(range(0, count, _ROW_BLOCK))
+    if len(starts) > 1 and count - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [count]))
+
+
 def _values(f: Callable, pts: np.ndarray) -> np.ndarray:
-    """f on every row of pts as an (N, m) array, evaluated _ROW_BLOCK rows at
-    a time."""
-    blocks = [pts[start:start + _ROW_BLOCK] for start in range(0, pts.shape[0], _ROW_BLOCK)]
-    return np.concatenate([_as_batch(f(block), block.shape[0]) for block in blocks])
+    """f on every row of pts as an (N, m) array, evaluated a block of rows at
+    a time (``_row_blocks``)."""
+    return np.concatenate([_as_batch(f(pts[start:stop]), stop - start)
+                           for start, stop in _row_blocks(pts.shape[0])])
 
 
 def _row_errors(fv: np.ndarray, g: Callable, pts: np.ndarray) -> np.ndarray:
     """||f(z) - g(z)||_2 for every row z of pts, where fv holds the values of
-    f on pts and g is evaluated _ROW_BLOCK rows at a time.  Each row's value
-    is the one a single pass over all rows gives."""
+    f on pts and g is evaluated a block of rows at a time (``_row_blocks``).
+    When pts has more than one row, each row's value is the one a single
+    pass over all rows gives."""
     norms = np.empty(pts.shape[0])
-    for start in range(0, pts.shape[0], _ROW_BLOCK):
-        block = pts[start:start + _ROW_BLOCK]
-        want = fv[start:start + block.shape[0]]
-        got = _as_batch(g(block), block.shape[0])
+    for start, stop in _row_blocks(pts.shape[0]):
+        want = fv[start:stop]
+        got = _as_batch(g(pts[start:stop]), stop - start)
         if got.shape != want.shape:
             raise DimensionMismatch(f"output shapes differ: {want.shape} vs {got.shape}")
         with np.errstate(over="ignore"):  # an error too large for a double is inf
-            norms[start:start + block.shape[0]] = np.linalg.norm(want - got, axis=1)
+            norms[start:stop] = np.linalg.norm(want - got, axis=1)
     return norms
 
 

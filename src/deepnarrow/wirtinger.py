@@ -349,15 +349,13 @@ def _taylor_batch(spec: ActivationSpec, zs: list, order: int, prof: TolerancePro
     f0, fv = vals[: len(z)], vals[len(z):].reshape(circles.shape)
     f0_ok = np.isfinite(f0)
     circle_ok = np.isfinite(fv).all(axis=2)
-    good = []
-    for j, k in enumerate(live):
-        if not f0_ok[j]:
-            out[k] = _failure([zs[k]])
-        elif not circle_ok[j].all():
-            out[k] = _failure(circles[j, int(np.argmin(circle_ok[j]))])
-        else:
-            good.append(j)
-    if not good:
+    finite = f0_ok & circle_ok.all(axis=1)
+    for j in np.flatnonzero(~finite):
+        k = live[j]
+        out[k] = (_failure([zs[k]]) if not f0_ok[j]
+                  else _failure(circles[j, int(np.argmin(circle_ok[j]))]))
+    good = np.flatnonzero(finite)
+    if not good.size:
         return out
     c = np.array([coefs[j] for j in good], dtype=np.complex128).T[:, :, None, None]
     fv, wc = fv[good], np.conj(w)
@@ -365,14 +363,20 @@ def _taylor_batch(spec: ActivationSpec, zs: list, order: int, prof: TolerancePro
     if order == 2:
         theta = theta - c[2] * w**2 - c[3] * w * wc - c[4] * wc**2
     ratios = np.max(np.abs(theta), axis=2) / np.array([r**order for r in radii])
-    scales = np.max(np.abs(fv), axis=(1, 2))
-    for j, rts, scale in zip(good, ratios.tolist(), scales.tolist()):
-        floor = 1e-8 * max(1.0, scale)
-        ok = all(rt <= floor for rt in rts) or all(
-            nxt <= max(0.9 * cur, floor) for cur, nxt in zip(rts, rts[1:])
-        )
+    floors = 1e-8 * np.maximum(1.0, np.max(np.abs(fv), axis=(1, 2)))
+    passed = _taylor_passes(ratios, floors)
+    for j, rts, floor, ok in zip(good, ratios.tolist(), floors.tolist(), passed.tolist()):
         out[live[j]] = TaylorReport(zs[live[j]], order, tuple(radii), tuple(rts), floor, ok)
     return out
+
+
+def _taylor_passes(ratios: np.ndarray, floors: np.ndarray) -> np.ndarray:
+    """Per row of (centre, radius) remainder ratios: every ratio is at most
+    the centre's floor, or each ratio is at most max(0.9 x the one before,
+    floor).  A NaN ratio fails both comparisons it takes part in."""
+    floors = floors[:, None]
+    return ((ratios <= floors).all(1)
+            | (ratios[:, 1:] <= np.maximum(0.9 * ratios[:, :-1], floors)).all(1))
 
 
 class _AtlasPoint:
@@ -706,7 +710,8 @@ def _is_polyharmonic(spec: ActivationSpec, prof: ToleranceProfile,
 def classify_activation(spec: ActivationSpec, n: int = 1, m: int = 1,
                         prof: ToleranceProfile = ToleranceProfile()) -> Classification:
     """Full decision tree.  The width numbers quoted in the verdicts refer to
-    the sufficient hidden width for networks C^n -> C^m."""
+    the sufficient hidden width for networks C^n -> C^m; the verdict itself
+    depends on the activation alone, and ``n`` and ``m`` are not read."""
     flags = spec.class_flags
     for flag, verdict in (
         ("holomorphic", "NonUniversalHolomorphic"),

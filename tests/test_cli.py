@@ -570,3 +570,55 @@ def test_readme_cli_commands_parse():
     assert len(commands) == 14
     for argv in commands:
         build_parser().parse_args(expand_config(argv[1:]))
+
+
+# ---------------------------------------------------------------------------
+# One parser per process: later calls build none and share no state
+# ---------------------------------------------------------------------------
+
+
+def _classify_bytes(tmp_path, *flags):
+    out = tmp_path / "classify.json"
+    assert run(["classify", *flags, "--no-timestamp", "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def test_later_calls_construct_no_parser(monkeypatch, tmp_path):
+    import argparse
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("activation=cardioid\n")
+    _classify_bytes(tmp_path, "--activation", "cardioid")
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: built.append(kw.get("prog")) or init(self, *a, **kw))
+    _classify_bytes(tmp_path, "--activation", "cardioid")
+    _classify_bytes(tmp_path, "--config", str(cfg))
+    assert run(["compile", "--target", "zzbar", "--activation", "re_square", "--degree", "2",
+                "--out", str(tmp_path / "c"), "--no-timestamp"]) == 0
+    assert built == []
+    build_parser()  # the count sees a parser when one is built
+    assert built
+
+
+def test_param_lists_do_not_build_up(tmp_path):
+    alone = _classify_bytes(tmp_path, "--activation", "modrelu")
+    assert _classify_bytes(tmp_path, "--activation", "modrelu", "--param", "b=-2") != alone
+    assert _classify_bytes(tmp_path, "--activation", "modrelu") == alone
+
+
+def test_config_flags_do_not_carry_into_the_next_call(monkeypatch, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("fd_step=1e-4\nno_timestamp=true\nparam=b=-2\n")
+    plain = ["classify", "--activation", "modrelu"]
+    before = _recorded_args(monkeypatch, "classify", plain)
+    configured = _recorded_args(monkeypatch, "classify", plain + ["--config", str(cfg)])
+    assert (configured["fd_step"], configured["no_timestamp"], configured["param"]) == (
+        1e-4, True, ["b=-2"])
+    assert _recorded_args(monkeypatch, "classify", plain) == before
+
+
+def test_classify_does_not_read_n_or_m(tmp_path):
+    default = _classify_bytes(tmp_path, "--activation", "cardioid")
+    assert _classify_bytes(tmp_path, "--activation", "cardioid", "--n", "3", "--m", "2") == default

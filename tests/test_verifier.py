@@ -275,6 +275,26 @@ def test_sup_error_blocks_equal_one_pass(monkeypatch, n, target, points_per_axis
         assert sup_error(f, g, box, grid) == want
 
 
+def test_no_row_is_evaluated_alone(monkeypatch, rng):
+    """324 = 19 x 17 + 1 rows: the last row goes with the block before it.
+    Alone it would take the one-row matmul kernel, whose values for this
+    lowered network differ from a block's in the last bits."""
+    monkeypatch.setattr(verifier, "_ROW_BLOCK", 17)
+    card = get_activation("cardioid")
+    program = shallow_to_register(random_shallow(rng, 1, 1, 4, card.activation_id))
+    net = lower(program, card, "NonPoly_NMplus1", 1e-3, PROF)
+    f = lambda zs: eval_register(program, zs, card.fn)
+    g = lambda zs: eval_cvnn(net, zs, card.fn)
+    pts = sample_box(BOX, GridSpec(18))
+    assert width_of(net) == 3 and pts.shape[0] % 17 == 1
+    sizes = []
+    counted = lambda zs: sizes.append(zs.shape[0]) or g(zs)
+    fv = verifier._values(f, pts)
+    assert fv.tobytes() == f(pts).tobytes()
+    assert verifier._row_errors(fv, counted, pts).tobytes() == _one_pass_norms(f, g, pts).tobytes()
+    assert sizes == [17] * 18 + [18]
+
+
 @pytest.mark.parametrize("samples", [100, 2048, 4096, 4097])
 def test_l1_error_mc_blocks_equal_one_pass(samples):
     assert verifier._ROW_BLOCK == 2048

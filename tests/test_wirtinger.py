@@ -396,6 +396,48 @@ def test_taylor_batch_keeps_failures_per_centre():
         taylor_remainder_probe(spec, np.zeros((2, 2)), 1, PROF)
 
 
+def _scalar_taylor_rule(rts, floor):
+    """The per-centre remainder verdict, one Python comparison at a time."""
+    return all(rt <= floor for rt in rts) or all(
+        nxt <= max(0.9 * cur, floor) for cur, nxt in zip(rts, rts[1:]))
+
+
+_FLOOR = 1e-8
+_EDGE_ROWS = [
+    [_FLOOR] * 4,                                        # every ratio equals the floor
+    [_FLOOR, 2 * _FLOOR, 3 * _FLOOR, 4 * _FLOOR],        # rising from the floor
+    [1e-10, 5e-9, 2e-9, 9e-9],                           # all below the floor, not falling
+    [1.0, 0.9, 0.9 * 0.9, 0.9 * 0.9 * 0.9],              # next = exactly 0.9 x current
+    [1.0, 0.9, np.nextafter(0.9 * 0.9, 1.0), 0.5],       # one step just above 0.9 x
+    [1.0, 0.5, 0.6, 0.1],                                # one rising step
+    [1.0, 0.5, 0.5 * 0.9 + 1e-3, _FLOOR],                # a slow step, then the floor
+    [0.1, 5e-9, 8e-9, 9e-9],                             # falls to the floor, then rises below it
+    [0.1, 5e-9, 8e-9, 2e-8],                             # ... and rises above it
+    [np.nan, 0.5, 0.1, 0.01],                            # a NaN ratio, first
+    [1.0, 0.5, np.nan, 0.01],                            # ... inside
+    [1e-9, 1e-9, 1e-9, np.nan],                          # ... after ratios below the floor
+    [np.inf, 0.5, 0.1, 0.01],                            # an infinite ratio
+    [0.0, 0.0, 0.0, 0.0],
+]
+
+
+def test_batched_taylor_verdict_is_the_scalar_rule():
+    from deepnarrow.wirtinger import _taylor_passes
+
+    ratios = np.array(_EDGE_ROWS)
+    # one floor for all rows, then a floor per row
+    for floors in (np.full(len(ratios), _FLOOR), np.full(len(ratios), 0.5),
+                   np.resize([_FLOOR, 0.5, 2.0], len(ratios))):
+        want = [_scalar_taylor_rule(rts, floor)
+                for rts, floor in zip(ratios.tolist(), floors.tolist())]
+        assert _taylor_passes(ratios, floors).tolist() == want
+        for row, floor, ok in zip(ratios, floors, want):
+            assert _taylor_passes(row[None], floor[None]).tolist() == [ok]
+    assert _taylor_passes(ratios, np.full(len(_EDGE_ROWS), _FLOOR)).tolist() == [
+        True, False, True, True, False, False, False, True, False,
+        False, False, False, True, True]
+
+
 # ---------------------------------------------------------------------------
 # Verdict properties
 # ---------------------------------------------------------------------------
