@@ -7,13 +7,13 @@ budgets numerically on compact boxes.
 """
 
 from .activations import (ActivationSpec, PolyharmonicFlag, available_activations,
-                          conjugate_activation, custom_activation, eval_activation,
-                          get_activation, scale_activation)
-from .blocks import (ShallowBlock, block_error, conj_block, id_conj_pair_block,
-                     identity_block, mul_block, pair_block, square_block)
+                          conjugate_activation, custom_activation, get_activation,
+                          scale_activation)
+from .blocks import (ShallowBlock, conj_block, id_conj_pair_block, identity_block,
+                     mul_block, pair_block, square_block)
 from .core import (CompactBox, ComplexAffineMap, Cvnn, GridSpec, cvnn_from_json,
                    cvnn_to_json, depth_of, eval_affine, eval_cvnn, fuse_affine,
-                   hidden_widths, pad_hidden_width, sample_box, width_of)
+                   hidden_widths, sample_box, width_of)
 from .errors import (ConstructionError, DimensionMismatch, EvaluationFailure,
                      FitSingular, InvalidActivationParams, ProbeFailed,
                      StrategyMismatch, UnknownActivation)

@@ -24,7 +24,6 @@ __all__ = [
     "ActivationSpec",
     "PolyharmonicFlag",
     "get_activation",
-    "eval_activation",
     "available_activations",
     "conjugate_activation",
     "scale_activation",
@@ -51,8 +50,9 @@ class ActivationSpec:
     class_flags: frozenset = frozenset()         # subset of {"holomorphic","antiholomorphic","r_affine"}
     exclusion: Optional[Callable] = None         # z0 -> bool, True on non-differentiable loci
 
-    def __call__(self, z):
-        return self.fn(np.asarray(z, dtype=np.complex128))
+    def __call__(self, z) -> np.ndarray:
+        """The activation on z, scalar or array, as complex128 values."""
+        return np.asarray(self.fn(np.asarray(z, dtype=np.complex128)), dtype=np.complex128)
 
     @property
     def activation_id(self) -> ActivationId:
@@ -141,8 +141,17 @@ def custom_activation(name: str, fn: Callable, **kwargs) -> ActivationSpec:
 # ---------------------------------------------------------------------------
 
 
+#: The least normal float.  1/r is finite from here up; below it, among the
+#: subnormal moduli, it overflows and z * s * (1/r) would be NaN.
+_TINY = np.finfo(np.float64).tiny
+
+
 def _scaled_by_inverse_modulus(z, s, r, mask):
     """z * s / r where ``mask`` holds and 0 elsewhere, for real s and r = |z|.
+
+    ``mask`` must exclude subnormal r, whose 1/r overflows: both catalog
+    members are 0 there, as they already are for |z| below ~1e-162, where
+    z * s underflows.
 
     Multiplies by a real reciprocal instead of dividing by r as a complex
     number.  numpy's complex / real division also multiplies by 1/r, so the
@@ -161,11 +170,14 @@ def _modrelu(params: Mapping) -> ActivationSpec:
     if b >= 0:
         raise InvalidActivationParams(f"modrelu requires b < 0, got {b}")
 
+    # r > -b is s > 0, exactly; the bound only moves for a subnormal b
+    r_min = max(-b, _TINY)
+
     def fn(z):
         z = np.asarray(z, dtype=np.complex128)
         r = np.abs(z)
         s = r + b
-        return _scaled_by_inverse_modulus(z, s, r, s > 0)
+        return _scaled_by_inverse_modulus(z, s, r, r > r_min)
 
     def first(z0):
         r = abs(z0)
@@ -193,7 +205,7 @@ def _cardioid(params: Mapping) -> ActivationSpec:
         r = np.abs(z)
         s = r + z.real
         s *= 0.5
-        return _scaled_by_inverse_modulus(z, s, r, r > 0)
+        return _scaled_by_inverse_modulus(z, s, r, r >= _TINY)
 
     def first(z0):
         r = abs(z0)
@@ -413,11 +425,3 @@ def get_activation(name: str, params: Optional[Mapping] = None) -> ActivationSpe
         raise UnknownActivation(f"unknown activation {name!r}")
     return builder(params)
 
-
-def eval_activation(spec: ActivationSpec, z):
-    """Scalar or batch evaluation; total on C by construction."""
-    z = np.asarray(z, dtype=np.complex128)
-    out = spec.fn(z)
-    if np.ndim(z) == 0:
-        return complex(out)
-    return out

@@ -14,18 +14,18 @@ that vanishes as h -> 0:
 
 Post-map coefficients scale as h^-1 (first order) and h^-2 (squares), which
 is the conditioning price of small h; a block's ``post_scale`` reads it off.
+A block is evaluated and measured as the depth-2 network ``to_cvnn`` gives.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .activations import ActivationSpec
-from .core import CompactBox, ComplexAffineMap, Cvnn, GridSpec, eval_affine, sample_box
+from .core import ComplexAffineMap, Cvnn
 from .errors import ConstructionError
 from .wirtinger import ToleranceProfile, first_derivs, probe_atlas, second_derivs
 
@@ -39,7 +39,6 @@ __all__ = [
     "routed_pair_block",
     "square_block",
     "mul_block",
-    "block_error",
 ]
 
 SQRT_I = np.exp(1j * np.pi / 4)  # the fixed square root of i
@@ -82,11 +81,9 @@ class ShallowBlock:
         return float(max(map(abs, self.post.matrix.flat)))
 
     def to_cvnn(self, spec: ActivationSpec) -> Cvnn:
+        """The block as the depth-2 network it is; evaluate and measure it
+        as one (``eval_cvnn``, ``verifier.sup_error``)."""
         return Cvnn((self.pre, self.post), spec.activation_id)
-
-    def __call__(self, spec: ActivationSpec, z):
-        hidden = spec.fn(eval_affine(self.pre, z))
-        return eval_affine(self.post, hidden)
 
 
 def _col(values) -> np.ndarray:
@@ -100,10 +97,10 @@ def _lone_block(spec: ActivationSpec, z0: complex, h: float, prof: ToleranceProf
     Returns (block, |other derivative| / |v|): the residual that the
     tolerance still lets through, relative to v."""
     z0 = complex(z0)
-    d, dbar, _ = first_derivs(spec, z0, prof)
+    d, dbar, est = first_derivs(spec, z0, prof)
     kind, other, v, r = (("identity", "dbar", d, dbar) if side == "d"
                          else ("conjugation", "d", dbar, d))
-    if prof.pattern(d, dbar) != side:
+    if prof.pattern(d, dbar, est) != side:
         raise ConstructionError(
             f"{kind} block needs |{side}| > tol >= |{other}| at z0={z0}: "
             f"d={d:.3g}, dbar={dbar:.3g}")
@@ -136,8 +133,8 @@ def pair_block(spec: ActivationSpec, z0: complex, h: float,
         (-i y1 + y2 - (1-i) f(z0)) / (-2 i h dbar)  ~ conj z
     """
     z0 = complex(z0)
-    d, dbar, _ = first_derivs(spec, z0, prof)
-    if prof.pattern(d, dbar) != "both":
+    d, dbar, est = first_derivs(spec, z0, prof)
+    if prof.pattern(d, dbar, est) != "both":
         raise ConstructionError(
             f"pair block needs both derivatives nonzero at z0={z0}: d={d:.3g}, dbar={dbar:.3g}")
     f0 = complex(spec(np.array([z0]))[0])
@@ -208,20 +205,20 @@ def square_block(spec: ActivationSpec, z0: complex, h: float,
     Returns (block, which) with which in {"zzbar", "z2", "zbar2"}.
     """
     z0 = complex(z0)
-    d2, ddbar, dbar2, _ = second_derivs(spec, z0, prof)
+    d2, ddbar, dbar2, est = second_derivs(spec, z0, prof)
     f0 = complex(spec(np.array([z0]))[0])
-    if prof.nonzero(ddbar):
+    if prof.nonzero(ddbar, est):
         c = 1.0 / (4 * h**2 * ddbar)
         pre = ComplexAffineMap(_col([h, -h, 1j * h, -1j * h]), [z0] * 4)
         post = ComplexAffineMap(np.array([[c, c, c, c]]), [-4 * f0 * c])
         return ShallowBlock(pre, post, (z0,)), "zzbar"
-    if prof.nonzero(d2):
+    if prof.nonzero(d2, est):
         c = 1.0 / (2 * h**2 * d2)
         pre = ComplexAffineMap(_col([h, -h, SQRT_I * h, -SQRT_I * h]), [z0] * 4)
         post = ComplexAffineMap(np.array([[c, c, -1j * c, -1j * c]]),
                                 [2 * (-1 + 1j) * f0 * c])
         return ShallowBlock(pre, post, (z0,)), "z2"
-    if prof.nonzero(dbar2):
+    if prof.nonzero(dbar2, est):
         c = 1.0 / (h**2 * dbar2)
         pre = ComplexAffineMap(_col([h, -h, 0, 0]), [z0] * 4)
         post = ComplexAffineMap(np.array([[c, c, 0, 0]]), [-2 * f0 * c])
@@ -270,15 +267,3 @@ def mul_block(spec: ActivationSpec, z0: complex, h: float,
     post = ComplexAffineMap(np.array([post_coeffs], dtype=np.complex128), [bias])
     return ShallowBlock(pre, post, (z0,)), kind
 
-
-def block_error(block: ShallowBlock, spec: ActivationSpec, target: Callable,
-                box: CompactBox, grid: GridSpec) -> float:
-    """Max Euclidean output error of the block against the target over the grid."""
-    pts = sample_box(box, grid)
-    got = block(spec, pts)
-    want = np.asarray(target(pts), dtype=np.complex128)
-    if want.ndim == 1:
-        want = want[:, None]
-    if got.shape != want.shape:
-        raise ValueError(f"target shape {want.shape} != block output {got.shape}")
-    return float(np.max(np.linalg.norm(got - want, axis=1)))

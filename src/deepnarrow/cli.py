@@ -20,8 +20,7 @@ import numpy as np
 
 from . import verifier
 from .activations import get_activation
-from .blocks import (block_error, conj_block, identity_block, mul_apply, mul_block,
-                     pair_block, square_block)
+from .blocks import conj_block, identity_block, mul_apply, mul_block, pair_block, square_block
 from .core import (CompactBox, GridSpec, cvnn_from_json, cvnn_to_json, depth_of,
                    eval_cvnn, sample_box, width_of)
 from .errors import (ConstructionError, DimensionMismatch, EvaluationFailure, FitSingular,
@@ -253,7 +252,8 @@ def _cmd_sweep(args):
     rows = []
     for h in _schedule(args):
         blk, target, blk_box = _sweep_case(args.block, spec, z0, h, prof, box)
-        err = block_error(blk, spec, target, blk_box, grid)
+        err = verifier._net_error(lambda g: sup_error(target, g, blk_box, grid),
+                                  blk.to_cvnn(spec), spec)
         rows.append(verifier.SweepRow(h, err, blk.post_scale, 2, blk.width))
     report = SweepReport(rows, {"block": args.block, "activation": spec.name,
                                 "z0": repr(z0)})

@@ -40,7 +40,6 @@ __all__ = [
     "depth_of",
     "max_coeff",
     "hidden_widths",
-    "pad_hidden_width",
     "sample_box",
     "check_sample_budget",
     "MAX_SAMPLE_POINTS",
@@ -54,6 +53,18 @@ def _as_complex_matrix(m) -> np.ndarray:
     if a.ndim != 2:
         raise DimensionMismatch(f"matrix must be 2-d, got shape {a.shape}")
     return a
+
+
+def _as_batch(values, count: int) -> np.ndarray:
+    """Values of a function on count points as an (count, m) complex array:
+    a 1-d result is one column.  Raises DimensionMismatch when the rows are
+    not count."""
+    v = np.asarray(values, dtype=np.complex128)
+    if v.ndim == 1:
+        v = v[:, None]
+    if v.shape[0] != count:
+        raise DimensionMismatch(f"expected {count} rows, got {v.shape[0]}")
+    return v
 
 
 def _check_finite(a: np.ndarray, what: str) -> None:
@@ -93,9 +104,6 @@ class ComplexAffineMap:
     @property
     def out_dim(self) -> int:
         return self.matrix.shape[0]
-
-    def __call__(self, z):
-        return eval_affine(self, z)
 
 
 def eval_affine(amap: ComplexAffineMap, z) -> np.ndarray:
@@ -195,7 +203,7 @@ class Cvnn:
 
     Hidden layer widths may differ; the width of the network is the max over
     all layer dimensions including input and output.  Depth is the number of
-    affine maps (>= 2).
+    affine maps (>= 2).  ``eval_cvnn`` evaluates the network.
     """
 
     runs: tuple
@@ -228,9 +236,6 @@ class Cvnn:
     @property
     def output_dim(self) -> int:
         return self.runs[-1][0].shape[1]
-
-    def __call__(self, z, activation_fn=None):
-        return eval_cvnn(self, z, activation_fn)
 
 
 def _resolve_activation(net: Cvnn, activation_fn) -> Callable:
@@ -315,25 +320,6 @@ def max_coeff(net: Cvnn) -> float:
 
 def hidden_widths(net: Cvnn) -> tuple:
     return sum(((m.shape[1],) * len(m) for m, _ in net.runs), ())[:-1]
-
-
-def pad_hidden_width(net: Cvnn, width: int) -> Cvnn:
-    """Pad every hidden layer to the given width with zero rows and columns.
-
-    The padded neurons receive input 0 and their activation value is killed
-    by zero columns in the next map, so the realized function is unchanged
-    for any activation.  Width accounting reports the padded dims afterwards.
-    """
-    if width < width_of(net):
-        raise DimensionMismatch(f"cannot pad to {width} below current width {width_of(net)}")
-    maps = net.affine_maps
-    out = []
-    for k, amap in enumerate(maps):
-        rows = 0 if k == len(maps) - 1 else width - amap.out_dim
-        cols = 0 if k == 0 else width - amap.in_dim
-        out.append(AffineArrays(np.pad(amap.matrix, ((0, rows), (0, cols))),
-                                np.pad(amap.bias, (0, rows))))
-    return Cvnn(out, net.activation)
 
 
 @dataclass(frozen=True)

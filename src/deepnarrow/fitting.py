@@ -25,7 +25,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .activations import ActivationSpec
-from .core import CompactBox, ComplexAffineMap, Cvnn, GridSpec, eval_cvnn, sample_box
+from .core import (CompactBox, ComplexAffineMap, Cvnn, GridSpec, _as_batch, eval_cvnn,
+                   sample_box)
 from .errors import DimensionMismatch, FitSingular
 from .register import PolyZZbar
 
@@ -98,13 +99,11 @@ def fit_shallow(f: Callable, spec: ActivationSpec, n: int, m: int,
     a1 = scale * (rng.standard_normal((w, n)) + 1j * rng.standard_normal((w, n))) / np.sqrt(2)
     b1 = scale * (rng.standard_normal(w) + 1j * rng.standard_normal(w)) / np.sqrt(2)
     pts = sample_box(cfg.box, cfg.grid)
-    targets = np.asarray(f(pts), dtype=np.complex128)
-    if targets.ndim == 1:
-        targets = targets[:, None]
+    targets = _as_batch(f(pts), pts.shape[0])
     if targets.shape != (pts.shape[0], m):
         raise DimensionMismatch(
             f"target returned shape {targets.shape}, expected {(pts.shape[0], m)}")
-    feats = np.asarray(spec.fn(pts @ a1.T + b1), dtype=np.complex128)
+    feats = spec(pts @ a1.T + b1)
     design = np.hstack([feats, np.ones((pts.shape[0], 1), dtype=np.complex128)])
     coef = solve_complex_ridge(design, targets, cfg.ridge)
     v1 = ComplexAffineMap(a1, b1)
@@ -141,9 +140,7 @@ def fit_poly(f: Callable, n: int, degree: int, box: CompactBox,
     if degree < 0:
         raise ValueError("degree must be >= 0")
     pts = sample_box(box, grid)
-    targets = np.asarray(f(pts), dtype=np.complex128)
-    if targets.ndim == 1:
-        targets = targets[:, None]
+    targets = _as_batch(f(pts), pts.shape[0])
     if m is None:
         m = targets.shape[1]
     exps = monomial_exponents(n, degree)

@@ -183,9 +183,8 @@ def _make_conj_realizer(spec: ActivationSpec, z0c: complex, hc: float,
         h = stage.pre.out_dim
         eye = np.eye(h, dtype=np.complex128)
         pass_through = _affine(eye, np.zeros(h))
-        y0 = np.asarray(spec(stage.pre.bias), dtype=np.complex128)
-        theta0 = (np.asarray(spec(z0c + hc * y0), dtype=np.complex128)
-                  - f0 - dbar * np.conj(hc * y0)) * cc
+        y0 = spec(stage.pre.bias)
+        theta0 = (spec(z0c + hc * y0) - f0 - dbar * np.conj(hc * y0)) * cc
         conj_pre = _affine(hc * eye, np.full(h, z0c, dtype=np.complex128))
         conj_post = _affine(cc * eye, -f0 * cc - theta0)
         return [Stage(stage.pre, pass_through),
@@ -572,7 +571,7 @@ def eval_pieces(pieces: list, spec: ActivationSpec, z) -> np.ndarray:
     cur = np.asarray(z, dtype=np.complex128)
 
     def cross(stage, cur):
-        return eval_affine(stage.post, spec.fn(eval_affine(stage.pre, cur)))
+        return eval_affine(stage.post, spec(eval_affine(stage.pre, cur)))
 
     for kind, obj in pieces:
         if kind == "affine":
@@ -624,9 +623,16 @@ def lower(program: RegisterProgram, spec: ActivationSpec, strategy: str,
 
 
 def default_strategy(verdict: str, witness_probe, prof: ToleranceProfile = ToleranceProfile()) -> str:
-    """Map a classification verdict to the lowering strategy it certifies."""
+    """Map a classification verdict to the lowering strategy it certifies.
+
+    The witness of a UniversalNonPoly_NMplus1 verdict has exactly one first
+    derivative that ``ToleranceProfile.nonzero`` counts, so that one is the
+    larger: comparing |d| and |dbar| follows the classifier's rule without
+    its error estimate (``witness_probe.est_error`` also covers the second
+    derivatives).  ``prof`` is not read.
+    """
     if verdict == "UniversalNonPoly_NMplus1":
-        if witness_probe is not None and prof.nonzero(witness_probe.d):
+        if witness_probe is not None and abs(witness_probe.d) > abs(witness_probe.dbar):
             return "NonPoly_NMplus1"
         return "NonPoly_Conj_NMplus1"
     if verdict == "UniversalNonPoly_2N2Mplus1":

@@ -32,8 +32,8 @@ import numpy as np
 
 from .activations import ActivationSpec, get_activation
 from .blocks import _SQUARE_TO_MUL
-from .core import (CompactBox, ComplexAffineMap, Cvnn, GridSpec, check_sample_budget,
-                   depth_of, eval_cvnn, max_coeff, sample_box, width_of)
+from .core import (CompactBox, ComplexAffineMap, Cvnn, GridSpec, _as_batch,
+                   check_sample_budget, depth_of, eval_cvnn, max_coeff, sample_box, width_of)
 from .errors import DimensionMismatch, EvaluationFailure, StrategyMismatch
 from .fitting import FitConfig, fit_shallow, solve_complex_ridge
 from .lowering import lower, plan_lowering
@@ -67,15 +67,6 @@ DEFAULT_SWEEP_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 # ---------------------------------------------------------------------------
 # Error measures
 # ---------------------------------------------------------------------------
-
-
-def _as_batch(values, count) -> np.ndarray:
-    v = np.asarray(values, dtype=np.complex128)
-    if v.ndim == 1:
-        v = v[:, None]
-    if v.shape[0] != count:
-        raise DimensionMismatch(f"expected {count} rows, got {v.shape[0]}")
-    return v
 
 
 #: Rows evaluated at once by the error measures.  A block of a narrow
@@ -596,7 +587,7 @@ def fit_deep_random(f: Callable, spec: ActivationSpec, n: int, m: int,
     targets = _as_batch(f(pts), pts.shape[0])
     cur = pts
     for amap in maps:
-        cur = np.asarray(spec.fn(cur @ amap.matrix.T + amap.bias), dtype=np.complex128)
+        cur = spec(cur @ amap.matrix.T + amap.bias)
     design = np.hstack([cur, np.ones((pts.shape[0], 1), dtype=np.complex128)])
     coef = solve_complex_ridge(design, targets, max(cfg.ridge, 1e-10))
     final = ComplexAffineMap(coef[:width].T, coef[width])
@@ -664,7 +655,7 @@ def nowhere_diff_demo() -> dict:
     cells = []
     for h in DEFAULT_SWEEP_SCHEDULE:
         for k in (1, 2, 3, 5, 8, 13, 21, 34, 50):
-            vals = spec.fn(h * pts[:, 0] + 2 * pi * k) / h
+            vals = spec(h * pts[:, 0] + 2 * pi * k) / h
             cells.append({"h": h, "k": k, "sup_error": float(np.max(np.abs(vals - pts[:, 0])))})
     best = min(cells, key=lambda c: c["sup_error"])
     return {"best": best, "cells": cells, "passed": best["sup_error"] < 1e-2}

@@ -11,9 +11,10 @@ and second order via the invertible conversion
                             @ [fxx, fxy, fyy]^T.
 
 Everything is estimated with central finite differences plus Richardson
-extrapolation.  "Nonzero" always means |value| > zero_tol after
-extrapolation, which separates analytic zeros from O(h^2) noise at desk
-scale; ``ToleranceProfile.nonzero`` and ``pattern`` alone apply that rule.
+extrapolation.  "Nonzero" always means |value| > max(zero_tol, 3 est_error)
+after extrapolation, which separates analytic zeros from O(h^2) noise at
+desk scale and from values no larger than their own error estimate;
+``ToleranceProfile.nonzero`` and ``pattern`` alone apply that rule.
 Polyharmonicity (laplacian^m f == 0 for some m, with laplacian = 4 d dbar)
 is undecidable from samples; the iterated-stencil probe here is advisory and
 the catalog's analytic flags take precedence.
@@ -27,6 +28,7 @@ n+m+4, or 2n+2m+5).
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass
 from typing import Optional
@@ -71,6 +73,9 @@ POLYHARMONIC_MAX_ORDER = 4
 #: circle radii and points per circle of the Taylor-remainder probe
 TAYLOR_RADII = (1e-1, 1e-2, 1e-3, 1e-4)
 TAYLOR_POINTS_PER_CIRCLE = 16
+#: times the probe box is doubled while the structural heuristics find no
+#: evidence of universality on it
+PROBE_BOX_GROWTHS = 4
 
 
 @dataclass(frozen=True)
@@ -79,8 +84,8 @@ class ToleranceProfile:
 
     fd_step is the relative first-order step (the actual step is
     fd_step * max(1, |z0|)); second-order stencils use sqrt(fd_step) since
-    their roundoff grows like eps/h^2.  zero_tol is the nonzero threshold
-    applied after Richardson extrapolation, by ``nonzero`` alone.
+    their roundoff grows like eps/h^2.  zero_tol is the least nonzero
+    threshold applied after Richardson extrapolation, by ``nonzero`` alone.
     """
 
     zero_tol: float = 1e-6
@@ -92,16 +97,18 @@ class ToleranceProfile:
         if min(self.zero_tol, self.fd_step) <= 0:
             raise ValueError("tolerances must be positive")
 
-    def nonzero(self, v) -> bool:
-        """Whether the derivative estimate v counts as nonzero."""
-        return abs(v) > self.zero_tol
+    def nonzero(self, v, est: float) -> bool:
+        """Whether the derivative estimate v, with error estimate est, counts
+        as nonzero: |v| > max(zero_tol, 3 est)."""
+        return abs(v) > max(self.zero_tol, 3 * est)
 
-    def pattern(self, d, dbar) -> Optional[str]:
-        """The first-order pattern at a point: "d" or "dbar" when only that
-        derivative is nonzero, "both" when both are, None when neither is."""
-        if self.nonzero(d):
-            return "both" if self.nonzero(dbar) else "d"
-        return "dbar" if self.nonzero(dbar) else None
+    def pattern(self, d, dbar, est: float) -> Optional[str]:
+        """The first-order pattern at a point, est the error estimate of d
+        and dbar: "d" or "dbar" when only that derivative is nonzero, "both"
+        when both are, None when neither is."""
+        if self.nonzero(d, est):
+            return "both" if self.nonzero(dbar, est) else "d"
+        return "dbar" if self.nonzero(dbar, est) else None
 
 
 @dataclass(frozen=True)
@@ -141,16 +148,12 @@ def _richardson(coarse, fine):
     return best, abs(best - fine)
 
 
-def _evaluate(spec: ActivationSpec, pts) -> np.ndarray:
-    return np.asarray(spec.fn(np.asarray(pts, dtype=np.complex128)), dtype=np.complex128)
-
-
 def _failure(pts) -> ProbeFailed:
     return ProbeFailed(f"activation evaluation failed near {pts!r}")
 
 
 def _eval_scalar(spec: ActivationSpec, pts) -> np.ndarray:
-    out = _evaluate(spec, pts)
+    out = spec(pts)
     if not np.all(np.isfinite(out.view(np.float64))):
         raise _failure(pts)
     return out
@@ -269,7 +272,7 @@ def laplacian_iterate(spec: ActivationSpec, z0: complex, order: int,
             collect(zz, k - 1)
 
     collect(complex(z0), order)
-    vals = _evaluate(spec, leaves)
+    vals = spec(leaves)
     finite = np.isfinite(vals)
     if not finite.all():
         raise _failure([leaves[int(np.argmin(finite))]])
@@ -345,7 +348,7 @@ def _taylor_batch(spec: ActivationSpec, zs: list, order: int, prof: TolerancePro
     w = np.stack([r * angles for r in radii])                       # (radius, angle)
     z = np.array([zs[k] for k in live])
     circles = z[:, None, None] + w                                  # (centre, radius, angle)
-    vals = _evaluate(spec, np.concatenate([z, circles.ravel()]))
+    vals = spec(np.concatenate([z, circles.ravel()]))
     f0, fv = vals[: len(z)], vals[len(z):].reshape(circles.shape)
     f0_ok = np.isfinite(f0)
     circle_ok = np.isfinite(fv).all(axis=2)
@@ -424,7 +427,7 @@ class ProbeAtlas:
             self._rows = tuple((p.z0, p.dbar.conjugate(), p.d.conjugate(), p.est) for p in points)
         else:
             self._rows = tuple((p.z0, p.d, p.dbar, p.est) for p in points)
-        self._patterns = tuple(prof.pattern(d, dbar) for _, d, dbar, _ in self._rows)
+        self._patterns = tuple(prof.pattern(d, dbar, est) for _, d, dbar, est in self._rows)
 
     def __len__(self) -> int:
         return len(self._points)
@@ -561,7 +564,7 @@ class ProbeAtlas:
             except ProbeFailed:
                 continue
         for k, name, which in _SECOND_ORDER:
-            if any(self.prof.nonzero(s[k]) for _, s in seconds):
+            if any(self.prof.nonzero(s[k], s[3]) for _, s in seconds):
                 return name, which, [(i, abs(s[k])) for i, s in seconds]
         return None
 
@@ -590,24 +593,80 @@ class ProbeAtlas:
         name, _, vals = found
         return self._rows[max(vals, key=lambda t: t[1])[0]][0], name
 
+    # -- structural heuristics ---------------------------------------------
+
+    def negative_verdict(self) -> Optional[tuple]:
+        """(verdict, evidence) when the grid holds no evidence that an
+        activation without class flags is universal; None when it does, and
+        for a flagged activation or an empty grid.
+
+        No nonzero first derivative gives Inconclusive; nonzero derivatives
+        all of pattern "d" (all "dbar") give NonUniversalHolomorphic
+        (NonUniversalAntiholomorphic); second derivatives vanishing at every
+        point give NonUniversalRAffine, a check that stops at the first point
+        whose second probe fails or is nonzero."""
+        pats = self._patterns
+        if self.spec.class_flags or not pats:
+            return None
+        where = f"the {len(pats)} grid points of the probe box {_box_text(self.prof.probe_box)}"
+        if all(p is None for p in pats):
+            return "Inconclusive", f"no nonzero first derivative at {where}"
+        if all(p in (None, "d") for p in pats):
+            return "NonUniversalHolomorphic", f"heuristic: no nonzero dbar at {where}"
+        if all(p in (None, "dbar") for p in pats):
+            return "NonUniversalAntiholomorphic", f"heuristic: no nonzero d at {where}"
+        for i in range(len(self)):
+            try:
+                second = self.second(i)
+            except ProbeFailed:
+                return None
+            if any(self.prof.nonzero(v, second[3]) for v in second[:3]):
+                return None
+        return ("NonUniversalRAffine",
+                f"heuristic: no nonzero second Wirtinger derivative at {where}")
+
+
+def _box_text(box: CompactBox) -> str:
+    return " x ".join(f"[{a:g}, {b:g}] + i[{c:g}, {d:g}]" for a, b, c, d in box.intervals)
+
+
+def _doubled(box: CompactBox) -> CompactBox:
+    """The box with every interval twice as long, about the same centre."""
+    grow = lambda lo, hi: (1.5 * lo - 0.5 * hi, 1.5 * hi - 0.5 * lo)
+    return CompactBox(tuple(grow(a, b) + grow(c, d) for a, b, c, d in box.intervals))
+
 
 @functools.lru_cache(maxsize=8)
 def _scan(spec: ActivationSpec, prof: ToleranceProfile) -> ProbeAtlas:
-    points = []
-    for z0 in sample_box(prof.probe_box, prof.probe_grid)[:, 0]:
-        z0 = complex(z0)
-        if spec.is_excluded(z0):
-            continue
-        try:
-            d, dbar, est = first_derivs(spec, z0, prof)
-        except ProbeFailed:
-            continue
-        points.append(_AtlasPoint(z0, d, dbar, est))
-    return ProbeAtlas(spec, prof, tuple(points))
+    for growth in range(PROBE_BOX_GROWTHS + 1):
+        if growth:
+            prof = dataclasses.replace(prof, probe_box=_doubled(prof.probe_box))
+        points = []
+        for z0 in sample_box(prof.probe_box, prof.probe_grid)[:, 0]:
+            z0 = complex(z0)
+            if spec.is_excluded(z0):
+                continue
+            try:
+                d, dbar, est = first_derivs(spec, z0, prof)
+            except ProbeFailed:
+                continue
+            points.append(_AtlasPoint(z0, d, dbar, est))
+        atlas = ProbeAtlas(spec, prof, tuple(points))
+        if atlas.negative_verdict() is None:
+            break
+    return atlas
 
 
 def probe_atlas(spec: ActivationSpec, prof: ToleranceProfile = ToleranceProfile()) -> ProbeAtlas:
     """The probe atlas of (spec, prof), scanned on first request.
+
+    While the grid holds no evidence of universality
+    (``ProbeAtlas.negative_verdict``), the probe box is doubled about its
+    centre and scanned again, up to PROBE_BOX_GROWTHS times: a verdict
+    against universality drawn from a finite box must not hide a region
+    where the activation is universal.  The atlas of the last box scanned
+    is returned; its ``prof`` holds that box, so the classifier and the
+    lowering read the same points.
 
     The memo is keyed by value; specs compare their callables by identity,
     so every ``get_activation`` call makes a new key while one spec shared
@@ -722,30 +781,11 @@ def classify_activation(spec: ActivationSpec, n: int = 1, m: int = 1,
             return Classification(verdict, None, f"analytic flag: {flag}")
 
     atlas = probe_atlas(spec, prof)
+    negative = atlas.negative_verdict()
+    if negative is not None:
+        return Classification(negative[0], None, negative[1])
     rows = [atlas.first(i) for i in range(len(atlas))]
     pats = [atlas.pattern(i) for i in range(len(atlas))]
-    tol = prof.zero_tol
-    if not flags and pats:
-        # numeric structural heuristics, documented as heuristics
-        if all(p in (None, "d") for p in pats):
-            return Classification(
-                "NonUniversalHolomorphic", None,
-                f"heuristic: |dbar| <= {tol} at all {len(pats)} grid points")
-        if all(p in (None, "dbar") for p in pats):
-            return Classification(
-                "NonUniversalAntiholomorphic", None,
-                f"heuristic: |d| <= {tol} at all {len(pats)} grid points")
-        # stops at the first point with a failed or nonzero second probe
-        for i in range(len(atlas)):
-            try:
-                if any(prof.nonzero(v) for v in atlas.second(i)[:3]):
-                    break
-            except ProbeFailed:
-                break
-        else:
-            return Classification(
-                "NonUniversalRAffine", None,
-                f"heuristic: all second Wirtinger derivatives <= {tol} on the grid")
 
     # differentiable point with nonzero derivative
     passing = [i for i, p in enumerate(pats) if p is not None and atlas.taylor_passed(i)]

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from deepnarrow.core import ComplexAffineMap, Cvnn
+from deepnarrow.core import ComplexAffineMap, Cvnn, eval_cvnn
+from deepnarrow.verifier import sup_error
 
 # Every property test draws the same examples on every run and keeps no
 # example database.
@@ -24,6 +25,16 @@ def random_shallow(rng, n, m, width, activation_id, scale=1.0):
 
 def random_points(rng, count, n, scale=1.0):
     return scale * (rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n)))
+
+
+def block_values(blk, spec, zs):
+    """A shallow block's values on zs: the depth-2 network it is, evaluated."""
+    return eval_cvnn(blk.to_cvnn(spec), zs, spec.fn)
+
+
+def block_sup_error(blk, spec, target, box, grid):
+    """A shallow block's sup error against target, measured as its network."""
+    return sup_error(target, lambda zs: block_values(blk, spec, zs), box, grid)
 
 
 @pytest.fixture

@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from deepnarrow.activations import custom_activation, get_activation
-from deepnarrow.blocks import (block_error, conj_block, identity_block, mul_block,
-                               pair_block, square_block)
+from deepnarrow.blocks import conj_block, identity_block, mul_block, pair_block, square_block
 from deepnarrow.cli import main as cli_main
 from deepnarrow.core import (CompactBox, GridSpec, eval_cvnn, sample_box, width_of)
 from deepnarrow.fitting import FitConfig
@@ -27,7 +26,7 @@ from deepnarrow.wirtinger import (ToleranceProfile, classify_activation,
                                   second_partials_to_wirtinger, wirt_first,
                                   wirt_second)
 
-from conftest import random_points, random_shallow
+from conftest import block_sup_error, random_points, random_shallow
 
 PROF = ToleranceProfile()
 BOX = CompactBox.square(1, 1.0)
@@ -209,7 +208,7 @@ def test_acceptance_05_block_convergence():
         else:
             build = lambda h: pair_block(spec, z0, h, PROF)
             target = targets["pair"]
-        errs = [block_error(build(1e-1 * 2.0**-k), spec, target, BOX, GridSpec(9))
+        errs = [block_sup_error(build(1e-1 * 2.0**-k), spec, target, BOX, GridSpec(9))
                 for k in range(6)]
         for cur, nxt in zip(errs, errs[1:]):
             if cur < 1e-9:
@@ -220,7 +219,7 @@ def test_acceptance_05_block_convergence():
     for name in ("re_square", "abs_square", "z_plus_zbar_sq"):
         spec = get_activation(name)
         blk, which = square_block(spec, 0.4 - 0.2j, 1.0, PROF)
-        if block_error(blk, spec, targets[which], BOX, GridSpec(9)) > 1e-10:
+        if block_sup_error(blk, spec, targets[which], BOX, GridSpec(9)) > 1e-10:
             ok = False
         mblk, mkind = mul_block(spec, 0.4 - 0.2j, 1.0, PROF)
         mtargets = {
@@ -228,8 +227,8 @@ def test_acceptance_05_block_convergence():
             "mul2": lambda zs: (zs[:, 0] * np.conj(zs[:, 1]))[:, None],
             "mul3": lambda zs: np.conj(zs[:, 0] * zs[:, 1])[:, None],
         }
-        if block_error(mblk, spec, mtargets[mkind], CompactBox.square(2, 1.0),
-                       GridSpec(4)) > 1e-10:
+        if block_sup_error(mblk, spec, mtargets[mkind], CompactBox.square(2, 1.0),
+                           GridSpec(4)) > 1e-10:
             ok = False
     _report(5, "block h-decay and quadratic exactness", ok)
 

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from deepnarrow.activations import (available_activations, conjugate_activation,
-                                    custom_activation, eval_activation, get_activation,
-                                    scale_activation)
+                                    custom_activation, get_activation, scale_activation)
 from deepnarrow.errors import InvalidActivationParams, UnknownActivation
 from deepnarrow.wirtinger import ToleranceProfile, taylor_remainder_probe, wirt_first
 
@@ -12,17 +11,25 @@ from conftest import random_points
 
 def test_cardioid_values():
     card = get_activation("cardioid")
-    assert eval_activation(card, 1.0) == 1.0
+    assert card(1.0) == 1.0
     # RE(i) = 0, so the factor is 1/2
-    assert eval_activation(card, 1j) == 0.5j
-    assert eval_activation(card, 0.0) == 0.0
+    assert card(1j) == 0.5j
+    assert card(0.0) == 0.0
 
 
 def test_modrelu_values():
     mr = get_activation("modrelu", {"b": -1})
-    assert eval_activation(mr, 2.0) == pytest.approx(1.0)
-    assert eval_activation(mr, 0.5) == 0.0
-    assert eval_activation(mr, 1.0) == 0.0  # continuous limit on the circle
+    assert mr(2.0) == pytest.approx(1.0)
+    assert mr(0.5) == 0.0
+    assert mr(1.0) == 0.0  # continuous limit on the circle
+
+
+def test_call_gives_complex128():
+    spec = custom_activation("re", np.real)
+    for z in (1 + 2j, [1 + 2j, 3], np.array([[0.5, -1j]])):
+        out = spec(z)
+        assert out.dtype == np.complex128 and out.shape == np.shape(z)
+        assert np.array_equal(out, np.real(z))
 
 
 def test_modrelu_requires_negative_b():
@@ -32,12 +39,12 @@ def test_modrelu_requires_negative_b():
 
 def test_exp_re_value():
     spec = get_activation("exp_re")
-    assert eval_activation(spec, 1 + 5j) == pytest.approx(np.e)
+    assert spec(1 + 5j) == pytest.approx(np.e)
 
 
 def test_r_affine_value():
     spec = get_activation("r_affine", {"a": 2, "b": 1, "c": 1})
-    assert eval_activation(spec, 1j) == pytest.approx(1 + 1j)  # 2i - i + 1
+    assert spec(1j) == pytest.approx(1 + 1j)  # 2i - i + 1
 
 
 def test_unknown_name():
@@ -111,7 +118,7 @@ def test_conjugate_combinator_swaps_flags_and_derivatives():
     cc = conjugate_activation(card)
     assert cc.name == "conj:cardioid"
     z = 1.3 + 0.4j
-    assert eval_activation(cc, z) == np.conj(eval_activation(card, z))
+    assert cc(z) == np.conj(card(z))
     d, dbar = card.analytic_first(z)
     dc, dbarc = cc.analytic_first(z)
     assert dc == np.conj(dbar) and dbarc == np.conj(d)
@@ -121,7 +128,7 @@ def test_conjugate_combinator_swaps_flags_and_derivatives():
 
 def test_conj_prefix_resolves_through_catalog():
     cc = get_activation("conj:modrelu", {"b": -1})
-    assert eval_activation(cc, 2.0) == pytest.approx(1.0)
+    assert cc(2.0) == pytest.approx(1.0)
     assert cc.poly_flag is not None and not cc.poly_flag.is_polyharmonic
 
 
@@ -129,7 +136,7 @@ def test_scale_combinator():
     rs = get_activation("re_square")
     sc = scale_activation(rs, 2 - 1j)
     z = 0.7 + 0.2j
-    assert eval_activation(sc, z) == pytest.approx((2 - 1j) * eval_activation(rs, z))
+    assert sc(z) == pytest.approx((2 - 1j) * rs(z))
     assert sc.poly_flag == rs.poly_flag
     d, dbar = rs.analytic_first(z)
     ds, dbars = sc.analytic_first(z)
@@ -140,19 +147,23 @@ def test_scale_combinator():
 
 # Reference forms of the cardioid and modrelu evaluators: divide the complex
 # numerator by |z| into a zero buffer wherever the scaling is defined.
+def _divide_form(z, s, r, mask):
+    """s * z / r where mask holds and |z| is normal, 0 elsewhere: at a
+    subnormal |z| the quotient is NaN (1/r overflows)."""
+    out = np.zeros_like(z)
+    np.divide(s * z, r, out=out, where=mask & (r >= np.finfo(np.float64).tiny))
+    return out
+
+
 def _divide_cardioid(z):
     r = np.abs(z)
-    out = np.zeros_like(z)
-    np.divide(0.5 * (r + np.real(z)) * z, r, out=out, where=r > 0)
-    return out
+    return _divide_form(z, 0.5 * (r + np.real(z)), r, r > 0)
 
 
 def _divide_modrelu(b):
     def fn(z):
         r = np.abs(z)
-        out = np.zeros_like(z)
-        np.divide((r + b) * z, r, out=out, where=r + b > 0)
-        return out
+        return _divide_form(z, r + b, r, r + b > 0)
     return fn
 
 
@@ -194,6 +205,21 @@ def test_lean_evaluators_match_divide_form(name, params, reference):
                 got = fn(np.asarray(z0))
                 assert np.ndim(got) == 0
                 assert np.array_equal(got, ref(np.asarray(z0)), equal_nan=True)
+
+
+@pytest.mark.parametrize("name, params", [("cardioid", {}), ("modrelu", {"b": -1e-320})])
+def test_subnormal_moduli_give_zero(name, params):
+    """At a subnormal |z|, where 1/|z| overflows, the value is 0 (finite, and
+    within |z| of the true one), with no overflow or invalid operation;
+    cardioid's first-order Taylor probe then succeeds at such a centre."""
+    spec = get_activation(name, params)
+    xs = np.array([5e-324, 2.2250738585e-313, 3e-320, 1e-310, 5e-309])
+    zs = xs[:, None] * np.exp(1j * np.linspace(-3.0, 3.0, 7))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        assert np.array_equal(spec(zs), np.zeros(zs.shape))
+    if name == "cardioid":
+        report = taylor_remainder_probe(spec, complex(xs[1]), 1, ToleranceProfile())
+        assert all(np.isfinite(report.ratios))
 
 
 @pytest.mark.parametrize("name, params", [("cardioid", {}), ("modrelu", {"b": -1.0})])

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from deepnarrow.activations import available_activations, custom_activation, get_activation
-from deepnarrow.blocks import (block_error, conj_block, id_conj_pair_block,
-                               identity_block, mul_block, pair_block, routed_pair_block,
-                               square_block, mul_apply)
+from deepnarrow.blocks import (conj_block, id_conj_pair_block, identity_block, mul_block,
+                               pair_block, routed_pair_block, square_block, mul_apply)
 from deepnarrow.core import CompactBox, GridSpec, eval_cvnn, sample_box
 from deepnarrow.errors import ConstructionError
 from deepnarrow.wirtinger import ToleranceProfile, probe_atlas, wirt_first
+
+from conftest import block_sup_error, block_values
 
 PROF = ToleranceProfile()
 BOX = CompactBox.square(1, 1.0)
@@ -34,12 +35,12 @@ def zbar_plus_zsq():
 def test_identity_block_exact_for_affine():
     ident = get_activation("r_affine", {"a": 1, "b": 0, "c": 0})
     blk = identity_block(ident, 0.3 + 0.1j, 0.5, PROF)
-    assert block_error(blk, ident, T_ID, BOX, GRID) < 1e-12
+    assert block_sup_error(blk, ident, T_ID, BOX, GRID) < 1e-12
 
 
 def test_identity_block_cardioid_h_sweep_decreasing():
     card = get_activation("cardioid")
-    errs = [block_error(identity_block(card, 1.0, h, PROF), card, T_ID, BOX, GRID)
+    errs = [block_sup_error(identity_block(card, 1.0, h, PROF), card, T_ID, BOX, GRID)
             for h in (1e-1, 1e-2, 1e-3)]
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 1e-2
@@ -54,7 +55,7 @@ def test_identity_block_preconditions():
 def test_conj_block_exact_for_conjugation():
     conj = get_activation("r_affine", {"a": 0, "b": 1, "c": 0})
     blk = conj_block(conj, -0.2 + 0.4j, 0.25, PROF)
-    assert block_error(blk, conj, T_CONJ, BOX, GRID) < 1e-12
+    assert block_sup_error(blk, conj, T_CONJ, BOX, GRID) < 1e-12
 
 
 def test_conj_block_rejects_mixed_point():
@@ -66,13 +67,13 @@ def test_conj_block_rejects_mixed_point():
 def test_conj_block_zbar_plus_zsq_at_origin():
     spec = zbar_plus_zsq()
     blk = conj_block(spec, 0.0, 1e-3, PROF)
-    assert block_error(blk, spec, T_CONJ, BOX, GRID) < 1e-2
+    assert block_sup_error(blk, spec, T_CONJ, BOX, GRID) < 1e-2
 
 
 def test_pair_block_exact_for_z_plus_zbar():
     spec = get_activation("r_affine", {"a": 1, "b": 1, "c": 0})
     blk = pair_block(spec, 0.0, 0.5, PROF)
-    assert block_error(blk, spec, T_PAIR, BOX, GRID) <= 1e-12
+    assert block_sup_error(blk, spec, T_PAIR, BOX, GRID) <= 1e-12
 
 
 def test_pair_block_modrelu_sweep_decreasing():
@@ -81,7 +82,7 @@ def test_pair_block_modrelu_sweep_decreasing():
     for h in (1e-1, 1e-2, 1e-3):
         blk = pair_block(mr, 2.0, h, PROF)
         pts = sample_box(BOX, GRID)
-        got = blk(mr, pts)
+        got = block_values(blk, mr, pts)
         want = T_PAIR(pts)
         comp = np.max(np.abs(got - want), axis=0)
         errs.append(comp)
@@ -92,14 +93,14 @@ def test_pair_block_modrelu_sweep_decreasing():
 def test_pair_block_re_square():
     rs = get_activation("re_square")
     blk = pair_block(rs, 1.0, 1e-3, PROF)
-    assert block_error(blk, rs, T_PAIR, BOX, GRID) < 1e-2
+    assert block_sup_error(blk, rs, T_PAIR, BOX, GRID) < 1e-2
 
 
 def test_id_conj_pair_routes_to_pair_for_re_square():
     rs = get_activation("re_square")
     blk = id_conj_pair_block(rs, PROF, 1e-3)
     assert len(blk.z0) == 1  # single-point pair route
-    assert block_error(blk, rs, T_PAIR, BOX, GRID) < 1e-2
+    assert block_sup_error(blk, rs, T_PAIR, BOX, GRID) < 1e-2
 
 
 def test_id_conj_pair_routes_to_pair_for_z_plus_zbar_sq():
@@ -109,7 +110,7 @@ def test_id_conj_pair_routes_to_pair_for_z_plus_zbar_sq():
     zb = get_activation("z_plus_zbar_sq")
     blk = id_conj_pair_block(zb, PROF, 1e-3)
     assert len(blk.z0) == 1
-    assert block_error(blk, zb, T_PAIR, BOX, GRID) < 1e-2
+    assert block_sup_error(blk, zb, T_PAIR, BOX, GRID) < 1e-2
 
 
 def test_id_conj_pair_two_point_construction():
@@ -135,7 +136,7 @@ def test_id_conj_pair_two_point_construction():
     blk = id_conj_pair_block(spec, prof, 1e-4)
     assert len(blk.z0) == 2
     small = CompactBox.square(1, 0.5)
-    assert block_error(blk, spec, T_PAIR, small, GRID) < 1e-2
+    assert block_sup_error(blk, spec, T_PAIR, small, GRID) < 1e-2
 
 
 def test_id_conj_pair_rejects_affine():
@@ -178,19 +179,19 @@ def test_square_block_selection_and_exactness():
     rs = get_activation("re_square")
     blk, which = square_block(rs, 0.0, 0.7, PROF)
     assert which == "zzbar"
-    assert block_error(blk, rs, T_ZZBAR, BOX, GRID) < 1e-10
+    assert block_sup_error(blk, rs, T_ZZBAR, BOX, GRID) < 1e-10
 
     zsq = custom_activation("zsq", lambda z: z**2,
                             analytic_second=lambda z0: (2 + 0j, 0j, 0j))
     blk, which = square_block(zsq, 0.0, 0.7, PROF)
     assert which == "z2"
-    assert block_error(blk, zsq, T_Z2, BOX, GRID) < 1e-10
+    assert block_sup_error(blk, zsq, T_Z2, BOX, GRID) < 1e-10
 
     zb = get_activation("z_plus_zbar_sq")
     blk, which = square_block(zb, 0.0, 0.7, PROF)
     assert which == "zbar2"
     assert blk.width == 4  # two live neurons plus two zero pads
-    assert block_error(blk, zb, T_ZBAR2, BOX, GRID) < 1e-10
+    assert block_sup_error(blk, zb, T_ZBAR2, BOX, GRID) < 1e-10
 
 
 def test_square_block_rejects_affine():
@@ -220,7 +221,7 @@ def test_mul_block_re_square():
     blk, kind = mul_block(rs, 0.0, 1e-2, PROF)
     assert kind == "mul2" and blk.width == 12
     target = lambda zs: (zs[:, 0] * np.conj(zs[:, 1]))[:, None]
-    assert block_error(blk, rs, target, BIBOX, BIGRID) < 1e-2
+    assert block_sup_error(blk, rs, target, BIBOX, BIGRID) < 1e-2
 
 
 def test_mul_block_z_plus_zbar_sq_exact():
@@ -228,19 +229,19 @@ def test_mul_block_z_plus_zbar_sq_exact():
     blk, kind = mul_block(zb, 0.0, 0.5, PROF)
     assert kind == "mul3" and blk.width == 8
     target = lambda zs: np.conj(zs[:, 0] * zs[:, 1])[:, None]
-    assert block_error(blk, zb, target, BIBOX, BIGRID) < 1e-10
+    assert block_sup_error(blk, zb, target, BIBOX, BIGRID) < 1e-10
 
 
 def test_block_error_exact_block_is_zero():
     ident = get_activation("r_affine", {"a": 1, "b": 0, "c": 0})
     blk = identity_block(ident, 0.0, 1.0, PROF)
-    assert block_error(blk, ident, T_ID, BOX, GRID) == 0.0
+    assert block_sup_error(blk, ident, T_ID, BOX, GRID) == 0.0
 
 
 def test_block_error_monotone_in_h():
     card = get_activation("cardioid")
-    e1 = block_error(identity_block(card, 1.0, 1e-1, PROF), card, T_ID, BOX, GRID)
-    e3 = block_error(identity_block(card, 1.0, 1e-3, PROF), card, T_ID, BOX, GRID)
+    e1 = block_sup_error(identity_block(card, 1.0, 1e-1, PROF), card, T_ID, BOX, GRID)
+    e3 = block_sup_error(identity_block(card, 1.0, 1e-3, PROF), card, T_ID, BOX, GRID)
     assert e1 > e3
 
 
@@ -248,12 +249,12 @@ def test_pair_block_error_is_max_of_components():
     rs = get_activation("re_square")
     blk = pair_block(rs, 1.0, 1e-2, PROF)
     pts = sample_box(BOX, GRID)
-    got = blk(rs, pts)
+    got = block_values(blk, rs, pts)
     want = T_PAIR(pts)
     comp_max = np.max(np.abs(got - want), axis=0)
     # Euclidean error of the pair at the worst point is at least the worst
     # single component and at most their quadrature sum
-    err = block_error(blk, rs, T_PAIR, BOX, GRID)
+    err = block_sup_error(blk, rs, T_PAIR, BOX, GRID)
     assert err >= max(comp_max) - 1e-15
     assert err <= np.sqrt(np.sum(comp_max**2)) + 1e-15
 
@@ -286,7 +287,7 @@ def test_h_decay(name, params, blockkind, z0):
         which = square_block(spec, z0, 0.05, PROF)[1]
         build = lambda h: square_block(spec, z0, h, PROF)[0]
         target = {"zzbar": T_ZZBAR, "z2": T_Z2, "zbar2": T_ZBAR2}[which]
-    errs = [block_error(build(1e-1 * 2.0**-k), spec, target, BOX, GRID)
+    errs = [block_sup_error(build(1e-1 * 2.0**-k), spec, target, BOX, GRID)
             for k in range(6)]
     for cur, nxt in zip(errs, errs[1:]):
         if cur < 1e-9:
@@ -302,10 +303,10 @@ def test_quadratic_exactness(name, h):
     spec = get_activation(name)
     blk, which = square_block(spec, 0.4 - 0.2j, h, PROF)
     target = {"zzbar": T_ZZBAR, "z2": T_Z2, "zbar2": T_ZBAR2}[which]
-    assert block_error(blk, spec, target, BOX, GRID) < 1e-10
+    assert block_sup_error(blk, spec, target, BOX, GRID) < 1e-10
     mblk, kind = mul_block(spec, 0.4 - 0.2j, h, PROF)
     mtarget = lambda zs: mul_apply(kind, zs[:, 0], zs[:, 1])[:, None]
-    assert block_error(mblk, spec, mtarget, BIBOX, BIGRID) < 1e-10
+    assert block_sup_error(mblk, spec, mtarget, BIBOX, BIGRID) < 1e-10
 
 
 def test_conditioning_scale_recorded():
@@ -344,10 +345,10 @@ def test_mul_error_bounded_by_weighted_square_errors():
     bound = np.zeros(pts.shape[0])
     for row, coef in combos:
         u = pts @ row.astype(complex)
-        got = sqblk(spec, u[:, None])[:, 0]
+        got = block_values(sqblk, spec, u[:, None])[:, 0]
         bound += abs(coef) * np.abs(got - u * np.conj(u))
     target = pts[:, 0] * np.conj(pts[:, 1])
-    mul_err = np.abs(mblk(spec, pts)[:, 0] - target)
+    mul_err = np.abs(block_values(mblk, spec, pts)[:, 0] - target)
     assert np.all(mul_err <= bound + 1e-12)
 
 
@@ -356,4 +357,6 @@ def test_block_to_cvnn_round_trip():
     blk = identity_block(card, 1.0, 1e-3, PROF)
     net = blk.to_cvnn(card)
     pts = sample_box(BOX, GRID)
-    assert np.max(np.abs(eval_cvnn(net, pts, card.fn) - blk(card, pts))) < 1e-15
+    explicit = (card(pts @ blk.pre.matrix.T + blk.pre.bias) @ blk.post.matrix.T
+                + blk.post.bias)
+    assert np.max(np.abs(eval_cvnn(net, pts, card.fn) - explicit)) < 1e-15

@@ -256,6 +256,16 @@ def test_sweep_command(tmp_path):
     assert errs[1] < errs[0]
 
 
+def test_sweep_row_of_a_block_that_fails_to_evaluate_is_inf(tmp_path):
+    # exp's identity block at 709.7 reads exp(709.7 + h z), which overflows
+    # on the box at h = 0.1 only: that row is inf, as in an h_sweep
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--activation", "exp", "--block", "identity", "--z0", "709.7,0",
+                "--no-timestamp", "--out", str(out)]) == 0
+    errs = [float(l.split(",")[1]) for l in out.read_text().splitlines() if l[:1].isdigit()]
+    assert errs[0] == float("inf") and all(np.isfinite(errs[1:]))
+
+
 @pytest.mark.parametrize("block", ["square", "mul"])
 def test_sweep_builds_each_block_once_per_h(monkeypatch, tmp_path, block):
     from deepnarrow import blocks, cli

@@ -8,7 +8,7 @@ from deepnarrow.activations import get_activation
 from deepnarrow.core import (MAX_SAMPLE_POINTS, AffineArrays, CompactBox, ComplexAffineMap, Cvnn,
                              GridSpec, cvnn_from_json, cvnn_to_json, depth_of, eval_affine,
                              eval_cvnn, eval_cvnns, fuse_affine, hidden_widths, max_coeff,
-                             pad_hidden_width, sample_box, width_of)
+                             sample_box, width_of)
 from deepnarrow.errors import DimensionMismatch, EvaluationFailure
 
 from conftest import random_affine, random_points, random_shallow
@@ -115,18 +115,6 @@ def test_width_counts_input_output_dims(rng):
     card = get_activation("cardioid")
     net = random_shallow(rng, 7, 1, 3, card.activation_id)
     assert width_of(net) == 7
-
-
-def test_pad_hidden_width(rng):
-    card = get_activation("cardioid")
-    net = random_shallow(rng, 2, 1, 3, card.activation_id)
-    padded = pad_hidden_width(net, 6)
-    assert width_of(padded) == 6
-    zs = random_points(rng, 30, 2)
-    assert np.max(np.abs(eval_cvnn(net, zs, card.fn)
-                         - eval_cvnn(padded, zs, card.fn))) < 1e-12
-    with pytest.raises(DimensionMismatch):
-        pad_hidden_width(net, 2)
 
 
 def test_sample_box_lattice_corners():

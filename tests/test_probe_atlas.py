@@ -5,7 +5,10 @@ GOLDEN pins the verdict and witness, the active and nonzero-second points,
 and per strategy the lowering plan (sigma, conj-realizer point, identity
 point, pair route, square point, mul kind) or the exception planning
 raises.  The table was recorded from the per-use grid scans that the atlas
-replaced, so it also shows that the atlas keeps their choices.
+replaced, so it also shows that the atlas keeps their choices.  The plans
+of nowhere_diff were recorded again when a derivative came to count as
+nonzero only above three times its error estimate: its estimates are the
+only nonzero ones in the catalog.
 """
 
 from collections import Counter
@@ -16,6 +19,7 @@ import pytest
 from deepnarrow import cli, lowering, wirtinger
 from deepnarrow.activations import (available_activations, conjugate_activation,
                                     custom_activation, get_activation, scale_activation)
+from deepnarrow.core import CompactBox
 from deepnarrow.errors import ConstructionError, ProbeFailed, StrategyMismatch
 from deepnarrow.lowering import STRATEGIES, plan_lowering
 from deepnarrow.wirtinger import (TAYLOR_RADII, ToleranceProfile, classify_activation,
@@ -106,8 +110,9 @@ GOLDEN = {
         'Inconclusive', None, None, ((-2+0j), 'ddbar'),
         {
             'NonPoly_NMplus1':
-                ('nowhere_diff', None, (1.5+1.5j), None, None, None),
-            'NonPoly_Conj_NMplus1': StrategyMismatch,
+                ('nowhere_diff', None, (-1.5+0.5j), None, None, None),
+            'NonPoly_Conj_NMplus1':
+                ('conj:nowhere_diff', (-1.5-0.5j), (-1.5-0.5j), None, None, None),
             'NonPoly_2N2Mplus1':
                 ('nowhere_diff', None, None, ((-1.5+2j),), None, None),
             'Poly_Wide_2N2Mplus12':
@@ -115,7 +120,7 @@ GOLDEN = {
             'Poly_Narrow_2N2Mplus5':
                 ('nowhere_diff', None, None, ((-2-0.5j),), (-1-1j), 'mul2'),
             'Poly_NMplus4':
-                ('nowhere_diff', None, (1.5+1.5j), ((-2-0.5j),), (-1-1j), 'mul2'),
+                ('nowhere_diff', None, (-1.5+0.5j), ((-2-0.5j),), (-1-1j), 'mul2'),
         }),
     'r_affine': (
         'NonUniversalHolomorphic', None, (-2-2j), None,
@@ -270,6 +275,49 @@ def test_conjugated_view_equals_a_rescan(name):
     assert view.pattern_points() == rescan.pattern_points()
     assert view.square_point() == rescan.square_point()
     assert view.pair_route() == rescan.pair_route()
+
+
+def test_a_derivative_below_its_error_is_zero():
+    """z|z| has d = 3|z|/2 and dbar = z^2/(2|z|), both zero at 0 alone.  The
+    numeric d at 0 (3.3e-6) is above zero_tol but not above three times its
+    error estimate (1.7e-6), so 0 is no lone-d witness: z|z| is universal
+    with both derivatives nonzero, and no NMplus1 plan exists for it."""
+    spec = custom_activation("z_abs_z", lambda z: z * np.abs(z))
+    atlas = probe_atlas(spec, PROF)
+    origin = [atlas.first(i)[0] for i in range(len(atlas))].index(0j)
+    _, d, dbar, est = atlas.first(origin)
+    assert PROF.zero_tol < abs(d) <= 3 * est and abs(dbar) <= PROF.zero_tol
+    assert atlas.pattern(origin) is None
+    assert {atlas.pattern(i) for i in range(len(atlas)) if i != origin} == {"both"}
+    cls = classify_activation(spec, 1, 1, PROF)
+    assert cls.verdict == "UniversalNonPoly_2N2Mplus1" and cls.witness_point != 0
+    with pytest.raises(StrategyMismatch):
+        plan_lowering(spec, "NonPoly_NMplus1", PROF)
+
+
+def test_probe_box_grows_before_a_negative_verdict():
+    """modrelu b=-5 vanishes on |z| <= 5, which holds the default box
+    [-2, 2]^2.  The box doubles until it holds a witness: [-4, 4]^2 has
+    corners at |z| = 5.66.  The classifier and the lowering read that box."""
+    spec = get_activation("modrelu", {"b": -5})
+    atlas = probe_atlas(spec, PROF)
+    assert atlas.prof.probe_box == CompactBox.square(1, 4.0)
+    cls = classify_activation(spec, 1, 1, PROF)
+    assert cls.verdict in ("UniversalNonPoly_2N2Mplus1", "Inconclusive")
+    if cls.witness_point is not None:
+        assert abs(cls.witness_point) > 5
+        assert plan_lowering(spec, "NonPoly_2N2Mplus1", PROF).pair_route == (cls.witness_point,)
+
+
+def test_probe_box_without_witness_is_inconclusive():
+    """modrelu b=-100 vanishes on the largest box scanned, [-32, 32]^2 (the
+    default doubled PROBE_BOX_GROWTHS times): no verdict against
+    universality, and the reason names that box."""
+    spec = get_activation("modrelu", {"b": -100})
+    cls = classify_activation(spec, 1, 1, PROF)
+    assert cls.verdict == "Inconclusive" and cls.witness_point is None
+    half = 2 * 2 ** wirtinger.PROBE_BOX_GROWTHS
+    assert f"[-{half}, {half}] + i[-{half}, {half}]" in cls.evidence
 
 
 def test_atlas_is_memoised_by_value():

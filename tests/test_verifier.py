@@ -312,14 +312,15 @@ def test_l1_error_mc_blocks_equal_one_pass(samples):
 
 def test_sup_error_nan_in_last_block_is_nan(monkeypatch):
     monkeypatch.setattr(verifier, "_ROW_BLOCK", 8)
-    # 81 lattice points, the last one (1+1j) alone in the eleventh block
+    # 81 lattice points, the last one (1+1j) in the tenth block, rows 72-80
+    # (the lone 81st row is folded into the block before it)
     g = lambda zs: np.where(zs[:, 0] == 1 + 1j, np.nan, zs[:, 0])
     assert np.isnan(sup_error(lambda zs: zs[:, 0], g, BOX, GridSpec(9)))
 
 
 def test_late_block_evaluation_failure_gives_inf_row(monkeypatch):
     monkeypatch.setattr(verifier, "_ROW_BLOCK", 8)
-    # finite except at RE z = 1, the last 9 of 81 lattice rows (blocks 10 and 11)
+    # finite except at RE z = 1, the last 9 of 81 lattice rows (the tenth block)
     spec = custom_activation("blows_up_at_re_1",
                              lambda z: np.where(z.real < 0.99, z, np.inf))
     one = ComplexAffineMap(np.eye(1), np.zeros(1))
@@ -348,9 +349,10 @@ def test_best_row_without_finite_rows_raises():
 
 
 def test_end_to_end_nonpoly_all_infinite_sweep_raises():
-    # z|z| has dbar = z^2 / (2|z|) != 0 off 0: the NMplus1 lowering has no
-    # lone-d point and overflows at every h of the default schedule
-    spec = custom_activation("z_abs_z", lambda z: z * np.abs(z))
+    # z|z| + 1e-5 z: at 0, d = 1e-5 and dbar = 0, the only lone-d point; the
+    # NMplus1 lowering's identity blocks there divide by h d and overflow at
+    # every h of the default schedule
+    spec = custom_activation("z_abs_z_eps", lambda z: z * np.abs(z) + 1e-5 * z)
     fn, m = named_target("zzbar")
     cfg = FitConfig(num_features=40, grid=GridSpec(21), seed=0)
     with pytest.raises(EvaluationFailure, match="no h in the sweep"):

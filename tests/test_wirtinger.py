@@ -463,11 +463,10 @@ def test_real_combinations_of_r_affine_classify_r_affine(terms):
     assert cls.verdict == "NonUniversalRAffine", cls.evidence
 
 
-#: Catalog verdicts, without the two known faults (z|z|, which the
-#: classifier calls UniversalNonPoly_NMplus1, and modrelu b=-5, whose probe
-#: box lies in the dead zone).
+#: Catalog verdicts, modrelu b=-5 among them: its default probe box lies in
+#: the dead zone, so it is classified on a grown one.
 VERDICT_CASES = ([(name, {}) for name in available_activations()]
-                 + [("modrelu", {"b": -0.5}), ("modrelu", {"b": -1}),
+                 + [("modrelu", {"b": -0.5}), ("modrelu", {"b": -1}), ("modrelu", {"b": -5}),
                     ("r_affine", {"a": 2, "b": 1, "c": 1})])
 _CONJ_VERDICT = {"NonUniversalHolomorphic": "NonUniversalAntiholomorphic",
                  "NonUniversalAntiholomorphic": "NonUniversalHolomorphic"}
