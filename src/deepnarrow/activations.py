@@ -146,25 +146,6 @@ def custom_activation(name: str, fn: Callable, **kwargs) -> ActivationSpec:
 _TINY = np.finfo(np.float64).tiny
 
 
-def _scaled_by_inverse_modulus(z, s, r, mask):
-    """z * s / r where ``mask`` holds and 0 elsewhere, for real s and r = |z|.
-
-    ``mask`` must exclude subnormal r, whose 1/r overflows: both catalog
-    members are 0 there, as they already are for |z| below ~1e-162, where
-    z * s underflows.
-
-    Multiplies by a real reciprocal instead of dividing by r as a complex
-    number.  numpy's complex / real division also multiplies by 1/r, so the
-    values agree with ``np.divide(s * z, r, where=mask)`` into a zero buffer
-    up to the sign of exact zeros, without the complex temporaries.
-    """
-    scl = np.zeros(r.shape)
-    np.divide(1.0, r, out=scl, where=mask)
-    out = z * s
-    out *= scl
-    return out
-
-
 def _modrelu(params: Mapping) -> ActivationSpec:
     b = float(params.get("b", -1.0))
     if b >= 0:
@@ -174,10 +155,19 @@ def _modrelu(params: Mapping) -> ActivationSpec:
     r_min = max(-b, _TINY)
 
     def fn(z):
+        # z * s * (1/r) outside the dead zone r <= -b and 0 inside it.  The
+        # mask also excludes a subnormal r, whose 1/r overflows.  Multiplying
+        # by a real reciprocal agrees with np.divide(s * z, r, where=mask)
+        # into a zero buffer up to the sign of exact zeros (numpy's complex /
+        # real division also multiplies by 1/r), without complex temporaries.
         z = np.asarray(z, dtype=np.complex128)
         r = np.abs(z)
         s = r + b
-        return _scaled_by_inverse_modulus(z, s, r, r > r_min)
+        scl = np.zeros(r.shape)
+        np.divide(1.0, r, out=scl, where=r > r_min)
+        out = z * s
+        out *= scl
+        return out
 
     def first(z0):
         r = abs(z0)
@@ -201,11 +191,21 @@ def _modrelu(params: Mapping) -> ActivationSpec:
 
 def _cardioid(params: Mapping) -> ActivationSpec:
     def fn(z):
+        # z * s * (1/r) with s = (r + Re z)/2, where r is raised to the least
+        # normal float so that 1/r is finite: below it |s| <= r makes z * s
+        # underflow to signed zeros, which the finite positive 1/tiny keeps,
+        # so the values are those of the masked form (0 for a subnormal r)
+        # without its zero buffer, mask and masked divide.  NaN and inf stay
+        # non-finite.  r is an array even for a scalar z, to be reused in place.
         z = np.asarray(z, dtype=np.complex128)
-        r = np.abs(z)
+        r = np.abs(z, out=np.empty(z.shape))
         s = r + z.real
         s *= 0.5
-        return _scaled_by_inverse_modulus(z, s, r, r >= _TINY)
+        scl = np.maximum(r, _TINY, out=r)
+        np.divide(1.0, scl, out=scl)
+        out = z * s
+        out *= scl
+        return out
 
     def first(z0):
         r = abs(z0)

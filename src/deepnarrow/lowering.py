@@ -329,11 +329,11 @@ def _lower_shallow(program: RegisterProgram, kit: _Kit) -> list:
     n, m = program.input_dim, program.output_dim
     s = n + m + 1
     iu = n
-    a0, b0 = program.init_load
+    loads, load_bias, flush = program.arrays
     init = np.eye(s, n, dtype=np.complex128)
-    init[iu, :] = np.asarray(a0)
+    init[iu, :] = loads[0]
     init_b = np.zeros(s, dtype=np.complex128)
-    init_b[iu] = b0
+    init_b[iu] = load_bias[0]
     pieces = []
     pieces.append(("affine", _affine(init, init_b)))
 
@@ -348,15 +348,15 @@ def _lower_shallow(program: RegisterProgram, kit: _Kit) -> list:
     stages = tuple(kit.realize(builder.finish(outputs)))
     pieces += [("stage", stage) for stage in stages]
 
-    layers = program.layers
-    trans = np.zeros((len(layers), s, s), dtype=np.complex128)
+    # the transition after layer k flushes it and reloads u with layer k+1's
+    # preactivation; after the last layer u is left at 0
+    trans = np.zeros((len(flush), s, s), dtype=np.complex128)
     trans[:, :n, :n] = np.eye(n)
     trans[:, n + 1:, n + 1:] = np.eye(m)
-    trans[:, n + 1:, iu] = [lay.flush for lay in layers]
-    trans_b = np.zeros((len(layers), s), dtype=np.complex128)
-    for k, lay in enumerate(layers):
-        if lay.reload is not None:
-            trans[k, iu, :n], trans_b[k, iu] = lay.reload
+    trans[:, n + 1:, iu] = flush
+    trans[:-1, iu, :n] = loads[1:]
+    trans_b = np.zeros((len(flush), s), dtype=np.complex128)
+    trans_b[:-1, iu] = load_bias[1:]
     pieces.append(("layers", Layers(stages, AffineArrays(trans, trans_b))))
 
     pieces.append(("affine", _end_map(program, s)))

@@ -23,9 +23,10 @@ conjugation); lowering replaces the slots with activation neurons.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -40,6 +41,7 @@ __all__ = [
     "MulLayer",
     "FlushLayer",
     "RegisterProgram",
+    "ShallowArrays",
     "shallow_to_register",
     "plan_monomial",
     "poly_to_register",
@@ -161,6 +163,17 @@ class FlushLayer:
 Layer = Union[RhoLayer, MulLayer, FlushLayer]
 
 
+class ShallowArrays(NamedTuple):
+    """A shallow program's layers as read-only arrays.  Row k of ``loads``
+    and ``load_bias`` is the preactivation a_k^T z + b_k that layer k applies
+    the activation to (row 0 the init load, row k the reload of layer k-1);
+    row k of ``flush`` is layer k's flush weights."""
+
+    loads: np.ndarray      # (L, n)
+    load_bias: np.ndarray  # (L,)
+    flush: np.ndarray      # (L, m)
+
+
 @dataclass(frozen=True)
 class RegisterProgram:
     input_dim: int
@@ -176,11 +189,15 @@ class RegisterProgram:
         if self.family == "shallow":
             if self.init_load is None:
                 raise StrategyMismatch("shallow program needs init_load")
-            for lay in self.layers:
+            if not self.layers:
+                raise StrategyMismatch("shallow program needs at least one layer")
+            for k, lay in enumerate(self.layers):
                 if not isinstance(lay, RhoLayer):
                     raise StrategyMismatch("shallow program admits RhoLayer only")
                 if len(lay.flush) != m:
                     raise DimensionMismatch("flush width must equal output_dim")
+                if (lay.reload is None) != (k == len(self.layers) - 1):
+                    raise StrategyMismatch("every shallow layer but the last reloads u")
                 if lay.reload is not None and len(lay.reload[0]) != n:
                     raise DimensionMismatch("reload weights must have length n")
         elif self.family == "poly":
@@ -205,6 +222,19 @@ class RegisterProgram:
     def width(self) -> int:
         n, m = self.input_dim, self.output_dim
         return n + m + 1 if self.family == "shallow" else 2 * n + m + 1
+
+    @functools.cached_property
+    def arrays(self) -> ShallowArrays:
+        """The shallow program's layers as arrays, built on first use."""
+        if self.family != "shallow":
+            raise StrategyMismatch("only a shallow program has an array view")
+        loads = [self.init_load] + [lay.reload for lay in self.layers[:-1]]
+        view = ShallowArrays(np.array([a for a, _ in loads], dtype=np.complex128),
+                             np.array([b for _, b in loads], dtype=np.complex128),
+                             np.array([lay.flush for lay in self.layers], dtype=np.complex128))
+        for arr in view:
+            arr.flags.writeable = False
+        return view
 
 
 def describe_layer(program: RegisterProgram, idx: int) -> list:
@@ -242,20 +272,15 @@ def shallow_to_register(net: Cvnn) -> RegisterProgram:
     if len(net.affine_maps) != 2:
         raise StrategyMismatch("shallow_to_register requires a depth-2 network")
     v1, v2 = net.affine_maps
-    n, m, w = v1.in_dim, v2.out_dim, v1.out_dim
-    layers = []
-    for k in range(w):
-        reload = None
-        if k + 1 < w:
-            reload = (tuple(v1.matrix[k + 1]), complex(v1.bias[k + 1]))
-        layers.append(RhoLayer(tuple(v2.matrix[:, k]), reload))
+    loads = [(tuple(a), b) for a, b in zip(v1.matrix.tolist(), v1.bias.tolist())]
+    flushes = [tuple(c) for c in v2.matrix.T.tolist()]
     return RegisterProgram(
-        input_dim=n,
-        output_dim=m,
+        input_dim=v1.in_dim,
+        output_dim=v2.out_dim,
         family="shallow",
-        layers=tuple(layers),
-        end_bias=tuple(v2.bias),
-        init_load=(tuple(v1.matrix[0]), complex(v1.bias[0])),
+        layers=tuple(RhoLayer(c, load) for c, load in zip(flushes, loads[1:] + [None])),
+        end_bias=tuple(v2.bias.tolist()),
+        init_load=loads[0],
     )
 
 
@@ -380,9 +405,21 @@ def poly_to_register(components: Sequence[PolyZZbar], kind: str) -> RegisterProg
 # ---------------------------------------------------------------------------
 
 
+#: Preactivations a shallow program's evaluation hands the activation in one
+#: call: a block of layers of every row.  The bound keeps the block and the
+#: activation's temporaries at 512 KiB each, whatever the program's depth.
+_CHUNK_VALUES = 2 ** 15
+
+
 def eval_register(program: RegisterProgram, z, activation_fn: Optional[Callable] = None) -> np.ndarray:
     """Exact ideal semantics: true complex products for mul layers, true
-    conjugation for conjugate registers, the real activation for rho layers."""
+    conjugation for conjugate registers, the real activation for rho layers.
+
+    A shallow program's preactivations are computed one layer at a time, as
+    the layers define them, into a layers x rows block of at most
+    ``_CHUNK_VALUES`` values; the activation is called once per block, and
+    the flushes are added in layer order.  An elementwise activation gives
+    the bits of one call per layer."""
     zs = np.asarray(z, dtype=np.complex128)
     single = zs.ndim == 1
     if single:
@@ -396,14 +433,16 @@ def eval_register(program: RegisterProgram, z, activation_fn: Optional[Callable]
     if program.family == "shallow":
         if activation_fn is None:
             raise ValueError("shallow programs need the activation to evaluate")
-        a0, b0 = program.init_load
-        u = zs @ np.asarray(a0, dtype=np.complex128) + b0
-        for lay in program.layers:
+        loads, load_bias, flush = program.arrays
+        step = max(1, _CHUNK_VALUES // max(1, count))
+        for lo in range(0, len(loads), step):
+            hi = min(lo + step, len(loads))
+            u = np.empty((hi - lo, count), dtype=np.complex128)
+            for k in range(lo, hi):
+                u[k - lo] = zs @ loads[k] + load_bias[k]
             y = np.asarray(activation_fn(u), dtype=np.complex128)
-            out += y[:, None] * np.asarray(lay.flush, dtype=np.complex128)
-            if lay.reload is not None:
-                a, b = lay.reload
-                u = zs @ np.asarray(a, dtype=np.complex128) + b
+            for k in range(lo, hi):
+                out += y[k - lo][:, None] * flush[k]
     else:
         w = np.ones(count, dtype=np.complex128)
         conj = np.conj(zs)

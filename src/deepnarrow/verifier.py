@@ -154,7 +154,10 @@ def _box_volume(box: CompactBox) -> float:
 def l1_error_mc(f: Callable, g: Callable, box: CompactBox, samples: int,
                 seed: int = 0) -> MCEstimate:
     """Monte-Carlo estimate of the L1 error integral over the box, with its
-    standard error (volume-scaled)."""
+    standard error (volume-scaled).  The standard error needs at least two
+    samples."""
+    if samples < 2:
+        raise ValueError(f"Monte-Carlo estimate needs at least 2 samples, got {samples}")
     rng = np.random.default_rng(seed)
     n = box.n
     pts = np.empty((samples, n), dtype=np.complex128)

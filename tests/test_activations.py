@@ -207,6 +207,64 @@ def test_lean_evaluators_match_divide_form(name, params, reference):
                 assert np.array_equal(got, ref(np.asarray(z0)), equal_nan=True)
 
 
+def _masked_reciprocal_cardioid(z):
+    """cardioid as z * s times a masked reciprocal of |z|: 1/|z| where |z|
+    is normal, 0 in a zero buffer elsewhere."""
+    r = np.abs(z)
+    s = 0.5 * (r + np.real(z))
+    scl = np.zeros(r.shape)
+    np.divide(1.0, r, out=scl, where=r >= np.finfo(np.float64).tiny)
+    out = z * s
+    out *= scl
+    return out
+
+
+def _cardioid_kernel_points():
+    """Signed zeros, subnormal moduli, the least normal modulus and its
+    neighbours, random points and moduli up to 1e300, on and off the axes."""
+    tiny = np.finfo(np.float64).tiny
+    parts = [0.0, -0.0, 5e-324, -5e-324, 1e-310, np.nextafter(tiny, 0.0), tiny,
+             -tiny, np.nextafter(tiny, 1.0), 1e-200, 0.7, -3.0, 1e150, 1e300, -1e300]
+    pts = [complex(a, b) for a in parts for b in parts]
+    moduli = [np.nextafter(tiny, 0.0), tiny, np.nextafter(tiny, 1.0), 2 * tiny]
+    pts += [r * np.exp(1j * t) for r in moduli for t in np.linspace(-3.1, 3.1, 9)]
+    rng = np.random.default_rng(31)
+    pts += list(random_points(rng, 200, 1, 2.0)[:, 0])
+    pts += list(10.0 ** rng.uniform(-320, 300, 200) * np.exp(1j * rng.uniform(-np.pi, np.pi, 200)))
+    return np.array(pts, dtype=np.complex128)
+
+
+def test_cardioid_equals_masked_reciprocal_form_bit_for_bit():
+    """The catalog cardioid raises |z| to the least normal float instead of
+    masking its reciprocal: the same bits everywhere, signed zeros, NaN and
+    overflowed values included, as an array and one point at a time."""
+    bits = lambda v: np.asarray(v, dtype=np.complex128).view(np.uint64)
+    fn = get_activation("cardioid").fn
+    zs = _cardioid_kernel_points()
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = bits(_masked_reciprocal_cardioid(zs))
+        assert np.array_equal(bits(fn(zs)), want)
+        assert np.array_equal(bits(fn(zs[:600].reshape(20, 30))).ravel(), want[:1200])
+        for z0, w in zip(zs, want.reshape(-1, 2)):
+            got = fn(np.asarray(z0))
+            assert np.ndim(got) == 0 and np.array_equal(bits(np.reshape(got, 1)), w)
+
+
+def test_cardioid_raises_no_floating_point_error_on_finite_values():
+    """No divide by zero at 0, no overflowing reciprocal at a subnormal |z|
+    and no invalid operation, wherever the value is finite.  From |z| of
+    about 1.3e154 on, z * s overflows before it is scaled back, in the
+    masked form as well, so those points are left out here."""
+    zs = _cardioid_kernel_points()
+    zs = zs[np.abs(zs) <= 1e150]
+    fn = get_activation("cardioid").fn
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        out = fn(zs)
+        for z0 in zs[:50]:
+            fn(np.asarray(z0))
+    assert np.isfinite(out).all()
+
+
 @pytest.mark.parametrize("name, params", [("cardioid", {}), ("modrelu", {"b": -1e-320})])
 def test_subnormal_moduli_give_zero(name, params):
     """At a subnormal |z|, where 1/|z| overflows, the value is 0 (finite, and

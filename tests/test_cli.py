@@ -334,6 +334,19 @@ def test_demo_document_is_the_api_result_with_its_name(tmp_path, name, flags, ap
     assert json.loads(out.read_text()) == json.loads(json.dumps(dict(api(), demo=name)))
 
 
+@pytest.mark.parametrize("samples", [1, 0])
+def test_lower_bound_demo_refuses_fewer_than_two_samples(tmp_path, capsys, samples):
+    """One sample has no standard error (it was written as NaN, which is not
+    JSON) and none has no mean: both are refused, and no document is written."""
+    out = tmp_path / "demo.json"
+    rc = run(["demo", "--name", "lower-bound", "--mc-samples", str(samples),
+              "--no-timestamp", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[BAD_VALUE]") and "at least 2 samples" in err
+    assert not out.exists()
+
+
 def test_eval_command(tmp_path):
     spec = get_activation("cardioid")
     from conftest import random_shallow

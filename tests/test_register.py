@@ -1,12 +1,16 @@
+from dataclasses import replace
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from deepnarrow import register
 from deepnarrow.activations import get_activation
 from deepnarrow.core import ComplexAffineMap, Cvnn, eval_cvnn
 from deepnarrow.errors import DimensionMismatch, StrategyMismatch
-from deepnarrow.register import (FlushLayer, MulLayer, PolyZZbar, describe_layer,
+from deepnarrow.register import (FlushLayer, MulLayer, PolyZZbar, RhoLayer, describe_layer,
                                  eval_register, plan_monomial, poly_from_json_dict,
                                  poly_to_json_dict, poly_to_register,
                                  program_from_json, program_to_json,
@@ -90,6 +94,97 @@ def test_shallow_to_register_rejects_deep(rng):
     net = Cvnn((ComplexAffineMap(np.eye(2), np.zeros(2)),) * 3, CARD.activation_id)
     with pytest.raises(StrategyMismatch):
         shallow_to_register(net)
+
+
+def test_shallow_program_reloads_on_every_layer_but_the_last(rng):
+    """A layer without a reload would leave u as it is under eval_register
+    but reset it to 0 in the lowered network, so it is refused; so is a
+    reload after the last layer, which nothing reads, and a program with no
+    layer, whose lowering had no transitions to build."""
+    program = shallow_to_register(random_shallow(rng, 1, 1, 3, CARD.activation_id))
+    first, middle, last = program.layers
+    with pytest.raises(StrategyMismatch, match="at least one layer"):
+        replace(program, layers=())
+    with pytest.raises(StrategyMismatch, match="every shallow layer but the last"):
+        replace(program, layers=(first, RhoLayer(middle.flush), last))
+    with pytest.raises(StrategyMismatch, match="every shallow layer but the last"):
+        replace(program, layers=(first, middle, RhoLayer(last.flush, first.reload)))
+
+
+@pytest.mark.parametrize("n,m,w", [(1, 1, 1), (2, 1, 4), (1, 2, 5)])
+def test_shallow_array_view_reads_the_layers(rng, n, m, w):
+    net = random_shallow(rng, n, m, w, CARD.activation_id)
+    program = shallow_to_register(net)
+    view = program.arrays
+    assert view is program.arrays
+    v1, v2 = net.affine_maps
+    assert np.array_equal(view.loads, v1.matrix)
+    assert np.array_equal(view.load_bias, v1.bias)
+    assert np.array_equal(view.flush, v2.matrix.T)
+    assert view.loads.shape == (w, n) and view.flush.shape == (w, m)
+    for arr in view:
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    with pytest.raises(StrategyMismatch):
+        poly_to_register([PolyZZbar(1, ((1 + 0j, (1,), (0,)),))], "mul1").arrays
+
+
+def _per_layer_eval(program, zs, fn):
+    """The shallow semantics one layer at a time: activation, flush, reload."""
+    out = np.zeros((zs.shape[0], program.output_dim), dtype=np.complex128)
+    a, b = program.init_load
+    u = zs @ np.asarray(a, dtype=np.complex128) + b
+    for lay in program.layers:
+        y = np.asarray(fn(u), dtype=np.complex128)
+        out += y[:, None] * np.asarray(lay.flush, dtype=np.complex128)
+        if lay.reload is not None:
+            a, b = lay.reload
+            u = zs @ np.asarray(a, dtype=np.complex128) + b
+    return out + np.asarray(program.end_bias, dtype=np.complex128)
+
+
+_EVAL_ACTIVATIONS = ("cardioid", "modrelu", "tanh_re", "exp_re", "conj:cardioid")
+
+
+def _assert_eval_is_per_layer(name, n, m, rows, layers, seed):
+    spec = get_activation(name)
+    rng = np.random.default_rng(seed)
+    program = shallow_to_register(random_shallow(rng, n, m, layers, spec.activation_id))
+    zs = random_points(rng, rows, n)
+    got = eval_register(program, zs, spec.fn)
+    want = _per_layer_eval(program, zs, spec.fn)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@settings(max_examples=40)
+@given(name=st.sampled_from(_EVAL_ACTIVATIONS), n=st.integers(1, 2), m=st.integers(1, 2),
+       rows=st.sampled_from((1, 7, 2049)), block=st.sampled_from((2, 3, 5)),
+       offset=st.sampled_from((None, -1, 0, 1)), seed=st.integers(0, 2**32 - 1))
+@example(name="cardioid", n=1, m=1, rows=1, block=2, offset=-1, seed=0)
+@example(name="modrelu", n=2, m=2, rows=2049, block=3, offset=1, seed=1)
+@example(name="conj:cardioid", n=2, m=1, rows=7, block=5, offset=0, seed=2)
+def test_eval_register_equals_per_layer_loop(name, n, m, rows, block, offset, seed):
+    """Evaluated a block of layers per activation call, a shallow program
+    gives the bits of one call per layer: for one layer and for one layer
+    fewer than, exactly and one more than a block holds.  The block is made
+    small here (``block`` layers of ``rows`` rows) to keep the programs short;
+    the next test runs full-size blocks."""
+    layers = 1 if offset is None else block + offset
+    with mock.patch.object(register, "_CHUNK_VALUES", rows * block):
+        _assert_eval_is_per_layer(name, n, m, rows, layers, seed)
+
+
+@pytest.mark.parametrize("name, n, m, rows", [
+    ("cardioid", 1, 1, 7), ("tanh_re", 2, 1, 7), ("conj:cardioid", 1, 2, 7),
+    ("modrelu", 2, 2, 2049), ("exp_re", 1, 1, 2049),
+])
+def test_eval_register_full_blocks_equal_per_layer_loop(name, n, m, rows):
+    """One layer more than a full block of ``_CHUNK_VALUES`` values holds, so
+    one activation call gets a full block (past numpy's 16,384-value
+    threshold for reusing temporaries in place) and one gets one layer.  One
+    row would need 32,769 layers; the small-block test above covers it."""
+    layers = max(1, register._CHUNK_VALUES // rows) + 1
+    _assert_eval_is_per_layer(name, n, m, rows, layers, seed=rows + layers)
 
 
 def test_plan_monomial_spec_examples():

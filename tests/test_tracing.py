@@ -65,6 +65,27 @@ def test_traced_deep_compile_counts_only_validated_maps(tmp_path):
     assert 0 < metrics["core.affine_maps_built"] <= 6 * (depth + 8)
 
 
+def test_traced_shallow_compile_reports_rows_and_register_work(tmp_path):
+    """A nonpoly compile keeps the names the tracer wraps on the shallow
+    path: one per-h row per schedule value, the program's layers counted
+    from ``program.layers`` and its evaluation timed."""
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    installed = tracing.install(tracer, deepnarrow)
+    try:
+        assert cli.main(["compile", "--target", "zzbar", "--activation", "cardioid",
+                         "--strategy", "NonPoly_NMplus1", "--features", "40",
+                         "--no-timestamp", "--out", str(tmp_path / "run")]) == 0
+        rows = tracer.per_h_rows()
+        metrics = tracing.layer_metrics(tracer)
+    finally:
+        installed.restore()
+    assert [r["h"] for r in rows] == list(verifier.DEFAULT_SWEEP_SCHEDULE)
+    assert all(r["lower_s"] > 0 and r["sup_s"] > 0 for r in rows)
+    assert metrics["register.eval_s"] > 0
+    assert metrics["register.program_layers"] == 40
+
+
 def test_traced_classify_counts_taylor_probes(tmp_path):
     """The batched Taylor probe keeps the name the tracer counts and times."""
     tracing = _load_tracing()
