@@ -24,7 +24,8 @@ from .blocks import conj_block, identity_block, mul_apply, mul_block, pair_block
 from .core import (CompactBox, GridSpec, cvnn_from_json, cvnn_to_json, depth_of,
                    eval_cvnn, sample_box, width_of)
 from .errors import (ConstructionError, DimensionMismatch, EvaluationFailure, FitSingular,
-                     InvalidActivationParams, StrategyMismatch, UnknownActivation)
+                     InvalidActivationParams, ProbeFailed, StrategyMismatch,
+                     UnknownActivation)
 from .fitting import FitConfig, fit_poly, fit_shallow
 from .lowering import default_strategy, lower, plan_lowering, STRATEGIES
 from .register import eval_register, poly_to_json_dict, program_from_json
@@ -39,6 +40,7 @@ _ERR_CODES = (
     (ConstructionError, ("CONSTRUCTION", 3)),
     (FitSingular, ("FIT_SINGULAR", 3)),
     (EvaluationFailure, ("EVALUATION", 3)),
+    (ProbeFailed, ("PROBE_FAILED", 3)),
     (DimensionMismatch, ("DIMENSION", 2)),
     (KeyError, ("BAD_NAME", 2)),
     (ValueError, ("BAD_VALUE", 2)),
@@ -107,7 +109,10 @@ def _json_dump(doc: dict, timestamp: bool) -> str:
 def _schedule(args):
     if args.h == "auto":
         return DEFAULT_SWEEP_SCHEDULE
-    return (float(args.h),)
+    h = float(args.h)
+    if not 0 < h < np.inf:
+        raise ValueError(f"--h must be auto or a positive finite number, got {args.h!r}")
+    return (h,)
 
 
 def _write_compiled(args, verb: str, strategy: str, net, report: SweepReport) -> int:

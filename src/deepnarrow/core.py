@@ -468,7 +468,8 @@ def cvnn_to_json(net: Cvnn) -> str:
                         for a in (ms, bs))
         doc["affine_maps"] += [{"rows": rows, "cols": cols, "matrix": m, "bias": b}
                                for m, b in zip(mats, biases)]
-    return json.dumps(doc, sort_keys=True)
+    # the document is built fresh from lists and dicts, so it holds no cycle
+    return json.dumps(doc, sort_keys=True, check_circular=False)
 
 
 def cvnn_from_json(text: str) -> Cvnn:

@@ -24,6 +24,14 @@ R-affine activations are never universal; otherwise the pattern of nonzero
 first Wirtinger derivatives at a good probe point, combined with
 polyharmonicity, selects the sufficient width family (n+m+1, 2n+2m+1,
 n+m+4, or 2n+2m+5).
+
+Each probe stage is one activation call: ``wirt_first`` and ``wirt_second``
+evaluate all their stencil points at once, and the Taylor probe of every
+candidate point of an atlas is one batch.  A classification of cardioid
+(closed-form first derivatives only) thus makes three activation calls: two
+second probes (the R-affine check, the witness) and one Taylor batch.  The
+atlas scan calls ``first_derivs`` once per grid point rather than once per
+grid, because the benchmark's tracer counts probes by that name.
 """
 
 from __future__ import annotations
@@ -31,7 +39,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass
-from typing import Optional
+from itertools import repeat
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -94,21 +103,27 @@ class ToleranceProfile:
     probe_grid: GridSpec = _DEFAULT_GRID
 
     def __post_init__(self):
-        if min(self.zero_tol, self.fd_step) <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.zero_tol < np.inf and 0 < self.fd_step < np.inf):
+            raise ValueError(f"tolerances must be positive and finite, got zero_tol="
+                             f"{self.zero_tol!r}, fd_step={self.fd_step!r}")
 
-    def nonzero(self, v, est: float) -> bool:
+    def nonzero(self, v, est):
         """Whether the derivative estimate v, with error estimate est, counts
-        as nonzero: |v| > max(zero_tol, 3 est)."""
-        return abs(v) > max(self.zero_tol, 3 * est)
+        as nonzero: |v| > max(zero_tol, 3 est).  v and est may be arrays,
+        which broadcast.  |v| is hypot of the parts, as abs of a complex
+        scalar is, and a NaN 3 est leaves zero_tol, as Python's max does."""
+        v = np.asarray(v)
+        return np.hypot(v.real, v.imag) > np.fmax(self.zero_tol, 3 * np.asarray(est))
 
     def pattern(self, d, dbar, est: float) -> Optional[str]:
         """The first-order pattern at a point, est the error estimate of d
         and dbar: "d" or "dbar" when only that derivative is nonzero, "both"
         when both are, None when neither is."""
-        if self.nonzero(d, est):
-            return "both" if self.nonzero(dbar, est) else "d"
-        return "dbar" if self.nonzero(dbar, est) else None
+        return _PATTERNS[bool(self.nonzero(d, est)) + 2 * bool(self.nonzero(dbar, est))]
+
+
+#: first-order pattern by nonzero(d) + 2 nonzero(dbar)
+_PATTERNS = (None, "d", "dbar", "both")
 
 
 @dataclass(frozen=True)
@@ -124,8 +139,7 @@ class WirtingerProbe:
     est_error: float
 
 
-@dataclass(frozen=True)
-class TaylorReport:
+class TaylorReport(NamedTuple):
     z0: complex
     order: int
     radii: tuple
@@ -200,18 +214,26 @@ def wirt_second(spec: ActivationSpec, z0: complex, prof: ToleranceProfile = Tole
 
     Returns (d2, ddbar, dbar2, est_error).  Finite-difference second partials
     (fxx, fxy, fyy) are converted through the quarter matrix
-    [[1,-2i,-1],[1,0,1],[1,2i,-1]].
+    [[1,-2i,-1],[1,0,1],[1,2i,-1]].  f(z0) and the eight stencil points of
+    both steps are evaluated in one activation call; a non-finite value
+    raises ProbeFailed naming the first group that holds one: [z0], the
+    points of step h, then those of step h/2.
     """
     z0 = complex(z0)
     h0 = np.sqrt(prof.fd_step) * max(1.0, abs(z0))
     hs = (h0, h0 / 2.0)
-    f0 = _eval_scalar(spec, [z0])[0]
+    groups = [[z0]] + [[z0 + h, z0 - h, z0 + 1j * h, z0 - 1j * h, z0 + h + 1j * h,
+                        z0 + h - 1j * h, z0 - h + 1j * h, z0 - h - 1j * h] for h in hs]
+    vals = spec(groups[0] + groups[1] + groups[2])
+    finite = np.isfinite(vals)
+    if not finite.all():
+        # value 0 is f(z0), values 1-8 step h, values 9-16 step h/2
+        raise _failure(groups[(int(np.argmin(finite)) + 7) // 8])
+    f0 = vals[0]
     xx_s, yy_s, xy_s = [], [], []
     fscale = max(1.0, abs(f0))
-    for h in hs:
-        pts = [z0 + h, z0 - h, z0 + 1j * h, z0 - 1j * h,
-               z0 + h + 1j * h, z0 + h - 1j * h, z0 - h + 1j * h, z0 - h - 1j * h]
-        v = _eval_scalar(spec, pts)
+    for k, h in enumerate(hs):
+        v = vals[1 + 8 * k : 9 + 8 * k]
         fscale = max(fscale, float(np.max(np.abs(v))))
         xx_s.append((v[0] - 2 * f0 + v[1]) / h**2)
         yy_s.append((v[2] - 2 * f0 + v[3]) / h**2)
@@ -313,7 +335,7 @@ def taylor_remainder_probe(spec: ActivationSpec, z0, order: int,
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     if np.ndim(z0) == 0:
-        out = _taylor_batch(spec, [complex(z0)], order, prof,
+        out = _taylor_batch(spec, np.array([complex(z0)]), order, prof,
                             None if d is None else [d], None if dbar is None else [dbar])[0]
         if isinstance(out, ProbeFailed):
             raise out
@@ -321,55 +343,73 @@ def taylor_remainder_probe(spec: ActivationSpec, z0, order: int,
     centres = np.asarray(z0, dtype=np.complex128)
     if centres.ndim != 1:
         raise ValueError("z0 must be a scalar or a 1-D array of centres")
-    return _taylor_batch(spec, [complex(z) for z in centres], order, prof, d, dbar)
+    return _taylor_batch(spec, centres, order, prof, d, dbar)
 
 
-def _taylor_batch(spec: ActivationSpec, zs: list, order: int, prof: ToleranceProfile,
+#: circle offsets w of the Taylor-remainder probe, (radius, angle), their
+#: conjugates, their squares, and r**order per radius
+_TAYLOR_W = np.stack([r * np.exp(2j * np.pi * np.arange(TAYLOR_POINTS_PER_CIRCLE)
+                                 / TAYLOR_POINTS_PER_CIRCLE) for r in TAYLOR_RADII])
+_TAYLOR_WC = np.conj(_TAYLOR_W)
+_TAYLOR_W2, _TAYLOR_WC2 = _TAYLOR_W**2, _TAYLOR_WC**2
+_TAYLOR_R_POW = {k: np.array([r**k for r in TAYLOR_RADII]) for k in (1, 2)}
+
+
+def _taylor_batch(spec: ActivationSpec, centres: np.ndarray, order: int, prof: ToleranceProfile,
                   d, dbar) -> list:
+    zs = centres.tolist()
     out = [None] * len(zs)
-    live, coefs = [], []
-    for k, z in enumerate(zs):
-        try:
-            dk, dbk = (d[k], dbar[k]) if d is not None else first_derivs(spec, z, prof)[:2]
-            if order == 2:
-                d2, ddbar, dbar2, _ = second_derivs(spec, z, prof)
-                # grouped as a lone call groups 0.5 * d2 * w**2
-                coefs.append((dk, dbk, 0.5 * d2, ddbar, 0.5 * dbar2))
-            else:
-                coefs.append((dk, dbk))
-        except ProbeFailed as exc:
-            out[k] = exc
-            continue
-        live.append(k)
-    if not live:
-        return out
-    radii = TAYLOR_RADII
-    angles = np.exp(2j * np.pi * np.arange(TAYLOR_POINTS_PER_CIRCLE) / TAYLOR_POINTS_PER_CIRCLE)
-    w = np.stack([r * angles for r in radii])                       # (radius, angle)
-    z = np.array([zs[k] for k in live])
-    circles = z[:, None, None] + w                                  # (centre, radius, angle)
+    if d is not None and order == 1:
+        live, c = np.arange(len(zs)), np.array([d, dbar], dtype=np.complex128)
+    else:
+        live, coefs = [], []
+        for k, z in enumerate(zs):
+            try:
+                dk, dbk = (d[k], dbar[k]) if d is not None else first_derivs(spec, z, prof)[:2]
+                if order == 2:
+                    d2, ddbar, dbar2, _ = second_derivs(spec, z, prof)
+                    # grouped as a lone call groups 0.5 * d2 * w**2
+                    coefs.append((dk, dbk, 0.5 * d2, ddbar, 0.5 * dbar2))
+                else:
+                    coefs.append((dk, dbk))
+            except ProbeFailed as exc:
+                out[k] = exc
+                continue
+            live.append(k)
+        if not live:
+            return out
+        # (coefficient, centre)
+        live, c = np.array(live), np.array(coefs, dtype=np.complex128).T
+    z = centres[live]
+    circles = z[:, None, None] + _TAYLOR_W                          # (centre, radius, angle)
     vals = spec(np.concatenate([z, circles.ravel()]))
     f0, fv = vals[: len(z)], vals[len(z):].reshape(circles.shape)
-    f0_ok = np.isfinite(f0)
-    circle_ok = np.isfinite(fv).all(axis=2)
-    finite = f0_ok & circle_ok.all(axis=1)
-    for j in np.flatnonzero(~finite):
-        k = live[j]
-        out[k] = (_failure([zs[k]]) if not f0_ok[j]
-                  else _failure(circles[j, int(np.argmin(circle_ok[j]))]))
-    good = np.flatnonzero(finite)
-    if not good.size:
-        return out
-    c = np.array([coefs[j] for j in good], dtype=np.complex128).T[:, :, None, None]
-    fv, wc = fv[good], np.conj(w)
-    theta = fv - f0[good][:, None, None] - c[0] * w - c[1] * wc
+    if not np.isfinite(vals).all():
+        f0_ok = np.isfinite(f0)
+        circle_ok = np.isfinite(fv).all(axis=2)
+        finite = f0_ok & circle_ok.all(axis=1)
+        for j in np.flatnonzero(~finite):
+            out[live[j]] = (_failure([zs[live[j]]]) if not f0_ok[j]
+                            else _failure(circles[j, int(np.argmin(circle_ok[j]))]))
+        if not finite.any():
+            return out
+        live, c, f0, fv = live[finite], c[:, finite], f0[finite], fv[finite]
+    c = c[:, :, None, None]
+    theta = fv - f0[:, None, None]
+    theta -= c[0] * _TAYLOR_W
+    theta -= c[1] * _TAYLOR_WC
     if order == 2:
-        theta = theta - c[2] * w**2 - c[3] * w * wc - c[4] * wc**2
-    ratios = np.max(np.abs(theta), axis=2) / np.array([r**order for r in radii])
+        theta -= c[2] * _TAYLOR_W2
+        theta -= c[3] * _TAYLOR_W * _TAYLOR_WC
+        theta -= c[4] * _TAYLOR_WC2
+    ratios = np.max(np.abs(theta), axis=2) / _TAYLOR_R_POW[order]
     floors = 1e-8 * np.maximum(1.0, np.max(np.abs(fv), axis=(1, 2)))
-    passed = _taylor_passes(ratios, floors)
-    for j, rts, floor, ok in zip(good, ratios.tolist(), floors.tolist(), passed.tolist()):
-        out[live[j]] = TaylorReport(zs[live[j]], order, tuple(radii), tuple(rts), floor, ok)
+    ks = live.tolist()
+    reports = map(TaylorReport._make, zip(
+        [zs[k] for k in ks], repeat(order), repeat(TAYLOR_RADII), map(tuple, ratios.tolist()),
+        floors.tolist(), _taylor_passes(ratios, floors).tolist()))
+    for k, rep in zip(ks, reports):
+        out[k] = rep
     return out
 
 
@@ -382,17 +422,20 @@ def _taylor_passes(ratios: np.ndarray, floors: np.ndarray) -> np.ndarray:
             | (ratios[:, 1:] <= np.maximum(0.9 * ratios[:, :-1], floors)).all(1))
 
 
-class _AtlasPoint:
-    """Probe data at one grid point.  The first-order fields are filled by
-    the scan; ``f0``, ``second`` and ``taylor`` on first query."""
+class _Probes:
+    """Probe data on the grid points of one scan, shared by an atlas and its
+    conjugated view.  ``rows`` holds (z0, d, dbar, est) per point in grid
+    order, as ``first_derivs`` gave them, and ``z0``, ``d``, ``dbar`` and
+    ``est`` its columns; ``f0``, ``second`` and ``taylor`` hold per point
+    f(z0), the second-order probe and the first-order remainder verdict,
+    each filled on first query (a failed probe as its ProbeFailed message)."""
 
-    __slots__ = ("z0", "d", "dbar", "est", "f0", "second", "taylor")
+    __slots__ = ("rows", "z0", "d", "dbar", "est", "f0", "second", "taylor")
 
-    def __init__(self, z0, d, dbar, est):
-        self.z0, self.d, self.dbar, self.est = z0, d, dbar, est
-        self.f0 = None       # f(z0)
-        self.second = None   # (d2, ddbar, dbar2, est) or the ProbeFailed message
-        self.taylor = None   # first-order remainder verdict or the ProbeFailed message
+    def __init__(self, rows: tuple):
+        self.rows = rows
+        self.z0, self.d, self.dbar, self.est = tuple(zip(*rows)) or ((),) * 4
+        self.f0, self.second, self.taylor = ([None] * len(rows) for _ in range(3))
 
 
 #: (index in (d2, ddbar, dbar2), name, square kind) in the square block's case order
@@ -410,31 +453,36 @@ class ProbeAtlas:
     rule that picks a probe point is a method here, so the classifier, the
     pipelines and the lowering read the same facts.
 
-    A view builds its (z0, d, dbar, est) rows and their first-order patterns
-    (``ToleranceProfile.pattern``) when it is made; every rule reads those.
-    ``conjugated()`` is the view of conj o f without a rescan: its columns
-    are swapped and conjugated (d(conj f) = conj(dbar f), f -> conj f),
-    which finite differences reproduce exactly up to the sign of zeros.
+    A view builds its (z0, d, dbar, est) rows and the first-order pattern of
+    every row, in one pass of ``ToleranceProfile.nonzero`` over the columns,
+    when it is made; every rule reads those.  ``conjugated()`` is the view
+    of conj o f without a rescan: its columns are swapped and conjugated
+    (d(conj f) = conj(dbar f), f -> conj f), which finite differences
+    reproduce exactly up to the sign of zeros.
     """
 
-    def __init__(self, spec: ActivationSpec, prof: ToleranceProfile, points: tuple,
+    def __init__(self, spec: ActivationSpec, prof: ToleranceProfile, probes: _Probes,
                  conj: bool = False):
         self.spec = spec
         self.prof = prof
-        self._points = points
+        self._probes = probes
         self._conj = conj
+        rows, d, dbar = probes.rows, probes.d, probes.dbar
         if conj:
-            self._rows = tuple((p.z0, p.dbar.conjugate(), p.d.conjugate(), p.est) for p in points)
-        else:
-            self._rows = tuple((p.z0, p.d, p.dbar, p.est) for p in points)
-        self._patterns = tuple(prof.pattern(d, dbar, est) for _, d, dbar, est in self._rows)
+            d, dbar = [v.conjugate() for v in dbar], [v.conjugate() for v in d]
+            rows = tuple(zip(probes.z0, d, dbar, probes.est))
+        self._rows = rows
+        est = np.array(probes.est, dtype=np.float64)
+        codes = (prof.nonzero(np.array(d, dtype=np.complex128), est)
+                 + 2 * prof.nonzero(np.array(dbar, dtype=np.complex128), est))
+        self._patterns = tuple(_PATTERNS[c] for c in codes.tolist())
 
     def __len__(self) -> int:
-        return len(self._points)
+        return len(self._rows)
 
     def conjugated(self) -> "ProbeAtlas":
         """The atlas of conj o spec, sharing this one's points and lazy data."""
-        return ProbeAtlas(self.spec, self.prof, self._points, not self._conj)
+        return ProbeAtlas(self.spec, self.prof, self._probes, not self._conj)
 
     def first(self, i: int) -> tuple:
         """(z0, d, dbar, est_error) at point i."""
@@ -446,47 +494,64 @@ class ProbeAtlas:
 
     def value(self, i: int) -> complex:
         """f(z0) at point i."""
-        p = self._points[i]
-        if p.f0 is None:
-            p.f0 = complex(self.spec(np.array([p.z0]))[0])
-        return p.f0.conjugate() if self._conj else p.f0
+        p = self._probes
+        if p.f0[i] is None:
+            p.f0[i] = complex(self.spec(np.array([p.z0[i]]))[0])
+        return p.f0[i].conjugate() if self._conj else p.f0[i]
 
     def second(self, i: int) -> tuple:
         """(d2, ddbar, dbar2, est_error) at point i; raises ProbeFailed when
         the second-order probe fails there."""
-        p = self._points[i]
-        if p.second is None:
+        p = self._probes
+        if p.second[i] is None:
             try:
-                p.second = second_derivs(self.spec, p.z0, self.prof)
+                p.second[i] = second_derivs(self.spec, p.z0[i], self.prof)
             except ProbeFailed as exc:
-                p.second = str(exc)
-        if isinstance(p.second, str):
-            raise ProbeFailed(p.second)
-        d2, ddbar, dbar2, est = p.second
+                p.second[i] = str(exc)
+        if isinstance(p.second[i], str):
+            raise ProbeFailed(p.second[i])
+        d2, ddbar, dbar2, est = p.second[i]
         if self._conj:
             return dbar2.conjugate(), ddbar.conjugate(), d2.conjugate(), est
         return d2, ddbar, dbar2, est
 
-    def taylor_passed(self, i: int) -> bool:
-        """First-order remainder probe verdict at point i (the remainder of
-        conj o f is the conjugate of that of f); raises ProbeFailed when an
-        evaluation of the probe is not finite there.
-
-        The first query probes, in one batch, point i and every point with a
-        first-order pattern, with the d and dbar of the scan; a failure is
-        kept and raised only when its point is queried."""
-        p = self._points[i]
-        if p.taylor is None:
-            todo = [q for q, pat in zip(self._points, self._patterns)
-                    if q.taylor is None and (q is p or pat is not None)]
+    def _taylor(self, i: int) -> list:
+        """The first-order remainder verdicts, point i's filled (the remainder
+        of conj o f is the conjugate of that of f).  The first query probes,
+        in one batch, point i and every point with a first-order pattern,
+        with the d and dbar of the scan."""
+        p = self._probes
+        if p.taylor[i] is None:
+            todo = [k for k, pat in enumerate(self._patterns)
+                    if p.taylor[k] is None and (k == i or pat is not None)]
             reports = taylor_remainder_probe(
-                self.spec, np.array([q.z0 for q in todo]), 1, self.prof,
-                d=np.array([q.d for q in todo]), dbar=np.array([q.dbar for q in todo]))
-            for q, rep in zip(todo, reports):
-                q.taylor = str(rep) if isinstance(rep, ProbeFailed) else rep.passed
-        if isinstance(p.taylor, str):
-            raise ProbeFailed(p.taylor)
+                self.spec, np.array([p.z0[k] for k in todo]), 1, self.prof,
+                d=np.array([p.d[k] for k in todo]), dbar=np.array([p.dbar[k] for k in todo]))
+            for k, rep in zip(todo, reports):
+                p.taylor[k] = str(rep) if isinstance(rep, ProbeFailed) else rep.passed
         return p.taylor
+
+    def taylor_passed(self, i: int) -> bool:
+        """First-order remainder probe verdict at point i; raises ProbeFailed
+        when an evaluation of the probe is not finite there.  A failure is
+        kept and raised only when its point is queried."""
+        verdict = self._taylor(i)[i]
+        if isinstance(verdict, str):
+            raise ProbeFailed(verdict)
+        return verdict
+
+    def taylor_passing(self) -> list:
+        """The points with a first-order pattern that pass the remainder
+        probe, in grid order; raises the ProbeFailed of the first of them
+        whose probe failed, as querying each in turn does."""
+        todo = [i for i, pat in enumerate(self._patterns) if pat is not None]
+        if not todo:
+            return []
+        verdicts = self._taylor(todo[0])
+        for i in todo:
+            if isinstance(verdicts[i], str):
+                raise ProbeFailed(verdicts[i])
+        return [i for i in todo if verdicts[i]]
 
     def probe(self, i: int) -> WirtingerProbe:
         """First- and second-order data at point i, as ``probe_point`` gives."""
@@ -563,8 +628,12 @@ class ProbeAtlas:
                 seconds.append((i, self.second(i)))
             except ProbeFailed:
                 continue
+        if not seconds:
+            return None
+        cols = np.array([s for _, s in seconds], dtype=np.complex128)
+        anywhere = self.prof.nonzero(cols[:, :3], cols[:, 3:].real).any(axis=0)
         for k, name, which in _SECOND_ORDER:
-            if any(self.prof.nonzero(s[k], s[3]) for _, s in seconds):
+            if anywhere[k]:
                 return name, which, [(i, abs(s[k])) for i, s in seconds]
         return None
 
@@ -598,32 +667,38 @@ class ProbeAtlas:
     def negative_verdict(self) -> Optional[tuple]:
         """(verdict, evidence) when the grid holds no evidence that an
         activation without class flags is universal; None when it does, and
-        for a flagged activation or an empty grid.
+        for a flagged activation or an empty grid.  Computed on first call
+        and kept.
 
         No nonzero first derivative gives Inconclusive; nonzero derivatives
         all of pattern "d" (all "dbar") give NonUniversalHolomorphic
         (NonUniversalAntiholomorphic); second derivatives vanishing at every
         point give NonUniversalRAffine, a check that stops at the first point
         whose second probe fails or is nonzero."""
-        pats = self._patterns
+        return self._negative
+
+    @functools.cached_property
+    def _negative(self) -> Optional[tuple]:
+        pats = set(self._patterns)
         if self.spec.class_flags or not pats:
             return None
-        where = f"the {len(pats)} grid points of the probe box {_box_text(self.prof.probe_box)}"
-        if all(p is None for p in pats):
-            return "Inconclusive", f"no nonzero first derivative at {where}"
-        if all(p in (None, "d") for p in pats):
-            return "NonUniversalHolomorphic", f"heuristic: no nonzero dbar at {where}"
-        if all(p in (None, "dbar") for p in pats):
-            return "NonUniversalAntiholomorphic", f"heuristic: no nonzero d at {where}"
-        for i in range(len(self)):
-            try:
-                second = self.second(i)
-            except ProbeFailed:
-                return None
-            if any(self.prof.nonzero(v, second[3]) for v in second[:3]):
-                return None
-        return ("NonUniversalRAffine",
-                f"heuristic: no nonzero second Wirtinger derivative at {where}")
+        if pats == {None}:
+            verdict, why = "Inconclusive", "no nonzero first derivative"
+        elif pats <= {None, "d"}:
+            verdict, why = "NonUniversalHolomorphic", "heuristic: no nonzero dbar"
+        elif pats <= {None, "dbar"}:
+            verdict, why = "NonUniversalAntiholomorphic", "heuristic: no nonzero d"
+        else:
+            for i in range(len(self)):
+                try:
+                    second = self.second(i)
+                except ProbeFailed:
+                    return None
+                if self.prof.nonzero(np.array(second[:3]), second[3]).any():
+                    return None
+            verdict, why = "NonUniversalRAffine", "heuristic: no nonzero second Wirtinger derivative"
+        return verdict, (f"{why} at the {len(self)} grid points of the probe box "
+                         f"{_box_text(self.prof.probe_box)}")
 
 
 def _box_text(box: CompactBox) -> str:
@@ -641,17 +716,16 @@ def _scan(spec: ActivationSpec, prof: ToleranceProfile) -> ProbeAtlas:
     for growth in range(PROBE_BOX_GROWTHS + 1):
         if growth:
             prof = dataclasses.replace(prof, probe_box=_doubled(prof.probe_box))
-        points = []
-        for z0 in sample_box(prof.probe_box, prof.probe_grid)[:, 0]:
-            z0 = complex(z0)
+        rows = []
+        # one first_derivs call per point: the traced benchmark counts them
+        for z0 in sample_box(prof.probe_box, prof.probe_grid)[:, 0].tolist():
             if spec.is_excluded(z0):
                 continue
             try:
-                d, dbar, est = first_derivs(spec, z0, prof)
+                rows.append((z0, *first_derivs(spec, z0, prof)))
             except ProbeFailed:
                 continue
-            points.append(_AtlasPoint(z0, d, dbar, est))
-        atlas = ProbeAtlas(spec, prof, tuple(points))
+        atlas = ProbeAtlas(spec, prof, _Probes(tuple(rows)))
         if atlas.negative_verdict() is None:
             break
     return atlas
@@ -784,24 +858,22 @@ def classify_activation(spec: ActivationSpec, n: int = 1, m: int = 1,
     negative = atlas.negative_verdict()
     if negative is not None:
         return Classification(negative[0], None, negative[1])
-    rows = [atlas.first(i) for i in range(len(atlas))]
-    pats = [atlas.pattern(i) for i in range(len(atlas))]
-
     # differentiable point with nonzero derivative
-    passing = [i for i, p in enumerate(pats) if p is not None and atlas.taylor_passed(i)]
+    passing = atlas.taylor_passing()
     if not passing:
         return Classification(
             "Inconclusive", None,
             "no probe point is real differentiable with nonzero derivative")
 
-    lone = [i for i in passing if pats[i] != "both"]
+    rows = {i: atlas.first(i) for i in passing}
+    lone = [i for i in passing if atlas.pattern(i) != "both"]
     poly, poly_ev = _is_polyharmonic(spec, prof, [rows[i][0] for i in passing])
 
     if lone:
         i = max(lone, key=lambda i: max(abs(rows[i][1]), abs(rows[i][2])))
         z0, d, dbar, _ = rows[i]
         verdict = "UniversalPoly_NMplus4" if poly else "UniversalNonPoly_NMplus1"
-        ev = (f"lone nonzero {pats[i]} at {z0}: d={d:.6g}, dbar={dbar:.6g}; {poly_ev}")
+        ev = (f"lone nonzero {atlas.pattern(i)} at {z0}: d={d:.6g}, dbar={dbar:.6g}; {poly_ev}")
     else:
         i = max(passing, key=lambda i: min(abs(rows[i][1]), abs(rows[i][2])))
         z0, d, dbar, _ = rows[i]

@@ -645,3 +645,54 @@ def test_config_flags_do_not_carry_into_the_next_call(monkeypatch, tmp_path):
 def test_classify_does_not_read_n_or_m(tmp_path):
     default = _classify_bytes(tmp_path, "--activation", "cardioid")
     assert _classify_bytes(tmp_path, "--activation", "cardioid", "--n", "3", "--m", "2") == default
+
+
+@pytest.mark.parametrize("flag, value", [("--zero-tol", "nan"), ("--zero-tol", "inf"),
+                                         ("--fd-step", "nan"), ("--fd-step", "inf")])
+def test_non_finite_tolerance_is_refused(tmp_path, capsys, flag, value):
+    """A NaN zero_tol made no derivative nonzero (the classifier grew the
+    probe box to its largest and answered Inconclusive); an infinite fd_step
+    made every probe fail.  Both are refused before any probe."""
+    out = tmp_path / "c.json"
+    assert run(["classify", "--activation", "cardioid", flag, value,
+                "--no-timestamp", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[BAD_VALUE]") and "positive and finite" in err
+    assert not out.exists()
+
+
+def _h_argv(command, tmp_path):
+    if command == "compile":
+        return ["compile", "--target", "zzbar", "--activation", "cardioid", "--features", "20"]
+    if command == "sweep":
+        return ["sweep", "--block", "identity", "--activation", "cardioid"]
+    prog_path = tmp_path / "prog.json"
+    prog_path.write_text(program_to_json(
+        poly_to_register([PolyZZbar(1, ((1 + 0j, (0,), (2,)),))], "mul2")))
+    return ["lower", "--program", str(prog_path), "--activation", "re_square",
+            "--strategy", "Poly_Narrow_2N2Mplus5"]
+
+
+@pytest.mark.parametrize("command", ["compile", "lower", "sweep"])
+@pytest.mark.parametrize("h", ["0", "-1e-3", "nan", "inf"])
+def test_h_must_be_positive_and_finite(tmp_path, capsys, command, h):
+    """--h 0 divided by zero inside the blocks (error[INTERNAL], exit 4)."""
+    out = tmp_path / "run"
+    assert run(_h_argv(command, tmp_path) + [f"--h={h}", "--no-timestamp",
+                                             "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[BAD_VALUE] --h must be auto or a positive finite number")
+    assert list(tmp_path.glob("run*")) == []
+
+
+def test_probe_failure_is_a_listed_error(tmp_path, capsys):
+    """exp(Re z) overflows on a probe box reaching Re z = 800: the probe's
+    ProbeFailed exits 3 as error[PROBE_FAILED], not as an internal error."""
+    out = tmp_path / "c.json"
+    with np.errstate(over="ignore"):
+        rc = run(["classify", "--activation", "exp_re", "--probe-box=-800,800;-800,800",
+                  "--no-timestamp", "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error[PROBE_FAILED] activation evaluation failed near")
+    assert not out.exists()

@@ -277,6 +277,21 @@ def test_conjugated_view_equals_a_rescan(name):
     assert view.pair_route() == rescan.pair_route()
 
 
+@pytest.mark.parametrize("spec", [get_activation(name) for name in available_activations()]
+                         + [get_activation("modrelu", {"b": -5}),
+                            custom_activation("z_abs_z", lambda z: z * np.abs(z))],
+                         ids=lambda s: s.name)
+def test_atlas_patterns_are_the_profile_rule_row_by_row(spec):
+    """The patterns an atlas computes over its columns in one pass are those
+    ``ToleranceProfile.pattern`` gives each row, on the atlas and on its
+    conjugated view."""
+    atlas = probe_atlas(spec, PROF)
+    for view in (atlas, atlas.conjugated()):
+        rows = [view.first(i) for i in range(len(view))]
+        assert [view.pattern(i) for i in range(len(view))] == [
+            view.prof.pattern(d, dbar, est) for _, d, dbar, est in rows]
+
+
 def test_a_derivative_below_its_error_is_zero():
     """z|z| has d = 3|z|/2 and dbar = z^2/(2|z|), both zero at 0 alone.  The
     numeric d at 0 (3.3e-6) is above zero_tol but not above three times its

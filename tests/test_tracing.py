@@ -87,7 +87,14 @@ def test_traced_shallow_compile_reports_rows_and_register_work(tmp_path):
 
 
 def test_traced_classify_counts_taylor_probes(tmp_path):
-    """The batched Taylor probe keeps the name the tracer counts and times."""
+    """One cardioid classification, counted by the names the tracer wraps:
+    a first probe per scanned grid point (every one but the excluded origin
+    is a point of the atlas), one batched Taylor probe, and two second
+    probes (the R-affine check stops at the first point; the witness), each
+    one activation call, as is the Taylor batch.  A call path that bypasses
+    a traced name changes these counts."""
+    from deepnarrow.activations import get_activation
+
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     installed = tracing.install(tracer, deepnarrow)
@@ -97,6 +104,12 @@ def test_traced_classify_counts_taylor_probes(tmp_path):
         metrics = tracing.layer_metrics(tracer)
     finally:
         installed.restore()
-    assert metrics["wirtinger.taylor_probes"] >= 1
+    atlas = wirtinger.probe_atlas(get_activation("cardioid"), wirtinger.ToleranceProfile())
+    assert len(atlas) == wirtinger.ToleranceProfile().probe_grid.points_per_axis ** 2 - 1
+    assert metrics["wirtinger.first_probes"] == len(atlas)
+    assert metrics["wirtinger.taylor_probes"] == 1
+    assert metrics["wirtinger.second_probes"] == 2
+    assert tracer.name_count("wirtinger.wirt_second") == 2
+    assert tracer.group_count("activations.eval") == 3
     assert metrics["wirtinger.probe_s"] > 0
     assert metrics["wirtinger.classify_s"] > 0

@@ -522,3 +522,113 @@ def test_classify_json_round_trip_is_bit_exact(case, conj, n):
     with contextlib.redirect_stdout(out):
         assert main(argv) == 0
     assert _float_bits(json.loads(out.getvalue())) == _float_bits(want)
+
+
+# ---------------------------------------------------------------------------
+# Second derivatives in one activation call; the nonzero rule on arrays
+# ---------------------------------------------------------------------------
+
+
+def _wirt_second_three_calls(spec, z0, prof):
+    """The second-derivative stencil with f(z0) and each step's eight points
+    evaluated in calls of their own."""
+    eps = float(np.finfo(np.float64).eps)
+
+    def evaluate(pts):
+        out = spec(pts)
+        if not np.all(np.isfinite(out)):
+            raise ProbeFailed(f"activation evaluation failed near {pts!r}")
+        return out
+
+    z0 = complex(z0)
+    h0 = np.sqrt(prof.fd_step) * max(1.0, abs(z0))
+    hs = (h0, h0 / 2.0)
+    f0 = evaluate([z0])[0]
+    xx_s, yy_s, xy_s = [], [], []
+    fscale = max(1.0, abs(f0))
+    for h in hs:
+        v = evaluate([z0 + h, z0 - h, z0 + 1j * h, z0 - 1j * h,
+                      z0 + h + 1j * h, z0 + h - 1j * h, z0 - h + 1j * h, z0 - h - 1j * h])
+        fscale = max(fscale, float(np.max(np.abs(v))))
+        xx_s.append((v[0] - 2 * f0 + v[1]) / h**2)
+        yy_s.append((v[2] - 2 * f0 + v[3]) / h**2)
+        xy_s.append((v[4] - v[5] - v[6] + v[7]) / (4 * h**2))
+    parts, errs = [], []
+    for coarse, fine in (xx_s, yy_s, xy_s):
+        best = (4.0 * fine - coarse) / 3.0
+        parts.append(best)
+        errs.append(abs(best - fine))
+    fxx, fyy, fxy = parts
+    est = max(sum(errs) / 3, 8 * eps * fscale / hs[-1] ** 2)
+    return (*second_partials_to_wirtinger(fxx, fxy, fyy), float(est))
+
+
+def _bits(values):
+    return tuple(complex(v).real.hex() + complex(v).imag.hex() for v in values)
+
+
+@pytest.mark.parametrize("spec", TAYLOR_SPECS, ids=lambda s: s.name)
+def test_wirt_second_one_call_equals_three_call_stencil(spec):
+    for z0 in (0j, 1.0, 0.5 - 0.25j, -1.5 + 2j, 1e-7j, -3 - 3j):
+        calls = []
+        got = wirt_second(_counting(spec, calls), z0, PROF)
+        assert calls == [17]
+        assert _bits(got) == _bits(_wirt_second_three_calls(spec, z0, PROF)), z0
+
+
+def _holed_at(*holes):
+    """z|z| with a NaN at each of ``holes``."""
+    return custom_activation("hole", lambda z: np.where(np.isin(z, holes), np.nan, z * np.abs(z)))
+
+
+_H = float(np.sqrt(PROF.fd_step))     # the step of wirt_second at |z0| <= 1
+
+
+@pytest.mark.parametrize("holes, group", [
+    ((0.5,), r"\[\(0\.5\+0j\)\]"),                                      # f(z0)
+    ((0.5 - 1j * _H,), r"\[\(0\.50316"),                                  # a point of step h
+    ((0.5 + _H / 2 - 1j * _H / 2,), r"\[\(0\.50158"),                      # a point of step h/2
+    ((0.5 + _H / 2, 0.5 - 1j * _H), r"\[\(0\.50316"),                      # both steps
+    ((0.5 + _H / 2, 0.5), r"\[\(0\.5\+0j\)\]"),                           # f(z0) and step h/2
+])
+def test_wirt_second_failure_names_the_first_bad_group(holes, group):
+    """The one activation call meets NaNs, and the message lists the first
+    group holding one, as a stencil with a call per group stopped at: [z0],
+    then step h's eight points, then step h/2's."""
+    spec = _holed_at(*holes)
+    with pytest.raises(ProbeFailed, match=r"near " + group) as one:
+        wirt_second(spec, 0.5, PROF)
+    with pytest.raises(ProbeFailed) as three:
+        _wirt_second_three_calls(spec, 0.5, PROF)
+    assert str(one.value) == str(three.value)
+
+
+_TINY = 5e-324
+_NONZERO_EDGES = [
+    # (v, est): |v| at, just above and just below max(zero_tol, 3 est)
+    (1e-6, 0.0), (np.nextafter(1e-6, 1.0), 0.0), (np.nextafter(1e-6, 0.0), 0.0),
+    (3 * 0.5, 0.5), (np.nextafter(1.5, 2.0), 0.5), (3e-6 + 4e-6j, 1e-7), (3e-6 + 4e-6j, 5e-6 / 3),
+    (1 + 1j, 0.0), (0j, 0.0), (-0.0 - 0.0j, 0.0),
+    (1 + 1j, np.nan), (1e-7, np.nan), (1 + 1j, np.inf), (1e300 + 1e300j, np.inf),
+    (complex(np.nan, 0), 0.0), (complex(0, np.nan), np.nan), (complex(np.inf, 0), 1e300),
+    (complex(_TINY, _TINY), 0.0), (complex(_TINY, 0), 0.0), (_TINY, 0.0),
+    (1e-6j, 0.0), (complex(-6e-7, 8e-7), 0.0), (complex(6e-7, 8e-7), 1e-300),
+    # np.abs of a complex array is not hypot of the parts: 3 est is abs(v),
+    # one ulp below np.abs(v), then np.abs(v), one ulp below abs(v)
+    (-0.537 + 0.581j, 0.26371912668173647), (0.214 + 0.217j, 0.10159013512913324),
+]
+
+
+@pytest.mark.parametrize("zero_tol", [1e-6, 1e-300, 1.0])
+def test_array_nonzero_rule_is_the_scalar_rule(zero_tol):
+    """|v| > max(zero_tol, 3 est) one value at a time with Python's abs and
+    max (a NaN 3 est leaves zero_tol) gives what the array rule gives for the
+    whole table, and for each value alone."""
+    prof = ToleranceProfile(zero_tol=zero_tol)
+    want = [abs(complex(v)) > max(zero_tol, 3 * est) for v, est in _NONZERO_EDGES]
+    v = np.array([complex(v) for v, _ in _NONZERO_EDGES])
+    est = np.array([est for _, est in _NONZERO_EDGES])
+    assert prof.nonzero(v, est).tolist() == want
+    assert [bool(prof.nonzero(v, est)) for v, est in _NONZERO_EDGES] == want
+    assert prof.nonzero(v[:, None], np.stack([est, est], axis=1)).tolist() == [[w, w] for w in want]
+    assert sum(want) not in (0, len(want))
