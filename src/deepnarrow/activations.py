@@ -142,7 +142,7 @@ def custom_activation(name: str, fn: Callable, **kwargs) -> ActivationSpec:
 
 
 #: The least normal float.  1/r is finite from here up; below it, among the
-#: subnormal moduli, it overflows and z * s * (1/r) would be NaN.
+#: subnormal moduli, it overflows.
 _TINY = np.finfo(np.float64).tiny
 
 
@@ -155,19 +155,17 @@ def _modrelu(params: Mapping) -> ActivationSpec:
     r_min = max(-b, _TINY)
 
     def fn(z):
-        # z * s * (1/r) outside the dead zone r <= -b and 0 inside it.  The
-        # mask also excludes a subnormal r, whose 1/r overflows.  Multiplying
-        # by a real reciprocal agrees with np.divide(s * z, r, where=mask)
-        # into a zero buffer up to the sign of exact zeros (numpy's complex /
-        # real division also multiplies by 1/r), without complex temporaries.
+        # z * (s * (1/r)) outside the dead zone r <= -b and 0 inside it.  The
+        # mask also excludes a subnormal r, whose 1/r overflows.  The real
+        # factor s/r lies in (0, 1), so the one complex multiply is finite
+        # wherever z is (z * s, about r^2, overflows from r ~ 1.3e154).
         z = np.asarray(z, dtype=np.complex128)
         r = np.abs(z)
         s = r + b
         scl = np.zeros(r.shape)
         np.divide(1.0, r, out=scl, where=r > r_min)
-        out = z * s
-        out *= scl
-        return out
+        scl *= s
+        return z * scl
 
     def first(z0):
         r = abs(z0)
@@ -191,21 +189,18 @@ def _modrelu(params: Mapping) -> ActivationSpec:
 
 def _cardioid(params: Mapping) -> ActivationSpec:
     def fn(z):
-        # z * s * (1/r) with s = (r + Re z)/2, where r is raised to the least
-        # normal float so that 1/r is finite: below it |s| <= r makes z * s
-        # underflow to signed zeros, which the finite positive 1/tiny keeps,
-        # so the values are those of the masked form (0 for a subnormal r)
-        # without its zero buffer, mask and masked divide.  NaN and inf stay
-        # non-finite.  r is an array even for a scalar z, to be reused in place.
+        # z * (s / r) with s = (r + Re z)/2, where r is raised to the least
+        # subnormal float so that 0 gives 0/5e-324 = 0 without a divide by
+        # zero.  The real factor s/r lies in [0, 1], so the one complex
+        # multiply is finite wherever z is (to |z| ~ 9e307, where r + Re z
+        # overflows), a subnormal r gives the true value, and NaN stays NaN.
+        # r is an array even for a scalar z, to be reused in place.
         z = np.asarray(z, dtype=np.complex128)
         r = np.abs(z, out=np.empty(z.shape))
         s = r + z.real
         s *= 0.5
-        scl = np.maximum(r, _TINY, out=r)
-        np.divide(1.0, scl, out=scl)
-        out = z * s
-        out *= scl
-        return out
+        s /= np.maximum(r, 5e-324, out=r)
+        return z * s
 
     def first(z0):
         r = abs(z0)

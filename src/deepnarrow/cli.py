@@ -135,7 +135,7 @@ def _write_compiled(args, verb: str, strategy: str, net, report: SweepReport) ->
 def _cmd_classify(args):
     spec = get_activation(args.activation, _parse_kv(args.param))
     prof = _profile(args)
-    result = classify_activation(spec, args.n, args.m, prof)
+    result = classify_activation(spec, prof)
     doc = result.to_json_dict(prof)
     doc["activation"] = spec.name
     _write(args.out, _json_dump(doc, not args.no_timestamp))
@@ -174,14 +174,14 @@ def _cmd_fit_poly(args):
 def _cmd_compile(args):
     spec = get_activation(args.activation, _parse_kv(args.param))
     prof = _profile(args)
-    cls = classify_activation(spec, args.n, args.m, prof)
+    cls = classify_activation(spec, prof)
     if not cls.verdict.startswith("Universal"):
         raise StrategyMismatch(
             f"activation {spec.name!r} classified {cls.verdict}: networks over it "
             "are not universal, refusing to compile")
     strategy = args.strategy
     if strategy in (None, "auto"):
-        strategy = default_strategy(cls.verdict, cls.witness_probe, prof)
+        strategy = default_strategy(cls.verdict, cls.witness_probe)
 
     fn, m = named_target(args.target)
     m = args.m or m

@@ -275,8 +275,12 @@ def eval_cvnns(nets: Sequence[Cvnn], z, activation_fn=None) -> tuple:
                 cur += biases[:, l]
                 if k < last:
                     cur = np.asarray(act(cur), dtype=np.complex128)
-                    if not np.isfinite(cur.view(np.float64)).all():
-                        bad = ~np.isfinite(cur.view(np.float64)).reshape(len(nets), -1).all(axis=1)
+                    # one BLAS dot: a finite sum of squares has no non-finite
+                    # term (a sum that overflows from finite terms only costs
+                    # the per-network test, which then finds nothing)
+                    flat = cur.view(np.float64).ravel()
+                    if not np.isfinite(flat @ flat):
+                        bad = ~np.isfinite(flat).reshape(len(nets), -1).all(axis=1)
                         failed_at[bad & (failed_at < 0)] = k
                         cur[bad] = 0
                 k += 1

@@ -622,14 +622,14 @@ def lower(program: RegisterProgram, spec: ActivationSpec, strategy: str,
     return net
 
 
-def default_strategy(verdict: str, witness_probe, prof: ToleranceProfile = ToleranceProfile()) -> str:
+def default_strategy(verdict: str, witness_probe) -> str:
     """Map a classification verdict to the lowering strategy it certifies.
 
     The witness of a UniversalNonPoly_NMplus1 verdict has exactly one first
     derivative that ``ToleranceProfile.nonzero`` counts, so that one is the
     larger: comparing |d| and |dbar| follows the classifier's rule without
     its error estimate (``witness_probe.est_error`` also covers the second
-    derivatives).  ``prof`` is not read.
+    derivatives).
     """
     if verdict == "UniversalNonPoly_NMplus1":
         if witness_probe is not None and abs(witness_probe.d) > abs(witness_probe.dbar):

@@ -840,11 +840,11 @@ def _is_polyharmonic(spec: ActivationSpec, prof: ToleranceProfile,
     )
 
 
-def classify_activation(spec: ActivationSpec, n: int = 1, m: int = 1,
+def classify_activation(spec: ActivationSpec,
                         prof: ToleranceProfile = ToleranceProfile()) -> Classification:
-    """Full decision tree.  The width numbers quoted in the verdicts refer to
-    the sufficient hidden width for networks C^n -> C^m; the verdict itself
-    depends on the activation alone, and ``n`` and ``m`` are not read."""
+    """Full decision tree.  The verdict depends on the activation alone; the
+    widths its name quotes are formulas in the dimensions n and m of the
+    networks C^n -> C^m."""
     flags = spec.class_flags
     for flag, verdict in (
         ("holomorphic", "NonUniversalHolomorphic"),

@@ -51,7 +51,7 @@ def test_acceptance_01_classifier_table():
         ("abs_square", {}, "UniversalPoly_2N2Mplus5"),
         ("z_plus_zbar_sq", {}, "UniversalPoly_NMplus4"),
     ]
-    hits = sum(classify_activation(get_activation(n, p), 1, 1, PROF).verdict == v
+    hits = sum(classify_activation(get_activation(n, p), PROF).verdict == v
                for n, p, v in table)
     _report(1, f"classifier table {hits}/8", hits == 8)
 

@@ -145,25 +145,31 @@ def test_scale_combinator():
         scale_activation(rs, 0)
 
 
-# Reference forms of the cardioid and modrelu evaluators: divide the complex
-# numerator by |z| into a zero buffer wherever the scaling is defined.
-def _divide_form(z, s, r, mask):
-    """s * z / r where mask holds and |z| is normal, 0 elsewhere: at a
-    subnormal |z| the quotient is NaN (1/r overflows)."""
+# Reference forms of the cardioid and modrelu evaluators: z times the real
+# factor s/|z| into a zero buffer wherever the scaling is defined.  cardioid
+# divides s by |z|; modrelu multiplies s by 1/|z|.
+def _divide_form(z, factor, mask):
+    """z * factor where mask holds, 0 elsewhere (the factor need not be
+    finite outside the mask)."""
     out = np.zeros_like(z)
-    np.divide(s * z, r, out=out, where=mask & (r >= np.finfo(np.float64).tiny))
+    np.multiply(z, factor, out=out, where=mask)
     return out
 
 
 def _divide_cardioid(z):
     r = np.abs(z)
-    return _divide_form(z, 0.5 * (r + np.real(z)), r, r > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        factor = 0.5 * (r + np.real(z)) / r
+    return _divide_form(z, factor, r > 0)
 
 
 def _divide_modrelu(b):
     def fn(z):
         r = np.abs(z)
-        return _divide_form(z, r + b, r, r + b > 0)
+        with np.errstate(divide="ignore", over="ignore"):
+            factor = (r + b) * (1.0 / r)
+        # at a subnormal |z| the reciprocal overflows: 0 there
+        return _divide_form(z, factor, (r + b > 0) & (r >= np.finfo(np.float64).tiny))
     return fn
 
 
@@ -208,15 +214,13 @@ def test_lean_evaluators_match_divide_form(name, params, reference):
 
 
 def _masked_reciprocal_cardioid(z):
-    """cardioid as z * s times a masked reciprocal of |z|: 1/|z| where |z|
-    is normal, 0 in a zero buffer elsewhere."""
+    """cardioid as z times the quotient s/|z|, taken where |z| > 0 and left
+    0 in a zero buffer elsewhere."""
     r = np.abs(z)
     s = 0.5 * (r + np.real(z))
-    scl = np.zeros(r.shape)
-    np.divide(1.0, r, out=scl, where=r >= np.finfo(np.float64).tiny)
-    out = z * s
-    out *= scl
-    return out
+    factor = np.zeros(r.shape)
+    np.divide(s, r, out=factor, where=r > 0)
+    return z * factor
 
 
 def _cardioid_kernel_points():
@@ -235,9 +239,9 @@ def _cardioid_kernel_points():
 
 
 def test_cardioid_equals_masked_reciprocal_form_bit_for_bit():
-    """The catalog cardioid raises |z| to the least normal float instead of
-    masking its reciprocal: the same bits everywhere, signed zeros, NaN and
-    overflowed values included, as an array and one point at a time."""
+    """The catalog cardioid raises |z| to the least subnormal float instead of
+    masking its quotient: the same bits everywhere, signed zeros and
+    subnormal moduli included, as an array and one point at a time."""
     bits = lambda v: np.asarray(v, dtype=np.complex128).view(np.uint64)
     fn = get_activation("cardioid").fn
     zs = _cardioid_kernel_points()
@@ -251,33 +255,47 @@ def test_cardioid_equals_masked_reciprocal_form_bit_for_bit():
 
 
 def test_cardioid_raises_no_floating_point_error_on_finite_values():
-    """No divide by zero at 0, no overflowing reciprocal at a subnormal |z|
-    and no invalid operation, wherever the value is finite.  From |z| of
-    about 1.3e154 on, z * s overflows before it is scaled back, in the
-    masked form as well, so those points are left out here."""
+    """No divide by zero at 0, no overflowing reciprocal at a subnormal |z|,
+    no overflow at a huge |z| and no invalid operation, for any |z| up to
+    1e300: cardioid and modrelu scale z by a real factor in [0, 1], so
+    |f(z)| <= |z| up to rounding."""
     zs = _cardioid_kernel_points()
-    zs = zs[np.abs(zs) <= 1e150]
-    fn = get_activation("cardioid").fn
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        out = fn(zs)
-        for z0 in zs[:50]:
-            fn(np.asarray(z0))
-    assert np.isfinite(out).all()
+    zs = zs[np.abs(zs) <= 1e300]
+    assert np.abs(zs).max() > 1e299
+    grow = 1 + 4 * np.finfo(np.float64).eps
+    for name, params in (("cardioid", {}), ("modrelu", {"b": -1.0}), ("modrelu", {"b": -0.5})):
+        fn = get_activation(name, params).fn
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            out = fn(zs)
+            for z0 in zs[::7]:
+                assert np.abs(fn(np.asarray(z0))) <= np.abs(z0) * grow
+        assert np.isfinite(out).all(), (name, params)
+        assert (np.abs(out) <= np.abs(zs) * grow).all(), (name, params)
 
 
 @pytest.mark.parametrize("name, params", [("cardioid", {}), ("modrelu", {"b": -1e-320})])
 def test_subnormal_moduli_give_zero(name, params):
-    """At a subnormal |z|, where 1/|z| overflows, the value is 0 (finite, and
-    within |z| of the true one), with no overflow or invalid operation;
+    """At a subnormal |z| cardioid gives its value (s/|z| stays in [0, 1]),
+    and modrelu, whose 1/|z| would overflow there, gives 0, within |z| of
+    the true value; no overflow or invalid operation either way.
     cardioid's first-order Taylor probe then succeeds at such a centre."""
     spec = get_activation(name, params)
     xs = np.array([5e-324, 2.2250738585e-313, 3e-320, 1e-310, 5e-309])
     zs = xs[:, None] * np.exp(1j * np.linspace(-3.0, 3.0, 7))
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        assert np.array_equal(spec(zs), np.zeros(zs.shape))
+        got = spec(zs)
     if name == "cardioid":
+        # cardioid is positively homogeneous: its value at z is 2^-600 times
+        # its value at 2^600 z, a normal point; rounding to the subnormal
+        # grid leaves a few units of 5e-324 apart
+        w = zs * 2.0**600
+        want = 0.5 * w * (1 + np.real(w) / np.abs(w)) * 2.0**-600
+        assert np.abs(got - want).max() <= 4 * 5e-324
+        assert np.count_nonzero(got) > zs.size // 2
         report = taylor_remainder_probe(spec, complex(xs[1]), 1, ToleranceProfile())
         assert all(np.isfinite(report.ratios))
+    else:
+        assert np.array_equal(got, np.zeros(zs.shape))
 
 
 @pytest.mark.parametrize("name, params", [("cardioid", {}), ("modrelu", {"b": -1.0})])

@@ -284,6 +284,38 @@ def test_batched_pass_equals_each_network_alone(seed, count, dims, points, bad, 
             assert values[k].tobytes() == _eval_map_by_map(net, per_net[k], _card_or_inf).tobytes()
 
 
+def _exp_re_or_zero(z):
+    """exp(Re z), and 0 at a non-finite z, as exp sends a real part of -inf
+    to 0 (how a matmul carries inf on, to -inf or NaN, depends on the BLAS
+    kernel)."""
+    with np.errstate(invalid="ignore"):
+        return np.where(np.isfinite(z), np.exp(z.real), 0).astype(np.complex128)
+
+
+def test_failure_is_caught_at_its_map_when_later_values_are_finite_again(rng):
+    """One network's activation overflows to inf after map 1, and its next
+    activation call is finite again (0) on whatever map 2 makes of inf: a
+    finiteness test that ran only at some later map would miss the failure.
+    failed_at still names map 1, and the other network keeps its bits."""
+    exp_re = get_activation("exp_re")
+    good = [random_affine(rng, 2, 2, 0.5) for _ in range(3)] + [random_affine(rng, 1, 2, 0.5)]
+    bad = list(good)
+    bad[1] = AffineArrays(good[1].matrix, good[1].bias + np.array([1000.0, 0.0]))
+    nets = [Cvnn(good, exp_re.activation_id), Cvnn(bad, exp_re.activation_id)]
+    zs = random_points(rng, 30, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isfinite(_exp_re_or_zero(bad[2].matrix @ np.array([np.inf, 1.0]))).all()
+    values, failed_at = eval_cvnns(nets, zs, _exp_re_or_zero)
+    assert failed_at.tolist() == [-1, 1]
+    assert np.all(values[1] == np.inf)
+    want = _eval_map_by_map(nets[0], zs, _exp_re_or_zero)
+    assert values[0].tobytes() == want.tobytes()
+    assert eval_cvnn(nets[0], zs, _exp_re_or_zero).tobytes() == want.tobytes()
+    assert _eval_map_by_map(nets[1], zs, _exp_re_or_zero) == 1
+    with pytest.raises(EvaluationFailure, match="non-finite values after affine map 1$"):
+        eval_cvnn(nets[1], zs, _exp_re_or_zero)
+
+
 def test_batched_pass_refuses_mismatched_shapes(rng):
     a = random_shallow(rng, 2, 1, 3, _CARD.activation_id)
     b = random_shallow(rng, 2, 1, 4, _CARD.activation_id)

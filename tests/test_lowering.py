@@ -250,18 +250,18 @@ def test_each_block_built_at_its_h(monkeypatch, rng, strategy, spec, roles):
 
 
 def test_default_strategy_mapping():
-    cls = classify_activation(CARD, 1, 1, PROF)
-    assert default_strategy(cls.verdict, cls.witness_probe, PROF) == "NonPoly_NMplus1"
-    cls = classify_activation(CONJ_CARD, 1, 1, PROF)
-    assert default_strategy(cls.verdict, cls.witness_probe, PROF) == "NonPoly_Conj_NMplus1"
-    cls = classify_activation(MODRELU, 1, 1, PROF)
-    assert default_strategy(cls.verdict, cls.witness_probe, PROF) == "NonPoly_2N2Mplus1"
-    cls = classify_activation(RE_SQ, 1, 1, PROF)
-    assert default_strategy(cls.verdict, cls.witness_probe, PROF) == "Poly_Narrow_2N2Mplus5"
-    cls = classify_activation(ZB, 1, 1, PROF)
-    assert default_strategy(cls.verdict, cls.witness_probe, PROF) == "Poly_NMplus4"
+    cls = classify_activation(CARD, PROF)
+    assert default_strategy(cls.verdict, cls.witness_probe) == "NonPoly_NMplus1"
+    cls = classify_activation(CONJ_CARD, PROF)
+    assert default_strategy(cls.verdict, cls.witness_probe) == "NonPoly_Conj_NMplus1"
+    cls = classify_activation(MODRELU, PROF)
+    assert default_strategy(cls.verdict, cls.witness_probe) == "NonPoly_2N2Mplus1"
+    cls = classify_activation(RE_SQ, PROF)
+    assert default_strategy(cls.verdict, cls.witness_probe) == "Poly_Narrow_2N2Mplus5"
+    cls = classify_activation(ZB, PROF)
+    assert default_strategy(cls.verdict, cls.witness_probe) == "Poly_NMplus4"
     with pytest.raises(StrategyMismatch):
-        default_strategy("NonUniversalHolomorphic", None, PROF)
+        default_strategy("NonUniversalHolomorphic", None)
 
 
 # ---------------------------------------------------------------------------

@@ -236,7 +236,7 @@ def test_golden_covers_the_catalog():
 def test_golden_verdicts_and_plans(label):
     verdict, witness, active, second, plans = GOLDEN[label]
     spec = _spec(label)
-    cls = classify_activation(spec, 1, 1, PROF)
+    cls = classify_activation(spec, PROF)
     assert (cls.verdict, cls.witness_point) == (verdict, witness)
     assert find_active_point(spec, PROF) == active
     assert find_nonzero_second_point(spec, PROF) == second
@@ -304,7 +304,7 @@ def test_a_derivative_below_its_error_is_zero():
     assert PROF.zero_tol < abs(d) <= 3 * est and abs(dbar) <= PROF.zero_tol
     assert atlas.pattern(origin) is None
     assert {atlas.pattern(i) for i in range(len(atlas)) if i != origin} == {"both"}
-    cls = classify_activation(spec, 1, 1, PROF)
+    cls = classify_activation(spec, PROF)
     assert cls.verdict == "UniversalNonPoly_2N2Mplus1" and cls.witness_point != 0
     with pytest.raises(StrategyMismatch):
         plan_lowering(spec, "NonPoly_NMplus1", PROF)
@@ -317,7 +317,7 @@ def test_probe_box_grows_before_a_negative_verdict():
     spec = get_activation("modrelu", {"b": -5})
     atlas = probe_atlas(spec, PROF)
     assert atlas.prof.probe_box == CompactBox.square(1, 4.0)
-    cls = classify_activation(spec, 1, 1, PROF)
+    cls = classify_activation(spec, PROF)
     assert cls.verdict in ("UniversalNonPoly_2N2Mplus1", "Inconclusive")
     if cls.witness_point is not None:
         assert abs(cls.witness_point) > 5
@@ -329,7 +329,7 @@ def test_probe_box_without_witness_is_inconclusive():
     default doubled PROBE_BOX_GROWTHS times): no verdict against
     universality, and the reason names that box."""
     spec = get_activation("modrelu", {"b": -100})
-    cls = classify_activation(spec, 1, 1, PROF)
+    cls = classify_activation(spec, PROF)
     assert cls.verdict == "Inconclusive" and cls.witness_point is None
     half = 2 * 2 ** wirtinger.PROBE_BOX_GROWTHS
     assert f"[-{half}, {half}] + i[-{half}, {half}]" in cls.evidence
@@ -378,7 +378,7 @@ def test_classification_probes_second_order_lazily(monkeypatch):
         return second_derivs(spec, z0, prof)
 
     monkeypatch.setattr(wirtinger, "second_derivs", counting)
-    cls = classify_activation(get_activation("cardioid"), 1, 1, PROF)
+    cls = classify_activation(get_activation("cardioid"), PROF)
     assert cls.verdict == "UniversalNonPoly_NMplus1"
     # the R-affine heuristic stops at the first point, plus the witness
     assert len(calls) <= 2
@@ -425,7 +425,7 @@ def test_taylor_failure_raises_only_where_queried(monkeypatch):
         atlas.conjugated().taylor_passed(bad)
     assert len(calls) == 2
     with pytest.raises(ProbeFailed):
-        classify_activation(_holed(bad_circle), 1, 1, PROF)
+        classify_activation(_holed(bad_circle), PROF)
 
 
 def test_taylor_failure_at_the_winning_point_raises():

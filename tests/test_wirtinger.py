@@ -221,12 +221,12 @@ CLASSIFY_TABLE = [
 
 @pytest.mark.parametrize("name,params,verdict", CLASSIFY_TABLE)
 def test_classifier_table(name, params, verdict):
-    cls = classify_activation(get_activation(name, params), 1, 1, PROF)
+    cls = classify_activation(get_activation(name, params), PROF)
     assert cls.verdict == verdict
 
 
 def test_classifier_witness_present_for_universal():
-    cls = classify_activation(get_activation("cardioid"), 1, 1, PROF)
+    cls = classify_activation(get_activation("cardioid"), PROF)
     assert cls.witness_point is not None
     assert abs(np.imag(cls.witness_point)) < 1e-12 and np.real(cls.witness_point) > 0
 
@@ -234,7 +234,7 @@ def test_classifier_witness_present_for_universal():
 def test_classifier_heuristic_without_flags():
     # a holomorphic function with no analytic flags: the grid heuristic fires
     spec = custom_activation("cosh", np.cosh)
-    cls = classify_activation(spec, 1, 1, PROF)
+    cls = classify_activation(spec, PROF)
     assert cls.verdict == "NonUniversalHolomorphic"
     assert "heuristic" in cls.evidence
 
@@ -261,7 +261,7 @@ def test_classifier_scale_invariance(c):
     catalog activation."""
     for name, params, verdict in SCALE_TABLE:
         scaled = scale_activation(get_activation(name, params), c)
-        assert classify_activation(scaled, 1, 1, PROF).verdict == verdict, name
+        assert classify_activation(scaled, PROF).verdict == verdict, name
 
 
 def test_numeric_matches_analytic_within_error_estimate(rng):
@@ -310,7 +310,7 @@ def test_classification_requires_witness_for_universal():
 
 
 def test_classification_json_shape():
-    cls = classify_activation(get_activation("cardioid"), 1, 1, PROF)
+    cls = classify_activation(get_activation("cardioid"), PROF)
     doc = cls.to_json_dict(PROF)
     assert doc["verdict"] == "UniversalNonPoly_NMplus1"
     assert isinstance(doc["witness"], list) and len(doc["witness"]) == 2
@@ -459,7 +459,7 @@ def test_real_combinations_of_r_affine_classify_r_affine(terms):
              for w, ak, bk, ck in terms]
     combo = custom_activation("r_affine_sum",
                               lambda z: sum(w * s.fn(z) for w, s in specs))
-    cls = classify_activation(combo, 1, 1, PROF)
+    cls = classify_activation(combo, PROF)
     assert cls.verdict == "NonUniversalRAffine", cls.evidence
 
 
@@ -485,8 +485,8 @@ def test_conjugation_swaps_holomorphic_and_antiholomorphic_verdicts(case, numeri
         conj = custom_activation(f"conj:{name}", lambda z: np.conj(spec.fn(z)))
     else:
         plain, conj = spec, get_activation(f"conj:{name}", params)
-    verdict = classify_activation(plain, 1, 1, PROF).verdict
-    assert classify_activation(conj, 1, 1, PROF).verdict == _CONJ_VERDICT.get(verdict, verdict)
+    verdict = classify_activation(plain, PROF).verdict
+    assert classify_activation(conj, PROF).verdict == _CONJ_VERDICT.get(verdict, verdict)
 
 
 def _float_bits(obj):
@@ -503,8 +503,8 @@ def _float_bits(obj):
 @settings(max_examples=30)
 @given(case=st.sampled_from(VERDICT_CASES), conj=st.booleans(), n=st.integers(1, 2))
 def test_classify_json_round_trip_is_bit_exact(case, conj, n):
-    """The document `classify` writes parses back to the classification's own
-    document, every float bit for bit."""
+    """The document `classify` writes, whatever its `--n`, parses back to the
+    classification's own document, every float bit for bit."""
     import contextlib
     import io
     import json
@@ -514,7 +514,7 @@ def test_classify_json_round_trip_is_bit_exact(case, conj, n):
     name, params = case
     name = f"conj:{name}" if conj else name
     spec = get_activation(name, params)
-    want = dict(classify_activation(spec, n, 1, PROF).to_json_dict(PROF), activation=spec.name)
+    want = dict(classify_activation(spec, PROF).to_json_dict(PROF), activation=spec.name)
     argv = ["classify", "--activation", name, "--n", str(n), "--no-timestamp", "--out", "-"]
     for k, v in params.items():
         argv += ["--param", f"{k}={v}"]
