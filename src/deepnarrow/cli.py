@@ -21,8 +21,8 @@ import numpy as np
 from . import verifier
 from .activations import get_activation
 from .blocks import conj_block, identity_block, mul_apply, mul_block, pair_block, square_block
-from .core import (CompactBox, GridSpec, cvnn_from_json, cvnn_to_json, depth_of,
-                   eval_cvnn, sample_box, width_of)
+from .core import (CompactBox, GridSpec, check_sample_budget, cvnn_from_json, cvnn_to_json,
+                   depth_of, eval_cvnn, sample_box, width_of)
 from .errors import (ConstructionError, DimensionMismatch, EvaluationFailure, FitSingular,
                      InvalidActivationParams, ProbeFailed, StrategyMismatch,
                      UnknownActivation)
@@ -161,12 +161,14 @@ def _cmd_fit_shallow(args):
 def _cmd_fit_poly(args):
     fn, m = named_target(args.target)
     box = _box_or_default(args, args.n)
-    polys = fit_poly(fn, args.n, args.degree, box, GridSpec(args.grid), m=m)
+    fit_grid = GridSpec(args.grid)
+    check_sample_budget(box, verifier._finer(fit_grid))
+    polys = fit_poly(fn, args.n, args.degree, box, fit_grid, m=m)
     doc = poly_to_json_dict(polys)
     _write(f"{args.out}.poly.json" if args.out else None,
            _json_dump(doc, not args.no_timestamp))
     err = sup_error(fn, lambda zs: np.column_stack([p(zs) for p in polys]),
-                    box, GridSpec(2 * args.grid))
+                    box, verifier._finer(fit_grid))
     print(f"fit-poly degree={args.degree} sup_error={err:.6g}")
     return 0
 
@@ -207,6 +209,7 @@ def _cmd_lower(args):
     prof = _profile(args)
     box = _box_or_default(args, program.input_dim)
     grid = GridSpec(args.grid)
+    check_sample_budget(box, grid)
     # The program's neurons are written against the plan's sigma.  It is
     # planned on first use: h_sweep lowers before it evaluates the reference,
     # so a program of the wrong family reports lower's family error first.
@@ -398,8 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="h-sweep one building block")
     _add_common(p, activation=True, box=True, tolerances=True)
-    p.add_argument("--block", required=True,
-                   help="identity | conjugation | pair | square | mul")
+    p.add_argument("--block", required=True, help=" | ".join(_SWEEP_BLOCKS))
     p.add_argument("--z0", default=None, metavar="RE,IM",
                    help="attach with '=' (--z0=-1,0) when it begins with '-'")
     p.add_argument("--h", default="auto")

@@ -28,7 +28,7 @@ from .activations import ActivationSpec
 from .core import (CompactBox, ComplexAffineMap, Cvnn, GridSpec, _as_batch, eval_cvnn,
                    sample_box)
 from .errors import DimensionMismatch, FitSingular
-from .register import PolyZZbar
+from .register import PolyZZbar, _graded_lex_key
 
 __all__ = ["FitConfig", "fit_shallow", "fit_poly", "solve_complex_ridge",
            "monomial_exponents"]
@@ -120,7 +120,7 @@ def monomial_exponents(n: int, degree: int) -> list:
     for exps in _iter_product(range(degree + 1), repeat=2 * n):
         if sum(exps) <= degree:
             out.append((exps[:n], exps[n:]))
-    out.sort(key=lambda e: (sum(e[0]) + sum(e[1]), e[0] + e[1]))
+    out.sort(key=_graded_lex_key)
     return out
 
 

@@ -23,12 +23,16 @@ real work.  The width budgets, for input dimension n and output dimension m:
                                      single conjugation register refreshed on
                                      demand by one 2-neuron pair block
 
-Adjacent affine maps are always fused, keeping the strict alternating form.
-The pieces are bare arrays (``core.AffineArrays``); the shallow strategies
-emit the transitions of all program layers as one stack (``Layers``), fused
-by batched products.  Only the runs of the assembled network are validated,
-each once.  That catches every non-finite entry of a piece: inf * 0 = nan,
-so fusion spreads it to a whole row or column of each later product.
+A hidden stage is a list of block placements (block, in slots, out slots)
+on the register slots of the state, built into arrays by one function
+(``_stage``); the raw activation unit is a constant width-1 block.  A piece
+is a bare map (``core.AffineArrays``), a ``Stage`` or a ``Layers`` stack,
+told apart by its type; the shallow strategies emit the transitions of all
+program layers as one ``Layers`` stack.  Adjacent affine maps are always
+fused, keeping the strict alternating form, and stacks by batched products.
+Only the runs of the assembled network are validated, each once.  That
+catches every non-finite entry of a piece: inf * 0 = nan, so fusion spreads
+it to a whole row or column of each later product.
 Each strategy checks its derivative preconditions against probe data and
 raises StrategyMismatch when they fail.  Width bounds are asserted on the
 result, with zero tolerance.
@@ -45,7 +49,8 @@ import numpy as np
 from .activations import ActivationSpec, conjugate_activation
 from .blocks import (_SQUARE_TO_MUL, ShallowBlock, identity_block, mul_block,
                      routed_pair_block)
-from .core import AffineArrays, Cvnn, eval_affine, fuse_arrays, width_of
+from .core import (AffineArrays, ComplexAffineMap, Cvnn, eval_affine, fuse_arrays,
+                   width_of)
 from .errors import ConstructionError, StrategyMismatch
 from .register import FlushLayer, RegisterProgram
 from .wirtinger import ToleranceProfile, first_derivs, probe_atlas
@@ -100,7 +105,7 @@ class Stage:
 @dataclass(frozen=True)
 class Layers:
     """L program layers that cross the same stages.  Their first crossing is
-    emitted as plain stage pieces, since it fuses with the preceding map;
+    emitted as ``Stage`` pieces, since it fuses with the preceding map;
     this piece follows it with transition 0 of ``trans``, an (L, s, s)
     stack, then for each later l the stages in order and transition l."""
 
@@ -108,46 +113,30 @@ class Layers:
     trans: AffineArrays
 
 
-class _StageBuilder:
-    """Collects hidden units wired to the register slots of the state."""
+#: the activation applied to a slot as it stands: a constant width-1 block
+_RAW = ShallowBlock(ComplexAffineMap([[1]], [0]), ComplexAffineMap([[1]], [0]), ())
 
-    def __init__(self, in_dim: int):
-        self.in_dim = in_dim
-        self._rows = []
-        self._biases = []
 
-    def _unit(self, slots, weights, bias) -> int:
-        w = np.zeros(self.in_dim, dtype=np.complex128)
-        w[slots] += weights
-        self._rows.append(w)
-        self._biases.append(complex(bias))
-        return len(self._rows) - 1
-
-    def raw_unit(self, slot: int) -> int:
-        """One unit that applies the activation to a slot as it stands."""
-        return self._unit([slot], 1, 0j)
-
-    def cross(self, block: ShallowBlock, slots, rows: int = 1) -> list:
-        """Instantiate a block's neurons on the given register slots and
-        return the outputs of its first ``rows`` post rows.  Each pre row of
-        the block is added into those columns of a zero row, so every zero
-        weight is +0 whatever the sign of the block's zeros."""
-        units = [self._unit(slots, row, bias)
-                 for row, bias in zip(block.pre.matrix, block.pre.bias)]
-        return [(list(zip(units, block.post.matrix[r])), complex(block.post.bias[r]))
-                for r in range(rows)]
-
-    def finish(self, outputs) -> Stage:
-        """outputs: list of (combo, bias) with combo = [(unit, coef), ...]."""
-        h = len(self._rows)
-        pre = _affine(np.vstack(self._rows), self._biases)
-        post_m = np.zeros((len(outputs), h), dtype=np.complex128)
-        post_b = np.zeros(len(outputs), dtype=np.complex128)
-        for o, (combo, bias) in enumerate(outputs):
-            for unit, coef in combo:
-                post_m[o, unit] += coef
-            post_b[o] = bias
-        return Stage(pre, AffineArrays(post_m, post_b))
+def _stage(placements, in_dim: int, bias) -> Stage:
+    """The hidden layer of block placements (block, in_slots, out_slots):
+    each block's neurons read its in slots, and its first len(out_slots)
+    post rows write its out slots; ``bias`` holds the registers that no
+    block writes.  Rows are added into zeros, so every zero weight is +0
+    whatever the sign of the block's zeros."""
+    width = sum(blk.width for blk, _, _ in placements)
+    pre = np.zeros((width, in_dim), dtype=np.complex128)
+    pre_b = np.zeros(width, dtype=np.complex128)
+    post = np.zeros((len(bias), width), dtype=np.complex128)
+    post_b = np.array(bias, dtype=np.complex128)
+    start = 0
+    for blk, ins, outs in placements:
+        units = slice(start, start + blk.width)
+        pre[units, ins] += blk.pre.matrix
+        pre_b[units] = blk.pre.bias
+        post[outs, units] += blk.post.matrix[:len(outs)]
+        post_b[outs] = blk.post.bias[:len(outs)]
+        start = units.stop
+    return Stage(AffineArrays(pre, pre_b), AffineArrays(post, post_b))
 
 
 def _affine(rows, biases) -> AffineArrays:
@@ -320,11 +309,6 @@ def _build_kit(spec: ActivationSpec, plan: LoweringPlan, h: float,
 # ---------------------------------------------------------------------------
 
 
-def _emit(pieces: list, kit: _Kit, stage: Stage):
-    for realized in kit.realize(stage):
-        pieces.append(("stage", realized))
-
-
 def _lower_shallow(program: RegisterProgram, kit: _Kit) -> list:
     n, m = program.input_dim, program.output_dim
     s = n + m + 1
@@ -334,19 +318,14 @@ def _lower_shallow(program: RegisterProgram, kit: _Kit) -> list:
     init[iu, :] = loads[0]
     init_b = np.zeros(s, dtype=np.complex128)
     init_b[iu] = load_bias[0]
-    pieces = []
-    pieces.append(("affine", _affine(init, init_b)))
 
-    # Every program layer crosses the same registers through the same blocks
-    # and applies the activation to u, so the hidden stage is built and
-    # realized once; only the transitions carry a layer's flush and reload,
-    # and they are built as one stack.
-    builder = _StageBuilder(s)
-    outputs = [builder.cross(kit.id_blk, [i])[0] for i in range(n)]
-    outputs.append(([(builder.raw_unit(iu), 1.0)], 0j))
-    outputs += [builder.cross(kit.id_blk, [n + 1 + j])[0] for j in range(m)]
-    stages = tuple(kit.realize(builder.finish(outputs)))
-    pieces += [("stage", stage) for stage in stages]
+    # Every program layer crosses the registers through the same blocks and
+    # applies the activation to u, so the hidden stage is built and realized
+    # once; only the transitions carry a layer's flush and reload, and they
+    # are built as one stack.
+    placements = [(kit.id_blk, [i], [i]) for i in range(s)]
+    placements[iu] = (_RAW, [iu], [iu])
+    stages = tuple(kit.realize(_stage(placements, s, np.zeros(s))))
 
     # the transition after layer k flushes it and reloads u with layer k+1's
     # preactivation; after the last layer u is left at 0
@@ -357,10 +336,8 @@ def _lower_shallow(program: RegisterProgram, kit: _Kit) -> list:
     trans[:-1, iu, :n] = loads[1:]
     trans_b = np.zeros((len(flush), s), dtype=np.complex128)
     trans_b[:-1, iu] = load_bias[1:]
-    pieces.append(("layers", Layers(stages, AffineArrays(trans, trans_b))))
-
-    pieces.append(("affine", _end_map(program, s)))
-    return pieces
+    return [_affine(init, init_b), *stages, Layers(stages, AffineArrays(trans, trans_b)),
+            _end_map(program, s)]
 
 
 def _end_map(program: RegisterProgram, s: int) -> AffineArrays:
@@ -377,17 +354,6 @@ def _flush_map(lay: FlushLayer, s: int, iw: int, iv: int) -> AffineArrays:
     trans_b[iw] = 1
     trans[iv + lay.dst, iw] = lay.coeff
     return _affine(trans, trans_b)
-
-
-def _ladder_stages(kit: _Kit, s: int, cross_registers: Callable) -> list:
-    """The realized stage of every inner multiplication step: the s registers
-    (``cross_registers``) and the accumulator s cross, and the compute slot
-    s + 1 feeds one raw neuron."""
-    builder = _StageBuilder(s + 2)
-    outputs = cross_registers(builder)
-    outputs += builder.cross(kit.id_blk, [s])
-    outputs.append(([(builder.raw_unit(s + 1), 1.0)], 0j))
-    return kit.realize(builder.finish(outputs))
 
 
 def _emit_mul_ladder(pieces: list, kit: _Kit, stages: list, s: int,
@@ -420,26 +386,26 @@ def _emit_mul_ladder(pieces: list, kit: _Kit, stages: list, s: int,
     enter = np.eye(s + 2, s, dtype=np.complex128)
     enter_b = np.zeros(s + 2, dtype=np.complex128)
     load(enter, enter_b, 0)
-    pieces.append(("affine", _affine(enter, enter_b)))
+    pieces.append(_affine(enter, enter_b))
 
     for k in range(last):
-        pieces += [("stage", stage) for stage in stages]
+        pieces += stages
         step = np.eye(s + 2, dtype=np.complex128)
         step_b = np.zeros(s + 2, dtype=np.complex128)
         step[i_acc, i_cmp] = lam * coeffs[k]
         step_b[i_acc] = -lam * coeffs[k] * rho0
         step[i_cmp, i_cmp] = 0
         load(step, step_b, k + 1)
-        pieces.append(("affine", _affine(step, step_b)))
+        pieces.append(_affine(step, step_b))
 
-    pieces += [("stage", stage) for stage in stages]
+    pieces += stages
     exit_m = np.eye(s, s + 2, dtype=np.complex128)
     exit_b = np.zeros(s, dtype=np.complex128)
     exit_m[iw, iw] = 0
     exit_m[iw, i_acc] = 1.0 / lam
     exit_m[iw, i_cmp] = coeffs[last]
     exit_b[iw] = complex(blk.post.bias[0]) + rho0 * np.sum(coeffs[:last])
-    pieces.append(("affine", _affine(exit_m, exit_b)))
+    pieces.append(_affine(exit_m, exit_b))
 
 
 def _lower_poly(program: RegisterProgram, kit: _Kit, strategy: str) -> list:
@@ -450,68 +416,59 @@ def _lower_poly(program: RegisterProgram, kit: _Kit, strategy: str) -> list:
     single conjugation register g, crossed by an identity block and
     refreshed from z_i by one pair block when an operand needs conj z_i.
     Wide applies the multiplication block inline; Narrow and NMplus4 run it
-    as an inner register program (``_emit_mul_ladder``).
+    as an inner register program (``_emit_mul_ladder``), whose hidden stage
+    also crosses the accumulator and feeds the compute slot one raw neuron.
     """
     n, m = program.input_dim, program.output_dim
     pairs = strategy != "Poly_NMplus4"
     s = (2 * n if pairs else n + 1) + m + 1
     iw, iv = s - m - 1, s - m
-    pieces = []
 
-    def cross_inputs(builder, refresh=None):
-        """Outputs for z, from the z slots, and for the conjugates that pair
-        blocks rebuild: every one with ``pairs``, else that of z_refresh."""
-        z_outs, zb_outs = [], []
-        for q in range(n):
-            if pairs or q == refresh:
-                z_out, zb_out = builder.cross(kit.pair_blk, [q], rows=2)
-                zb_outs.append(zb_out)
-            else:
-                z_out = builder.cross(kit.id_blk, [q])[0]
-            z_outs.append(z_out)
-        return z_outs, zb_outs
+    def inputs(refresh=None):
+        """The placements on the z slots; a pair block also rebuilds a
+        conjugate: every one with ``pairs``, else g from z_refresh."""
+        return [(kit.pair_blk, [q], [q, n + q if pairs else n]) if pairs or q == refresh
+                else (kit.id_blk, [q], [q]) for q in range(n)]
 
-    def cross_registers(builder, refresh=None, op_idx=None):
-        """Outputs for every register in slot order; given ``op_idx`` (Wide),
-        w crosses the multiplication block with that operand."""
-        z_outs, zb_outs = cross_inputs(builder, refresh)
-        if not zb_outs:
-            zb_outs = builder.cross(kit.id_blk, [n])
+    def registers(refresh=None, op_idx=None):
+        """The placements of every register, in slot order; given ``op_idx``
+        (Wide), w crosses the multiplication block with that operand."""
+        placed = inputs(refresh)
+        if not pairs and refresh is None:
+            placed.append((kit.id_blk, [n], [n]))
         if op_idx is None:
-            w_outs = builder.cross(kit.id_blk, [iw])
+            placed.append((kit.id_blk, [iw], [iw]))
         else:
-            w_outs = builder.cross(kit.mul_blk, [op_idx, iw])
-        return z_outs + zb_outs + w_outs + [builder.cross(kit.id_blk, [iv + j])[0]
-                                            for j in range(m)]
+            placed.append((kit.mul_blk, [op_idx, iw], [iw]))
+        return placed + [(kit.id_blk, [iv + j], [iv + j]) for j in range(m)]
 
     # T_init: (z, conj z or g = 0, w = 1, v = 0) built by one hidden layer
-    builder = _StageBuilder(n)
-    z_outs, zb_outs = cross_inputs(builder)
-    outputs = z_outs + (zb_outs or [([], 0j)]) + [([], 1 + 0j)] + [([], 0j)] * m
-    _emit(pieces, kit, builder.finish(outputs))
+    init_b = np.zeros(s)
+    init_b[iw] = 1
+    pieces = list(kit.realize(_stage(inputs(), n, init_b)))
 
-    stages = None
+    ladder = None
     conj_src = None
     for lay in program.layers:
         if isinstance(lay, FlushLayer):
-            pieces.append(("affine", _flush_map(lay, s, iw, iv)))
+            pieces.append(_flush_map(lay, s, iw, iv))
             continue
         side, i = lay.operand
         op_idx = i if side == "z" else (n + i if pairs else n)
 
         if strategy == "Poly_Wide_2N2Mplus12":
-            builder = _StageBuilder(s)
-            _emit(pieces, kit, builder.finish(cross_registers(builder, op_idx=op_idx)))
+            pieces += kit.realize(_stage(registers(op_idx=op_idx), s, np.zeros(s)))
             continue
         if not pairs and side == "zbar" and conj_src != i:
-            builder = _StageBuilder(s)
-            _emit(pieces, kit, builder.finish(cross_registers(builder, refresh=i)))
+            pieces += kit.realize(_stage(registers(refresh=i), s, np.zeros(s)))
             conj_src = i
-        if stages is None:
-            stages = _ladder_stages(kit, s, cross_registers)
-        _emit_mul_ladder(pieces, kit, stages, s, op_idx, iw)
+        if ladder is None:
+            ladder = kit.realize(_stage(
+                registers() + [(kit.id_blk, [s], [s]), (_RAW, [s + 1], [s + 1])],
+                s + 2, np.zeros(s + 2)))
+        _emit_mul_ladder(pieces, kit, ladder, s, op_idx, iw)
 
-    pieces.append(("affine", _end_map(program, s)))
+    pieces.append(_end_map(program, s))
     return pieces
 
 
@@ -542,10 +499,10 @@ def assemble_pieces(pieces: list, activation_id) -> Cvnn:
     network, checked once for non-finite entries."""
     pending = None
     maps = []
-    for kind, obj in pieces:
-        if kind == "affine":
+    for obj in pieces:
+        if isinstance(obj, AffineArrays):
             pending = obj if pending is None else fuse_arrays(obj, pending)
-        elif kind == "stage":
+        elif isinstance(obj, Stage):
             maps.append(obj.pre if pending is None else fuse_arrays(obj.pre, pending))
             pending = obj.post
         else:
@@ -573,10 +530,10 @@ def eval_pieces(pieces: list, spec: ActivationSpec, z) -> np.ndarray:
     def cross(stage, cur):
         return eval_affine(stage.post, spec(eval_affine(stage.pre, cur)))
 
-    for kind, obj in pieces:
-        if kind == "affine":
+    for obj in pieces:
+        if isinstance(obj, AffineArrays):
             cur = eval_affine(obj, cur)
-        elif kind == "stage":
+        elif isinstance(obj, Stage):
             cur = cross(obj, cur)
         else:
             for k, trans in enumerate(zip(*obj.trans)):

@@ -109,8 +109,12 @@ class PolyZZbar:
         return out[0] if single else out
 
 
-def _graded_lex_key(term):
-    _, zd, bd = term
+def _graded_lex_key(monomial):
+    """The graded lexicographic order of z^zd conj(z)^bd, total degree
+    first: the order of the poly JSON, the program layers and the fit's
+    basis.  ``monomial`` ends in (zd, bd): a term (coeff, zd, bd) or the
+    exponents (zd, bd)."""
+    zd, bd = monomial[-2:]
     return (sum(zd) + sum(bd), zd + bd)
 
 

@@ -310,6 +310,40 @@ def test_compile_refuses_over_budget_lattice_before_fitting(monkeypatch, capsys,
     assert err.startswith("error[BAD_VALUE]") and "34012224 points" in err
 
 
+def test_fit_poly_refuses_over_budget_lattice_before_fitting(monkeypatch, capsys, tmp_path):
+    """fit-poly verifies on the pipelines' grid, 18^6 points at n = 3: refused
+    before the fit grid (9^6 points) is fitted or the polynomial written."""
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fitted before the verification budget was checked")
+
+    monkeypatch.setattr("deepnarrow.cli.fit_poly", no_fit)
+    rc = run(["fit-poly", "--target", "z1zbar2", "--n", "3", "--degree", "2",
+              "--out", str(tmp_path / "X")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[BAD_VALUE]") and "34012224 points" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_lower_refuses_over_budget_lattice_before_lowering(monkeypatch, capsys, tmp_path):
+    """lower verifies on its own --grid: 18^6 points for an n = 3 program at
+    --grid 18, refused before any network is lowered."""
+    def no_lower(*args, **kwargs):
+        raise AssertionError("lowered before the verification budget was checked")
+
+    monkeypatch.setattr("deepnarrow.cli.lower", no_lower)
+    p = PolyZZbar(3, ((1 + 0j, (1, 0, 0), (0, 0, 1)),))
+    prog_path = tmp_path / "prog.json"
+    prog_path.write_text(program_to_json(poly_to_register([p], "mul2")))
+    rc = run(["lower", "--program", str(prog_path), "--activation", "re_square",
+              "--strategy", "Poly_Narrow_2N2Mplus5", "--grid", "18",
+              "--out", str(tmp_path / "low")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[BAD_VALUE]") and "34012224 points" in err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["prog.json"]
+
+
 def test_demo_commands(tmp_path):
     out = tmp_path / "demo.json"
     rc = run(["demo", "--name", "affine-closure", "--no-timestamp", "--out", str(out)])

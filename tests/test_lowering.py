@@ -195,8 +195,8 @@ def test_fusion_invariance(rng):
     b = eval_cvnn(fused, zs, RE_SQ.fn)
     # agreement is float-exact relative to the chain conditioning (the
     # unfused chain reorders sums whose terms scale like the post coefficients)
-    kappa = max(float(np.max(np.abs(obj.post.matrix))) for kind, obj in pieces
-                if kind == "stage")
+    kappa = max(float(np.max(np.abs(obj.post.matrix))) for obj in pieces
+                if isinstance(obj, lowering.Stage))
     assert np.max(np.abs(a - b)) < 1e-12 * kappa * (1 + np.max(np.abs(a)))
 
 
@@ -274,30 +274,31 @@ def _shallow_pieces(rng):
     pieces = lower_pieces(program, CARD, "NonPoly_NMplus1", 1e-3, PROF)
     # init, the first program layer's stage, the 3 program layers' transitions
     # as one stack (the later layers cross the same stage), end
-    assert [kind for kind, _ in pieces] == ["affine", "stage", "layers", "affine"]
-    assert pieces[2][1].stages == (pieces[1][1],)
-    assert pieces[2][1].trans.matrix.shape == (3, 3, 3)
+    assert [type(obj) for obj in pieces] == [lowering.AffineArrays, lowering.Stage,
+                                             lowering.Layers, lowering.AffineArrays]
+    assert pieces[2].stages == (pieces[1],)
+    assert pieces[2].trans.matrix.shape == (3, 3, 3)
     assemble_pieces(pieces, CARD.activation_id)
     return pieces
 
 
 def test_assemble_rejects_inf_in_a_transition_bias(rng):
     pieces = _shallow_pieces(rng)
-    layers = pieces[2][1]
+    layers = pieces[2]
     bias = layers.trans.bias.copy()
     bias[1, 1] = np.inf           # between program layers 1 and 2: the reload of u
-    pieces[2] = ("layers", dataclasses.replace(layers, trans=layers.trans._replace(bias=bias)))
+    pieces[2] = dataclasses.replace(layers, trans=layers.trans._replace(bias=bias))
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite entries"):
         assemble_pieces(pieces, CARD.activation_id)
 
 
 def test_assemble_rejects_inf_in_a_stage_post_matrix(rng):
     pieces = _shallow_pieces(rng)
-    kind, stage = pieces[1]       # the hidden stage every program layer crosses
+    stage = pieces[1]             # the hidden stage every program layer crosses
     post = stage.post.matrix.copy()
     post[0, 0] = np.inf
-    pieces[1] = (kind, dataclasses.replace(stage, post=stage.post._replace(matrix=post)))
-    pieces[2] = ("layers", dataclasses.replace(pieces[2][1], stages=(pieces[1][1],)))
+    pieces[1] = dataclasses.replace(stage, post=stage.post._replace(matrix=post))
+    pieces[2] = dataclasses.replace(pieces[2], stages=(pieces[1],))
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite entries"):
         assemble_pieces(pieces, CARD.activation_id)
 
@@ -439,16 +440,16 @@ def _assemble_map_by_map(pieces):
         return a.matrix @ b.matrix, a.matrix @ b.bias + a.bias
 
     chain = []
-    for kind, obj in pieces:
-        if kind == "layers":
+    for obj in pieces:
+        if isinstance(obj, lowering.Layers):
             for k, (m, b) in enumerate(zip(*obj.trans)):
-                chain += [("stage", stage) for stage in obj.stages] if k else []
-                chain.append(("affine", lowering.AffineArrays(m, b)))
+                chain += list(obj.stages) if k else []
+                chain.append(lowering.AffineArrays(m, b))
         else:
-            chain.append((kind, obj))
+            chain.append(obj)
     pending, maps = None, []
-    for kind, obj in chain:
-        if kind == "affine":
+    for obj in chain:
+        if isinstance(obj, lowering.AffineArrays):
             pending = obj if pending is None else lowering.AffineArrays(*fuse(obj, pending))
         else:
             pre = obj.pre if pending is None else lowering.AffineArrays(*fuse(obj.pre, pending))
@@ -477,6 +478,31 @@ def test_stacked_assembly_equals_fusing_map_by_map(strategy, n, m):
     for got, ref in zip(net.affine_maps, want):
         assert got.matrix.tobytes() == ref.matrix.tobytes()
         assert got.bias.tobytes() == ref.bias.tobytes()
+
+
+#: the strategies whose stages are all block placements (no realizer layers)
+PLACED_STRATEGIES = [s for s in STRATEGIES
+                     if plan_lowering(STRATEGY_ACTIVATIONS[s], s, PROF).realizer_point is None]
+
+
+@pytest.mark.parametrize("strategy", PLACED_STRATEGIES)
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("h", [1e-2, 1e-3])
+def test_stage_maps_hold_no_negative_zero(strategy, n, h):
+    """A placement adds a block's rows into zero rows, so every zero weight
+    of a stage is +0, also where the block's own entry is -0 (some post rows
+    hold one); assigning the rows would keep those -0 and change the bytes
+    of some networks."""
+    assert len(PLACED_STRATEGIES) == 5
+    pieces, _ = _lowered(strategy, n, 1, seed=n, h=h)
+    stages = [obj for obj in pieces if isinstance(obj, lowering.Stage)]
+    stages += [stage for obj in pieces if isinstance(obj, lowering.Layers)
+               for stage in obj.stages]
+    assert stages
+    for stage in stages:
+        for a in (stage.pre.matrix, stage.post.matrix):
+            parts = np.concatenate([a.real.ravel(), a.imag.ravel()])
+            assert not np.any((parts == 0) & np.signbit(parts))
 
 
 def _json_map_by_map(net):
