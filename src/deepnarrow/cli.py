@@ -72,6 +72,17 @@ def _parse_box(text: str) -> CompactBox:
     return CompactBox(tuple(coords))
 
 
+def _parse_point(text: str, flag: str) -> complex:
+    """The complex number of a point flag, written 're' or 're,im'."""
+    try:
+        parts = [float(x) for x in text.split(",")]
+    except ValueError:
+        parts = []
+    if not 1 <= len(parts) <= 2:
+        raise ValueError(f"{flag} expects 're' or 're,im', got {text!r}")
+    return complex(*parts)
+
+
 def _box_or_default(args, n: int) -> CompactBox:
     if args.box:
         box = _parse_box(args.box)
@@ -224,6 +235,9 @@ def _cmd_lower(args):
 
 _SWEEP_BLOCKS = ("conjugation", "identity", "mul", "pair", "square")
 
+#: the --target help: each name of ``verifier.TARGETS`` with the function it names
+_TARGET_HELP = "; ".join(f"{name} = {label}" for name, (_, _, label) in verifier.TARGETS.items())
+
 _SQUARE_TARGETS = {
     "zzbar": lambda zs: zs * np.conj(zs),
     "z2": lambda zs: zs**2,
@@ -252,7 +266,7 @@ def _sweep_case(block: str, spec, z0: complex, h: float, prof, box: CompactBox):
 def _cmd_sweep(args):
     spec = get_activation(args.activation, _parse_kv(args.param))
     prof = _profile(args)
-    z0 = complex(*[float(x) for x in args.z0.split(",")]) if args.z0 else 1.0
+    z0 = _parse_point(args.z0, "--z0") if args.z0 else 1.0
     box = _box_or_default(args, 1)
     grid = GridSpec(args.grid)
     if args.block not in _SWEEP_BLOCKS:
@@ -291,11 +305,8 @@ def _cmd_eval(args):
     with open(args.net) as fh:
         net = cvnn_from_json(fh.read())
     if args.at:
-        pts = []
-        for part in args.at.split("|"):
-            pts.append([complex(*[float(x) for x in c.split(",")])
-                        for c in part.split(";")])
-        zs = np.asarray(pts, dtype=np.complex128)
+        zs = np.asarray([[_parse_point(c, "--at") for c in part.split(";")]
+                         for part in args.at.split("|")], dtype=np.complex128)
     else:
         box = _box_or_default(args, net.input_dim)
         zs = sample_box(box, GridSpec(args.grid))
@@ -363,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-shallow", help="random-feature ridge fit of a named target")
     _add_common(p, activation=True, box=True, seed=True)
-    p.add_argument("--target", required=True)
+    p.add_argument("--target", required=True, help=_TARGET_HELP)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--features", type=int, default=200)
@@ -373,14 +384,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-poly", help="least-squares polynomial in z and conj(z)")
     _add_common(p, box=True)
-    p.add_argument("--target", required=True)
+    p.add_argument("--target", required=True, help=_TARGET_HELP)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--degree", type=int, required=True)
     p.set_defaults(fn=lambda args: _cmd_fit_poly(args))
 
     p = sub.add_parser("compile", help="end-to-end target -> narrow network")
     _add_common(p, activation=True, box=True, seed=True, tolerances=True)
-    p.add_argument("--target", required=True)
+    p.add_argument("--target", required=True, help=_TARGET_HELP)
     p.add_argument("--degree", type=int, default=3)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--m", type=int, default=None)

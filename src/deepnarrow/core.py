@@ -438,7 +438,7 @@ def _l2c(x) -> complex:
 
 def _param_value_to_json(v):
     if isinstance(v, complex):
-        return [v.real, v.imag]
+        return _c2l(v)
     return v
 
 

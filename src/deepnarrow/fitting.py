@@ -81,6 +81,11 @@ def solve_complex_ridge(design: np.ndarray, targets: np.ndarray, ridge: float) -
     return c[:, 0] if squeeze else c
 
 
+def _complex_normal(rng: np.random.Generator, shape, scale: float = 1.0) -> np.ndarray:
+    """scale * (x + i y), x and then y drawn standard normal of the given shape."""
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
 def _sup_err(values: np.ndarray, targets: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(values - targets, axis=1)))
 
@@ -95,9 +100,8 @@ def fit_shallow(f: Callable, spec: ActivationSpec, n: int, m: int,
     """
     rng = np.random.default_rng(cfg.seed)
     w = cfg.num_features
-    scale = cfg.weight_scale
-    a1 = scale * (rng.standard_normal((w, n)) + 1j * rng.standard_normal((w, n))) / np.sqrt(2)
-    b1 = scale * (rng.standard_normal(w) + 1j * rng.standard_normal(w)) / np.sqrt(2)
+    a1 = _complex_normal(rng, (w, n), cfg.weight_scale) / np.sqrt(2)
+    b1 = _complex_normal(rng, w, cfg.weight_scale) / np.sqrt(2)
     pts = sample_box(cfg.box, cfg.grid)
     targets = _as_batch(f(pts), pts.shape[0])
     if targets.shape != (pts.shape[0], m):

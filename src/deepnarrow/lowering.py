@@ -67,15 +67,7 @@ __all__ = [
     "plan_lowering",
 ]
 
-STRATEGIES = (
-    "NonPoly_NMplus1",
-    "NonPoly_Conj_NMplus1",
-    "NonPoly_2N2Mplus1",
-    "Poly_Wide_2N2Mplus12",
-    "Poly_Narrow_2N2Mplus5",
-    "Poly_NMplus4",
-)
-
+#: the width budget in n and m of every lowering strategy
 _BUDGETS = {
     "NonPoly_NMplus1": lambda n, m: n + m + 1,
     "NonPoly_Conj_NMplus1": lambda n, m: n + m + 1,
@@ -84,6 +76,9 @@ _BUDGETS = {
     "Poly_Narrow_2N2Mplus5": lambda n, m: 2 * n + 2 * m + 5,
     "Poly_NMplus4": lambda n, m: n + m + 4,
 }
+
+STRATEGIES = tuple(_BUDGETS)
+
 
 def strategy_width_budget(strategy: str, n: int, m: int) -> int:
     return _BUDGETS[strategy](n, m)

@@ -35,7 +35,7 @@ from .blocks import _SQUARE_TO_MUL
 from .core import (CompactBox, ComplexAffineMap, Cvnn, GridSpec, _as_batch,
                    check_sample_budget, depth_of, eval_cvnn, max_coeff, sample_box, width_of)
 from .errors import DimensionMismatch, EvaluationFailure, StrategyMismatch
-from .fitting import FitConfig, fit_shallow, solve_complex_ridge
+from .fitting import FitConfig, _complex_normal, fit_shallow, solve_complex_ridge
 from .lowering import lower, plan_lowering
 from .register import RegisterProgram, eval_register, poly_to_register, shallow_to_register
 from .wirtinger import ToleranceProfile, probe_atlas
@@ -466,11 +466,7 @@ def end_to_end_nonpoly(f: Callable, spec: ActivationSpec, n: int, m: int,
 
 def _random_phi_re_net(spec: ActivationSpec, n: int, m: int, width: int,
                        seed: int) -> Cvnn:
-    rng = np.random.default_rng(seed)
-
-    def cplx(shape, scale=1.0):
-        return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-
+    cplx = functools.partial(_complex_normal, np.random.default_rng(seed))
     v1 = ComplexAffineMap(cplx((width, n)), cplx(width))
     v2 = ComplexAffineMap(cplx((width, width), 0.5), cplx(width, 0.5))
     v3 = ComplexAffineMap(cplx((m, width), 0.5), cplx(m, 0.5))
@@ -577,15 +573,11 @@ def fit_deep_random(f: Callable, spec: ActivationSpec, n: int, m: int,
     """Deep random-feature fit: all hidden affine maps are seeded random, only
     the final affine map is solved.  Keeps the class restricted to genuine
     deep networks of the given activation without nonconvex training."""
-    rng = np.random.default_rng(cfg.seed)
-
-    def cplx(shape, fan_in):
-        s = cfg.weight_scale / np.sqrt(fan_in)
-        return s * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-
-    maps = [ComplexAffineMap(cplx((width, n), n), cplx(width, n))]
+    cplx = functools.partial(_complex_normal, np.random.default_rng(cfg.seed))
+    s_in, s_hid = (cfg.weight_scale / np.sqrt(fan_in) for fan_in in (n, width))
+    maps = [ComplexAffineMap(cplx((width, n), s_in), cplx(width, s_in))]
     for _ in range(depth - 2):
-        maps.append(ComplexAffineMap(cplx((width, width), width), cplx(width, width)))
+        maps.append(ComplexAffineMap(cplx((width, width), s_hid), cplx(width, s_hid)))
     pts = sample_box(cfg.box, cfg.grid)
     targets = _as_batch(f(pts), pts.shape[0])
     cur = pts
@@ -606,17 +598,13 @@ def affine_closure_demo() -> dict:
     spec = get_activation("r_affine", {"a": 2, "b": 1, "c": 1})
     worst = 0.0
     for seed in range(3):
-        rng = np.random.default_rng(seed)
+        cplx = functools.partial(_complex_normal, np.random.default_rng(seed))
         for depth in (2, 3, 5):
             dims = [2] + [6] * (depth - 1) + [2]
-            maps = []
-            for din, dout in zip(dims, dims[1:]):
-                maps.append(ComplexAffineMap(
-                    0.5 * (rng.standard_normal((dout, din)) + 1j * rng.standard_normal((dout, din))),
-                    0.5 * (rng.standard_normal(dout) + 1j * rng.standard_normal(dout))))
+            maps = [ComplexAffineMap(cplx((dout, din), 0.5), cplx(dout, 0.5))
+                    for din, dout in zip(dims, dims[1:])]
             net = Cvnn(tuple(maps), spec.activation_id)
-            x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            x, y = cplx(2), cplx(2)
             for alpha in (-0.5, 0.25, 0.75, 2.0):
                 lhs = eval_cvnn(net, alpha * x + (1 - alpha) * y, spec.fn)
                 rhs = alpha * eval_cvnn(net, x, spec.fn) + (1 - alpha) * eval_cvnn(net, y, spec.fn)

@@ -45,7 +45,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .activations import ActivationSpec
-from .core import CompactBox, GridSpec, sample_box
+from .core import CompactBox, GridSpec, _c2l, sample_box
 from .errors import ProbeFailed
 
 __all__ = [
@@ -95,6 +95,7 @@ class ToleranceProfile:
     fd_step * max(1, |z0|)); second-order stencils use sqrt(fd_step) since
     their roundoff grows like eps/h^2.  zero_tol is the least nonzero
     threshold applied after Richardson extrapolation, by ``nonzero`` alone.
+    probe_box has one coordinate: an activation acts on one complex number.
     """
 
     zero_tol: float = 1e-6
@@ -106,6 +107,8 @@ class ToleranceProfile:
         if not (0 < self.zero_tol < np.inf and 0 < self.fd_step < np.inf):
             raise ValueError(f"tolerances must be positive and finite, got zero_tol="
                              f"{self.zero_tol!r}, fd_step={self.fd_step!r}")
+        if self.probe_box.n != 1:
+            raise ValueError(f"probe_box must have 1 coordinate, got {self.probe_box.n}")
 
     def nonzero(self, v, est):
         """Whether the derivative estimate v, with error estimate est, counts
@@ -323,27 +326,38 @@ def taylor_remainder_probe(spec: ActivationSpec, z0, order: int,
     as a decreasing ratio sequence; a ratio sequence that stalls or grows
     marks a point where the expansion is invalid.
 
-    A scalar z0 gives one TaylorReport and raises ProbeFailed when an
-    evaluation is not finite.  A 1-D array of centres gives a list with one
-    entry per centre: its report, or the ProbeFailed that centre alone would
-    raise, returned rather than raised.  Either way the activation is called
-    once, on every f(z0) and every circle point, and each centre's arithmetic
-    is that of a lone call.  ``d`` and ``dbar`` (scalars or arrays like z0)
-    are the first derivatives when the caller holds them; otherwise they
-    come from ``first_derivs``.
+    A scalar z0 gives one TaylorReport and raises ProbeFailed when a
+    derivative or an evaluation is not finite.  Its coefficients are ``d``
+    and ``dbar`` when the caller holds them, else those of ``first_derivs``,
+    plus those of ``second_derivs`` at order 2.  A 1-D array of centres
+    takes order 1 and arrays ``d`` and ``dbar`` like it, and gives a list
+    with one entry per centre: its report, or the ProbeFailed that centre
+    alone would raise, returned rather than raised.  Either way the
+    activation is called once, on every f(z0) and every circle point, and
+    each centre's arithmetic is that of a lone call.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     if np.ndim(z0) == 0:
-        out = _taylor_batch(spec, np.array([complex(z0)]), order, prof,
-                            None if d is None else [d], None if dbar is None else [dbar])[0]
+        z0 = complex(z0)
+        if d is None:
+            d, dbar = first_derivs(spec, z0, prof)[:2]
+        coefs = [d, dbar]
+        if order == 2:
+            d2, ddbar, dbar2, _ = second_derivs(spec, z0, prof)
+            # 0.5 * d2 * w**2 takes 0.5 * d2 first
+            coefs += [0.5 * d2, ddbar, 0.5 * dbar2]
+        out = _taylor_batch(spec, np.array([z0]), order,
+                            np.array(coefs, dtype=np.complex128)[:, None])[0]
         if isinstance(out, ProbeFailed):
             raise out
         return out
     centres = np.asarray(z0, dtype=np.complex128)
     if centres.ndim != 1:
         raise ValueError("z0 must be a scalar or a 1-D array of centres")
-    return _taylor_batch(spec, centres, order, prof, d, dbar)
+    if order != 1 or d is None or dbar is None:
+        raise ValueError("an array of centres takes order 1 and the centres' d and dbar")
+    return _taylor_batch(spec, centres, 1, np.array([d, dbar], dtype=np.complex128))
 
 
 #: circle offsets w of the Taylor-remainder probe, (radius, angle), their
@@ -355,45 +369,27 @@ _TAYLOR_W2, _TAYLOR_WC2 = _TAYLOR_W**2, _TAYLOR_WC**2
 _TAYLOR_R_POW = {k: np.array([r**k for r in TAYLOR_RADII]) for k in (1, 2)}
 
 
-def _taylor_batch(spec: ActivationSpec, centres: np.ndarray, order: int, prof: ToleranceProfile,
-                  d, dbar) -> list:
+def _taylor_batch(spec: ActivationSpec, centres: np.ndarray, order: int, c: np.ndarray) -> list:
+    """The remainder reports of the centres, c their (coefficient, centre)
+    array: d, dbar, then at order 2 d2/2, ddbar, dbar2/2.  A centre with a
+    non-finite f(z0) or circle value gets its ProbeFailed in its slot."""
     zs = centres.tolist()
     out = [None] * len(zs)
-    if d is not None and order == 1:
-        live, c = np.arange(len(zs)), np.array([d, dbar], dtype=np.complex128)
-    else:
-        live, coefs = [], []
-        for k, z in enumerate(zs):
-            try:
-                dk, dbk = (d[k], dbar[k]) if d is not None else first_derivs(spec, z, prof)[:2]
-                if order == 2:
-                    d2, ddbar, dbar2, _ = second_derivs(spec, z, prof)
-                    # grouped as a lone call groups 0.5 * d2 * w**2
-                    coefs.append((dk, dbk, 0.5 * d2, ddbar, 0.5 * dbar2))
-                else:
-                    coefs.append((dk, dbk))
-            except ProbeFailed as exc:
-                out[k] = exc
-                continue
-            live.append(k)
-        if not live:
-            return out
-        # (coefficient, centre)
-        live, c = np.array(live), np.array(coefs, dtype=np.complex128).T
-    z = centres[live]
-    circles = z[:, None, None] + _TAYLOR_W                          # (centre, radius, angle)
-    vals = spec(np.concatenate([z, circles.ravel()]))
-    f0, fv = vals[: len(z)], vals[len(z):].reshape(circles.shape)
+    ks = range(len(zs))
+    circles = centres[:, None, None] + _TAYLOR_W                    # (centre, radius, angle)
+    vals = spec(np.concatenate([centres, circles.ravel()]))
+    f0, fv = vals[: len(zs)], vals[len(zs):].reshape(circles.shape)
     if not np.isfinite(vals).all():
         f0_ok = np.isfinite(f0)
         circle_ok = np.isfinite(fv).all(axis=2)
         finite = f0_ok & circle_ok.all(axis=1)
         for j in np.flatnonzero(~finite):
-            out[live[j]] = (_failure([zs[live[j]]]) if not f0_ok[j]
-                            else _failure(circles[j, int(np.argmin(circle_ok[j]))]))
+            out[j] = (_failure([zs[j]]) if not f0_ok[j]
+                      else _failure(circles[j, int(np.argmin(circle_ok[j]))]))
         if not finite.any():
             return out
-        live, c, f0, fv = live[finite], c[:, finite], f0[finite], fv[finite]
+        ks = np.flatnonzero(finite).tolist()
+        c, f0, fv = c[:, finite], f0[finite], fv[finite]
     c = c[:, :, None, None]
     theta = fv - f0[:, None, None]
     theta -= c[0] * _TAYLOR_W
@@ -404,7 +400,6 @@ def _taylor_batch(spec: ActivationSpec, centres: np.ndarray, order: int, prof: T
         theta -= c[4] * _TAYLOR_WC2
     ratios = np.max(np.abs(theta), axis=2) / _TAYLOR_R_POW[order]
     floors = 1e-8 * np.maximum(1.0, np.max(np.abs(fv), axis=(1, 2)))
-    ks = live.tolist()
     reports = map(TaylorReport._make, zip(
         [zs[k] for k in ks], repeat(order), repeat(TAYLOR_RADII), map(tuple, ratios.tolist()),
         floors.tolist(), _taylor_passes(ratios, floors).tolist()))
@@ -793,22 +788,13 @@ class Classification:
             raise ValueError("Universal verdicts require a witness point")
 
     def to_json_dict(self, prof: ToleranceProfile = ToleranceProfile()) -> dict:
-        w = self.witness_point
-        probes = []
-        if self.witness_probe is not None:
-            p = self.witness_probe
-            probes.append({
-                "z0": [p.z0.real, p.z0.imag],
-                "d": [p.d.real, p.d.imag],
-                "dbar": [p.dbar.real, p.dbar.imag],
-                "d2": [p.d2.real, p.d2.imag],
-                "ddbar": [p.ddbar.real, p.ddbar.imag],
-                "dbar2": [p.dbar2.real, p.dbar2.imag],
-                "est_error": p.est_error,
-            })
+        w, p = self.witness_point, self.witness_probe
+        probes = [] if p is None else [
+            dict({k: _c2l(getattr(p, k)) for k in ("z0", "d", "dbar", "d2", "ddbar", "dbar2")},
+                 est_error=p.est_error)]
         return {
             "verdict": self.verdict,
-            "witness": None if w is None else [w.real, w.imag],
+            "witness": None if w is None else _c2l(w),
             "evidence": self.evidence,
             "probes": probes,
             "tolerances": {

@@ -730,3 +730,53 @@ def test_probe_failure_is_a_listed_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error[PROBE_FAILED] activation evaluation failed near")
     assert not out.exists()
+
+
+def test_sweep_z0_with_three_parts_is_a_bad_value(tmp_path, capsys):
+    """--z0=1,0,3 reached complex() with three arguments (error[INTERNAL],
+    exit 4)."""
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--activation", "cardioid", "--block", "identity", "--z0=1,0,3",
+                "--no-timestamp", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error[BAD_VALUE] --z0 expects 're' or 're,im', got '1,0,3'")
+    assert not out.exists()
+
+
+def test_eval_at_with_three_parts_is_a_bad_value(tmp_path, capsys):
+    """--at=1,2,3 reached complex() with three arguments (error[INTERNAL],
+    exit 4)."""
+    from conftest import random_shallow
+    from deepnarrow.core import cvnn_to_json
+
+    net = random_shallow(np.random.default_rng(0), 1, 1, 3,
+                         get_activation("cardioid").activation_id)
+    net_path = tmp_path / "net.json"
+    net_path.write_text(cvnn_to_json(net))
+    out = tmp_path / "eval.csv"
+    assert run(["eval", "--net", str(net_path), "--at=1,2,3", "--no-timestamp",
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error[BAD_VALUE] --at expects 're' or 're,im', got '1,2,3'")
+    assert not out.exists()
+
+
+def test_probe_box_with_two_coordinates_is_refused(tmp_path, capsys):
+    """The scan reads coordinate 0 of the probe box's lattice: a box of two
+    coordinates probed each point of the first once per point of the
+    second."""
+    out = tmp_path / "c.json"
+    assert run(["classify", "--activation", "cardioid", "--probe-box=-2,2|-2,2",
+                "--no-timestamp", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error[BAD_VALUE] probe_box must have 1 coordinate, got 2")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit-shallow", "fit-poly", "compile"])
+def test_target_help_names_every_target(capsys, command):
+    with pytest.raises(SystemExit):
+        run([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for name, (_, _, label) in verifier.TARGETS.items():
+        assert f"{name} = {label}" in text

@@ -458,9 +458,10 @@ def _assemble_map_by_map(pieces):
     return maps + [pending]
 
 
-def _lowered(strategy, n, m, seed, h=1e-3):
+def _lowered(strategy, n, m, seed, h=1e-3, spec=None):
     rng = np.random.default_rng(seed)
-    spec = STRATEGY_ACTIVATIONS[strategy]
+    if spec is None:
+        spec = STRATEGY_ACTIVATIONS[strategy]
     if strategy.startswith("NonPoly"):
         program = shallow_to_register(random_shallow(rng, n, m, 5, spec.activation_id))
     else:
@@ -484,17 +485,25 @@ def test_stacked_assembly_equals_fusing_map_by_map(strategy, n, m):
 PLACED_STRATEGIES = [s for s in STRATEGIES
                      if plan_lowering(STRATEGY_ACTIVATIONS[s], s, PROF).realizer_point is None]
 
+#: (strategy, activation) of every placed strategy, then of the two plans
+#: whose stages a conjugation realizer turns into layers
+STAGE_CASES = ([pytest.param(s, STRATEGY_ACTIVATIONS[s], id=s) for s in PLACED_STRATEGIES]
+               + [pytest.param("NonPoly_Conj_NMplus1", CONJ_CARD, id="NonPoly_Conj_NMplus1"),
+                  pytest.param("Poly_NMplus4", CONJ_ZB, id="Poly_NMplus4-conj")])
 
-@pytest.mark.parametrize("strategy", PLACED_STRATEGIES)
+
+@pytest.mark.parametrize("strategy, spec", STAGE_CASES)
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("h", [1e-2, 1e-3])
-def test_stage_maps_hold_no_negative_zero(strategy, n, h):
+def test_stage_maps_hold_no_negative_zero(strategy, spec, n, h):
     """A placement adds a block's rows into zero rows, so every zero weight
     of a stage is +0, also where the block's own entry is -0 (some post rows
     hold one); assigning the rows would keep those -0 and change the bytes
-    of some networks."""
+    of some networks.  The realizer's stages keep that rule."""
     assert len(PLACED_STRATEGIES) == 5
-    pieces, _ = _lowered(strategy, n, 1, seed=n, h=h)
+    realized = strategy not in PLACED_STRATEGIES or spec is CONJ_ZB
+    assert (plan_lowering(spec, strategy, PROF).realizer_point is not None) == realized
+    pieces, _ = _lowered(strategy, n, 1, seed=n, h=h, spec=spec)
     stages = [obj for obj in pieces if isinstance(obj, lowering.Stage)]
     stages += [stage for obj in pieces if isinstance(obj, lowering.Layers)
                for stage in obj.stages]

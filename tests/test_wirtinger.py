@@ -360,18 +360,23 @@ TAYLOR_SPECS = ([get_activation(name) for name in available_activations()]
        centres=st.lists(st.complex_numbers(max_magnitude=3.0, allow_nan=False,
                                            allow_infinity=False), min_size=1, max_size=6))
 def test_taylor_batch_equals_per_centre_calls(spec, order, centres):
-    """An array of centres gives, bit for bit, the reports of lone calls, with
-    or without the caller's first derivatives, and a lone call the ratios of
-    a per-radius evaluation."""
+    """A lone call gives the ratios of a per-radius evaluation bit for bit.
+    An array of centres with the caller's first derivatives gives, bit for
+    bit, the reports of lone calls at order 1; an array without them, or at
+    order 2, is refused."""
     alone = [_alone(spec, z0, order) for z0 in centres]
     assert [a[3:5] for a in alone] == [_taylor_per_radius(spec, z0, order) for z0 in centres]
-    batch = taylor_remainder_probe(spec, np.array(centres, dtype=np.complex128), order, PROF)
-    assert [_report_bits(r) for r in batch] == alone
+    zs = np.array(centres, dtype=np.complex128)
     firsts = [first_derivs(spec, z0, PROF) for z0 in centres]
-    given_d = taylor_remainder_probe(spec, np.array(centres, dtype=np.complex128), order, PROF,
-                                     d=np.array([f[0] for f in firsts]),
-                                     dbar=np.array([f[1] for f in firsts]))
-    assert [_report_bits(r) for r in given_d] == alone
+    d, dbar = np.array([f[0] for f in firsts]), np.array([f[1] for f in firsts])
+    with pytest.raises(ValueError):
+        taylor_remainder_probe(spec, zs, order, PROF)
+    if order == 2:
+        with pytest.raises(ValueError):
+            taylor_remainder_probe(spec, zs, order, PROF, d=d, dbar=dbar)
+    else:
+        given_d = taylor_remainder_probe(spec, zs, order, PROF, d=d, dbar=dbar)
+        assert [_report_bits(r) for r in given_d] == alone
 
 
 def test_taylor_batch_keeps_failures_per_centre():
