@@ -73,13 +73,16 @@ def _parse_box(text: str) -> CompactBox:
 
 
 def _parse_point(text: str, flag: str) -> complex:
-    """The complex number of a point flag, written 're' or 're,im'."""
+    """The complex number of a point flag, written 're' or 're,im'; it must
+    be finite."""
     try:
         parts = [float(x) for x in text.split(",")]
     except ValueError:
         parts = []
     if not 1 <= len(parts) <= 2:
         raise ValueError(f"{flag} expects 're' or 're,im', got {text!r}")
+    if not np.isfinite(parts).all():
+        raise ValueError(f"{flag} expects a finite point, got {text!r}")
     return complex(*parts)
 
 
@@ -305,8 +308,12 @@ def _cmd_eval(args):
     with open(args.net) as fh:
         net = cvnn_from_json(fh.read())
     if args.at:
-        zs = np.asarray([[_parse_point(c, "--at") for c in part.split(";")]
-                         for part in args.at.split("|")], dtype=np.complex128)
+        points = [[_parse_point(c, "--at") for c in part.split(";")]
+                  for part in args.at.split("|")]
+        if len({len(z) for z in points}) != 1:
+            raise ValueError("--at expects every point to have the same number of "
+                             f"coordinates, got {args.at!r}")
+        zs = np.asarray(points, dtype=np.complex128)
     else:
         box = _box_or_default(args, net.input_dim)
         zs = sample_box(box, GridSpec(args.grid))

@@ -28,7 +28,7 @@ from .activations import ActivationSpec
 from .core import (CompactBox, ComplexAffineMap, Cvnn, GridSpec, _as_batch, eval_cvnn,
                    sample_box)
 from .errors import DimensionMismatch, FitSingular
-from .register import PolyZZbar, _graded_lex_key
+from .register import PolyZZbar, _graded_lex_key, _monomial
 
 __all__ = ["FitConfig", "fit_shallow", "fit_poly", "solve_complex_ridge",
            "monomial_exponents"]
@@ -153,16 +153,7 @@ def fit_poly(f: Callable, n: int, degree: int, box: CompactBox,
             f"{len(exps)} basis monomials but only {pts.shape[0]} grid points; "
             "refine the grid or lower the degree")
     conj = np.conj(pts)
-    cols = []
-    for zd, bd in exps:
-        col = np.ones(pts.shape[0], dtype=np.complex128)
-        for i in range(n):
-            if zd[i]:
-                col = col * pts[:, i] ** zd[i]
-            if bd[i]:
-                col = col * conj[:, i] ** bd[i]
-        cols.append(col)
-    design = np.column_stack(cols)
+    design = np.column_stack([_monomial(pts, conj, zd, bd) for zd, bd in exps])
     coef = solve_complex_ridge(design, targets, 0.0)
     polys = []
     for j in range(m):

@@ -308,7 +308,8 @@ def _lower_shallow(program: RegisterProgram, kit: _Kit) -> list:
     n, m = program.input_dim, program.output_dim
     s = n + m + 1
     iu = n
-    loads, load_bias, flush = program.arrays
+    rows = program.layers
+    loads, load_bias, flush = rows[:, :n], rows[:, n], rows[:, n + 1:]
     init = np.eye(s, n, dtype=np.complex128)
     init[iu, :] = loads[0]
     init_b = np.zeros(s, dtype=np.complex128)

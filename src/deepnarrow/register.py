@@ -4,18 +4,24 @@ A register program is an idealized layered computation that keeps inputs and
 partial outputs in passthrough slots while exactly one slot per layer does
 real work.  Two families:
 
-  shallow family (width n+m+1): slots (z_1..z_n, u, v_1..v_m).  Every layer
-    applies the activation to u, flushes c_k * act(u) into the accumulators,
-    and reloads u with the next neuron's preactivation a_k^T z + b_k.  A
-    depth-2 network rewrites into this form exactly (no approximation).
+  shallow family (width n+m+1): slots (z_1..z_n, u, v_1..v_m).  Layer k
+    loads u with neuron k's preactivation a_k^T z + b_k, applies the
+    activation to u and flushes c_k * act(u) into the accumulators.  The
+    layers are one read-only (L, n+1+m) array with a column per slot: row k
+    is (a_k, b_k, c_k).  A depth-2 network rewrites into this form exactly
+    (no approximation).
 
   poly family (width 2n+m+1): slots (z_1..z_n, conj z_1..conj z_n, w, v_1..v_m)
-    with w initialized to 1.  Mul layers fold one in-register (plain or
-    conjugated) into w through a fixed two-argument product mul1/mul2/mul3;
-    flush layers add coeff * w to an accumulator and reset w to 1.  Monomial
-    planning picks plain/conjugated operands so the folded chain equals the
-    target monomial symbolically in spite of the conjugations that mul2/mul3
-    smuggle in.
+    with w initialized to 1; the layers are a tuple of MulLayer/FlushLayer.
+    Mul layers fold one in-register (plain or conjugated) into w through a
+    fixed two-argument product mul1/mul2/mul3; flush layers add coeff * w to
+    an accumulator and reset w to 1.  Monomial planning picks
+    plain/conjugated operands so the folded chain equals the target monomial
+    symbolically in spite of the conjugations that mul2/mul3 smuggle in.
+
+A shallow program file still writes layer k's flush beside the next layer's
+load (its reload) and the first load apart (t_init); program_from_json turns
+that into the rows and refuses a file whose layers break the reload rule.
 
 eval_register implements the ideal semantics (true products, true
 conjugation); lowering replaces the slots with activation neurons.
@@ -23,10 +29,9 @@ conjugation); lowering replaces the slots with activation neurons.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -37,11 +42,9 @@ from .errors import DimensionMismatch, StrategyMismatch
 __all__ = [
     "PolyZZbar",
     "MonomialPlan",
-    "RhoLayer",
     "MulLayer",
     "FlushLayer",
     "RegisterProgram",
-    "ShallowArrays",
     "shallow_to_register",
     "plan_monomial",
     "poly_to_register",
@@ -99,14 +102,20 @@ class PolyZZbar:
         out = np.zeros(zs.shape[0], dtype=np.complex128)
         conj = np.conj(zs)
         for coeff, zd, bd in self.terms:
-            term = np.full(zs.shape[0], coeff, dtype=np.complex128)
-            for i in range(self.n):
-                if zd[i]:
-                    term = term * zs[:, i] ** zd[i]
-                if bd[i]:
-                    term = term * conj[:, i] ** bd[i]
-            out += term
+            out += _monomial(zs, conj, zd, bd, coeff)
         return out[0] if single else out
+
+
+def _monomial(zs, conj, zd, bd, coeff=1.0) -> np.ndarray:
+    """coeff * z^zd * conj(z)^bd at each row of ``zs`` (``conj`` its
+    conjugate), multiplied factor by factor in coordinate order."""
+    term = np.full(zs.shape[0], coeff, dtype=np.complex128)
+    for i in range(len(zd)):
+        if zd[i]:
+            term = term * zs[:, i] ** zd[i]
+        if bd[i]:
+            term = term * conj[:, i] ** bd[i]
+    return term
 
 
 def _graded_lex_key(monomial):
@@ -142,14 +151,6 @@ def poly_from_json_dict(doc: dict) -> list:
 
 
 @dataclass(frozen=True)
-class RhoLayer:
-    """Shallow-family layer: act(u), flush into accumulators, reload u."""
-
-    flush: tuple                      # length m
-    reload: Optional[tuple] = None    # (a: tuple length n, b) or None on the last layer
-
-
-@dataclass(frozen=True)
 class MulLayer:
     """Poly-family layer: w <- mul(operand, w), operand = ("z"|"zbar", index)."""
 
@@ -164,46 +165,26 @@ class FlushLayer:
     coeff: complex
 
 
-Layer = Union[RhoLayer, MulLayer, FlushLayer]
-
-
-class ShallowArrays(NamedTuple):
-    """A shallow program's layers as read-only arrays.  Row k of ``loads``
-    and ``load_bias`` is the preactivation a_k^T z + b_k that layer k applies
-    the activation to (row 0 the init load, row k the reload of layer k-1);
-    row k of ``flush`` is layer k's flush weights."""
-
-    loads: np.ndarray      # (L, n)
-    load_bias: np.ndarray  # (L,)
-    flush: np.ndarray      # (L, m)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegisterProgram:
     input_dim: int
     output_dim: int
     family: str                        # "shallow" | "poly"
-    layers: tuple
+    layers: Union[np.ndarray, tuple]   # shallow: (L, n+1+m) rows; poly: Mul/FlushLayers
     end_bias: tuple                    # length m
-    init_load: Optional[tuple] = None  # shallow: (a, b) for the first preactivation
     mul_kind: Optional[str] = None     # poly: mul1 | mul2 | mul3
 
     def __post_init__(self):
         n, m = self.input_dim, self.output_dim
         if self.family == "shallow":
-            if self.init_load is None:
-                raise StrategyMismatch("shallow program needs init_load")
-            if not self.layers:
+            rows = np.array(self.layers, dtype=np.complex128)  # a copy: no caller aliases it
+            if not len(rows):
                 raise StrategyMismatch("shallow program needs at least one layer")
-            for k, lay in enumerate(self.layers):
-                if not isinstance(lay, RhoLayer):
-                    raise StrategyMismatch("shallow program admits RhoLayer only")
-                if len(lay.flush) != m:
-                    raise DimensionMismatch("flush width must equal output_dim")
-                if (lay.reload is None) != (k == len(self.layers) - 1):
-                    raise StrategyMismatch("every shallow layer but the last reloads u")
-                if lay.reload is not None and len(lay.reload[0]) != n:
-                    raise DimensionMismatch("reload weights must have length n")
+            if rows.shape[1:] != (n + 1 + m,):
+                raise DimensionMismatch(
+                    f"shallow layers must be rows of n+1+m = {n + 1 + m}, got {rows.shape}")
+            rows.flags.writeable = False
+            object.__setattr__(self, "layers", rows)
         elif self.family == "poly":
             if self.mul_kind not in ("mul1", "mul2", "mul3"):
                 raise StrategyMismatch(f"poly program needs a mul kind, got {self.mul_kind!r}")
@@ -227,38 +208,22 @@ class RegisterProgram:
         n, m = self.input_dim, self.output_dim
         return n + m + 1 if self.family == "shallow" else 2 * n + m + 1
 
-    @functools.cached_property
-    def arrays(self) -> ShallowArrays:
-        """The shallow program's layers as arrays, built on first use."""
-        if self.family != "shallow":
-            raise StrategyMismatch("only a shallow program has an array view")
-        loads = [self.init_load] + [lay.reload for lay in self.layers[:-1]]
-        view = ShallowArrays(np.array([a for a, _ in loads], dtype=np.complex128),
-                             np.array([b for _, b in loads], dtype=np.complex128),
-                             np.array([lay.flush for lay in self.layers], dtype=np.complex128))
-        for arr in view:
-            arr.flags.writeable = False
-        return view
-
 
 def describe_layer(program: RegisterProgram, idx: int) -> list:
     """Typed slot list for one layer (serialization / inspection)."""
     n, m = program.input_dim, program.output_dim
-    lay = program.layers[idx]
-    if program.family == "shallow":
-        slots = [f"in_id:{i}" for i in range(n)]
-        slots.append("compute:rho")
-        slots += [f"out_accum:{j}" for j in range(m)]
-        return slots
     slots = [f"in_id:{i}" for i in range(n)]
-    slots += [f"in_conj:{i}" for i in range(n)]
-    if isinstance(lay, MulLayer):
-        side, i = lay.operand
-        slots.append(f"compute:{program.mul_kind}({side}:{i})")
+    if program.family == "shallow":
+        work = "compute:rho"
     else:
-        slots.append(f"flush:dst={lay.dst}")
-    slots += [f"out_accum:{j}" for j in range(m)]
-    return slots
+        slots += [f"in_conj:{i}" for i in range(n)]
+        lay = program.layers[idx]
+        if isinstance(lay, MulLayer):
+            side, i = lay.operand
+            work = f"compute:{program.mul_kind}({side}:{i})"
+        else:
+            work = f"flush:dst={lay.dst}"
+    return slots + [work] + [f"out_accum:{j}" for j in range(m)]
 
 
 # ---------------------------------------------------------------------------
@@ -276,15 +241,12 @@ def shallow_to_register(net: Cvnn) -> RegisterProgram:
     if len(net.affine_maps) != 2:
         raise StrategyMismatch("shallow_to_register requires a depth-2 network")
     v1, v2 = net.affine_maps
-    loads = [(tuple(a), b) for a, b in zip(v1.matrix.tolist(), v1.bias.tolist())]
-    flushes = [tuple(c) for c in v2.matrix.T.tolist()]
     return RegisterProgram(
         input_dim=v1.in_dim,
         output_dim=v2.out_dim,
         family="shallow",
-        layers=tuple(RhoLayer(c, load) for c, load in zip(flushes, loads[1:] + [None])),
+        layers=np.hstack([v1.matrix, v1.bias[:, None], v2.matrix.T]),
         end_bias=tuple(v2.bias.tolist()),
-        init_load=loads[0],
     )
 
 
@@ -437,7 +399,8 @@ def eval_register(program: RegisterProgram, z, activation_fn: Optional[Callable]
     if program.family == "shallow":
         if activation_fn is None:
             raise ValueError("shallow programs need the activation to evaluate")
-        loads, load_bias, flush = program.arrays
+        rows, n = program.layers, program.input_dim
+        loads, load_bias, flush = rows[:, :n], rows[:, n], rows[:, n + 1:]
         step = max(1, _CHUNK_VALUES // max(1, count))
         for lo in range(0, len(loads), step):
             hi = min(lo + step, len(loads))
@@ -467,65 +430,82 @@ def eval_register(program: RegisterProgram, z, activation_fn: Optional[Callable]
 # ---------------------------------------------------------------------------
 
 
+def _load_json(row: list, n: int) -> dict:
+    """A shallow row's preactivation (a_k, b_k), as the file writes it."""
+    return {"a": [_c2l(c) for c in row[:n]], "b": _c2l(row[n])}
+
+
 def program_to_json(program: RegisterProgram) -> str:
-    layers = []
-    for idx, lay in enumerate(program.layers):
-        entry = {"slots": describe_layer(program, idx)}
-        if isinstance(lay, RhoLayer):
-            entry["kind"] = "rho"
-            entry["flush"] = [_c2l(c) for c in lay.flush]
-            entry["reload"] = None if lay.reload is None else {
-                "a": [_c2l(c) for c in lay.reload[0]],
-                "b": _c2l(lay.reload[1]),
-            }
-        elif isinstance(lay, MulLayer):
-            entry["kind"] = "mul"
-            entry["operand"] = f"{lay.operand[0]}:{lay.operand[1]}"
-        else:
-            entry["kind"] = "flush"
-            entry["dst"] = lay.dst
-            entry["coeff"] = _c2l(lay.coeff)
-        layers.append(entry)
+    n = program.input_dim
+    t_init = None
+    if program.family == "shallow":
+        rows = program.layers.tolist()
+        layers = [{"kind": "rho", "flush": [_c2l(c) for c in row[n + 1:]],
+                   "reload": None if nxt is None else _load_json(nxt, n)}
+                  for row, nxt in zip(rows, rows[1:] + [None])]
+        t_init = _load_json(rows[0], n)
+    else:
+        layers = [{"kind": "mul", "operand": "{}:{}".format(*lay.operand)}
+                  if isinstance(lay, MulLayer) else
+                  {"kind": "flush", "dst": lay.dst, "coeff": _c2l(lay.coeff)}
+                  for lay in program.layers]
+    for idx, entry in enumerate(layers):
+        entry["slots"] = describe_layer(program, idx)
     doc = {
         "family": program.family,
-        "input_dim": program.input_dim,
+        "input_dim": n,
         "output_dim": program.output_dim,
         "mul_kind": program.mul_kind,
-        "t_init": None if program.init_load is None else {
-            "a": [_c2l(c) for c in program.init_load[0]],
-            "b": _c2l(program.init_load[1]),
-        },
+        "t_init": t_init,
         "layers": layers,
         "t_end": {"bias": [_c2l(c) for c in program.end_bias]},
     }
     return json.dumps(doc, sort_keys=True)
 
 
+def _shallow_rows(doc: dict, n: int, m: int) -> list:
+    """The rows (a_k, b_k, c_k) of a shallow program file, whose layers must
+    reload u on every layer but the last: the one place that rule can be
+    broken."""
+    entries = doc["layers"]
+    load = doc["t_init"]
+    if load is None:
+        raise StrategyMismatch("shallow program needs t_init")
+    rows = []
+    for k, entry in enumerate(entries):
+        if entry["kind"] != "rho":
+            raise StrategyMismatch("shallow program admits rho layers only")
+        if len(entry["flush"]) != m:
+            raise DimensionMismatch("flush width must equal output_dim")
+        if len(load["a"]) != n:
+            raise DimensionMismatch("reload weights must have length n")
+        rows.append([_l2c(c) for c in [*load["a"], load["b"], *entry["flush"]]])
+        load = entry["reload"]
+        if (load is None) != (k == len(entries) - 1):
+            raise StrategyMismatch("every shallow layer but the last reloads u")
+    return rows
+
+
+def _poly_layer(entry: dict):
+    """A poly file's layer; any other kind is left for RegisterProgram to
+    refuse."""
+    if entry["kind"] == "mul":
+        side, idx = entry["operand"].split(":")
+        return MulLayer((side, int(idx)))
+    if entry["kind"] == "flush":
+        return FlushLayer(int(entry["dst"]), _l2c(entry["coeff"]))
+    return entry
+
+
 def program_from_json(text: str) -> RegisterProgram:
     doc = json.loads(text)
-    layers = []
-    for entry in doc["layers"]:
-        kind = entry["kind"]
-        if kind == "rho":
-            reload = entry["reload"]
-            layers.append(RhoLayer(
-                tuple(_l2c(c) for c in entry["flush"]),
-                None if reload is None else (
-                    tuple(_l2c(c) for c in reload["a"]), _l2c(reload["b"])),
-            ))
-        elif kind == "mul":
-            side, idx = entry["operand"].split(":")
-            layers.append(MulLayer((side, int(idx))))
-        else:
-            layers.append(FlushLayer(int(entry["dst"]), _l2c(entry["coeff"])))
-    init = doc["t_init"]
+    n, m = int(doc["input_dim"]), int(doc["output_dim"])
     return RegisterProgram(
-        input_dim=int(doc["input_dim"]),
-        output_dim=int(doc["output_dim"]),
+        input_dim=n,
+        output_dim=m,
         family=doc["family"],
-        layers=tuple(layers),
+        layers=(_shallow_rows(doc, n, m) if doc["family"] == "shallow"
+                else tuple(map(_poly_layer, doc["layers"]))),
         end_bias=tuple(_l2c(c) for c in doc["t_end"]["bias"]),
-        init_load=None if init is None else (
-            tuple(_l2c(c) for c in init["a"]), _l2c(init["b"])),
         mul_kind=doc["mul_kind"],
     )

@@ -780,3 +780,94 @@ def test_target_help_names_every_target(capsys, command):
     text = " ".join(capsys.readouterr().out.split())
     for name, (_, _, label) in verifier.TARGETS.items():
         assert f"{name} = {label}" in text
+
+
+def _middle_without_reload(doc):
+    doc["layers"][1]["reload"] = None
+
+
+def _last_with_reload(doc):
+    doc["layers"][-1]["reload"] = doc["layers"][0]["reload"]
+
+
+def _long_reload(doc):
+    doc["layers"][0]["reload"]["a"].append([1.0, 0.0])
+
+
+def _long_flush(doc):
+    doc["layers"][1]["flush"].append([1.0, 0.0])
+
+
+@pytest.mark.parametrize("family, malform, code, status", [
+    ("shallow", _middle_without_reload, "STRATEGY_MISMATCH", 3),
+    ("shallow", _last_with_reload, "STRATEGY_MISMATCH", 3),
+    ("shallow", lambda doc: doc["layers"].insert(1, {"kind": "mul", "operand": "z:0"}),
+     "STRATEGY_MISMATCH", 3),
+    ("poly", lambda doc: doc["layers"].insert(0, {"kind": "rho", "flush": [[1.0, 0.0]],
+                                                  "reload": None}),
+     "STRATEGY_MISMATCH", 3),
+    ("shallow", lambda doc: doc.update(t_init=None), "STRATEGY_MISMATCH", 3),
+    ("shallow", lambda doc: doc.update(layers=[]), "STRATEGY_MISMATCH", 3),
+    ("shallow", _long_reload, "DIMENSION", 2),
+    ("shallow", _long_flush, "DIMENSION", 2),
+], ids=["middle-reload-null", "last-reload", "mul-in-shallow", "rho-in-poly", "t_init-null",
+        "no-layers", "long-reload", "long-flush"])
+def test_lower_refuses_a_malformed_program_file(tmp_path, capsys, family, malform, code,
+                                                status):
+    """The program-file reader refuses a file whose layers break the
+    family's rules or whose rows have the wrong length, before anything is
+    lowered."""
+    from conftest import random_shallow
+    from deepnarrow.register import shallow_to_register
+
+    if family == "shallow":
+        program = shallow_to_register(random_shallow(
+            np.random.default_rng(0), 1, 1, 3, get_activation("cardioid").activation_id))
+        flags = ["--activation", "cardioid", "--strategy", "NonPoly_NMplus1"]
+    else:
+        program = poly_to_register([PolyZZbar(1, ((1 + 0j, (0,), (2,)),))], "mul2")
+        flags = ["--activation", "re_square", "--strategy", "Poly_Narrow_2N2Mplus5"]
+    doc = json.loads(program_to_json(program))
+    malform(doc)
+    prog_path = tmp_path / "prog.json"
+    prog_path.write_text(json.dumps(doc))
+    out = tmp_path / "low"
+    assert run(["lower", "--program", str(prog_path), *flags, "--no-timestamp",
+                "--out", str(out)]) == status
+    assert capsys.readouterr().err.startswith(f"error[{code}] ")
+    assert not list(tmp_path.glob("low*"))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf,0", "0,-inf", "1,nan"])
+def test_sweep_z0_that_is_not_finite_is_a_bad_value(tmp_path, capsys, value):
+    """A non-finite --z0 reached the identity block's derivative test and
+    was reported as error[CONSTRUCTION] (exit 3)."""
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--activation", "cardioid", "--block", "identity", f"--z0={value}",
+                "--no-timestamp", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error[BAD_VALUE] --z0 expects a finite point, got {value!r}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value, message", [
+    ("nan", "--at expects a finite point, got 'nan'"),
+    ("0,0|inf,1", "--at expects a finite point, got 'inf,1'"),
+    ("1,0;2,0|3,0", "--at expects every point to have the same number of coordinates"),
+])
+def test_eval_at_that_is_not_finite_or_ragged_is_a_bad_value(tmp_path, capsys, value, message):
+    """A non-finite --at reached the network and was reported as
+    error[EVALUATION] (exit 3); a ragged one raised numpy's inhomogeneous
+    shape error, which did not name the flag."""
+    from conftest import random_shallow
+    from deepnarrow.core import cvnn_to_json
+
+    net = random_shallow(np.random.default_rng(0), 1, 1, 3,
+                         get_activation("cardioid").activation_id)
+    net_path = tmp_path / "net.json"
+    net_path.write_text(cvnn_to_json(net))
+    out = tmp_path / "eval.csv"
+    assert run(["eval", "--net", str(net_path), f"--at={value}", "--no-timestamp",
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error[BAD_VALUE] {message}")
+    assert not out.exists()

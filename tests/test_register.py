@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from itertools import product
 from unittest import mock
@@ -10,10 +11,9 @@ from deepnarrow import register
 from deepnarrow.activations import get_activation
 from deepnarrow.core import ComplexAffineMap, Cvnn, eval_cvnn
 from deepnarrow.errors import DimensionMismatch, StrategyMismatch
-from deepnarrow.register import (FlushLayer, MulLayer, PolyZZbar, RhoLayer, describe_layer,
-                                 eval_register, plan_monomial, poly_from_json_dict,
-                                 poly_to_json_dict, poly_to_register,
-                                 program_from_json, program_to_json,
+from deepnarrow.register import (PolyZZbar, RegisterProgram, describe_layer, eval_register,
+                                 plan_monomial, poly_from_json_dict, poly_to_json_dict,
+                                 poly_to_register, program_from_json, program_to_json,
                                  shallow_to_register, simulate_plan)
 
 from conftest import random_points, random_shallow
@@ -87,7 +87,7 @@ def test_shallow_to_register_width_one_hidden(rng):
     program = shallow_to_register(net)
     assert program.width == 3
     assert len(program.layers) == 1
-    assert program.layers[0].reload is None
+    assert program.layers.shape == (1, 3)
 
 
 def test_shallow_to_register_rejects_deep(rng):
@@ -97,49 +97,48 @@ def test_shallow_to_register_rejects_deep(rng):
 
 
 def test_shallow_program_reloads_on_every_layer_but_the_last(rng):
-    """A layer without a reload would leave u as it is under eval_register
-    but reset it to 0 in the lowered network, so it is refused; so is a
-    reload after the last layer, which nothing reads, and a program with no
-    layer, whose lowering had no transitions to build."""
+    """A program file whose layer has no reload would leave u as it is, and
+    one with a reload after the last layer loads a neuron that nothing
+    flushes; the rows cannot say either, so the reader refuses both.  A
+    program with no layer, whose lowering had no transitions to build, is
+    refused in memory too."""
     program = shallow_to_register(random_shallow(rng, 1, 1, 3, CARD.activation_id))
-    first, middle, last = program.layers
     with pytest.raises(StrategyMismatch, match="at least one layer"):
-        replace(program, layers=())
-    with pytest.raises(StrategyMismatch, match="every shallow layer but the last"):
-        replace(program, layers=(first, RhoLayer(middle.flush), last))
-    with pytest.raises(StrategyMismatch, match="every shallow layer but the last"):
-        replace(program, layers=(first, middle, RhoLayer(last.flush, first.reload)))
+        replace(program, layers=np.empty((0, 3)))
+    doc = json.loads(program_to_json(program))
+    first, middle, last = doc["layers"]
+    for layers in ([first, dict(middle, reload=None), last],
+                   [first, middle, dict(last, reload=first["reload"])]):
+        with pytest.raises(StrategyMismatch, match="every shallow layer but the last"):
+            program_from_json(json.dumps(dict(doc, layers=layers)))
 
 
 @pytest.mark.parametrize("n,m,w", [(1, 1, 1), (2, 1, 4), (1, 2, 5)])
 def test_shallow_array_view_reads_the_layers(rng, n, m, w):
     net = random_shallow(rng, n, m, w, CARD.activation_id)
     program = shallow_to_register(net)
-    view = program.arrays
-    assert view is program.arrays
+    rows = program.layers
+    assert rows.shape == (w, n + 1 + m)
     v1, v2 = net.affine_maps
-    assert np.array_equal(view.loads, v1.matrix)
-    assert np.array_equal(view.load_bias, v1.bias)
-    assert np.array_equal(view.flush, v2.matrix.T)
-    assert view.loads.shape == (w, n) and view.flush.shape == (w, m)
-    for arr in view:
+    assert np.array_equal(rows[:, :n], v1.matrix)
+    assert np.array_equal(rows[:, n], v1.bias)
+    assert np.array_equal(rows[:, n + 1:], v2.matrix.T)
+    for arr in (rows, rows[:, :n], rows[:, n], rows[:, n + 1:]):
         with pytest.raises(ValueError):
             arr[0] = 1
-    with pytest.raises(StrategyMismatch):
-        poly_to_register([PolyZZbar(1, ((1 + 0j, (1,), (0,)),))], "mul1").arrays
 
 
 def _per_layer_eval(program, zs, fn):
     """The shallow semantics one layer at a time: activation, flush, reload."""
+    n = program.input_dim
     out = np.zeros((zs.shape[0], program.output_dim), dtype=np.complex128)
-    a, b = program.init_load
-    u = zs @ np.asarray(a, dtype=np.complex128) + b
-    for lay in program.layers:
+    rows = program.layers
+    u = zs @ rows[0, :n] + rows[0, n]
+    for k, row in enumerate(rows):
         y = np.asarray(fn(u), dtype=np.complex128)
-        out += y[:, None] * np.asarray(lay.flush, dtype=np.complex128)
-        if lay.reload is not None:
-            a, b = lay.reload
-            u = zs @ np.asarray(a, dtype=np.complex128) + b
+        out += y[:, None] * row[n + 1:]
+        if k + 1 < len(rows):
+            u = zs @ rows[k + 1, :n] + rows[k + 1, n]
     return out + np.asarray(program.end_bias, dtype=np.complex128)
 
 
@@ -319,6 +318,53 @@ def test_program_serialization_round_trip(rng):
                           eval_register(back, zs[:, :1]))
 
 
+#: ``program_to_json`` of the n = 2, m = 1, 3-layer shallow program of a
+#: (V1, V2) = ([[1+0.5j, -2], [0.25j, 1], [-1.5, 0.5-1j]], [0.5, -1j, 2+0.25j];
+#: [[1.5, -0.5j, 0.75+1j]], [-0.25+2j]) network, as the layer-object writer
+#: wrote it before the layers became one array.
+_GOLDEN_SHALLOW = (
+    '{"family": "shallow", "input_dim": 2, "layers": [{"flush": [[1.5, 0.0]], "kind": "rho", '
+    '"reload": {"a": [[0.0, 0.25], [1.0, 0.0]], "b": [-0.0, -1.0]}, "slots": ["in_id:0", '
+    '"in_id:1", "compute:rho", "out_accum:0"]}, {"flush": [[-0.0, -0.5]], "kind": "rho", '
+    '"reload": {"a": [[-1.5, 0.0], [0.5, -1.0]], "b": [2.0, 0.25]}, "slots": ["in_id:0", '
+    '"in_id:1", "compute:rho", "out_accum:0"]}, {"flush": [[0.75, 1.0]], "kind": "rho", '
+    '"reload": null, "slots": ["in_id:0", "in_id:1", "compute:rho", "out_accum:0"]}], '
+    '"mul_kind": null, "output_dim": 1, "t_end": {"bias": [[-0.25, 2.0]]}, "t_init": {"a": '
+    '[[1.0, 0.5], [-2.0, 0.0]], "b": [0.5, 0.0]}}')
+
+#: ``program_to_json`` of the mul2 program of (1+2j) z1 conj(z2) - 0.5j z1^2 + 3.
+_GOLDEN_POLY = (
+    '{"family": "poly", "input_dim": 2, "layers": [{"kind": "mul", "operand": "z:0", "slots": '
+    '["in_id:0", "in_id:1", "in_conj:0", "in_conj:1", "compute:mul2(z:0)", "out_accum:0"]}, '
+    '{"kind": "mul", "operand": "zbar:0", "slots": ["in_id:0", "in_id:1", "in_conj:0", '
+    '"in_conj:1", "compute:mul2(zbar:0)", "out_accum:0"]}, {"coeff": [-0.0, -0.5], "dst": 0, '
+    '"kind": "flush", "slots": ["in_id:0", "in_id:1", "in_conj:0", "in_conj:1", "flush:dst=0", '
+    '"out_accum:0"]}, {"kind": "mul", "operand": "z:1", "slots": ["in_id:0", "in_id:1", '
+    '"in_conj:0", "in_conj:1", "compute:mul2(z:1)", "out_accum:0"]}, {"kind": "mul", '
+    '"operand": "z:0", "slots": ["in_id:0", "in_id:1", "in_conj:0", "in_conj:1", '
+    '"compute:mul2(z:0)", "out_accum:0"]}, {"coeff": [1.0, 2.0], "dst": 0, "kind": "flush", '
+    '"slots": ["in_id:0", "in_id:1", "in_conj:0", "in_conj:1", "flush:dst=0", '
+    '"out_accum:0"]}], "mul_kind": "mul2", "output_dim": 1, "t_end": {"bias": [[3.0, 0.0]]}, '
+    '"t_init": null}')
+
+
+def test_golden_program_files_round_trip_byte_for_byte():
+    """The program file that ``lower --program`` reads keeps its bytes: each
+    golden file loads and writes back unchanged, and the shallow one is the
+    rewrite of its network, signed zeros included."""
+    for text in (_GOLDEN_SHALLOW, _GOLDEN_POLY):
+        assert program_to_json(program_from_json(text)) == text
+    v1 = ComplexAffineMap(np.array([[1 + 0.5j, -2], [0.25j, 1], [-1.5, 0.5 - 1j]]),
+                          np.array([0.5, -1j, 2 + 0.25j]))
+    v2 = ComplexAffineMap(np.array([[1.5, -0.5j, 0.75 + 1j]]), np.array([-0.25 + 2j]))
+    program = shallow_to_register(Cvnn((v1, v2), CARD.activation_id))
+    assert program_to_json(program) == _GOLDEN_SHALLOW
+    back = program_from_json(_GOLDEN_SHALLOW)
+    assert np.array_equal(back.layers.view(np.uint64), program.layers.view(np.uint64))
+    p = PolyZZbar(2, ((1 + 2j, (1, 0), (0, 1)), (-0.5j, (0, 0), (2, 0)), (3 + 0j, (0, 0), (0, 0))))
+    assert program_to_json(poly_to_register([p], "mul2")) == _GOLDEN_POLY
+
+
 def test_poly_json_round_trip():
     p = PolyZZbar(2, ((1 + 2j, (1, 0), (0, 1)), (3 + 0j, (0, 0), (0, 0))))
     back = poly_from_json_dict(poly_to_json_dict([p]))
@@ -329,9 +375,13 @@ def test_poly_json_round_trip():
 def test_program_validation():
     with pytest.raises(StrategyMismatch):
         poly_to_register([PolyZZbar(1, ((1, (1,), (0,)),))], "mul9")
+    with pytest.raises(DimensionMismatch):
+        # shallow rows of n+1+m = 3 slots, given 4
+        RegisterProgram(1, 1, "shallow", np.zeros((2, 4)), (0j,))
     with pytest.raises(StrategyMismatch):
-        # mul layer in a shallow program
-        from deepnarrow.register import RegisterProgram
-
-        RegisterProgram(1, 1, "shallow", (MulLayer(("z", 0)),), (0j,),
-                        init_load=((1 + 0j,), 0j))
+        # mul layer in a shallow program file
+        doc = json.loads(program_to_json(
+            shallow_to_register(random_shallow(np.random.default_rng(0), 1, 1, 2,
+                                               CARD.activation_id))))
+        doc["layers"][0] = {"kind": "mul", "operand": "z:0", "slots": []}
+        program_from_json(json.dumps(doc))
