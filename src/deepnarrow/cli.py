@@ -29,7 +29,7 @@ from .errors import (ConstructionError, DimensionMismatch, EvaluationFailure, Fi
 from .fitting import FitConfig, fit_poly, fit_shallow
 from .lowering import default_strategy, lower, plan_lowering, STRATEGIES
 from .register import eval_register, poly_to_json_dict, program_from_json
-from .verifier import (DEFAULT_SWEEP_SCHEDULE, SweepReport, h_sweep, named_target,
+from .verifier import (DEFAULT_SWEEP_SCHEDULE, NetSweep, SweepReport, h_sweep, named_target,
                        sup_error)
 from .wirtinger import ToleranceProfile, classify_activation
 
@@ -129,10 +129,9 @@ def _schedule(args):
     return (h,)
 
 
-def _write_compiled(args, verb: str, strategy: str, net, report: SweepReport) -> int:
-    """Write the network and the sweep CSV of compile or lower; print the best row."""
-    report.extras.clear()
-    best = report.best_row()
+def _write_compiled(args, verb: str, strategy: str, report: NetSweep) -> int:
+    """Write the best network and the sweep CSV of compile or lower; print the best row."""
+    best, net = report.best_row(), report.best_net()
     _write(f"{args.out}.net.json" if args.out else None, cvnn_to_json(net))
     _write(f"{args.out}.sweep.csv" if args.out else None,
            report.to_csv(not args.no_timestamp))
@@ -159,7 +158,6 @@ def _cmd_classify(args):
 def _cmd_fit_shallow(args):
     spec = get_activation(args.activation, _parse_kv(args.param))
     fn, m = named_target(args.target)
-    m = args.m or m
     box = _box_or_default(args, args.n)
     cfg = FitConfig(num_features=args.features, weight_scale=args.scale,
                     ridge=args.ridge, box=box, grid=GridSpec(args.grid), seed=args.seed)
@@ -200,20 +198,19 @@ def _cmd_compile(args):
         strategy = default_strategy(cls.verdict, cls.witness_probe)
 
     fn, m = named_target(args.target)
-    m = args.m or m
     box = _box_or_default(args, args.n)
     schedule = _schedule(args)
     if strategy.startswith("Poly"):
-        net, report = verifier.end_to_end_poly(
+        _, report = verifier.end_to_end_poly(
             fn, spec, args.n, m, args.degree, strategy, box,
             fit_grid=GridSpec(args.grid), schedule=schedule, prof=prof)
     else:
         cfg = FitConfig(num_features=args.features, weight_scale=args.scale,
                         ridge=args.ridge, box=box, grid=GridSpec(args.grid),
                         seed=args.seed)
-        net, report = verifier.end_to_end_nonpoly(
+        _, report = verifier.end_to_end_nonpoly(
             fn, spec, args.n, m, cfg, strategy, schedule=schedule, prof=prof)
-    return _write_compiled(args, "compile", strategy, net, report)
+    return _write_compiled(args, "compile", strategy, report)
 
 
 def _cmd_lower(args):
@@ -232,8 +229,7 @@ def _cmd_lower(args):
     report = h_sweep(lambda h: lower(program, spec, args.strategy, h, prof),
                      _schedule(args), box, grid, reference, spec,
                      metadata={"strategy": args.strategy, "activation": spec.name})
-    net = report.extras["nets"][report.best_row().h]
-    return _write_compiled(args, "lower", args.strategy, net, report)
+    return _write_compiled(args, "lower", args.strategy, report)
 
 
 _SWEEP_BLOCKS = ("conjugation", "identity", "mul", "pair", "square")
@@ -383,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, activation=True, box=True, seed=True)
     p.add_argument("--target", required=True, help=_TARGET_HELP)
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--m", type=int, default=None)
     p.add_argument("--features", type=int, default=200)
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--ridge", type=float, default=1e-8)
@@ -401,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True, help=_TARGET_HELP)
     p.add_argument("--degree", type=int, default=3)
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--m", type=int, default=None)
     p.add_argument("--strategy", default="auto",
                    help="auto or one of " + ", ".join(STRATEGIES))
     p.add_argument("--h", default="auto")

@@ -337,6 +337,8 @@ class CompactBox:
         ivs = tuple(tuple(float(x) for x in iv) for iv in self.intervals)
         if not ivs:
             raise ValueError("box needs at least one coordinate")
+        if not np.isfinite(ivs).all():
+            raise ValueError(f"box bounds must be finite, got {ivs}")
         for re_lo, re_hi, im_lo, im_hi in ivs:
             if re_lo > re_hi or im_lo > im_hi:
                 raise ValueError("interval lo must be <= hi")

@@ -46,8 +46,10 @@ class FitConfig:
     def __post_init__(self):
         if self.num_features < 1:
             raise ValueError("num_features must be >= 1")
-        if self.ridge < 0:
-            raise ValueError("ridge must be >= 0")
+        if not 0 <= self.ridge < np.inf:
+            raise ValueError(f"ridge must be finite and >= 0, got {self.ridge!r}")
+        if not np.isfinite(self.weight_scale):
+            raise ValueError(f"weight_scale must be finite, got {self.weight_scale!r}")
 
 
 def solve_complex_ridge(design: np.ndarray, targets: np.ndarray, ridge: float) -> np.ndarray:

@@ -35,8 +35,8 @@ from .blocks import _SQUARE_TO_MUL
 from .core import (CompactBox, ComplexAffineMap, Cvnn, GridSpec, _as_batch,
                    check_sample_budget, depth_of, eval_cvnn, max_coeff, sample_box, width_of)
 from .errors import DimensionMismatch, EvaluationFailure, StrategyMismatch
-from .fitting import FitConfig, _complex_normal, fit_shallow, solve_complex_ridge
-from .lowering import lower, plan_lowering
+from .fitting import FitConfig, _complex_normal, fit_poly, fit_shallow, solve_complex_ridge
+from .lowering import LoweringPlan, lower, plan_lowering
 from .register import RegisterProgram, eval_register, poly_to_register, shallow_to_register
 from .wirtinger import ToleranceProfile, probe_atlas
 
@@ -44,6 +44,8 @@ __all__ = [
     "MCEstimate",
     "SweepRow",
     "SweepReport",
+    "NetSweep",
+    "CompileReport",
     "sup_error",
     "l1_error_mc",
     "ball_volume",
@@ -126,6 +128,16 @@ class _Lattice:
     def values(self) -> np.ndarray:
         return _values(self.f, self.pts)
 
+    @functools.cached_property
+    def constant_sup_error(self) -> float:
+        """Sup error of the constant at the centre of the reference's bounding
+        box on the lattice, taken per output over real and imaginary parts.
+        For a real-valued output this is the error of the best constant."""
+        v = self.values
+        centre = ((v.real.min(axis=0) + v.real.max(axis=0)) / 2
+                  + 1j * (v.imag.min(axis=0) + v.imag.max(axis=0)) / 2)
+        return float(np.max(np.linalg.norm(v - centre, axis=1)))
+
     def sup_error(self, g: Callable) -> float:
         """max over the lattice of ||f(z) - g(z)||_2; NaN if any row's error is NaN."""
         return float(np.max(_row_errors(self.values, g, self.pts)))
@@ -197,14 +209,15 @@ class SweepRow:
     width: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepReport:
-    rows: list
+    """Sweep rows and the metadata written above them in the CSV."""
+
+    rows: Sequence[SweepRow]
     metadata: dict = field(default_factory=dict)
-    extras: dict = field(default_factory=dict)
 
     def best_row(self) -> SweepRow:
-        """The row of least sup error among the finite ones.  Raises
+        """The first row of least sup error among the finite ones.  Raises
         EvaluationFailure when no row is finite: such a sweep has no best
         network."""
         finite = [r for r in self.rows if np.isfinite(r.sup_error)]
@@ -228,6 +241,35 @@ class SweepReport:
         return buf.getvalue()
 
 
+@dataclass(frozen=True, kw_only=True)
+class NetSweep(SweepReport):
+    """What ``h_sweep`` measured: the rows, each row's network (``nets``, in
+    row order) and the verification ``lattice``."""
+
+    nets: tuple
+    lattice: _Lattice
+
+    def best_net(self) -> Cvnn:
+        """The network of ``best_row()``."""
+        return self.nets[self.rows.index(self.best_row())]
+
+
+@dataclass(frozen=True, kw_only=True)
+class CompileReport(NetSweep):
+    """An end-to-end pipeline's sweep and the register program it lowered under
+    ``plan``; ``fit_sup_error`` is the shallow fit's on its fit grid, None for a poly fit."""
+
+    program: RegisterProgram
+    plan: LoweringPlan
+    fit_sup_error: Optional[float]
+
+    def program_sup_error(self) -> float:
+        """The program's own sup error on the verification lattice, its neurons
+        evaluated with the plan's sigma: the ideal stage's error, measured per call."""
+        return self.lattice.sup_error(
+            lambda zs: eval_register(self.program, zs, self.plan.sigma.fn))
+
+
 def _bound_grid(box: CompactBox, grid: GridSpec) -> GridSpec:
     """The sub-lattice of ``grid`` on which h_sweep bounds every row: the
     smallest stride s whose axis_points^(2n) points fit in one _ROW_BLOCK.
@@ -249,7 +291,7 @@ def _net_error(sup: Callable, net: Cvnn, spec: ActivationSpec) -> float:
 
 def h_sweep(factory: Callable, hs: Sequence[float], box: CompactBox,
             grid: GridSpec, reference: Callable, spec: ActivationSpec,
-            metadata: Optional[dict] = None) -> SweepReport:
+            metadata: Optional[dict] = None) -> NetSweep:
     """Build the network factory(h) for every h and measure on the full grid
     the rows that can still be the best; rows are kept in schedule order
     (descending h).
@@ -264,8 +306,8 @@ def h_sweep(factory: Callable, hs: Sequence[float], box: CompactBox,
     row, its value and its network are those of a full measurement of every
     row.  At stride 1 pass 1 is the full measurement.
 
-    The full grid is kept, as a ``_Lattice`` with the reference's values
-    there once a measure needed them, in ``extras["lattice"]``: further
+    The report keeps each row's network and the full grid, as a ``_Lattice``
+    with the reference's values there once a measure needed them: further
     measures on it share that sample and that evaluation.
     """
     sub = _bound_grid(box, grid)
@@ -286,43 +328,17 @@ def h_sweep(factory: Callable, hs: Sequence[float], box: CompactBox,
             bounds.discard(i)
             if errs[i] < best:
                 best = errs[i]
-    rows = [SweepRow(h, err, max_coeff(net), depth_of(net), width_of(net))
-            for h, err, net in zip(hs, errs, nets)]
-    report = SweepReport(rows, dict(metadata or {}))
+    rows = tuple(SweepRow(h, err, max_coeff(net), depth_of(net), width_of(net))
+                 for h, err, net in zip(hs, errs, nets))
+    metadata = dict(metadata or {})
     if bounds:
-        report.metadata["lower_bound_h"] = ";".join(repr(hs[i]) for i in sorted(bounds))
-    report.extras["nets"] = dict(zip(hs, nets))
-    report.extras["lattice"] = lattice
-    return report
+        metadata["lower_bound_h"] = ";".join(repr(hs[i]) for i in sorted(bounds))
+    return NetSweep(rows, metadata, nets=tuple(nets), lattice=lattice)
 
 
 # ---------------------------------------------------------------------------
 # Named targets (CLI surface and tests)
 # ---------------------------------------------------------------------------
-
-
-def _t_z(zs):
-    return zs[:, 0]
-
-
-def _t_zbar(zs):
-    return np.conj(zs[:, 0])
-
-
-def _t_re(zs):
-    return np.real(zs[:, 0]).astype(np.complex128)
-
-
-def _t_zzbar(zs):
-    return zs[:, 0] * np.conj(zs[:, 0])
-
-
-def _t_abs(zs):
-    return np.abs(zs[:, 0]).astype(np.complex128)
-
-
-def _t_z1zbar2(zs):
-    return zs[:, 0] * np.conj(zs[:, 1])
 
 
 def _t_norm0(zs):
@@ -331,13 +347,14 @@ def _t_norm0(zs):
     return out
 
 
+#: name -> (function of an (N, n) batch, output dimension m, label)
 TARGETS = {
-    "z": (_t_z, 1, "z_1"),
-    "zbar": (_t_zbar, 1, "conj(z_1)"),
-    "re": (_t_re, 1, "RE(z_1)"),
-    "zzbar": (_t_zzbar, 1, "z_1 conj(z_1)"),
-    "abs": (_t_abs, 1, "|z_1|"),
-    "z1zbar2": (_t_z1zbar2, 1, "z_1 conj(z_2)"),
+    "z": (lambda zs: zs[:, 0], 1, "z_1"),
+    "zbar": (lambda zs: np.conj(zs[:, 0]), 1, "conj(z_1)"),
+    "re": (lambda zs: np.real(zs[:, 0]).astype(np.complex128), 1, "RE(z_1)"),
+    "zzbar": (lambda zs: zs[:, 0] * np.conj(zs[:, 0]), 1, "z_1 conj(z_1)"),
+    "abs": (lambda zs: np.abs(zs[:, 0]).astype(np.complex128), 1, "|z_1|"),
+    "z1zbar2": (lambda zs: zs[:, 0] * np.conj(zs[:, 1]), 1, "z_1 conj(z_2)"),
     "norm0": (_t_norm0, 2, "(|z|, 0)"),
 }
 
@@ -359,24 +376,12 @@ def _finer(grid: GridSpec) -> GridSpec:
     return GridSpec(2 * grid.points_per_axis)
 
 
-def _constant_sup_error(lattice: _Lattice) -> float:
-    """Sup error on the lattice of the constant at the centre of the
-    reference's bounding box there, taken per output over real and imaginary
-    parts.  For a real-valued output this is the error of the best constant."""
-    v = lattice.values
-    centre = ((v.real.min(axis=0) + v.real.max(axis=0)) / 2
-              + 1j * (v.imag.min(axis=0) + v.imag.max(axis=0)) / 2)
-    return float(np.max(np.linalg.norm(v - centre, axis=1)))
-
-
-def _best_beating_constant(report: SweepReport) -> SweepRow:
-    """The report's best row, once it is below the error of the constant of
-    ``_constant_sup_error`` on the sweep's lattice (kept in
-    ``extras["constant_sup_error"]``).  Raises EvaluationFailure otherwise:
-    such a network has learned nothing about the target."""
-    const = _constant_sup_error(report.extras["lattice"])
-    report.extras["constant_sup_error"] = const
-    best = report.best_row()
+def _best_beating_constant(report: NetSweep) -> SweepRow:
+    """The report's best row, once it is below the error of a constant on
+    the sweep's lattice (``_Lattice.constant_sup_error``).  Raises
+    EvaluationFailure otherwise: such a network has learned nothing about
+    the target."""
+    best, const = report.best_row(), report.lattice.constant_sup_error
     if not best.sup_error < const:
         raise EvaluationFailure(
             f"best sup error {best.sup_error!r} (h={best.h:g}) is not below "
@@ -395,22 +400,20 @@ def mul_kind_for(spec: ActivationSpec, prof: ToleranceProfile = ToleranceProfile
     return _SQUARE_TO_MUL[found[1]]
 
 
-def _sweep_program(program: RegisterProgram, spec: ActivationSpec, strategy: str,
+def _sweep_program(program: RegisterProgram, plan: LoweringPlan, spec: ActivationSpec,
                    f: Callable, box: CompactBox, grid: GridSpec,
                    schedule: Sequence[float], prof: ToleranceProfile, metadata: dict,
-                   fit_key: str, program_fn: Optional[Callable] = None):
-    """The ending both pipelines share: lower the program at every h of the
-    schedule and sweep it against f on ``grid``.  The program's own sup error
-    on the sweep's lattice, with its neurons evaluated by ``program_fn``, goes
-    in ``extras[fit_key]``.  Returns (best network, SweepReport); the best row
-    must beat the constant (``_best_beating_constant``)."""
-    report = h_sweep(lambda h: lower(program, spec, strategy, h, prof),
-                     schedule, box, grid, f, spec, metadata=metadata)
-    report.extras["program"] = program
-    report.extras[fit_key] = report.extras["lattice"].sup_error(
-        lambda zs: eval_register(program, zs, program_fn))
-    best = _best_beating_constant(report)
-    return report.extras["nets"][best.h], report
+                   fit_sup_error: Optional[float]):
+    """The ending both pipelines share: lower the program under the plan at
+    every h of the schedule and sweep it against f on ``grid``.  Returns
+    (best network, CompileReport); the best row must beat the constant
+    (``_best_beating_constant``)."""
+    sweep = h_sweep(lambda h: lower(program, spec, plan.strategy, h, prof),
+                    schedule, box, grid, f, spec, metadata=metadata)
+    _best_beating_constant(sweep)
+    report = CompileReport(sweep.rows, sweep.metadata, nets=sweep.nets, lattice=sweep.lattice,
+                           program=program, plan=plan, fit_sup_error=fit_sup_error)
+    return report.best_net(), report
 
 
 def end_to_end_poly(f: Callable, spec: ActivationSpec, n: int, m: int,
@@ -419,18 +422,18 @@ def end_to_end_poly(f: Callable, spec: ActivationSpec, n: int, m: int,
                     schedule: Sequence[float] = DEFAULT_SWEEP_SCHEDULE,
                     prof: ToleranceProfile = ToleranceProfile()):
     """fit_poly -> poly_to_register (kind from the lowering plan) -> lower,
-    sweeping h.  Returns (best network, SweepReport)."""
-    from .fitting import fit_poly
-
+    sweeping h.  Returns (best network, CompileReport); the report's
+    ``program_sup_error()`` is the fitted polynomials' error on the
+    verification grid, and its ``fit_sup_error`` is None."""
     check_sample_budget(box, _finer(fit_grid))
-    kind = plan_lowering(spec, strategy, prof).mul_kind
+    plan = plan_lowering(spec, strategy, prof)
     polys = fit_poly(f, n, degree, box, fit_grid, m=m)
-    program = poly_to_register(polys, kind)
+    program = poly_to_register(polys, plan.mul_kind)
     return _sweep_program(
-        program, spec, strategy, f, box, _finer(fit_grid), schedule, prof,
+        program, plan, spec, f, box, _finer(fit_grid), schedule, prof,
         metadata={"pipeline": "poly", "activation": spec.name, "strategy": strategy,
-                  "degree": degree, "n": n, "m": m, "mul_kind": kind},
-        fit_key="fit_sup_error")
+                  "degree": degree, "n": n, "m": m, "mul_kind": plan.mul_kind},
+        fit_sup_error=None)
 
 
 def end_to_end_nonpoly(f: Callable, spec: ActivationSpec, n: int, m: int,
@@ -442,21 +445,19 @@ def end_to_end_nonpoly(f: Callable, spec: ActivationSpec, n: int, m: int,
     For the conjugate-network strategy the shallow fit runs on
     sigma = conj o activation, whose program the lowering realizes with
     activation layers followed by conjugation blocks.
-    Returns (best network, SweepReport); the report carries the shallow fit
-    error so total error can be compared against fit error + lowering slack,
-    and that error re-measured on the verification grid (finer than the fit
-    grid).
+    Returns (best network, CompileReport); the report's ``fit_sup_error`` is
+    the shallow fit's error on the fit grid, so total error can be compared
+    against fit error + lowering slack, and ``program_sup_error()`` measures
+    the program on the verification grid (finer than the fit grid).
     """
     check_sample_budget(cfg.box, _finer(cfg.grid))
-    sigma = plan_lowering(spec, strategy, prof).sigma
-    shallow, fit_err = fit_shallow(f, sigma, n, m, cfg)
-    net, report = _sweep_program(
-        shallow_to_register(shallow), spec, strategy, f, cfg.box, _finer(cfg.grid), schedule,
+    plan = plan_lowering(spec, strategy, prof)
+    shallow, fit_err = fit_shallow(f, plan.sigma, n, m, cfg)
+    return _sweep_program(
+        shallow_to_register(shallow), plan, spec, f, cfg.box, _finer(cfg.grid), schedule,
         prof, metadata={"pipeline": "nonpoly", "activation": spec.name, "strategy": strategy,
                         "features": cfg.num_features, "n": n, "m": m, "seed": cfg.seed},
-        fit_key="fit_sup_error_fine", program_fn=sigma.fn)
-    report.extras["fit_sup_error"] = fit_err
-    return net, report
+        fit_sup_error=fit_err)
 
 
 # ---------------------------------------------------------------------------

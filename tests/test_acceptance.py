@@ -285,7 +285,7 @@ def test_acceptance_07_end_to_end():
     net2, report2 = end_to_end_nonpoly(fn, card, 1, 1, cfg, "NonPoly_NMplus1")
     nonpoly_ok = (width_of(net2) <= 3
                   and report2.best_row().sup_error
-                  <= report2.extras["fit_sup_error"] + 1e-2)
+                  <= report2.fit_sup_error + 1e-2)
     _report(7, f"end-to-end (narrow err {report.best_row().sup_error:.1e}, "
                f"register err {report2.best_row().sup_error:.1e})",
             narrow_ok and nonpoly_ok)

@@ -173,7 +173,7 @@ def test_lower_conj_strategy_sweeps_against_conjugated_activation(tmp_path):
                      DEFAULT_SWEEP_SCHEDULE, CompactBox.square(1, 1.0), GridSpec(9),
                      lambda zs: eval_register(program, zs, sigma.fn), spec,
                      metadata={"strategy": strategy, "activation": spec.name})
-    best = report.extras["nets"][report.best_row().h]
+    best = report.best_net()
     assert (tmp_path / "low.sweep.csv").read_text() == report.to_csv(False)
     assert (tmp_path / "low.net.json").read_text() == cvnn_to_json(best)
 
@@ -441,6 +441,7 @@ _BASE_ARGV = {
     "classify": ["--activation", "cardioid"],
     "fit-shallow": ["--activation", "cardioid", "--target", "zzbar"],
     "fit-poly": ["--target", "zzbar", "--degree", "2"],
+    "compile": ["--activation", "cardioid", "--target", "zzbar"],
     "lower": ["--activation", "re_square", "--program", "p.json", "--strategy", "Poly_NMplus4"],
     "sweep": ["--activation", "cardioid", "--block", "identity"],
     "demo": ["--name", "affine-closure"],
@@ -448,7 +449,7 @@ _BASE_ARGV = {
 }
 
 _FLAG_VALUE = {"--box": "0,1", "--grid": "5", "--seed": "1", "--zero-tol": "1e-3",
-               "--fd-step": "1e-4", "--probe-box": "0,1"}
+               "--fd-step": "1e-4", "--probe-box": "0,1", "--m": "1"}
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -460,6 +461,8 @@ _FLAG_VALUE = {"--box": "0,1", "--grid": "5", "--seed": "1", "--zero-tol": "1e-3
     ("demo", "--box"), ("demo", "--grid"), ("demo", "--zero-tol"), ("demo", "--fd-step"),
     ("demo", "--probe-box"),
     ("eval", "--seed"), ("eval", "--zero-tol"), ("eval", "--fd-step"), ("eval", "--probe-box"),
+    # the target fixes m
+    ("fit-shallow", "--m"), ("compile", "--m"),
 ])
 def test_subcommand_refuses_a_flag_it_does_not_read(capsys, command, flag):
     argv = [command, *_BASE_ARGV[command]]
@@ -871,3 +874,55 @@ def test_eval_at_that_is_not_finite_or_ragged_is_a_bad_value(tmp_path, capsys, v
                 "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error[BAD_VALUE] {message}")
     assert not out.exists()
+
+
+_CARDIOID_ZZBAR = ["--target", "zzbar", "--activation", "cardioid"]
+
+#: id -> (argv, exit status, the start of the one stderr line)
+_REFUSALS = {
+    # A NaN --box was blamed on the affine matrix; a NaN --probe-box gave a
+    # verdict drawn from its one finite grid point, and an infinite one
+    # printed numpy warnings before its verdict (both exit 0).
+    "box-nan": (["compile", *_CARDIOID_ZZBAR, "--box=nan,1"],
+                2, "error[BAD_VALUE] box bounds must be finite"),
+    "probe-box-nan": (["classify", "--activation", "cardioid", "--probe-box=nan,1"],
+                      2, "error[BAD_VALUE] box bounds must be finite"),
+    "probe-box-inf": (["classify", "--activation", "cardioid", "--probe-box=-inf,1"],
+                      2, "error[BAD_VALUE] box bounds must be finite"),
+    # A non-finite --ridge or --scale printed numpy warnings and was then
+    # blamed on the affine matrix.
+    **{f"{command}-{flag[2:]}-{value}": ([command, *_CARDIOID_ZZBAR, flag, value], 2,
+                                          f"error[BAD_VALUE] {field} must be finite")
+       for command in ("compile", "fit-shallow")
+       for flag, field in (("--ridge", "ridge"), ("--scale", "weight_scale"))
+       for value in ("inf", "nan")},
+    "h-zero": (["compile", *_CARDIOID_ZZBAR, "--h", "0"],
+               2, "error[BAD_VALUE] --h must be auto or a positive finite number"),
+    "z0-three-parts": (["sweep", "--activation", "cardioid", "--block", "identity",
+                        "--z0=1,0,3"], 2, "error[BAD_VALUE] --z0 expects 're' or 're,im'"),
+    "grid-one": (["compile", *_CARDIOID_ZZBAR, "--grid", "1"],
+                 2, "error[BAD_VALUE] points_per_axis must be >= 2"),
+    "unknown-activation": (["classify", "--activation", "swish"],
+                           2, "error[UNKNOWN_ACTIVATION] "),
+    "holomorphic": (["compile", "--target", "zzbar", "--activation", "exp"],
+                    3, "error[STRATEGY_MISMATCH] "),
+}
+
+
+@pytest.mark.parametrize("case", _REFUSALS)
+def test_refusal_is_one_error_line_and_no_warning(tmp_path, capsys, case):
+    """README's error contract: a refused run exits with its status, writes
+    exactly one ``error[CODE] message`` line on stderr and no output file,
+    and nothing warns on the way (a warning raised as an error would be an
+    error[INTERNAL])."""
+    import warnings
+
+    argv, status, start = _REFUSALS[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(argv + ["--no-timestamp", "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == status, err
+    assert re.fullmatch(r"error\[[A-Z_]+\] [^\n]*\n", err), err
+    assert err.startswith(start), err
+    assert list(tmp_path.iterdir()) == []

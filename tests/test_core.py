@@ -164,6 +164,17 @@ def test_grid_spec_validation():
         CompactBox(((1.0, 0.0, 0.0, 1.0),))
 
 
+@pytest.mark.parametrize("bound", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("slot", range(4))
+def test_compact_box_refuses_a_bound_that_is_not_finite(bound, slot):
+    """A NaN bound passed the lo <= hi check, and an infinite one sampled a
+    lattice of NaN and infinite points."""
+    iv = [-1.0, 1.0, -1.0, 1.0]
+    iv[slot] = bound
+    with pytest.raises(ValueError, match="box bounds must be finite"):
+        CompactBox(((0.0, 1.0, 0.0, 1.0), tuple(iv)))
+
+
 def test_serialization_round_trip_bit_exact(rng):
     spec = get_activation("modrelu", {"b": -1.0})
     net = Cvnn((random_affine(rng, 4, 2), random_affine(rng, 4, 4),

@@ -109,6 +109,16 @@ def test_fit_shallow_singular_without_ridge(rng):
         fit_shallow(fn, spec, 1, 1, cfg)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("ridge", float("nan")), ("ridge", float("inf")), ("ridge", -1.0),
+    ("weight_scale", float("nan")), ("weight_scale", float("inf")),
+    ("weight_scale", -float("inf")),
+])
+def test_fit_config_refuses_a_ridge_or_scale_that_is_not_finite(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        FitConfig(**{field: value})
+
+
 def test_monomial_exponents_graded_lex():
     exps = monomial_exponents(1, 2)
     assert exps[0] == ((0,), (0,))

@@ -7,6 +7,8 @@ this keeps the shims working against the package."""
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import deepnarrow
 from deepnarrow import cli, lowering, verifier, wirtinger
 
@@ -67,8 +69,9 @@ def test_traced_deep_compile_counts_only_validated_maps(tmp_path):
 
 def test_traced_shallow_compile_reports_rows_and_register_work(tmp_path):
     """A nonpoly compile keeps the names the tracer wraps on the shallow
-    path: one per-h row per schedule value, the program's layers counted
-    from ``program.layers`` and its evaluation timed."""
+    path: one per-h row per schedule value and the program's layers counted
+    from ``program.layers``.  The compile writes no program error, so it
+    does not evaluate the program."""
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     installed = tracing.install(tracer, deepnarrow)
@@ -82,8 +85,34 @@ def test_traced_shallow_compile_reports_rows_and_register_work(tmp_path):
         installed.restore()
     assert [r["h"] for r in rows] == list(verifier.DEFAULT_SWEEP_SCHEDULE)
     assert all(r["lower_s"] > 0 and r["sup_s"] > 0 for r in rows)
-    assert metrics["register.eval_s"] > 0
+    assert tracer.name_count("register.eval_register") == 0
     assert metrics["register.program_layers"] == 40
+
+
+def test_traced_lower_times_the_register_reference(tmp_path):
+    """``lower`` measures each network against ``eval_register``, so the
+    tracer's register evaluation shim still sees a 40-layer program run."""
+    from conftest import random_shallow
+    from deepnarrow.activations import get_activation
+    from deepnarrow.register import program_to_json, shallow_to_register
+
+    program = shallow_to_register(random_shallow(
+        np.random.default_rng(0), 1, 1, 40, get_activation("cardioid").activation_id))
+    assert len(program.layers) == 40
+    prog_path = tmp_path / "prog.json"
+    prog_path.write_text(program_to_json(program))
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    installed = tracing.install(tracer, deepnarrow)
+    try:
+        assert cli.main(["lower", "--program", str(prog_path), "--activation", "cardioid",
+                         "--strategy", "NonPoly_NMplus1", "--no-timestamp",
+                         "--out", str(tmp_path / "low")]) == 0
+        metrics = tracing.layer_metrics(tracer)
+    finally:
+        installed.restore()
+    assert tracer.name_count("register.eval_register") > 0
+    assert metrics["register.eval_s"] > 0
 
 
 def test_traced_classify_counts_taylor_probes(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -119,7 +121,13 @@ def test_end_to_end_poly_re_square_narrow():
     assert report.best_row().sup_error < 1e-2
     assert report.metadata["mul_kind"] == "mul2"
     # target in the basis: the polynomial stage is exact, all error is lowering
-    assert report.extras["fit_sup_error"] < 1e-10
+    assert report.program_sup_error() < 1e-10
+    assert report.fit_sup_error is None
+    # the pipeline's network is the report's best, one network per row
+    assert net is report.best_net()
+    assert len(report.nets) == len(report.rows) == len(DEFAULT_SWEEP_SCHEDULE)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.rows = ()
 
 
 def test_end_to_end_poly_z_in_basis_any_poly_strategy():
@@ -148,7 +156,7 @@ def test_end_to_end_nonpoly_cardioid():
     net, report = end_to_end_nonpoly(fn, card, 1, 1, cfg, "NonPoly_NMplus1")
     assert width_of(net) <= 3
     best = report.best_row()
-    assert best.sup_error <= report.extras["fit_sup_error"] + 1e-2
+    assert best.sup_error <= report.fit_sup_error + 1e-2
 
 
 def test_end_to_end_nonpoly_modrelu_width():
@@ -158,7 +166,7 @@ def test_end_to_end_nonpoly_modrelu_width():
                     grid=GridSpec(15), seed=0)
     net, report = end_to_end_nonpoly(fn, mr, 1, 1, cfg, "NonPoly_2N2Mplus1")
     assert width_of(net) <= 5
-    assert report.best_row().sup_error <= report.extras["fit_sup_error"] + 1e-2
+    assert report.best_row().sup_error <= report.fit_sup_error + 1e-2
 
 
 def test_composition_slack_triangle_inequality():
@@ -169,12 +177,12 @@ def test_composition_slack_triangle_inequality():
     cfg = FitConfig(num_features=80, weight_scale=1.0, ridge=1e-6,
                     grid=GridSpec(15), seed=1)
     net, report = end_to_end_nonpoly(fn, card, 1, 1, cfg, "NonPoly_NMplus1")
-    program = report.extras["program"]
+    program = report.program
     eval_grid = GridSpec(30)
     best = report.best_row()
     lowering_err = sup_error(lambda zs: eval_register(program, zs, card.fn),
                              lambda zs: eval_cvnn(net, zs, card.fn), BOX, eval_grid)
-    fit_err_fine = report.extras["fit_sup_error_fine"]
+    fit_err_fine = report.program_sup_error()
     assert best.sup_error <= fit_err_fine + lowering_err + 1e-9
 
 
@@ -185,7 +193,7 @@ def test_verification_grid_finer_than_fit_grid():
     _, report = end_to_end_nonpoly(fn, card, 1, 1, cfg, "NonPoly_NMplus1",
                                    schedule=(1e-4,))
     # the report's errors are measured on 2x the fit grid per axis
-    assert report.extras["fit_sup_error_fine"] >= 0.0
+    assert report.program_sup_error() >= 0.0
     assert report.metadata["features"] == 40
 
 
@@ -368,7 +376,7 @@ def _full_errors(report, reference, spec, box, grid):
     """Every row of the report measured on the full grid, as the sweep did
     before it bounded rows on a sub-lattice."""
     out = []
-    for net in report.extras["nets"].values():
+    for net in report.nets:
         try:
             out.append(sup_error(reference, lambda zs: eval_cvnn(net, zs, spec.fn), box, grid))
         except EvaluationFailure:
@@ -431,7 +439,7 @@ def test_sweep_best_row_equals_full_measurement(strategy, n, points_per_axis, st
     best = report.best_row()
     assert (best.h, best.sup_error) == (want_h, want_err)
     assert repr(best.h) not in bounds
-    assert cvnn_to_json(report.extras["nets"][best.h]) == cvnn_to_json(
+    assert cvnn_to_json(report.best_net()) == cvnn_to_json(
         lower(program, spec, strategy, want_h, PROF))
 
 
@@ -505,11 +513,11 @@ def test_constant_sup_error_is_the_centre_of_the_bounding_box():
     vals = np.abs(sample_box(BOX, grid)[:, 0])
     want = (vals.max() - vals.min()) / 2
     lattice = verifier._Lattice(fn, BOX, grid)
-    assert verifier._constant_sup_error(lattice) == pytest.approx(want, rel=1e-15)
+    assert lattice.constant_sup_error == pytest.approx(want, rel=1e-15)
     # per output: (|z|, 0) keeps the first output's half range
     norm0, _ = named_target("norm0")
     lattice = verifier._Lattice(norm0, BOX, grid)
-    assert verifier._constant_sup_error(lattice) == pytest.approx(want, rel=1e-15)
+    assert lattice.constant_sup_error == pytest.approx(want, rel=1e-15)
 
 
 @pytest.mark.parametrize("seed, beats", [(0, True), (5, False)])
@@ -519,7 +527,7 @@ def test_end_to_end_nonpoly_refuses_a_fit_worse_than_a_constant(seed, beats):
     cfg = FitConfig(num_features=40, ridge=1e-6, grid=GridSpec(9), seed=seed)
     if beats:
         _, report = end_to_end_nonpoly(fn, spec, 1, m, cfg, "NonPoly_2N2Mplus1")
-        assert report.best_row().sup_error < report.extras["constant_sup_error"]
+        assert report.best_row().sup_error < report.lattice.constant_sup_error
     else:
         with pytest.raises(EvaluationFailure, match="not below"):
             end_to_end_nonpoly(fn, spec, 1, m, cfg, "NonPoly_2N2Mplus1")
@@ -530,5 +538,5 @@ def test_end_to_end_poly_reports_constant_error():
     fn, m = named_target("zzbar")
     _, report = end_to_end_poly(fn, spec, 1, m, 2, "Poly_Narrow_2N2Mplus5", BOX, prof=PROF)
     # z conj(z) = |z|^2 on the 18 x 18 lattice of [-1, 1]^2 ranges over [2/289, 2]
-    assert report.extras["constant_sup_error"] == pytest.approx(1 - 1 / 289, rel=1e-12)
-    assert report.best_row().sup_error < report.extras["constant_sup_error"]
+    assert report.lattice.constant_sup_error == pytest.approx(1 - 1 / 289, rel=1e-12)
+    assert report.best_row().sup_error < report.lattice.constant_sup_error
