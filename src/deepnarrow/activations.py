@@ -146,8 +146,8 @@ def custom_activation(name: str, fn: Callable, **kwargs) -> ActivationSpec:
 _TINY = np.finfo(np.float64).tiny
 
 
-def _modrelu(params: Mapping) -> ActivationSpec:
-    b = float(params.get("b", -1.0))
+def _modrelu(params: dict) -> ActivationSpec:
+    b = float(params.pop("b", -1.0))
     if b >= 0:
         raise InvalidActivationParams(f"modrelu requires b < 0, got {b}")
 
@@ -187,7 +187,7 @@ def _modrelu(params: Mapping) -> ActivationSpec:
     )
 
 
-def _cardioid(params: Mapping) -> ActivationSpec:
+def _cardioid(params: dict) -> ActivationSpec:
     def fn(z):
         # z * (s / r) with s = (r + Re z)/2, where r is raised to the least
         # subnormal float so that 0 gives 0/5e-324 = 0 without a divide by
@@ -222,7 +222,7 @@ def _cardioid(params: Mapping) -> ActivationSpec:
     )
 
 
-def _holo_exp(params: Mapping) -> ActivationSpec:
+def _holo_exp(params: dict) -> ActivationSpec:
     return ActivationSpec(
         name="exp",
         params=(),
@@ -234,7 +234,7 @@ def _holo_exp(params: Mapping) -> ActivationSpec:
     )
 
 
-def _antiholo_exp(params: Mapping) -> ActivationSpec:
+def _antiholo_exp(params: dict) -> ActivationSpec:
     return ActivationSpec(
         name="antiholo_exp",
         params=(),
@@ -246,10 +246,10 @@ def _antiholo_exp(params: Mapping) -> ActivationSpec:
     )
 
 
-def _r_affine(params: Mapping) -> ActivationSpec:
-    a = complex(params.get("a", 1))
-    b = complex(params.get("b", 0))
-    c = complex(params.get("c", 0))
+def _r_affine(params: dict) -> ActivationSpec:
+    a = complex(params.pop("a", 1))
+    b = complex(params.pop("b", 0))
+    c = complex(params.pop("c", 0))
     flags = {"r_affine"}
     if b == 0:
         flags.add("holomorphic")
@@ -266,7 +266,7 @@ def _r_affine(params: Mapping) -> ActivationSpec:
     )
 
 
-def _re_square(params: Mapping) -> ActivationSpec:
+def _re_square(params: dict) -> ActivationSpec:
     # RE(z)^2 = (z^2 + 2 z zbar + zbar^2)/4; laplacian == 2, so order 2.
     return ActivationSpec(
         name="re_square",
@@ -278,7 +278,7 @@ def _re_square(params: Mapping) -> ActivationSpec:
     )
 
 
-def _z_plus_zbar_sq(params: Mapping) -> ActivationSpec:
+def _z_plus_zbar_sq(params: dict) -> ActivationSpec:
     # z + zbar^2 is harmonic: d = 1 everywhere, dbar = 2 zbar.
     return ActivationSpec(
         name="z_plus_zbar_sq",
@@ -290,7 +290,7 @@ def _z_plus_zbar_sq(params: Mapping) -> ActivationSpec:
     )
 
 
-def _abs_square(params: Mapping) -> ActivationSpec:
+def _abs_square(params: dict) -> ActivationSpec:
     def fn(z):
         # conj(z) is bound to a name so that numpy cannot reuse it in place:
         # from 16,384 values on it would compute conj(z) * z, and a complex
@@ -308,7 +308,7 @@ def _abs_square(params: Mapping) -> ActivationSpec:
     )
 
 
-def _exp_re(params: Mapping) -> ActivationSpec:
+def _exp_re(params: dict) -> ActivationSpec:
     # phi(RE z) with phi = exp; d = dbar = exp(x)/2, never polyharmonic.
     def first(z0):
         v = np.exp(np.real(z0)) / 2
@@ -328,7 +328,7 @@ def _exp_re(params: Mapping) -> ActivationSpec:
     )
 
 
-def _tanh_re(params: Mapping) -> ActivationSpec:
+def _tanh_re(params: dict) -> ActivationSpec:
     def first(z0):
         x = np.real(z0)
         v = (1 - np.tanh(x) ** 2) / 2
@@ -355,12 +355,17 @@ def _tanh_re(params: Mapping) -> ActivationSpec:
 #: smooth below that scale; probes are only meaningful above it.
 _WEIERSTRASS_A = 0.5
 _WEIERSTRASS_B = 7.0
+#: The largest truncation order whose top frequency 7^k pi is finite; from
+#: 365 on it overflows and every value is NaN.
+_KTRUNC_MAX = 364
 
 
-def _nowhere_diff(params: Mapping) -> ActivationSpec:
-    ktrunc = int(params.get("ktrunc", 20))
-    if ktrunc < 1:
-        raise InvalidActivationParams("ktrunc must be >= 1")
+def _nowhere_diff(params: dict) -> ActivationSpec:
+    ktrunc = params.pop("ktrunc", 20)
+    if not (1 <= ktrunc <= _KTRUNC_MAX and float(ktrunc).is_integer()):
+        raise InvalidActivationParams(
+            f"ktrunc must be an integer in [1, {_KTRUNC_MAX}], got {ktrunc!r}")
+    ktrunc = int(ktrunc)
     ks = np.arange(ktrunc + 1)
     amps = _WEIERSTRASS_A**ks
     freqs = _WEIERSTRASS_B**ks * np.pi
@@ -411,12 +416,19 @@ def available_activations() -> tuple:
 def get_activation(name: str, params: Optional[Mapping] = None) -> ActivationSpec:
     """Look up a catalog activation.  A ``conj:`` prefix wraps the inner
     activation in complex conjugation (used by the conjugate-network
-    lowerings and serialization)."""
+    lowerings and serialization).  A parameter value that is not finite, or
+    a parameter the activation does not read, raises InvalidActivationParams."""
     params = dict(params or {})
     if name.startswith("conj:"):
         return conjugate_activation(get_activation(name[len("conj:"):], params))
     builder = _BUILDERS.get(name)
     if builder is None:
         raise UnknownActivation(f"unknown activation {name!r}")
-    return builder(params)
+    for key, value in params.items():
+        if not np.isfinite(value):
+            raise InvalidActivationParams(f"{name} parameter {key}={value!r} is not finite")
+    spec = builder(params)  # each builder pops the parameters it reads
+    if params:
+        raise InvalidActivationParams(f"{name} reads no parameter {', '.join(sorted(params))}")
+    return spec
 

@@ -106,6 +106,16 @@ def _profile(args) -> ToleranceProfile:
     return ToleranceProfile(**kwargs)
 
 
+def _target(args):
+    """(function, m) of --target; DimensionMismatch when it reads more
+    inputs than --n gives."""
+    fn, m = named_target(args.target)
+    least = verifier.TARGETS[args.target][3]
+    if args.n < least:
+        raise DimensionMismatch(f"target {args.target!r} reads {least} inputs, --n gives {args.n}")
+    return fn, m
+
+
 def _write(path, text: str):
     if path in (None, "-"):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
@@ -157,7 +167,7 @@ def _cmd_classify(args):
 
 def _cmd_fit_shallow(args):
     spec = get_activation(args.activation, _parse_kv(args.param))
-    fn, m = named_target(args.target)
+    fn, m = _target(args)
     box = _box_or_default(args, args.n)
     cfg = FitConfig(num_features=args.features, weight_scale=args.scale,
                     ridge=args.ridge, box=box, grid=GridSpec(args.grid), seed=args.seed)
@@ -171,7 +181,7 @@ def _cmd_fit_shallow(args):
 
 
 def _cmd_fit_poly(args):
-    fn, m = named_target(args.target)
+    fn, m = _target(args)
     box = _box_or_default(args, args.n)
     fit_grid = GridSpec(args.grid)
     check_sample_budget(box, verifier._finer(fit_grid))
@@ -197,7 +207,7 @@ def _cmd_compile(args):
     if strategy in (None, "auto"):
         strategy = default_strategy(cls.verdict, cls.witness_probe)
 
-    fn, m = named_target(args.target)
+    fn, m = _target(args)
     box = _box_or_default(args, args.n)
     schedule = _schedule(args)
     if strategy.startswith("Poly"):
@@ -235,7 +245,8 @@ def _cmd_lower(args):
 _SWEEP_BLOCKS = ("conjugation", "identity", "mul", "pair", "square")
 
 #: the --target help: each name of ``verifier.TARGETS`` with the function it names
-_TARGET_HELP = "; ".join(f"{name} = {label}" for name, (_, _, label) in verifier.TARGETS.items())
+_TARGET_HELP = "; ".join(f"{name} = {label}"
+                        for name, (_, _, label, _) in verifier.TARGETS.items())
 
 _SQUARE_TARGETS = {
     "zzbar": lambda zs: zs * np.conj(zs),

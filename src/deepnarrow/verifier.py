@@ -347,15 +347,16 @@ def _t_norm0(zs):
     return out
 
 
-#: name -> (function of an (N, n) batch, output dimension m, label)
+#: name -> (function of an (N, n) batch, output dimension m, label, least n
+#: it reads)
 TARGETS = {
-    "z": (lambda zs: zs[:, 0], 1, "z_1"),
-    "zbar": (lambda zs: np.conj(zs[:, 0]), 1, "conj(z_1)"),
-    "re": (lambda zs: np.real(zs[:, 0]).astype(np.complex128), 1, "RE(z_1)"),
-    "zzbar": (lambda zs: zs[:, 0] * np.conj(zs[:, 0]), 1, "z_1 conj(z_1)"),
-    "abs": (lambda zs: np.abs(zs[:, 0]).astype(np.complex128), 1, "|z_1|"),
-    "z1zbar2": (lambda zs: zs[:, 0] * np.conj(zs[:, 1]), 1, "z_1 conj(z_2)"),
-    "norm0": (_t_norm0, 2, "(|z|, 0)"),
+    "z": (lambda zs: zs[:, 0], 1, "z_1", 1),
+    "zbar": (lambda zs: np.conj(zs[:, 0]), 1, "conj(z_1)", 1),
+    "re": (lambda zs: np.real(zs[:, 0]).astype(np.complex128), 1, "RE(z_1)", 1),
+    "zzbar": (lambda zs: zs[:, 0] * np.conj(zs[:, 0]), 1, "z_1 conj(z_1)", 1),
+    "abs": (lambda zs: np.abs(zs[:, 0]).astype(np.complex128), 1, "|z_1|", 1),
+    "z1zbar2": (lambda zs: zs[:, 0] * np.conj(zs[:, 1]), 1, "z_1 conj(z_2)", 2),
+    "norm0": (_t_norm0, 2, "(|z|, 0)", 1),
 }
 
 
@@ -363,7 +364,7 @@ def named_target(name: str):
     """Returns (callable, output_dim) for a named target."""
     if name not in TARGETS:
         raise KeyError(f"unknown target {name!r}; known: {sorted(TARGETS)}")
-    fn, m, _ = TARGETS[name]
+    fn, m, _, _ = TARGETS[name]
     return fn, m
 
 

@@ -25,9 +25,12 @@ first Wirtinger derivatives at a good probe point, combined with
 polyharmonicity, selects the sufficient width family (n+m+1, 2n+2m+1,
 n+m+4, or 2n+2m+5).
 
-Each probe stage is one activation call: ``wirt_first`` and ``wirt_second``
-evaluate all their stencil points at once, and the Taylor probe of every
-candidate point of an atlas is one batch.  A classification of cardioid
+The probe atlas keeps an activation's first-order data on the probe grid
+as one array per fact (z0, d, dbar, est, pattern code), and every rule that
+picks a probe point reads those columns.  Each probe stage is one activation
+call: ``wirt_first`` and ``wirt_second`` evaluate all their stencil points at
+once, and an atlas evaluates f(z0) at every point, and the Taylor probe of
+every candidate point, in one batch each.  A classification of cardioid
 (closed-form first derivatives only) thus makes three activation calls: two
 second probes (the R-affine check, the witness) and one Taylor batch.  The
 atlas scan calls ``first_derivs`` once per grid point rather than once per
@@ -87,6 +90,12 @@ TAYLOR_POINTS_PER_CIRCLE = 16
 PROBE_BOX_GROWTHS = 4
 
 
+def _mag(v: np.ndarray) -> np.ndarray:
+    """|v| elementwise: hypot of the parts, which is abs() of each value bit
+    for bit (np.abs of a complex array may differ from it in the last bit)."""
+    return np.hypot(v.real, v.imag)
+
+
 @dataclass(frozen=True)
 class ToleranceProfile:
     """Numerical policy for all probes.
@@ -115,8 +124,7 @@ class ToleranceProfile:
         as nonzero: |v| > max(zero_tol, 3 est).  v and est may be arrays,
         which broadcast.  |v| is hypot of the parts, as abs of a complex
         scalar is, and a NaN 3 est leaves zero_tol, as Python's max does."""
-        v = np.asarray(v)
-        return np.hypot(v.real, v.imag) > np.fmax(self.zero_tol, 3 * np.asarray(est))
+        return _mag(np.asarray(v)) > np.fmax(self.zero_tol, 3 * np.asarray(est))
 
     def pattern(self, d, dbar, est: float) -> Optional[str]:
         """The first-order pattern at a point, est the error estimate of d
@@ -310,9 +318,7 @@ def laplacian_iterate(spec: ActivationSpec, z0: complex, order: int,
         return (rec(k - 1) + rec(k - 1) + rec(k - 1) + rec(k - 1) - 4 * rec(k - 1)) / h**2
 
     value = rec(order)
-    # np.hypot of the parts is abs() of each value bit for bit; np.abs of a
-    # complex array may differ from it in the last bit
-    fscale = max(1.0, float(np.max(np.hypot(vals.real, vals.imag))))
+    fscale = max(1.0, float(np.max(_mag(vals))))
     noise = 5.0**order * _EPS * fscale / h ** (2 * order)
     return LaplacianEstimate(complex(value), float(noise), bool(abs(value) > 10 * noise))
 
@@ -417,22 +423,6 @@ def _taylor_passes(ratios: np.ndarray, floors: np.ndarray) -> np.ndarray:
             | (ratios[:, 1:] <= np.maximum(0.9 * ratios[:, :-1], floors)).all(1))
 
 
-class _Probes:
-    """Probe data on the grid points of one scan, shared by an atlas and its
-    conjugated view.  ``rows`` holds (z0, d, dbar, est) per point in grid
-    order, as ``first_derivs`` gave them, and ``z0``, ``d``, ``dbar`` and
-    ``est`` its columns; ``f0``, ``second`` and ``taylor`` hold per point
-    f(z0), the second-order probe and the first-order remainder verdict,
-    each filled on first query (a failed probe as its ProbeFailed message)."""
-
-    __slots__ = ("rows", "z0", "d", "dbar", "est", "f0", "second", "taylor")
-
-    def __init__(self, rows: tuple):
-        self.rows = rows
-        self.z0, self.d, self.dbar, self.est = tuple(zip(*rows)) or ((),) * 4
-        self.f0, self.second, self.taylor = ([None] * len(rows) for _ in range(3))
-
-
 #: (index in (d2, ddbar, dbar2), name, square kind) in the square block's case order
 _SECOND_ORDER = ((1, "ddbar", "zzbar"), (0, "d2", "z2"), (2, "dbar2", "zbar2"))
 
@@ -440,113 +430,102 @@ _SECOND_ORDER = ((1, "ddbar", "zzbar"), (0, "d2", "z2"), (2, "dbar2", "zbar2"))
 class ProbeAtlas:
     """Wirtinger data of one activation on the probe grid of one profile.
 
-    Built once by ``probe_atlas``: one scan keeps, for every non-excluded
-    grid point whose first probe succeeds, z0, d, dbar and the error
-    estimate, in grid order.  f(z0) and second derivatives are evaluated per
-    point on first query and kept (a classification needs no f(z0)); the
-    first Taylor query probes every candidate point in one batch.  Every
-    rule that picks a probe point is a method here, so the classifier, the
-    pipelines and the lowering read the same facts.
-
-    A view builds its (z0, d, dbar, est) rows and the first-order pattern of
-    every row, in one pass of ``ToleranceProfile.nonzero`` over the columns,
-    when it is made; every rule reads those.  ``conjugated()`` is the view
-    of conj o f without a rescan: its columns are swapped and conjugated
-    (d(conj f) = conj(dbar f), f -> conj f), which finite differences
-    reproduce exactly up to the sign of zeros.
+    Built once by ``probe_atlas`` as read-only columns over the non-excluded
+    grid points whose first probe succeeds, in grid order: ``z0``, ``d``,
+    ``dbar``, ``est`` (their error estimate) and ``codes``, the first-order
+    pattern nonzero(d) + 2 nonzero(dbar).  Every rule that picks a probe
+    point is a method here, scoring points by magnitude columns with ties to
+    the first in grid order, so the classifier, the pipelines and the
+    lowering read the same facts.  One store keeps what is computed on first
+    query: f(z0) at every point in one activation call, the second probe
+    per point, and the Taylor verdicts of every candidate point in one batch,
+    a failed probe as its ProbeFailed.  ``conjugated()`` is the view of
+    conj o f sharing the store: d and dbar swapped and conjugated (d(conj f)
+    = conj(dbar f)), which finite differences reproduce up to signs of zeros.
     """
 
-    def __init__(self, spec: ActivationSpec, prof: ToleranceProfile, probes: _Probes,
-                 conj: bool = False):
+    def __init__(self, spec: ActivationSpec, prof: ToleranceProfile, z0: np.ndarray,
+                 d: np.ndarray, dbar: np.ndarray, est: np.ndarray, conj: bool = False,
+                 store: Optional[dict] = None):
         self.spec = spec
         self.prof = prof
-        self._probes = probes
+        self.z0, self.d, self.dbar, self.est = z0, d, dbar, est
+        self.codes = prof.nonzero(d, est) + 2 * prof.nonzero(dbar, est)
+        for col in (z0, d, dbar, est, self.codes):
+            col.flags.writeable = False
+        self._mags = _mag(d), _mag(dbar)     # (|d|, |dbar|), the scores' columns
         self._conj = conj
-        rows, d, dbar = probes.rows, probes.d, probes.dbar
-        if conj:
-            d, dbar = [v.conjugate() for v in dbar], [v.conjugate() for v in d]
-            rows = tuple(zip(probes.z0, d, dbar, probes.est))
-        self._rows = rows
-        est = np.array(probes.est, dtype=np.float64)
-        codes = (prof.nonzero(np.array(d, dtype=np.complex128), est)
-                 + 2 * prof.nonzero(np.array(dbar, dtype=np.complex128), est))
-        self._patterns = tuple(_PATTERNS[c] for c in codes.tolist())
+        # shared with conjugated views: per point the second probe and the
+        # Taylor verdict, None until queried, and "f0" once evaluated
+        self._store = store or {"second": [None] * len(z0), "taylor": [None] * len(z0)}
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self.z0)
 
     def conjugated(self) -> "ProbeAtlas":
-        """The atlas of conj o spec, sharing this one's points and lazy data."""
-        return ProbeAtlas(self.spec, self.prof, self._probes, not self._conj)
+        """The atlas of conj o spec, sharing this one's points and store."""
+        return ProbeAtlas(self.spec, self.prof, self.z0, self.dbar.conj(), self.d.conj(),
+                          self.est, not self._conj, self._store)
 
     def first(self, i: int) -> tuple:
         """(z0, d, dbar, est_error) at point i."""
-        return self._rows[i]
+        return (complex(self.z0[i]), complex(self.d[i]), complex(self.dbar[i]),
+                float(self.est[i]))
 
     def pattern(self, i: int) -> Optional[str]:
         """The first-order pattern at point i: "d", "dbar", "both" or None."""
-        return self._patterns[i]
+        return _PATTERNS[self.codes[i]]
+
+    def _f0(self) -> np.ndarray:
+        """f(z0) of the activation itself at every point, from one call."""
+        if "f0" not in self._store:
+            self._store["f0"] = self.spec(self.z0)
+        return self._store["f0"]
 
     def value(self, i: int) -> complex:
         """f(z0) at point i."""
-        p = self._probes
-        if p.f0[i] is None:
-            p.f0[i] = complex(self.spec(np.array([p.z0[i]]))[0])
-        return p.f0[i].conjugate() if self._conj else p.f0[i]
+        v = complex(self._f0()[i])
+        return v.conjugate() if self._conj else v
 
     def second(self, i: int) -> tuple:
         """(d2, ddbar, dbar2, est_error) at point i; raises ProbeFailed when
         the second-order probe fails there."""
-        p = self._probes
-        if p.second[i] is None:
+        seconds = self._store["second"]
+        if seconds[i] is None:
             try:
-                p.second[i] = second_derivs(self.spec, p.z0[i], self.prof)
+                seconds[i] = second_derivs(self.spec, complex(self.z0[i]), self.prof)
             except ProbeFailed as exc:
-                p.second[i] = str(exc)
-        if isinstance(p.second[i], str):
-            raise ProbeFailed(p.second[i])
-        d2, ddbar, dbar2, est = p.second[i]
+                seconds[i] = exc
+        if isinstance(seconds[i], ProbeFailed):
+            raise seconds[i].with_traceback(None)  # each raise would extend the kept one
+        d2, ddbar, dbar2, est = seconds[i]
         if self._conj:
             return dbar2.conjugate(), ddbar.conjugate(), d2.conjugate(), est
         return d2, ddbar, dbar2, est
 
-    def _taylor(self, i: int) -> list:
-        """The first-order remainder verdicts, point i's filled (the remainder
-        of conj o f is the conjugate of that of f).  The first query probes,
-        in one batch, point i and every point with a first-order pattern,
-        with the d and dbar of the scan."""
-        p = self._probes
-        if p.taylor[i] is None:
-            todo = [k for k, pat in enumerate(self._patterns)
-                    if p.taylor[k] is None and (k == i or pat is not None)]
-            reports = taylor_remainder_probe(
-                self.spec, np.array([p.z0[k] for k in todo]), 1, self.prof,
-                d=np.array([p.d[k] for k in todo]), dbar=np.array([p.dbar[k] for k in todo]))
-            for k, rep in zip(todo, reports):
-                p.taylor[k] = str(rep) if isinstance(rep, ProbeFailed) else rep.passed
-        return p.taylor
-
     def taylor_passed(self, i: int) -> bool:
         """First-order remainder probe verdict at point i; raises ProbeFailed
-        when an evaluation of the probe is not finite there.  A failure is
-        kept and raised only when its point is queried."""
-        verdict = self._taylor(i)[i]
-        if isinstance(verdict, str):
-            raise ProbeFailed(verdict)
-        return verdict
+        when an evaluation of the probe is not finite there.  The first query
+        probes, in one batch, point i and every point with a first-order
+        pattern, with the d and dbar of the activation itself (the remainder
+        of conj o f is the conjugate of that of f)."""
+        verdicts = self._store["taylor"]
+        if verdicts[i] is None:
+            todo = [k for k, v in enumerate(verdicts) if v is None and (k == i or self.codes[k])]
+            d, dbar = (self.dbar.conj(), self.d.conj()) if self._conj else (self.d, self.dbar)
+            reports = taylor_remainder_probe(self.spec, self.z0[todo], 1, self.prof,
+                                             d=d[todo], dbar=dbar[todo])
+            for k, rep in zip(todo, reports):
+                verdicts[k] = rep if isinstance(rep, ProbeFailed) else rep.passed
+        if isinstance(verdicts[i], ProbeFailed):
+            raise verdicts[i].with_traceback(None)
+        return verdicts[i]
 
     def taylor_passing(self) -> list:
         """The points with a first-order pattern that pass the remainder
         probe, in grid order; raises the ProbeFailed of the first of them
         whose probe failed, as querying each in turn does."""
-        todo = [i for i, pat in enumerate(self._patterns) if pat is not None]
-        if not todo:
-            return []
-        verdicts = self._taylor(todo[0])
-        for i in todo:
-            if isinstance(verdicts[i], str):
-                raise ProbeFailed(verdicts[i])
-        return [i for i in todo if verdicts[i]]
+        return [i for i in np.flatnonzero(self.codes).tolist() if self.taylor_passed(i)]
 
     def probe(self, i: int) -> WirtingerProbe:
         """First- and second-order data at point i, as ``probe_point`` gives."""
@@ -556,22 +535,22 @@ class ProbeAtlas:
 
     # -- point rules -------------------------------------------------------
 
-    def _by_pattern(self) -> dict:
-        """Pattern -> [(i, conditioning score)] in grid order; the score is
-        |d|, |dbar| or min(|d|, |dbar|) for "d", "dbar" and "both"."""
-        out = {"d": [], "dbar": [], "both": []}
-        for i, (_, d, dbar, _) in enumerate(self._rows):
-            pat = self._patterns[i]
-            if pat is not None:
-                score = min(abs(d), abs(dbar)) if pat == "both" else abs(d if pat == "d" else dbar)
-                out[pat].append((i, score))
-        return out
+    def _best(self, idx: np.ndarray, score: np.ndarray) -> complex:
+        """z0 of the point of idx with the largest score (one per point of idx)."""
+        return complex(self.z0[idx[np.argmax(score)]])
 
-    def _least_load(self, scored, load) -> complex:
-        """z0 of the least load(i) among the (i, score) within 2x of the best
-        score."""
-        best = max(s for _, s in scored)
-        return self._rows[min((i for i, s in scored if s >= 0.5 * best), key=load)][0]
+    def _least_load(self, idx: np.ndarray, score: np.ndarray, load: np.ndarray) -> complex:
+        """z0 of the least load among the points of idx whose score (one per
+        point of idx) is within 2x of the best; load has one per point."""
+        near = idx[score >= 0.5 * score.max()]
+        return complex(self.z0[near[np.argmin(load[near])]])
+
+    def _by_pattern(self) -> list:
+        """(points, conditioning scores) per pattern "d", "dbar", "both": the
+        score is |d|, |dbar| or min(|d|, |dbar|)."""
+        ad, adb = self._mags
+        idxs = [np.flatnonzero(self.codes == code) for code in (1, 2, 3)]
+        return [(idx, score[idx]) for idx, score in zip(idxs, (ad, adb, np.minimum(ad, adb)))]
 
     def pattern_points(self) -> tuple:
         """Best point per first-order pattern: (lone d, lone dbar, both), each
@@ -581,55 +560,50 @@ class ProbeAtlas:
         |f(z0)| wins: the activation magnitude at the localization point sets
         the cancellation load of every block built there.
         """
-        groups = self._by_pattern()
-        mag = lambda i: abs(self.value(i))
-        return tuple(self._least_load(groups[p], mag) if groups[p] else None
-                     for p in ("d", "dbar", "both"))
+        return tuple(self._least_load(idx, score, _mag(self._f0())) if idx.size else None
+                     for idx, score in self._by_pattern())
 
     def pair_route(self):
         """Where a width-2 (z, conj z) block localizes: (z0,) at the "both"
         point of the best conditioning score when there is one, else (z_id,
         z_conj) at the best lone-d and the best lone-dbar point; None when
         either is missing."""
-        groups = self._by_pattern()
-        best = lambda group: self._rows[max(group, key=lambda t: t[1])[0]][0]
-        if groups["both"]:
-            return (best(groups["both"]),)
-        if not groups["d"] or not groups["dbar"]:
+        lone_d, lone_db, both = self._by_pattern()
+        if both[0].size:
+            return (self._best(*both),)
+        if not lone_d[0].size or not lone_db[0].size:
             return None
-        return best(groups["d"]), best(groups["dbar"])
+        return self._best(*lone_d), self._best(*lone_db)
 
     def active_point(self) -> Optional[complex]:
         """The point maximizing max(|d|, |dbar|) among those that pass the
         first-order remainder probe; None when none does.  A point is probed
         only when it would beat the best one so far."""
         best, best_score = None, 0.0
-        for i, (z0, d, dbar, _) in enumerate(self._rows):
-            score = max(abs(d), abs(dbar))
-            if self._patterns[i] is None or score <= best_score:
-                continue
-            if self.taylor_passed(i):
-                best, best_score = z0, score
+        for i, score in enumerate(np.maximum(*self._mags).tolist()):
+            if self.codes[i] and not score <= best_score and self.taylor_passed(i):
+                best, best_score = complex(self.z0[i]), score
         return best
 
     def _second_kind(self):
-        """(name, square kind, [(i, |value|)] over the points whose second
-        probe succeeds) for the first of ddbar > d2 > dbar2 that is nonzero
-        somewhere, the order of the square block's cases; None in the
+        """(name, square kind, points, |value| at each) over the points whose
+        second probe succeeds, for the first of ddbar > d2 > dbar2 that is
+        nonzero somewhere, the order of the square block's cases; None in the
         R-affine case."""
-        seconds = []
+        idx, seconds = [], []
         for i in range(len(self)):
             try:
-                seconds.append((i, self.second(i)))
+                seconds.append(self.second(i))
             except ProbeFailed:
                 continue
+            idx.append(i)
         if not seconds:
             return None
-        cols = np.array([s for _, s in seconds], dtype=np.complex128)
+        cols = np.array(seconds, dtype=np.complex128)
         anywhere = self.prof.nonzero(cols[:, :3], cols[:, 3:].real).any(axis=0)
         for k, name, which in _SECOND_ORDER:
             if anywhere[k]:
-                return name, which, [(i, abs(s[k])) for i, s in seconds]
+                return name, which, np.array(idx), _mag(cols[:, k])
         return None
 
     def square_point(self):
@@ -643,9 +617,8 @@ class ProbeAtlas:
         found = self._second_kind()
         if found is None:
             return None
-        _, which, vals = found
-        load = lambda i: abs(self.value(i)) + abs(self._rows[i][1]) + abs(self._rows[i][2])
-        return self._least_load(vals, load), which
+        _, which, idx, mags = found
+        return self._least_load(idx, mags, _mag(self._f0()) + self._mags[0] + self._mags[1]), which
 
     def nonzero_second_point(self):
         """(z0, which) with which the first of ddbar > d2 > dbar2 that is
@@ -654,8 +627,8 @@ class ProbeAtlas:
         found = self._second_kind()
         if found is None:
             return None
-        name, _, vals = found
-        return self._rows[max(vals, key=lambda t: t[1])[0]][0], name
+        name, _, idx, mags = found
+        return self._best(idx, mags), name
 
     # -- structural heuristics ---------------------------------------------
 
@@ -674,14 +647,14 @@ class ProbeAtlas:
 
     @functools.cached_property
     def _negative(self) -> Optional[tuple]:
-        pats = set(self._patterns)
-        if self.spec.class_flags or not pats:
+        codes = set(self.codes.tolist())
+        if self.spec.class_flags or not codes:
             return None
-        if pats == {None}:
+        if codes == {0}:
             verdict, why = "Inconclusive", "no nonzero first derivative"
-        elif pats <= {None, "d"}:
+        elif codes <= {0, 1}:
             verdict, why = "NonUniversalHolomorphic", "heuristic: no nonzero dbar"
-        elif pats <= {None, "dbar"}:
+        elif codes <= {0, 2}:
             verdict, why = "NonUniversalAntiholomorphic", "heuristic: no nonzero d"
         else:
             for i in range(len(self)):
@@ -720,7 +693,8 @@ def _scan(spec: ActivationSpec, prof: ToleranceProfile) -> ProbeAtlas:
                 rows.append((z0, *first_derivs(spec, z0, prof)))
             except ProbeFailed:
                 continue
-        atlas = ProbeAtlas(spec, prof, _Probes(tuple(rows)))
+        z0, d, dbar, est = np.array(rows, dtype=np.complex128).reshape(-1, 4).T.copy()
+        atlas = ProbeAtlas(spec, prof, z0, d, dbar, est.real)
         if atlas.negative_verdict() is None:
             break
     return atlas
@@ -844,25 +818,22 @@ def classify_activation(spec: ActivationSpec,
     negative = atlas.negative_verdict()
     if negative is not None:
         return Classification(negative[0], None, negative[1])
-    # differentiable point with nonzero derivative
-    passing = atlas.taylor_passing()
-    if not passing:
-        return Classification(
-            "Inconclusive", None,
-            "no probe point is real differentiable with nonzero derivative")
-
-    rows = {i: atlas.first(i) for i in passing}
-    lone = [i for i in passing if atlas.pattern(i) != "both"]
-    poly, poly_ev = _is_polyharmonic(spec, prof, [rows[i][0] for i in passing])
-
-    if lone:
-        i = max(lone, key=lambda i: max(abs(rows[i][1]), abs(rows[i][2])))
-        z0, d, dbar, _ = rows[i]
+    # differentiable points with nonzero derivative
+    passing = np.array(atlas.taylor_passing(), dtype=int)
+    if not passing.size:
+        return Classification("Inconclusive", None,
+                              "no probe point is real differentiable with nonzero derivative")
+    lone = passing[atlas.codes[passing] != 3]
+    poly, poly_ev = _is_polyharmonic(spec, prof, atlas.z0[passing].tolist())
+    ad, adb = atlas._mags
+    if lone.size:
+        i = lone[np.argmax(np.maximum(ad, adb)[lone])]
         verdict = "UniversalPoly_NMplus4" if poly else "UniversalNonPoly_NMplus1"
-        ev = (f"lone nonzero {atlas.pattern(i)} at {z0}: d={d:.6g}, dbar={dbar:.6g}; {poly_ev}")
+        why = f"lone nonzero {atlas.pattern(i)}"
     else:
-        i = max(passing, key=lambda i: min(abs(rows[i][1]), abs(rows[i][2])))
-        z0, d, dbar, _ = rows[i]
+        i = passing[np.argmax(np.minimum(ad, adb)[passing])]
         verdict = "UniversalPoly_2N2Mplus5" if poly else "UniversalNonPoly_2N2Mplus1"
-        ev = (f"both derivatives nonzero at {z0}: d={d:.6g}, dbar={dbar:.6g}; {poly_ev}")
+        why = "both derivatives nonzero"
+    z0, d, dbar, _ = atlas.first(i)
+    ev = f"{why} at {z0}: d={d:.6g}, dbar={dbar:.6g}; {poly_ev}"
     return Classification(verdict, z0, ev, atlas.probe(i))

@@ -37,6 +37,15 @@ def test_modrelu_requires_negative_b():
         get_activation("modrelu", {"b": 0.5})
 
 
+@pytest.mark.parametrize("ktrunc", [2.5, 365])
+def test_nowhere_diff_refuses_ktrunc_outside_the_integers_1_to_364(ktrunc):
+    """2.5 was truncated to 2; from 365 on 7^k pi overflows and every value
+    is NaN.  364 is the largest order with finite values."""
+    with pytest.raises(InvalidActivationParams, match=r"ktrunc must be an integer in \[1, 364\]"):
+        get_activation("nowhere_diff", {"ktrunc": ktrunc})
+    assert np.isfinite(get_activation("nowhere_diff", {"ktrunc": 364})(0.5 + 0.25j))
+
+
 def test_exp_re_value():
     spec = get_activation("exp_re")
     assert spec(1 + 5j) == pytest.approx(np.e)

@@ -43,6 +43,39 @@ def test_classify_unknown_activation(capsys):
     assert "\n" not in err.strip()
 
 
+@pytest.mark.parametrize("argv, why", [
+    (["--activation", "modrelu", "--param", "bb=-5"], "modrelu reads no parameter bb"),
+    (["--activation", "cardioid", "--param", "b=3"], "cardioid reads no parameter b"),
+    (["--activation", "modrelu", "--param", "b=nan"], "modrelu parameter b=nan is not finite"),
+    (["--activation", "r_affine", "--param", "a=nan"], "r_affine parameter a=nan is not finite"),
+])
+def test_classify_refuses_unused_or_non_finite_params(tmp_path, capsys, argv, why):
+    out = tmp_path / "c.json"
+    assert run(["classify", *argv, "--no-timestamp", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error[BAD_PARAMS] {why}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit-shallow", "--activation", "cardioid"],
+    ["fit-poly", "--degree", "2"],
+    ["compile", "--activation", "cardioid"],
+])
+def test_target_reading_more_inputs_than_n_is_refused_before_fitting(monkeypatch, tmp_path,
+                                                                     capsys, argv):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fitted before --n was checked against the target")
+
+    for name in ("fit_poly", "fit_shallow"):
+        monkeypatch.setattr(f"deepnarrow.cli.{name}", no_fit)
+        monkeypatch.setattr(f"deepnarrow.verifier.{name}", no_fit)
+    rc = run([*argv, "--target", "z1zbar2", "--n", "1", "--out", str(tmp_path / "X")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error[DIMENSION] target 'z1zbar2' reads 2 inputs, --n gives 1\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_compile_narrow_prints_width(tmp_path, capsys):
     out = tmp_path / "rs"
     rc = run(["compile", "--target", "zzbar", "--activation", "re_square",
@@ -781,7 +814,7 @@ def test_target_help_names_every_target(capsys, command):
     with pytest.raises(SystemExit):
         run([command, "--help"])
     text = " ".join(capsys.readouterr().out.split())
-    for name, (_, _, label) in verifier.TARGETS.items():
+    for name, (_, _, label, _) in verifier.TARGETS.items():
         assert f"{name} = {label}" in text
 
 

@@ -1,13 +1,15 @@
-"""Every private module-level name of the package is read somewhere in it.
+"""Every private name the package defines at module level or in a class
+body is read somewhere in it.
 
-A private name (a function, class or constant whose name starts with ``_``)
-is no part of the package's interface, so a refactor that stops reading it
-leaves dead code behind that no import check sees.  This reads the syntax
-tree of every module: each such name must be read, as a name or as an
-attribute, in some module of the package.
+A private name (a function, class, constant, method or cached property whose
+name starts with ``_``) is no part of the package's interface, so a refactor
+that stops reading it leaves dead code behind that no import check sees.
+This reads the syntax tree of every module: each such name must be read, as
+a name or as an attribute, in some module of the package.
 """
 
 import ast
+import itertools
 from pathlib import Path
 
 import deepnarrow
@@ -17,9 +19,11 @@ SOURCES = {p.name: p.read_text()
 
 
 def private_definitions(tree: ast.Module) -> dict:
-    """The private names a module defines at its top level, with their lines."""
+    """The private names a module defines at its top level or in the body of
+    a top-level class, with their lines."""
     defined = {}
-    for node in tree.body:
+    classes = [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+    for node in itertools.chain(tree.body, *classes):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
         elif isinstance(node, ast.Assign):
@@ -49,10 +53,14 @@ def unused_private_names(sources: dict) -> list:
 def test_detects_an_unused_private_name():
     sources = {
         "a.py": "_LIMIT = 3\n_KINDS: dict = {}\n\ndef _helper():\n    return _LIMIT\n\n"
-                "class _Gone:\n    pass\n\n__all__ = []\n",
+                "class _Gone:\n    pass\n\n__all__ = []\n\n"
+                "class Box:\n    _SIZE = 2\n\n    def _used(self):\n        return 1\n\n"
+                "    @functools.cached_property\n    def _dead(self):\n        return 2\n\n"
+                "    def run(self):\n        return self._used()\n",
         "b.py": "from . import a\n\ndef run():\n    return a._helper()\n",
     }
-    assert unused_private_names(sources) == [("a.py", 2, "_KINDS"), ("a.py", 7, "_Gone")]
+    assert unused_private_names(sources) == [("a.py", 2, "_KINDS"), ("a.py", 7, "_Gone"),
+                                             ("a.py", 13, "_SIZE"), ("a.py", 19, "_dead")]
 
 
 def test_package_reads_every_private_name():

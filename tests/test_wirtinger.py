@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -10,7 +12,7 @@ from deepnarrow.wirtinger import (POLYHARMONIC_MAX_ORDER, TAYLOR_POINTS_PER_CIRC
                                   TAYLOR_RADII, Classification, TaylorReport, ToleranceProfile,
                                   classify_activation, find_active_point,
                                   find_nonzero_second_point, first_derivs,
-                                  laplacian_iterate, second_derivs,
+                                  laplacian_iterate, probe_atlas, second_derivs,
                                   second_partials_to_wirtinger,
                                   taylor_remainder_probe, wirt_first, wirt_second)
 
@@ -637,3 +639,63 @@ def test_array_nonzero_rule_is_the_scalar_rule(zero_tol):
     assert [bool(prof.nonzero(v, est)) for v, est in _NONZERO_EDGES] == want
     assert prof.nonzero(v[:, None], np.stack([est, est], axis=1)).tolist() == [[w, w] for w in want]
     assert sum(want) not in (0, len(want))
+
+
+def test_pattern_points_evaluate_f_z0_in_one_call():
+    """A fresh cardioid atlas evaluates f(z0) at every point in one call on
+    its first pattern query, and its conjugated view shares that call.  The
+    scan itself calls the activation once: cardioid's first derivatives are
+    closed-form, and the R-affine check probes one second derivative."""
+    calls, spec = [], get_activation("cardioid")
+    spec = dataclasses.replace(spec, fn=_counting(spec, calls).fn)
+    atlas = probe_atlas(spec, PROF)
+    assert calls == [17]
+    lone_d, _, _ = atlas.pattern_points()
+    assert lone_d is not None and calls == [17, len(atlas)]
+    atlas.pattern_points()
+    atlas.conjugated().pattern_points()
+    assert calls == [17, len(atlas)]
+
+
+@pytest.mark.parametrize("name", available_activations())
+def test_atlas_columns_are_read_only_arrays(name):
+    atlas = probe_atlas(get_activation(name), PROF)
+    for view in (atlas, atlas.conjugated()):
+        for col, dtype in ((view.z0, np.complex128), (view.d, np.complex128),
+                           (view.dbar, np.complex128), (view.est, np.float64),
+                           (view.codes, np.integer)):
+            assert isinstance(col, np.ndarray) and np.issubdtype(col.dtype, dtype)
+            assert col.shape == (len(atlas),) and not col.flags.writeable
+            with pytest.raises(ValueError):
+                col[:1] = col[:1]
+
+
+@pytest.mark.parametrize("spec", [get_activation(name) for name in available_activations()]
+                         + [get_activation("modrelu", {"b": -5})], ids=lambda s: s.name)
+def test_twice_conjugated_atlas_is_the_atlas_bit_for_bit(spec):
+    atlas = probe_atlas(spec, PROF)
+    twice = atlas.conjugated().conjugated()
+    for col in ("z0", "d", "dbar", "est", "codes"):
+        assert getattr(twice, col).tobytes() == getattr(atlas, col).tobytes(), col
+    assert [twice.pattern(i) for i in range(len(atlas))] == [
+        atlas.pattern(i) for i in range(len(atlas))]
+
+
+def test_a_kept_probe_failure_is_raised_with_a_fresh_traceback():
+    """The atlas keeps a failed probe as its ProbeFailed; raising it again
+    must not extend the traceback it carries, which would keep every frame
+    it passed through alive for as long as the atlas is memoised."""
+    import traceback
+
+    bad = 0.5 + TAYLOR_RADII[-1]
+    spec = custom_activation("holed", lambda z: np.where(
+        z == bad, np.nan, z + 0.25 * z * np.conj(z)))
+    atlas = probe_atlas(spec, PROF)
+    i = atlas.z0.tolist().index(0.5)
+    depths = []
+    for _ in range(3):
+        with pytest.raises(ProbeFailed) as exc:
+            atlas.taylor_passed(i)
+        depths.append(len(traceback.extract_tb(exc.value.__traceback__)))
+    assert depths[0] == depths[1] == depths[2]
+
