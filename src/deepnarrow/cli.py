@@ -382,8 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, activation=True, tolerances=True)
     p.add_argument("--n", type=int, default=1,
                    help="input dimension; the verdict does not depend on it")
-    p.add_argument("--m", type=int, default=1,
-                   help="output dimension; the verdict does not depend on it")
     p.set_defaults(fn=lambda args: _cmd_classify(args))
 
     p = sub.add_parser("fit-shallow", help="random-feature ridge fit of a named target")

@@ -413,14 +413,13 @@ def sample_box(box: CompactBox, spec: GridSpec) -> np.ndarray:
     p, s = int(spec.points_per_axis), int(spec.stride)
     n = box.n
     count = check_sample_budget(box, spec)
-    axes = []
-    for re_lo, re_hi, im_lo, im_hi in box.intervals:
-        axes.append(np.linspace(re_lo, re_hi, p)[::s])
-        axes.append(np.linspace(im_lo, im_hi, p)[::s])
-    mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.empty((count, n), dtype=np.complex128)
-    for j in range(n):
-        pts[:, j] = mesh[2 * j].ravel() + 1j * mesh[2 * j + 1].ravel()
+    # the real view's last index runs over (re_1, im_1, re_2, ...): one
+    # lattice axis each, in the order of the leading indices
+    q = spec.axis_points
+    grid = pts.view(np.float64).reshape((q,) * (2 * n) + (2 * n,))
+    for a, (lo, hi) in enumerate(np.reshape(box.intervals, (2 * n, 2))):
+        grid[..., a] = np.linspace(lo, hi, p)[::s].reshape((q,) + (1,) * (2 * n - 1 - a))
     return pts
 
 

@@ -33,6 +33,10 @@ fused, keeping the strict alternating form, and stacks by batched products.
 Only the runs of the assembled network are validated, each once.  That
 catches every non-finite entry of a piece: inf * 0 = nan, so fusion spreads
 it to a whole row or column of each later product.
+A poly chain's first product multiplies by w = 1, which holds after the
+init stage and after every flush: mul(x, 1) is x (conj x under mul3), so
+that product is one affine map that copies the slot holding it into w and
+costs no hidden layer.
 Each strategy checks its derivative preconditions against probe data and
 raises StrategyMismatch when they fail.  Width bounds are asserted on the
 result, with zero tolerance.
@@ -352,6 +356,14 @@ def _flush_map(lay: FlushLayer, s: int, iw: int, iv: int) -> AffineArrays:
     return _affine(trans, trans_b)
 
 
+def _load_map(s: int, iw: int, src: int) -> AffineArrays:
+    """Overwrite w with slot src: a chain's first product mul(x, 1)."""
+    trans = np.eye(s, dtype=np.complex128)
+    trans[iw, iw] = 0
+    trans[iw, src] = 1
+    return _affine(trans, np.zeros(s))
+
+
 def _emit_mul_ladder(pieces: list, kit: _Kit, stages: list, s: int,
                      op_idx: int, iw: int):
     """w <- operand * w as an inner register program over the K neurons of
@@ -414,6 +426,10 @@ def _lower_poly(program: RegisterProgram, kit: _Kit, strategy: str) -> list:
     Wide applies the multiplication block inline; Narrow and NMplus4 run it
     as an inner register program (``_emit_mul_ladder``), whose hidden stage
     also crosses the accumulator and feeds the compute slot one raw neuron.
+    A product met while w holds exactly 1 (after T_init or a flush) is
+    neither: it is a load (``_load_map``) of the slot holding mul(x, 1),
+    x's own under mul1 and mul2 and conj x's under mul3, after a refresh of
+    g where that is a conjugate under NMplus4.
     """
     n, m = program.input_dim, program.output_dim
     pairs = strategy != "Poly_NMplus4"
@@ -445,19 +461,27 @@ def _lower_poly(program: RegisterProgram, kit: _Kit, strategy: str) -> list:
 
     ladder = None
     conj_src = None
+    w_is_one = True
     for lay in program.layers:
         if isinstance(lay, FlushLayer):
             pieces.append(_flush_map(lay, s, iw, iv))
+            w_is_one = True
             continue
         side, i = lay.operand
-        op_idx = i if side == "z" else (n + i if pairs else n)
-
-        if strategy == "Poly_Wide_2N2Mplus12":
-            pieces += kit.realize(_stage(registers(op_idx=op_idx), s, np.zeros(s)))
-            continue
+        if w_is_one and program.mul_kind == "mul3":
+            side = "zbar" if side == "z" else "z"   # mul3(x, 1) = conj x
         if not pairs and side == "zbar" and conj_src != i:
             pieces += kit.realize(_stage(registers(refresh=i), s, np.zeros(s)))
             conj_src = i
+        op_idx = i if side == "z" else (n + i if pairs else n)
+
+        if w_is_one:
+            pieces.append(_load_map(s, iw, op_idx))
+            w_is_one = False
+            continue
+        if strategy == "Poly_Wide_2N2Mplus12":
+            pieces += kit.realize(_stage(registers(op_idx=op_idx), s, np.zeros(s)))
+            continue
         if ladder is None:
             ladder = kit.realize(_stage(
                 registers() + [(kit.id_blk, [s], [s]), (_RAW, [s + 1], [s + 1])],

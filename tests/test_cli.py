@@ -494,8 +494,8 @@ _FLAG_VALUE = {"--box": "0,1", "--grid": "5", "--seed": "1", "--zero-tol": "1e-3
     ("demo", "--box"), ("demo", "--grid"), ("demo", "--zero-tol"), ("demo", "--fd-step"),
     ("demo", "--probe-box"),
     ("eval", "--seed"), ("eval", "--zero-tol"), ("eval", "--fd-step"), ("eval", "--probe-box"),
-    # the target fixes m
-    ("fit-shallow", "--m"), ("compile", "--m"),
+    # the target fixes m; the verdict does not depend on it
+    ("fit-shallow", "--m"), ("compile", "--m"), ("classify", "--m"),
 ])
 def test_subcommand_refuses_a_flag_it_does_not_read(capsys, command, flag):
     argv = [command, *_BASE_ARGV[command]]
@@ -713,8 +713,10 @@ def test_config_flags_do_not_carry_into_the_next_call(monkeypatch, tmp_path):
 
 
 def test_classify_does_not_read_n_or_m(tmp_path):
+    """--n is accepted and unread; --m is refused like any flag a
+    subcommand does not read."""
     default = _classify_bytes(tmp_path, "--activation", "cardioid")
-    assert _classify_bytes(tmp_path, "--activation", "cardioid", "--n", "3", "--m", "2") == default
+    assert _classify_bytes(tmp_path, "--activation", "cardioid", "--n", "3") == default
 
 
 @pytest.mark.parametrize("flag, value", [("--zero-tol", "nan"), ("--zero-tol", "inf"),

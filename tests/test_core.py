@@ -126,6 +126,32 @@ def test_sample_box_lattice_corners():
         assert corner in vals
 
 
+def _meshgrid_lattice(box, spec):
+    """The lattice built from meshgrid copies of the 2n axes."""
+    axes = [np.linspace(lo, hi, spec.points_per_axis)[::spec.stride]
+            for re_lo, re_hi, im_lo, im_hi in box.intervals
+            for lo, hi in ((re_lo, re_hi), (im_lo, im_hi))]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([mesh[2 * j].ravel() + 1j * mesh[2 * j + 1].ravel()
+                     for j in range(box.n)], axis=1)
+
+
+@pytest.mark.parametrize("box", [
+    CompactBox.square(1, 1.0),
+    CompactBox.square(2, 1.0),
+    CompactBox(((-1.0, 2.0, -0.5, 0.25),)),
+    CompactBox(((-1.0, 2.0, -0.5, 0.25), (0.1, 0.3, -3.0, -1.0))),
+], ids=["square-1", "square-2", "box-1", "box-2"])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_sample_box_equals_the_meshgrid_lattice_bit_for_bit(box, stride):
+    for points in (2, 7, 18):
+        spec = GridSpec(points, stride)
+        want = _meshgrid_lattice(box, spec)
+        got = sample_box(box, spec)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_sample_box_degenerate():
     box = CompactBox(((0.5, 0.5, -0.25, -0.25),))
     pts = sample_box(box, GridSpec(3))

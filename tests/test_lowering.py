@@ -13,7 +13,7 @@ from deepnarrow.errors import EvaluationFailure, StrategyMismatch
 from deepnarrow.lowering import (STRATEGIES, assemble_pieces, default_strategy,
                                  eval_pieces, lower, lower_pieces, plan_lowering,
                                  strategy_width_budget)
-from deepnarrow.register import (PolyZZbar, eval_register, poly_to_register,
+from deepnarrow.register import (FlushLayer, PolyZZbar, eval_register, poly_to_register,
                                  shallow_to_register)
 from deepnarrow.verifier import sup_error
 from deepnarrow.wirtinger import ToleranceProfile, classify_activation
@@ -530,7 +530,7 @@ def _json_map_by_map(net):
 
 @pytest.mark.parametrize("strategy, n, shapes", [
     # a 4-wide layer, then a run of 11 x 11 maps
-    ("Poly_Narrow_2N2Mplus5", 2, [(1, 4, 2), (1, 11, 4), (47, 11, 11), (1, 1, 11)]),
+    ("Poly_Narrow_2N2Mplus5", 2, [(1, 4, 2), (1, 11, 4), (23, 11, 11), (1, 1, 11)]),
     # the realizer's activation and conjugation layers alternate in one run
     ("NonPoly_Conj_NMplus1", 1, [(1, 3, 1), (9, 3, 3), (1, 1, 3)]),
     ("NonPoly_2N2Mplus1", 2, [(1, 7, 2), (4, 7, 7), (1, 1, 7)]),
@@ -542,3 +542,75 @@ def test_json_equals_writing_map_by_map(strategy, n, shapes):
     text = cvnn_to_json(net)
     assert text == _json_map_by_map(net)
     assert cvnn_to_json(cvnn_from_json(text)) == text
+
+
+# ---------------------------------------------------------------------------
+# A chain's first product, mul(x, w = 1), is a load
+# ---------------------------------------------------------------------------
+
+
+#: (activation, poly strategy) for every strategy that plans for cardioid
+#: (mul2), z_plus_zbar_sq (mul3) and its conjugate (mul1 under Wide and
+#: Narrow, mul3 behind a conjugation realizer under NMplus4)
+LOAD_CASES = [(spec, strategy) for spec in (CARD, ZB, CONJ_ZB)
+              for strategy in STRATEGIES if strategy.startswith("Poly")]
+
+
+def test_load_cases_cover_every_mul_kind_and_the_realizer():
+    plans = [plan_lowering(spec, strategy, PROF) for spec, strategy in LOAD_CASES]
+    assert {plan.mul_kind for plan in plans} == {"mul1", "mul2", "mul3"}
+    assert plan_lowering(CONJ_ZB, "Poly_NMplus4", PROF).realizer_point is not None
+
+
+def _ladders(pieces):
+    """The multiplication ladders of a poly chain: each enters by one map
+    that widens the state (the end map's input) by the accumulator and the
+    compute slot."""
+    s = pieces[-1].matrix.shape[1]
+    return sum(isinstance(obj, lowering.AffineArrays) and obj.matrix.shape == (s + 2, s)
+               for obj in pieces)
+
+
+@pytest.mark.parametrize("spec, strategy", LOAD_CASES,
+                         ids=[f"{spec.name}-{strategy}" for spec, strategy in LOAD_CASES])
+@pytest.mark.parametrize("side", ["z", "zbar"])
+def test_one_factor_program_lowers_to_the_init_stage_alone(spec, strategy, side):
+    """z or conj z: the init stage, then one affine map that loads w from
+    that monomial's slot (under mul3 the program's operand is the other
+    one, since mul3(x, 1) = conj x).  NMplus4 first refreshes g for conj z."""
+    plan = plan_lowering(spec, strategy, PROF)
+    zd, bd = ((1,), (0,)) if side == "z" else ((0,), (1,))
+    program = poly_to_register([PolyZZbar(1, ((1 + 0j, zd, bd),))], plan.mul_kind)
+    stages = 2 if strategy == "Poly_NMplus4" and side == "zbar" else 1
+    layers_per_stage = 1 if plan.realizer_point is None else 2
+    net = lower(program, spec, strategy, 1e-4, PROF)
+    assert depth_of(net) == 1 + stages * layers_per_stage
+    err = sup_error(lambda zs: eval_register(program, zs),
+                    lambda zs: eval_cvnn(net, zs, spec.fn), CompactBox.square(1, 1.0),
+                    GridSpec(11))
+    assert err < 1e-3
+
+
+def test_a_product_of_two_factors_lowers_with_one_ladder():
+    """z1 conj(z2), the n = 2 benchmark compile's monomial: the first factor
+    is loaded, so one 12-neuron ladder follows the init stage."""
+    program = poly_to_register([PolyZZbar(2, ((1 + 0j, (1, 0), (0, 1)),))], "mul2")
+    pieces = lower_pieces(program, CARD, "Poly_Narrow_2N2Mplus5", 1e-4, PROF)
+    assert _ladders(pieces) == 1
+    assert depth_of(assemble_pieces(pieces, CARD.activation_id)) == 14
+
+
+@pytest.mark.parametrize("strategy", ["Poly_Narrow_2N2Mplus5", "Poly_NMplus4"])
+def test_a_monomial_after_a_flush_loads_its_first_factor(strategy):
+    """A flush resets w to 1, so the second monomial's first product is a
+    load too: two degree-2 monomials need one ladder each."""
+    poly = PolyZZbar(1, ((1 + 0j, (1,), (1,)), (0.5j, (0,), (2,))))
+    program = poly_to_register([poly], "mul2")
+    assert sum(isinstance(lay, FlushLayer) for lay in program.layers) == 2
+    pieces = lower_pieces(program, CARD, strategy, 1e-4, PROF)
+    assert _ladders(pieces) == 2
+    net = assemble_pieces(pieces, CARD.activation_id)
+    err = sup_error(lambda zs: eval_register(program, zs),
+                    lambda zs: eval_cvnn(net, zs, CARD.fn), CompactBox.square(1, 1.0),
+                    GridSpec(11))
+    assert err < 1e-2
