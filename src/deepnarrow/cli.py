@@ -107,13 +107,13 @@ def _profile(args) -> ToleranceProfile:
 
 
 def _target(args):
-    """(function, m) of --target; DimensionMismatch when it reads more
-    inputs than --n gives."""
-    fn, m = named_target(args.target)
-    least = verifier.TARGETS[args.target][3]
+    """The function of --target; DimensionMismatch when it reads more inputs
+    than --n gives."""
+    fn = named_target(args.target)
+    least = verifier.TARGETS[args.target][2]
     if args.n < least:
         raise DimensionMismatch(f"target {args.target!r} reads {least} inputs, --n gives {args.n}")
-    return fn, m
+    return fn
 
 
 def _write(path, text: str):
@@ -167,11 +167,11 @@ def _cmd_classify(args):
 
 def _cmd_fit_shallow(args):
     spec = get_activation(args.activation, _parse_kv(args.param))
-    fn, m = _target(args)
+    fn = _target(args)
     box = _box_or_default(args, args.n)
     cfg = FitConfig(num_features=args.features, weight_scale=args.scale,
                     ridge=args.ridge, box=box, grid=GridSpec(args.grid), seed=args.seed)
-    net, err = fit_shallow(fn, spec, args.n, m, cfg)
+    net, err = fit_shallow(fn, spec, cfg)
     _write(f"{args.out}.net.json" if args.out else None, cvnn_to_json(net))
     report = SweepReport([], {"sup_error": repr(err), "features": args.features,
                               "seed": args.seed, "activation": spec.name})
@@ -181,11 +181,11 @@ def _cmd_fit_shallow(args):
 
 
 def _cmd_fit_poly(args):
-    fn, m = _target(args)
+    fn = _target(args)
     box = _box_or_default(args, args.n)
     fit_grid = GridSpec(args.grid)
     check_sample_budget(box, verifier._finer(fit_grid))
-    polys = fit_poly(fn, args.n, args.degree, box, fit_grid, m=m)
+    polys = fit_poly(fn, args.degree, box, fit_grid)
     doc = poly_to_json_dict(polys)
     _write(f"{args.out}.poly.json" if args.out else None,
            _json_dump(doc, not args.no_timestamp))
@@ -207,19 +207,19 @@ def _cmd_compile(args):
     if strategy in (None, "auto"):
         strategy = default_strategy(cls.verdict, cls.witness_probe)
 
-    fn, m = _target(args)
+    fn = _target(args)
     box = _box_or_default(args, args.n)
     schedule = _schedule(args)
     if strategy.startswith("Poly"):
-        _, report = verifier.end_to_end_poly(
-            fn, spec, args.n, m, args.degree, strategy, box,
+        report = verifier.end_to_end_poly(
+            fn, spec, args.degree, strategy, box,
             fit_grid=GridSpec(args.grid), schedule=schedule, prof=prof)
     else:
         cfg = FitConfig(num_features=args.features, weight_scale=args.scale,
                         ridge=args.ridge, box=box, grid=GridSpec(args.grid),
                         seed=args.seed)
-        _, report = verifier.end_to_end_nonpoly(
-            fn, spec, args.n, m, cfg, strategy, schedule=schedule, prof=prof)
+        report = verifier.end_to_end_nonpoly(fn, spec, cfg, strategy, schedule=schedule,
+                                             prof=prof)
     return _write_compiled(args, "compile", strategy, report)
 
 
@@ -246,7 +246,7 @@ _SWEEP_BLOCKS = ("conjugation", "identity", "mul", "pair", "square")
 
 #: the --target help: each name of ``verifier.TARGETS`` with the function it names
 _TARGET_HELP = "; ".join(f"{name} = {label}"
-                        for name, (_, _, label, _) in verifier.TARGETS.items())
+                        for name, (_, label, _) in verifier.TARGETS.items())
 
 _SQUARE_TARGETS = {
     "zzbar": lambda zs: zs * np.conj(zs),

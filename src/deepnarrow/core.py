@@ -57,11 +57,13 @@ def _as_complex_matrix(m) -> np.ndarray:
 
 def _as_batch(values, count: int) -> np.ndarray:
     """Values of a function on count points as an (count, m) complex array:
-    a 1-d result is one column.  Raises DimensionMismatch when the rows are
-    not count."""
+    a 1-d result is one column.  Raises DimensionMismatch when the result is
+    not 1-d or 2-d, or its rows are not count."""
     v = np.asarray(values, dtype=np.complex128)
     if v.ndim == 1:
         v = v[:, None]
+    if v.ndim != 2:
+        raise DimensionMismatch(f"expected ({count}, m) values, got shape {v.shape}")
     if v.shape[0] != count:
         raise DimensionMismatch(f"expected {count} rows, got {v.shape[0]}")
     return v

@@ -20,14 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as _iter_product
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .activations import ActivationSpec
 from .core import (CompactBox, ComplexAffineMap, Cvnn, GridSpec, _as_batch, eval_cvnn,
                    sample_box)
-from .errors import DimensionMismatch, FitSingular
+from .errors import FitSingular
 from .register import PolyZZbar, _graded_lex_key, _monomial
 
 __all__ = ["FitConfig", "fit_shallow", "fit_poly", "solve_complex_ridge",
@@ -92,9 +92,10 @@ def _sup_err(values: np.ndarray, targets: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(values - targets, axis=1)))
 
 
-def fit_shallow(f: Callable, spec: ActivationSpec, n: int, m: int,
-                cfg: FitConfig = FitConfig()):
-    """Random-feature shallow fit of a target f: (N, n) -> (N, m).
+def fit_shallow(f: Callable, spec: ActivationSpec, cfg: FitConfig = FitConfig()):
+    """Random-feature shallow fit of a target f: (N, n) -> (N, m) on
+    ``cfg.box``, whose coordinates give n; m is the number of columns f
+    returns on the fit grid.
 
     Hidden weights and biases are seeded Gaussians scaled by weight_scale;
     only the output layer is solved (ridge least squares on the grid).
@@ -102,13 +103,10 @@ def fit_shallow(f: Callable, spec: ActivationSpec, n: int, m: int,
     """
     rng = np.random.default_rng(cfg.seed)
     w = cfg.num_features
-    a1 = _complex_normal(rng, (w, n), cfg.weight_scale) / np.sqrt(2)
+    a1 = _complex_normal(rng, (w, cfg.box.n), cfg.weight_scale) / np.sqrt(2)
     b1 = _complex_normal(rng, w, cfg.weight_scale) / np.sqrt(2)
     pts = sample_box(cfg.box, cfg.grid)
     targets = _as_batch(f(pts), pts.shape[0])
-    if targets.shape != (pts.shape[0], m):
-        raise DimensionMismatch(
-            f"target returned shape {targets.shape}, expected {(pts.shape[0], m)}")
     feats = spec(pts @ a1.T + b1)
     design = np.hstack([feats, np.ones((pts.shape[0], 1), dtype=np.complex128)])
     coef = solve_complex_ridge(design, targets, cfg.ridge)
@@ -134,11 +132,11 @@ def monomial_exponents(n: int, degree: int) -> list:
 PRUNE_TOL = 1e-12
 
 
-def fit_poly(f: Callable, n: int, degree: int, box: CompactBox,
-             grid: GridSpec, m: Optional[int] = None) -> list:
+def fit_poly(f: Callable, degree: int, box: CompactBox, grid: GridSpec) -> list:
     """Least-squares fit of all monomials z^alpha conj(z)^beta with
-    |alpha| + |beta| <= degree on the grid.  Returns one PolyZZbar per output
-    component.  Raises when the grid under-determines the basis.
+    |alpha| + |beta| <= degree on the grid, z the box's n coordinates.
+    Returns one PolyZZbar per column of f.  Raises when the grid
+    under-determines the basis.
 
     Coefficients below PRUNE_TOL * (1 + max |coeff|) are dropped so that
     exactly-representable targets compile to minimal register programs.
@@ -147,9 +145,7 @@ def fit_poly(f: Callable, n: int, degree: int, box: CompactBox,
         raise ValueError("degree must be >= 0")
     pts = sample_box(box, grid)
     targets = _as_batch(f(pts), pts.shape[0])
-    if m is None:
-        m = targets.shape[1]
-    exps = monomial_exponents(n, degree)
+    exps = monomial_exponents(box.n, degree)
     if len(exps) > pts.shape[0]:
         raise FitSingular(
             f"{len(exps)} basis monomials but only {pts.shape[0]} grid points; "
@@ -158,9 +154,8 @@ def fit_poly(f: Callable, n: int, degree: int, box: CompactBox,
     design = np.column_stack([_monomial(pts, conj, zd, bd) for zd, bd in exps])
     coef = solve_complex_ridge(design, targets, 0.0)
     polys = []
-    for j in range(m):
-        cut = PRUNE_TOL * (1.0 + float(np.max(np.abs(coef[:, j]))))
-        terms = [(coef[k, j], zd, bd) for k, (zd, bd) in enumerate(exps)
-                 if abs(coef[k, j]) > cut]
-        polys.append(PolyZZbar(n, tuple(terms)))
+    for col in coef.T:
+        cut = PRUNE_TOL * (1.0 + float(np.max(np.abs(col))))
+        terms = [(c, zd, bd) for c, (zd, bd) in zip(col, exps) if abs(c) > cut]
+        polys.append(PolyZZbar(box.n, tuple(terms)))
     return polys

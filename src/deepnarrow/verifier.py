@@ -347,25 +347,24 @@ def _t_norm0(zs):
     return out
 
 
-#: name -> (function of an (N, n) batch, output dimension m, label, least n
-#: it reads)
+#: name -> (function of an (N, n) batch, label, least n it reads); the
+#: output dimension m is the number of columns the function returns
 TARGETS = {
-    "z": (lambda zs: zs[:, 0], 1, "z_1", 1),
-    "zbar": (lambda zs: np.conj(zs[:, 0]), 1, "conj(z_1)", 1),
-    "re": (lambda zs: np.real(zs[:, 0]).astype(np.complex128), 1, "RE(z_1)", 1),
-    "zzbar": (lambda zs: zs[:, 0] * np.conj(zs[:, 0]), 1, "z_1 conj(z_1)", 1),
-    "abs": (lambda zs: np.abs(zs[:, 0]).astype(np.complex128), 1, "|z_1|", 1),
-    "z1zbar2": (lambda zs: zs[:, 0] * np.conj(zs[:, 1]), 1, "z_1 conj(z_2)", 2),
-    "norm0": (_t_norm0, 2, "(|z|, 0)", 1),
+    "z": (lambda zs: zs[:, 0], "z_1", 1),
+    "zbar": (lambda zs: np.conj(zs[:, 0]), "conj(z_1)", 1),
+    "re": (lambda zs: np.real(zs[:, 0]).astype(np.complex128), "RE(z_1)", 1),
+    "zzbar": (lambda zs: zs[:, 0] * np.conj(zs[:, 0]), "z_1 conj(z_1)", 1),
+    "abs": (lambda zs: np.abs(zs[:, 0]).astype(np.complex128), "|z_1|", 1),
+    "z1zbar2": (lambda zs: zs[:, 0] * np.conj(zs[:, 1]), "z_1 conj(z_2)", 2),
+    "norm0": (_t_norm0, "(|z|, 0)", 1),
 }
 
 
-def named_target(name: str):
-    """Returns (callable, output_dim) for a named target."""
+def named_target(name: str) -> Callable:
+    """The function of a named target."""
     if name not in TARGETS:
         raise KeyError(f"unknown target {name!r}; known: {sorted(TARGETS)}")
-    fn, m, _, _ = TARGETS[name]
-    return fn, m
+    return TARGETS[name][0]
 
 
 # ---------------------------------------------------------------------------
@@ -406,58 +405,59 @@ def _sweep_program(program: RegisterProgram, plan: LoweringPlan, spec: Activatio
                    schedule: Sequence[float], prof: ToleranceProfile, metadata: dict,
                    fit_sup_error: Optional[float]):
     """The ending both pipelines share: lower the program under the plan at
-    every h of the schedule and sweep it against f on ``grid``.  Returns
-    (best network, CompileReport); the best row must beat the constant
+    every h of the schedule and sweep it against f on ``grid``.  Returns the
+    CompileReport; its best row must beat the constant
     (``_best_beating_constant``)."""
     sweep = h_sweep(lambda h: lower(program, spec, plan.strategy, h, prof),
                     schedule, box, grid, f, spec, metadata=metadata)
     _best_beating_constant(sweep)
-    report = CompileReport(sweep.rows, sweep.metadata, nets=sweep.nets, lattice=sweep.lattice,
-                           program=program, plan=plan, fit_sup_error=fit_sup_error)
-    return report.best_net(), report
+    return CompileReport(sweep.rows, sweep.metadata, nets=sweep.nets, lattice=sweep.lattice,
+                         program=program, plan=plan, fit_sup_error=fit_sup_error)
 
 
-def end_to_end_poly(f: Callable, spec: ActivationSpec, n: int, m: int,
-                    degree: int, strategy: str, box: CompactBox,
-                    fit_grid: GridSpec = GridSpec(9),
+def end_to_end_poly(f: Callable, spec: ActivationSpec, degree: int, strategy: str,
+                    box: CompactBox, fit_grid: GridSpec = GridSpec(9),
                     schedule: Sequence[float] = DEFAULT_SWEEP_SCHEDULE,
-                    prof: ToleranceProfile = ToleranceProfile()):
+                    prof: ToleranceProfile = ToleranceProfile()) -> CompileReport:
     """fit_poly -> poly_to_register (kind from the lowering plan) -> lower,
-    sweeping h.  Returns (best network, CompileReport); the report's
-    ``program_sup_error()`` is the fitted polynomials' error on the
-    verification grid, and its ``fit_sup_error`` is None."""
+    sweeping h.  Returns the CompileReport, whose ``best_net()`` is the best
+    network; its ``program_sup_error()`` is the fitted polynomials' error on
+    the verification grid, and its ``fit_sup_error`` is None.  The metadata's
+    n is the box's, and its m the number of fitted polynomials."""
     check_sample_budget(box, _finer(fit_grid))
     plan = plan_lowering(spec, strategy, prof)
-    polys = fit_poly(f, n, degree, box, fit_grid, m=m)
+    polys = fit_poly(f, degree, box, fit_grid)
     program = poly_to_register(polys, plan.mul_kind)
     return _sweep_program(
         program, plan, spec, f, box, _finer(fit_grid), schedule, prof,
         metadata={"pipeline": "poly", "activation": spec.name, "strategy": strategy,
-                  "degree": degree, "n": n, "m": m, "mul_kind": plan.mul_kind},
+                  "degree": degree, "n": box.n, "m": len(polys), "mul_kind": plan.mul_kind},
         fit_sup_error=None)
 
 
-def end_to_end_nonpoly(f: Callable, spec: ActivationSpec, n: int, m: int,
-                       cfg: FitConfig, strategy: str,
+def end_to_end_nonpoly(f: Callable, spec: ActivationSpec, cfg: FitConfig, strategy: str,
                        schedule: Sequence[float] = DEFAULT_SWEEP_SCHEDULE,
-                       prof: ToleranceProfile = ToleranceProfile()):
+                       prof: ToleranceProfile = ToleranceProfile()) -> CompileReport:
     """fit_shallow -> shallow_to_register -> lower, sweeping h.
 
     For the conjugate-network strategy the shallow fit runs on
     sigma = conj o activation, whose program the lowering realizes with
     activation layers followed by conjugation blocks.
-    Returns (best network, CompileReport); the report's ``fit_sup_error`` is
-    the shallow fit's error on the fit grid, so total error can be compared
-    against fit error + lowering slack, and ``program_sup_error()`` measures
-    the program on the verification grid (finer than the fit grid).
+    Returns the CompileReport, whose ``best_net()`` is the best network; its
+    ``fit_sup_error`` is the shallow fit's error on the fit grid, so total
+    error can be compared against fit error + lowering slack, and
+    ``program_sup_error()`` measures the program on the verification grid
+    (finer than the fit grid).  The metadata's n and m are the shallow
+    network's input and output dimensions.
     """
     check_sample_budget(cfg.box, _finer(cfg.grid))
     plan = plan_lowering(spec, strategy, prof)
-    shallow, fit_err = fit_shallow(f, plan.sigma, n, m, cfg)
+    shallow, fit_err = fit_shallow(f, plan.sigma, cfg)
     return _sweep_program(
         shallow_to_register(shallow), plan, spec, f, cfg.box, _finer(cfg.grid), schedule,
         prof, metadata={"pipeline": "nonpoly", "activation": spec.name, "strategy": strategy,
-                        "features": cfg.num_features, "n": n, "m": m, "seed": cfg.seed},
+                        "features": cfg.num_features, "n": shallow.input_dim,
+                        "m": shallow.output_dim, "seed": cfg.seed},
         fit_sup_error=fit_err)
 
 
@@ -484,11 +484,12 @@ def kernel_invariance_demo(n: int, seed: int, mc_samples: int) -> dict:
     in which the whole network is constant: RE(V1 v) = 0 has a nontrivial
     solution because RE o V1 is a real-linear map R^2n -> R^(2n-1).  That
     invariance costs an L1 error of at least 0.8 * vol(ball(0.1)) against
-    (|z|, 0) on [-2,2]^2n.
+    the target norm0, (|z|, 0), on [-2,2]^2n.  n must be at least 1.
     """
+    if n < 1:
+        raise ValueError(f"the lower-bound demo needs n >= 1, got n={n}")
     spec = get_activation("tanh_re")
-    m = 2
-    net = _random_phi_re_net(spec, n, m, 2 * n - 1, seed)
+    net = _random_phi_re_net(spec, n, 2, 2 * n - 1, seed)
     v1 = net.affine_maps[0].matrix
     mreal = np.hstack([v1.real, -v1.imag])  # (2n-1, 2n): RE(V1 v) as map of (vr, vi)
     vreal = np.linalg.svd(mreal)[2][-1]
@@ -502,11 +503,7 @@ def kernel_invariance_demo(n: int, seed: int, mc_samples: int) -> dict:
     residual = float(np.max(np.linalg.norm(g(zs + v) - g(zs), axis=1)))
 
     box = CompactBox.square(n, 2.0)
-    f = lambda pts: np.column_stack(
-        [np.linalg.norm(pts, axis=1).astype(np.complex128)]
-        + [np.zeros(
-            pts.shape[0], dtype=np.complex128)] * (m - 1))
-    est = l1_error_mc(f, g, box, mc_samples, seed)
+    est = l1_error_mc(named_target("norm0"), g, box, mc_samples, seed)
     threshold = 0.8 * ball_volume(0.1, 2 * n)
     return {"nullspace_found": True, "invariance_residual": residual,
             "l1_estimate": {"value": est.value, "stderr": est.stderr},
@@ -561,7 +558,7 @@ def affine_subspace_floor_demo() -> dict:
         # the output affine map solved
         cfg = FitConfig(num_features=1, weight_scale=1.0, ridge=1e-10,
                         box=box, grid=GridSpec(40), seed=seed)
-        net, _ = fit_shallow(lambda zs: _curve_target(zs[:, 0]), spec, 1, 1, cfg)
+        net, _ = fit_shallow(lambda zs: _curve_target(zs[:, 0]), spec, cfg)
         err = sup_error(lambda zs: _curve_target(zs[:, 0])[:, None],
                         lambda zs: eval_cvnn(net, zs, spec.fn), box, GridSpec(60))
         errors.append(err)
@@ -570,12 +567,14 @@ def affine_subspace_floor_demo() -> dict:
             "passed": bool(passed)}
 
 
-def fit_deep_random(f: Callable, spec: ActivationSpec, n: int, m: int,
-                    width: int, depth: int, cfg: FitConfig):
-    """Deep random-feature fit: all hidden affine maps are seeded random, only
-    the final affine map is solved.  Keeps the class restricted to genuine
-    deep networks of the given activation without nonconvex training."""
+def fit_deep_random(f: Callable, spec: ActivationSpec, width: int, depth: int,
+                    cfg: FitConfig):
+    """Deep random-feature fit on ``cfg.box``: all hidden affine maps are
+    seeded random, only the final affine map is solved.  Keeps the class
+    restricted to genuine deep networks of the given activation without
+    nonconvex training."""
     cplx = functools.partial(_complex_normal, np.random.default_rng(cfg.seed))
+    n = cfg.box.n
     s_in, s_hid = (cfg.weight_scale / np.sqrt(fan_in) for fan_in in (n, width))
     maps = [ComplexAffineMap(cplx((width, n), s_in), cplx(width, s_in))]
     for _ in range(depth - 2):
@@ -620,7 +619,7 @@ def holo_floor_demo() -> dict:
     above 1/2 on the unit box, over widths 8-64, depths 2-4 and seeds 0-4.
     """
     spec = get_activation("exp")
-    fn, m = named_target("zbar")
+    fn = named_target("zbar")
     box = CompactBox.square(1, 1.0)
     errors = []
     for depth in (2, 3, 4):
@@ -628,7 +627,7 @@ def holo_floor_demo() -> dict:
             for seed in range(5):
                 cfg = FitConfig(num_features=w, weight_scale=0.5,
                                 ridge=1e-8, box=box, grid=GridSpec(17), seed=seed)
-                _, err = fit_deep_random(fn, spec, 1, m, w, depth, cfg)
+                _, err = fit_deep_random(fn, spec, w, depth, cfg)
                 errors.append(err)
     floor = min(errors)
     return {"floor": floor, "passed": floor >= 0.5, "attempts": len(errors),

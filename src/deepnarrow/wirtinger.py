@@ -280,8 +280,7 @@ def probe_point(spec: ActivationSpec, z0: complex, prof: ToleranceProfile = Tole
     return WirtingerProbe(complex(z0), d, dbar, d2, ddbar, dbar2, max(e1, e2))
 
 
-def laplacian_iterate(spec: ActivationSpec, z0: complex, order: int,
-                      prof: ToleranceProfile = ToleranceProfile()) -> LaplacianEstimate:
+def laplacian_iterate(spec: ActivationSpec, z0: complex, order: int) -> LaplacianEstimate:
     """Estimate laplacian^order at z0 with nested 5-point stencils.
 
     Each level amplifies roundoff by h^-2, so the step widens with the order
@@ -323,62 +322,31 @@ def laplacian_iterate(spec: ActivationSpec, z0: complex, order: int,
     return LaplacianEstimate(complex(value), float(noise), bool(abs(value) > 10 * noise))
 
 
-def taylor_remainder_probe(spec: ActivationSpec, z0, order: int,
-                           prof: ToleranceProfile = ToleranceProfile(), d=None, dbar=None):
-    """Check that the Taylor remainder of the given order actually vanishes.
-
-    Evaluates Theta_k(w) = f(z0+w) - Taylor_k(w) on shrinking circles |w| = r
-    and reports max |Theta_k| / r^k per radius.  Differentiability shows up
-    as a decreasing ratio sequence; a ratio sequence that stalls or grows
-    marks a point where the expansion is invalid.
-
-    A scalar z0 gives one TaylorReport and raises ProbeFailed when a
-    derivative or an evaluation is not finite.  Its coefficients are ``d``
-    and ``dbar`` when the caller holds them, else those of ``first_derivs``,
-    plus those of ``second_derivs`` at order 2.  A 1-D array of centres
-    takes order 1 and arrays ``d`` and ``dbar`` like it, and gives a list
-    with one entry per centre: its report, or the ProbeFailed that centre
-    alone would raise, returned rather than raised.  Either way the
-    activation is called once, on every f(z0) and every circle point, and
-    each centre's arithmetic is that of a lone call.
-    """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    if np.ndim(z0) == 0:
-        z0 = complex(z0)
-        if d is None:
-            d, dbar = first_derivs(spec, z0, prof)[:2]
-        coefs = [d, dbar]
-        if order == 2:
-            d2, ddbar, dbar2, _ = second_derivs(spec, z0, prof)
-            # 0.5 * d2 * w**2 takes 0.5 * d2 first
-            coefs += [0.5 * d2, ddbar, 0.5 * dbar2]
-        out = _taylor_batch(spec, np.array([z0]), order,
-                            np.array(coefs, dtype=np.complex128)[:, None])[0]
-        if isinstance(out, ProbeFailed):
-            raise out
-        return out
-    centres = np.asarray(z0, dtype=np.complex128)
-    if centres.ndim != 1:
-        raise ValueError("z0 must be a scalar or a 1-D array of centres")
-    if order != 1 or d is None or dbar is None:
-        raise ValueError("an array of centres takes order 1 and the centres' d and dbar")
-    return _taylor_batch(spec, centres, 1, np.array([d, dbar], dtype=np.complex128))
-
-
-#: circle offsets w of the Taylor-remainder probe, (radius, angle), their
-#: conjugates, their squares, and r**order per radius
+#: circle offsets w of the Taylor-remainder probe, (radius, angle)
 _TAYLOR_W = np.stack([r * np.exp(2j * np.pi * np.arange(TAYLOR_POINTS_PER_CIRCLE)
                                  / TAYLOR_POINTS_PER_CIRCLE) for r in TAYLOR_RADII])
-_TAYLOR_WC = np.conj(_TAYLOR_W)
-_TAYLOR_W2, _TAYLOR_WC2 = _TAYLOR_W**2, _TAYLOR_WC**2
-_TAYLOR_R_POW = {k: np.array([r**k for r in TAYLOR_RADII]) for k in (1, 2)}
 
 
-def _taylor_batch(spec: ActivationSpec, centres: np.ndarray, order: int, c: np.ndarray) -> list:
-    """The remainder reports of the centres, c their (coefficient, centre)
-    array: d, dbar, then at order 2 d2/2, ddbar, dbar2/2.  A centre with a
-    non-finite f(z0) or circle value gets its ProbeFailed in its slot."""
+def taylor_remainder_probe(spec: ActivationSpec, centres, d, dbar) -> list:
+    """Check that the first-order Taylor remainder actually vanishes at each
+    of a 1-D array of centres, whose Wirtinger derivatives are the arrays
+    ``d`` and ``dbar``.
+
+    Evaluates Theta(w) = f(z0+w) - f(z0) - d w - dbar conj(w) on shrinking
+    circles |w| = r and reports max |Theta| / r per radius.  Differentiability
+    shows up as a decreasing ratio sequence; a ratio sequence that stalls or
+    grows marks a point where the expansion is invalid.
+
+    The activation is called once, on every f(z0) and every circle point.
+    Returns one entry per centre: its TaylorReport, or, when one of its
+    values is not finite, a ProbeFailed returned rather than raised, naming
+    the centre when f(z0) is not finite, else its first circle that holds a
+    non-finite value.
+    """
+    centres = np.asarray(centres, dtype=np.complex128)
+    if centres.ndim != 1 or np.shape(d) != centres.shape or np.shape(dbar) != centres.shape:
+        raise ValueError("centres, d and dbar must be 1-D arrays of one length")
+    c = np.array([d, dbar], dtype=np.complex128)
     zs = centres.tolist()
     out = [None] * len(zs)
     ks = range(len(zs))
@@ -399,15 +367,11 @@ def _taylor_batch(spec: ActivationSpec, centres: np.ndarray, order: int, c: np.n
     c = c[:, :, None, None]
     theta = fv - f0[:, None, None]
     theta -= c[0] * _TAYLOR_W
-    theta -= c[1] * _TAYLOR_WC
-    if order == 2:
-        theta -= c[2] * _TAYLOR_W2
-        theta -= c[3] * _TAYLOR_W * _TAYLOR_WC
-        theta -= c[4] * _TAYLOR_WC2
-    ratios = np.max(np.abs(theta), axis=2) / _TAYLOR_R_POW[order]
+    theta -= c[1] * np.conj(_TAYLOR_W)
+    ratios = np.max(np.abs(theta), axis=2) / np.array(TAYLOR_RADII)
     floors = 1e-8 * np.maximum(1.0, np.max(np.abs(fv), axis=(1, 2)))
     reports = map(TaylorReport._make, zip(
-        [zs[k] for k in ks], repeat(order), repeat(TAYLOR_RADII), map(tuple, ratios.tolist()),
+        [zs[k] for k in ks], repeat(1), repeat(TAYLOR_RADII), map(tuple, ratios.tolist()),
         floors.tolist(), _taylor_passes(ratios, floors).tolist()))
     for k, rep in zip(ks, reports):
         out[k] = rep
@@ -513,8 +477,7 @@ class ProbeAtlas:
         if verdicts[i] is None:
             todo = [k for k, v in enumerate(verdicts) if v is None and (k == i or self.codes[k])]
             d, dbar = (self.dbar.conj(), self.d.conj()) if self._conj else (self.d, self.dbar)
-            reports = taylor_remainder_probe(self.spec, self.z0[todo], 1, self.prof,
-                                             d=d[todo], dbar=dbar[todo])
+            reports = taylor_remainder_probe(self.spec, self.z0[todo], d[todo], dbar[todo])
             for k, rep in zip(todo, reports):
                 verdicts[k] = rep if isinstance(rep, ProbeFailed) else rep.passed
         if isinstance(verdicts[i], ProbeFailed):
@@ -791,7 +754,7 @@ def _is_polyharmonic(spec: ActivationSpec, prof: ToleranceProfile,
         return False, f"{tag}: non-polyharmonic"
     pts = sample_points[: min(5, len(sample_points))]
     for order in range(1, POLYHARMONIC_MAX_ORDER + 1):
-        ests = [laplacian_iterate(spec, z0, order, prof) for z0 in pts]
+        ests = [laplacian_iterate(spec, z0, order) for z0 in pts]
         tol = max(prof.zero_tol, 10 * max(e.noise_floor for e in ests))
         if all(abs(e.value) <= tol for e in ests):
             return True, f"heuristic: laplacian^{order} ~ 0 at {len(pts)} probe points"

@@ -4,6 +4,7 @@ from hypothesis import settings
 
 from deepnarrow.core import ComplexAffineMap, Cvnn, eval_cvnn
 from deepnarrow.verifier import sup_error
+from deepnarrow.wirtinger import ToleranceProfile, first_derivs, taylor_remainder_probe
 
 # Every property test draws the same examples on every run and keeps no
 # example database.
@@ -35,6 +36,15 @@ def block_values(blk, spec, zs):
 def block_sup_error(blk, spec, target, box, grid):
     """A shallow block's sup error against target, measured as its network."""
     return sup_error(target, lambda zs: block_values(blk, spec, zs), box, grid)
+
+
+def taylor_reports(spec, centres, prof=ToleranceProfile()):
+    """The Taylor-remainder probe of the centres, with each centre's d and
+    dbar from ``first_derivs``."""
+    firsts = [first_derivs(spec, z0, prof) for z0 in centres]
+    return taylor_remainder_probe(spec, np.asarray(centres, dtype=np.complex128),
+                                  np.array([f[0] for f in firsts]),
+                                  np.array([f[1] for f in firsts]))
 
 
 @pytest.fixture

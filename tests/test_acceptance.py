@@ -273,16 +273,18 @@ def test_acceptance_06_width_budgets(rng):
 def test_acceptance_07_end_to_end():
     rs = get_activation("re_square")
     p = PolyZZbar(1, ((1 + 0j, (1,), (0,)), (1 + 0j, (0,), (2,))))
-    net, report = end_to_end_poly(lambda zs: p(zs)[:, None], rs, 1, 1, 2,
-                                  "Poly_Narrow_2N2Mplus5", BOX,
-                                  fit_grid=GridSpec(9), prof=PROF)
+    report = end_to_end_poly(lambda zs: p(zs)[:, None], rs, 2,
+                             "Poly_Narrow_2N2Mplus5", BOX,
+                             fit_grid=GridSpec(9), prof=PROF)
+    net = report.best_net()
     narrow_ok = width_of(net) <= 9 and report.best_row().sup_error < 1e-2
 
     card = get_activation("cardioid")
-    fn, _ = named_target("zzbar")
+    fn = named_target("zzbar")
     cfg = FitConfig(num_features=300, weight_scale=1.0, ridge=1e-6,
                     grid=GridSpec(21), seed=0)
-    net2, report2 = end_to_end_nonpoly(fn, card, 1, 1, cfg, "NonPoly_NMplus1")
+    report2 = end_to_end_nonpoly(fn, card, cfg, "NonPoly_NMplus1")
+    net2 = report2.best_net()
     nonpoly_ok = (width_of(net2) <= 3
                   and report2.best_row().sup_error
                   <= report2.fit_sup_error + 1e-2)

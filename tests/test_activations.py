@@ -4,9 +4,9 @@ import pytest
 from deepnarrow.activations import (available_activations, conjugate_activation,
                                     custom_activation, get_activation, scale_activation)
 from deepnarrow.errors import InvalidActivationParams, UnknownActivation
-from deepnarrow.wirtinger import ToleranceProfile, taylor_remainder_probe, wirt_first
+from deepnarrow.wirtinger import ToleranceProfile, wirt_first
 
-from conftest import random_points
+from conftest import random_points, taylor_reports
 
 
 def test_cardioid_values():
@@ -116,9 +116,8 @@ def test_nowhere_diff_fails_taylor_probe(rng):
     # documented heuristic at finite truncation: probe radii sit far above the
     # truncation scale b^-ktrunc
     spec = get_activation("nowhere_diff", {"ktrunc": 20})
-    prof = ToleranceProfile()
     pts = random_points(rng, 20, 1)[:, 0]
-    failures = sum(not taylor_remainder_probe(spec, z0, 1, prof).passed for z0 in pts)
+    failures = sum(not rep.passed for rep in taylor_reports(spec, pts))
     assert failures == 20
 
 
@@ -301,7 +300,7 @@ def test_subnormal_moduli_give_zero(name, params):
         want = 0.5 * w * (1 + np.real(w) / np.abs(w)) * 2.0**-600
         assert np.abs(got - want).max() <= 4 * 5e-324
         assert np.count_nonzero(got) > zs.size // 2
-        report = taylor_remainder_probe(spec, complex(xs[1]), 1, ToleranceProfile())
+        report, = taylor_reports(spec, [complex(xs[1])])
         assert all(np.isfinite(report.ratios))
     else:
         assert np.array_equal(got, np.zeros(zs.shape))

@@ -147,7 +147,7 @@ def test_compile_sweep_csv_names_the_bounded_rows(tmp_path, capsys):
     assert all(float(r[1]) > float(best[1]) for r in rows if r[0] in bounded)
     net = cvnn_from_json((tmp_path / "g24.net.json").read_text())
     card = get_activation("cardioid")
-    fn, _ = named_target("zzbar")
+    fn = named_target("zzbar")
     assert float(best[1]) == sup_error(fn, lambda zs: eval_cvnn(net, zs, card.fn),
                                        CompactBox.square(1, 1.0), GridSpec(48))
 
@@ -411,6 +411,19 @@ def test_lower_bound_demo_refuses_fewer_than_two_samples(tmp_path, capsys, sampl
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error[BAD_VALUE]") and "at least 2 samples" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_lower_bound_demo_refuses_n_below_one(tmp_path, capsys, n):
+    """Width 2n-1 needs n >= 1: the refusal names n, not the negative width
+    numpy would meet."""
+    out = tmp_path / "demo.json"
+    rc = run(["demo", "--name", "lower-bound", "--n", str(n), "--no-timestamp",
+              "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error[BAD_VALUE] the lower-bound demo needs n >= 1, got n={n}\n")
     assert not out.exists()
 
 
@@ -816,7 +829,7 @@ def test_target_help_names_every_target(capsys, command):
     with pytest.raises(SystemExit):
         run([command, "--help"])
     text = " ".join(capsys.readouterr().out.split())
-    for name, (_, _, label, _) in verifier.TARGETS.items():
+    for name, (_, label, _) in verifier.TARGETS.items():
         assert f"{name} = {label}" in text
 
 

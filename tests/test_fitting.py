@@ -3,7 +3,7 @@ import pytest
 
 from deepnarrow.activations import get_activation
 from deepnarrow.core import CompactBox, GridSpec, cvnn_to_json, eval_cvnn, sample_box
-from deepnarrow.errors import FitSingular
+from deepnarrow.errors import DimensionMismatch, FitSingular
 from deepnarrow.fitting import (FitConfig, fit_poly, fit_shallow,
                                 monomial_exponents, solve_complex_ridge)
 from deepnarrow.verifier import named_target, sup_error
@@ -36,12 +36,12 @@ def test_solve_complex_ridge_dual_matches_primal(rng):
 
 
 def test_fit_shallow_determinism():
-    fn, m = named_target("re")
+    fn = named_target("re")
     mr = get_activation("modrelu", {"b": -1})
     cfg = FitConfig(num_features=50, weight_scale=1.0, ridge=1e-8, box=BOX,
                     grid=GridSpec(11), seed=4)
-    net1, err1 = fit_shallow(fn, mr, 1, 1, cfg)
-    net2, err2 = fit_shallow(fn, mr, 1, 1, cfg)
+    net1, err1 = fit_shallow(fn, mr, cfg)
+    net2, err2 = fit_shallow(fn, mr, cfg)
     assert err1 == err2
     assert cvnn_to_json(net1) == cvnn_to_json(net2)
 
@@ -61,11 +61,11 @@ def test_fit_shallow_self_consistency(rng):
 
 
 def test_fit_shallow_modrelu_re_target():
-    fn, _ = named_target("re")
+    fn = named_target("re")
     mr = get_activation("modrelu", {"b": -1})
     cfg = FitConfig(num_features=200, weight_scale=1.0, ridge=1e-8, box=BOX,
                     grid=GridSpec(21), seed=0)
-    net, err = fit_shallow(fn, mr, 1, 1, cfg)
+    net, err = fit_shallow(fn, mr, cfg)
     assert err < 0.05
     fine = sup_error(fn, lambda zs: eval_cvnn(net, zs, mr.fn), BOX, GridSpec(42))
     assert fine < 0.05
@@ -74,13 +74,13 @@ def test_fit_shallow_modrelu_re_target():
 def test_fit_shallow_monotone_in_features_median():
     # statistical: doubling the feature count does not increase the median
     # error over seeds for a realizable-ish smooth target
-    fn, _ = named_target("zzbar")
+    fn = named_target("zzbar")
     small, big = [], []
     for seed in range(5):
         for width, acc in ((60, small), (120, big)):
             cfg = FitConfig(num_features=width, weight_scale=1.0, ridge=1e-8,
                             box=BOX, grid=GridSpec(15), seed=seed)
-            _, err = fit_shallow(fn, CARD, 1, 1, cfg)
+            _, err = fit_shallow(fn, CARD, cfg)
             acc.append(err)
     assert np.median(big) <= np.median(small)
 
@@ -88,12 +88,12 @@ def test_fit_shallow_monotone_in_features_median():
 def test_fit_shallow_holomorphic_floor():
     # target conj(z) is unreachable for holomorphic features at any width;
     # classical sup-distance on the unit disk is 1, the grid certifies >= 0.5
-    fn, _ = named_target("zbar")
+    fn = named_target("zbar")
     holo = get_activation("exp")
     for width in (100, 500, 2000):
         cfg = FitConfig(num_features=width, weight_scale=1.0, ridge=1e-8,
                         box=BOX, grid=GridSpec(17), seed=1)
-        net, err = fit_shallow(fn, holo, 1, 1, cfg)
+        net, err = fit_shallow(fn, holo, cfg)
         assert err >= 0.5
         fine = sup_error(fn, lambda zs: eval_cvnn(net, zs, holo.fn), BOX, GridSpec(34))
         assert fine >= 0.5
@@ -101,12 +101,12 @@ def test_fit_shallow_holomorphic_floor():
 
 def test_fit_shallow_singular_without_ridge(rng):
     # duplicated feature rows make the design rank deficient
-    fn, _ = named_target("re")
+    fn = named_target("re")
     spec = get_activation("r_affine", {"a": 1, "b": 0, "c": 0})
     cfg = FitConfig(num_features=600, weight_scale=1.0, ridge=0.0, box=BOX,
                     grid=GridSpec(5), seed=0)
     with pytest.raises(FitSingular):
-        fit_shallow(fn, spec, 1, 1, cfg)
+        fit_shallow(fn, spec, cfg)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -128,8 +128,8 @@ def test_monomial_exponents_graded_lex():
 
 
 def test_fit_poly_recovers_zzbar_exactly():
-    fn, _ = named_target("zzbar")
-    polys = fit_poly(fn, 1, 2, BOX, GridSpec(9))
+    fn = named_target("zzbar")
+    polys = fit_poly(fn, 2, BOX, GridSpec(9))
     assert len(polys) == 1
     terms = polys[0].terms
     assert len(terms) == 1
@@ -140,7 +140,7 @@ def test_fit_poly_recovers_zzbar_exactly():
 
 def test_fit_poly_recovers_re_cubed_exactly():
     fn = lambda zs: np.real(zs[:, 0]).astype(complex) ** 3
-    polys = fit_poly(fn, 1, 3, BOX, GridSpec(9))
+    polys = fit_poly(fn, 3, BOX, GridSpec(9))
     err = sup_error(fn, lambda zs: polys[0](zs), BOX, GridSpec(17))
     assert err < 1e-10
     # RE(z)^3 = (z + zbar)^3 / 8: four monomials
@@ -154,34 +154,60 @@ def test_fit_poly_abs_target():
     # |z| is not a polynomial; uniform-lattice least squares at degree 6
     # lands near 0.084 on a twice-finer grid (frozen from the dense-fit
     # oracle; the corner behavior dominates)
-    fn, _ = named_target("abs")
-    polys = fit_poly(fn, 1, 6, BOX, GridSpec(9))
+    fn = named_target("abs")
+    polys = fit_poly(fn, 6, BOX, GridSpec(9))
     err = sup_error(fn, lambda zs: polys[0](zs), BOX, GridSpec(18))
     assert err < 0.1
 
 
 def test_fit_poly_l2_residual_non_increasing_in_degree():
     # nested bases: the least-squares residual on the fit grid cannot grow
-    fn, _ = named_target("abs")
+    fn = named_target("abs")
     pts = sample_box(BOX, GridSpec(9))
     target = fn(pts)
     resids = []
     for degree in (0, 1, 2, 3, 4, 5, 6):
-        polys = fit_poly(fn, 1, degree, BOX, GridSpec(9))
+        polys = fit_poly(fn, degree, BOX, GridSpec(9))
         resids.append(float(np.linalg.norm(polys[0](pts) - target)))
     for a, b in zip(resids, resids[1:]):
         assert b <= a + 1e-9
 
 
 def test_fit_poly_underdetermined_raises():
-    fn, _ = named_target("abs")
+    fn = named_target("abs")
     with pytest.raises(FitSingular):
-        fit_poly(fn, 1, 8, BOX, GridSpec(3))
+        fit_poly(fn, 8, BOX, GridSpec(3))
+
+
+def test_norm0_fits_have_two_outputs():
+    """The output dimension of a fit is the number of columns of its target."""
+    fn = named_target("norm0")
+    cfg = FitConfig(num_features=30, box=BOX, grid=GridSpec(9), seed=0)
+    net, _ = fit_shallow(fn, CARD, cfg)
+    assert (net.input_dim, net.output_dim) == (1, 2)
+    polys = fit_poly(fn, 2, BOX, GridSpec(9))
+    assert len(polys) == 2 and all(p.n == 1 for p in polys)
+    assert polys[1].terms == ()
+
+
+@pytest.mark.parametrize("fit", [
+    lambda f: fit_shallow(f, CARD, FitConfig(num_features=10, box=BOX, grid=GridSpec(5))),
+    lambda f: fit_poly(f, 1, BOX, GridSpec(5)),
+])
+@pytest.mark.parametrize("target, message", [
+    (lambda zs: zs[1:, 0], r"expected 25 rows, got 24"),
+    (lambda zs: zs[:, :, None], r"expected \(25, m\) values, got shape \(25, 1, 1\)"),
+])
+def test_a_target_of_the_wrong_shape_is_refused(fit, target, message):
+    """Only the columns of a target are free: a wrong row count, or values
+    that are not one row per point, raise DimensionMismatch."""
+    with pytest.raises(DimensionMismatch, match=message):
+        fit(target)
 
 
 def test_fit_poly_multi_output(rng):
     fn = lambda zs: np.column_stack([zs[:, 0] ** 2, np.conj(zs[:, 0])])
-    polys = fit_poly(fn, 1, 2, BOX, GridSpec(9))
+    polys = fit_poly(fn, 2, BOX, GridSpec(9))
     assert len(polys) == 2
     zs = rng.standard_normal((40, 1)) + 1j * rng.standard_normal((40, 1))
     got = np.column_stack([p(zs) for p in polys])

@@ -115,16 +115,16 @@ def test_end_to_end_poly_re_square_narrow():
     rs = get_activation("re_square")
     p = PolyZZbar(1, ((1 + 0j, (1,), (0,)), (1 + 0j, (0,), (2,))))
     f = lambda zs: p(zs)[:, None]
-    net, report = end_to_end_poly(f, rs, 1, 1, 2, "Poly_Narrow_2N2Mplus5", BOX,
-                                  fit_grid=GridSpec(9), prof=PROF)
+    report = end_to_end_poly(f, rs, 2, "Poly_Narrow_2N2Mplus5", BOX,
+                             fit_grid=GridSpec(9), prof=PROF)
+    net = report.best_net()
     assert width_of(net) <= 9
     assert report.best_row().sup_error < 1e-2
     assert report.metadata["mul_kind"] == "mul2"
     # target in the basis: the polynomial stage is exact, all error is lowering
     assert report.program_sup_error() < 1e-10
     assert report.fit_sup_error is None
-    # the pipeline's network is the report's best, one network per row
-    assert net is report.best_net()
+    # one network per row
     assert len(report.nets) == len(report.rows) == len(DEFAULT_SWEEP_SCHEDULE)
     with pytest.raises(dataclasses.FrozenInstanceError):
         report.rows = ()
@@ -133,8 +133,8 @@ def test_end_to_end_poly_re_square_narrow():
 def test_end_to_end_poly_z_in_basis_any_poly_strategy():
     rs = get_activation("re_square")
     f = lambda zs: zs[:, :1]
-    net, report = end_to_end_poly(f, rs, 1, 1, 1, "Poly_Wide_2N2Mplus12", BOX,
-                                  fit_grid=GridSpec(9), prof=PROF)
+    report = end_to_end_poly(f, rs, 1, "Poly_Wide_2N2Mplus12", BOX,
+                             fit_grid=GridSpec(9), prof=PROF)
     assert report.best_row().sup_error < 1e-3
 
 
@@ -142,18 +142,49 @@ def test_end_to_end_poly_bivariate_width():
     ab = get_activation("abs_square")
     f = lambda zs: (zs[:, 0] * np.conj(zs[:, 1]))[:, None]
     box2 = CompactBox.square(2, 1.0)
-    net, report = end_to_end_poly(f, ab, 2, 1, 2, "Poly_Narrow_2N2Mplus5", box2,
-                                  fit_grid=GridSpec(4), prof=PROF)
+    report = end_to_end_poly(f, ab, 2, "Poly_Narrow_2N2Mplus5", box2,
+                             fit_grid=GridSpec(4), prof=PROF)
+    net = report.best_net()
     assert width_of(net) <= 2 * 2 + 2 * 1 + 5
     assert report.best_row().sup_error < 1e-2
 
 
+def _csv_metadata(report) -> dict:
+    return dict(line[2:].split("=", 1) for line in report.to_csv(False).splitlines()
+                if line.startswith("# "))
+
+
+def test_end_to_end_nonpoly_takes_m_from_the_target():
+    """norm0 = (|z|, 0) has two columns: the network has two outputs and the
+    sweep CSV says m=2, with no m passed."""
+    card = get_activation("cardioid")
+    cfg = FitConfig(num_features=40, ridge=1e-6, grid=GridSpec(9), seed=0)
+    report = end_to_end_nonpoly(named_target("norm0"), card, cfg, "NonPoly_NMplus1",
+                                schedule=(1e-4,))
+    assert report.best_net().output_dim == 2
+    meta = _csv_metadata(report)
+    assert (meta["n"], meta["m"]) == ("1", "2")
+
+
+def test_end_to_end_poly_takes_n_from_the_box():
+    """z1zbar2 on a 2-coordinate box: the fitted program reads two inputs and
+    the sweep CSV says n=2, with no n passed."""
+    ab = get_activation("abs_square")
+    report = end_to_end_poly(named_target("z1zbar2"), ab, 2, "Poly_Narrow_2N2Mplus5",
+                             CompactBox.square(2, 1.0), fit_grid=GridSpec(4),
+                             schedule=(1e-3,), prof=PROF)
+    assert report.best_net().input_dim == report.program.input_dim == 2
+    meta = _csv_metadata(report)
+    assert (meta["n"], meta["m"]) == ("2", "1")
+
+
 def test_end_to_end_nonpoly_cardioid():
     card = get_activation("cardioid")
-    fn, _ = named_target("zzbar")
+    fn = named_target("zzbar")
     cfg = FitConfig(num_features=300, weight_scale=1.0, ridge=1e-6,
                     grid=GridSpec(21), seed=0)
-    net, report = end_to_end_nonpoly(fn, card, 1, 1, cfg, "NonPoly_NMplus1")
+    report = end_to_end_nonpoly(fn, card, cfg, "NonPoly_NMplus1")
+    net = report.best_net()
     assert width_of(net) <= 3
     best = report.best_row()
     assert best.sup_error <= report.fit_sup_error + 1e-2
@@ -161,10 +192,11 @@ def test_end_to_end_nonpoly_cardioid():
 
 def test_end_to_end_nonpoly_modrelu_width():
     mr = get_activation("modrelu", {"b": -1})
-    fn, _ = named_target("zzbar")
+    fn = named_target("zzbar")
     cfg = FitConfig(num_features=100, weight_scale=1.0, ridge=1e-6,
                     grid=GridSpec(15), seed=0)
-    net, report = end_to_end_nonpoly(fn, mr, 1, 1, cfg, "NonPoly_2N2Mplus1")
+    report = end_to_end_nonpoly(fn, mr, cfg, "NonPoly_2N2Mplus1")
+    net = report.best_net()
     assert width_of(net) <= 5
     assert report.best_row().sup_error <= report.fit_sup_error + 1e-2
 
@@ -173,10 +205,11 @@ def test_composition_slack_triangle_inequality():
     # measured total <= ideal-stage error + measured lowering error + 1e-9,
     # all on the same verification grid
     card = get_activation("cardioid")
-    fn, _ = named_target("zzbar")
+    fn = named_target("zzbar")
     cfg = FitConfig(num_features=80, weight_scale=1.0, ridge=1e-6,
                     grid=GridSpec(15), seed=1)
-    net, report = end_to_end_nonpoly(fn, card, 1, 1, cfg, "NonPoly_NMplus1")
+    report = end_to_end_nonpoly(fn, card, cfg, "NonPoly_NMplus1")
+    net = report.best_net()
     program = report.program
     eval_grid = GridSpec(30)
     best = report.best_row()
@@ -188,10 +221,9 @@ def test_composition_slack_triangle_inequality():
 
 def test_verification_grid_finer_than_fit_grid():
     card = get_activation("cardioid")
-    fn, _ = named_target("zzbar")
+    fn = named_target("zzbar")
     cfg = FitConfig(num_features=40, grid=GridSpec(9), seed=0)
-    _, report = end_to_end_nonpoly(fn, card, 1, 1, cfg, "NonPoly_NMplus1",
-                                   schedule=(1e-4,))
+    report = end_to_end_nonpoly(fn, card, cfg, "NonPoly_NMplus1", schedule=(1e-4,))
     # the report's errors are measured on 2x the fit grid per axis
     assert report.program_sup_error() >= 0.0
     assert report.metadata["features"] == 40
@@ -222,11 +254,11 @@ def test_affine_closure_demo():
 
 def test_fit_deep_random_deterministic():
     spec = get_activation("exp")
-    fn, m = named_target("zbar")
+    fn = named_target("zbar")
     cfg = FitConfig(num_features=16, weight_scale=0.5, ridge=1e-8, box=BOX,
                     grid=GridSpec(9), seed=0)
-    _, e1 = fit_deep_random(fn, spec, 1, m, 16, 3, cfg)
-    _, e2 = fit_deep_random(fn, spec, 1, m, 16, 3, cfg)
+    _, e1 = fit_deep_random(fn, spec, 16, 3, cfg)
+    _, e2 = fit_deep_random(fn, spec, 16, 3, cfg)
     assert e1 == e2
 
 
@@ -257,7 +289,8 @@ def _one_pass_norms(f, g, pts):
 
 def _card_net_pair(n, target):
     card = get_activation("cardioid")
-    fn, m = named_target(target)
+    fn = named_target(target)
+    m = fn(np.zeros((1, n), dtype=np.complex128)).reshape(1, -1).shape[1]
     rng = np.random.default_rng(7)
     net = Cvnn((random_affine(rng, 5, n), random_affine(rng, 5, 5, 0.5),
                 random_affine(rng, m, 5, 0.5)), card.activation_id)
@@ -361,10 +394,10 @@ def test_end_to_end_nonpoly_all_infinite_sweep_raises():
     # NMplus1 lowering's identity blocks there divide by h d and overflow at
     # every h of the default schedule
     spec = custom_activation("z_abs_z_eps", lambda z: z * np.abs(z) + 1e-5 * z)
-    fn, m = named_target("zzbar")
+    fn = named_target("zzbar")
     cfg = FitConfig(num_features=40, grid=GridSpec(21), seed=0)
     with pytest.raises(EvaluationFailure, match="no h in the sweep"):
-        end_to_end_nonpoly(fn, spec, 1, m, cfg, "NonPoly_NMplus1")
+        end_to_end_nonpoly(fn, spec, cfg, "NonPoly_NMplus1")
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +540,7 @@ def test_sweep_without_finite_row_raises_at_any_stride(monkeypatch):
 
 
 def test_constant_sup_error_is_the_centre_of_the_bounding_box():
-    fn, _ = named_target("abs")
+    fn = named_target("abs")
     # |z| on the 18 x 18 lattice of [-1, 1]^2 ranges over [1/17, sqrt(2)]
     grid = GridSpec(18)
     vals = np.abs(sample_box(BOX, grid)[:, 0])
@@ -515,7 +548,7 @@ def test_constant_sup_error_is_the_centre_of_the_bounding_box():
     lattice = verifier._Lattice(fn, BOX, grid)
     assert lattice.constant_sup_error == pytest.approx(want, rel=1e-15)
     # per output: (|z|, 0) keeps the first output's half range
-    norm0, _ = named_target("norm0")
+    norm0 = named_target("norm0")
     lattice = verifier._Lattice(norm0, BOX, grid)
     assert lattice.constant_sup_error == pytest.approx(want, rel=1e-15)
 
@@ -523,20 +556,20 @@ def test_constant_sup_error_is_the_centre_of_the_bounding_box():
 @pytest.mark.parametrize("seed, beats", [(0, True), (5, False)])
 def test_end_to_end_nonpoly_refuses_a_fit_worse_than_a_constant(seed, beats):
     spec = get_activation("exp_re")
-    fn, m = named_target("abs")
+    fn = named_target("abs")
     cfg = FitConfig(num_features=40, ridge=1e-6, grid=GridSpec(9), seed=seed)
     if beats:
-        _, report = end_to_end_nonpoly(fn, spec, 1, m, cfg, "NonPoly_2N2Mplus1")
+        report = end_to_end_nonpoly(fn, spec, cfg, "NonPoly_2N2Mplus1")
         assert report.best_row().sup_error < report.lattice.constant_sup_error
     else:
         with pytest.raises(EvaluationFailure, match="not below"):
-            end_to_end_nonpoly(fn, spec, 1, m, cfg, "NonPoly_2N2Mplus1")
+            end_to_end_nonpoly(fn, spec, cfg, "NonPoly_2N2Mplus1")
 
 
 def test_end_to_end_poly_reports_constant_error():
     spec = get_activation("re_square")
-    fn, m = named_target("zzbar")
-    _, report = end_to_end_poly(fn, spec, 1, m, 2, "Poly_Narrow_2N2Mplus5", BOX, prof=PROF)
+    fn = named_target("zzbar")
+    report = end_to_end_poly(fn, spec, 2, "Poly_Narrow_2N2Mplus5", BOX, prof=PROF)
     # z conj(z) = |z|^2 on the 18 x 18 lattice of [-1, 1]^2 ranges over [2/289, 2]
     assert report.lattice.constant_sup_error == pytest.approx(1 - 1 / 289, rel=1e-12)
     assert report.best_row().sup_error < report.lattice.constant_sup_error
