@@ -14,14 +14,18 @@ real work.  The width budgets, for input dimension n and output dimension m:
                                      (first output), compute raw
   Poly_Wide_2N2Mplus12   2n+2m+12   input pairs (z, conj z) via 2-neuron
                                      blocks, multiplication block inline
-  Poly_Narrow_2N2Mplus5  2n+2m+5    the multiplication block is first
-                                     rewritten as a width-4 inner register
-                                     program (its duplicated in-register is
-                                     dropped), then id/conj slots are realized
-                                     by 2-neuron blocks
+  Poly_Narrow_2N2Mplus5  2n+2m+5    z slots via 2-neuron pair blocks; w, the
+                                     v_j and the ladder accumulator via
+                                     width-1 identity blocks where the
+                                     activation has a lone-d point, else via
+                                     pair blocks; the multiplication block
+                                     runs as an inner register program with
+                                     the rest of the budget as compute slots:
+                                     m+3 neurons per layer, else 1
   Poly_NMplus4           n+m+4      width-1 identity blocks everywhere plus a
                                      single conjugation register refreshed on
-                                     demand by one 2-neuron pair block
+                                     demand by one 2-neuron pair block; one
+                                     multiplication neuron per layer
 
 A hidden stage is a list of block placements (block, in slots, out slots)
 on the register slots of the state, built into arrays by one function
@@ -195,7 +199,9 @@ class LoweringPlan:
     the activation at which conjugation blocks undo the conj).  The other
     fields are the points of the identity block, the (z, conj z) pair route
     and the square block, and the product the multiplication block affords;
-    None where the strategy needs no such block.
+    None where the strategy needs no such block.  Narrow's identity point is
+    optional: sigma's lone-d point where it has one, else None, and the
+    pair block crosses the registers.
     """
 
     strategy: str
@@ -250,12 +256,10 @@ def _plan(spec: ActivationSpec, strategy: str, prof: ToleranceProfile) -> Loweri
     square = atlas.square_point()
     if square is None:
         raise StrategyMismatch(f"{strategy}: activation is R-affine on the probe grid")
-    id_point = None
-    if strategy == "Poly_NMplus4":
-        if s_lone_d is None:
-            raise StrategyMismatch(
-                f"{strategy}: needs a point with exactly one nonzero first derivative")
-        id_point = s_lone_d
+    if strategy == "Poly_NMplus4" and s_lone_d is None:
+        raise StrategyMismatch(
+            f"{strategy}: needs a point with exactly one nonzero first derivative")
+    id_point = None if strategy == "Poly_Wide_2N2Mplus12" else s_lone_d
     route = atlas.pair_route()
     if route is None:
         raise ConstructionError(
@@ -364,55 +368,64 @@ def _load_map(s: int, iw: int, src: int) -> AffineArrays:
     return _affine(trans, np.zeros(s))
 
 
-def _emit_mul_ladder(pieces: list, kit: _Kit, stages: list, s: int,
+def _emit_mul_ladder(pieces: list, kit: _Kit, stages: list, s: int, p: int,
                      op_idx: int, iw: int):
     """w <- operand * w as an inner register program over the K neurons of
-    the multiplication block (value sum_k c_k y_k + c_bias).  The state
-    widens by an accumulator (slot s) and a compute slot (s + 1).  The load
-    map puts neuron 0's preactivation into the compute slot; the map after
-    each of the first K-1 hidden layers (``stages``) accumulates the
-    neuron's output and loads the next preactivation; the exit map after the
-    last writes the block value back into w.
+    the multiplication block (value sum_k c_k y_k + c_bias), p neurons per
+    hidden layer.  The state widens by an accumulator (slot s) and p compute
+    slots (s + 1 ..).  The load map puts the first p neurons'
+    preactivations into the compute slots; the map after each hidden layer
+    (``stages``) but the last accumulates their outputs and loads the next
+    p; the exit map after the last writes the block value back into w.  So
+    a product takes ceil(K / p) hidden layers.  Every neuron has the same
+    pre bias z0; a compute slot with no neuron left in the last group reads
+    z0 alone and has no weight in the exit map.
 
     Since the c_k scale like h^-2, the accumulator holds the sum rescaled by
-    lam = 1 / max(1, max|c_k|) and centred by sigma(z0), the output at the
-    neurons' common pre bias z0: it gains lam c_k (y_k - sigma(z0)) per
-    step, so the values crossing the identity blocks stay O(1).  The exit
-    map undoes both exactly.
+    lam = 1 / max(1, max|c_k|) and centred by sigma(z0), the output at z0:
+    it gains lam c_k (y_k - sigma(z0)) per neuron, so the values crossing
+    the identity blocks stay O(1).  The exit map undoes both exactly.
     """
     blk = kit.mul_blk
-    rows, biases, coeffs = blk.pre.matrix, blk.pre.bias, blk.post.matrix[0]
-    rho0 = complex(kit.sigma(np.array([biases[0]]))[0])
+    rows, z0, coeffs = blk.pre.matrix, blk.pre.bias[0], blk.post.matrix[0]
+    rho0 = complex(kit.sigma(np.array([z0]))[0])
     lam = 1.0 / max(1.0, float(np.max(np.abs(coeffs))))
-    i_acc, i_cmp = s, s + 1
-    last = len(biases) - 1
+    i_acc, cmp = s, slice(s + 1, s + 1 + p)
+    groups = [range(k, min(k + p, len(coeffs))) for k in range(0, len(coeffs), p)]
 
-    def load(m, b, k):
-        m[i_cmp, op_idx], m[i_cmp, iw] = rows[k]
-        b[i_cmp] = biases[k]
+    def load(m, b, group):
+        b[cmp] = z0
+        for q, k in enumerate(group, s + 1):
+            m[q, op_idx], m[q, iw] = rows[k]
 
-    enter = np.eye(s + 2, s, dtype=np.complex128)
-    enter_b = np.zeros(s + 2, dtype=np.complex128)
-    load(enter, enter_b, 0)
+    enter = np.eye(s + 1 + p, s, dtype=np.complex128)
+    enter_b = np.zeros(s + 1 + p, dtype=np.complex128)
+    load(enter, enter_b, groups[0])
     pieces.append(_affine(enter, enter_b))
 
-    for k in range(last):
+    for group, following in zip(groups, groups[1:]):
         pieces += stages
-        step = np.eye(s + 2, dtype=np.complex128)
-        step_b = np.zeros(s + 2, dtype=np.complex128)
-        step[i_acc, i_cmp] = lam * coeffs[k]
-        step_b[i_acc] = -lam * coeffs[k] * rho0
-        step[i_cmp, i_cmp] = 0
-        load(step, step_b, k + 1)
+        step = np.eye(s + 1 + p, dtype=np.complex128)
+        step_b = np.zeros(s + 1 + p, dtype=np.complex128)
+        for q, k in enumerate(group, s + 1):
+            step[i_acc, q] = lam * coeffs[k]
+        # summed from the first term, not from 0, so that a lone neuron's
+        # term keeps its bits (0 + -0 is +0)
+        drift = [-lam * coeffs[k] * rho0 for k in group]
+        step_b[i_acc] = sum(drift[1:], drift[0])
+        step[cmp, cmp] = 0
+        load(step, step_b, following)
         pieces.append(_affine(step, step_b))
 
     pieces += stages
-    exit_m = np.eye(s, s + 2, dtype=np.complex128)
+    last = groups[-1]
+    exit_m = np.eye(s, s + 1 + p, dtype=np.complex128)
     exit_b = np.zeros(s, dtype=np.complex128)
     exit_m[iw, iw] = 0
     exit_m[iw, i_acc] = 1.0 / lam
-    exit_m[iw, i_cmp] = coeffs[last]
-    exit_b[iw] = complex(blk.post.bias[0]) + rho0 * np.sum(coeffs[:last])
+    for q, k in enumerate(last, s + 1):
+        exit_m[iw, q] = coeffs[k]
+    exit_b[iw] = complex(blk.post.bias[0]) + rho0 * np.sum(coeffs[:last.start])
     pieces.append(_affine(exit_m, exit_b))
 
 
@@ -425,7 +438,9 @@ def _lower_poly(program: RegisterProgram, kit: _Kit, strategy: str) -> list:
     refreshed from z_i by one pair block when an operand needs conj z_i.
     Wide applies the multiplication block inline; Narrow and NMplus4 run it
     as an inner register program (``_emit_mul_ladder``), whose hidden stage
-    also crosses the accumulator and feeds the compute slot one raw neuron.
+    also crosses the accumulator and gives the rest of the width budget to
+    compute slots, one raw neuron each: m + 3 under Narrow with an identity
+    point, else 1.
     A product met while w holds exactly 1 (after T_init or a flush) is
     neither: it is a load (``_load_map``) of the slot holding mul(x, 1),
     x's own under mul1 and mul2 and conj x's under mul3, after a refresh of
@@ -483,10 +498,13 @@ def _lower_poly(program: RegisterProgram, kit: _Kit, strategy: str) -> list:
             pieces += kit.realize(_stage(registers(op_idx=op_idx), s, np.zeros(s)))
             continue
         if ladder is None:
-            ladder = kit.realize(_stage(
-                registers() + [(kit.id_blk, [s], [s]), (_RAW, [s + 1], [s + 1])],
-                s + 2, np.zeros(s + 2)))
-        _emit_mul_ladder(pieces, kit, ladder, s, op_idx, iw)
+            # the accumulator crosses like a register; the rest of the
+            # budget goes to compute slots
+            crossed = registers() + [(kit.id_blk, [s], [s])]
+            p = strategy_width_budget(strategy, n, m) - sum(blk.width for blk, _, _ in crossed)
+            computes = [(_RAW, [q], [q]) for q in range(s + 1, s + 1 + p)]
+            ladder = kit.realize(_stage(crossed + computes, s + 1 + p, np.zeros(s + 1 + p)))
+        _emit_mul_ladder(pieces, kit, ladder, s, p, op_idx, iw)
 
     pieces.append(_end_map(program, s))
     return pieces

@@ -562,13 +562,25 @@ def test_load_cases_cover_every_mul_kind_and_the_realizer():
     assert plan_lowering(CONJ_ZB, "Poly_NMplus4", PROF).realizer_point is not None
 
 
-def _ladders(pieces):
-    """The multiplication ladders of a poly chain: each enters by one map
-    that widens the state (the end map's input) by the accumulator and the
-    compute slot."""
+def _ladder_runs(pieces):
+    """(p, hidden widths) of each multiplication ladder of a poly chain: a
+    ladder enters by one map that widens the state (the end map's input) by
+    the accumulator and p compute slots and leaves by one that narrows it
+    back; the stages between are its hidden layers."""
     s = pieces[-1].matrix.shape[1]
-    return sum(isinstance(obj, lowering.AffineArrays) and obj.matrix.shape == (s + 2, s)
-               for obj in pieces)
+    runs, inside = [], False
+    for obj in pieces:
+        if isinstance(obj, lowering.Stage):
+            if inside:
+                runs[-1][1].append(obj.pre.out_dim)
+            continue
+        rows, cols = obj.matrix.shape
+        if cols == s < rows:
+            runs.append((rows - s - 1, []))
+            inside = True
+        elif rows == s < cols:
+            inside = False
+    return runs
 
 
 @pytest.mark.parametrize("spec, strategy", LOAD_CASES,
@@ -593,11 +605,12 @@ def test_one_factor_program_lowers_to_the_init_stage_alone(spec, strategy, side)
 
 def test_a_product_of_two_factors_lowers_with_one_ladder():
     """z1 conj(z2), the n = 2 benchmark compile's monomial: the first factor
-    is loaded, so one 12-neuron ladder follows the init stage."""
+    is loaded, so one ladder follows the init stage, its 12 neurons run 4
+    to a hidden layer."""
     program = poly_to_register([PolyZZbar(2, ((1 + 0j, (1, 0), (0, 1)),))], "mul2")
     pieces = lower_pieces(program, CARD, "Poly_Narrow_2N2Mplus5", 1e-4, PROF)
-    assert _ladders(pieces) == 1
-    assert depth_of(assemble_pieces(pieces, CARD.activation_id)) == 14
+    assert len(_ladder_runs(pieces)) == 1
+    assert depth_of(assemble_pieces(pieces, CARD.activation_id)) == 5
 
 
 @pytest.mark.parametrize("strategy", ["Poly_Narrow_2N2Mplus5", "Poly_NMplus4"])
@@ -608,9 +621,109 @@ def test_a_monomial_after_a_flush_loads_its_first_factor(strategy):
     program = poly_to_register([poly], "mul2")
     assert sum(isinstance(lay, FlushLayer) for lay in program.layers) == 2
     pieces = lower_pieces(program, CARD, strategy, 1e-4, PROF)
-    assert _ladders(pieces) == 2
+    assert len(_ladder_runs(pieces)) == 2
     net = assemble_pieces(pieces, CARD.activation_id)
     err = sup_error(lambda zs: eval_register(program, zs),
                     lambda zs: eval_cvnn(net, zs, CARD.fn), CompactBox.square(1, 1.0),
                     GridSpec(11))
     assert err < 1e-2
+
+
+# ---------------------------------------------------------------------------
+# The ladder runs as many multiplication neurons per layer as the budget has
+# room for
+# ---------------------------------------------------------------------------
+
+
+#: the neurons K of the multiplication block of each mul kind
+MUL_NEURONS = {"mul1": 8, "mul2": 12, "mul3": 8}
+
+PACKED_CASES = [pytest.param(spec, id=spec.name) for spec in (CARD, ZB)]
+
+#: (activation, strategy, depths of _test_poly at (n, m) = (1, 1), (2, 1),
+#: (1, 2)) of plans whose ladder has room for only one neuron per layer
+SINGLE_CASES = [
+    pytest.param(RE_SQ, "Poly_Narrow_2N2Mplus5", (14, 26, 26), id="re_square-Narrow"),
+    pytest.param(ABS_SQ, "Poly_Narrow_2N2Mplus5", (14, 26, 26), id="abs_square-Narrow"),
+    pytest.param(MODRELU, "Poly_Narrow_2N2Mplus5", (14, 26, 26), id="modrelu-Narrow"),
+    pytest.param(CARD, "Poly_NMplus4", (15, 27, 27), id="cardioid-NMplus4"),
+    pytest.param(ZB, "Poly_NMplus4", (10, 19, 18), id="z_plus_zbar_sq-NMplus4"),
+    pytest.param(CONJ_ZB, "Poly_NMplus4", (19, 37, 35), id="conj:z_plus_zbar_sq-NMplus4"),
+]
+
+SHAPES = [(1, 1), (2, 1), (1, 2)]
+
+
+@pytest.mark.parametrize("spec", PACKED_CASES)
+@pytest.mark.parametrize("n, m", SHAPES)
+def test_narrow_with_an_identity_point_fills_its_budget_with_the_ladder(spec, n, m):
+    """With a lone-d point, w, the v_j and the accumulator cross through
+    width-1 identity blocks and the z slots through pair blocks: 2n + m + 2
+    neurons, so the ladder stage holds p = m + 3 multiplication neurons,
+    sits exactly at the budget, and a product takes ceil(K / p) layers."""
+    strategy = "Poly_Narrow_2N2Mplus5"
+    plan = plan_lowering(spec, strategy, PROF)
+    assert plan.id_point is not None
+    budget = strategy_width_budget(strategy, n, m)
+    pieces, _ = _lowered(strategy, n, m, seed=0, spec=spec)
+    runs = _ladder_runs(pieces)
+    p = m + 3
+    assert runs
+    for slots, widths in runs:
+        assert slots == p
+        assert widths == [budget] * -(-MUL_NEURONS[plan.mul_kind] // p)
+    assert width_of(assemble_pieces(pieces, spec.activation_id)) == budget
+
+
+@pytest.mark.parametrize("spec, strategy, depths", SINGLE_CASES)
+def test_a_ladder_without_room_runs_one_neuron_per_layer(spec, strategy, depths):
+    """Narrow without an identity point crosses every register through a
+    pair block, and NMplus4's budget is n + m + 4: either way one compute
+    slot is left, and the depths stay as they were before the packing."""
+    plan = plan_lowering(spec, strategy, PROF)
+    layers_per_stage = 1 if plan.realizer_point is None else 2
+    got = []
+    for n, m in SHAPES:
+        pieces, _ = _lowered(strategy, n, m, seed=0, spec=spec)
+        runs = _ladder_runs(pieces)
+        assert runs
+        for slots, widths in runs:
+            assert slots == 1
+            assert len(widths) == MUL_NEURONS[plan.mul_kind] * layers_per_stage
+        got.append(depth_of(assemble_pieces(pieces, spec.activation_id)))
+    assert tuple(got) == depths
+
+
+@settings(max_examples=100)
+@given(n=st.integers(1, 2), m=st.integers(1, 2), h=st.sampled_from((1e-2, 1e-3, 1e-4)),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_fused_equals_unfused_on_packed_narrow_programs(n, m, h, seed, data):
+    """Narrow over cardioid packs m + 3 neurons per ladder layer, so at
+    m = 2 the last of the 12 neurons' groups holds 2 of 5 slots."""
+    rng = np.random.default_rng(seed)
+    polys = [_random_poly(data.draw, rng, n) for _ in range(m)]
+    program = poly_to_register(polys, "mul2")
+    zs = random_points(rng, 30, n, scale=0.5)
+    _assert_fused_equals_unfused(program, CARD, "Poly_Narrow_2N2Mplus5", h, zs, rng)
+
+
+@pytest.mark.parametrize("n, polys", [
+    (2, [PolyZZbar(2, ((1 + 0j, (1, 0), (0, 1)),))]),
+    (1, [PolyZZbar(1, ((1 + 0j, (1,), (1,)),))]),
+    (1, [PolyZZbar(1, ((1 + 0j, (1,), (1,)),)), PolyZZbar(1, ((1j, (0,), (2,)),))]),
+], ids=["z1zbar2", "zzbar", "zzbar-and-zbar2"])
+def test_a_packed_ladder_converges_like_h(n, polys):
+    """The packed cardioid lowering keeps the O(h) truncation regime: its
+    error against the program falls at least 5x per decade of h, also with
+    m = 2, where the last of each ladder's three layers runs 2 neurons in
+    its 5 compute slots."""
+    program = poly_to_register(polys, "mul2")
+    errs = []
+    for h in (1e-2, 1e-3, 1e-4):
+        net = lower(program, CARD, "Poly_Narrow_2N2Mplus5", h, PROF)
+        assert hidden_widths(net)[-1] == strategy_width_budget(
+            "Poly_Narrow_2N2Mplus5", n, len(polys))
+        errs.append(sup_error(lambda zs: eval_register(program, zs),
+                              lambda zs: eval_cvnn(net, zs, CARD.fn),
+                              CompactBox.square(n, 1.0), GridSpec(9)))
+    assert errs[0] >= 5 * errs[1] and errs[1] >= 5 * errs[2]

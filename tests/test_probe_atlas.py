@@ -8,7 +8,9 @@ raises.  The table was recorded from the per-use grid scans that the atlas
 replaced, so it also shows that the atlas keeps their choices.  The plans
 of nowhere_diff were recorded again when a derivative came to count as
 nonzero only above three times its error estimate: its estimates are the
-only nonzero ones in the catalog.
+only nonzero ones in the catalog.  The Narrow plans took the lone-d
+identity point (None where there is none, as before) when Narrow came to
+cross its registers through identity blocks wherever it can.
 """
 
 from collections import Counter
@@ -65,7 +67,7 @@ GOLDEN = {
             'Poly_Wide_2N2Mplus12':
                 ('cardioid', None, None, (-2j,), (-0.5-0.5j), 'mul2'),
             'Poly_Narrow_2N2Mplus5':
-                ('cardioid', None, None, (-2j,), (-0.5-0.5j), 'mul2'),
+                ('cardioid', None, (0.5+0j), (-2j,), (-0.5-0.5j), 'mul2'),
             'Poly_NMplus4':
                 ('cardioid', None, (0.5+0j), (-2j,), (-0.5-0.5j), 'mul2'),
         }),
@@ -118,7 +120,7 @@ GOLDEN = {
             'Poly_Wide_2N2Mplus12':
                 ('nowhere_diff', None, None, ((-2-0.5j),), (-1-1j), 'mul2'),
             'Poly_Narrow_2N2Mplus5':
-                ('nowhere_diff', None, None, ((-2-0.5j),), (-1-1j), 'mul2'),
+                ('nowhere_diff', None, (-1.5+0.5j), ((-2-0.5j),), (-1-1j), 'mul2'),
             'Poly_NMplus4':
                 ('nowhere_diff', None, (-1.5+0.5j), ((-2-0.5j),), (-1-1j), 'mul2'),
         }),
@@ -170,7 +172,7 @@ GOLDEN = {
             'Poly_Wide_2N2Mplus12':
                 ('z_plus_zbar_sq', None, None, ((-2-2j),), 0j, 'mul3'),
             'Poly_Narrow_2N2Mplus5':
-                ('z_plus_zbar_sq', None, None, ((-2-2j),), 0j, 'mul3'),
+                ('z_plus_zbar_sq', None, 0j, ((-2-2j),), 0j, 'mul3'),
             'Poly_NMplus4':
                 ('z_plus_zbar_sq', None, 0j, ((-2-2j),), 0j, 'mul3'),
         }),
@@ -213,7 +215,7 @@ GOLDEN = {
             'Poly_Wide_2N2Mplus12':
                 ('scale((0.5+0.5j)):cardioid', None, None, (-2j,), (-0.5-0.5j), 'mul2'),
             'Poly_Narrow_2N2Mplus5':
-                ('scale((0.5+0.5j)):cardioid', None, None, (-2j,), (-0.5-0.5j), 'mul2'),
+                ('scale((0.5+0.5j)):cardioid', None, (0.5+0j), (-2j,), (-0.5-0.5j), 'mul2'),
             'Poly_NMplus4':
                 ('scale((0.5+0.5j)):cardioid', None, (0.5+0j), (-2j,), (-0.5-0.5j), 'mul2'),
         }),
