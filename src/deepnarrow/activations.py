@@ -12,6 +12,8 @@ Wirtinger derivative convention: d = (d/dx - i d/dy)/2, dbar = (d/dx + i d/dy)/2
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
@@ -21,6 +23,7 @@ from .core import ActivationId
 from .errors import InvalidActivationParams, UnknownActivation
 
 __all__ = [
+    "MEMO_SIZE",
     "ActivationSpec",
     "PolyharmonicFlag",
     "get_activation",
@@ -29,6 +32,12 @@ __all__ = [
     "scale_activation",
     "custom_activation",
 ]
+
+
+#: How many entries each per-process memo keeps, the most recently used: the
+#: shared catalog specs of ``get_activation``, the probe atlases of
+#: ``wirtinger.probe_atlas`` and the plans of ``lowering.plan_lowering``.
+MEMO_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -63,8 +72,12 @@ class ActivationSpec:
 
 
 def conjugate_activation(spec: ActivationSpec) -> ActivationSpec:
-    """conj o spec.  Wirtinger data swaps and conjugates:
+    """conj o spec, a fresh spec.  Wirtinger data swaps and conjugates:
     d(conj f) = conj(dbar f), dbar(conj f) = conj(d f)."""
+    return _conjugate(spec)
+
+
+def _conjugate(spec: ActivationSpec) -> ActivationSpec:
     inner_first = spec.analytic_first
     inner_second = spec.analytic_second
 
@@ -413,14 +426,42 @@ def available_activations() -> tuple:
     return tuple(sorted(_BUILDERS))
 
 
+#: The shared catalog specs, least recently used first, keyed by name and
+#: the repr of the built parameters: repr, unlike ==, tells -0.0 from 0.0,
+#: which build different specs
+_SHARED_SPECS: "OrderedDict[tuple, ActivationSpec]" = OrderedDict()
+_SPECS_LOCK = threading.Lock()
+
+
 def get_activation(name: str, params: Optional[Mapping] = None) -> ActivationSpec:
     """Look up a catalog activation.  A ``conj:`` prefix wraps the inner
     activation in complex conjugation (used by the conjugate-network
     lowerings and serialization).  A parameter value that is not finite, or
-    a parameter the activation does not read, raises InvalidActivationParams."""
-    params = dict(params or {})
+    a parameter the activation does not read, raises InvalidActivationParams.
+
+    Calls that build the same name and parameter values (the sign of a zero
+    included) return one shared spec while it is among the MEMO_SIZE most
+    recently used, so the by-value memos of its probe atlas and lowering
+    plans hit across calls.  Every call validates its parameters; a failed
+    one is not remembered.  ``custom_activation``, ``scale_activation``,
+    ``conjugate_activation`` and ``dataclasses.replace`` make a fresh spec
+    on every call, with memo entries of its own."""
+    spec = _build(name, dict(params or {}))
+    key = (spec.name, repr(spec.params))
+    with _SPECS_LOCK:
+        spec = _SHARED_SPECS.pop(key, spec)
+        _SHARED_SPECS[key] = spec
+        if len(_SHARED_SPECS) > MEMO_SIZE:
+            _SHARED_SPECS.popitem(last=False)
+    return spec
+
+
+def _build(name: str, params: dict) -> ActivationSpec:
+    """A new spec of a catalog name, through private names only, so that a
+    wrapper installed over a public constructor never enters the shared
+    specs."""
     if name.startswith("conj:"):
-        return conjugate_activation(get_activation(name[len("conj:"):], params))
+        return _conjugate(_build(name[len("conj:"):], params))
     builder = _BUILDERS.get(name)
     if builder is None:
         raise UnknownActivation(f"unknown activation {name!r}")
@@ -431,4 +472,3 @@ def get_activation(name: str, params: Optional[Mapping] = None) -> ActivationSpe
     if params:
         raise InvalidActivationParams(f"{name} reads no parameter {', '.join(sorted(params))}")
     return spec
-

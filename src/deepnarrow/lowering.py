@@ -54,7 +54,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .activations import ActivationSpec, conjugate_activation
+from .activations import MEMO_SIZE, ActivationSpec, conjugate_activation
 from .blocks import (_SQUARE_TO_MUL, ShallowBlock, identity_block, mul_block,
                      routed_pair_block)
 from .core import (AffineArrays, ComplexAffineMap, Cvnn, eval_affine, fuse_arrays,
@@ -219,14 +219,16 @@ def plan_lowering(spec: ActivationSpec, strategy: str,
     raises StrategyMismatch (or ConstructionError for the pair route) when
     the activation lacks a point the strategy needs.
 
-    Memoised by value like ``probe_atlas`` (the 8 most recently used plans
-    are kept; a failed plan is not), so a compile plans once and every h of
-    its sweep shares that plan and its sigma.
+    Memoised by value like ``probe_atlas`` (the MEMO_SIZE most recently
+    used plans are kept; a failed plan is not), so a process plans once per
+    (activation, strategy, profile) while that plan is kept: every h of a
+    sweep, and every later compile of a shared ``get_activation`` spec,
+    reuses the plan and its sigma.
     """
     return _plan(spec, strategy, prof)
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def _plan(spec: ActivationSpec, strategy: str, prof: ToleranceProfile) -> LoweringPlan:
     if strategy not in STRATEGIES:
         raise StrategyMismatch(f"unknown strategy {strategy!r}")

@@ -47,7 +47,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .activations import ActivationSpec
+from .activations import MEMO_SIZE, ActivationSpec
 from .core import CompactBox, GridSpec, _c2l, sample_box
 from .errors import ProbeFailed
 
@@ -402,10 +402,11 @@ class ProbeAtlas:
     the first in grid order, so the classifier, the pipelines and the
     lowering read the same facts.  One store keeps what is computed on first
     query: f(z0) at every point in one activation call, the second probe
-    per point, and the Taylor verdicts of every candidate point in one batch,
-    a failed probe as its ProbeFailed.  ``conjugated()`` is the view of
-    conj o f sharing the store: d and dbar swapped and conjugated (d(conj f)
-    = conj(dbar f)), which finite differences reproduce up to signs of zeros.
+    per point, the Taylor verdicts of every candidate point in one batch, a
+    failed probe as its ProbeFailed, and the points that pass.
+    ``conjugated()`` is the view of conj o f sharing the store: d and dbar
+    swapped and conjugated (d(conj f) = conj(dbar f)), which finite
+    differences reproduce up to signs of zeros.
     """
 
     def __init__(self, spec: ActivationSpec, prof: ToleranceProfile, z0: np.ndarray,
@@ -420,7 +421,8 @@ class ProbeAtlas:
         self._mags = _mag(d), _mag(dbar)     # (|d|, |dbar|), the scores' columns
         self._conj = conj
         # shared with conjugated views: per point the second probe and the
-        # Taylor verdict, None until queried, and "f0" once evaluated
+        # Taylor verdict, None until queried, "f0" once evaluated and
+        # "passing" once every candidate's verdict is known
         self._store = store or {"second": [None] * len(z0), "taylor": [None] * len(z0)}
 
     def __len__(self) -> int:
@@ -487,8 +489,13 @@ class ProbeAtlas:
     def taylor_passing(self) -> list:
         """The points with a first-order pattern that pass the remainder
         probe, in grid order; raises the ProbeFailed of the first of them
-        whose probe failed, as querying each in turn does."""
-        return [i for i in np.flatnonzero(self.codes).tolist() if self.taylor_passed(i)]
+        whose probe failed, as querying each in turn does.  Kept in the store
+        once every verdict is known: the conjugated view has the same
+        verdicts and the same nonzero codes."""
+        if "passing" not in self._store:
+            self._store["passing"] = tuple(
+                i for i in np.flatnonzero(self.codes).tolist() if self.taylor_passed(i))
+        return list(self._store["passing"])
 
     def probe(self, i: int) -> WirtingerProbe:
         """First- and second-order data at point i, as ``probe_point`` gives."""
@@ -642,7 +649,7 @@ def _doubled(box: CompactBox) -> CompactBox:
     return CompactBox(tuple(grow(a, b) + grow(c, d) for a, b, c, d in box.intervals))
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def _scan(spec: ActivationSpec, prof: ToleranceProfile) -> ProbeAtlas:
     for growth in range(PROBE_BOX_GROWTHS + 1):
         if growth:
@@ -674,10 +681,12 @@ def probe_atlas(spec: ActivationSpec, prof: ToleranceProfile = ToleranceProfile(
     is returned; its ``prof`` holds that box, so the classifier and the
     lowering read the same points.
 
-    The memo is keyed by value; specs compare their callables by identity,
-    so every ``get_activation`` call makes a new key while one spec shared
-    by a classification and a pipeline shares one atlas.  The 8 most
-    recently used atlases are kept.
+    The memo is keyed by value, and specs compare their callables by
+    identity: the shared specs of ``get_activation`` find the atlas of an
+    earlier call with the same name and parameters, while a spec made by
+    ``custom_activation``, ``scale_activation``, ``conjugate_activation`` or
+    ``dataclasses.replace`` is scanned anew.  The MEMO_SIZE most recently
+    used atlases are kept.
     """
     return _scan(spec, prof)
 

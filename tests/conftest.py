@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from deepnarrow import activations, lowering, wirtinger
 from deepnarrow.core import ComplexAffineMap, Cvnn, eval_cvnn
 from deepnarrow.verifier import sup_error
 from deepnarrow.wirtinger import ToleranceProfile, first_derivs, taylor_remainder_probe
@@ -45,6 +46,16 @@ def taylor_reports(spec, centres, prof=ToleranceProfile()):
     return taylor_remainder_probe(spec, np.asarray(centres, dtype=np.complex128),
                                   np.array([f[0] for f in firsts]),
                                   np.array([f[1] for f in firsts]))
+
+
+@pytest.fixture(autouse=True)
+def cold_memos():
+    """Every test starts with empty per-process memos (shared catalog specs,
+    probe atlases, lowering plans), so that the scans and plans a test
+    counts do not depend on the tests that ran before it."""
+    activations._SHARED_SPECS.clear()
+    wirtinger._scan.cache_clear()
+    lowering._plan.cache_clear()
 
 
 @pytest.fixture

@@ -13,6 +13,7 @@ identity point (None where there is none, as before) when Narrow came to
 cross its registers through identity blocks wherever it can.
 """
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -338,9 +339,14 @@ def test_probe_box_without_witness_is_inconclusive():
 
 
 def test_atlas_is_memoised_by_value():
+    """Two catalog lookups share one spec and so one atlas; a spec with a
+    new callable is a new key."""
     spec = get_activation("cardioid")
     assert probe_atlas(spec, PROF) is probe_atlas(spec, ToleranceProfile())
-    assert probe_atlas(spec, PROF) is not probe_atlas(get_activation("cardioid"), PROF)
+    assert probe_atlas(spec, PROF) is probe_atlas(get_activation("cardioid"), PROF)
+    fresh = dataclasses.replace(spec, fn=lambda z: spec.fn(z))
+    assert probe_atlas(spec, PROF) is not probe_atlas(fresh, PROF)
+    assert probe_atlas(fresh, PROF) is probe_atlas(fresh, PROF)
 
 
 @pytest.mark.parametrize("argv, dead_point", [
@@ -354,7 +360,10 @@ def test_atlas_is_memoised_by_value():
 ])
 def test_one_scan_per_compile(monkeypatch, tmp_path, argv, dead_point):
     """At a grid point with zero derivative only the scan probes, so the
-    number of first-derivative probes there counts the atlases built."""
+    number of first-derivative probes there counts the atlases built.  A
+    compile scans once, a second compile in the same process shares the
+    first one's spec and scans no more, and a spec with a new callable
+    scans once of its own."""
     calls = Counter()
     first_derivs = wirtinger.first_derivs
 
@@ -363,11 +372,16 @@ def test_one_scan_per_compile(monkeypatch, tmp_path, argv, dead_point):
         return first_derivs(spec, z0, prof)
 
     monkeypatch.setattr(wirtinger, "first_derivs", counting)
-    argv = ["compile", "--target", "zzbar", *argv, "--no-timestamp",
-            "--out", str(tmp_path / "run")]
-    assert cli.main(argv) == 0
+    compile_argv = ["compile", "--target", "zzbar", *argv, "--no-timestamp",
+                    "--out", str(tmp_path / "run")]
+    assert cli.main(compile_argv) == 0
     assert calls[dead_point] == 1
-    assert cli.main(argv) == 0
+    assert cli.main(compile_argv) == 0
+    assert calls[dead_point] == 1
+    spec = get_activation(argv[1])
+    fresh = dataclasses.replace(spec, fn=lambda z: spec.fn(z))
+    probe_atlas(fresh, PROF)
+    probe_atlas(fresh, PROF)
     assert calls[dead_point] == 2
 
 
@@ -425,9 +439,26 @@ def test_taylor_failure_raises_only_where_queried(monkeypatch):
             atlas.taylor_passed(bad)
     with pytest.raises(ProbeFailed):
         atlas.conjugated().taylor_passed(bad)
+    for view in (atlas, atlas, atlas.conjugated()):
+        with pytest.raises(ProbeFailed, match="activation evaluation failed near"):
+            view.taylor_passing()
     assert len(calls) == 2
     with pytest.raises(ProbeFailed):
         classify_activation(_holed(bad_circle), PROF)
+
+
+def test_passing_points_are_kept_for_the_conjugated_view(monkeypatch):
+    """Once every verdict is known the passing points are kept: later
+    queries, on the atlas and on its conjugated view, probe nothing."""
+    atlas = probe_atlas(get_activation("cardioid"), PROF)
+    passing = atlas.taylor_passing()
+    assert passing == [i for i in range(len(atlas)) if atlas.codes[i] and atlas.taylor_passed(i)]
+
+    def probing(self, i):
+        raise AssertionError("a kept verdict was queried again")
+
+    monkeypatch.setattr(wirtinger.ProbeAtlas, "taylor_passed", probing)
+    assert atlas.taylor_passing() == atlas.conjugated().taylor_passing() == passing
 
 
 def test_taylor_failure_at_the_winning_point_raises():
@@ -447,8 +478,9 @@ def test_taylor_failure_at_the_winning_point_raises():
 ])
 def test_one_plan_per_compile(monkeypatch, tmp_path, argv):
     """plan_lowering is memoised by value: a compile plans once, not once
-    for the pipeline and once more at each h.  Each plan opens the atlas
-    once, so lowering's atlas lookups count the plans."""
+    for the pipeline and once more at each h, and a second compile in the
+    same process shares the first one's spec and plans no more.  Each plan
+    opens the atlas once, so lowering's atlas lookups count the plans."""
     plans = []
     atlas = lowering.probe_atlas
 
@@ -462,4 +494,4 @@ def test_one_plan_per_compile(monkeypatch, tmp_path, argv):
     assert cli.main(argv) == 0
     assert len(plans) == 1
     assert cli.main(argv) == 0
-    assert len(plans) == 2
+    assert len(plans) == 1

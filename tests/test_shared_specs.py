@@ -1,0 +1,152 @@
+"""One shared spec per catalog activation and parameter values.
+
+``get_activation`` returns the same spec object for the same name and
+parameter values while it is among the MEMO_SIZE most recently used, so the
+by-value memos of the probe atlas and the lowering plan hit across calls in
+one process.  Reusing them must not change any output: a warm run writes the
+bytes a cold one writes.
+"""
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from deepnarrow import activations, cli, lowering, wirtinger
+from deepnarrow.activations import (MEMO_SIZE, conjugate_activation, custom_activation,
+                                    get_activation)
+from deepnarrow.errors import InvalidActivationParams, UnknownActivation
+
+
+def _outputs(argv, out):
+    """The bytes of every file a run of argv writes under out, by suffix."""
+    assert cli.main([*argv, "--no-timestamp", "--out", str(out)]) == 0
+    return {p.name[len(out.name):]: p.read_bytes() for p in sorted(out.parent.iterdir())}
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--activation", "cardioid"],
+    ["compile", "--target", "zzbar", "--activation", "conj:cardioid", "--features", "20"],
+    ["compile", "--target", "zzbar", "--activation", "re_square", "--degree", "2"],
+], ids=["classify", "compile-nonpoly", "compile-poly"])
+def test_warm_run_writes_the_bytes_of_a_cold_run(tmp_path, capsys, argv):
+    """The first run scans and plans, the second reuses both and writes the
+    same documents, networks and sweep CSVs."""
+    (tmp_path / "cold").mkdir()
+    (tmp_path / "warm").mkdir()
+    cold = _outputs(argv, tmp_path / "cold" / "run")
+    cold_stdout = capsys.readouterr().out
+    scans, plans = wirtinger._scan.cache_info(), lowering._plan.cache_info()
+    assert scans.misses >= 1
+    warm = _outputs(argv, tmp_path / "warm" / "run")
+    assert wirtinger._scan.cache_info().misses == scans.misses
+    assert lowering._plan.cache_info().misses == plans.misses
+    assert cold and warm == cold
+    assert capsys.readouterr().out == cold_stdout
+
+
+def test_equal_arguments_share_one_spec():
+    assert get_activation("cardioid") is get_activation("cardioid")
+    assert get_activation("conj:cardioid") is get_activation("conj:cardioid")
+    assert get_activation("conj:cardioid") is not get_activation("cardioid")
+    # parameters are compared as built: -1 and -1.0 both build b = -1.0
+    assert get_activation("modrelu", {"b": -1}) is get_activation("modrelu", {"b": -1.0})
+    assert get_activation("modrelu", {"b": -1}) is not get_activation("modrelu", {"b": -2})
+
+
+def test_other_constructors_make_fresh_specs():
+    card = get_activation("cardioid")
+    assert conjugate_activation(card) is not conjugate_activation(card)
+    assert conjugate_activation(card) != get_activation("conj:cardioid")
+    assert custom_activation("c", card.fn) is not custom_activation("c", card.fn)
+
+
+def _signed(params):
+    """Each complex value's parts with their signs, so that -0.0 and 0.0 differ."""
+    return [(k, np.signbit(v.real), v.real, np.signbit(v.imag), v.imag) for k, v in params]
+
+
+def test_a_zero_of_either_sign_builds_its_own_spec():
+    """b = 0.0 and b = -0.0 compare equal but build different functions: the
+    sign of b * conj(z) at a zero z follows the sign of b."""
+    plus = get_activation("r_affine", {"a": 2, "b": 0.0})
+    minus = get_activation("r_affine", {"a": 2, "b": -0.0})
+    assert plus is not minus
+    assert plus is get_activation("r_affine", {"a": 2, "b": 0.0})
+    assert minus is get_activation("r_affine", {"a": 2, "b": -0.0})
+    for spec, b in ((plus, 0.0), (minus, -0.0)):
+        uncached = activations._build("r_affine", {"a": 2, "b": b})
+        assert uncached is not spec
+        assert _signed(spec.params) == _signed(uncached.params)
+    assert _signed(plus.params) != _signed(minus.params)
+
+
+def test_only_the_most_recent_specs_are_kept():
+    first = get_activation("modrelu", {"b": -1})
+    for k in range(2, MEMO_SIZE + 1):
+        get_activation("modrelu", {"b": -k})
+    assert get_activation("modrelu", {"b": -1}) is first  # refreshed: now the most recent
+    for k in range(2, MEMO_SIZE + 2):
+        get_activation("modrelu", {"b": -k})
+    assert get_activation("modrelu", {"b": -1}) is not first
+
+
+def test_concurrent_lookups_keep_the_memo_whole():
+    """Threads looking up more activations than the memo keeps, with a short
+    switch interval: every lookup gives its own parameters, none raises, and
+    the memo never holds more than MEMO_SIZE specs."""
+    errors, results = [], []
+
+    def lookups(offset):
+        try:
+            for k in range(400):
+                b = -1.0 - (k + offset) % (2 * MEMO_SIZE)
+                results.append(get_activation("modrelu", {"b": b}).params == (("b", b),))
+        except Exception as exc:  # reported below, with the thread's other results
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lookups, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and len(results) == 1600 and all(results)
+    assert len(activations._SHARED_SPECS) <= MEMO_SIZE
+
+
+@pytest.mark.parametrize("name, params, error, message", [
+    ("modrelu", {"b": float("nan")}, InvalidActivationParams,
+     "modrelu parameter b=nan is not finite"),
+    ("cardioid", {"b": 3}, InvalidActivationParams, "cardioid reads no parameter b"),
+    ("modrelu", {"b": 0.0}, InvalidActivationParams, "modrelu requires b < 0, got 0.0"),
+    ("conj:modrelu", {"b": 1}, InvalidActivationParams, "modrelu requires b < 0, got 1.0"),
+    ("swish", None, UnknownActivation, "unknown activation 'swish'"),
+], ids=["nan", "unread", "modrelu-b-zero", "conj-modrelu-b-positive", "unknown"])
+def test_a_failed_build_raises_on_every_call(name, params, error, message):
+    kept = dict(activations._SHARED_SPECS)
+    for _ in range(3):
+        with pytest.raises(error) as info:
+            get_activation(name, params)
+        assert info.value.args == (message,)
+    assert activations._SHARED_SPECS == kept
+
+
+def test_a_wrapper_over_a_public_constructor_stays_out_of_the_shared_specs(monkeypatch):
+    """The catalog builds through private names: a wrapper installed over
+    ``get_activation`` or ``conjugate_activation`` (a profiler, a tracer) is
+    not called from inside the lookup, so it cannot enter a shared spec."""
+    lookup = activations.get_activation
+
+    def wrapper(*args, **kwargs):
+        raise AssertionError("the lookup called a public constructor")
+
+    monkeypatch.setattr(activations, "get_activation", wrapper)
+    monkeypatch.setattr(activations, "conjugate_activation", wrapper)
+    assert lookup("conj:conj:cardioid").name == "conj:conj:cardioid"
