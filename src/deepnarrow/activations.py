@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
 import numpy as np
@@ -32,12 +32,6 @@ __all__ = [
     "scale_activation",
     "custom_activation",
 ]
-
-
-#: How many entries each per-process memo keeps, the most recently used: the
-#: shared catalog specs of ``get_activation``, the probe atlases of
-#: ``wirtinger.probe_atlas`` and the plans of ``lowering.plan_lowering``.
-MEMO_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -58,6 +52,9 @@ class ActivationSpec:
     poly_flag: Optional[PolyharmonicFlag] = None
     class_flags: frozenset = frozenset()         # subset of {"holomorphic","antiholomorphic","r_affine"}
     exclusion: Optional[Callable] = None         # z0 -> bool, True on non-differentiable loci
+    # what is derived from this spec (probe atlases, lowering plans), by key;
+    # a spec made by ``dataclasses.replace`` starts empty
+    _derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __call__(self, z) -> np.ndarray:
         """The activation on z, scalar or array, as complex128 values."""
@@ -69,6 +66,14 @@ class ActivationSpec:
 
     def is_excluded(self, z0: complex) -> bool:
         return bool(self.exclusion(complex(z0))) if self.exclusion is not None else False
+
+    def derived(self, key, build: Callable):
+        """The fact kept under key, build() on first request: it lives as
+        long as this spec.  A build that raises keeps nothing; concurrent
+        first requests may each build, and all get the one object kept."""
+        if key not in self._derived:  # kept entries are never dropped
+            return self._derived.setdefault(key, build())
+        return self._derived[key]
 
 
 def conjugate_activation(spec: ActivationSpec) -> ActivationSpec:
@@ -426,6 +431,12 @@ def available_activations() -> tuple:
     return tuple(sorted(_BUILDERS))
 
 
+#: How many catalog specs ``get_activation`` keeps, the most recently used:
+#: every catalog name and its ``conj:`` form at one parameter setting.  A
+#: spec's probe atlases and lowering plans live on it, so this bounds them too.
+MEMO_SIZE = 2 * len(_BUILDERS)
+
+
 #: The shared catalog specs, least recently used first, keyed by name and
 #: the repr of the built parameters: repr, unlike ==, tells -0.0 from 0.0,
 #: which build different specs
@@ -441,11 +452,12 @@ def get_activation(name: str, params: Optional[Mapping] = None) -> ActivationSpe
 
     Calls that build the same name and parameter values (the sign of a zero
     included) return one shared spec while it is among the MEMO_SIZE most
-    recently used, so the by-value memos of its probe atlas and lowering
-    plans hit across calls.  Every call validates its parameters; a failed
-    one is not remembered.  ``custom_activation``, ``scale_activation``,
-    ``conjugate_activation`` and ``dataclasses.replace`` make a fresh spec
-    on every call, with memo entries of its own."""
+    recently used, so its probe atlases and lowering plans, which live on
+    it, serve every such call.  Every call validates its parameters; a
+    failed one is not remembered.  ``custom_activation``,
+    ``scale_activation``, ``conjugate_activation`` and
+    ``dataclasses.replace`` make a fresh spec on every call, which derives
+    its facts anew."""
     spec = _build(name, dict(params or {}))
     key = (spec.name, repr(spec.params))
     with _SPECS_LOCK:

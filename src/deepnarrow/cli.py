@@ -11,7 +11,6 @@ nonzero with a single machine-parsable line "error[CODE] message" on stderr.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -234,8 +233,8 @@ def _cmd_lower(args):
     # The program's neurons are written against the plan's sigma.  It is
     # planned on first use: h_sweep lowers before it evaluates the reference,
     # so a program of the wrong family reports lower's family error first.
-    sigma = functools.cache(lambda: plan_lowering(spec, args.strategy, prof).sigma)
-    reference = lambda zs: eval_register(program, zs, sigma().fn)
+    reference = lambda zs: eval_register(program, zs,
+                                         plan_lowering(spec, args.strategy, prof).sigma.fn)
     report = h_sweep(lambda h: lower(program, spec, args.strategy, h, prof),
                      _schedule(args), box, grid, reference, spec,
                      metadata={"strategy": args.strategy, "activation": spec.name})

@@ -48,13 +48,12 @@ result, with zero tolerance.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .activations import MEMO_SIZE, ActivationSpec, conjugate_activation
+from .activations import ActivationSpec, conjugate_activation
 from .blocks import (_SQUARE_TO_MUL, ShallowBlock, identity_block, mul_block,
                      routed_pair_block)
 from .core import (AffineArrays, ComplexAffineMap, Cvnn, eval_affine, fuse_arrays,
@@ -198,10 +197,11 @@ class LoweringPlan:
     (conj o activation when realizer_point is set: the lone-dbar point of
     the activation at which conjugation blocks undo the conj).  The other
     fields are the points of the identity block, the (z, conj z) pair route
-    and the square block, and the product the multiplication block affords;
-    None where the strategy needs no such block.  Narrow's identity point is
-    optional: sigma's lone-d point where it has one, else None, and the
-    pair block crosses the registers.
+    and the square block, read from sigma's own probe atlas, and the
+    product the multiplication block affords; None where the strategy needs
+    no such block.  Narrow's identity point is optional: sigma's lone-d
+    point where it has one, else None, and the pair block crosses the
+    registers.
     """
 
     strategy: str
@@ -219,16 +219,14 @@ def plan_lowering(spec: ActivationSpec, strategy: str,
     raises StrategyMismatch (or ConstructionError for the pair route) when
     the activation lacks a point the strategy needs.
 
-    Memoised by value like ``probe_atlas`` (the MEMO_SIZE most recently
-    used plans are kept; a failed plan is not), so a process plans once per
-    (activation, strategy, profile) while that plan is kept: every h of a
-    sweep, and every later compile of a shared ``get_activation`` spec,
-    reuses the plan and its sigma.
+    Kept on the spec like its probe atlas (a failed plan is not), so a
+    process plans once per (spec, strategy, profile): every h of a sweep,
+    and every later compile of a shared ``get_activation`` spec, reuses the
+    plan and its sigma.  A conj sigma reads its own atlas.
     """
-    return _plan(spec, strategy, prof)
+    return spec.derived(("plan", strategy, prof), lambda: _plan(spec, strategy, prof))
 
 
-@functools.lru_cache(maxsize=MEMO_SIZE)
 def _plan(spec: ActivationSpec, strategy: str, prof: ToleranceProfile) -> LoweringPlan:
     if strategy not in STRATEGIES:
         raise StrategyMismatch(f"unknown strategy {strategy!r}")
@@ -240,7 +238,7 @@ def _plan(spec: ActivationSpec, strategy: str, prof: ToleranceProfile) -> Loweri
             raise StrategyMismatch(
                 f"{strategy}: no probe point with lone nonzero dbar for the activation")
         sigma, realizer = conjugate_activation(spec), lone_db
-        atlas = atlas.conjugated()
+        atlas = probe_atlas(sigma, prof)
     s_lone_d, _, s_both = atlas.pattern_points()
 
     if strategy in ("NonPoly_NMplus1", "NonPoly_Conj_NMplus1"):

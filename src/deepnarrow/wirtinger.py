@@ -47,7 +47,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .activations import MEMO_SIZE, ActivationSpec
+from .activations import ActivationSpec
 from .core import CompactBox, GridSpec, _c2l, sample_box
 from .errors import ProbeFailed
 
@@ -400,18 +400,15 @@ class ProbeAtlas:
     pattern nonzero(d) + 2 nonzero(dbar).  Every rule that picks a probe
     point is a method here, scoring points by magnitude columns with ties to
     the first in grid order, so the classifier, the pipelines and the
-    lowering read the same facts.  One store keeps what is computed on first
-    query: f(z0) at every point in one activation call, the second probe
-    per point, the Taylor verdicts of every candidate point in one batch, a
-    failed probe as its ProbeFailed, and the points that pass.
-    ``conjugated()`` is the view of conj o f sharing the store: d and dbar
-    swapped and conjugated (d(conj f) = conj(dbar f)), which finite
-    differences reproduce up to signs of zeros.
+    lowering read the same facts.  What is computed on first query is kept:
+    f(z0) at every point in one activation call, the second probe per
+    point, the Taylor verdicts of every candidate point in one batch, a
+    failed probe as its ProbeFailed, and the points that pass.  The atlas of
+    conj o f is that of another spec, scanned on its own.
     """
 
     def __init__(self, spec: ActivationSpec, prof: ToleranceProfile, z0: np.ndarray,
-                 d: np.ndarray, dbar: np.ndarray, est: np.ndarray, conj: bool = False,
-                 store: Optional[dict] = None):
+                 d: np.ndarray, dbar: np.ndarray, est: np.ndarray):
         self.spec = spec
         self.prof = prof
         self.z0, self.d, self.dbar, self.est = z0, d, dbar, est
@@ -419,19 +416,12 @@ class ProbeAtlas:
         for col in (z0, d, dbar, est, self.codes):
             col.flags.writeable = False
         self._mags = _mag(d), _mag(dbar)     # (|d|, |dbar|), the scores' columns
-        self._conj = conj
-        # shared with conjugated views: per point the second probe and the
-        # Taylor verdict, None until queried, "f0" once evaluated and
-        # "passing" once every candidate's verdict is known
-        self._store = store or {"second": [None] * len(z0), "taylor": [None] * len(z0)}
+        # per point the second probe and the Taylor verdict, None until queried
+        self._seconds = [None] * len(z0)
+        self._verdicts = [None] * len(z0)
 
     def __len__(self) -> int:
         return len(self.z0)
-
-    def conjugated(self) -> "ProbeAtlas":
-        """The atlas of conj o spec, sharing this one's points and store."""
-        return ProbeAtlas(self.spec, self.prof, self.z0, self.dbar.conj(), self.d.conj(),
-                          self.est, not self._conj, self._store)
 
     def first(self, i: int) -> tuple:
         """(z0, d, dbar, est_error) at point i."""
@@ -442,21 +432,19 @@ class ProbeAtlas:
         """The first-order pattern at point i: "d", "dbar", "both" or None."""
         return _PATTERNS[self.codes[i]]
 
+    @functools.cached_property
     def _f0(self) -> np.ndarray:
-        """f(z0) of the activation itself at every point, from one call."""
-        if "f0" not in self._store:
-            self._store["f0"] = self.spec(self.z0)
-        return self._store["f0"]
+        """f(z0) at every point, from one call."""
+        return self.spec(self.z0)
 
     def value(self, i: int) -> complex:
         """f(z0) at point i."""
-        v = complex(self._f0()[i])
-        return v.conjugate() if self._conj else v
+        return complex(self._f0[i])
 
     def second(self, i: int) -> tuple:
         """(d2, ddbar, dbar2, est_error) at point i; raises ProbeFailed when
         the second-order probe fails there."""
-        seconds = self._store["second"]
+        seconds = self._seconds
         if seconds[i] is None:
             try:
                 seconds[i] = second_derivs(self.spec, complex(self.z0[i]), self.prof)
@@ -464,22 +452,18 @@ class ProbeAtlas:
                 seconds[i] = exc
         if isinstance(seconds[i], ProbeFailed):
             raise seconds[i].with_traceback(None)  # each raise would extend the kept one
-        d2, ddbar, dbar2, est = seconds[i]
-        if self._conj:
-            return dbar2.conjugate(), ddbar.conjugate(), d2.conjugate(), est
-        return d2, ddbar, dbar2, est
+        return seconds[i]
 
     def taylor_passed(self, i: int) -> bool:
         """First-order remainder probe verdict at point i; raises ProbeFailed
         when an evaluation of the probe is not finite there.  The first query
         probes, in one batch, point i and every point with a first-order
-        pattern, with the d and dbar of the activation itself (the remainder
-        of conj o f is the conjugate of that of f)."""
-        verdicts = self._store["taylor"]
+        pattern."""
+        verdicts = self._verdicts
         if verdicts[i] is None:
             todo = [k for k, v in enumerate(verdicts) if v is None and (k == i or self.codes[k])]
-            d, dbar = (self.dbar.conj(), self.d.conj()) if self._conj else (self.d, self.dbar)
-            reports = taylor_remainder_probe(self.spec, self.z0[todo], d[todo], dbar[todo])
+            reports = taylor_remainder_probe(self.spec, self.z0[todo], self.d[todo],
+                                             self.dbar[todo])
             for k, rep in zip(todo, reports):
                 verdicts[k] = rep if isinstance(rep, ProbeFailed) else rep.passed
         if isinstance(verdicts[i], ProbeFailed):
@@ -489,13 +473,13 @@ class ProbeAtlas:
     def taylor_passing(self) -> list:
         """The points with a first-order pattern that pass the remainder
         probe, in grid order; raises the ProbeFailed of the first of them
-        whose probe failed, as querying each in turn does.  Kept in the store
-        once every verdict is known: the conjugated view has the same
-        verdicts and the same nonzero codes."""
-        if "passing" not in self._store:
-            self._store["passing"] = tuple(
-                i for i in np.flatnonzero(self.codes).tolist() if self.taylor_passed(i))
-        return list(self._store["passing"])
+        whose probe failed, as querying each in turn does.  Kept once every
+        verdict is known."""
+        return list(self._passing)
+
+    @functools.cached_property
+    def _passing(self) -> tuple:
+        return tuple(i for i in np.flatnonzero(self.codes).tolist() if self.taylor_passed(i))
 
     def probe(self, i: int) -> WirtingerProbe:
         """First- and second-order data at point i, as ``probe_point`` gives."""
@@ -530,7 +514,7 @@ class ProbeAtlas:
         |f(z0)| wins: the activation magnitude at the localization point sets
         the cancellation load of every block built there.
         """
-        return tuple(self._least_load(idx, score, _mag(self._f0())) if idx.size else None
+        return tuple(self._least_load(idx, score, _mag(self._f0)) if idx.size else None
                      for idx, score in self._by_pattern())
 
     def pair_route(self):
@@ -588,7 +572,7 @@ class ProbeAtlas:
         if found is None:
             return None
         _, which, idx, mags = found
-        return self._least_load(idx, mags, _mag(self._f0()) + self._mags[0] + self._mags[1]), which
+        return self._least_load(idx, mags, _mag(self._f0) + self._mags[0] + self._mags[1]), which
 
     def nonzero_second_point(self):
         """(z0, which) with which the first of ddbar > d2 > dbar2 that is
@@ -649,7 +633,6 @@ def _doubled(box: CompactBox) -> CompactBox:
     return CompactBox(tuple(grow(a, b) + grow(c, d) for a, b, c, d in box.intervals))
 
 
-@functools.lru_cache(maxsize=MEMO_SIZE)
 def _scan(spec: ActivationSpec, prof: ToleranceProfile) -> ProbeAtlas:
     for growth in range(PROBE_BOX_GROWTHS + 1):
         if growth:
@@ -681,14 +664,13 @@ def probe_atlas(spec: ActivationSpec, prof: ToleranceProfile = ToleranceProfile(
     is returned; its ``prof`` holds that box, so the classifier and the
     lowering read the same points.
 
-    The memo is keyed by value, and specs compare their callables by
-    identity: the shared specs of ``get_activation`` find the atlas of an
-    earlier call with the same name and parameters, while a spec made by
-    ``custom_activation``, ``scale_activation``, ``conjugate_activation`` or
-    ``dataclasses.replace`` is scanned anew.  The MEMO_SIZE most recently
-    used atlases are kept.
+    The atlas is kept on the spec, per profile, for as long as the spec
+    lives (``ActivationSpec.derived``): a shared spec of ``get_activation``
+    serves every later lookup of the same name and parameters, while a spec
+    made by ``custom_activation``, ``scale_activation``,
+    ``conjugate_activation`` or ``dataclasses.replace`` is scanned anew.
     """
-    return _scan(spec, prof)
+    return spec.derived(("atlas", prof), lambda: _scan(spec, prof))
 
 
 def find_active_point(spec: ActivationSpec, prof: ToleranceProfile = ToleranceProfile()) -> Optional[complex]:

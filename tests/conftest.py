@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from deepnarrow import activations, lowering, wirtinger
+from deepnarrow import activations
 from deepnarrow.core import ComplexAffineMap, Cvnn, eval_cvnn
 from deepnarrow.verifier import sup_error
 from deepnarrow.wirtinger import ToleranceProfile, first_derivs, taylor_remainder_probe
@@ -50,12 +50,12 @@ def taylor_reports(spec, centres, prof=ToleranceProfile()):
 
 @pytest.fixture(autouse=True)
 def cold_memos():
-    """Every test starts with empty per-process memos (shared catalog specs,
-    probe atlases, lowering plans), so that the scans and plans a test
-    counts do not depend on the tests that ran before it."""
+    """Every test starts with no shared catalog specs, and so with no probe
+    atlas or lowering plan kept on one, so that the scans and plans a test
+    counts do not depend on the tests that ran before it.  A spec built at
+    collection time keeps what is derived from it: a test that counts
+    builds its spec itself."""
     activations._SHARED_SPECS.clear()
-    wirtinger._scan.cache_clear()
-    lowering._plan.cache_clear()
 
 
 @pytest.fixture

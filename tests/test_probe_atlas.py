@@ -268,16 +268,32 @@ def _columns(atlas):
     return rows
 
 
+def _conjugated(row):
+    """A row of ``_columns`` as conj o f has it: d(conj f) = conj(dbar f),
+    and likewise d2 and dbar2 trade places."""
+    z0, d, dbar, est, value, second, passed = row
+    if second is not None:
+        second = (second[2], second[1], second[0], second[3])
+    return z0, dbar, d, est, value, second, passed
+
+
 @pytest.mark.parametrize("name", available_activations())
 def test_conjugated_view_equals_a_rescan(name):
+    """The atlas of conj o f, scanned on its own, holds the atlas of f with
+    d and dbar swapped and conjugated: the same points, magnitudes, error
+    estimates and Taylor verdicts, and the codes of lone d and lone dbar
+    swapped."""
     spec = get_activation(name)
-    view = probe_atlas(spec, PROF).conjugated()
+    atlas = probe_atlas(spec, PROF)
     rescan = probe_atlas(conjugate_activation(spec), PROF)
-    assert len(view) == len(rescan) > 0
-    assert _columns(view) == _columns(rescan)
-    assert view.pattern_points() == rescan.pattern_points()
-    assert view.square_point() == rescan.square_point()
-    assert view.pair_route() == rescan.pair_route()
+    assert len(atlas) == len(rescan) > 0
+    assert rescan.prof == atlas.prof
+    assert [_conjugated(row) for row in _columns(atlas)] == _columns(rescan)
+    assert np.array_equal(rescan.d, atlas.dbar.conj())
+    assert np.array_equal(rescan.dbar, atlas.d.conj())
+    assert rescan.codes.tolist() == [(0, 2, 1, 3)[c] for c in atlas.codes.tolist()]
+    lone_d, lone_db, both = atlas.pattern_points()
+    assert rescan.pattern_points() == (lone_db, lone_d, both)
 
 
 @pytest.mark.parametrize("spec", [get_activation(name) for name in available_activations()]
@@ -286,10 +302,9 @@ def test_conjugated_view_equals_a_rescan(name):
                          ids=lambda s: s.name)
 def test_atlas_patterns_are_the_profile_rule_row_by_row(spec):
     """The patterns an atlas computes over its columns in one pass are those
-    ``ToleranceProfile.pattern`` gives each row, on the atlas and on its
-    conjugated view."""
-    atlas = probe_atlas(spec, PROF)
-    for view in (atlas, atlas.conjugated()):
+    ``ToleranceProfile.pattern`` gives each row, on the atlas and on the
+    atlas of conj o spec."""
+    for view in (probe_atlas(spec, PROF), probe_atlas(conjugate_activation(spec), PROF)):
         rows = [view.first(i) for i in range(len(view))]
         assert [view.pattern(i) for i in range(len(view))] == [
             view.prof.pattern(d, dbar, est) for _, d, dbar, est in rows]
@@ -352,37 +367,46 @@ def test_atlas_is_memoised_by_value():
 @pytest.mark.parametrize("argv, dead_point", [
     # the dead zone |z| < 1 of modrelu: zero derivative, no remainder probe
     (["--activation", "modrelu", "--features", "20"], 0j),
-    # cardioid vanishes on the negative real axis; the lowering plans on the
-    # conjugated view
+    # cardioid vanishes on the negative real axis; conj:cardioid compiles
+    # under NonPoly_Conj_NMplus1, whose sigma conj:conj:cardioid is a spec of
+    # its own, scanned once
     (["--activation", "conj:cardioid", "--features", "20"], -1 + 0j),
     # d = dbar = RE z vanishes on the imaginary axis
     (["--activation", "re_square", "--degree", "2"], 0.5j),
 ])
 def test_one_scan_per_compile(monkeypatch, tmp_path, argv, dead_point):
     """At a grid point with zero derivative only the scan probes, so the
-    number of first-derivative probes there counts the atlases built.  A
-    compile scans once, a second compile in the same process shares the
-    first one's spec and scans no more, and a spec with a new callable
-    scans once of its own."""
-    calls = Counter()
-    first_derivs = wirtinger.first_derivs
+    number of first-derivative probes there counts the atlases built, as
+    do the calls of the scan itself.  A compile scans each spec it reads
+    once (a conj strategy's sigma is one more), a second compile in the
+    same process shares the first one's specs and scans no more, and a spec
+    with a new callable scans once of its own."""
+    calls, scans = Counter(), []
+    first_derivs, scan = wirtinger.first_derivs, wirtinger._scan
 
     def counting(spec, z0, prof=PROF):
         calls[complex(z0)] += 1
         return first_derivs(spec, z0, prof)
 
+    def counting_scan(spec, prof):
+        scans.append(spec.name)
+        return scan(spec, prof)
+
     monkeypatch.setattr(wirtinger, "first_derivs", counting)
+    monkeypatch.setattr(wirtinger, "_scan", counting_scan)
     compile_argv = ["compile", "--target", "zzbar", *argv, "--no-timestamp",
                     "--out", str(tmp_path / "run")]
+    name = argv[1]
+    want = [name, f"conj:{name}"] if name.startswith("conj:") else [name]
     assert cli.main(compile_argv) == 0
-    assert calls[dead_point] == 1
+    assert scans == want and calls[dead_point] == len(want)
     assert cli.main(compile_argv) == 0
-    assert calls[dead_point] == 1
-    spec = get_activation(argv[1])
+    assert scans == want and calls[dead_point] == len(want)
+    spec = get_activation(name)
     fresh = dataclasses.replace(spec, fn=lambda z: spec.fn(z))
     probe_atlas(fresh, PROF)
     probe_atlas(fresh, PROF)
-    assert calls[dead_point] == 2
+    assert scans == [*want, name] and calls[dead_point] == len(want) + 1
 
 
 def test_classification_probes_second_order_lazily(monkeypatch):
@@ -416,7 +440,8 @@ def test_taylor_failure_raises_only_where_queried(monkeypatch):
     probes every candidate in one call; the failure is kept and raised only
     when 0.5 itself is queried, so active_point, which never reaches 0.5,
     gives the point it gives without the NaN, and the classifier, which
-    queries every candidate, raises."""
+    queries every candidate, raises.  The atlas of conj o f probes its own
+    batch and fails at the same point."""
     calls = []
     probe = wirtinger.taylor_remainder_probe
 
@@ -437,28 +462,37 @@ def test_taylor_failure_raises_only_where_queried(monkeypatch):
     for _ in range(2):
         with pytest.raises(ProbeFailed, match="activation evaluation failed near"):
             atlas.taylor_passed(bad)
-    with pytest.raises(ProbeFailed):
-        atlas.conjugated().taylor_passed(bad)
-    for view in (atlas, atlas, atlas.conjugated()):
+    for _ in range(2):
         with pytest.raises(ProbeFailed, match="activation evaluation failed near"):
-            view.taylor_passing()
+            atlas.taylor_passing()
     assert len(calls) == 2
+    conj = probe_atlas(conjugate_activation(atlas.spec), PROF)
+    with pytest.raises(ProbeFailed):
+        conj.taylor_passed(bad)
+    for _ in range(2):
+        with pytest.raises(ProbeFailed, match="activation evaluation failed near"):
+            conj.taylor_passing()
+    assert calls == [len(clean), len(atlas), len(conj)]
     with pytest.raises(ProbeFailed):
         classify_activation(_holed(bad_circle), PROF)
 
 
 def test_passing_points_are_kept_for_the_conjugated_view(monkeypatch):
     """Once every verdict is known the passing points are kept: later
-    queries, on the atlas and on its conjugated view, probe nothing."""
-    atlas = probe_atlas(get_activation("cardioid"), PROF)
+    queries probe nothing.  The atlas of conj o f, with verdicts of its own,
+    passes the same points."""
+    spec = get_activation("cardioid")
+    atlas = probe_atlas(spec, PROF)
+    conj = probe_atlas(conjugate_activation(spec), PROF)
     passing = atlas.taylor_passing()
     assert passing == [i for i in range(len(atlas)) if atlas.codes[i] and atlas.taylor_passed(i)]
+    assert conj.taylor_passing() == passing
 
     def probing(self, i):
         raise AssertionError("a kept verdict was queried again")
 
     monkeypatch.setattr(wirtinger.ProbeAtlas, "taylor_passed", probing)
-    assert atlas.taylor_passing() == atlas.conjugated().taylor_passing() == passing
+    assert atlas.taylor_passing() == conj.taylor_passing() == passing
 
 
 def test_taylor_failure_at_the_winning_point_raises():
@@ -477,18 +511,17 @@ def test_taylor_failure_at_the_winning_point_raises():
     ["--activation", "abs_square", "--degree", "2", "--strategy", "Poly_Wide_2N2Mplus12"],
 ])
 def test_one_plan_per_compile(monkeypatch, tmp_path, argv):
-    """plan_lowering is memoised by value: a compile plans once, not once
-    for the pipeline and once more at each h, and a second compile in the
-    same process shares the first one's spec and plans no more.  Each plan
-    opens the atlas once, so lowering's atlas lookups count the plans."""
+    """plan_lowering keeps its plan on the spec: a compile plans once, not
+    once for the pipeline and once more at each h, and a second compile in
+    the same process shares the first one's spec and plans no more."""
     plans = []
-    atlas = lowering.probe_atlas
+    plan = lowering._plan
 
-    def counting(spec, prof=PROF):
+    def counting(spec, strategy, prof):
         plans.append(spec.name)
-        return atlas(spec, prof)
+        return plan(spec, strategy, prof)
 
-    monkeypatch.setattr(lowering, "probe_atlas", counting)
+    monkeypatch.setattr(lowering, "_plan", counting)
     argv = ["compile", "--target", "zzbar", *argv, "--no-timestamp",
             "--out", str(tmp_path / "run")]
     assert cli.main(argv) == 0

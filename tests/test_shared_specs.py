@@ -2,21 +2,42 @@
 
 ``get_activation`` returns the same spec object for the same name and
 parameter values while it is among the MEMO_SIZE most recently used, so the
-by-value memos of the probe atlas and the lowering plan hit across calls in
-one process.  Reusing them must not change any output: a warm run writes the
-bytes a cold one writes.
+probe atlases and lowering plans kept on it serve every such call in one
+process, and go with it when it is evicted.  Reusing them must not change
+any output: a warm run writes the bytes a cold one writes.
 """
 
+import dataclasses
+import gc
 import sys
 import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
 
 from deepnarrow import activations, cli, lowering, wirtinger
-from deepnarrow.activations import (MEMO_SIZE, conjugate_activation, custom_activation,
-                                    get_activation)
+from deepnarrow.activations import (MEMO_SIZE, available_activations, conjugate_activation,
+                                    custom_activation, get_activation)
 from deepnarrow.errors import InvalidActivationParams, UnknownActivation
+from deepnarrow.lowering import plan_lowering
+from deepnarrow.wirtinger import ToleranceProfile, probe_atlas
+
+PROF = ToleranceProfile()
+
+
+def _counted(monkeypatch, module, name):
+    """Replace module.name by a wrapper that appends each call's spec name
+    to the list returned."""
+    calls, fn = [], getattr(module, name)
+
+    def counting(spec, *args):
+        calls.append(spec.name)
+        return fn(spec, *args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 def _outputs(argv, out):
@@ -30,18 +51,19 @@ def _outputs(argv, out):
     ["compile", "--target", "zzbar", "--activation", "conj:cardioid", "--features", "20"],
     ["compile", "--target", "zzbar", "--activation", "re_square", "--degree", "2"],
 ], ids=["classify", "compile-nonpoly", "compile-poly"])
-def test_warm_run_writes_the_bytes_of_a_cold_run(tmp_path, capsys, argv):
+def test_warm_run_writes_the_bytes_of_a_cold_run(monkeypatch, tmp_path, capsys, argv):
     """The first run scans and plans, the second reuses both and writes the
     same documents, networks and sweep CSVs."""
+    scans = _counted(monkeypatch, wirtinger, "_scan")
+    plans = _counted(monkeypatch, lowering, "_plan")
     (tmp_path / "cold").mkdir()
     (tmp_path / "warm").mkdir()
     cold = _outputs(argv, tmp_path / "cold" / "run")
     cold_stdout = capsys.readouterr().out
-    scans, plans = wirtinger._scan.cache_info(), lowering._plan.cache_info()
-    assert scans.misses >= 1
+    cold_scans, cold_plans = list(scans), list(plans)
+    assert cold_scans
     warm = _outputs(argv, tmp_path / "warm" / "run")
-    assert wirtinger._scan.cache_info().misses == scans.misses
-    assert lowering._plan.cache_info().misses == plans.misses
+    assert scans == cold_scans and plans == cold_plans
     assert cold and warm == cold
     assert capsys.readouterr().out == cold_stdout
 
@@ -150,3 +172,68 @@ def test_a_wrapper_over_a_public_constructor_stays_out_of_the_shared_specs(monke
     monkeypatch.setattr(activations, "get_activation", wrapper)
     monkeypatch.setattr(activations, "conjugate_activation", wrapper)
     assert lookup("conj:conj:cardioid").name == "conj:conj:cardioid"
+
+
+def test_every_catalog_name_and_its_conj_form_stay_shared():
+    """MEMO_SIZE keeps each catalog activation and its conj: form at one
+    parameter setting, so looking each up once more hits every one."""
+    names = [prefix + name for name in available_activations() for prefix in ("", "conj:")]
+    assert len(names) == MEMO_SIZE
+    specs = [get_activation(name) for name in names]
+    assert all(get_activation(name) is spec for name, spec in zip(names, specs))
+
+
+def test_an_evicted_spec_releases_its_atlas_and_plans():
+    """What is derived from a shared spec lives on it: once the spec is
+    evicted and unreferenced, its atlas, its plan, and the atlas of the
+    plan's conj sigma are freed with it."""
+    spec = get_activation("conj:cardioid")
+    plan = plan_lowering(spec, "NonPoly_Conj_NMplus1", PROF)
+    kept = [weakref.ref(x) for x in (spec, probe_atlas(spec, PROF), plan,
+                                     probe_atlas(plan.sigma, PROF))]
+    del spec, plan
+    gc.collect()
+    assert all(ref() is not None for ref in kept)
+    for k in range(1, MEMO_SIZE + 1):
+        get_activation("modrelu", {"b": -k})
+    gc.collect()
+    assert [ref() for ref in kept] == [None] * len(kept)
+
+
+def test_a_replaced_spec_starts_with_an_empty_store():
+    """dataclasses.replace(spec, fn=...) is another activation: it scans and
+    plans anew rather than reading what its source derived."""
+    spec = get_activation("cardioid")
+    atlas = probe_atlas(spec, PROF)
+    plan = plan_lowering(spec, "NonPoly_NMplus1", PROF)
+    fresh = dataclasses.replace(spec, fn=lambda z: spec.fn(z))
+    assert fresh._derived == {}
+    assert probe_atlas(fresh, PROF) is not atlas
+    assert plan_lowering(fresh, "NonPoly_NMplus1", PROF) is not plan
+    assert probe_atlas(spec, PROF) is atlas and plan_lowering(spec, "NonPoly_NMplus1", PROF) is plan
+
+
+def test_threads_asking_one_fresh_spec_share_one_atlas():
+    """Four threads that ask one fresh spec for its atlas at once all get
+    the one atlas that the spec keeps.  Each activation call waits, so the
+    four scans overlap: cardioid's scan calls it once."""
+    card = get_activation("cardioid")
+
+    def slow(z):
+        time.sleep(0.05)
+        return card.fn(z)
+
+    spec = dataclasses.replace(card, fn=slow)
+    barrier, atlases = threading.Barrier(4), []
+
+    def ask():
+        barrier.wait()
+        atlases.append(probe_atlas(spec, PROF))
+
+    threads = [threading.Thread(target=ask) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert len(atlases) == 4 and all(a is probe_atlas(spec, PROF) for a in atlases)
