@@ -204,7 +204,7 @@ def _cmd_compile(args):
             "are not universal, refusing to compile")
     strategy = args.strategy
     if strategy in (None, "auto"):
-        strategy = default_strategy(cls.verdict, cls.witness_probe)
+        strategy = default_strategy(cls.verdict)
 
     fn = _target(args)
     box = _box_or_default(args, args.n)

@@ -18,6 +18,7 @@ and the ridge penalty on (cr, ci) equals the complex penalty |c|^2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product as _iter_product
 from typing import Callable
@@ -144,12 +145,15 @@ def fit_poly(f: Callable, degree: int, box: CompactBox, grid: GridSpec) -> list:
     if degree < 0:
         raise ValueError("degree must be >= 0")
     pts = sample_box(box, grid)
+    # the basis size, len(monomial_exponents(n, degree)), counted before the
+    # (degree + 1)^(2n) exponent tuples are walked
+    count = math.comb(degree + 2 * box.n, 2 * box.n)
+    if count > pts.shape[0]:
+        raise FitSingular(
+            f"{count} basis monomials but only {pts.shape[0]} grid points; "
+            "refine the grid or lower the degree")
     targets = _as_batch(f(pts), pts.shape[0])
     exps = monomial_exponents(box.n, degree)
-    if len(exps) > pts.shape[0]:
-        raise FitSingular(
-            f"{len(exps)} basis monomials but only {pts.shape[0]} grid points; "
-            "refine the grid or lower the degree")
     conj = np.conj(pts)
     design = np.column_stack([_monomial(pts, conj, zd, bd) for zd, bd in exps])
     coef = solve_complex_ridge(design, targets, 0.0)

@@ -6,10 +6,6 @@ real work.  The width budgets, for input dimension n and output dimension m:
 
   NonPoly_NMplus1        n+m+1      registers via width-1 identity blocks,
                                      compute slot applies the raw activation
-  NonPoly_Conj_NMplus1   n+m+1      the same structure written against
-                                     sigma = conj o act; every sigma layer is
-                                     realized as an act layer followed by a
-                                     width-preserving conjugation-block layer
   NonPoly_2N2Mplus1      2n+2m+1    registers via 2-neuron pair blocks
                                      (first output), compute raw
   Poly_Wide_2N2Mplus12   2n+2m+12   input pairs (z, conj z) via 2-neuron
@@ -26,6 +22,12 @@ real work.  The width budgets, for input dimension n and output dimension m:
                                      single conjugation register refreshed on
                                      demand by one 2-neuron pair block; one
                                      multiplication neuron per layer
+
+The two lone-derivative strategies, NonPoly_NMplus1 and Poly_NMplus4, need a
+point with exactly one nonzero first derivative.  Where the activation has a
+lone dbar but no lone d, they are written against sigma = conj o act, whose
+lone d it is, and every sigma layer is realized as an act layer followed by
+a width-preserving conjugation-block layer.
 
 A hidden stage is a list of block placements (block, in slots, out slots)
 on the register slots of the state, built into arrays by one function
@@ -77,7 +79,6 @@ __all__ = [
 #: the width budget in n and m of every lowering strategy
 _BUDGETS = {
     "NonPoly_NMplus1": lambda n, m: n + m + 1,
-    "NonPoly_Conj_NMplus1": lambda n, m: n + m + 1,
     "NonPoly_2N2Mplus1": lambda n, m: 2 * n + 2 * m + 1,
     "Poly_Wide_2N2Mplus12": lambda n, m: 2 * n + 2 * m + 12,
     "Poly_Narrow_2N2Mplus5": lambda n, m: 2 * n + 2 * m + 5,
@@ -193,20 +194,19 @@ def _make_conj_realizer(spec: ActivationSpec, z0c: complex, hc: float,
 class LoweringPlan:
     """Everything a lowering decides before h is known.
 
-    sigma is the activation the program's neurons are written against
-    (conj o activation when realizer_point is set: the lone-dbar point of
-    the activation at which conjugation blocks undo the conj).  The other
-    fields are the points of the identity block, the (z, conj z) pair route
-    and the square block, read from sigma's own probe atlas, and the
-    product the multiplication block affords; None where the strategy needs
-    no such block.  Narrow's identity point is optional: sigma's lone-d
-    point where it has one, else None, and the pair block crosses the
-    registers.
+    sigma is the activation the program's neurons are written against: the
+    activation itself, or conj o activation (kept on the activation's spec)
+    where a lone-derivative strategy finds a lone dbar but no lone d, and
+    conjugation blocks at id_point undo the conj.  The other fields are the
+    points of the identity block, the (z, conj z) pair route and the square
+    block, read from sigma's own probe atlas, and the product the
+    multiplication block affords; None where the strategy needs no such
+    block.  Narrow's identity point is optional: sigma's lone-d point where
+    it has one, else None, and the pair block crosses the registers.
     """
 
     strategy: str
     sigma: ActivationSpec
-    realizer_point: Optional[complex] = None
     id_point: Optional[complex] = None
     pair_route: Optional[tuple] = None
     square_point: Optional[complex] = None
@@ -222,50 +222,49 @@ def plan_lowering(spec: ActivationSpec, strategy: str,
     Kept on the spec like its probe atlas (a failed plan is not), so a
     process plans once per (spec, strategy, profile): every h of a sweep,
     and every later compile of a shared ``get_activation`` spec, reuses the
-    plan and its sigma.  A conj sigma reads its own atlas.
+    plan and its sigma.  A conj sigma is kept on the spec too, so every plan
+    of one spec shares it and its atlas, scanned once.
     """
     return spec.derived(("plan", strategy, prof), lambda: _plan(spec, strategy, prof))
+
+
+#: the strategies that need a point with exactly one nonzero first derivative
+_LONE_DERIVATIVE = ("NonPoly_NMplus1", "Poly_NMplus4")
 
 
 def _plan(spec: ActivationSpec, strategy: str, prof: ToleranceProfile) -> LoweringPlan:
     if strategy not in STRATEGIES:
         raise StrategyMismatch(f"unknown strategy {strategy!r}")
     atlas = probe_atlas(spec, prof)
-    sigma, realizer = spec, None
+    sigma = spec
     lone_d, lone_db, _ = atlas.pattern_points()
-    if strategy == "NonPoly_Conj_NMplus1" or (strategy == "Poly_NMplus4" and lone_d is None):
-        if lone_db is None:
-            raise StrategyMismatch(
-                f"{strategy}: no probe point with lone nonzero dbar for the activation")
-        sigma, realizer = conjugate_activation(spec), lone_db
+    if strategy in _LONE_DERIVATIVE and lone_d is None and lone_db is not None:
+        sigma = spec.derived("conj", lambda: conjugate_activation(spec))
         atlas = probe_atlas(sigma, prof)
     s_lone_d, _, s_both = atlas.pattern_points()
+    if strategy in _LONE_DERIVATIVE and s_lone_d is None:
+        raise StrategyMismatch(
+            f"{strategy}: needs a point with exactly one nonzero first derivative")
 
-    if strategy in ("NonPoly_NMplus1", "NonPoly_Conj_NMplus1"):
-        if s_lone_d is None:
-            raise StrategyMismatch(
-                f"{strategy}: needs a point with nonzero d and vanishing dbar")
-        return LoweringPlan(strategy, sigma, realizer, id_point=s_lone_d)
+    if strategy == "NonPoly_NMplus1":
+        return LoweringPlan(strategy, sigma, id_point=s_lone_d)
 
     if strategy == "NonPoly_2N2Mplus1":
         if s_both is None:
             raise StrategyMismatch(
                 f"{strategy}: needs a point with both Wirtinger derivatives nonzero")
-        return LoweringPlan(strategy, sigma, realizer, pair_route=(s_both,))
+        return LoweringPlan(strategy, sigma, pair_route=(s_both,))
 
     square = atlas.square_point()
     if square is None:
         raise StrategyMismatch(f"{strategy}: activation is R-affine on the probe grid")
-    if strategy == "Poly_NMplus4" and s_lone_d is None:
-        raise StrategyMismatch(
-            f"{strategy}: needs a point with exactly one nonzero first derivative")
     id_point = None if strategy == "Poly_Wide_2N2Mplus12" else s_lone_d
     route = atlas.pair_route()
     if route is None:
         raise ConstructionError(
             "no usable probe points for id/conj pair: activation appears "
             "holomorphic, antiholomorphic, or R-affine on the probe grid")
-    return LoweringPlan(strategy, sigma, realizer, id_point, route, square[0],
+    return LoweringPlan(strategy, sigma, id_point, route, square[0],
                         _SQUARE_TO_MUL[square[1]])
 
 
@@ -283,10 +282,11 @@ def _build_kit(spec: ActivationSpec, plan: LoweringPlan, h: float,
     """Build the plan's blocks at localization scale h: the identity, pair
     and conjugation blocks at h, the square block at sqrt(h), or at h under
     Poly_Wide_2N2Mplus12.  Without an identity point, the first output of
-    the pair block is the identity crossing."""
+    the pair block is the identity crossing.  A conj sigma's layers are
+    realized at its identity point, the activation's lone-dbar point."""
     realize = _direct_realizer
-    if plan.realizer_point is not None:
-        realize = _make_conj_realizer(spec, plan.realizer_point, h, prof)
+    if plan.sigma is not spec:
+        realize = _make_conj_realizer(spec, plan.id_point, h, prof)
     kit = _Kit(sigma=plan.sigma, realize=realize)
     # The serialized poly variants (Narrow, NMplus4) cross the running
     # accumulator through first-order blocks whose per-layer drift is O(h);
@@ -617,23 +617,19 @@ def lower(program: RegisterProgram, spec: ActivationSpec, strategy: str,
     return net
 
 
-def default_strategy(verdict: str, witness_probe) -> str:
-    """Map a classification verdict to the lowering strategy it certifies.
+#: the lowering strategy each universal verdict certifies
+_CERTIFIED = {
+    "UniversalNonPoly_NMplus1": "NonPoly_NMplus1",
+    "UniversalNonPoly_2N2Mplus1": "NonPoly_2N2Mplus1",
+    "UniversalPoly_NMplus4": "Poly_NMplus4",
+    "UniversalPoly_2N2Mplus5": "Poly_Narrow_2N2Mplus5",
+}
 
-    The witness of a UniversalNonPoly_NMplus1 verdict has exactly one first
-    derivative that ``ToleranceProfile.nonzero`` counts, so that one is the
-    larger: comparing |d| and |dbar| follows the classifier's rule without
-    its error estimate (``witness_probe.est_error`` also covers the second
-    derivatives).
-    """
-    if verdict == "UniversalNonPoly_NMplus1":
-        if witness_probe is not None and abs(witness_probe.d) > abs(witness_probe.dbar):
-            return "NonPoly_NMplus1"
-        return "NonPoly_Conj_NMplus1"
-    if verdict == "UniversalNonPoly_2N2Mplus1":
-        return "NonPoly_2N2Mplus1"
-    if verdict == "UniversalPoly_NMplus4":
-        return "Poly_NMplus4"
-    if verdict == "UniversalPoly_2N2Mplus5":
-        return "Poly_Narrow_2N2Mplus5"
-    raise StrategyMismatch(f"verdict {verdict!r} does not certify a lowering strategy")
+
+def default_strategy(verdict: str) -> str:
+    """Map a classification verdict to the lowering strategy it certifies.
+    A UniversalNonPoly_NMplus1 witness may have its lone derivative in d or
+    in dbar; the plan picks sigma to match."""
+    if verdict not in _CERTIFIED:
+        raise StrategyMismatch(f"verdict {verdict!r} does not certify a lowering strategy")
+    return _CERTIFIED[verdict]

@@ -440,9 +440,9 @@ def end_to_end_nonpoly(f: Callable, spec: ActivationSpec, cfg: FitConfig, strate
                        prof: ToleranceProfile = ToleranceProfile()) -> CompileReport:
     """fit_shallow -> shallow_to_register -> lower, sweeping h.
 
-    For the conjugate-network strategy the shallow fit runs on
-    sigma = conj o activation, whose program the lowering realizes with
-    activation layers followed by conjugation blocks.
+    The shallow fit runs on the plan's sigma: conj o activation where the
+    activation's lone first derivative is dbar, whose program the lowering
+    realizes with activation layers followed by conjugation blocks.
     Returns the CompileReport, whose ``best_net()`` is the best network; its
     ``fit_sup_error`` is the shallow fit's error on the fit grid, so total
     error can be compared against fit error + lowering slack, and

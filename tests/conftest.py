@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings
 
 from deepnarrow import activations
+from deepnarrow.activations import get_activation
 from deepnarrow.core import ComplexAffineMap, Cvnn, eval_cvnn
 from deepnarrow.verifier import sup_error
 from deepnarrow.wirtinger import ToleranceProfile, first_derivs, taylor_remainder_probe
@@ -11,6 +12,22 @@ from deepnarrow.wirtinger import ToleranceProfile, first_derivs, taylor_remainde
 # example database.
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
+
+
+#: A lowering case by label: (strategy, activation).  Each strategy lowers
+#: over an activation it plans for directly, and "NonPoly_Conj_NMplus1"
+#: labels NonPoly_NMplus1 over conj:cardioid, which has a lone dbar and no
+#: lone d: its plan writes the program against sigma = conj o conj:cardioid
+#: and realizes each sigma layer with an activation layer and a
+#: conjugation-block layer.
+LOWERING_CASES = {
+    "NonPoly_NMplus1": ("NonPoly_NMplus1", get_activation("cardioid")),
+    "NonPoly_Conj_NMplus1": ("NonPoly_NMplus1", get_activation("conj:cardioid")),
+    "NonPoly_2N2Mplus1": ("NonPoly_2N2Mplus1", get_activation("modrelu", {"b": -1})),
+    "Poly_Wide_2N2Mplus12": ("Poly_Wide_2N2Mplus12", get_activation("re_square")),
+    "Poly_Narrow_2N2Mplus5": ("Poly_Narrow_2N2Mplus5", get_activation("re_square")),
+    "Poly_NMplus4": ("Poly_NMplus4", get_activation("z_plus_zbar_sq")),
+}
 
 
 def random_affine(rng, out_dim, in_dim, scale=1.0):

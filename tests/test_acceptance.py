@@ -7,26 +7,25 @@ lines.  Tolerances are pinned here and nowhere else.
 from itertools import product
 
 import numpy as np
-import pytest
 
 from deepnarrow.activations import custom_activation, get_activation
 from deepnarrow.blocks import conj_block, identity_block, mul_block, pair_block, square_block
 from deepnarrow.cli import main as cli_main
-from deepnarrow.core import (CompactBox, GridSpec, eval_cvnn, sample_box, width_of)
+from deepnarrow.core import CompactBox, GridSpec, eval_cvnn, width_of
 from deepnarrow.fitting import FitConfig
-from deepnarrow.lowering import STRATEGIES, lower, plan_lowering, strategy_width_budget
+from deepnarrow.lowering import lower, plan_lowering, strategy_width_budget
 from deepnarrow.register import (PolyZZbar, eval_register, plan_monomial,
                                  poly_to_register, shallow_to_register,
                                  simulate_plan)
 from deepnarrow.verifier import (affine_closure_demo, end_to_end_nonpoly,
                                  end_to_end_poly, holo_floor_demo,
                                  kernel_invariance_demo, named_target,
-                                 nowhere_diff_demo, sup_error)
+                                 nowhere_diff_demo)
 from deepnarrow.wirtinger import (ToleranceProfile, classify_activation,
                                   second_partials_to_wirtinger, wirt_first,
                                   wirt_second)
 
-from conftest import block_sup_error, random_points, random_shallow
+from conftest import LOWERING_CASES, block_sup_error, random_points, random_shallow
 
 PROF = ToleranceProfile()
 BOX = CompactBox.square(1, 1.0)
@@ -237,17 +236,8 @@ def test_acceptance_05_block_convergence():
 
 
 def test_acceptance_06_width_budgets(rng):
-    activations = {
-        "NonPoly_NMplus1": get_activation("cardioid"),
-        "NonPoly_Conj_NMplus1": get_activation("conj:cardioid"),
-        "NonPoly_2N2Mplus1": get_activation("modrelu", {"b": -1}),
-        "Poly_Wide_2N2Mplus12": get_activation("re_square"),
-        "Poly_Narrow_2N2Mplus5": get_activation("re_square"),
-        "Poly_NMplus4": get_activation("z_plus_zbar_sq"),
-    }
     ok = True
-    for strategy in STRATEGIES:
-        spec = activations[strategy]
+    for strategy, spec in LOWERING_CASES.values():
         for n in (1, 2, 3):
             for m in (1, 2, 3):
                 if strategy.startswith("NonPoly"):

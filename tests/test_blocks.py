@@ -6,7 +6,7 @@ from deepnarrow.blocks import (conj_block, id_conj_pair_block, identity_block, m
                                pair_block, routed_pair_block, square_block, mul_apply)
 from deepnarrow.core import CompactBox, GridSpec, eval_cvnn, sample_box
 from deepnarrow.errors import ConstructionError
-from deepnarrow.wirtinger import ToleranceProfile, probe_atlas, wirt_first
+from deepnarrow.wirtinger import ToleranceProfile, probe_atlas
 
 from conftest import block_sup_error, block_values
 

@@ -179,9 +179,10 @@ def test_lower_command(tmp_path, capsys):
 
 
 def test_lower_conj_strategy_sweeps_against_conjugated_activation(tmp_path):
-    """`lower` takes sigma from the lowering plan; for NonPoly_Conj_NMplus1
-    that is conj o activation, so the sweep equals, byte for byte, one built
-    by hand against conjugate_activation(spec)."""
+    """`lower` takes sigma from the lowering plan; for NonPoly_NMplus1 over
+    conj:cardioid, which has a lone dbar and no lone d, that is
+    conj o activation, so the sweep equals, byte for byte, one built by hand
+    against conjugate_activation(spec)."""
     from deepnarrow.activations import conjugate_activation
     from deepnarrow.core import CompactBox, GridSpec, cvnn_to_json
     from deepnarrow.lowering import lower
@@ -190,7 +191,7 @@ def test_lower_conj_strategy_sweeps_against_conjugated_activation(tmp_path):
     from deepnarrow.wirtinger import ToleranceProfile
     from conftest import random_shallow
 
-    strategy = "NonPoly_Conj_NMplus1"
+    strategy = "NonPoly_NMplus1"
     spec = get_activation("conj:cardioid")
     sigma = conjugate_activation(spec)
     net = random_shallow(np.random.default_rng(3), 1, 1, 4, sigma.activation_id, scale=0.5)
@@ -211,11 +212,10 @@ def test_lower_conj_strategy_sweeps_against_conjugated_activation(tmp_path):
     assert (tmp_path / "low.net.json").read_text() == cvnn_to_json(best)
 
 
-@pytest.mark.parametrize("strategy", ["NonPoly_NMplus1", "NonPoly_Conj_NMplus1",
-                                      "NonPoly_2N2Mplus1"])
+@pytest.mark.parametrize("strategy", ["NonPoly_NMplus1", "NonPoly_2N2Mplus1"])
 def test_lower_poly_program_with_nonpoly_strategy_reports_family(tmp_path, capsys, strategy):
-    # re_square has no lone-derivative point, so planning NonPoly_NMplus1 or
-    # NonPoly_Conj_NMplus1 would fail too; the family error comes first
+    # re_square has no lone-derivative point, so planning NonPoly_NMplus1
+    # would fail too; the family error comes first
     p = PolyZZbar(1, ((1 + 0j, (0,), (2,)),))
     prog_path = tmp_path / "prog.json"
     prog_path.write_text(program_to_json(poly_to_register([p], "mul2")))
@@ -226,11 +226,27 @@ def test_lower_poly_program_with_nonpoly_strategy_reports_family(tmp_path, capsy
         f"error[STRATEGY_MISMATCH] {strategy} needs a shallow-family program\n")
 
 
-@pytest.mark.parametrize("strategy", ["Bogus", "NonPoly_Bogus", "Poly_Bogus"])
+def test_a_lone_dbar_activation_compiles_under_nonpoly_nmplus1(tmp_path, capsys):
+    """conj:cardioid's lone first derivative is dbar: its verdict names
+    NonPoly_NMplus1, whose plan writes against sigma = cardioid, so naming
+    that strategy writes the default compile's network."""
+    argv = ["compile", "--target", "zzbar", "--activation", "conj:cardioid",
+            "--features", "40", "--no-timestamp"]
+    assert run(argv + ["--out", str(tmp_path / "auto")]) == 0
+    assert run(argv + ["--strategy", "NonPoly_NMplus1", "--out", str(tmp_path / "named")]) == 0
+    auto, named = capsys.readouterr().out.splitlines()
+    assert auto == named and auto.startswith("compile strategy=NonPoly_NMplus1 ")
+    assert ((tmp_path / "auto.net.json").read_bytes()
+            == (tmp_path / "named.net.json").read_bytes())
+
+
+@pytest.mark.parametrize("strategy", ["Bogus", "NonPoly_Bogus", "Poly_Bogus",
+                                      "NonPoly_Conj_NMplus1"])
 def test_unknown_strategy_is_refused_before_fitting(monkeypatch, tmp_path, capsys, strategy):
     """compile refuses an unknown strategy when it plans, before it fits;
     lower refuses it before the program's family is checked (a poly program
-    for NonPoly_*, a shallow one for Poly_*)."""
+    for NonPoly_*, a shallow one for Poly_*).  NonPoly_Conj_NMplus1 is no
+    strategy: NonPoly_NMplus1 serves lone-dbar activations."""
     from deepnarrow import fitting
     from deepnarrow.register import shallow_to_register
     from conftest import random_shallow

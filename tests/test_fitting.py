@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from deepnarrow import fitting
 from deepnarrow.activations import get_activation
 from deepnarrow.core import CompactBox, GridSpec, cvnn_to_json, eval_cvnn, sample_box
 from deepnarrow.errors import DimensionMismatch, FitSingular
@@ -125,6 +128,10 @@ def test_monomial_exponents_graded_lex():
     degrees = [sum(zd) + sum(bd) for zd, bd in exps]
     assert degrees == sorted(degrees)
     assert len(exps) == 6  # 1, z, zbar, z^2, z zbar, zbar^2
+    # fit_poly counts the basis as C(degree + 2n, 2n) before listing it
+    for n in (1, 2, 3):
+        for degree in range(6):
+            assert len(monomial_exponents(n, degree)) == math.comb(degree + 2 * n, 2 * n)
 
 
 def test_fit_poly_recovers_zzbar_exactly():
@@ -177,6 +184,19 @@ def test_fit_poly_underdetermined_raises():
     fn = named_target("abs")
     with pytest.raises(FitSingular):
         fit_poly(fn, 8, BOX, GridSpec(3))
+
+
+def test_fit_poly_refuses_a_basis_larger_than_the_grid_before_enumerating_it(monkeypatch):
+    """At n = 2 and degree 40 the basis has C(44, 4) = 135,751 monomials,
+    more than the 9^4 grid points; the count is refused without walking the
+    41^4 exponent tuples."""
+    def no_enumeration(*args):
+        raise AssertionError("enumerated a basis that the grid cannot determine")
+
+    monkeypatch.setattr(fitting, "monomial_exponents", no_enumeration)
+    with pytest.raises(FitSingular, match="^135751 basis monomials but only 6561 grid points;"):
+        fit_poly(named_target("abs"), 40, CompactBox.square(2, 1.0), GridSpec(9))
+
 
 
 def test_norm0_fits_have_two_outputs():

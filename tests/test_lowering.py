@@ -19,7 +19,7 @@ from deepnarrow.verifier import sup_error
 from deepnarrow.wirtinger import ToleranceProfile, classify_activation
 from deepnarrow.core import CompactBox, GridSpec, cvnn_from_json, cvnn_to_json
 
-from conftest import random_points, random_shallow
+from conftest import LOWERING_CASES, random_points, random_shallow
 
 PROF = ToleranceProfile()
 
@@ -45,21 +45,11 @@ def _test_poly(n, m):
     return comps
 
 
-STRATEGY_ACTIVATIONS = {
-    "NonPoly_NMplus1": CARD,
-    "NonPoly_Conj_NMplus1": CONJ_CARD,
-    "NonPoly_2N2Mplus1": MODRELU,
-    "Poly_Wide_2N2Mplus12": RE_SQ,
-    "Poly_Narrow_2N2Mplus5": RE_SQ,
-    "Poly_NMplus4": ZB,
-}
-
-
-@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("case", LOWERING_CASES)
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_width_budgets_hard(rng, strategy, n, m):
-    spec = STRATEGY_ACTIVATIONS[strategy]
+def test_width_budgets_hard(rng, case, n, m):
+    strategy, spec = LOWERING_CASES[case]
     if strategy.startswith("NonPoly"):
         net = random_shallow(rng, n, m, 4, spec.activation_id)
         program = shallow_to_register(net)
@@ -99,15 +89,16 @@ def test_nonpoly_2n2m_converges(rng):
 
 
 def test_nonpoly_conj_strategy(rng):
-    # activation conj(cardioid) has a lone-dbar point; the program is fitted
-    # with sigma = cardioid and realized with conjugation-block layers
+    # activation conj(cardioid) has a lone-dbar point and no lone-d point;
+    # the program is fitted with sigma = cardioid and realized with
+    # conjugation-block layers
     net = random_shallow(rng, 1, 2, 3, CARD.activation_id)
     program = shallow_to_register(net)
     box = CompactBox.square(1, 1.0)
     ref = lambda zs: eval_register(program, zs, CARD.fn)
     errs = []
     for h in (1e-3, 1e-5):
-        low = lower(program, CONJ_CARD, "NonPoly_Conj_NMplus1", h, PROF)
+        low = lower(program, CONJ_CARD, "NonPoly_NMplus1", h, PROF)
         assert width_of(low) <= 4
         errs.append(sup_error(ref, lambda zs: eval_cvnn(low, zs, CONJ_CARD.fn),
                               box, GridSpec(9)))
@@ -215,7 +206,7 @@ def test_hidden_widths_within_budget_per_layer():
     assert max(hidden_widths(low)) <= strategy_width_budget("Poly_Narrow_2N2Mplus5", 1, 1)
 
 
-@pytest.mark.parametrize("strategy, spec, roles", [
+@pytest.mark.parametrize("case, spec, roles", [
     ("Poly_Narrow_2N2Mplus5", RE_SQ, ["square", "pair"]),
     ("Poly_Wide_2N2Mplus12", RE_SQ, ["square", "pair"]),
     ("Poly_NMplus4", ZB, ["square", "identity", "pair"]),
@@ -224,9 +215,10 @@ def test_hidden_widths_within_budget_per_layer():
     ("NonPoly_Conj_NMplus1", CONJ_CARD, ["conjugation", "identity"]),
     ("NonPoly_2N2Mplus1", MODRELU, ["pair"]),
 ])
-def test_each_block_built_at_its_h(monkeypatch, rng, strategy, spec, roles):
+def test_each_block_built_at_its_h(monkeypatch, rng, case, spec, roles):
     """The identity, pair and conjugation blocks are built at h; the square
     block at sqrt(h), or at h under Poly_Wide_2N2Mplus12."""
+    strategy = LOWERING_CASES[case][0]
     h = 1e-4
     built = []
 
@@ -250,18 +242,14 @@ def test_each_block_built_at_its_h(monkeypatch, rng, strategy, spec, roles):
 
 
 def test_default_strategy_mapping():
-    cls = classify_activation(CARD, PROF)
-    assert default_strategy(cls.verdict, cls.witness_probe) == "NonPoly_NMplus1"
-    cls = classify_activation(CONJ_CARD, PROF)
-    assert default_strategy(cls.verdict, cls.witness_probe) == "NonPoly_Conj_NMplus1"
-    cls = classify_activation(MODRELU, PROF)
-    assert default_strategy(cls.verdict, cls.witness_probe) == "NonPoly_2N2Mplus1"
-    cls = classify_activation(RE_SQ, PROF)
-    assert default_strategy(cls.verdict, cls.witness_probe) == "Poly_Narrow_2N2Mplus5"
-    cls = classify_activation(ZB, PROF)
-    assert default_strategy(cls.verdict, cls.witness_probe) == "Poly_NMplus4"
+    # conj:cardioid's lone derivative is dbar: the verdict names the same
+    # strategy, and the plan picks sigma = cardioid
+    for spec, strategy in [(CARD, "NonPoly_NMplus1"), (CONJ_CARD, "NonPoly_NMplus1"),
+                           (MODRELU, "NonPoly_2N2Mplus1"), (RE_SQ, "Poly_Narrow_2N2Mplus5"),
+                           (ZB, "Poly_NMplus4")]:
+        assert default_strategy(classify_activation(spec, PROF).verdict) == strategy
     with pytest.raises(StrategyMismatch):
-        default_strategy("NonUniversalHolomorphic", None)
+        default_strategy("NonUniversalHolomorphic")
 
 
 # ---------------------------------------------------------------------------
@@ -303,12 +291,12 @@ def test_assemble_rejects_inf_in_a_stage_post_matrix(rng):
         assemble_pieces(pieces, CARD.activation_id)
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES[:3])
-def test_lower_validates_only_network_and_block_maps(monkeypatch, rng, strategy):
+@pytest.mark.parametrize("case", list(LOWERING_CASES)[:3])
+def test_lower_validates_only_network_and_block_maps(monkeypatch, rng, case):
     """One lower of a depth-L shallow program checks each run of the network
     for non-finite entries once, and constructs a ComplexAffineMap only for
     the blocks built at that h."""
-    spec = STRATEGY_ACTIVATIONS[strategy]
+    strategy, spec = LOWERING_CASES[case]
     program = shallow_to_register(random_shallow(rng, 2, 1, 25, spec.activation_id))
     built, checked = [], []
     post_init = ComplexAffineMap.__post_init__
@@ -335,7 +323,7 @@ def test_lower_validates_only_network_and_block_maps(monkeypatch, rng, strategy)
     monkeypatch.setattr(core, "_check_run", counting_check)
     monkeypatch.setattr(lowering, "_build_kit", counting_kit)
     net = lower(program, spec, strategy, 1e-3, PROF)
-    layers = 2 if strategy == "NonPoly_Conj_NMplus1" else 1
+    layers = 2 if plan_lowering(spec, strategy, PROF).sigma is not spec else 1
     assert depth_of(net) == 25 * layers + 1
     # the first map, one run of every map between program layers, the last map
     assert [len(m) for m, _ in net.runs] == [1, 25 * layers - 1, 1]
@@ -396,16 +384,16 @@ class _Draws:
 
 
 @settings(max_examples=100)
-@given(strategy=st.sampled_from(STRATEGIES), n=st.integers(1, 2), m=st.integers(1, 2),
+@given(case=st.sampled_from(list(LOWERING_CASES)), n=st.integers(1, 2), m=st.integers(1, 2),
        h=st.sampled_from((1e-2, 1e-3, 1e-4)), seed=st.integers(0, 2**32 - 1),
        data=st.data())
 # z^2 + z and z + z^2 at h = 1e-2: the lowered z_plus_zbar_sq chain grows by
 # ~60x per map and is non-finite after map 49, fused and unfused alike
-@example(strategy="Poly_NMplus4", n=1, m=2, h=1e-2, seed=493,
+@example(case="Poly_NMplus4", n=1, m=2, h=1e-2, seed=493,
          data=_Draws([(0, 0), (0,)], [(0,), (0, 0)]))
-def test_fused_equals_unfused_on_random_programs(strategy, n, m, h, seed, data):
+def test_fused_equals_unfused_on_random_programs(case, n, m, h, seed, data):
     rng = np.random.default_rng(seed)
-    spec = STRATEGY_ACTIVATIONS[strategy]
+    strategy, spec = LOWERING_CASES[case]
     if strategy.startswith("NonPoly"):
         width = data.draw(st.integers(1, 6), label="width")
         program = shallow_to_register(random_shallow(rng, n, m, width, spec.activation_id))
@@ -458,10 +446,12 @@ def _assemble_map_by_map(pieces):
     return maps + [pending]
 
 
-def _lowered(strategy, n, m, seed, h=1e-3, spec=None):
+def _lowered(case, n, m, seed, h=1e-3, spec=None):
+    """The pieces of a case's lowering, over spec in place of its activation
+    where one is given, and that activation."""
     rng = np.random.default_rng(seed)
-    if spec is None:
-        spec = STRATEGY_ACTIVATIONS[strategy]
+    strategy, case_spec = LOWERING_CASES[case]
+    spec = spec or case_spec
     if strategy.startswith("NonPoly"):
         program = shallow_to_register(random_shallow(rng, n, m, 5, spec.activation_id))
     else:
@@ -469,10 +459,10 @@ def _lowered(strategy, n, m, seed, h=1e-3, spec=None):
     return lower_pieces(program, spec, strategy, h, PROF), spec
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("case", LOWERING_CASES)
 @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (1, 2)])
-def test_stacked_assembly_equals_fusing_map_by_map(strategy, n, m):
-    pieces, spec = _lowered(strategy, n, m, seed=n + 3 * m)
+def test_stacked_assembly_equals_fusing_map_by_map(case, n, m):
+    pieces, spec = _lowered(case, n, m, seed=n + 3 * m)
     net = assemble_pieces(pieces, spec.activation_id)
     want = _assemble_map_by_map(pieces)
     assert len(net.affine_maps) == len(want)
@@ -481,29 +471,24 @@ def test_stacked_assembly_equals_fusing_map_by_map(strategy, n, m):
         assert got.bias.tobytes() == ref.bias.tobytes()
 
 
-#: the strategies whose stages are all block placements (no realizer layers)
-PLACED_STRATEGIES = [s for s in STRATEGIES
-                     if plan_lowering(STRATEGY_ACTIVATIONS[s], s, PROF).realizer_point is None]
-
-#: (strategy, activation) of every placed strategy, then of the two plans
-#: whose stages a conjugation realizer turns into layers
-STAGE_CASES = ([pytest.param(s, STRATEGY_ACTIVATIONS[s], id=s) for s in PLACED_STRATEGIES]
-               + [pytest.param("NonPoly_Conj_NMplus1", CONJ_CARD, id="NonPoly_Conj_NMplus1"),
-                  pytest.param("Poly_NMplus4", CONJ_ZB, id="Poly_NMplus4-conj")])
+#: (case, activation) of every lowering case, then Poly_NMplus4 over
+#: conj:z_plus_zbar_sq; the two conj: activations are the plans whose
+#: stages a conjugation realizer turns into layers
+STAGE_CASES = ([pytest.param(c, LOWERING_CASES[c][1], id=c) for c in LOWERING_CASES]
+               + [pytest.param("Poly_NMplus4", CONJ_ZB, id="Poly_NMplus4-conj")])
 
 
-@pytest.mark.parametrize("strategy, spec", STAGE_CASES)
+@pytest.mark.parametrize("case, spec", STAGE_CASES)
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("h", [1e-2, 1e-3])
-def test_stage_maps_hold_no_negative_zero(strategy, spec, n, h):
+def test_stage_maps_hold_no_negative_zero(case, spec, n, h):
     """A placement adds a block's rows into zero rows, so every zero weight
     of a stage is +0, also where the block's own entry is -0 (some post rows
     hold one); assigning the rows would keep those -0 and change the bytes
     of some networks.  The realizer's stages keep that rule."""
-    assert len(PLACED_STRATEGIES) == 5
-    realized = strategy not in PLACED_STRATEGIES or spec is CONJ_ZB
-    assert (plan_lowering(spec, strategy, PROF).realizer_point is not None) == realized
-    pieces, _ = _lowered(strategy, n, 1, seed=n, h=h, spec=spec)
+    realized = spec.name.startswith("conj:")
+    assert (plan_lowering(spec, LOWERING_CASES[case][0], PROF).sigma is not spec) == realized
+    pieces, _ = _lowered(case, n, 1, seed=n, h=h, spec=spec)
     stages = [obj for obj in pieces if isinstance(obj, lowering.Stage)]
     stages += [stage for obj in pieces if isinstance(obj, lowering.Layers)
                for stage in obj.stages]
@@ -528,15 +513,15 @@ def _json_map_by_map(net):
     }, sort_keys=True)
 
 
-@pytest.mark.parametrize("strategy, n, shapes", [
+@pytest.mark.parametrize("case, n, shapes", [
     # a 4-wide layer, then a run of 11 x 11 maps
     ("Poly_Narrow_2N2Mplus5", 2, [(1, 4, 2), (1, 11, 4), (23, 11, 11), (1, 1, 11)]),
     # the realizer's activation and conjugation layers alternate in one run
     ("NonPoly_Conj_NMplus1", 1, [(1, 3, 1), (9, 3, 3), (1, 1, 3)]),
     ("NonPoly_2N2Mplus1", 2, [(1, 7, 2), (4, 7, 7), (1, 1, 7)]),
 ])
-def test_json_equals_writing_map_by_map(strategy, n, shapes):
-    pieces, spec = _lowered(strategy, n, 1, seed=7)
+def test_json_equals_writing_map_by_map(case, n, shapes):
+    pieces, spec = _lowered(case, n, 1, seed=7)
     net = assemble_pieces(pieces, spec.activation_id)
     assert [m.shape for m, _ in net.runs] == shapes
     text = cvnn_to_json(net)
@@ -559,7 +544,7 @@ LOAD_CASES = [(spec, strategy) for spec in (CARD, ZB, CONJ_ZB)
 def test_load_cases_cover_every_mul_kind_and_the_realizer():
     plans = [plan_lowering(spec, strategy, PROF) for spec, strategy in LOAD_CASES]
     assert {plan.mul_kind for plan in plans} == {"mul1", "mul2", "mul3"}
-    assert plan_lowering(CONJ_ZB, "Poly_NMplus4", PROF).realizer_point is not None
+    assert plan_lowering(CONJ_ZB, "Poly_NMplus4", PROF).sigma is not CONJ_ZB
 
 
 def _ladder_runs(pieces):
@@ -594,7 +579,7 @@ def test_one_factor_program_lowers_to_the_init_stage_alone(spec, strategy, side)
     zd, bd = ((1,), (0,)) if side == "z" else ((0,), (1,))
     program = poly_to_register([PolyZZbar(1, ((1 + 0j, zd, bd),))], plan.mul_kind)
     stages = 2 if strategy == "Poly_NMplus4" and side == "zbar" else 1
-    layers_per_stage = 1 if plan.realizer_point is None else 2
+    layers_per_stage = 1 if plan.sigma is spec else 2
     net = lower(program, spec, strategy, 1e-4, PROF)
     assert depth_of(net) == 1 + stages * layers_per_stage
     err = sup_error(lambda zs: eval_register(program, zs),
@@ -681,7 +666,7 @@ def test_a_ladder_without_room_runs_one_neuron_per_layer(spec, strategy, depths)
     pair block, and NMplus4's budget is n + m + 4: either way one compute
     slot is left, and the depths stay as they were before the packing."""
     plan = plan_lowering(spec, strategy, PROF)
-    layers_per_stage = 1 if plan.realizer_point is None else 2
+    layers_per_stage = 1 if plan.sigma is spec else 2
     got = []
     for n, m in SHAPES:
         pieces, _ = _lowered(strategy, n, m, seed=0, spec=spec)

@@ -2,15 +2,17 @@
 query on it.
 
 GOLDEN pins the verdict and witness, the active and nonzero-second points,
-and per strategy the lowering plan (sigma, conj-realizer point, identity
-point, pair route, square point, mul kind) or the exception planning
-raises.  The table was recorded from the per-use grid scans that the atlas
-replaced, so it also shows that the atlas keeps their choices.  The plans
-of nowhere_diff were recorded again when a derivative came to count as
-nonzero only above three times its error estimate: its estimates are the
-only nonzero ones in the catalog.  The Narrow plans took the lone-d
-identity point (None where there is none, as before) when Narrow came to
-cross its registers through identity blocks wherever it can.
+and per strategy the lowering plan (sigma, identity point, pair route,
+square point, mul kind) or the exception planning raises.  The table was
+recorded from the per-use grid scans that the atlas replaced, so it also
+shows that the atlas keeps their choices.  The plans of nowhere_diff were
+recorded again when a derivative came to count as nonzero only above three
+times its error estimate: its estimates are the only nonzero ones in the
+catalog.  The Narrow plans took the lone-d identity point (None where there
+is none, as before) when Narrow came to cross its registers through
+identity blocks wherever it can.  The NonPoly_NMplus1 plans of antiholo_exp
+and conj:cardioid, which have a lone dbar and no lone d, write against
+conj o activation, as their Poly_NMplus4 plans do.
 """
 
 import dataclasses
@@ -31,27 +33,25 @@ from deepnarrow.wirtinger import (TAYLOR_RADII, ToleranceProfile, classify_activ
 PROF = ToleranceProfile()
 
 # label: (verdict, witness, active point, nonzero-second point, plans); a
-# plan is (sigma, realizer, id, pair route, square, mul kind)
+# plan is (sigma, id, pair route, square, mul kind)
 GOLDEN = {
     'abs_square': (
         'UniversalPoly_2N2Mplus5', (-2-2j), (-2-2j), ((-2-2j), 'ddbar'),
         {
             'NonPoly_NMplus1': StrategyMismatch,
-            'NonPoly_Conj_NMplus1': StrategyMismatch,
             'NonPoly_2N2Mplus1':
-                ('abs_square', None, None, ((-1-1j),), None, None),
+                ('abs_square', None, ((-1-1j),), None, None),
             'Poly_Wide_2N2Mplus12':
-                ('abs_square', None, None, ((-2-2j),), 0j, 'mul2'),
+                ('abs_square', None, ((-2-2j),), 0j, 'mul2'),
             'Poly_Narrow_2N2Mplus5':
-                ('abs_square', None, None, ((-2-2j),), 0j, 'mul2'),
+                ('abs_square', None, ((-2-2j),), 0j, 'mul2'),
             'Poly_NMplus4': StrategyMismatch,
         }),
     'antiholo_exp': (
         'NonUniversalAntiholomorphic', None, (2-2j), ((2-2j), 'dbar2'),
         {
-            'NonPoly_NMplus1': StrategyMismatch,
-            'NonPoly_Conj_NMplus1':
-                ('conj:antiholo_exp', (1.5-2j), (1.5-2j), None, None, None),
+            'NonPoly_NMplus1':
+                ('conj:antiholo_exp', (1.5-2j), None, None, None),
             'NonPoly_2N2Mplus1': StrategyMismatch,
             'Poly_Wide_2N2Mplus12': ConstructionError,
             'Poly_Narrow_2N2Mplus5': ConstructionError,
@@ -61,23 +61,21 @@ GOLDEN = {
         'UniversalNonPoly_NMplus1', (0.5+0j), (0.5+0j), (-0.5j, 'ddbar'),
         {
             'NonPoly_NMplus1':
-                ('cardioid', None, (0.5+0j), None, None, None),
-            'NonPoly_Conj_NMplus1': StrategyMismatch,
+                ('cardioid', (0.5+0j), None, None, None),
             'NonPoly_2N2Mplus1':
-                ('cardioid', None, None, ((-0.5-0.5j),), None, None),
+                ('cardioid', None, ((-0.5-0.5j),), None, None),
             'Poly_Wide_2N2Mplus12':
-                ('cardioid', None, None, (-2j,), (-0.5-0.5j), 'mul2'),
+                ('cardioid', None, (-2j,), (-0.5-0.5j), 'mul2'),
             'Poly_Narrow_2N2Mplus5':
-                ('cardioid', None, (0.5+0j), (-2j,), (-0.5-0.5j), 'mul2'),
+                ('cardioid', (0.5+0j), (-2j,), (-0.5-0.5j), 'mul2'),
             'Poly_NMplus4':
-                ('cardioid', None, (0.5+0j), (-2j,), (-0.5-0.5j), 'mul2'),
+                ('cardioid', (0.5+0j), (-2j,), (-0.5-0.5j), 'mul2'),
         }),
     'exp': (
         'NonUniversalHolomorphic', None, (2-2j), ((2-2j), 'd2'),
         {
             'NonPoly_NMplus1':
-                ('exp', None, (1.5-2j), None, None, None),
-            'NonPoly_Conj_NMplus1': StrategyMismatch,
+                ('exp', (1.5-2j), None, None, None),
             'NonPoly_2N2Mplus1': StrategyMismatch,
             'Poly_Wide_2N2Mplus12': ConstructionError,
             'Poly_Narrow_2N2Mplus5': ConstructionError,
@@ -87,50 +85,45 @@ GOLDEN = {
         'UniversalNonPoly_2N2Mplus1', (2-2j), (2-2j), ((2-2j), 'ddbar'),
         {
             'NonPoly_NMplus1': StrategyMismatch,
-            'NonPoly_Conj_NMplus1': StrategyMismatch,
             'NonPoly_2N2Mplus1':
-                ('exp_re', None, None, ((1.5-2j),), None, None),
+                ('exp_re', None, ((1.5-2j),), None, None),
             'Poly_Wide_2N2Mplus12':
-                ('exp_re', None, None, ((2-2j),), (1.5-2j), 'mul2'),
+                ('exp_re', None, ((2-2j),), (1.5-2j), 'mul2'),
             'Poly_Narrow_2N2Mplus5':
-                ('exp_re', None, None, ((2-2j),), (1.5-2j), 'mul2'),
+                ('exp_re', None, ((2-2j),), (1.5-2j), 'mul2'),
             'Poly_NMplus4': StrategyMismatch,
         }),
     'modrelu': (
         'UniversalNonPoly_2N2Mplus1', (-1-0.5j), (-2-2j), ((-1-0.5j), 'ddbar'),
         {
             'NonPoly_NMplus1': StrategyMismatch,
-            'NonPoly_Conj_NMplus1': StrategyMismatch,
             'NonPoly_2N2Mplus1':
-                ('modrelu', None, None, ((-1-0.5j),), None, None),
+                ('modrelu', None, ((-1-0.5j),), None, None),
             'Poly_Wide_2N2Mplus12':
-                ('modrelu', None, None, ((-1-0.5j),), (-1-0.5j), 'mul2'),
+                ('modrelu', None, ((-1-0.5j),), (-1-0.5j), 'mul2'),
             'Poly_Narrow_2N2Mplus5':
-                ('modrelu', None, None, ((-1-0.5j),), (-1-0.5j), 'mul2'),
+                ('modrelu', None, ((-1-0.5j),), (-1-0.5j), 'mul2'),
             'Poly_NMplus4': StrategyMismatch,
         }),
     'nowhere_diff': (
         'Inconclusive', None, None, ((-2+0j), 'ddbar'),
         {
             'NonPoly_NMplus1':
-                ('nowhere_diff', None, (-1.5+0.5j), None, None, None),
-            'NonPoly_Conj_NMplus1':
-                ('conj:nowhere_diff', (-1.5-0.5j), (-1.5-0.5j), None, None, None),
+                ('nowhere_diff', (-1.5+0.5j), None, None, None),
             'NonPoly_2N2Mplus1':
-                ('nowhere_diff', None, None, ((-1.5+2j),), None, None),
+                ('nowhere_diff', None, ((-1.5+2j),), None, None),
             'Poly_Wide_2N2Mplus12':
-                ('nowhere_diff', None, None, ((-2-0.5j),), (-1-1j), 'mul2'),
+                ('nowhere_diff', None, ((-2-0.5j),), (-1-1j), 'mul2'),
             'Poly_Narrow_2N2Mplus5':
-                ('nowhere_diff', None, (-1.5+0.5j), ((-2-0.5j),), (-1-1j), 'mul2'),
+                ('nowhere_diff', (-1.5+0.5j), ((-2-0.5j),), (-1-1j), 'mul2'),
             'Poly_NMplus4':
-                ('nowhere_diff', None, (-1.5+0.5j), ((-2-0.5j),), (-1-1j), 'mul2'),
+                ('nowhere_diff', (-1.5+0.5j), ((-2-0.5j),), (-1-1j), 'mul2'),
         }),
     'r_affine': (
         'NonUniversalHolomorphic', None, (-2-2j), None,
         {
             'NonPoly_NMplus1':
-                ('r_affine', None, 0j, None, None, None),
-            'NonPoly_Conj_NMplus1': StrategyMismatch,
+                ('r_affine', 0j, None, None, None),
             'NonPoly_2N2Mplus1': StrategyMismatch,
             'Poly_Wide_2N2Mplus12': StrategyMismatch,
             'Poly_Narrow_2N2Mplus5': StrategyMismatch,
@@ -140,85 +133,79 @@ GOLDEN = {
         'UniversalPoly_2N2Mplus5', (-2-2j), (-2-2j), ((-2-2j), 'ddbar'),
         {
             'NonPoly_NMplus1': StrategyMismatch,
-            'NonPoly_Conj_NMplus1': StrategyMismatch,
             'NonPoly_2N2Mplus1':
-                ('re_square', None, None, ((-1-2j),), None, None),
+                ('re_square', None, ((-1-2j),), None, None),
             'Poly_Wide_2N2Mplus12':
-                ('re_square', None, None, ((-2-2j),), -2j, 'mul2'),
+                ('re_square', None, ((-2-2j),), -2j, 'mul2'),
             'Poly_Narrow_2N2Mplus5':
-                ('re_square', None, None, ((-2-2j),), -2j, 'mul2'),
+                ('re_square', None, ((-2-2j),), -2j, 'mul2'),
             'Poly_NMplus4': StrategyMismatch,
         }),
     'tanh_re': (
         'UniversalNonPoly_2N2Mplus1', -2j, -2j, ((-0.5-2j), 'ddbar'),
         {
             'NonPoly_NMplus1': StrategyMismatch,
-            'NonPoly_Conj_NMplus1': StrategyMismatch,
             'NonPoly_2N2Mplus1':
-                ('tanh_re', None, None, (-2j,), None, None),
+                ('tanh_re', None, (-2j,), None, None),
             'Poly_Wide_2N2Mplus12':
-                ('tanh_re', None, None, (-2j,), (-1-2j), 'mul2'),
+                ('tanh_re', None, (-2j,), (-1-2j), 'mul2'),
             'Poly_Narrow_2N2Mplus5':
-                ('tanh_re', None, None, (-2j,), (-1-2j), 'mul2'),
+                ('tanh_re', None, (-2j,), (-1-2j), 'mul2'),
             'Poly_NMplus4': StrategyMismatch,
         }),
     'z_plus_zbar_sq': (
         'UniversalPoly_NMplus4', 0j, (-2-2j), ((-2-2j), 'dbar2'),
         {
             'NonPoly_NMplus1':
-                ('z_plus_zbar_sq', None, 0j, None, None, None),
-            'NonPoly_Conj_NMplus1': StrategyMismatch,
+                ('z_plus_zbar_sq', 0j, None, None, None),
             'NonPoly_2N2Mplus1':
-                ('z_plus_zbar_sq', None, None, ((-1+0j),), None, None),
+                ('z_plus_zbar_sq', None, ((-1+0j),), None, None),
             'Poly_Wide_2N2Mplus12':
-                ('z_plus_zbar_sq', None, None, ((-2-2j),), 0j, 'mul3'),
+                ('z_plus_zbar_sq', None, ((-2-2j),), 0j, 'mul3'),
             'Poly_Narrow_2N2Mplus5':
-                ('z_plus_zbar_sq', None, 0j, ((-2-2j),), 0j, 'mul3'),
+                ('z_plus_zbar_sq', 0j, ((-2-2j),), 0j, 'mul3'),
             'Poly_NMplus4':
-                ('z_plus_zbar_sq', None, 0j, ((-2-2j),), 0j, 'mul3'),
+                ('z_plus_zbar_sq', 0j, ((-2-2j),), 0j, 'mul3'),
         }),
     'conj:cardioid': (
         'UniversalNonPoly_NMplus1', (0.5+0j), (0.5+0j), (-0.5j, 'ddbar'),
         {
-            'NonPoly_NMplus1': StrategyMismatch,
-            'NonPoly_Conj_NMplus1':
-                ('conj:conj:cardioid', (0.5+0j), (0.5+0j), None, None, None),
+            'NonPoly_NMplus1':
+                ('conj:conj:cardioid', (0.5+0j), None, None, None),
             'NonPoly_2N2Mplus1':
-                ('conj:cardioid', None, None, ((-0.5-0.5j),), None, None),
+                ('conj:cardioid', None, ((-0.5-0.5j),), None, None),
             'Poly_Wide_2N2Mplus12':
-                ('conj:cardioid', None, None, (-2j,), (-0.5-0.5j), 'mul2'),
+                ('conj:cardioid', None, (-2j,), (-0.5-0.5j), 'mul2'),
             'Poly_Narrow_2N2Mplus5':
-                ('conj:cardioid', None, None, (-2j,), (-0.5-0.5j), 'mul2'),
+                ('conj:cardioid', None, (-2j,), (-0.5-0.5j), 'mul2'),
             'Poly_NMplus4':
-                ('conj:conj:cardioid', (0.5+0j), (0.5+0j), (-2j,), (-0.5-0.5j), 'mul2'),
+                ('conj:conj:cardioid', (0.5+0j), (-2j,), (-0.5-0.5j), 'mul2'),
         }),
     'modrelu b=-0.5': (
         'UniversalNonPoly_2N2Mplus1', (-0.5-0.5j), (-2-2j), ((-0.5-0.5j), 'ddbar'),
         {
             'NonPoly_NMplus1': StrategyMismatch,
-            'NonPoly_Conj_NMplus1': StrategyMismatch,
             'NonPoly_2N2Mplus1':
-                ('modrelu', None, None, ((-0.5-0.5j),), None, None),
+                ('modrelu', None, ((-0.5-0.5j),), None, None),
             'Poly_Wide_2N2Mplus12':
-                ('modrelu', None, None, ((-0.5-0.5j),), (-0.5-0.5j), 'mul2'),
+                ('modrelu', None, ((-0.5-0.5j),), (-0.5-0.5j), 'mul2'),
             'Poly_Narrow_2N2Mplus5':
-                ('modrelu', None, None, ((-0.5-0.5j),), (-0.5-0.5j), 'mul2'),
+                ('modrelu', None, ((-0.5-0.5j),), (-0.5-0.5j), 'mul2'),
             'Poly_NMplus4': StrategyMismatch,
         }),
     'scale(0.5+0.5j):cardioid': (
         'UniversalNonPoly_NMplus1', (0.5+0j), (0.5+0j), (-0.5j, 'ddbar'),
         {
             'NonPoly_NMplus1':
-                ('scale((0.5+0.5j)):cardioid', None, (0.5+0j), None, None, None),
-            'NonPoly_Conj_NMplus1': StrategyMismatch,
+                ('scale((0.5+0.5j)):cardioid', (0.5+0j), None, None, None),
             'NonPoly_2N2Mplus1':
-                ('scale((0.5+0.5j)):cardioid', None, None, ((-0.5-0.5j),), None, None),
+                ('scale((0.5+0.5j)):cardioid', None, ((-0.5-0.5j),), None, None),
             'Poly_Wide_2N2Mplus12':
-                ('scale((0.5+0.5j)):cardioid', None, None, (-2j,), (-0.5-0.5j), 'mul2'),
+                ('scale((0.5+0.5j)):cardioid', None, (-2j,), (-0.5-0.5j), 'mul2'),
             'Poly_Narrow_2N2Mplus5':
-                ('scale((0.5+0.5j)):cardioid', None, (0.5+0j), (-2j,), (-0.5-0.5j), 'mul2'),
+                ('scale((0.5+0.5j)):cardioid', (0.5+0j), (-2j,), (-0.5-0.5j), 'mul2'),
             'Poly_NMplus4':
-                ('scale((0.5+0.5j)):cardioid', None, (0.5+0j), (-2j,), (-0.5-0.5j), 'mul2'),
+                ('scale((0.5+0.5j)):cardioid', (0.5+0j), (-2j,), (-0.5-0.5j), 'mul2'),
         }),
 }
 
@@ -250,8 +237,42 @@ def test_golden_verdicts_and_plans(label):
                 plan_lowering(spec, strategy, PROF)
             continue
         plan = plan_lowering(spec, strategy, PROF)
-        assert (plan.sigma.name, plan.realizer_point, plan.id_point, plan.pair_route,
-                plan.square_point, plan.mul_kind) == want, strategy
+        assert (plan.sigma.name, plan.id_point, plan.pair_route, plan.square_point,
+                plan.mul_kind) == want, strategy
+
+
+@pytest.mark.parametrize("name", [prefix + name for name in available_activations()
+                                  for prefix in ("", "conj:")])
+def test_lone_derivative_plans_write_against_conj_exactly_without_a_lone_d(monkeypatch, name):
+    """NonPoly_NMplus1 and Poly_NMplus4 plan against conj o activation
+    exactly when the atlas has a lone-dbar point and no lone-d point.  Both
+    plans of one spec hold the one sigma kept on it, whose atlas is scanned
+    once."""
+    scans = []
+    scan = wirtinger._scan
+
+    def counting_scan(spec, prof):
+        scans.append(spec.name)
+        return scan(spec, prof)
+
+    monkeypatch.setattr(wirtinger, "_scan", counting_scan)
+    spec = get_activation(name)
+    lone_d, lone_db, _ = probe_atlas(spec, PROF).pattern_points()
+    conj = lone_d is None and lone_db is not None
+    sigmas = []
+    for strategy in ("NonPoly_NMplus1", "Poly_NMplus4"):
+        for _ in range(2):
+            try:
+                sigmas.append(plan_lowering(spec, strategy, PROF).sigma)
+            except (StrategyMismatch, ConstructionError):
+                pass
+    assert scans == ([name, f"conj:{name}"] if conj else [name])
+    assert all(sigma is sigmas[0] for sigma in sigmas)
+    if conj:
+        assert sigmas and sigmas[0].name == f"conj:{name}"
+        assert probe_atlas(sigmas[0], PROF).pattern_points()[0] == lone_db
+    else:
+        assert all(sigma is spec for sigma in sigmas)
 
 
 def _columns(atlas):
@@ -368,8 +389,8 @@ def test_atlas_is_memoised_by_value():
     # the dead zone |z| < 1 of modrelu: zero derivative, no remainder probe
     (["--activation", "modrelu", "--features", "20"], 0j),
     # cardioid vanishes on the negative real axis; conj:cardioid compiles
-    # under NonPoly_Conj_NMplus1, whose sigma conj:conj:cardioid is a spec of
-    # its own, scanned once
+    # under NonPoly_NMplus1 against sigma conj:conj:cardioid, a spec of its
+    # own, scanned once
     (["--activation", "conj:cardioid", "--features", "20"], -1 + 0j),
     # d = dbar = RE z vanishes on the imaginary axis
     (["--activation", "re_square", "--degree", "2"], 0.5j),

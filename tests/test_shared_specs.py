@@ -185,11 +185,11 @@ def test_every_catalog_name_and_its_conj_form_stay_shared():
 
 def test_an_evicted_spec_releases_its_atlas_and_plans():
     """What is derived from a shared spec lives on it: once the spec is
-    evicted and unreferenced, its atlas, its plan, and the atlas of the
-    plan's conj sigma are freed with it."""
+    evicted and unreferenced, its atlas, its plan, the plan's conj sigma and
+    that sigma's atlas are freed with it."""
     spec = get_activation("conj:cardioid")
-    plan = plan_lowering(spec, "NonPoly_Conj_NMplus1", PROF)
-    kept = [weakref.ref(x) for x in (spec, probe_atlas(spec, PROF), plan,
+    plan = plan_lowering(spec, "NonPoly_NMplus1", PROF)
+    kept = [weakref.ref(x) for x in (spec, probe_atlas(spec, PROF), plan, plan.sigma,
                                      probe_atlas(plan.sigma, PROF))]
     del spec, plan
     gc.collect()

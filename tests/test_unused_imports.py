@@ -1,9 +1,10 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package or of its test suite imports a name it never
+uses.
 
 No linter is part of the toolchain, so this reads each module's syntax tree:
 every name an import binds must be read somewhere in the module, or be
-listed in its ``__all__``.  ``__init__.py`` is exempt, since its imports are
-the package's public re-exports.
+listed in its ``__all__``.  The package's ``__init__.py`` is exempt, since
+its imports are the package's public re-exports.
 """
 
 import ast
@@ -13,8 +14,9 @@ import pytest
 
 import deepnarrow
 
-MODULES = sorted(p for p in Path(deepnarrow.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+MODULES = (sorted(p for p in Path(deepnarrow.__file__).parent.glob("*.py")
+                  if p.name != "__init__.py")
+           + sorted(Path(__file__).parent.glob("*.py")))
 
 
 def unused_imports(source: str) -> list:

@@ -10,7 +10,7 @@ from deepnarrow.core import (CompactBox, ComplexAffineMap, Cvnn, GridSpec, cvnn_
                              eval_cvnn, sample_box, width_of)
 from deepnarrow.errors import EvaluationFailure
 from deepnarrow.fitting import FitConfig
-from deepnarrow.lowering import STRATEGIES, lower, plan_lowering
+from deepnarrow.lowering import lower, plan_lowering
 from deepnarrow.register import (PolyZZbar, eval_register, poly_to_register,
                                  shallow_to_register)
 from deepnarrow.verifier import (DEFAULT_SWEEP_SCHEDULE, SweepReport, SweepRow,
@@ -22,7 +22,7 @@ from deepnarrow.verifier import (DEFAULT_SWEEP_SCHEDULE, SweepReport, SweepRow,
 from deepnarrow.blocks import identity_block, square_block
 from deepnarrow.wirtinger import ToleranceProfile
 
-from conftest import random_affine, random_shallow
+from conftest import LOWERING_CASES, random_affine, random_shallow
 
 PROF = ToleranceProfile()
 BOX = CompactBox.square(1, 1.0)
@@ -417,43 +417,38 @@ def _full_errors(report, reference, spec, box, grid):
     return out
 
 
-def _strategy_case(strategy, n):
-    """(activation, program, reference) for one lowering strategy: a random
-    shallow program for the NonPoly strategies, a cross term plus a square
-    for the Poly ones."""
-    spec = {"NonPoly_NMplus1": get_activation("cardioid"),
-            "NonPoly_Conj_NMplus1": get_activation("conj:cardioid"),
-            "NonPoly_2N2Mplus1": get_activation("modrelu", {"b": -1}),
-            "Poly_Wide_2N2Mplus12": get_activation("re_square"),
-            "Poly_Narrow_2N2Mplus5": get_activation("re_square"),
-            "Poly_NMplus4": get_activation("z_plus_zbar_sq")}[strategy]
+def _strategy_case(case, n):
+    """(strategy, activation, program, reference) for one lowering case: a
+    random shallow program for the NonPoly strategies, a cross term plus a
+    square for the Poly ones."""
+    strategy, spec = LOWERING_CASES[case]
     plan = plan_lowering(spec, strategy, PROF)
     if strategy.startswith("NonPoly"):
         shallow = random_shallow(np.random.default_rng(5), n, 1, 4,
                                  plan.sigma.activation_id, scale=0.5)
         program = shallow_to_register(shallow)
-        return spec, program, lambda zs: eval_register(program, zs, plan.sigma.fn)
+        return strategy, spec, program, lambda zs: eval_register(program, zs, plan.sigma.fn)
     other = min(1, n - 1)
     poly = PolyZZbar(n, ((1 + 0j, tuple(int(i == 0) for i in range(n)),
                           tuple(int(i == other and n > 1) for i in range(n))),
                          (0.5 - 0.25j, (0,) * n, tuple(2 * int(i == 0) for i in range(n)))))
     program = poly_to_register([poly], plan.mul_kind)
-    return spec, program, lambda zs: eval_register(program, zs)
+    return strategy, spec, program, lambda zs: eval_register(program, zs)
 
 
-@pytest.mark.parametrize("strategy, n, points_per_axis, stride", [
+@pytest.mark.parametrize("case, n, points_per_axis, stride", [
     # compile --grid 24: 48^2 = 2,304 points
-    *[(strategy, 1, 48, 2) for strategy in STRATEGIES],
+    *[(case, 1, 48, 2) for case in LOWERING_CASES],
     # 12^4 = 20,736 points
-    *[(strategy, 2, 12, 2) for strategy in STRATEGIES],
+    *[(case, 2, 12, 2) for case in LOWERING_CASES],
     # the 18^4 lattice of every n = 2 compile at the default grid
     ("NonPoly_NMplus1", 2, 18, 3),
 ])
-def test_sweep_best_row_equals_full_measurement(strategy, n, points_per_axis, stride):
+def test_sweep_best_row_equals_full_measurement(case, n, points_per_axis, stride):
     """The best row, its value and its network are those of a full
     measurement of every row; a bound is never above its row's full value,
     and a row measured in full reports that value."""
-    spec, program, reference = _strategy_case(strategy, n)
+    strategy, spec, program, reference = _strategy_case(case, n)
     box, grid = CompactBox.square(n, 1.0), GridSpec(points_per_axis)
     assert verifier._bound_grid(box, grid).stride == stride
     report = h_sweep(lambda h: lower(program, spec, strategy, h, PROF),

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from deepnarrow.activations import (available_activations, conjugate_activation,
                                     custom_activation, get_activation, scale_activation)
-from deepnarrow.core import CompactBox, GridSpec
+from deepnarrow.core import CompactBox
 from deepnarrow.errors import ProbeFailed
 from deepnarrow.wirtinger import (POLYHARMONIC_MAX_ORDER, TAYLOR_POINTS_PER_CIRCLE,
                                   TAYLOR_RADII, Classification, TaylorReport, ToleranceProfile,
