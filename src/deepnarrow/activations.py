@@ -77,74 +77,57 @@ class ActivationSpec:
 
 
 def conjugate_activation(spec: ActivationSpec) -> ActivationSpec:
-    """conj o spec, a fresh spec.  Wirtinger data swaps and conjugates:
-    d(conj f) = conj(dbar f), dbar(conj f) = conj(d f)."""
+    """conj o spec, kept on spec: every call on one spec returns one
+    conjugate, which keeps spec as its own conjugate, so
+    ``conjugate_activation(conjugate_activation(s)) is s``.  Wirtinger data
+    swaps and conjugates: d(conj f) = conj(dbar f), dbar(conj f) = conj(d f)."""
     return _conjugate(spec)
 
 
+#: the class flag of conj o f for each class flag of f
+_CONJ_FLAGS = {"holomorphic": "antiholomorphic", "antiholomorphic": "holomorphic",
+               "r_affine": "r_affine"}
+
+
 def _conjugate(spec: ActivationSpec) -> ActivationSpec:
-    inner_first = spec.analytic_first
-    inner_second = spec.analytic_second
+    def build():
+        conj = _variant(spec, f"conj:{spec.name}", np.conj,
+                        lambda d, dbar: (np.conj(dbar), np.conj(d)),
+                        lambda d2, ddbar, dbar2: (np.conj(dbar2), np.conj(ddbar), np.conj(d2)),
+                        frozenset(_CONJ_FLAGS[flag] for flag in spec.class_flags))
+        conj.derived("conj", lambda: spec)
+        return conj
 
-    def fn(z):
-        return np.conj(spec.fn(z))
-
-    first = None
-    if inner_first is not None:
-        def first(z0, _f=inner_first):
-            d, dbar = _f(z0)
-            return np.conj(dbar), np.conj(d)
-
-    second = None
-    if inner_second is not None:
-        def second(z0, _f=inner_second):
-            d2, ddbar, dbar2 = _f(z0)
-            return np.conj(dbar2), np.conj(ddbar), np.conj(d2)
-
-    flags = set()
-    if "holomorphic" in spec.class_flags:
-        flags.add("antiholomorphic")
-    if "antiholomorphic" in spec.class_flags:
-        flags.add("holomorphic")
-    if "r_affine" in spec.class_flags:
-        flags.add("r_affine")
-    return ActivationSpec(
-        name=f"conj:{spec.name}",
-        params=spec.params,
-        fn=fn,
-        analytic_first=first,
-        analytic_second=second,
-        poly_flag=spec.poly_flag,
-        class_flags=frozenset(flags),
-        exclusion=spec.exclusion,
-    )
+    return spec.derived("conj", build)
 
 
 def scale_activation(spec: ActivationSpec, c: complex) -> ActivationSpec:
-    """c * spec for a nonzero constant c.  Preserves every class property."""
+    """c * spec for a finite nonzero constant c, a fresh spec.  Preserves
+    every class property."""
     c = complex(c)
     if c == 0:
         raise InvalidActivationParams("scale constant must be nonzero")
+    if not np.isfinite(c):
+        raise InvalidActivationParams(f"scale constant {c!r} is not finite")
+    times_c = lambda *values: tuple(c * v for v in values)
+    return _variant(spec, f"scale({c!r}):{spec.name}", lambda v: c * v, times_c, times_c,
+                    spec.class_flags)
 
-    first = None
-    if spec.analytic_first is not None:
-        def first(z0, _f=spec.analytic_first):
-            d, dbar = _f(z0)
-            return c * d, c * dbar
 
-    second = None
-    if spec.analytic_second is not None:
-        def second(z0, _f=spec.analytic_second):
-            return tuple(c * v for v in _f(z0))
-
+def _variant(spec: ActivationSpec, name: str, fn: Callable, first: Callable,
+             second: Callable, class_flags: frozenset) -> ActivationSpec:
+    """fn o spec, named name: spec's closed-form first and second Wirtinger
+    derivatives, where it has them, mapped by first(d, dbar) and second(d2,
+    ddbar, dbar2); spec's params, polyharmonicity flag and exclusion."""
+    first_of, second_of = spec.analytic_first, spec.analytic_second
     return ActivationSpec(
-        name=f"scale({c!r}):{spec.name}",
+        name=name,
         params=spec.params,
-        fn=lambda z: c * spec.fn(z),
-        analytic_first=first,
-        analytic_second=second,
+        fn=lambda z: fn(spec.fn(z)),
+        analytic_first=None if first_of is None else lambda z0: first(*first_of(z0)),
+        analytic_second=None if second_of is None else lambda z0: second(*second_of(z0)),
         poly_flag=spec.poly_flag,
-        class_flags=spec.class_flags,
+        class_flags=class_flags,
         exclusion=spec.exclusion,
     )
 
@@ -432,33 +415,43 @@ def available_activations() -> tuple:
 
 
 #: How many catalog specs ``get_activation`` keeps, the most recently used:
-#: every catalog name and its ``conj:`` form at one parameter setting.  A
-#: spec's probe atlases and lowering plans live on it, so this bounds them too.
+#: every catalog name at two parameter settings.  A ``conj:`` form is kept on
+#: its base spec and takes no room of its own, and a spec's probe atlases and
+#: lowering plans live on it, so this bounds them too.
 MEMO_SIZE = 2 * len(_BUILDERS)
 
 
 #: The shared catalog specs, least recently used first, keyed by name and
 #: the repr of the built parameters: repr, unlike ==, tells -0.0 from 0.0,
-#: which build different specs
+#: which build different specs.  No key names a ``conj:`` form.
 _SHARED_SPECS: "OrderedDict[tuple, ActivationSpec]" = OrderedDict()
 _SPECS_LOCK = threading.Lock()
 
 
 def get_activation(name: str, params: Optional[Mapping] = None) -> ActivationSpec:
-    """Look up a catalog activation.  A ``conj:`` prefix wraps the inner
-    activation in complex conjugation (used by the conjugate-network
-    lowerings and serialization).  A parameter value that is not finite, or
-    a parameter the activation does not read, raises InvalidActivationParams.
+    """Look up a catalog activation.  A ``conj:`` prefix gives the conjugate
+    kept on the inner activation (``conjugate_activation``), so
+    ``conj:conj:X`` is X itself.  A parameter value that is not finite, or a
+    parameter the activation does not read, raises InvalidActivationParams.
 
     Calls that build the same name and parameter values (the sign of a zero
     included) return one shared spec while it is among the MEMO_SIZE most
     recently used, so its probe atlases and lowering plans, which live on
-    it, serve every such call.  Every call validates its parameters; a
-    failed one is not remembered.  ``custom_activation``,
-    ``scale_activation``, ``conjugate_activation`` and
+    it, serve every such call; a ``conj:`` form lives, and is evicted, with
+    its base spec.  Every call validates its parameters; a failed one is not
+    remembered.  ``custom_activation``, ``scale_activation`` and
     ``dataclasses.replace`` make a fresh spec on every call, which derives
     its facts anew."""
-    spec = _build(name, dict(params or {}))
+    return _shared(name, dict(params or {}))
+
+
+def _shared(name: str, params: dict) -> ActivationSpec:
+    """The shared spec of a catalog name, through private names only, so
+    that a wrapper installed over a public constructor never enters the
+    shared specs."""
+    if name.startswith("conj:"):
+        return _conjugate(_shared(name[len("conj:"):], params))
+    spec = _build(name, params)
     key = (spec.name, repr(spec.params))
     with _SPECS_LOCK:
         spec = _SHARED_SPECS.pop(key, spec)
@@ -469,11 +462,7 @@ def get_activation(name: str, params: Optional[Mapping] = None) -> ActivationSpe
 
 
 def _build(name: str, params: dict) -> ActivationSpec:
-    """A new spec of a catalog name, through private names only, so that a
-    wrapper installed over a public constructor never enters the shared
-    specs."""
-    if name.startswith("conj:"):
-        return _conjugate(_build(name[len("conj:"):], params))
+    """A new spec of a catalog name without a ``conj:`` prefix."""
     builder = _BUILDERS.get(name)
     if builder is None:
         raise UnknownActivation(f"unknown activation {name!r}")

@@ -55,7 +55,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .activations import ActivationSpec, conjugate_activation
+from .activations import ActivationSpec, _conjugate
 from .blocks import (_SQUARE_TO_MUL, ShallowBlock, identity_block, mul_block,
                      routed_pair_block)
 from .core import (AffineArrays, ComplexAffineMap, Cvnn, eval_affine, fuse_arrays,
@@ -195,11 +195,13 @@ class LoweringPlan:
     """Everything a lowering decides before h is known.
 
     sigma is the activation the program's neurons are written against: the
-    activation itself, or conj o activation (kept on the activation's spec)
-    where a lone-derivative strategy finds a lone dbar but no lone d, and
-    conjugation blocks at id_point undo the conj.  The other fields are the
-    points of the identity block, the (z, conj z) pair route and the square
-    block, read from sigma's own probe atlas, and the product the
+    activation itself, or conj o activation where a lone-derivative strategy
+    finds a lone dbar but no lone d, and conjugation blocks at id_point undo
+    the conj.  That sigma is the conjugate kept on the activation's spec
+    (``conjugate_activation``): for a ``conj:X`` activation it is the shared
+    spec of X, with the atlas and plans X already holds.  The other fields
+    are the points of the identity block, the (z, conj z) pair route and the
+    square block, read from sigma's own probe atlas, and the product the
     multiplication block affords; None where the strategy needs no such
     block.  Narrow's identity point is optional: sigma's lone-d point where
     it has one, else None, and the pair block crosses the registers.
@@ -222,8 +224,9 @@ def plan_lowering(spec: ActivationSpec, strategy: str,
     Kept on the spec like its probe atlas (a failed plan is not), so a
     process plans once per (spec, strategy, profile): every h of a sweep,
     and every later compile of a shared ``get_activation`` spec, reuses the
-    plan and its sigma.  A conj sigma is kept on the spec too, so every plan
-    of one spec shares it and its atlas, scanned once.
+    plan and its sigma.  A conj sigma is the conjugate kept on the spec, so
+    every plan of one spec shares it and its atlas, scanned once, and the
+    sigma of a ``conj:X`` spec reads the atlas of X itself.
     """
     return spec.derived(("plan", strategy, prof), lambda: _plan(spec, strategy, prof))
 
@@ -239,7 +242,7 @@ def _plan(spec: ActivationSpec, strategy: str, prof: ToleranceProfile) -> Loweri
     sigma = spec
     lone_d, lone_db, _ = atlas.pattern_points()
     if strategy in _LONE_DERIVATIVE and lone_d is None and lone_db is not None:
-        sigma = spec.derived("conj", lambda: conjugate_activation(spec))
+        sigma = _conjugate(spec)
         atlas = probe_atlas(sigma, prof)
     s_lone_d, _, s_both = atlas.pattern_points()
     if strategy in _LONE_DERIVATIVE and s_lone_d is None:

@@ -177,11 +177,16 @@ def _failure(pts) -> ProbeFailed:
     return ProbeFailed(f"activation evaluation failed near {pts!r}")
 
 
-def _eval_scalar(spec: ActivationSpec, pts) -> np.ndarray:
-    out = spec(pts)
-    if not np.all(np.isfinite(out.view(np.float64))):
-        raise _failure(pts)
-    return out
+def _evaluate(spec: ActivationSpec, pts: list, sizes) -> np.ndarray:
+    """spec on the list pts in one call, whose consecutive groups have the
+    given sizes; a non-finite value raises ProbeFailed naming the first
+    group that holds one."""
+    vals = spec(pts)
+    if not np.isfinite(vals).all():
+        ends = np.cumsum(sizes)
+        k = np.searchsorted(ends, np.argmin(np.isfinite(vals)), side="right")
+        raise _failure(pts[ends[k] - sizes[k]:ends[k]])
+    return vals
 
 
 def wirt_first(spec: ActivationSpec, z0: complex, prof: ToleranceProfile = ToleranceProfile()):
@@ -194,10 +199,8 @@ def wirt_first(spec: ActivationSpec, z0: complex, prof: ToleranceProfile = Toler
     z0 = complex(z0)
     h0 = prof.fd_step * max(1.0, abs(z0))
     hs = (h0, h0 / 2.0)
-    pts = []
-    for h in hs:
-        pts.extend([z0 + h, z0 - h, z0 + 1j * h, z0 - 1j * h])
-    vals = _eval_scalar(spec, pts)
+    pts = [p for h in hs for p in (z0 + h, z0 - h, z0 + 1j * h, z0 - 1j * h)]
+    vals = _evaluate(spec, pts, [len(pts)])
     fscale = max(1.0, float(np.max(np.abs(vals))))
     dx_samples, dy_samples = [], []
     for k, h in enumerate(hs):
@@ -233,13 +236,10 @@ def wirt_second(spec: ActivationSpec, z0: complex, prof: ToleranceProfile = Tole
     z0 = complex(z0)
     h0 = np.sqrt(prof.fd_step) * max(1.0, abs(z0))
     hs = (h0, h0 / 2.0)
-    groups = [[z0]] + [[z0 + h, z0 - h, z0 + 1j * h, z0 - 1j * h, z0 + h + 1j * h,
-                        z0 + h - 1j * h, z0 - h + 1j * h, z0 - h - 1j * h] for h in hs]
-    vals = spec(groups[0] + groups[1] + groups[2])
-    finite = np.isfinite(vals)
-    if not finite.all():
-        # value 0 is f(z0), values 1-8 step h, values 9-16 step h/2
-        raise _failure(groups[(int(np.argmin(finite)) + 7) // 8])
+    pts = [z0] + [p for h in hs for p in (z0 + h, z0 - h, z0 + 1j * h, z0 - 1j * h,
+                                           z0 + h + 1j * h, z0 + h - 1j * h,
+                                           z0 - h + 1j * h, z0 - h - 1j * h)]
+    vals = _evaluate(spec, pts, [1, 8, 8])
     f0 = vals[0]
     xx_s, yy_s, xy_s = [], [], []
     fscale = max(1.0, abs(f0))
@@ -304,10 +304,7 @@ def laplacian_iterate(spec: ActivationSpec, z0: complex, order: int) -> Laplacia
             collect(zz, k - 1)
 
     collect(complex(z0), order)
-    vals = spec(leaves)
-    finite = np.isfinite(vals)
-    if not finite.all():
-        raise _failure([leaves[int(np.argmin(finite))]])
+    vals = _evaluate(spec, leaves, [1] * len(leaves))
     stream = iter(vals)
 
     def rec(k):
@@ -404,7 +401,8 @@ class ProbeAtlas:
     f(z0) at every point in one activation call, the second probe per
     point, the Taylor verdicts of every candidate point in one batch, a
     failed probe as its ProbeFailed, and the points that pass.  The atlas of
-    conj o f is that of another spec, scanned on its own.
+    conj o f is that of the conjugate kept on f's spec, scanned on its own;
+    conj o conj o f is f's spec, with f's own atlas.
     """
 
     def __init__(self, spec: ActivationSpec, prof: ToleranceProfile, z0: np.ndarray,
@@ -666,9 +664,10 @@ def probe_atlas(spec: ActivationSpec, prof: ToleranceProfile = ToleranceProfile(
 
     The atlas is kept on the spec, per profile, for as long as the spec
     lives (``ActivationSpec.derived``): a shared spec of ``get_activation``
-    serves every later lookup of the same name and parameters, while a spec
-    made by ``custom_activation``, ``scale_activation``,
-    ``conjugate_activation`` or ``dataclasses.replace`` is scanned anew.
+    serves every later lookup of the same name and parameters, and the
+    conjugate kept on a spec (``conjugate_activation``) serves every later
+    conjugation of it, while a spec made by ``custom_activation``,
+    ``scale_activation`` or ``dataclasses.replace`` is scanned anew.
     """
     return spec.derived(("atlas", prof), lambda: _scan(spec, prof))
 

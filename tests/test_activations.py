@@ -3,6 +3,7 @@ import pytest
 
 from deepnarrow.activations import (available_activations, conjugate_activation,
                                     custom_activation, get_activation, scale_activation)
+from deepnarrow.core import sample_box
 from deepnarrow.errors import InvalidActivationParams, UnknownActivation
 from deepnarrow.wirtinger import ToleranceProfile, wirt_first
 
@@ -151,6 +152,70 @@ def test_scale_combinator():
     assert ds == pytest.approx((2 - 1j) * d)
     with pytest.raises(InvalidActivationParams):
         scale_activation(rs, 0)
+
+
+@pytest.mark.parametrize("c", [float("nan"), float("inf"), complex(1, float("nan")),
+                               complex(-float("inf"), 1)], ids=repr)
+def test_scale_refuses_a_constant_that_is_not_finite(c):
+    """A non-finite constant is refused when the spec is made, as
+    get_activation refuses a non-finite parameter, not met later as NaN
+    probes or a failed first probe."""
+    with pytest.raises(InvalidActivationParams) as info:
+        scale_activation(get_activation("cardioid"), c)
+    assert info.value.args == (f"scale constant {complex(c)!r} is not finite",)
+
+
+def _hex_bits(values):
+    return [(complex(v).real.hex(), complex(v).imag.hex()) for v in np.ravel(values)]
+
+
+_SCALE_C = 2 - 1j
+
+#: (name prefix, fn, first, second) of each variant as written out by hand:
+#: conj o f swaps and conjugates the Wirtinger data, c * f scales it
+_VARIANT_REFERENCES = [
+    ("conj:", lambda f, z: np.conj(f(z)),
+     lambda d, dbar: (np.conj(dbar), np.conj(d)),
+     lambda d2, ddbar, dbar2: (np.conj(dbar2), np.conj(ddbar), np.conj(d2))),
+    (f"scale({_SCALE_C!r}):", lambda f, z: _SCALE_C * f(z),
+     lambda d, dbar: (_SCALE_C * d, _SCALE_C * dbar),
+     lambda d2, ddbar, dbar2: (_SCALE_C * d2, _SCALE_C * ddbar, _SCALE_C * dbar2)),
+]
+
+
+@pytest.mark.parametrize("name", available_activations())
+@pytest.mark.parametrize("prefix, fn, first, second", _VARIANT_REFERENCES,
+                         ids=["conj", "scale"])
+def test_variants_match_their_formulas_bit_for_bit(name, prefix, fn, first, second):
+    """conj and scale variants of every catalog activation give, on the
+    probe grid, the values and closed-form derivatives of the formulas
+    written out by hand, to the last bit, and keep the base's params,
+    polyharmonicity flag and exclusion."""
+    spec = get_activation(name)
+    variant = (conjugate_activation(spec) if prefix == "conj:"
+               else scale_activation(spec, _SCALE_C))
+    assert variant.name == prefix + name
+    assert (variant.params, variant.poly_flag, variant.exclusion) == (
+        spec.params, spec.poly_flag, spec.exclusion)
+    prof = ToleranceProfile()
+    zs = sample_box(prof.probe_box, prof.probe_grid)[:, 0]
+    assert _hex_bits(variant(zs)) == _hex_bits(fn(spec.fn, zs))
+    for closed, ref, base in ((variant.analytic_first, first, spec.analytic_first),
+                              (variant.analytic_second, second, spec.analytic_second)):
+        assert (closed is None) == (base is None)
+        if base is not None:
+            for z0 in zs.tolist():
+                assert _hex_bits(closed(z0)) == _hex_bits(ref(*base(z0))), z0
+
+
+@pytest.mark.parametrize("name, flags", [
+    ("exp", {"antiholomorphic"}), ("antiholo_exp", {"holomorphic"}),
+    ("r_affine", {"r_affine", "antiholomorphic"}), ("cardioid", set()),
+])
+def test_conjugate_maps_the_class_flags(name, flags):
+    spec = get_activation(name)
+    assert conjugate_activation(spec).class_flags == flags
+    assert scale_activation(spec, _SCALE_C).class_flags == spec.class_flags
 
 
 # Reference forms of the cardioid and modrelu evaluators: z times the real

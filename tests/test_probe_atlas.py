@@ -12,7 +12,8 @@ catalog.  The Narrow plans took the lone-d identity point (None where there
 is none, as before) when Narrow came to cross its registers through
 identity blocks wherever it can.  The NonPoly_NMplus1 plans of antiholo_exp
 and conj:cardioid, which have a lone dbar and no lone d, write against
-conj o activation, as their Poly_NMplus4 plans do.
+conj o activation, as their Poly_NMplus4 plans do; for conj:cardioid that
+is the shared cardioid spec itself, since conj o conj is the identity.
 """
 
 import dataclasses
@@ -171,7 +172,7 @@ GOLDEN = {
         'UniversalNonPoly_NMplus1', (0.5+0j), (0.5+0j), (-0.5j, 'ddbar'),
         {
             'NonPoly_NMplus1':
-                ('conj:conj:cardioid', (0.5+0j), None, None, None),
+                ('cardioid', (0.5+0j), None, None, None),
             'NonPoly_2N2Mplus1':
                 ('conj:cardioid', None, ((-0.5-0.5j),), None, None),
             'Poly_Wide_2N2Mplus12':
@@ -179,7 +180,7 @@ GOLDEN = {
             'Poly_Narrow_2N2Mplus5':
                 ('conj:cardioid', None, (-2j,), (-0.5-0.5j), 'mul2'),
             'Poly_NMplus4':
-                ('conj:conj:cardioid', (0.5+0j), (-2j,), (-0.5-0.5j), 'mul2'),
+                ('cardioid', (0.5+0j), (-2j,), (-0.5-0.5j), 'mul2'),
         }),
     'modrelu b=-0.5': (
         'UniversalNonPoly_2N2Mplus1', (-0.5-0.5j), (-2-2j), ((-0.5-0.5j), 'ddbar'),
@@ -247,7 +248,7 @@ def test_lone_derivative_plans_write_against_conj_exactly_without_a_lone_d(monke
     """NonPoly_NMplus1 and Poly_NMplus4 plan against conj o activation
     exactly when the atlas has a lone-dbar point and no lone-d point.  Both
     plans of one spec hold the one sigma kept on it, whose atlas is scanned
-    once."""
+    once: the conjugate of X is conj:X, and that of conj:X is the shared X."""
     scans = []
     scan = wirtinger._scan
 
@@ -266,10 +267,12 @@ def test_lone_derivative_plans_write_against_conj_exactly_without_a_lone_d(monke
                 sigmas.append(plan_lowering(spec, strategy, PROF).sigma)
             except (StrategyMismatch, ConstructionError):
                 pass
-    assert scans == ([name, f"conj:{name}"] if conj else [name])
+    conj_name = name[len("conj:"):] if name.startswith("conj:") else f"conj:{name}"
+    assert scans == ([name, conj_name] if conj else [name])
     assert all(sigma is sigmas[0] for sigma in sigmas)
     if conj:
-        assert sigmas and sigmas[0].name == f"conj:{name}"
+        assert sigmas and sigmas[0].name == conj_name
+        assert sigmas[0] is conjugate_activation(spec)
         assert probe_atlas(sigmas[0], PROF).pattern_points()[0] == lone_db
     else:
         assert all(sigma is spec for sigma in sigmas)
@@ -389,8 +392,8 @@ def test_atlas_is_memoised_by_value():
     # the dead zone |z| < 1 of modrelu: zero derivative, no remainder probe
     (["--activation", "modrelu", "--features", "20"], 0j),
     # cardioid vanishes on the negative real axis; conj:cardioid compiles
-    # under NonPoly_NMplus1 against sigma conj:conj:cardioid, a spec of its
-    # own, scanned once
+    # under NonPoly_NMplus1 against sigma cardioid, the shared spec kept as
+    # its conjugate, scanned once
     (["--activation", "conj:cardioid", "--features", "20"], -1 + 0j),
     # d = dbar = RE z vanishes on the imaginary axis
     (["--activation", "re_square", "--degree", "2"], 0.5j),
@@ -418,7 +421,7 @@ def test_one_scan_per_compile(monkeypatch, tmp_path, argv, dead_point):
     compile_argv = ["compile", "--target", "zzbar", *argv, "--no-timestamp",
                     "--out", str(tmp_path / "run")]
     name = argv[1]
-    want = [name, f"conj:{name}"] if name.startswith("conj:") else [name]
+    want = [name, name[len("conj:"):]] if name.startswith("conj:") else [name]
     assert cli.main(compile_argv) == 0
     assert scans == want and calls[dead_point] == len(want)
     assert cli.main(compile_argv) == 0

@@ -19,7 +19,7 @@ import pytest
 
 from deepnarrow import activations, cli, lowering, wirtinger
 from deepnarrow.activations import (MEMO_SIZE, available_activations, conjugate_activation,
-                                    custom_activation, get_activation)
+                                    custom_activation, get_activation, scale_activation)
 from deepnarrow.errors import InvalidActivationParams, UnknownActivation
 from deepnarrow.lowering import plan_lowering
 from deepnarrow.wirtinger import ToleranceProfile, probe_atlas
@@ -79,9 +79,48 @@ def test_equal_arguments_share_one_spec():
 
 def test_other_constructors_make_fresh_specs():
     card = get_activation("cardioid")
-    assert conjugate_activation(card) is not conjugate_activation(card)
-    assert conjugate_activation(card) != get_activation("conj:cardioid")
+    assert scale_activation(card, 2) is not scale_activation(card, 2)
     assert custom_activation("c", card.fn) is not custom_activation("c", card.fn)
+    fresh = dataclasses.replace(card, fn=card.fn)
+    assert conjugate_activation(fresh) is not get_activation("conj:cardioid")
+
+
+_CATALOG_AND_CONJ = [prefix + name for name in available_activations()
+                     for prefix in ("", "conj:")]
+
+
+@pytest.mark.parametrize("name", _CATALOG_AND_CONJ)
+def test_conjugation_is_an_involution_on_kept_specs(name):
+    """The conjugate of a spec is kept on it and keeps it as its own
+    conjugate, so conj o conj gives back the spec itself, and a conj: lookup
+    is the conjugate kept on the shared spec of its inner name."""
+    spec = get_activation(name)
+    conj = conjugate_activation(spec)
+    assert conjugate_activation(spec) is conj and conjugate_activation(conj) is spec
+    assert get_activation(f"conj:{name}") is conj
+    scaled = scale_activation(spec, 2 - 1j)
+    assert conjugate_activation(conjugate_activation(scaled)) is scaled
+
+
+def test_no_shared_key_names_a_conj_form():
+    """A conj: form lives on its base spec: looking up every catalog name
+    with one and two conj: prefixes keys the base names only."""
+    for name in _CATALOG_AND_CONJ:
+        get_activation(f"conj:{name}")
+    assert sorted(name for name, _ in activations._SHARED_SPECS) == sorted(available_activations())
+    assert get_activation("conj:conj:cardioid") is get_activation("cardioid")
+
+
+def test_a_conj_compile_reads_the_classified_base_atlas(monkeypatch, tmp_path):
+    """Classifying cardioid scans it; compiling conj:cardioid then scans
+    conj:cardioid and plans against sigma = cardioid, whose atlas is the one
+    the classification scanned: two scans, not three."""
+    scans = _counted(monkeypatch, wirtinger, "_scan")
+    assert cli.main(["classify", "--activation", "cardioid", "--no-timestamp",
+                     "--out", str(tmp_path / "classify")]) == 0
+    assert cli.main(["compile", "--target", "zzbar", "--activation", "conj:cardioid",
+                     "--features", "20", "--no-timestamp", "--out", str(tmp_path / "run")]) == 0
+    assert scans == ["cardioid", "conj:cardioid"]
 
 
 def _signed(params):
@@ -171,13 +210,15 @@ def test_a_wrapper_over_a_public_constructor_stays_out_of_the_shared_specs(monke
 
     monkeypatch.setattr(activations, "get_activation", wrapper)
     monkeypatch.setattr(activations, "conjugate_activation", wrapper)
-    assert lookup("conj:conj:cardioid").name == "conj:conj:cardioid"
+    assert lookup("conj:conj:cardioid").name == "cardioid"
+    assert lookup("conj:cardioid").name == "conj:cardioid"
 
 
 def test_every_catalog_name_and_its_conj_form_stay_shared():
-    """MEMO_SIZE keeps each catalog activation and its conj: form at one
-    parameter setting, so looking each up once more hits every one."""
-    names = [prefix + name for name in available_activations() for prefix in ("", "conj:")]
+    """MEMO_SIZE keeps each catalog activation at two parameter settings, and
+    a conj: form lives on its base spec, so looking each name and conj: form
+    up once more hits every one."""
+    names = _CATALOG_AND_CONJ
     assert len(names) == MEMO_SIZE
     specs = [get_activation(name) for name in names]
     assert all(get_activation(name) is spec for name, spec in zip(names, specs))

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from deepnarrow import verifier
-from deepnarrow.activations import custom_activation, get_activation
+from deepnarrow.activations import (conjugate_activation, custom_activation, get_activation,
+                                    scale_activation)
 from deepnarrow.core import (CompactBox, ComplexAffineMap, Cvnn, GridSpec, cvnn_to_json,
-                             eval_cvnn, sample_box, width_of)
+                             depth_of, eval_cvnn, sample_box, width_of)
 from deepnarrow.errors import EvaluationFailure
 from deepnarrow.fitting import FitConfig
 from deepnarrow.lowering import lower, plan_lowering
@@ -20,7 +21,7 @@ from deepnarrow.verifier import (DEFAULT_SWEEP_SCHEDULE, SweepReport, SweepRow,
                                  l1_error_mc, mul_kind_for, named_target,
                                  nowhere_diff_demo, sup_error)
 from deepnarrow.blocks import identity_block, square_block
-from deepnarrow.wirtinger import ToleranceProfile
+from deepnarrow.wirtinger import ToleranceProfile, classify_activation
 
 from conftest import LOWERING_CASES, random_affine, random_shallow
 
@@ -188,6 +189,23 @@ def test_end_to_end_nonpoly_cardioid():
     assert width_of(net) <= 3
     best = report.best_row()
     assert best.sup_error <= report.fit_sup_error + 1e-2
+
+
+def test_conj_of_a_rotated_cardioid_compiles_through_the_conjugation_realizer():
+    """conj o (0.5+0.5j) cardioid does not commute with conj, so no parity
+    argument maps it onto a one-family fit; it has a lone dbar and no lone
+    d, and compiles under NonPoly_NMplus1 against sigma = the scaled spec
+    itself, each sigma layer followed by a conjugation-block layer."""
+    scaled = scale_activation(get_activation("cardioid"), 0.5 + 0.5j)
+    spec = conjugate_activation(scaled)
+    z = np.array([0.3 + 0.7j, -1 + 0.2j])
+    assert not np.allclose(spec(np.conj(z)), np.conj(spec(z)))
+    assert classify_activation(spec, PROF).verdict == "UniversalNonPoly_NMplus1"
+    cfg = FitConfig(num_features=40, ridge=1e-6, grid=GridSpec(9), seed=1)
+    report = end_to_end_nonpoly(named_target("zzbar"), spec, cfg, "NonPoly_NMplus1")
+    assert report.plan.sigma is scaled
+    assert depth_of(report.best_net()) == 2 * cfg.num_features + 1
+    assert report.best_row().sup_error < report.lattice.constant_sup_error
 
 
 def test_end_to_end_nonpoly_modrelu_width():

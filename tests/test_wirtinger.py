@@ -155,6 +155,17 @@ def test_laplacian_failure_names_the_first_bad_leaf():
         laplacian_iterate(spec, 0.5, 2)
 
 
+def test_wirt_first_failure_names_its_eight_points():
+    """wirt_first's eight stencil points are one group: a NaN at any of them
+    names all eight, in the order they are evaluated."""
+    h = PROF.fd_step
+    pts = [0.5 + 0j + s * h / k for k in (1, 2) for s in (1, -1, 1j, -1j)]
+    spec = custom_activation("hole", lambda z: np.where(z == pts[5], np.nan, z * np.abs(z)))
+    with pytest.raises(ProbeFailed) as info:
+        wirt_first(spec, 0.5, PROF)
+    assert str(info.value) == f"activation evaluation failed near {pts!r}"
+
+
 def test_taylor_probe_cardioid_decreasing():
     card = get_activation("cardioid")
     rep, = taylor_reports(card, [1.0], PROF)
@@ -648,10 +659,25 @@ def test_atlas_columns_are_read_only_arrays(name):
 @pytest.mark.parametrize("spec", [get_activation(name) for name in available_activations()]
                          + [get_activation("modrelu", {"b": -5})], ids=lambda s: s.name)
 def test_twice_conjugated_atlas_is_the_atlas_bit_for_bit(spec):
-    """conj o conj o f is f to the last bit, so the atlas of that spec,
-    scanned on its own, has the columns of the atlas of f, byte for byte."""
+    """conj o conj o f is f to the last bit: the spec conjugated twice is
+    the spec itself, and a spec that really conjugates f's values and closed
+    forms twice, scanned on its own, has the columns of the atlas of f,
+    byte for byte."""
     atlas = probe_atlas(spec, PROF)
-    twice = probe_atlas(conjugate_activation(conjugate_activation(spec)), PROF)
+    assert conjugate_activation(conjugate_activation(spec)) is spec
+
+    def conj_conj_of(closed):
+        # each derivative of conj o conj o f is its own conj conj
+        if closed is not None:
+            return lambda z0: tuple(np.conj(np.conj(v)) for v in closed(z0))
+
+    conj_conj = custom_activation(
+        "conj_conj", lambda z: np.conj(np.conj(spec.fn(z))),
+        analytic_first=conj_conj_of(spec.analytic_first),
+        analytic_second=conj_conj_of(spec.analytic_second), poly_flag=spec.poly_flag,
+        class_flags=spec.class_flags, exclusion=spec.exclusion)
+    twice = probe_atlas(conj_conj, PROF)
+    assert twice is not atlas
     assert twice.prof == atlas.prof
     for col in ("z0", "d", "dbar", "est", "codes"):
         assert getattr(twice, col).tobytes() == getattr(atlas, col).tobytes(), col
