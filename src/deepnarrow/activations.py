@@ -52,6 +52,9 @@ class ActivationSpec:
     poly_flag: Optional[PolyharmonicFlag] = None
     class_flags: frozenset = frozenset()         # subset of {"holomorphic","antiholomorphic","r_affine"}
     exclusion: Optional[Callable] = None         # z0 -> bool, True on non-differentiable loci
+    # act(conj z) == conj(act z) for every z: a fact declared where the spec
+    # is built, not probed, and not a class flag
+    conj_equivariant: bool = False
     # what is derived from this spec (probe atlases, lowering plans), by key;
     # a spec made by ``dataclasses.replace`` starts empty
     _derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -80,7 +83,8 @@ def conjugate_activation(spec: ActivationSpec) -> ActivationSpec:
     """conj o spec, kept on spec: every call on one spec returns one
     conjugate, which keeps spec as its own conjugate, so
     ``conjugate_activation(conjugate_activation(s)) is s``.  Wirtinger data
-    swaps and conjugates: d(conj f) = conj(dbar f), dbar(conj f) = conj(d f)."""
+    swaps and conjugates: d(conj f) = conj(dbar f), dbar(conj f) = conj(d f);
+    conj o f commutes with conj exactly when f does."""
     return _conjugate(spec)
 
 
@@ -94,7 +98,8 @@ def _conjugate(spec: ActivationSpec) -> ActivationSpec:
         conj = _variant(spec, f"conj:{spec.name}", np.conj,
                         lambda d, dbar: (np.conj(dbar), np.conj(d)),
                         lambda d2, ddbar, dbar2: (np.conj(dbar2), np.conj(ddbar), np.conj(d2)),
-                        frozenset(_CONJ_FLAGS[flag] for flag in spec.class_flags))
+                        frozenset(_CONJ_FLAGS[flag] for flag in spec.class_flags),
+                        spec.conj_equivariant)
         conj.derived("conj", lambda: spec)
         return conj
 
@@ -103,7 +108,7 @@ def _conjugate(spec: ActivationSpec) -> ActivationSpec:
 
 def scale_activation(spec: ActivationSpec, c: complex) -> ActivationSpec:
     """c * spec for a finite nonzero constant c, a fresh spec.  Preserves
-    every class property."""
+    every class property, and commutation with conj where c is real."""
     c = complex(c)
     if c == 0:
         raise InvalidActivationParams("scale constant must be nonzero")
@@ -111,11 +116,12 @@ def scale_activation(spec: ActivationSpec, c: complex) -> ActivationSpec:
         raise InvalidActivationParams(f"scale constant {c!r} is not finite")
     times_c = lambda *values: tuple(c * v for v in values)
     return _variant(spec, f"scale({c!r}):{spec.name}", lambda v: c * v, times_c, times_c,
-                    spec.class_flags)
+                    spec.class_flags, spec.conj_equivariant and c.imag == 0)
 
 
 def _variant(spec: ActivationSpec, name: str, fn: Callable, first: Callable,
-             second: Callable, class_flags: frozenset) -> ActivationSpec:
+             second: Callable, class_flags: frozenset,
+             conj_equivariant: bool) -> ActivationSpec:
     """fn o spec, named name: spec's closed-form first and second Wirtinger
     derivatives, where it has them, mapped by first(d, dbar) and second(d2,
     ddbar, dbar2); spec's params, polyharmonicity flag and exclusion."""
@@ -129,11 +135,13 @@ def _variant(spec: ActivationSpec, name: str, fn: Callable, first: Callable,
         poly_flag=spec.poly_flag,
         class_flags=class_flags,
         exclusion=spec.exclusion,
+        conj_equivariant=conj_equivariant,
     )
 
 
 def custom_activation(name: str, fn: Callable, **kwargs) -> ActivationSpec:
-    """Wrap a user callable; not reachable through the catalog by name."""
+    """Wrap a user callable; not reachable through the catalog by name.  It
+    commutes with conj only where ``conj_equivariant=True`` says so."""
     return ActivationSpec(name=name, params=(), fn=fn, **kwargs)
 
 
@@ -185,6 +193,7 @@ def _modrelu(params: dict) -> ActivationSpec:
         analytic_first=first,
         poly_flag=PolyharmonicFlag(False),
         exclusion=excl,
+        conj_equivariant=True,
     )
 
 
@@ -220,6 +229,7 @@ def _cardioid(params: dict) -> ActivationSpec:
         analytic_first=first,
         poly_flag=PolyharmonicFlag(False),
         exclusion=excl,
+        conj_equivariant=True,
     )
 
 
@@ -232,6 +242,7 @@ def _holo_exp(params: dict) -> ActivationSpec:
         analytic_second=lambda z0: (np.exp(z0), 0j, 0j),
         poly_flag=PolyharmonicFlag(True, 1),
         class_flags=frozenset({"holomorphic"}),
+        conj_equivariant=True,
     )
 
 
@@ -244,6 +255,7 @@ def _antiholo_exp(params: dict) -> ActivationSpec:
         analytic_second=lambda z0: (0j, 0j, np.exp(np.conj(z0))),
         poly_flag=PolyharmonicFlag(True, 1),
         class_flags=frozenset({"antiholomorphic"}),
+        conj_equivariant=True,
     )
 
 
@@ -264,6 +276,7 @@ def _r_affine(params: dict) -> ActivationSpec:
         analytic_second=lambda z0: (0j, 0j, 0j),
         poly_flag=PolyharmonicFlag(True, 1),
         class_flags=frozenset(flags),
+        conj_equivariant=all(v.imag == 0 for v in (a, b, c)),
     )
 
 
@@ -276,6 +289,7 @@ def _re_square(params: dict) -> ActivationSpec:
         analytic_first=lambda z0: (complex(np.real(z0)), complex(np.real(z0))),
         analytic_second=lambda z0: (0.5 + 0j, 0.5 + 0j, 0.5 + 0j),
         poly_flag=PolyharmonicFlag(True, 2),
+        conj_equivariant=True,
     )
 
 
@@ -288,6 +302,7 @@ def _z_plus_zbar_sq(params: dict) -> ActivationSpec:
         analytic_first=lambda z0: (1 + 0j, 2 * np.conj(z0)),
         analytic_second=lambda z0: (0j, 0j, 2 + 0j),
         poly_flag=PolyharmonicFlag(True, 1),
+        conj_equivariant=True,
     )
 
 
@@ -306,6 +321,7 @@ def _abs_square(params: dict) -> ActivationSpec:
         analytic_first=lambda z0: (np.conj(z0), complex(z0)),
         analytic_second=lambda z0: (0j, 1 + 0j, 0j),
         poly_flag=PolyharmonicFlag(True, 2),
+        conj_equivariant=True,
     )
 
 
@@ -326,6 +342,7 @@ def _exp_re(params: dict) -> ActivationSpec:
         analytic_first=first,
         analytic_second=second,
         poly_flag=PolyharmonicFlag(False),
+        conj_equivariant=True,
     )
 
 
@@ -347,6 +364,7 @@ def _tanh_re(params: dict) -> ActivationSpec:
         analytic_first=first,
         analytic_second=second,
         poly_flag=PolyharmonicFlag(False),
+        conj_equivariant=True,
     )
 
 

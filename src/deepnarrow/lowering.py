@@ -26,8 +26,14 @@ real work.  The width budgets, for input dimension n and output dimension m:
 The two lone-derivative strategies, NonPoly_NMplus1 and Poly_NMplus4, need a
 point with exactly one nonzero first derivative.  Where the activation has a
 lone dbar but no lone d, they are written against sigma = conj o act, whose
-lone d it is, and every sigma layer is realized as an act layer followed by
-a width-preserving conjugation-block layer.
+lone d it is.  NonPoly_NMplus1 over an activation that commutes with conj
+(``ActivationSpec.conj_equivariant``) crosses its registers through
+conjugation blocks there and keeps a parity: each hidden layer conjugates
+the state, the transitions that act on a conjugated state are written
+conjugated, and an odd layer count costs one more stage.  Elsewhere
+(Poly_NMplus4, or an activation that does not commute) every sigma layer is
+realized as an act layer followed by a width-preserving conjugation-block
+layer.
 
 A hidden stage is a list of block placements (block, in slots, out slots)
 on the register slots of the state, built into arrays by one function
@@ -56,7 +62,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .activations import ActivationSpec, _conjugate
-from .blocks import (_SQUARE_TO_MUL, ShallowBlock, identity_block, mul_block,
+from .blocks import (_SQUARE_TO_MUL, ShallowBlock, conj_block, identity_block, mul_block,
                      routed_pair_block)
 from .core import (AffineArrays, ComplexAffineMap, Cvnn, eval_affine, fuse_arrays,
                    width_of)
@@ -160,6 +166,8 @@ def _make_conj_realizer(spec: ActivationSpec, z0c: complex, hc: float,
                         prof: ToleranceProfile) -> Callable:
     """Each sigma-neuron layer becomes an activation layer followed by one
     conjugation-block layer of the same width (sigma = conj o activation).
+    This doubles the depth; only plans with no parity lowering take it: the
+    poly ones, and any over an activation that does not commute with conj.
 
     The conjugation block's Taylor remainder at a unit's nominal output y0
     (its value at zero stage input) is a constant; since the consuming sigma
@@ -197,7 +205,8 @@ class LoweringPlan:
     sigma is the activation the program's neurons are written against: the
     activation itself, or conj o activation where a lone-derivative strategy
     finds a lone dbar but no lone d, and conjugation blocks at id_point undo
-    the conj.  That sigma is the conjugate kept on the activation's spec
+    the conj, under a parity or in a realizer's layers (``_build_kit``).
+    That sigma is the conjugate kept on the activation's spec
     (``conjugate_activation``): for a ``conj:X`` activation it is the shared
     spec of X, with the atlas and plans X already holds.  The other fields
     are the points of the identity block, the (z, conj z) pair route and the
@@ -278,6 +287,7 @@ class _Kit:
     id_blk: Optional[ShallowBlock] = None     # identity; the pair where the plan has none
     pair_blk: Optional[ShallowBlock] = None   # width-2 (z, conj z)
     mul_blk: Optional[ShallowBlock] = None
+    parity: bool = False                      # id_blk conjugates: every stage flips the state
 
 
 def _build_kit(spec: ActivationSpec, plan: LoweringPlan, h: float,
@@ -285,12 +295,19 @@ def _build_kit(spec: ActivationSpec, plan: LoweringPlan, h: float,
     """Build the plan's blocks at localization scale h: the identity, pair
     and conjugation blocks at h, the square block at sqrt(h), or at h under
     Poly_Wide_2N2Mplus12.  Without an identity point, the first output of
-    the pair block is the identity crossing.  A conj sigma's layers are
-    realized at its identity point, the activation's lone-dbar point."""
+    the pair block is the identity crossing.
+
+    A conj sigma's identity point is the activation's lone-dbar point.  A
+    NonPoly_NMplus1 plan over an activation that commutes with conj crosses
+    its registers there through conjugation blocks and keeps a parity
+    (``_lower_shallow``); any other conj sigma's layers are realized there
+    (``_make_conj_realizer``)."""
+    parity = (plan.sigma is not spec and plan.strategy == "NonPoly_NMplus1"
+              and spec.conj_equivariant)
     realize = _direct_realizer
-    if plan.sigma is not spec:
+    if plan.sigma is not spec and not parity:
         realize = _make_conj_realizer(spec, plan.id_point, h, prof)
-    kit = _Kit(sigma=plan.sigma, realize=realize)
+    kit = _Kit(sigma=plan.sigma, realize=realize, parity=parity)
     # The serialized poly variants (Narrow, NMplus4) cross the running
     # accumulator through first-order blocks whose per-layer drift is O(h);
     # pairing that drift with the square block's h^-2 post-scale would leave
@@ -301,7 +318,9 @@ def _build_kit(spec: ActivationSpec, plan: LoweringPlan, h: float,
     if plan.square_point is not None:
         sq_h = h if plan.strategy == "Poly_Wide_2N2Mplus12" else float(np.sqrt(h))
         kit.mul_blk = mul_block(plan.sigma, plan.square_point, sq_h, prof)[0]
-    if plan.id_point is not None:
+    if parity:
+        kit.id_blk = conj_block(spec, plan.id_point, h, prof)
+    elif plan.id_point is not None:
         kit.id_blk = identity_block(plan.sigma, plan.id_point, h, prof)
     if plan.pair_route is not None:
         kit.pair_blk = routed_pair_block(plan.sigma, plan.pair_route, h, prof)
@@ -343,8 +362,21 @@ def _lower_shallow(program: RegisterProgram, kit: _Kit) -> list:
     trans[:-1, iu, :n] = loads[1:]
     trans_b = np.zeros((len(flush), s), dtype=np.complex128)
     trans_b[:-1, iu] = load_bias[1:]
-    return [_affine(init, init_b), *stages, Layers(stages, AffineArrays(trans, trans_b)),
-            _end_map(program, s)]
+    if kit.parity:
+        # Each stage conjugates the registers, and the activation, which
+        # commutes with conj, gives conj^(p+1) sigma(t) for u = conj^p t.
+        # So after layer k the state is conj^(k+1) of the program's, and the
+        # transitions after even k are written conjugated:
+        # conj(A) conj(x) + conj(b) = conj(A x + b).
+        np.conjugate(trans[::2], out=trans[::2])
+        np.conjugate(trans_b[::2], out=trans_b[::2])
+    pieces = [_affine(init, init_b), *stages, Layers(stages, AffineArrays(trans, trans_b))]
+    if kit.parity and len(flush) % 2:
+        # an odd count leaves the state conjugated: the outputs, all that the
+        # end map reads, cross one more stage of conjugation blocks
+        outs = range(n + 1, s)
+        pieces.append(_stage([(kit.id_blk, [j], [j]) for j in outs], s, np.zeros(s)))
+    return pieces + [_end_map(program, s)]
 
 
 def _end_map(program: RegisterProgram, s: int) -> AffineArrays:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -419,3 +421,66 @@ def test_value_does_not_depend_on_the_call_size(spec):
     bits = lambda v: np.asarray(v, dtype=np.complex128).view(np.uint64)
     parts = np.concatenate([bits(spec(pts[i : i + 2000])) for i in range(0, len(pts), 2000)])
     assert np.array_equal(bits(spec(pts)), parts)
+
+
+# ---------------------------------------------------------------------------
+# Commutation with conj is declared where a spec is built; the values agree
+# ---------------------------------------------------------------------------
+
+
+def _commutation_points():
+    """The probe grid and 2,000 seeded random points."""
+    grid = sample_box(ToleranceProfile().probe_box, ToleranceProfile().probe_grid)[:, 0]
+    return np.concatenate([grid, random_points(np.random.default_rng(17), 2000, 1, 2.0)[:, 0]])
+
+
+def _commutes(spec) -> bool:
+    """spec(conj z) == conj(spec(z)) to the last bit on the commutation
+    points, up to the sign of a zero: a real-valued activation's +0
+    imaginary part conjugates to -0."""
+    z = _commutation_points()
+    with np.errstate(all="ignore"):
+        return np.array_equal(spec(np.conj(z)), np.conj(spec(z)), equal_nan=True)
+
+
+@pytest.mark.parametrize("name", [form for base in available_activations()
+                                  for form in (base, "conj:" + base)])
+def test_declared_commutation_with_conj_matches_the_values(name):
+    """Every catalog member commutes with conj except nowhere_diff, whose
+    cosine series is even in Im z; a conj: form commutes when its base does."""
+    spec = get_activation(name)
+    assert spec.conj_equivariant == _commutes(spec)
+    assert spec.conj_equivariant == (name.removeprefix("conj:") != "nowhere_diff")
+
+
+@pytest.mark.parametrize("params, commutes", [
+    ({}, True),
+    ({"a": 2, "b": -0.5, "c": 3}, True),
+    ({"a": 1j}, False),
+    ({"b": 1 + 1j}, False),
+    ({"c": -2j}, False),
+])
+def test_r_affine_commutes_with_conj_for_real_coefficients(params, commutes):
+    for spec in (get_activation("r_affine", params),
+                 get_activation("conj:r_affine", params)):
+        assert spec.conj_equivariant == _commutes(spec) == commutes
+
+
+@pytest.mark.parametrize("c, commutes", [(2, True), (-0.5, True), (0.5 + 0.5j, False)])
+def test_a_real_scale_keeps_commutation_with_conj(c, commutes):
+    for base in (get_activation("cardioid"), get_activation("conj:cardioid")):
+        spec = scale_activation(base, c)
+        assert spec.conj_equivariant == _commutes(spec) == commutes
+        assert conjugate_activation(spec).conj_equivariant == commutes
+
+
+def test_commutation_is_declared_not_probed():
+    """custom_activation leaves the flag off unless passed, even for a
+    function that commutes; dataclasses.replace keeps it; it is no class
+    flag, which the classifier would read as a verdict."""
+    card = get_activation("cardioid")
+    assert not custom_activation("card", card.fn).conj_equivariant
+    assert custom_activation("card", card.fn, conj_equivariant=True).conj_equivariant
+    assert dataclasses.replace(card, fn=card.fn).conj_equivariant
+    assert not dataclasses.replace(get_activation("nowhere_diff"), fn=np.sin).conj_equivariant
+    assert card.class_flags == frozenset()

@@ -226,6 +226,34 @@ def test_lower_poly_program_with_nonpoly_strategy_reports_family(tmp_path, capsy
         f"error[STRATEGY_MISMATCH] {strategy} needs a shallow-family program\n")
 
 
+def _sweep_rows(tmp_path, activation, target, features, seed):
+    """The sweep CSV's rows (h, sup_error, max_post_coeff, depth, width) of
+    a compile, without its metadata lines."""
+    out = tmp_path / f"{activation}-{features}"
+    assert run(["compile", "--target", target, "--activation", activation, "--features",
+                str(features), "--seed", str(seed), "--no-timestamp", "--out", str(out)]) == 0
+    text = out.with_suffix(".sweep.csv").read_text()
+    return [line for line in text.splitlines() if not line.startswith("#")][1:]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("target", ["zzbar", "re", "abs"])
+def test_conj_cardioid_compiles_at_cardioids_depth(tmp_path, capsys, target, seed):
+    """conj:cardioid commutes with conj, so its registers cross through
+    conjugation blocks under a parity, with no conjugation layer: at 40
+    features, an even layer count, its sweep rows, depth included, are
+    cardioid's byte for byte.  At 41 the outputs cross one more conjugation
+    stage: depth 43 against cardioid's 42, and a best error within 2x."""
+    assert (_sweep_rows(tmp_path, "conj:cardioid", target, 40, seed)
+            == _sweep_rows(tmp_path, "cardioid", target, 40, seed))
+    rows = {act: [line.split(",") for line in _sweep_rows(tmp_path, act, target, 41, seed)]
+            for act in ("conj:cardioid", "cardioid")}
+    assert {row[3] for row in rows["conj:cardioid"]} == {"43"}
+    assert {row[3] for row in rows["cardioid"]} == {"42"}
+    best = {act: min(float(row[1]) for row in rows[act]) for act in rows}
+    assert best["conj:cardioid"] <= 2 * best["cardioid"]
+
+
 def test_a_lone_dbar_activation_compiles_under_nonpoly_nmplus1(tmp_path, capsys):
     """conj:cardioid's lone first derivative is dbar: its verdict names
     NonPoly_NMplus1, whose plan writes against sigma = cardioid, so naming

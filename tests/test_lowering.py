@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from deepnarrow import core, lowering
-from deepnarrow.activations import get_activation
+from deepnarrow.activations import (available_activations, conjugate_activation, get_activation,
+                                    scale_activation)
 from deepnarrow.core import (ComplexAffineMap, depth_of, eval_cvnn, hidden_widths, max_coeff,
                              width_of)
-from deepnarrow.errors import EvaluationFailure, StrategyMismatch
+from deepnarrow.errors import ConstructionError, EvaluationFailure, StrategyMismatch
 from deepnarrow.lowering import (STRATEGIES, assemble_pieces, default_strategy,
                                  eval_pieces, lower, lower_pieces, plan_lowering,
                                  strategy_width_budget)
@@ -90,8 +91,8 @@ def test_nonpoly_2n2m_converges(rng):
 
 def test_nonpoly_conj_strategy(rng):
     # activation conj(cardioid) has a lone-dbar point and no lone-d point;
-    # the program is fitted with sigma = cardioid and realized with
-    # conjugation-block layers
+    # the program is fitted with sigma = cardioid, and its registers cross
+    # through conjugation blocks
     net = random_shallow(rng, 1, 2, 3, CARD.activation_id)
     program = shallow_to_register(net)
     box = CompactBox.square(1, 1.0)
@@ -212,12 +213,14 @@ def test_hidden_widths_within_budget_per_layer():
     ("Poly_NMplus4", ZB, ["square", "identity", "pair"]),
     ("Poly_NMplus4", CONJ_ZB, ["conjugation", "square", "identity", "pair"]),
     ("NonPoly_NMplus1", CARD, ["identity"]),
-    ("NonPoly_Conj_NMplus1", CONJ_CARD, ["conjugation", "identity"]),
+    ("NonPoly_Conj_NMplus1", CONJ_CARD, ["conjugation"]),
     ("NonPoly_2N2Mplus1", MODRELU, ["pair"]),
 ])
 def test_each_block_built_at_its_h(monkeypatch, rng, case, spec, roles):
     """The identity, pair and conjugation blocks are built at h; the square
-    block at sqrt(h), or at h under Poly_Wide_2N2Mplus12."""
+    block at sqrt(h), or at h under Poly_Wide_2N2Mplus12.  "conjugation" is
+    the realizer's block, or under a parity the conjugation block that
+    crosses the registers in place of the identity block."""
     strategy = LOWERING_CASES[case][0]
     h = 1e-4
     built = []
@@ -229,7 +232,8 @@ def test_each_block_built_at_its_h(monkeypatch, rng, case, spec, roles):
         return wrapped
 
     for role, name in [("identity", "identity_block"), ("pair", "routed_pair_block"),
-                       ("square", "mul_block"), ("conjugation", "_make_conj_realizer")]:
+                       ("square", "mul_block"), ("conjugation", "_make_conj_realizer"),
+                       ("conjugation", "conj_block")]:
         monkeypatch.setattr(lowering, name, recording(role, getattr(lowering, name)))
     if strategy.startswith("NonPoly"):
         program = shallow_to_register(random_shallow(rng, 1, 1, 3, spec.activation_id))
@@ -295,7 +299,9 @@ def test_assemble_rejects_inf_in_a_stage_post_matrix(rng):
 def test_lower_validates_only_network_and_block_maps(monkeypatch, rng, case):
     """One lower of a depth-L shallow program checks each run of the network
     for non-finite entries once, and constructs a ComplexAffineMap only for
-    the blocks built at that h."""
+    the blocks built at that h.  Under a conj sigma the 25 layers, an odd
+    count, leave the state conjugated, and the output crosses one more
+    conjugation stage: its entry map and its exit map are runs of their own."""
     strategy, spec = LOWERING_CASES[case]
     program = shallow_to_register(random_shallow(rng, 2, 1, 25, spec.activation_id))
     built, checked = [], []
@@ -323,10 +329,11 @@ def test_lower_validates_only_network_and_block_maps(monkeypatch, rng, case):
     monkeypatch.setattr(core, "_check_run", counting_check)
     monkeypatch.setattr(lowering, "_build_kit", counting_kit)
     net = lower(program, spec, strategy, 1e-3, PROF)
-    layers = 2 if plan_lowering(spec, strategy, PROF).sigma is not spec else 1
-    assert depth_of(net) == 25 * layers + 1
-    # the first map, one run of every map between program layers, the last map
-    assert [len(m) for m, _ in net.runs] == [1, 25 * layers - 1, 1]
+    parity = plan_lowering(spec, strategy, PROF).sigma is not spec
+    assert depth_of(net) == 25 + 1 + parity
+    # the first map, one run of every map between program layers, the last
+    # map (under a parity, the last two)
+    assert [len(m) for m, _ in net.runs] == [1, 24, 1] + [1] * parity
     assert len(checked) == len(net.runs)
     assert all(a is m for a, (m, _) in zip(checked, net.runs))
     assert kit_maps == [2]        # one block: pre and post
@@ -472,8 +479,10 @@ def test_stacked_assembly_equals_fusing_map_by_map(case, n, m):
 
 
 #: (case, activation) of every lowering case, then Poly_NMplus4 over
-#: conj:z_plus_zbar_sq; the two conj: activations are the plans whose
-#: stages a conjugation realizer turns into layers
+#: conj:z_plus_zbar_sq; the two conj: activations are the plans written
+#: against a conj sigma: conj:cardioid's stage crosses its registers through
+#: conjugation blocks, and a conjugation realizer turns conj:z_plus_zbar_sq's
+#: stages into layers
 STAGE_CASES = ([pytest.param(c, LOWERING_CASES[c][1], id=c) for c in LOWERING_CASES]
                + [pytest.param("Poly_NMplus4", CONJ_ZB, id="Poly_NMplus4-conj")])
 
@@ -485,7 +494,7 @@ def test_stage_maps_hold_no_negative_zero(case, spec, n, h):
     """A placement adds a block's rows into zero rows, so every zero weight
     of a stage is +0, also where the block's own entry is -0 (some post rows
     hold one); assigning the rows would keep those -0 and change the bytes
-    of some networks.  The realizer's stages keep that rule."""
+    of some networks.  The conjugation stages keep that rule."""
     realized = spec.name.startswith("conj:")
     assert (plan_lowering(spec, LOWERING_CASES[case][0], PROF).sigma is not spec) == realized
     pieces, _ = _lowered(case, n, 1, seed=n, h=h, spec=spec)
@@ -516,8 +525,8 @@ def _json_map_by_map(net):
 @pytest.mark.parametrize("case, n, shapes", [
     # a 4-wide layer, then a run of 11 x 11 maps
     ("Poly_Narrow_2N2Mplus5", 2, [(1, 4, 2), (1, 11, 4), (23, 11, 11), (1, 1, 11)]),
-    # the realizer's activation and conjugation layers alternate in one run
-    ("NonPoly_Conj_NMplus1", 1, [(1, 3, 1), (9, 3, 3), (1, 1, 3)]),
+    # five layers under a parity, then the output's conjugation stage
+    ("NonPoly_Conj_NMplus1", 1, [(1, 3, 1), (4, 3, 3), (1, 1, 3), (1, 1, 1)]),
     ("NonPoly_2N2Mplus1", 2, [(1, 7, 2), (4, 7, 7), (1, 1, 7)]),
 ])
 def test_json_equals_writing_map_by_map(case, n, shapes):
@@ -712,3 +721,101 @@ def test_a_packed_ladder_converges_like_h(n, polys):
                               lambda zs: eval_cvnn(net, zs, CARD.fn),
                               CompactBox.square(n, 1.0), GridSpec(9)))
     assert errs[0] >= 5 * errs[1] and errs[1] >= 5 * errs[2]
+
+
+# ---------------------------------------------------------------------------
+# A conj sigma over an activation that commutes with conj: a parity, not a
+# realizer
+# ---------------------------------------------------------------------------
+
+
+#: conj o (0.5+0.5j) cardioid: a lone dbar and no lone d, like conj:cardioid,
+#: but it does not commute with conj, so a realizer lowers it
+ROTATED = conjugate_activation(scale_activation(CARD, 0.5 + 0.5j))
+
+
+def _shallow_program(seed, n, m, layers):
+    rng = np.random.default_rng(seed)
+    return shallow_to_register(random_shallow(rng, n, m, layers, CARD.activation_id)), rng
+
+
+@pytest.mark.parametrize("spec", [CONJ_CARD, ROTATED], ids=["parity", "realizer"])
+@pytest.mark.parametrize("layers", [4, 5])
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (1, 2), (2, 2)])
+@pytest.mark.parametrize("h", [1e-2, 1e-4])
+def test_fused_equals_unfused_on_conj_sigma_chains(spec, layers, n, m, h):
+    """The two lowerings of a conj sigma, at an even and an odd layer count:
+    under the parity an odd count ends with the outputs' conjugation stage."""
+    program, rng = _shallow_program(layers + 7 * n + 3 * m, n, m, layers)
+    zs = random_points(rng, 30, n, scale=0.5)
+    _assert_fused_equals_unfused(program, spec, "NonPoly_NMplus1", h, zs, rng)
+
+
+@pytest.mark.parametrize("layers", [4, 5])
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 2)])
+def test_a_parity_chain_converges_like_cardioid(layers, n, m):
+    """The network against its program, evaluated with sigma = cardioid,
+    falls about 10x per decade of h from 1e-2 to 1e-4, as cardioid's own
+    lowering does.  At an even layer count the errors are cardioid's; at an
+    odd one, with the outputs' conjugation stage, within 2x of them."""
+    program, _ = _shallow_program(layers + n + m, n, m, layers)
+    box, grid = CompactBox.square(n, 1.0), GridSpec(5)
+    errs = {}
+    for spec in (CARD, CONJ_CARD):
+        net = {h: lower(program, spec, "NonPoly_NMplus1", h, PROF) for h in (1e-2, 1e-3, 1e-4)}
+        errs[spec.name] = [sup_error(lambda zs: eval_register(program, zs, CARD.fn),
+                                     lambda zs: eval_cvnn(net[h], zs, spec.fn), box, grid)
+                           for h in net]
+        assert depth_of(net[1e-2]) == layers + 1 + (spec is CONJ_CARD and layers % 2)
+    for e in errs.values():
+        assert 5 * e[1] <= e[0] <= 20 * e[1] and 5 * e[2] <= e[1] <= 20 * e[2]
+    ratios = np.divide(errs["conj:cardioid"], errs["cardioid"])
+    assert np.all(ratios == 1) if layers % 2 == 0 else np.all(ratios <= 2)
+
+
+def test_an_even_parity_network_is_cardioids_with_every_other_map_conjugated():
+    """conj:cardioid's identity point, cardioid's lone-d point, is real, so
+    its conjugation block is the conjugate of cardioid's identity block, and
+    the network's maps are cardioid's, conjugated after every odd count of
+    hidden layers."""
+    program, _ = _shallow_program(3, 2, 1, 6)
+    assert plan_lowering(CONJ_CARD, "NonPoly_NMplus1", PROF).id_point.imag == 0
+    card = lower(program, CARD, "NonPoly_NMplus1", 1e-3, PROF).affine_maps
+    conj = lower(program, CONJ_CARD, "NonPoly_NMplus1", 1e-3, PROF).affine_maps
+    assert len(card) == len(conj) == 7
+    for k, (a, b) in enumerate(zip(card, conj)):
+        flip = np.conj if k % 2 else np.asarray
+        assert np.array_equal(flip(a.matrix), b.matrix) and np.array_equal(flip(a.bias), b.bias)
+
+
+#: (activation, strategy) of the catalog plans whose kit builds a conjugation
+#: realizer, and of those that cross their registers under a parity
+REALIZED = {("conj:cardioid", "Poly_NMplus4"), ("conj:z_plus_zbar_sq", "Poly_NMplus4")}
+PARITY = {(name, "NonPoly_NMplus1") for name in
+          ("antiholo_exp", "conj:cardioid", "conj:exp", "conj:r_affine", "conj:z_plus_zbar_sq")}
+
+
+def test_the_realizer_builds_only_for_the_listed_plans(monkeypatch):
+    """Over every catalog name and its conj: form under every strategy that
+    plans and builds, only poly plans keep the realizer; a new path that
+    takes a conj sigma, or one that drops the realizer, shows here."""
+    realized = []
+    make = lowering._make_conj_realizer
+    monkeypatch.setattr(lowering, "_make_conj_realizer",
+                        lambda spec, *args: realized.append(spec) or make(spec, *args))
+    seen, parity = set(), set()
+    for name in [form for base in available_activations() for form in (base, "conj:" + base)]:
+        spec = get_activation(name)
+        for strategy in STRATEGIES:
+            before = len(realized)
+            try:
+                plan = plan_lowering(spec, strategy, PROF)
+                kit = lowering._build_kit(spec, plan, 1e-3, PROF)
+            except (StrategyMismatch, ConstructionError):
+                continue
+            if realized[before:] == [spec]:
+                seen.add((name, strategy))
+            if kit.parity:
+                parity.add((name, strategy))
+    assert seen == REALIZED and len(realized) == len(REALIZED)
+    assert parity == PARITY
