@@ -12,6 +12,12 @@ that vanishes as h -> 0:
     mul          8-12 neurons  polarization combination of squares,
                  one of z*w / z*conj(w) / conj(z*w)
 
+Each constructor takes the row of its point (``wirtinger.PointRow``) and h,
+and does arithmetic only: the row holds f(z0) and the derivatives it
+divides out.  Whoever picks the point checks that it has the pattern or
+square kind the block needs: a lowering plan, or ``wirtinger.point_row``
+for a point given from outside.
+
 Post-map coefficients scale as h^-1 (first order) and h^-2 (squares), which
 is the conditioning price of small h; a block's ``post_scale`` reads it off.
 A block is evaluated and measured as the depth-2 network ``to_cvnn`` gives.
@@ -26,8 +32,7 @@ import numpy as np
 
 from .activations import ActivationSpec
 from .core import ComplexAffineMap, Cvnn
-from .errors import ConstructionError
-from .wirtinger import ToleranceProfile, first_derivs, probe_atlas, second_derivs
+from .wirtinger import PointRow, ToleranceProfile, probe_atlas
 
 __all__ = [
     "ShallowBlock",
@@ -90,56 +95,37 @@ def _col(values) -> np.ndarray:
     return np.asarray(values, dtype=np.complex128).reshape(-1, 1)
 
 
-def _lone_block(spec: ActivationSpec, z0: complex, h: float, prof: ToleranceProfile,
-                side: str) -> tuple:
-    """Width-1 block (w - f(z0)) / (h v) at a point whose only nonzero first
-    derivative v is ``side`` ("d" gives the identity, "dbar" conjugation).
-    Returns (block, |other derivative| / |v|): the residual that the
-    tolerance still lets through, relative to v."""
-    z0 = complex(z0)
-    d, dbar, est = first_derivs(spec, z0, prof)
-    kind, other, v, r = (("identity", "dbar", d, dbar) if side == "d"
-                         else ("conjugation", "d", dbar, d))
-    if prof.pattern(d, dbar, est) != side:
-        raise ConstructionError(
-            f"{kind} block needs |{side}| > tol >= |{other}| at z0={z0}: "
-            f"d={d:.3g}, dbar={dbar:.3g}")
-    f0 = complex(spec(np.array([z0]))[0])
+def _lone_block(row: PointRow, h: float, v: complex) -> ShallowBlock:
+    """Width-1 block (w - f(z0)) / (h v) at the row's point, v its lone
+    nonzero first derivative: d gives the identity, dbar conjugation."""
     c = 1.0 / (h * v)
-    pre = ComplexAffineMap(_col([h]), [z0])
-    post = ComplexAffineMap(_col([c]).T, [-f0 * c])
-    return ShallowBlock(pre, post, (z0,)), abs(r) / abs(v)
+    pre = ComplexAffineMap(_col([h]), [row.z0])
+    post = ComplexAffineMap(_col([c]).T, [-row.f0 * c])
+    return ShallowBlock(pre, post, (row.z0,))
 
 
-def identity_block(spec: ActivationSpec, z0: complex, h: float,
-                   prof: ToleranceProfile = ToleranceProfile()) -> ShallowBlock:
-    """Width-1 approximation of the complex identity; needs d != 0 = dbar at z0."""
-    return _lone_block(spec, z0, h, prof, "d")[0]
+def identity_block(row: PointRow, h: float) -> ShallowBlock:
+    """Width-1 approximation of the complex identity at a lone-d point."""
+    return _lone_block(row, h, row.d)
 
 
-def conj_block(spec: ActivationSpec, z0: complex, h: float,
-               prof: ToleranceProfile = ToleranceProfile()) -> ShallowBlock:
-    """Width-1 approximation of complex conjugation; needs dbar != 0 = d at z0."""
-    return _lone_block(spec, z0, h, prof, "dbar")[0]
+def conj_block(row: PointRow, h: float) -> ShallowBlock:
+    """Width-1 approximation of complex conjugation at a lone-dbar point."""
+    return _lone_block(row, h, row.dbar)
 
 
-def pair_block(spec: ActivationSpec, z0: complex, h: float,
-               prof: ToleranceProfile = ToleranceProfile()) -> ShallowBlock:
-    """Width-2 approximation of z -> (z, conj z); needs both derivatives nonzero.
+def pair_block(row: PointRow, h: float) -> ShallowBlock:
+    """Width-2 approximation of z -> (z, conj z) at a point where both
+    derivatives are nonzero.
 
     Neurons see z0 + h z and z0 + i h z; the two outputs combine them as
 
         ( i y1 + y2 - (1+i) f(z0)) / ( 2 i h d)     ~ z
         (-i y1 + y2 - (1-i) f(z0)) / (-2 i h dbar)  ~ conj z
     """
-    z0 = complex(z0)
-    d, dbar, est = first_derivs(spec, z0, prof)
-    if prof.pattern(d, dbar, est) != "both":
-        raise ConstructionError(
-            f"pair block needs both derivatives nonzero at z0={z0}: d={d:.3g}, dbar={dbar:.3g}")
-    f0 = complex(spec(np.array([z0]))[0])
-    c1 = 1.0 / (2j * h * d)
-    c2 = 1.0 / (-2j * h * dbar)
+    z0, f0 = row.z0, row.f0
+    c1 = 1.0 / (2j * h * row.d)
+    c2 = 1.0 / (-2j * h * row.dbar)
     pre = ComplexAffineMap(_col([h, 1j * h]), [z0, z0])
     post = ComplexAffineMap(
         np.array([[1j * c1, c1], [-1j * c2, c2]], dtype=np.complex128),
@@ -149,83 +135,61 @@ def pair_block(spec: ActivationSpec, z0: complex, h: float,
 
 
 def id_conj_pair_block(spec: ActivationSpec, prof: ToleranceProfile, h: float) -> ShallowBlock:
-    """Width-2 approximation of z -> (z, conj z), routed on the probe grid
-    by ``ProbeAtlas.pair_route``; see ``routed_pair_block``."""
-    return routed_pair_block(spec, probe_atlas(spec, prof).pair_route(), h, prof)
+    """Width-2 approximation of z -> (z, conj z) on the pair route of the
+    probe atlas (``ProbeAtlas.pair_route``); see ``routed_pair_block``."""
+    return routed_pair_block(probe_atlas(spec, prof).pair_route(), h)
 
 
-def routed_pair_block(spec: ActivationSpec, route, h: float,
-                      prof: ToleranceProfile = ToleranceProfile()) -> ShallowBlock:
-    """Width-2 approximation of z -> (z, conj z) on a pair route.
+def routed_pair_block(route: tuple, h: float) -> ShallowBlock:
+    """Width-2 approximation of z -> (z, conj z) on a pair route of rows.
 
     A one-point route (z0,) uses the pair block there.  A two-point route
     (z_id, z_conj) puts the identity block at a lone-d point and the
     conjugation block at a lone-dbar point side by side.  There the
     tolerance-level residual of the "zero" derivative enters the output as
     an O(residual/h) term; a warning is raised when that exceeds
-    PAIR_TARGET_TOL.  A missing route (None), or a point without the pattern
-    its block needs, raises ConstructionError.
+    PAIR_TARGET_TOL.
     """
-    if route is None:
-        raise ConstructionError(
-            "no usable probe points for id/conj pair: activation appears "
-            "holomorphic, antiholomorphic, or R-affine on the probe grid")
     if len(route) == 1:
-        return pair_block(spec, route[0], h, prof)
-
-    z1, z2 = route
-    ident, r1 = _lone_block(spec, z1, h, prof, "d")
-    conj, r2 = _lone_block(spec, z2, h, prof, "dbar")
-    residual = max(r1, r2)
+        return pair_block(route[0], h)
+    ident, conj = route
+    residual = max(abs(ident.dbar) / abs(ident.d), abs(conj.d) / abs(conj.dbar))
     if residual / h > PAIR_TARGET_TOL:
         warnings.warn(
             f"two-point id/conj pair: residual derivative {residual:.3g} over h={h:.3g} "
             f"exceeds target tolerance {PAIR_TARGET_TOL:.3g}", RuntimeWarning)
-    pre = ComplexAffineMap(np.vstack([ident.pre.matrix, conj.pre.matrix]),
-                           np.concatenate([ident.pre.bias, conj.pre.bias]))
-    post = ComplexAffineMap(np.diag([ident.post.matrix[0, 0], conj.post.matrix[0, 0]]),
-                            np.concatenate([ident.post.bias, conj.post.bias]))
-    return ShallowBlock(pre, post, ident.z0 + conj.z0)
+    c1, c2 = 1.0 / (h * ident.d), 1.0 / (h * conj.dbar)
+    pre = ComplexAffineMap(_col([h, h]), [ident.z0, conj.z0])
+    post = ComplexAffineMap(np.diag([c1, c2]), [-ident.f0 * c1, -conj.f0 * c2])
+    return ShallowBlock(pre, post, (ident.z0, conj.z0))
 
 
-def square_block(spec: ActivationSpec, z0: complex, h: float,
-                 prof: ToleranceProfile = ToleranceProfile()):
-    """Width-4 approximation of one of z*conj(z), z^2, conj(z)^2 at z0.
+def square_block(row: PointRow, h: float) -> ShallowBlock:
+    """Width-4 approximation of the row's square kind at its point:
 
-    Which one depends on the second Wirtinger derivatives there, probed in
-    the order ddbar > d2 > dbar2:
-
-      ddbar != 0:            neurons at z0 +- h z, z0 +- i h z, post
-                             (y1+y2+y3+y4 - 4 f0) / (4 h^2 ddbar)      ~ z conj(z)
-      else d2 != 0:          neurons at z0 +- h z, z0 +- sqrt(i) h z, post
-                             (y1+y2-i y3-i y4 + 2(-1+i) f0) / (2 h^2 d2)  ~ z^2
-      else dbar2 != 0:       neurons at z0 +- h z (padded to 4), post
-                             (y1+y2 - 2 f0) / (h^2 dbar2)               ~ conj(z)^2
-
-    Returns (block, which) with which in {"zzbar", "z2", "zbar2"}.
+      zzbar:  neurons at z0 +- h z, z0 +- i h z, post
+              (y1+y2+y3+y4 - 4 f0) / (4 h^2 ddbar)           ~ z conj(z)
+      z2:     neurons at z0 +- h z, z0 +- sqrt(i) h z, post
+              (y1+y2-i y3-i y4 + 2(-1+i) f0) / (2 h^2 d2)    ~ z^2
+      zbar2:  neurons at z0 +- h z (padded to 4), post
+              (y1+y2 - 2 f0) / (h^2 dbar2)                   ~ conj(z)^2
     """
-    z0 = complex(z0)
-    d2, ddbar, dbar2, est = second_derivs(spec, z0, prof)
-    f0 = complex(spec(np.array([z0]))[0])
-    if prof.nonzero(ddbar, est):
+    z0, f0 = row.z0, row.f0
+    d2, ddbar, dbar2, _ = row.second
+    if row.kind == "zzbar":
         c = 1.0 / (4 * h**2 * ddbar)
         pre = ComplexAffineMap(_col([h, -h, 1j * h, -1j * h]), [z0] * 4)
         post = ComplexAffineMap(np.array([[c, c, c, c]]), [-4 * f0 * c])
-        return ShallowBlock(pre, post, (z0,)), "zzbar"
-    if prof.nonzero(d2, est):
+    elif row.kind == "z2":
         c = 1.0 / (2 * h**2 * d2)
         pre = ComplexAffineMap(_col([h, -h, SQRT_I * h, -SQRT_I * h]), [z0] * 4)
         post = ComplexAffineMap(np.array([[c, c, -1j * c, -1j * c]]),
                                 [2 * (-1 + 1j) * f0 * c])
-        return ShallowBlock(pre, post, (z0,)), "z2"
-    if prof.nonzero(dbar2, est):
+    else:
         c = 1.0 / (h**2 * dbar2)
         pre = ComplexAffineMap(_col([h, -h, 0, 0]), [z0] * 4)
         post = ComplexAffineMap(np.array([[c, c, 0, 0]]), [-2 * f0 * c])
-        return ShallowBlock(pre, post, (z0,)), "zbar2"
-    raise ConstructionError(
-        f"all second Wirtinger derivatives vanish at z0={z0} "
-        f"(locally R-affine): d2={d2:.3g}, ddbar={ddbar:.3g}, dbar2={dbar2:.3g}")
+    return ShallowBlock(pre, post, (z0,))
 
 
 # polarization combinations: (input row over (z, w), coefficient)
@@ -236,34 +200,23 @@ _MUL_COMBOS = {
 }
 
 
-def mul_block(spec: ActivationSpec, z0: complex, h: float,
-              prof: ToleranceProfile = ToleranceProfile()):
+def mul_block(row: PointRow, h: float) -> ShallowBlock:
     """Two-input multiplication block via the polarization identities.
 
-    The available square kind at z0 dictates the product that comes out:
+    The row's square kind dictates the product that comes out
+    (``_SQUARE_TO_MUL``):
 
       zzbar -> mul2:  (1/4+i/4)|z+w|^2 + (-1/4+i/4)|z-w|^2 - (i/2)|z-iw|^2 = z conj(w)
       z2    -> mul1:  ((z+w)^2 - (z-w)^2) / 4 = z w
       zbar2 -> mul3:  (conj(z+w)^2 - conj(z-w)^2) / 4 = conj(z w)
 
-    Returns (block, kind) with 12 neurons for mul2 and 8 for mul1/mul3.
+    12 neurons for mul2 and 8 for mul1/mul3.
     """
-    base, which = square_block(spec, z0, h, prof)
-    kind = _SQUARE_TO_MUL[which]
-    combos = _MUL_COMBOS[kind]
-    sq_rows = base.pre.matrix[:, 0]
-    sq_b = base.pre.bias
-    sq_post = base.post.matrix[0]
-    sq_bias = base.post.bias[0]
-    pre_rows, pre_bias, post_coeffs = [], [], []
-    bias = 0j
-    for row, coef in combos:
-        for k in range(4):
-            pre_rows.append([sq_rows[k] * row[0], sq_rows[k] * row[1]])
-            pre_bias.append(sq_b[k])
-            post_coeffs.append(coef * sq_post[k])
-        bias += coef * sq_bias
-    pre = ComplexAffineMap(np.array(pre_rows, dtype=np.complex128), pre_bias)
-    post = ComplexAffineMap(np.array([post_coeffs], dtype=np.complex128), [bias])
-    return ShallowBlock(pre, post, (z0,)), kind
-
+    base = square_block(row, h)
+    # neuron 4 c + k is square neuron k on combination c's input row
+    sel, coef = (np.array(col) for col in zip(*_MUL_COMBOS[_SQUARE_TO_MUL[row.kind]]))
+    pre = ComplexAffineMap((sel[:, None, :] * base.pre.matrix).reshape(-1, 2),
+                           np.tile(base.pre.bias, len(coef)))
+    post = ComplexAffineMap((coef[:, None] * base.post.matrix).reshape(1, -1),
+                            [sum(coef * base.post.bias[0])])
+    return ShallowBlock(pre, post, (row.z0,))

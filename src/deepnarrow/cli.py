@@ -19,7 +19,8 @@ import numpy as np
 
 from . import verifier
 from .activations import get_activation
-from .blocks import conj_block, identity_block, mul_apply, mul_block, pair_block, square_block
+from .blocks import (_SQUARE_TO_MUL, conj_block, identity_block, mul_apply, mul_block,
+                     pair_block, square_block)
 from .core import (CompactBox, GridSpec, check_sample_budget, cvnn_from_json, cvnn_to_json,
                    depth_of, eval_cvnn, sample_box, width_of)
 from .errors import (ConstructionError, DimensionMismatch, EvaluationFailure, FitSingular,
@@ -30,7 +31,7 @@ from .lowering import default_strategy, lower, plan_lowering, STRATEGIES
 from .register import eval_register, poly_to_json_dict, program_from_json
 from .verifier import (DEFAULT_SWEEP_SCHEDULE, NetSweep, SweepReport, h_sweep, named_target,
                        sup_error)
-from .wirtinger import ToleranceProfile, classify_activation
+from .wirtinger import ToleranceProfile, classify_activation, point_row
 
 _ERR_CODES = (
     (UnknownActivation, ("UNKNOWN_ACTIVATION", 2)),
@@ -199,9 +200,11 @@ def _cmd_compile(args):
     prof = _profile(args)
     cls = classify_activation(spec, prof)
     if not cls.verdict.startswith("Universal"):
+        meaning = ("no probe point showed real differentiability with a nonzero "
+                   "derivative, which does not prove that networks over it are not universal"
+                   if cls.verdict == "Inconclusive" else "networks over it are not universal")
         raise StrategyMismatch(
-            f"activation {spec.name!r} classified {cls.verdict}: networks over it "
-            "are not universal, refusing to compile")
+            f"activation {spec.name!r} classified {cls.verdict}: {meaning}, refusing to compile")
     strategy = args.strategy
     if strategy in (None, "auto"):
         strategy = default_strategy(cls.verdict)
@@ -241,38 +244,36 @@ def _cmd_lower(args):
     return _write_compiled(args, "lower", args.strategy, report)
 
 
-_SWEEP_BLOCKS = ("conjugation", "identity", "mul", "pair", "square")
+#: block -> what its point must have (``wirtinger.point_row``): a first-order
+#: pattern, or a square kind
+_SWEEP_BLOCKS = {"conjugation": "dbar", "identity": "d", "mul": "square", "pair": "both",
+                 "square": "square"}
 
 #: the --target help: each name of ``verifier.TARGETS`` with the function it names
 _TARGET_HELP = "; ".join(f"{name} = {label}"
                         for name, (_, label, _) in verifier.TARGETS.items())
 
-_SQUARE_TARGETS = {
-    "zzbar": lambda zs: zs * np.conj(zs),
-    "z2": lambda zs: zs**2,
-    "zbar2": lambda zs: np.conj(zs) ** 2,
-}
-
-
-def _sweep_case(block: str, spec, z0: complex, h: float, prof, box: CompactBox):
-    """(block at z0 and h, the function it approximates, the box to measure
-    on).  Square and mul blocks approximate the product that the second
-    derivatives at z0 afford."""
+def _sweep_case(block: str, row, h: float, box: CompactBox):
+    """(block at the row's point and h, the function it approximates, the box
+    to measure on).  Square and mul blocks approximate the product of the
+    row's square kind: mul(z, z) and mul(z, w)."""
     if block == "identity":
-        return identity_block(spec, z0, h, prof), lambda zs: zs, box
+        return identity_block(row, h), lambda zs: zs, box
     if block == "conjugation":
-        return conj_block(spec, z0, h, prof), np.conj, box
+        return conj_block(row, h), np.conj, box
     if block == "pair":
-        return pair_block(spec, z0, h, prof), lambda zs: np.hstack([zs, np.conj(zs)]), box
+        return pair_block(row, h), lambda zs: np.hstack([zs, np.conj(zs)]), box
+    kind = _SQUARE_TO_MUL[row.kind]
     if block == "square":
-        blk, which = square_block(spec, z0, h, prof)
-        return blk, _SQUARE_TARGETS[which], box
-    blk, kind = mul_block(spec, z0, h, prof)
-    return (blk, lambda zs: mul_apply(kind, zs[:, 0], zs[:, 1])[:, None],
+        return square_block(row, h), lambda zs: mul_apply(kind, zs, zs), box
+    return (mul_block(row, h), lambda zs: mul_apply(kind, zs[:, 0], zs[:, 1])[:, None],
             CompactBox(tuple(box.intervals) * 2))
 
 
 def _cmd_sweep(args):
+    """Sweep one block at --z0, the one point a user gives: its row comes
+    from ``point_row``, which refuses a point that lacks what the block
+    needs."""
     spec = get_activation(args.activation, _parse_kv(args.param))
     prof = _profile(args)
     z0 = _parse_point(args.z0, "--z0") if args.z0 else 1.0
@@ -280,9 +281,11 @@ def _cmd_sweep(args):
     grid = GridSpec(args.grid)
     if args.block not in _SWEEP_BLOCKS:
         raise ValueError(f"unknown block {args.block!r}; known: {list(_SWEEP_BLOCKS)}")
+    schedule = _schedule(args)
+    row = point_row(spec, z0, prof, _SWEEP_BLOCKS[args.block])
     rows = []
-    for h in _schedule(args):
-        blk, target, blk_box = _sweep_case(args.block, spec, z0, h, prof, box)
+    for h in schedule:
+        blk, target, blk_box = _sweep_case(args.block, row, h, box)
         err = verifier._net_error(lambda g: sup_error(target, g, blk_box, grid),
                                   blk.to_cvnn(spec), spec)
         rows.append(verifier.SweepRow(h, err, blk.post_scale, 2, blk.width))

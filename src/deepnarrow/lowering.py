@@ -49,8 +49,10 @@ A poly chain's first product multiplies by w = 1, which holds after the
 init stage and after every flush: mul(x, 1) is x (conj x under mul3), so
 that product is one affine map that copies the slot holding it into w and
 costs no hidden layer.
-Each strategy checks its derivative preconditions against probe data and
-raises StrategyMismatch when they fail.  Width bounds are asserted on the
+The plan (``plan_lowering``) checks each strategy's derivative
+preconditions once, on the probe atlas, raising StrategyMismatch when they
+fail, and keeps the row of every point it picks; the blocks are built from
+those rows at each h and probe nothing.  Width bounds are asserted on the
 result, with zero tolerance.
 """
 
@@ -66,9 +68,9 @@ from .blocks import (_SQUARE_TO_MUL, ShallowBlock, conj_block, identity_block, m
                      routed_pair_block)
 from .core import (AffineArrays, ComplexAffineMap, Cvnn, eval_affine, fuse_arrays,
                    width_of)
-from .errors import ConstructionError, StrategyMismatch
+from .errors import StrategyMismatch
 from .register import FlushLayer, RegisterProgram
-from .wirtinger import ToleranceProfile, first_derivs, probe_atlas
+from .wirtinger import PointRow, ToleranceProfile, probe_atlas
 
 __all__ = [
     "STRATEGIES",
@@ -162,12 +164,12 @@ def _direct_realizer(stage: Stage) -> list:
     return [stage]
 
 
-def _make_conj_realizer(spec: ActivationSpec, z0c: complex, hc: float,
-                        prof: ToleranceProfile) -> Callable:
+def _make_conj_realizer(spec: ActivationSpec, row: PointRow, hc: float) -> Callable:
     """Each sigma-neuron layer becomes an activation layer followed by one
-    conjugation-block layer of the same width (sigma = conj o activation).
-    This doubles the depth; only plans with no parity lowering take it: the
-    poly ones, and any over an activation that does not commute with conj.
+    conjugation-block layer of the same width (sigma = conj o activation),
+    at the activation's row of a lone-dbar point.  This doubles the depth;
+    only plans with no parity lowering take it: the poly ones, and any over
+    an activation that does not commute with conj.
 
     The conjugation block's Taylor remainder at a unit's nominal output y0
     (its value at zero stage input) is a constant; since the consuming sigma
@@ -175,8 +177,7 @@ def _make_conj_realizer(spec: ActivationSpec, z0c: complex, hc: float,
     exactly from two activation evaluations and folded into the block bias,
     leaving only the O(h)-decaying input-dependent remainder.
     """
-    dbar = first_derivs(spec, z0c, prof)[1]
-    f0 = complex(spec(np.array([z0c]))[0])
+    z0c, f0, dbar = row.z0, row.f0, row.dbar
     cc = 1.0 / (hc * dbar)
 
     def realize(stage: Stage) -> list:
@@ -204,31 +205,42 @@ class LoweringPlan:
 
     sigma is the activation the program's neurons are written against: the
     activation itself, or conj o activation where a lone-derivative strategy
-    finds a lone dbar but no lone d, and conjugation blocks at id_point undo
-    the conj, under a parity or in a realizer's layers (``_build_kit``).
-    That sigma is the conjugate kept on the activation's spec
-    (``conjugate_activation``): for a ``conj:X`` activation it is the shared
-    spec of X, with the atlas and plans X already holds.  The other fields
-    are the points of the identity block, the (z, conj z) pair route and the
-    square block, read from sigma's own probe atlas, and the product the
-    multiplication block affords; None where the strategy needs no such
-    block.  Narrow's identity point is optional: sigma's lone-d point where
-    it has one, else None, and the pair block crosses the registers.
+    finds a lone dbar but no lone d, and conjugation blocks at that point
+    undo the conj, under a parity or in a realizer's layers
+    (``_build_kit``).  That sigma is the conjugate kept on the activation's
+    spec (``conjugate_activation``): for a ``conj:X`` activation it is the
+    shared spec of X, with the atlas and plans X already holds.
+
+    The other fields are the rows (``wirtinger.PointRow``) of the points the
+    blocks localize at, read from the probe atlases: the identity block's
+    and the (z, conj z) pair route's on sigma's atlas, the square block's
+    with its square kind, and under a conj sigma the activation's own row
+    at the identity point, where the conjugation blocks go.  Each is None
+    where the strategy needs no such block.  Narrow's identity row is
+    optional: sigma's lone-d point where it has one, else None, and the pair
+    block crosses the registers.  The blocks read their rows and probe
+    nothing.
     """
 
     strategy: str
     sigma: ActivationSpec
-    id_point: Optional[complex] = None
+    id_row: Optional[PointRow] = None
     pair_route: Optional[tuple] = None
-    square_point: Optional[complex] = None
-    mul_kind: Optional[str] = None
+    square_row: Optional[PointRow] = None
+    conj_row: Optional[PointRow] = None
+
+    @property
+    def mul_kind(self) -> Optional[str]:
+        """The product the multiplication block affords, from the square
+        kind; None without a square row."""
+        return None if self.square_row is None else _SQUARE_TO_MUL[self.square_row.kind]
 
 
 def plan_lowering(spec: ActivationSpec, strategy: str,
                   prof: ToleranceProfile = ToleranceProfile()) -> LoweringPlan:
-    """Pick sigma and every block point for a strategy from the probe atlas;
-    raises StrategyMismatch (or ConstructionError for the pair route) when
-    the activation lacks a point the strategy needs.
+    """Pick sigma and the row of every block point for a strategy from the
+    probe atlas; raises StrategyMismatch (or ConstructionError for the pair
+    route) when the activation lacks a point the strategy needs.
 
     Kept on the spec like its probe atlas (a failed plan is not), so a
     process plans once per (spec, strategy, profile): every h of a sweep,
@@ -248,10 +260,10 @@ def _plan(spec: ActivationSpec, strategy: str, prof: ToleranceProfile) -> Loweri
     if strategy not in STRATEGIES:
         raise StrategyMismatch(f"unknown strategy {strategy!r}")
     atlas = probe_atlas(spec, prof)
-    sigma = spec
+    sigma, conj_row = spec, None
     lone_d, lone_db, _ = atlas.pattern_points()
     if strategy in _LONE_DERIVATIVE and lone_d is None and lone_db is not None:
-        sigma = _conjugate(spec)
+        sigma, conj_row = _conjugate(spec), lone_db
         atlas = probe_atlas(sigma, prof)
     s_lone_d, _, s_both = atlas.pattern_points()
     if strategy in _LONE_DERIVATIVE and s_lone_d is None:
@@ -259,7 +271,7 @@ def _plan(spec: ActivationSpec, strategy: str, prof: ToleranceProfile) -> Loweri
             f"{strategy}: needs a point with exactly one nonzero first derivative")
 
     if strategy == "NonPoly_NMplus1":
-        return LoweringPlan(strategy, sigma, id_point=s_lone_d)
+        return LoweringPlan(strategy, sigma, id_row=s_lone_d, conj_row=conj_row)
 
     if strategy == "NonPoly_2N2Mplus1":
         if s_both is None:
@@ -270,44 +282,37 @@ def _plan(spec: ActivationSpec, strategy: str, prof: ToleranceProfile) -> Loweri
     square = atlas.square_point()
     if square is None:
         raise StrategyMismatch(f"{strategy}: activation is R-affine on the probe grid")
-    id_point = None if strategy == "Poly_Wide_2N2Mplus12" else s_lone_d
-    route = atlas.pair_route()
-    if route is None:
-        raise ConstructionError(
-            "no usable probe points for id/conj pair: activation appears "
-            "holomorphic, antiholomorphic, or R-affine on the probe grid")
-    return LoweringPlan(strategy, sigma, id_point, route, square[0],
-                        _SQUARE_TO_MUL[square[1]])
+    id_row = None if strategy == "Poly_Wide_2N2Mplus12" else s_lone_d
+    return LoweringPlan(strategy, sigma, id_row, atlas.pair_route(), square, conj_row)
 
 
 @dataclass
 class _Kit:
-    sigma: ActivationSpec
     realize: Callable
     id_blk: Optional[ShallowBlock] = None     # identity; the pair where the plan has none
     pair_blk: Optional[ShallowBlock] = None   # width-2 (z, conj z)
     mul_blk: Optional[ShallowBlock] = None
+    mul_f0: complex = 0j                      # sigma at the multiplication block's point
     parity: bool = False                      # id_blk conjugates: every stage flips the state
 
 
-def _build_kit(spec: ActivationSpec, plan: LoweringPlan, h: float,
-               prof: ToleranceProfile) -> _Kit:
-    """Build the plan's blocks at localization scale h: the identity, pair
-    and conjugation blocks at h, the square block at sqrt(h), or at h under
-    Poly_Wide_2N2Mplus12.  Without an identity point, the first output of
-    the pair block is the identity crossing.
+def _build_kit(spec: ActivationSpec, plan: LoweringPlan, h: float) -> _Kit:
+    """Build the plan's blocks at localization scale h from its rows: the
+    identity, pair and conjugation blocks at h, the square block at
+    sqrt(h), or at h under Poly_Wide_2N2Mplus12.  Without an identity row,
+    the first output of the pair block is the identity crossing.
 
-    A conj sigma's identity point is the activation's lone-dbar point.  A
-    NonPoly_NMplus1 plan over an activation that commutes with conj crosses
-    its registers there through conjugation blocks and keeps a parity
-    (``_lower_shallow``); any other conj sigma's layers are realized there
-    (``_make_conj_realizer``)."""
-    parity = (plan.sigma is not spec and plan.strategy == "NonPoly_NMplus1"
+    Under a conj sigma, the conjugation blocks go at the plan's conj row.
+    A NonPoly_NMplus1 plan over an activation that commutes with conj
+    crosses its registers there through conjugation blocks and keeps a
+    parity (``_lower_shallow``); any other conj sigma's layers are realized
+    there (``_make_conj_realizer``)."""
+    parity = (plan.conj_row is not None and plan.strategy == "NonPoly_NMplus1"
               and spec.conj_equivariant)
     realize = _direct_realizer
-    if plan.sigma is not spec and not parity:
-        realize = _make_conj_realizer(spec, plan.id_point, h, prof)
-    kit = _Kit(sigma=plan.sigma, realize=realize, parity=parity)
+    if plan.conj_row is not None and not parity:
+        realize = _make_conj_realizer(spec, plan.conj_row, h)
+    kit = _Kit(realize=realize, parity=parity)
     # The serialized poly variants (Narrow, NMplus4) cross the running
     # accumulator through first-order blocks whose per-layer drift is O(h);
     # pairing that drift with the square block's h^-2 post-scale would leave
@@ -315,15 +320,16 @@ def _build_kit(spec: ActivationSpec, plan: LoweringPlan, h: float,
     # there (the proof fixes the multiplication approximant first and shrinks
     # the identity blocks afterwards; sqrt coupling keeps the sweep
     # one-dimensional).
-    if plan.square_point is not None:
+    if plan.square_row is not None:
         sq_h = h if plan.strategy == "Poly_Wide_2N2Mplus12" else float(np.sqrt(h))
-        kit.mul_blk = mul_block(plan.sigma, plan.square_point, sq_h, prof)[0]
+        kit.mul_blk = mul_block(plan.square_row, sq_h)
+        kit.mul_f0 = plan.square_row.f0
     if parity:
-        kit.id_blk = conj_block(spec, plan.id_point, h, prof)
-    elif plan.id_point is not None:
-        kit.id_blk = identity_block(plan.sigma, plan.id_point, h, prof)
+        kit.id_blk = conj_block(plan.conj_row, h)
+    elif plan.id_row is not None:
+        kit.id_blk = identity_block(plan.id_row, h)
     if plan.pair_route is not None:
-        kit.pair_blk = routed_pair_block(plan.sigma, plan.pair_route, h, prof)
+        kit.pair_blk = routed_pair_block(plan.pair_route, h)
     if kit.id_blk is None:
         kit.id_blk = kit.pair_blk
     return kit
@@ -423,7 +429,7 @@ def _emit_mul_ladder(pieces: list, kit: _Kit, stages: list, s: int, p: int,
     """
     blk = kit.mul_blk
     rows, z0, coeffs = blk.pre.matrix, blk.pre.bias[0], blk.post.matrix[0]
-    rho0 = complex(kit.sigma(np.array([z0]))[0])
+    rho0 = kit.mul_f0
     lam = 1.0 / max(1.0, float(np.max(np.abs(coeffs))))
     i_acc, cmp = s, slice(s + 1, s + 1 + p)
     groups = [range(k, min(k + p, len(coeffs))) for k in range(0, len(coeffs), p)]
@@ -631,7 +637,7 @@ def lower_pieces(program: RegisterProgram, spec: ActivationSpec, strategy: str,
         raise StrategyMismatch(
             f"program was planned for {program.mul_kind} but the activation "
             f"affords {plan.mul_kind}")
-    kit = _build_kit(spec, plan, h, prof)
+    kit = _build_kit(spec, plan, h)
     if program.family == "shallow":
         return _lower_shallow(program, kit)
     return _lower_poly(program, kit, strategy)

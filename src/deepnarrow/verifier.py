@@ -376,16 +376,23 @@ def _finer(grid: GridSpec) -> GridSpec:
     return GridSpec(2 * grid.points_per_axis)
 
 
-def _best_beating_constant(report: NetSweep) -> SweepRow:
+def _best_beating_constant(report: NetSweep, spec: ActivationSpec) -> SweepRow:
     """The report's best row, once it is below the error of a constant on
     the sweep's lattice (``_Lattice.constant_sup_error``).  Raises
     EvaluationFailure otherwise: such a network has learned nothing about
-    the target."""
+    the target.  A nonpoly sweep over an activation flagged polyharmonic
+    names that as the cause: shallow networks over such an activation are
+    not dense (Voigtlaender, ACHA 2023), though they reach some targets."""
     best, const = report.best_row(), report.lattice.constant_sup_error
     if not best.sup_error < const:
+        flag = spec.poly_flag
+        cause = (f"; {spec.name} is polyharmonic of order {flag.order} (analytic flag), and "
+                 "shallow networks over a polyharmonic activation are not dense: compile it "
+                 "with a Poly strategy" if report.metadata["pipeline"] == "nonpoly"
+                 and flag is not None and flag.is_polyharmonic else "")
         raise EvaluationFailure(
             f"best sup error {best.sup_error!r} (h={best.h:g}) is not below "
-            f"{const!r}, the error of a constant on the verification grid")
+            f"{const!r}, the error of a constant on the verification grid{cause}")
     return best
 
 
@@ -397,7 +404,7 @@ def mul_kind_for(spec: ActivationSpec, prof: ToleranceProfile = ToleranceProfile
     found = probe_atlas(spec, prof).square_point()
     if found is None:
         raise StrategyMismatch("activation is R-affine on the probe grid")
-    return _SQUARE_TO_MUL[found[1]]
+    return _SQUARE_TO_MUL[found.kind]
 
 
 def _sweep_program(program: RegisterProgram, plan: LoweringPlan, spec: ActivationSpec,
@@ -410,7 +417,7 @@ def _sweep_program(program: RegisterProgram, plan: LoweringPlan, spec: Activatio
     (``_best_beating_constant``)."""
     sweep = h_sweep(lambda h: lower(program, spec, plan.strategy, h, prof),
                     schedule, box, grid, f, spec, metadata=metadata)
-    _best_beating_constant(sweep)
+    _best_beating_constant(sweep, spec)
     return CompileReport(sweep.rows, sweep.metadata, nets=sweep.nets, lattice=sweep.lattice,
                          program=program, plan=plan, fit_sup_error=fit_sup_error)
 

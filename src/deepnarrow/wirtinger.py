@@ -35,6 +35,13 @@ every candidate point, in one batch each.  A classification of cardioid
 second probes (the R-affine check, the witness) and one Taylor batch.  The
 atlas scan calls ``first_derivs`` once per grid point rather than once per
 grid, because the benchmark's tracer counts probes by that name.
+
+A block point's facts travel as its row (``PointRow``): z0, f(z0), d, dbar
+and their error estimate, and at a square point the square kind and the
+second derivatives.  The lowering's point rules return rows, its plan
+keeps them, and the blocks built from a plan read them and probe nothing.
+A point given from outside the atlas gets its row from ``point_row``,
+under the same rules.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ import numpy as np
 
 from .activations import ActivationSpec
 from .core import CompactBox, GridSpec, _c2l, sample_box
-from .errors import ProbeFailed
+from .errors import ConstructionError, ProbeFailed
 
 __all__ = [
     "ToleranceProfile",
@@ -62,6 +69,8 @@ __all__ = [
     "second_partials_to_wirtinger",
     "laplacian_iterate",
     "taylor_remainder_probe",
+    "PointRow",
+    "point_row",
     "ProbeAtlas",
     "probe_atlas",
     "find_active_point",
@@ -148,6 +157,21 @@ class WirtingerProbe:
     ddbar: complex
     dbar2: complex
     est_error: float
+
+
+class PointRow(NamedTuple):
+    """What a block needs of its point z0: f(z0), the first Wirtinger
+    derivatives and their error estimate; at a square point also the square
+    kind ("zzbar", "z2" or "zbar2") and the second derivatives (d2, ddbar,
+    dbar2, est_error)."""
+
+    z0: complex
+    f0: complex
+    d: complex
+    dbar: complex
+    est: float
+    kind: Optional[str] = None
+    second: Optional[tuple] = None
 
 
 class TaylorReport(NamedTuple):
@@ -388,6 +412,54 @@ def _taylor_passes(ratios: np.ndarray, floors: np.ndarray) -> np.ndarray:
 _SECOND_ORDER = ((1, "ddbar", "zzbar"), (0, "d2", "z2"), (2, "dbar2", "zbar2"))
 
 
+def _square_kind(nonzero) -> Optional[tuple]:
+    """The entry of _SECOND_ORDER of the first of ddbar > d2 > dbar2 whose
+    flag in ``nonzero`` (one per (d2, ddbar, dbar2)) is set; None when none
+    is."""
+    return next((case for case in _SECOND_ORDER if nonzero[case[0]]), None)
+
+
+#: the refusal of a point that lacks the first-order pattern its block needs
+_BLOCK_NEEDS = {"d": "identity block needs |d| > tol >= |dbar|",
+                "dbar": "conjugation block needs |dbar| > tol >= |d|",
+                "both": "pair block needs both derivatives nonzero"}
+
+
+def point_row(spec: ActivationSpec, z0: complex, prof: ToleranceProfile,
+              pattern: str) -> PointRow:
+    """The row of one point z0, by the atlas's rules, for a block that needs
+    the first-order ``pattern`` there ("d", "dbar" or "both"), or a square
+    kind ("square"), the first of ddbar > d2 > dbar2 that is nonzero.
+    Raises ConstructionError when z0 lacks it."""
+    z0 = complex(z0)
+    d, dbar, est = first_derivs(spec, z0, prof)
+    row = PointRow(z0, complex(spec(np.array([z0]))[0]), d, dbar, est)
+    if pattern != "square":
+        if prof.pattern(d, dbar, est) != pattern:
+            raise ConstructionError(
+                f"{_BLOCK_NEEDS[pattern]} at z0={z0}: d={d:.3g}, dbar={dbar:.3g}")
+        return row
+    second = second_derivs(spec, z0, prof)
+    found = _square_kind(prof.nonzero(np.array(second[:3]), second[3]))
+    if found is None:
+        raise ConstructionError(
+            f"all second Wirtinger derivatives vanish at z0={z0} (locally R-affine): "
+            "d2={:.3g}, ddbar={:.3g}, dbar2={:.3g}".format(*second))
+    return row._replace(kind=found[2], second=second)
+
+
+def _best(idx: np.ndarray, score: np.ndarray) -> int:
+    """The point of idx with the largest score (one per point of idx)."""
+    return int(idx[np.argmax(score)])
+
+
+def _least_load(idx: np.ndarray, score: np.ndarray, load: np.ndarray) -> int:
+    """The point of least load among those of idx whose score (one per point
+    of idx) is within 2x of the best; load has one per point."""
+    near = idx[score >= 0.5 * score.max()]
+    return int(near[np.argmin(load[near])])
+
+
 class ProbeAtlas:
     """Wirtinger data of one activation on the probe grid of one profile.
 
@@ -397,7 +469,8 @@ class ProbeAtlas:
     pattern nonzero(d) + 2 nonzero(dbar).  Every rule that picks a probe
     point is a method here, scoring points by magnitude columns with ties to
     the first in grid order, so the classifier, the pipelines and the
-    lowering read the same facts.  What is computed on first query is kept:
+    lowering read the same facts; the lowering's rules return the chosen
+    point's row (``row``).  What is computed on first query is kept:
     f(z0) at every point in one activation call, the second probe per
     point, the Taylor verdicts of every candidate point in one batch, a
     failed probe as its ProbeFailed, and the points that pass.  The atlas of
@@ -405,13 +478,14 @@ class ProbeAtlas:
     conj o conj o f is f's spec, with f's own atlas.
     """
 
-    def __init__(self, spec: ActivationSpec, prof: ToleranceProfile, z0: np.ndarray,
-                 d: np.ndarray, dbar: np.ndarray, est: np.ndarray):
+    def __init__(self, spec: ActivationSpec, prof: ToleranceProfile, firsts: list):
         self.spec = spec
         self.prof = prof
-        self.z0, self.d, self.dbar, self.est = z0, d, dbar, est
-        self.codes = prof.nonzero(d, est) + 2 * prof.nonzero(dbar, est)
-        for col in (z0, d, dbar, est, self.codes):
+        self._firsts = firsts   # (z0, d, dbar, est) per point, as first_derivs gave them
+        z0, d, dbar, est = np.array(firsts, dtype=np.complex128).reshape(-1, 4).T.copy()
+        self.z0, self.d, self.dbar, self.est = z0, d, dbar, est.real
+        self.codes = prof.nonzero(d, self.est) + 2 * prof.nonzero(dbar, self.est)
+        for col in (z0, d, dbar, self.est, self.codes):
             col.flags.writeable = False
         self._mags = _mag(d), _mag(dbar)     # (|d|, |dbar|), the scores' columns
         # per point the second probe and the Taylor verdict, None until queried
@@ -479,6 +553,14 @@ class ProbeAtlas:
     def _passing(self) -> tuple:
         return tuple(i for i in np.flatnonzero(self.codes).tolist() if self.taylor_passed(i))
 
+    def row(self, i: int, kind: Optional[str] = None) -> PointRow:
+        """The row of point i, its derivatives as ``first_derivs`` gave them
+        (a block's arithmetic then rounds as on a probe of its own); given
+        its square kind, with its second derivatives."""
+        z0, d, dbar, est = self._firsts[i]
+        return PointRow(z0, self.value(i), d, dbar, est, kind,
+                        None if kind is None else self.second(i))
+
     def probe(self, i: int) -> WirtingerProbe:
         """First- and second-order data at point i, as ``probe_point`` gives."""
         z0, d, dbar, e1 = self.first(i)
@@ -486,16 +568,6 @@ class ProbeAtlas:
         return WirtingerProbe(z0, d, dbar, d2, ddbar, dbar2, max(e1, e2))
 
     # -- point rules -------------------------------------------------------
-
-    def _best(self, idx: np.ndarray, score: np.ndarray) -> complex:
-        """z0 of the point of idx with the largest score (one per point of idx)."""
-        return complex(self.z0[idx[np.argmax(score)]])
-
-    def _least_load(self, idx: np.ndarray, score: np.ndarray, load: np.ndarray) -> complex:
-        """z0 of the least load among the points of idx whose score (one per
-        point of idx) is within 2x of the best; load has one per point."""
-        near = idx[score >= 0.5 * score.max()]
-        return complex(self.z0[near[np.argmin(load[near])]])
 
     def _by_pattern(self) -> list:
         """(points, conditioning scores) per pattern "d", "dbar", "both": the
@@ -505,27 +577,29 @@ class ProbeAtlas:
         return [(idx, score[idx]) for idx, score in zip(idxs, (ad, adb, np.minimum(ad, adb)))]
 
     def pattern_points(self) -> tuple:
-        """Best point per first-order pattern: (lone d, lone dbar, both), each
-        None when absent.
+        """The row of the best point per first-order pattern: (lone d, lone
+        dbar, both), each None when absent.
 
         Within 2x of the best conditioning score, the point with the least
         |f(z0)| wins: the activation magnitude at the localization point sets
         the cancellation load of every block built there.
         """
-        return tuple(self._least_load(idx, score, _mag(self._f0)) if idx.size else None
-                     for idx, score in self._by_pattern())
+        return tuple(self.row(_least_load(idx, score, _mag(self._f0))) if idx.size
+                     else None for idx, score in self._by_pattern())
 
     def pair_route(self):
-        """Where a width-2 (z, conj z) block localizes: (z0,) at the "both"
-        point of the best conditioning score when there is one, else (z_id,
-        z_conj) at the best lone-d and the best lone-dbar point; None when
-        either is missing."""
+        """The rows where a width-2 (z, conj z) block localizes: (z0,) at the
+        "both" point of the best conditioning score when there is one, else
+        (z_id, z_conj) at the best lone-d and the best lone-dbar point.
+        Raises ConstructionError when either is missing."""
         lone_d, lone_db, both = self._by_pattern()
         if both[0].size:
-            return (self._best(*both),)
+            return (self.row(_best(*both)),)
         if not lone_d[0].size or not lone_db[0].size:
-            return None
-        return self._best(*lone_d), self._best(*lone_db)
+            raise ConstructionError(
+                "no usable probe points for id/conj pair: activation appears "
+                "holomorphic, antiholomorphic, or R-affine on the probe grid")
+        return self.row(_best(*lone_d)), self.row(_best(*lone_db))
 
     def active_point(self) -> Optional[complex]:
         """The point maximizing max(|d|, |dbar|) among those that pass the
@@ -538,10 +612,10 @@ class ProbeAtlas:
         return best
 
     def _second_kind(self):
-        """(name, square kind, points, |value| at each) over the points whose
-        second probe succeeds, for the first of ddbar > d2 > dbar2 that is
-        nonzero somewhere, the order of the square block's cases; None in the
-        R-affine case."""
+        """(name, square kind, points, |value| at each) for the first of
+        ddbar > d2 > dbar2 that is nonzero at some point whose second probe
+        succeeds (``_square_kind``), over the points where it is nonzero;
+        None in the R-affine case."""
         idx, seconds = [], []
         for i in range(len(self)):
             try:
@@ -552,15 +626,17 @@ class ProbeAtlas:
         if not seconds:
             return None
         cols = np.array(seconds, dtype=np.complex128)
-        anywhere = self.prof.nonzero(cols[:, :3], cols[:, 3:].real).any(axis=0)
-        for k, name, which in _SECOND_ORDER:
-            if anywhere[k]:
-                return name, which, np.array(idx), _mag(cols[:, k])
-        return None
+        nonzero = self.prof.nonzero(cols[:, :3], cols[:, 3:].real)
+        found = _square_kind(nonzero.any(axis=0))
+        if found is None:
+            return None
+        k, name, which = found
+        at = nonzero[:, k]
+        return name, which, np.array(idx)[at], _mag(cols[at, k])
 
-    def square_point(self):
-        """(z0, which) for the square block, which in {"zzbar", "z2",
-        "zbar2"}, or None when every second derivative vanishes (R-affine).
+    def square_point(self) -> Optional[PointRow]:
+        """The row of the square block's point, with its kind, or None when
+        every second derivative vanishes (R-affine).
 
         Among points whose value of that derivative is within 2x of the
         best, the least |f(z0)| + |d| + |dbar| wins: the inner register
@@ -570,7 +646,8 @@ class ProbeAtlas:
         if found is None:
             return None
         _, which, idx, mags = found
-        return self._least_load(idx, mags, _mag(self._f0) + self._mags[0] + self._mags[1]), which
+        load = _mag(self._f0) + self._mags[0] + self._mags[1]
+        return self.row(_least_load(idx, mags, load), which)
 
     def nonzero_second_point(self):
         """(z0, which) with which the first of ddbar > d2 > dbar2 that is
@@ -580,7 +657,7 @@ class ProbeAtlas:
         if found is None:
             return None
         name, _, idx, mags = found
-        return self._best(idx, mags), name
+        return complex(self.z0[_best(idx, mags)]), name
 
     # -- structural heuristics ---------------------------------------------
 
@@ -644,8 +721,7 @@ def _scan(spec: ActivationSpec, prof: ToleranceProfile) -> ProbeAtlas:
                 rows.append((z0, *first_derivs(spec, z0, prof)))
             except ProbeFailed:
                 continue
-        z0, d, dbar, est = np.array(rows, dtype=np.complex128).reshape(-1, 4).T.copy()
-        atlas = ProbeAtlas(spec, prof, z0, d, dbar, est.real)
+        atlas = ProbeAtlas(spec, prof, rows)
         if atlas.negative_verdict() is None:
             break
     return atlas

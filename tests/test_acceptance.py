@@ -9,7 +9,8 @@ from itertools import product
 import numpy as np
 
 from deepnarrow.activations import custom_activation, get_activation
-from deepnarrow.blocks import conj_block, identity_block, mul_block, pair_block, square_block
+from deepnarrow.blocks import (_SQUARE_TO_MUL, conj_block, identity_block, mul_block,
+                               pair_block, square_block)
 from deepnarrow.cli import main as cli_main
 from deepnarrow.core import CompactBox, GridSpec, eval_cvnn, width_of
 from deepnarrow.fitting import FitConfig
@@ -21,7 +22,7 @@ from deepnarrow.verifier import (affine_closure_demo, end_to_end_nonpoly,
                                  end_to_end_poly, holo_floor_demo,
                                  kernel_invariance_demo, named_target,
                                  nowhere_diff_demo)
-from deepnarrow.wirtinger import (ToleranceProfile, classify_activation,
+from deepnarrow.wirtinger import (ToleranceProfile, classify_activation, point_row,
                                   second_partials_to_wirtinger, wirt_first,
                                   wirt_second)
 
@@ -195,17 +196,17 @@ def test_acceptance_05_block_convergence():
     for name, params, kind, z0 in cases:
         spec = get_activation(name, params)
         if kind == "square":
-            which = square_block(spec, z0, 0.05, PROF)[1]
-            build = lambda h: square_block(spec, z0, h, PROF)[0]
-            target = targets[which]
+            sq = point_row(spec, z0, PROF, "square")
+            build = lambda h: square_block(sq, h)
+            target = targets[sq.kind]
         elif kind == "identity":
-            build = lambda h: identity_block(spec, z0, h, PROF)
+            build = lambda h: identity_block(point_row(spec, z0, PROF, "d"), h)
             target = targets["identity"]
         elif kind == "conjugation":
-            build = lambda h: conj_block(spec, z0, h, PROF)
+            build = lambda h: conj_block(point_row(spec, z0, PROF, "dbar"), h)
             target = targets["conjugation"]
         else:
-            build = lambda h: pair_block(spec, z0, h, PROF)
+            build = lambda h: pair_block(point_row(spec, z0, PROF, "both"), h)
             target = targets["pair"]
         errs = [block_sup_error(build(1e-1 * 2.0**-k), spec, target, BOX, GridSpec(9))
                 for k in range(6)]
@@ -217,10 +218,11 @@ def test_acceptance_05_block_convergence():
     # quadratic exactness at h = 1
     for name in ("re_square", "abs_square", "z_plus_zbar_sq"):
         spec = get_activation(name)
-        blk, which = square_block(spec, 0.4 - 0.2j, 1.0, PROF)
-        if block_sup_error(blk, spec, targets[which], BOX, GridSpec(9)) > 1e-10:
+        sq = point_row(spec, 0.4 - 0.2j, PROF, "square")
+        if block_sup_error(square_block(sq, 1.0), spec, targets[sq.kind], BOX,
+                           GridSpec(9)) > 1e-10:
             ok = False
-        mblk, mkind = mul_block(spec, 0.4 - 0.2j, 1.0, PROF)
+        mblk, mkind = mul_block(sq, 1.0), _SQUARE_TO_MUL[sq.kind]
         mtargets = {
             "mul1": lambda zs: (zs[:, 0] * zs[:, 1])[:, None],
             "mul2": lambda zs: (zs[:, 0] * np.conj(zs[:, 1]))[:, None],

@@ -95,6 +95,32 @@ def test_compile_refuses_holomorphic(capsys):
     assert capsys.readouterr().err.startswith("error[STRATEGY_MISMATCH]")
 
 
+def test_compile_refusal_of_an_inconclusive_verdict_says_what_it_means(capsys):
+    """nowhere_diff is universal, yet no probe point shows it real
+    differentiable: the refusal says so, and does not call it non-universal."""
+    assert run(["compile", "--target", "zzbar", "--activation", "nowhere_diff"]) == 3
+    assert capsys.readouterr().err == (
+        "error[STRATEGY_MISMATCH] activation 'nowhere_diff' classified Inconclusive: no "
+        "probe point showed real differentiability with a nonzero derivative, which does "
+        "not prove that networks over it are not universal, refusing to compile\n")
+
+
+def test_nonpoly_compile_over_a_polyharmonic_activation_names_the_cause(tmp_path, capsys):
+    """z + conj(z)^2 is polyharmonic: shallow networks over it are not dense,
+    so a forced nonpoly compile of zzbar does no better than a constant, and
+    the error says why.  Such an activation is not refused up front, since
+    other targets (re) compile."""
+    argv = ["compile", "--activation", "z_plus_zbar_sq", "--strategy", "NonPoly_NMplus1",
+            "--features", "40", "--seed", "1", "--no-timestamp"]
+    assert run(argv + ["--target", "zzbar", "--out", str(tmp_path / "zzbar")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error[EVALUATION] best sup error")
+    assert err.endswith("; z_plus_zbar_sq is polyharmonic of order 1 (analytic flag), and "
+                        "shallow networks over a polyharmonic activation are not dense: "
+                        "compile it with a Poly strategy\n")
+    assert run(argv + ["--target", "re", "--out", str(tmp_path / "re")]) == 0
+
+
 def test_compile_without_finite_sweep_row_is_an_evaluation_error(monkeypatch, tmp_path, capsys):
     from deepnarrow import verifier
     from deepnarrow.errors import EvaluationFailure
@@ -343,6 +369,28 @@ def test_sweep_row_of_a_block_that_fails_to_evaluate_is_inf(tmp_path):
     assert errs[0] == float("inf") and all(np.isfinite(errs[1:]))
 
 
+@pytest.mark.parametrize("block, activation, z0, message", [
+    ("identity", ["modrelu", "--param", "b=-1"], "2,0",
+     "identity block needs |d| > tol >= |dbar|"),
+    ("conjugation", ["z_plus_zbar_sq"], "0.5,0.5", "conjugation block needs |dbar| > tol >= |d|"),
+    ("pair", ["cardioid"], "0.5,0", "pair block needs both derivatives nonzero"),
+    ("square", ["r_affine", "--param", "a=1", "--param", "b=1"], "0.5,0",
+     "all second Wirtinger derivatives vanish"),
+    ("mul", ["r_affine", "--param", "a=1", "--param", "b=1"], "0.5,0",
+     "all second Wirtinger derivatives vanish"),
+])
+def test_sweep_refuses_a_point_its_block_cannot_use(tmp_path, capsys, block, activation, z0,
+                                                    message):
+    """--z0 is the one point a user gives: its row comes from ``point_row``,
+    which refuses a point without the pattern or square kind the block
+    needs, before any block is built."""
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--block", block, "--activation", *activation, f"--z0={z0}",
+                "--no-timestamp", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(f"error[CONSTRUCTION] {message} at z0=")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("block", ["square", "mul"])
 def test_sweep_builds_each_block_once_per_h(monkeypatch, tmp_path, block):
     from deepnarrow import blocks, cli
@@ -351,9 +399,9 @@ def test_sweep_builds_each_block_once_per_h(monkeypatch, tmp_path, block):
     built = []
     constructor = getattr(blocks, f"{block}_block")
 
-    def counting(*args, **kwargs):
-        built.append(args[2])
-        return constructor(*args, **kwargs)
+    def counting(row, h):
+        built.append(h)
+        return constructor(row, h)
 
     monkeypatch.setattr(cli, f"{block}_block", counting)
     out = tmp_path / "sweep.csv"

@@ -233,9 +233,10 @@ def test_eval_cvnn_identity_block_net():
     # a depth-2 net built from the width-1 identity localization at z0 = 1:
     # pre z -> 1 + h z, post w -> (w - card(1)) / h
     from deepnarrow.blocks import identity_block
+    from deepnarrow.wirtinger import ToleranceProfile, point_row
 
     card = get_activation("cardioid")
-    net = identity_block(card, 1.0, 1e-3).to_cvnn(card)
+    net = identity_block(point_row(card, 1.0, ToleranceProfile(), "d"), 1e-3).to_cvnn(card)
     pts = sample_box(CompactBox.square(1, 1.0), GridSpec(9))
     err = np.max(np.abs(eval_cvnn(net, pts, card.fn) - pts))
     assert err < 1e-2

@@ -1,11 +1,13 @@
 import dataclasses
+import importlib
 import json
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from deepnarrow import core, lowering
+import deepnarrow
+from deepnarrow import core, lowering, wirtinger
 from deepnarrow.activations import (available_activations, conjugate_activation, get_activation,
                                     scale_activation)
 from deepnarrow.core import (ComplexAffineMap, depth_of, eval_cvnn, hidden_widths, max_coeff,
@@ -16,8 +18,8 @@ from deepnarrow.lowering import (STRATEGIES, assemble_pieces, default_strategy,
                                  strategy_width_budget)
 from deepnarrow.register import (FlushLayer, PolyZZbar, eval_register, poly_to_register,
                                  shallow_to_register)
-from deepnarrow.verifier import sup_error
-from deepnarrow.wirtinger import ToleranceProfile, classify_activation
+from deepnarrow.verifier import DEFAULT_SWEEP_SCHEDULE, sup_error
+from deepnarrow.wirtinger import ToleranceProfile, classify_activation, point_row
 from deepnarrow.core import CompactBox, GridSpec, cvnn_from_json, cvnn_to_json
 
 from conftest import LOWERING_CASES, random_points, random_shallow
@@ -226,9 +228,9 @@ def test_each_block_built_at_its_h(monkeypatch, rng, case, spec, roles):
     built = []
 
     def recording(role, build):
-        def wrapped(sigma, point, block_h, prof):
-            built.append((role, block_h))
-            return build(sigma, point, block_h, prof)
+        def wrapped(*args):
+            built.append((role, args[-1]))
+            return build(*args)
         return wrapped
 
     for role, name in [("identity", "identity_block"), ("pair", "routed_pair_block"),
@@ -657,7 +659,7 @@ def test_narrow_with_an_identity_point_fills_its_budget_with_the_ladder(spec, n,
     sits exactly at the budget, and a product takes ceil(K / p) layers."""
     strategy = "Poly_Narrow_2N2Mplus5"
     plan = plan_lowering(spec, strategy, PROF)
-    assert plan.id_point is not None
+    assert plan.id_row is not None
     budget = strategy_width_budget(strategy, n, m)
     pieces, _ = _lowered(strategy, n, m, seed=0, spec=spec)
     runs = _ladder_runs(pieces)
@@ -779,7 +781,7 @@ def test_an_even_parity_network_is_cardioids_with_every_other_map_conjugated():
     the network's maps are cardioid's, conjugated after every odd count of
     hidden layers."""
     program, _ = _shallow_program(3, 2, 1, 6)
-    assert plan_lowering(CONJ_CARD, "NonPoly_NMplus1", PROF).id_point.imag == 0
+    assert plan_lowering(CONJ_CARD, "NonPoly_NMplus1", PROF).id_row.z0.imag == 0
     card = lower(program, CARD, "NonPoly_NMplus1", 1e-3, PROF).affine_maps
     conj = lower(program, CONJ_CARD, "NonPoly_NMplus1", 1e-3, PROF).affine_maps
     assert len(card) == len(conj) == 7
@@ -810,12 +812,113 @@ def test_the_realizer_builds_only_for_the_listed_plans(monkeypatch):
             before = len(realized)
             try:
                 plan = plan_lowering(spec, strategy, PROF)
-                kit = lowering._build_kit(spec, plan, 1e-3, PROF)
             except (StrategyMismatch, ConstructionError):
                 continue
+            kit = lowering._build_kit(spec, plan, 1e-3)
             if realized[before:] == [spec]:
                 seen.add((name, strategy))
             if kit.parity:
                 parity.add((name, strategy))
     assert seen == REALIZED and len(realized) == len(REALIZED)
     assert parity == PARITY
+
+
+# ---------------------------------------------------------------------------
+# One rule per block point: the plan holds the rows, the blocks only read them
+# ---------------------------------------------------------------------------
+
+CATALOG_FORMS = [form for base in available_activations() for form in (base, "conj:" + base)]
+
+#: the degree-2 program of zzbar, z conj(z)
+ZZBAR = PolyZZbar(1, ((1 + 0j, (1,), (1,)),))
+
+
+def _family_program(spec, strategy):
+    """A 3-feature shallow program for a NonPoly strategy; for a Poly one,
+    the degree-2 program of zzbar in the product the plan affords (mul2
+    where there is no plan)."""
+    if strategy.startswith("NonPoly"):
+        return _shallow_program(3, 1, 1, 3)[0]
+    try:
+        kind = plan_lowering(spec, strategy, PROF).mul_kind
+    except (StrategyMismatch, ConstructionError):
+        kind = "mul2"
+    return poly_to_register([ZZBAR], kind)
+
+
+@pytest.mark.parametrize("name", CATALOG_FORMS)
+def test_a_plan_is_accepted_exactly_when_lower_builds_at_every_h(name):
+    """Planning and building follow one rule: where ``plan_lowering``
+    refuses, ``lower`` refuses with the same error, and where it plans,
+    ``lower`` builds at every h of the default schedule.  nowhere_diff's
+    poly plans once planned a square point whose block did not build."""
+    spec = get_activation(name)
+    for strategy in STRATEGIES:
+        program = _family_program(spec, strategy)
+        try:
+            plan_lowering(spec, strategy, PROF)
+        except (StrategyMismatch, ConstructionError) as exc:
+            with pytest.raises(type(exc)):
+                lower(program, spec, strategy, 1e-3, PROF)
+            continue
+        for h in DEFAULT_SWEEP_SCHEDULE:
+            lower(program, spec, strategy, h, PROF)
+
+
+@pytest.mark.parametrize("name", CATALOG_FORMS)
+def test_plan_rows_are_the_rows_of_their_points(name):
+    """Every row a plan keeps is what ``point_row`` gives at its point for
+    the block built there, bit for bit: the identity row on sigma has a lone
+    d, the conj row on the activation a lone dbar, a one-point pair route
+    both derivatives, a two-point route a lone d then a lone dbar, and the
+    square row the plan's kind, nonzero there."""
+    spec = get_activation(name)
+    for strategy in STRATEGIES:
+        try:
+            plan = plan_lowering(spec, strategy, PROF)
+        except (StrategyMismatch, ConstructionError):
+            continue
+        route = plan.pair_route or ()
+        needed = [(plan.sigma, plan.id_row, "d"), (spec, plan.conj_row, "dbar"),
+                  (plan.sigma, plan.square_row, "square"),
+                  *zip([plan.sigma] * 2, route, ("both",) if len(route) == 1 else ("d", "dbar"))]
+        for owner, row, pattern in needed:
+            if row is not None:
+                assert point_row(owner, row.z0, PROF, pattern) == row, (strategy, pattern)
+        assert (plan.conj_row is None) == (plan.sigma is spec)
+
+
+NO_PROBE_CASES = [
+    (CARD, "NonPoly_NMplus1"),
+    (CONJ_CARD, "NonPoly_NMplus1"),            # conjugation parity
+    (MODRELU, "NonPoly_2N2Mplus1"),
+    (RE_SQ, "Poly_Wide_2N2Mplus12"),
+    (CARD, "Poly_Narrow_2N2Mplus5"),
+    (ZB, "Poly_NMplus4"),
+    (CONJ_CARD, "Poly_NMplus4"),               # conjugation realizer
+]
+
+
+def test_lower_makes_no_derivative_probe(monkeypatch):
+    """With the plans made, lowering at every h reads the rows on the plan:
+    a derivative probe anywhere in the package raises."""
+    for spec, strategy in NO_PROBE_CASES:
+        plan_lowering(spec, strategy, PROF)   # planning probes; lowering must not
+    programs = [(spec, strategy, _family_program(spec, strategy))
+                for spec, strategy in NO_PROBE_CASES]
+    modules = [deepnarrow] + [importlib.import_module(f"deepnarrow.{name}") for name in (
+        "activations", "blocks", "cli", "core", "fitting", "lowering", "register",
+        "verifier", "wirtinger")]
+
+    def no_probe(*args, **kwargs):
+        raise AssertionError("a derivative probe during lowering")
+
+    probes = [getattr(wirtinger, name)
+              for name in ("first_derivs", "second_derivs", "wirt_first", "wirt_second")]
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if any(value is probe for probe in probes):
+                monkeypatch.setattr(module, attr, no_probe)
+    for spec, strategy, program in programs:
+        for h in DEFAULT_SWEEP_SCHEDULE:
+            lower(program, spec, strategy, h, PROF)

@@ -2,15 +2,18 @@
 query on it.
 
 GOLDEN pins the verdict and witness, the active and nonzero-second points,
-and per strategy the lowering plan (sigma, identity point, pair route,
-square point, mul kind) or the exception planning raises.  The table was
+and per strategy the lowering plan (sigma, and the points of its identity
+row, pair route and square row, mul kind) or the exception planning raises.  The table was
 recorded from the per-use grid scans that the atlas replaced, so it also
 shows that the atlas keeps their choices.  The plans of nowhere_diff were
 recorded again when a derivative came to count as nonzero only above three
 times its error estimate: its estimates are the only nonzero ones in the
-catalog.  The Narrow plans took the lone-d identity point (None where there
-is none, as before) when Narrow came to cross its registers through
-identity blocks wherever it can.  The NonPoly_NMplus1 plans of antiholo_exp
+catalog.  For the same reason its nonzero-second and square points were
+recorded again (-2 and -1-1j to -1) when those rules came to rank only the
+points where the chosen second derivative counts as nonzero: no square
+block built at -1-1j.  The Narrow plans took the lone-d identity point
+(None where there is none, as before) when Narrow came to cross its
+registers through identity blocks wherever it can.  The NonPoly_NMplus1 plans of antiholo_exp
 and conj:cardioid, which have a lone dbar and no lone d, write against
 conj o activation, as their Poly_NMplus4 plans do; for conj:cardioid that
 is the shared cardioid spec itself, since conj o conj is the identity.
@@ -28,7 +31,7 @@ from deepnarrow.activations import (available_activations, conjugate_activation,
 from deepnarrow.core import CompactBox
 from deepnarrow.errors import ConstructionError, ProbeFailed, StrategyMismatch
 from deepnarrow.lowering import STRATEGIES, plan_lowering
-from deepnarrow.wirtinger import (TAYLOR_RADII, ToleranceProfile, classify_activation,
+from deepnarrow.wirtinger import (TAYLOR_RADII, PointRow, ToleranceProfile, classify_activation,
                                   find_active_point, find_nonzero_second_point, probe_atlas)
 
 PROF = ToleranceProfile()
@@ -107,18 +110,18 @@ GOLDEN = {
             'Poly_NMplus4': StrategyMismatch,
         }),
     'nowhere_diff': (
-        'Inconclusive', None, None, ((-2+0j), 'ddbar'),
+        'Inconclusive', None, None, ((-1+0j), 'ddbar'),
         {
             'NonPoly_NMplus1':
                 ('nowhere_diff', (-1.5+0.5j), None, None, None),
             'NonPoly_2N2Mplus1':
                 ('nowhere_diff', None, ((-1.5+2j),), None, None),
             'Poly_Wide_2N2Mplus12':
-                ('nowhere_diff', None, ((-2-0.5j),), (-1-1j), 'mul2'),
+                ('nowhere_diff', None, ((-2-0.5j),), (-1+0j), 'mul2'),
             'Poly_Narrow_2N2Mplus5':
-                ('nowhere_diff', (-1.5+0.5j), ((-2-0.5j),), (-1-1j), 'mul2'),
+                ('nowhere_diff', (-1.5+0.5j), ((-2-0.5j),), (-1+0j), 'mul2'),
             'Poly_NMplus4':
-                ('nowhere_diff', (-1.5+0.5j), ((-2-0.5j),), (-1-1j), 'mul2'),
+                ('nowhere_diff', (-1.5+0.5j), ((-2-0.5j),), (-1+0j), 'mul2'),
         }),
     'r_affine': (
         'NonUniversalHolomorphic', None, (-2-2j), None,
@@ -211,6 +214,13 @@ GOLDEN = {
 }
 
 
+def _z0(rows):
+    """The point of a row, or the points of a tuple of rows; None stays None."""
+    if rows is None:
+        return None
+    return rows.z0 if isinstance(rows, PointRow) else tuple(r.z0 for r in rows)
+
+
 def _spec(label):
     if label == "modrelu b=-0.5":
         return get_activation("modrelu", {"b": -0.5})
@@ -238,8 +248,8 @@ def test_golden_verdicts_and_plans(label):
                 plan_lowering(spec, strategy, PROF)
             continue
         plan = plan_lowering(spec, strategy, PROF)
-        assert (plan.sigma.name, plan.id_point, plan.pair_route, plan.square_point,
-                plan.mul_kind) == want, strategy
+        assert (plan.sigma.name, _z0(plan.id_row), _z0(plan.pair_route),
+                _z0(plan.square_row), plan.mul_kind) == want, strategy
 
 
 @pytest.mark.parametrize("name", [prefix + name for name in available_activations()
@@ -273,7 +283,7 @@ def test_lone_derivative_plans_write_against_conj_exactly_without_a_lone_d(monke
     if conj:
         assert sigmas and sigmas[0].name == conj_name
         assert sigmas[0] is conjugate_activation(spec)
-        assert probe_atlas(sigmas[0], PROF).pattern_points()[0] == lone_db
+        assert probe_atlas(sigmas[0], PROF).pattern_points()[0].z0 == lone_db.z0
     else:
         assert all(sigma is spec for sigma in sigmas)
 
@@ -316,8 +326,8 @@ def test_conjugated_view_equals_a_rescan(name):
     assert np.array_equal(rescan.d, atlas.dbar.conj())
     assert np.array_equal(rescan.dbar, atlas.d.conj())
     assert rescan.codes.tolist() == [(0, 2, 1, 3)[c] for c in atlas.codes.tolist()]
-    lone_d, lone_db, both = atlas.pattern_points()
-    assert rescan.pattern_points() == (lone_db, lone_d, both)
+    lone_d, lone_db, both = map(_z0, atlas.pattern_points())
+    assert tuple(map(_z0, rescan.pattern_points())) == (lone_db, lone_d, both)
 
 
 @pytest.mark.parametrize("spec", [get_activation(name) for name in available_activations()]
@@ -363,7 +373,8 @@ def test_probe_box_grows_before_a_negative_verdict():
     assert cls.verdict in ("UniversalNonPoly_2N2Mplus1", "Inconclusive")
     if cls.witness_point is not None:
         assert abs(cls.witness_point) > 5
-        assert plan_lowering(spec, "NonPoly_2N2Mplus1", PROF).pair_route == (cls.witness_point,)
+        assert _z0(plan_lowering(spec, "NonPoly_2N2Mplus1", PROF).pair_route) == (
+            cls.witness_point,)
 
 
 def test_probe_box_without_witness_is_inconclusive():

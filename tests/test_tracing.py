@@ -41,6 +41,7 @@ def test_traced_compile_reports_one_row_per_h(tmp_path):
     assert all(r["lower_s"] > 0 and r["sup_s"] > 0 for r in rows)
     assert metrics["lowering.lower_s"] > 0
     assert metrics["wirtinger.first_probes"] > 0
+    assert metrics["blocks.builds"] > 0
 
 
 def test_traced_deep_compile_counts_only_validated_maps(tmp_path):

@@ -21,7 +21,7 @@ from deepnarrow.verifier import (DEFAULT_SWEEP_SCHEDULE, SweepReport, SweepRow,
                                  l1_error_mc, mul_kind_for, named_target,
                                  nowhere_diff_demo, sup_error)
 from deepnarrow.blocks import identity_block, square_block
-from deepnarrow.wirtinger import ToleranceProfile, classify_activation
+from deepnarrow.wirtinger import ToleranceProfile, classify_activation, point_row
 
 from conftest import LOWERING_CASES, random_affine, random_shallow
 
@@ -64,7 +64,7 @@ def test_l1_error_mc_deterministic():
 def test_h_sweep_identity_block_decreasing():
     card = get_activation("cardioid")
     report = h_sweep(
-        lambda h: identity_block(card, 1.0, h, PROF).to_cvnn(card),
+        lambda h: identity_block(point_row(card, 1.0, PROF, "d"), h).to_cvnn(card),
         DEFAULT_SWEEP_SCHEDULE, BOX, GridSpec(9),
         lambda zs: zs, card, metadata={"case": "identity-card"})
     errs = [r.sup_error for r in report.rows]
@@ -78,7 +78,7 @@ def test_h_sweep_identity_block_decreasing():
 def test_h_sweep_square_block_exact_every_h():
     rs = get_activation("re_square")
     report = h_sweep(
-        lambda h: square_block(rs, 0.0, h, PROF)[0].to_cvnn(rs),
+        lambda h: square_block(point_row(rs, 0.0, PROF, "square"), h).to_cvnn(rs),
         (1e-1, 1e-2, 1e-3), BOX, GridSpec(9),
         lambda zs: zs * np.conj(zs), rs)
     assert all(r.sup_error < 1e-10 for r in report.rows)
@@ -88,11 +88,11 @@ def test_h_sweep_square_block_smooth_nonquadratic_rate():
     # selection resolves the kind first (exp_re has all three second
     # derivatives nonzero, the mixed one wins); then error(h/2) <= 0.75 error(h)
     spec = get_activation("exp_re")
-    blk, which = square_block(spec, 0.0, 0.05, PROF)
-    assert which == "zzbar"
+    sq = point_row(spec, 0.0, PROF, "square")
+    assert sq.kind == "zzbar"
     hs = [1e-1 * 2.0**-k for k in range(6)]
     report = h_sweep(
-        lambda h: square_block(spec, 0.0, h, PROF)[0].to_cvnn(spec),
+        lambda h: square_block(sq, h).to_cvnn(spec),
         hs, BOX, GridSpec(9), lambda zs: zs * np.conj(zs), spec)
     errs = [r.sup_error for r in report.rows]
     for cur, nxt in zip(errs, errs[1:]):
@@ -504,7 +504,7 @@ def test_bound_grid_stride_rule(n, points_per_axis, stride):
 
 def test_sweep_at_stride_1_measures_every_row_in_full():
     card = get_activation("cardioid")
-    report = h_sweep(lambda h: identity_block(card, 1.0, h, PROF).to_cvnn(card),
+    report = h_sweep(lambda h: identity_block(point_row(card, 1.0, PROF, "d"), h).to_cvnn(card),
                      DEFAULT_SWEEP_SCHEDULE, BOX, GridSpec(18), lambda zs: zs, card)
     assert "lower_bound_h" not in report.metadata
     assert "lower_bound_h" not in report.to_csv()
