@@ -26,14 +26,15 @@ real work.  The width budgets, for input dimension n and output dimension m:
 The two lone-derivative strategies, NonPoly_NMplus1 and Poly_NMplus4, need a
 point with exactly one nonzero first derivative.  Where the activation has a
 lone dbar but no lone d, they are written against sigma = conj o act, whose
-lone d it is.  NonPoly_NMplus1 over an activation that commutes with conj
-(``ActivationSpec.conj_equivariant``) crosses its registers through
-conjugation blocks there and keeps a parity: each hidden layer conjugates
-the state, the transitions that act on a conjugated state are written
-conjugated, and an odd layer count costs one more stage.  Elsewhere
-(Poly_NMplus4, or an activation that does not commute) every sigma layer is
-realized as an act layer followed by a width-preserving conjugation-block
-layer.
+lone d it is, with sigma's own blocks.  Over an activation that commutes
+with conj (``ActivationSpec.conj_equivariant``) one rule serves both: the
+assembled network is sigma's, with every odd map conjugated
+(``_conjugate_odd_maps``), since act(conj t) = sigma(t) and
+conj(A) conj(x) + conj(b) = conj(A x + b); an odd hidden-layer count first
+crosses the outputs through one more stage of identity blocks.  It has
+sigma's depth, plus one at most.  Over an activation that does not commute,
+every sigma layer is realized as an act layer followed by a
+width-preserving conjugation-block layer, which doubles the depth.
 
 A hidden stage is a list of block placements (block, in slots, out slots)
 on the register slots of the state, built into arrays by one function
@@ -64,8 +65,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .activations import ActivationSpec, _conjugate
-from .blocks import (_SQUARE_TO_MUL, ShallowBlock, conj_block, identity_block, mul_block,
-                     routed_pair_block)
+from .blocks import _SQUARE_TO_MUL, ShallowBlock, identity_block, mul_block, routed_pair_block
 from .core import (AffineArrays, ComplexAffineMap, Cvnn, eval_affine, fuse_arrays,
                    width_of)
 from .errors import StrategyMismatch
@@ -168,8 +168,8 @@ def _make_conj_realizer(spec: ActivationSpec, row: PointRow, hc: float) -> Calla
     """Each sigma-neuron layer becomes an activation layer followed by one
     conjugation-block layer of the same width (sigma = conj o activation),
     at the activation's row of a lone-dbar point.  This doubles the depth;
-    only plans with no parity lowering take it: the poly ones, and any over
-    an activation that does not commute with conj.
+    only activations that do not commute with conj take it, since the rest
+    conjugate every odd map of sigma's network instead.
 
     The conjugation block's Taylor remainder at a unit's nominal output y0
     (its value at zero stage input) is a constant; since the consuming sigma
@@ -205,20 +205,23 @@ class LoweringPlan:
 
     sigma is the activation the program's neurons are written against: the
     activation itself, or conj o activation where a lone-derivative strategy
-    finds a lone dbar but no lone d, and conjugation blocks at that point
-    undo the conj, under a parity or in a realizer's layers
-    (``_build_kit``).  That sigma is the conjugate kept on the activation's
-    spec (``conjugate_activation``): for a ``conj:X`` activation it is the
-    shared spec of X, with the atlas and plans X already holds.
+    finds a lone dbar but no lone d.  The chain is lowered against sigma
+    with sigma's blocks, and ``lower`` undoes the conj with one rule: over
+    an activation that commutes with conj it conjugates every odd map of
+    sigma's network, else a realizer adds a conjugation layer to every
+    sigma layer (``_build_kit``).  That sigma is the conjugate kept on the
+    activation's spec (``conjugate_activation``): for a ``conj:X``
+    activation it is the shared spec of X, with the atlas and plans X
+    already holds.
 
     The other fields are the rows (``wirtinger.PointRow``) of the points the
     blocks localize at, read from the probe atlases: the identity block's
     and the (z, conj z) pair route's on sigma's atlas, the square block's
     with its square kind, and under a conj sigma the activation's own row
-    at the identity point, where the conjugation blocks go.  Each is None
-    where the strategy needs no such block.  Narrow's identity row is
-    optional: sigma's lone-d point where it has one, else None, and the pair
-    block crosses the registers.  The blocks read their rows and probe
+    at the identity point, where a realizer's conjugation blocks go.  Each
+    is None where the strategy needs no such block.  Narrow's identity row
+    is optional: sigma's lone-d point where it has one, else None, and the
+    pair block crosses the registers.  The blocks read their rows and probe
     nothing.
     """
 
@@ -293,7 +296,6 @@ class _Kit:
     pair_blk: Optional[ShallowBlock] = None   # width-2 (z, conj z)
     mul_blk: Optional[ShallowBlock] = None
     mul_f0: complex = 0j                      # sigma at the multiplication block's point
-    parity: bool = False                      # id_blk conjugates: every stage flips the state
 
 
 def _build_kit(spec: ActivationSpec, plan: LoweringPlan, h: float) -> _Kit:
@@ -302,17 +304,14 @@ def _build_kit(spec: ActivationSpec, plan: LoweringPlan, h: float) -> _Kit:
     sqrt(h), or at h under Poly_Wide_2N2Mplus12.  Without an identity row,
     the first output of the pair block is the identity crossing.
 
-    Under a conj sigma, the conjugation blocks go at the plan's conj row.
-    A NonPoly_NMplus1 plan over an activation that commutes with conj
-    crosses its registers there through conjugation blocks and keeps a
-    parity (``_lower_shallow``); any other conj sigma's layers are realized
-    there (``_make_conj_realizer``)."""
-    parity = (plan.conj_row is not None and plan.strategy == "NonPoly_NMplus1"
-              and spec.conj_equivariant)
+    The blocks are sigma's, so the kit's stages are written against sigma.
+    Over an activation that commutes with conj, ``lower`` conjugates every
+    odd map of the assembled network; over any other a conj sigma's layers
+    are realized at the plan's conj row (``_make_conj_realizer``)."""
     realize = _direct_realizer
-    if plan.conj_row is not None and not parity:
+    if plan.conj_row is not None and not spec.conj_equivariant:
         realize = _make_conj_realizer(spec, plan.conj_row, h)
-    kit = _Kit(realize=realize, parity=parity)
+    kit = _Kit(realize=realize)
     # The serialized poly variants (Narrow, NMplus4) cross the running
     # accumulator through first-order blocks whose per-layer drift is O(h);
     # pairing that drift with the square block's h^-2 post-scale would leave
@@ -324,9 +323,7 @@ def _build_kit(spec: ActivationSpec, plan: LoweringPlan, h: float) -> _Kit:
         sq_h = h if plan.strategy == "Poly_Wide_2N2Mplus12" else float(np.sqrt(h))
         kit.mul_blk = mul_block(plan.square_row, sq_h)
         kit.mul_f0 = plan.square_row.f0
-    if parity:
-        kit.id_blk = conj_block(plan.conj_row, h)
-    elif plan.id_row is not None:
+    if plan.id_row is not None:
         kit.id_blk = identity_block(plan.id_row, h)
     if plan.pair_route is not None:
         kit.pair_blk = routed_pair_block(plan.pair_route, h)
@@ -368,21 +365,8 @@ def _lower_shallow(program: RegisterProgram, kit: _Kit) -> list:
     trans[:-1, iu, :n] = loads[1:]
     trans_b = np.zeros((len(flush), s), dtype=np.complex128)
     trans_b[:-1, iu] = load_bias[1:]
-    if kit.parity:
-        # Each stage conjugates the registers, and the activation, which
-        # commutes with conj, gives conj^(p+1) sigma(t) for u = conj^p t.
-        # So after layer k the state is conj^(k+1) of the program's, and the
-        # transitions after even k are written conjugated:
-        # conj(A) conj(x) + conj(b) = conj(A x + b).
-        np.conjugate(trans[::2], out=trans[::2])
-        np.conjugate(trans_b[::2], out=trans_b[::2])
-    pieces = [_affine(init, init_b), *stages, Layers(stages, AffineArrays(trans, trans_b))]
-    if kit.parity and len(flush) % 2:
-        # an odd count leaves the state conjugated: the outputs, all that the
-        # end map reads, cross one more stage of conjugation blocks
-        outs = range(n + 1, s)
-        pieces.append(_stage([(kit.id_blk, [j], [j]) for j in outs], s, np.zeros(s)))
-    return pieces + [_end_map(program, s)]
+    return [_affine(init, init_b), *stages, Layers(stages, AffineArrays(trans, trans_b)),
+            _end_map(program, s)]
 
 
 def _end_map(program: RegisterProgram, s: int) -> AffineArrays:
@@ -602,6 +586,24 @@ def assemble_pieces(pieces: list, activation_id) -> Cvnn:
     return Cvnn(maps, activation_id)
 
 
+def _conjugate_odd_maps(net: Cvnn, plan: LoweringPlan, h: float) -> Cvnn:
+    """sigma's network as one over act, where sigma = conj o act and act
+    commutes with conj: act(t) = conj sigma(t) and act(conj t) = sigma(t),
+    and conj(A) conj(x) + conj(b) = conj(A x + b).  So with every odd map
+    conjugated, each odd hidden layer reads sigma's network's input and
+    gives the conjugate of its output, each even one reads the conjugate
+    and gives the output itself, and the last map reads the output it is
+    written for only after an even count.  After an odd count the outputs
+    first cross one more stage of sigma's identity blocks, built at h."""
+    maps = list(net.affine_maps)
+    if len(maps) % 2 == 0:
+        m, id_blk = net.output_dim, identity_block(plan.id_row, h)
+        out = _stage([(id_blk, [j], [j]) for j in range(m)], m, np.zeros(m))
+        maps[-1:] = [fuse_arrays(out.pre, maps[-1]), out.post]
+    return Cvnn([AffineArrays(a.matrix.conj(), a.bias.conj()) if k % 2 else a
+                 for k, a in enumerate(maps)], net.activation)
+
+
 def eval_pieces(pieces: list, spec: ActivationSpec, z) -> np.ndarray:
     """Evaluate the unfused chain (oracle for fusion invariance)."""
     cur = np.asarray(z, dtype=np.complex128)
@@ -625,7 +627,9 @@ def eval_pieces(pieces: list, spec: ActivationSpec, z) -> np.ndarray:
 
 def lower_pieces(program: RegisterProgram, spec: ActivationSpec, strategy: str,
                  h: float, prof: ToleranceProfile = ToleranceProfile()):
-    """Strategy dispatch; returns the pieces without fusing."""
+    """Strategy dispatch; returns the pieces without fusing: the chain
+    written against the plan's sigma (realized as act layers where a conj
+    sigma's activation does not commute with conj)."""
     if strategy not in STRATEGIES:
         raise StrategyMismatch(f"unknown strategy {strategy!r}")
     if strategy.startswith("NonPoly") and program.family != "shallow":
@@ -650,6 +654,9 @@ def lower(program: RegisterProgram, spec: ActivationSpec, strategy: str,
     h -> 0 on any fixed box (down to the float cancellation floor)."""
     pieces = lower_pieces(program, spec, strategy, h, prof)
     net = assemble_pieces(pieces, spec.activation_id)
+    plan = plan_lowering(spec, strategy, prof)
+    if plan.sigma is not spec and spec.conj_equivariant:
+        net = _conjugate_odd_maps(net, plan, h)
     budget = strategy_width_budget(strategy, program.input_dim, program.output_dim)
     w = width_of(net)
     if w > budget:

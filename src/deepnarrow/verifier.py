@@ -449,10 +449,10 @@ def end_to_end_nonpoly(f: Callable, spec: ActivationSpec, cfg: FitConfig, strate
 
     The shallow fit runs on the plan's sigma: conj o activation where the
     activation's lone first derivative is dbar.  If the activation commutes
-    with conj, the lowering crosses that program's registers through
-    conjugation blocks under a parity, at sigma's depth (+1 for an odd
-    feature count); otherwise it realizes each layer as an activation layer
-    followed by conjugation blocks.
+    with conj, the network is sigma's with every odd map conjugated, at
+    sigma's depth (+1 for an odd feature count, whose outputs cross one
+    more stage of identity blocks); otherwise the lowering realizes each
+    layer as an activation layer followed by conjugation blocks.
     Returns the CompileReport, whose ``best_net()`` is the best network; its
     ``fit_sup_error`` is the shallow fit's error on the fit grid, so total
     error can be compared against fit error + lowering slack, and

@@ -17,9 +17,10 @@ settings.load_profile("deterministic")
 #: A lowering case by label: (strategy, activation).  Each strategy lowers
 #: over an activation it plans for directly, and "NonPoly_Conj_NMplus1"
 #: labels NonPoly_NMplus1 over conj:cardioid, which has a lone dbar and no
-#: lone d: its plan writes the program against sigma = conj o conj:cardioid,
-#: and, since conj:cardioid commutes with conj, its registers cross through
-#: conjugation blocks under a parity.
+#: lone d: its plan writes the program against sigma = conj o conj:cardioid
+#: = cardioid, and, since conj:cardioid commutes with conj, its network is
+#: cardioid's with every odd map conjugated (after one more stage of identity
+#: blocks on the outputs where cardioid's has an odd count of hidden layers).
 LOWERING_CASES = {
     "NonPoly_NMplus1": ("NonPoly_NMplus1", get_activation("cardioid")),
     "NonPoly_Conj_NMplus1": ("NonPoly_NMplus1", get_activation("conj:cardioid")),

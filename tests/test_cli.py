@@ -265,11 +265,11 @@ def _sweep_rows(tmp_path, activation, target, features, seed):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("target", ["zzbar", "re", "abs"])
 def test_conj_cardioid_compiles_at_cardioids_depth(tmp_path, capsys, target, seed):
-    """conj:cardioid commutes with conj, so its registers cross through
-    conjugation blocks under a parity, with no conjugation layer: at 40
-    features, an even layer count, its sweep rows, depth included, are
-    cardioid's byte for byte.  At 41 the outputs cross one more conjugation
-    stage: depth 43 against cardioid's 42, and a best error within 2x."""
+    """conj:cardioid commutes with conj, so its network is cardioid's with
+    every odd map conjugated, with no conjugation layer: at 40 features, an
+    even layer count, its sweep rows, depth included, are cardioid's byte
+    for byte.  At 41 the outputs first cross one more stage of identity
+    blocks: depth 43 against cardioid's 42, and a best error within 2x."""
     assert (_sweep_rows(tmp_path, "conj:cardioid", target, 40, seed)
             == _sweep_rows(tmp_path, "cardioid", target, 40, seed))
     rows = {act: [line.split(",") for line in _sweep_rows(tmp_path, act, target, 41, seed)]

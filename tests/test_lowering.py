@@ -10,6 +10,7 @@ import deepnarrow
 from deepnarrow import core, lowering, wirtinger
 from deepnarrow.activations import (available_activations, conjugate_activation, get_activation,
                                     scale_activation)
+from deepnarrow.blocks import identity_block
 from deepnarrow.core import (ComplexAffineMap, depth_of, eval_cvnn, hidden_widths, max_coeff,
                              width_of)
 from deepnarrow.errors import ConstructionError, EvaluationFailure, StrategyMismatch
@@ -33,6 +34,9 @@ RE_SQ = get_activation("re_square")
 ABS_SQ = get_activation("abs_square")
 ZB = get_activation("z_plus_zbar_sq")
 CONJ_ZB = get_activation("conj:z_plus_zbar_sq")
+#: conj o (0.5+0.5j) cardioid: a lone dbar and no lone d, like conj:cardioid,
+#: but it does not commute with conj, so a realizer lowers it
+ROTATED = conjugate_activation(scale_activation(CARD, 0.5 + 0.5j))
 
 
 def _test_poly(n, m):
@@ -93,8 +97,8 @@ def test_nonpoly_2n2m_converges(rng):
 
 def test_nonpoly_conj_strategy(rng):
     # activation conj(cardioid) has a lone-dbar point and no lone-d point;
-    # the program is fitted with sigma = cardioid, and its registers cross
-    # through conjugation blocks
+    # the program is fitted with sigma = cardioid, and the network is
+    # cardioid's with every odd map conjugated
     net = random_shallow(rng, 1, 2, 3, CARD.activation_id)
     program = shallow_to_register(net)
     box = CompactBox.square(1, 1.0)
@@ -213,16 +217,19 @@ def test_hidden_widths_within_budget_per_layer():
     ("Poly_Narrow_2N2Mplus5", RE_SQ, ["square", "pair"]),
     ("Poly_Wide_2N2Mplus12", RE_SQ, ["square", "pair"]),
     ("Poly_NMplus4", ZB, ["square", "identity", "pair"]),
-    ("Poly_NMplus4", CONJ_ZB, ["conjugation", "square", "identity", "pair"]),
+    ("Poly_NMplus4", CONJ_ZB, ["square", "identity", "pair", "identity"]),
     ("NonPoly_NMplus1", CARD, ["identity"]),
-    ("NonPoly_Conj_NMplus1", CONJ_CARD, ["conjugation"]),
+    ("NonPoly_Conj_NMplus1", CONJ_CARD, ["identity", "identity"]),
     ("NonPoly_2N2Mplus1", MODRELU, ["pair"]),
+    ("NonPoly_Conj_NMplus1", ROTATED, ["conjugation", "identity"]),
 ])
 def test_each_block_built_at_its_h(monkeypatch, rng, case, spec, roles):
     """The identity, pair and conjugation blocks are built at h; the square
     block at sqrt(h), or at h under Poly_Wide_2N2Mplus12.  "conjugation" is
-    the realizer's block, or under a parity the conjugation block that
-    crosses the registers in place of the identity block."""
+    the realizer's block.  A conj sigma over an activation that commutes
+    with conj builds sigma's blocks, and after an odd count of hidden layers
+    (3 here, and 9 for the NMplus4 program) one more identity block for the
+    outputs' stage."""
     strategy = LOWERING_CASES[case][0]
     h = 1e-4
     built = []
@@ -234,8 +241,7 @@ def test_each_block_built_at_its_h(monkeypatch, rng, case, spec, roles):
         return wrapped
 
     for role, name in [("identity", "identity_block"), ("pair", "routed_pair_block"),
-                       ("square", "mul_block"), ("conjugation", "_make_conj_realizer"),
-                       ("conjugation", "conj_block")]:
+                       ("square", "mul_block"), ("conjugation", "_make_conj_realizer")]:
         monkeypatch.setattr(lowering, name, recording(role, getattr(lowering, name)))
     if strategy.startswith("NonPoly"):
         program = shallow_to_register(random_shallow(rng, 1, 1, 3, spec.activation_id))
@@ -301,9 +307,11 @@ def test_assemble_rejects_inf_in_a_stage_post_matrix(rng):
 def test_lower_validates_only_network_and_block_maps(monkeypatch, rng, case):
     """One lower of a depth-L shallow program checks each run of the network
     for non-finite entries once, and constructs a ComplexAffineMap only for
-    the blocks built at that h.  Under a conj sigma the 25 layers, an odd
-    count, leave the state conjugated, and the output crosses one more
-    conjugation stage: its entry map and its exit map are runs of their own."""
+    the blocks built at that h.  Under a conj sigma sigma's network, of 3
+    runs, is checked before its odd maps are conjugated; its 25 layers are
+    an odd count, so the output crosses one more stage, of identity blocks
+    built for it: that stage's entry map and its exit map are runs of their
+    own."""
     strategy, spec = LOWERING_CASES[case]
     program = shallow_to_register(random_shallow(rng, 2, 1, 25, spec.activation_id))
     built, checked = [], []
@@ -336,10 +344,11 @@ def test_lower_validates_only_network_and_block_maps(monkeypatch, rng, case):
     # the first map, one run of every map between program layers, the last
     # map (under a parity, the last two)
     assert [len(m) for m, _ in net.runs] == [1, 24, 1] + [1] * parity
-    assert len(checked) == len(net.runs)
-    assert all(a is m for a, (m, _) in zip(checked, net.runs))
+    sigma_runs = 3 * parity
+    assert len(checked) == sigma_runs + len(net.runs)
+    assert all(a is m for a, (m, _) in zip(checked[sigma_runs:], net.runs))
     assert kit_maps == [2]        # one block: pre and post
-    assert len(built) == kit_maps[0]
+    assert len(built) == kit_maps[0] * (1 + parity)
 
 
 def _monomial(factors, n):
@@ -366,19 +375,24 @@ def _assert_fused_equals_unfused(program, spec, strategy, h, zs, rng):
     h^-2, and the same cancellation amplifies that noise.  The inputs are
     jittered too because the affine maps, which fusion changes, round there
     (modrelu's dead zone outputs exact zeros).  When the unfused chain
-    diverges to a non-finite value, the fused network must fail to evaluate."""
+    diverges to a non-finite value, the fused network must fail to evaluate.
+    The chain is written against the plan's sigma, so both are evaluated
+    with it, but with the activation itself where a realizer turned a conj
+    sigma's stages into layers of the activation."""
     pieces = lower_pieces(program, spec, strategy, h, PROF)
-    fused = assemble_pieces(pieces, spec.activation_id)
+    sigma = plan_lowering(spec, strategy, PROF).sigma
+    act = sigma if spec.conj_equivariant else spec
+    fused = assemble_pieces(pieces, act.activation_id)
     with np.errstate(over="ignore", invalid="ignore"):
-        a = eval_pieces(pieces, spec, zs)
+        a = eval_pieces(pieces, act, zs)
     if not np.isfinite(a).all():
         with pytest.raises(EvaluationFailure):
-            eval_cvnn(fused, zs, spec.fn)
+            eval_cvnn(fused, zs, act.fn)
         return
-    b = eval_cvnn(fused, zs, spec.fn)
+    b = eval_cvnn(fused, zs, act.fn)
     eps = np.finfo(np.float64).eps
     ulp = lambda z: z * (1 + eps * rng.uniform(-1, 1, z.shape))
-    jittered, _ = core.eval_cvnns((fused,) * 8, zs, lambda z: ulp(spec.fn(ulp(z))))
+    jittered, _ = core.eval_cvnns((fused,) * 8, zs, lambda z: ulp(act.fn(ulp(z))))
     assert np.max(np.abs(a - b)) <= 2 * np.max(np.abs(jittered - b))
 
 
@@ -455,9 +469,9 @@ def _assemble_map_by_map(pieces):
     return maps + [pending]
 
 
-def _lowered(case, n, m, seed, h=1e-3, spec=None):
-    """The pieces of a case's lowering, over spec in place of its activation
-    where one is given, and that activation."""
+def _case_program(case, n, m, seed, spec=None):
+    """(program, strategy, activation) of a case, over spec in place of its
+    activation where one is given: 5 random shallow layers, or _test_poly."""
     rng = np.random.default_rng(seed)
     strategy, case_spec = LOWERING_CASES[case]
     spec = spec or case_spec
@@ -465,6 +479,13 @@ def _lowered(case, n, m, seed, h=1e-3, spec=None):
         program = shallow_to_register(random_shallow(rng, n, m, 5, spec.activation_id))
     else:
         program = poly_to_register(_test_poly(n, m), plan_lowering(spec, strategy, PROF).mul_kind)
+    return program, strategy, spec
+
+
+def _lowered(case, n, m, seed, h=1e-3, spec=None):
+    """The pieces of a case's lowering, over spec in place of its activation
+    where one is given, and that activation."""
+    program, strategy, spec = _case_program(case, n, m, seed, spec)
     return lower_pieces(program, spec, strategy, h, PROF), spec
 
 
@@ -481,12 +502,12 @@ def test_stacked_assembly_equals_fusing_map_by_map(case, n, m):
 
 
 #: (case, activation) of every lowering case, then Poly_NMplus4 over
-#: conj:z_plus_zbar_sq; the two conj: activations are the plans written
-#: against a conj sigma: conj:cardioid's stage crosses its registers through
-#: conjugation blocks, and a conjugation realizer turns conj:z_plus_zbar_sq's
-#: stages into layers
+#: conj:z_plus_zbar_sq and NonPoly_NMplus1 over ROTATED; the two conj:
+#: activations are plans written against a conj sigma with sigma's own
+#: stages, and a conjugation realizer turns ROTATED's stages into layers
 STAGE_CASES = ([pytest.param(c, LOWERING_CASES[c][1], id=c) for c in LOWERING_CASES]
-               + [pytest.param("Poly_NMplus4", CONJ_ZB, id="Poly_NMplus4-conj")])
+               + [pytest.param("Poly_NMplus4", CONJ_ZB, id="Poly_NMplus4-conj"),
+                  pytest.param("NonPoly_NMplus1", ROTATED, id="NonPoly_NMplus1-realizer")])
 
 
 @pytest.mark.parametrize("case, spec", STAGE_CASES)
@@ -496,9 +517,9 @@ def test_stage_maps_hold_no_negative_zero(case, spec, n, h):
     """A placement adds a block's rows into zero rows, so every zero weight
     of a stage is +0, also where the block's own entry is -0 (some post rows
     hold one); assigning the rows would keep those -0 and change the bytes
-    of some networks.  The conjugation stages keep that rule."""
-    realized = spec.name.startswith("conj:")
-    assert (plan_lowering(spec, LOWERING_CASES[case][0], PROF).sigma is not spec) == realized
+    of some networks.  The realizer's stages keep that rule."""
+    conj_sigma = spec.name.startswith("conj:")
+    assert (plan_lowering(spec, LOWERING_CASES[case][0], PROF).sigma is not spec) == conj_sigma
     pieces, _ = _lowered(case, n, 1, seed=n, h=h, spec=spec)
     stages = [obj for obj in pieces if isinstance(obj, lowering.Stage)]
     stages += [stage for obj in pieces if isinstance(obj, lowering.Layers)
@@ -527,13 +548,14 @@ def _json_map_by_map(net):
 @pytest.mark.parametrize("case, n, shapes", [
     # a 4-wide layer, then a run of 11 x 11 maps
     ("Poly_Narrow_2N2Mplus5", 2, [(1, 4, 2), (1, 11, 4), (23, 11, 11), (1, 1, 11)]),
-    # five layers under a parity, then the output's conjugation stage
+    # five layers of cardioid's network, then the outputs' stage of identity
+    # blocks, every odd map conjugated
     ("NonPoly_Conj_NMplus1", 1, [(1, 3, 1), (4, 3, 3), (1, 1, 3), (1, 1, 1)]),
     ("NonPoly_2N2Mplus1", 2, [(1, 7, 2), (4, 7, 7), (1, 1, 7)]),
 ])
 def test_json_equals_writing_map_by_map(case, n, shapes):
-    pieces, spec = _lowered(case, n, 1, seed=7)
-    net = assemble_pieces(pieces, spec.activation_id)
+    program, strategy, spec = _case_program(case, n, 1, seed=7)
+    net = lower(program, spec, strategy, 1e-3, PROF)
     assert [m.shape for m, _ in net.runs] == shapes
     text = cvnn_to_json(net)
     assert text == _json_map_by_map(net)
@@ -546,9 +568,10 @@ def test_json_equals_writing_map_by_map(case, n, shapes):
 
 
 #: (activation, poly strategy) for every strategy that plans for cardioid
-#: (mul2), z_plus_zbar_sq (mul3) and its conjugate (mul1 under Wide and
-#: Narrow, mul3 behind a conjugation realizer under NMplus4)
-LOAD_CASES = [(spec, strategy) for spec in (CARD, ZB, CONJ_ZB)
+#: (mul2), z_plus_zbar_sq (mul3), its conjugate (mul1 under Wide and
+#: Narrow, mul3 against sigma = z_plus_zbar_sq under NMplus4) and ROTATED
+#: (behind a conjugation realizer under NMplus4)
+LOAD_CASES = [(spec, strategy) for spec in (CARD, ZB, CONJ_ZB, ROTATED)
               for strategy in STRATEGIES if strategy.startswith("Poly")]
 
 
@@ -556,6 +579,8 @@ def test_load_cases_cover_every_mul_kind_and_the_realizer():
     plans = [plan_lowering(spec, strategy, PROF) for spec, strategy in LOAD_CASES]
     assert {plan.mul_kind for plan in plans} == {"mul1", "mul2", "mul3"}
     assert plan_lowering(CONJ_ZB, "Poly_NMplus4", PROF).sigma is not CONJ_ZB
+    assert plan_lowering(ROTATED, "Poly_NMplus4", PROF).sigma is not ROTATED
+    assert CONJ_ZB.conj_equivariant and not ROTATED.conj_equivariant
 
 
 def _ladder_runs(pieces):
@@ -585,14 +610,18 @@ def _ladder_runs(pieces):
 def test_one_factor_program_lowers_to_the_init_stage_alone(spec, strategy, side):
     """z or conj z: the init stage, then one affine map that loads w from
     that monomial's slot (under mul3 the program's operand is the other
-    one, since mul3(x, 1) = conj x).  NMplus4 first refreshes g for conj z."""
+    one, since mul3(x, 1) = conj x).  NMplus4 first refreshes g for conj z.
+    Under a conj sigma the realizer doubles each stage; where the activation
+    commutes with conj an odd count of stages is followed instead by the
+    outputs' stage of identity blocks."""
     plan = plan_lowering(spec, strategy, PROF)
     zd, bd = ((1,), (0,)) if side == "z" else ((0,), (1,))
     program = poly_to_register([PolyZZbar(1, ((1 + 0j, zd, bd),))], plan.mul_kind)
     stages = 2 if strategy == "Poly_NMplus4" and side == "zbar" else 1
-    layers_per_stage = 1 if plan.sigma is spec else 2
+    if plan.sigma is not spec:
+        stages = stages + stages % 2 if spec.conj_equivariant else 2 * stages
     net = lower(program, spec, strategy, 1e-4, PROF)
-    assert depth_of(net) == 1 + stages * layers_per_stage
+    assert depth_of(net) == 1 + stages
     err = sup_error(lambda zs: eval_register(program, zs),
                     lambda zs: eval_cvnn(net, zs, spec.fn), CompactBox.square(1, 1.0),
                     GridSpec(11))
@@ -636,15 +665,17 @@ MUL_NEURONS = {"mul1": 8, "mul2": 12, "mul3": 8}
 
 PACKED_CASES = [pytest.param(spec, id=spec.name) for spec in (CARD, ZB)]
 
-#: (activation, strategy, depths of _test_poly at (n, m) = (1, 1), (2, 1),
-#: (1, 2)) of plans whose ladder has room for only one neuron per layer
+#: (activation, strategy, network depths of _test_poly at (n, m) = (1, 1),
+#: (2, 1), (1, 2)) of plans whose ladder has room for only one neuron per
+#: layer; conj:z_plus_zbar_sq's are z_plus_zbar_sq's, plus the outputs'
+#: stage after an odd count of hidden layers
 SINGLE_CASES = [
     pytest.param(RE_SQ, "Poly_Narrow_2N2Mplus5", (14, 26, 26), id="re_square-Narrow"),
     pytest.param(ABS_SQ, "Poly_Narrow_2N2Mplus5", (14, 26, 26), id="abs_square-Narrow"),
     pytest.param(MODRELU, "Poly_Narrow_2N2Mplus5", (14, 26, 26), id="modrelu-Narrow"),
     pytest.param(CARD, "Poly_NMplus4", (15, 27, 27), id="cardioid-NMplus4"),
     pytest.param(ZB, "Poly_NMplus4", (10, 19, 18), id="z_plus_zbar_sq-NMplus4"),
-    pytest.param(CONJ_ZB, "Poly_NMplus4", (19, 37, 35), id="conj:z_plus_zbar_sq-NMplus4"),
+    pytest.param(CONJ_ZB, "Poly_NMplus4", (11, 19, 19), id="conj:z_plus_zbar_sq-NMplus4"),
 ]
 
 SHAPES = [(1, 1), (2, 1), (1, 2)]
@@ -677,16 +708,15 @@ def test_a_ladder_without_room_runs_one_neuron_per_layer(spec, strategy, depths)
     pair block, and NMplus4's budget is n + m + 4: either way one compute
     slot is left, and the depths stay as they were before the packing."""
     plan = plan_lowering(spec, strategy, PROF)
-    layers_per_stage = 1 if plan.sigma is spec else 2
     got = []
     for n, m in SHAPES:
-        pieces, _ = _lowered(strategy, n, m, seed=0, spec=spec)
-        runs = _ladder_runs(pieces)
+        program, _, _ = _case_program(strategy, n, m, seed=0, spec=spec)
+        runs = _ladder_runs(lower_pieces(program, spec, strategy, 1e-3, PROF))
         assert runs
         for slots, widths in runs:
             assert slots == 1
-            assert len(widths) == MUL_NEURONS[plan.mul_kind] * layers_per_stage
-        got.append(depth_of(assemble_pieces(pieces, spec.activation_id)))
+            assert len(widths) == MUL_NEURONS[plan.mul_kind]
+        got.append(depth_of(lower(program, spec, strategy, 1e-3, PROF)))
     assert tuple(got) == depths
 
 
@@ -726,14 +756,9 @@ def test_a_packed_ladder_converges_like_h(n, polys):
 
 
 # ---------------------------------------------------------------------------
-# A conj sigma over an activation that commutes with conj: a parity, not a
-# realizer
+# A conj sigma over an activation that commutes with conj: sigma's network,
+# every odd map conjugated; over one that does not, a realizer
 # ---------------------------------------------------------------------------
-
-
-#: conj o (0.5+0.5j) cardioid: a lone dbar and no lone d, like conj:cardioid,
-#: but it does not commute with conj, so a realizer lowers it
-ROTATED = conjugate_activation(scale_activation(CARD, 0.5 + 0.5j))
 
 
 def _shallow_program(seed, n, m, layers):
@@ -747,65 +772,89 @@ def _shallow_program(seed, n, m, layers):
 @pytest.mark.parametrize("h", [1e-2, 1e-4])
 def test_fused_equals_unfused_on_conj_sigma_chains(spec, layers, n, m, h):
     """The two lowerings of a conj sigma, at an even and an odd layer count:
-    under the parity an odd count ends with the outputs' conjugation stage."""
+    sigma's own chain, and the realizer's."""
     program, rng = _shallow_program(layers + 7 * n + 3 * m, n, m, layers)
     zs = random_points(rng, 30, n, scale=0.5)
     _assert_fused_equals_unfused(program, spec, "NonPoly_NMplus1", h, zs, rng)
 
 
-@pytest.mark.parametrize("layers", [4, 5])
-@pytest.mark.parametrize("n, m", [(1, 1), (2, 2)])
-def test_a_parity_chain_converges_like_cardioid(layers, n, m):
-    """The network against its program, evaluated with sigma = cardioid,
-    falls about 10x per decade of h from 1e-2 to 1e-4, as cardioid's own
-    lowering does.  At an even layer count the errors are cardioid's; at an
-    odd one, with the outputs' conjugation stage, within 2x of them."""
-    program, _ = _shallow_program(layers + n + m, n, m, layers)
-    box, grid = CompactBox.square(n, 1.0), GridSpec(5)
-    errs = {}
-    for spec in (CARD, CONJ_CARD):
-        net = {h: lower(program, spec, "NonPoly_NMplus1", h, PROF) for h in (1e-2, 1e-3, 1e-4)}
-        errs[spec.name] = [sup_error(lambda zs: eval_register(program, zs, CARD.fn),
-                                     lambda zs: eval_cvnn(net[h], zs, spec.fn), box, grid)
-                           for h in net]
-        assert depth_of(net[1e-2]) == layers + 1 + (spec is CONJ_CARD and layers % 2)
-    for e in errs.values():
-        assert 5 * e[1] <= e[0] <= 20 * e[1] and 5 * e[2] <= e[1] <= 20 * e[2]
-    ratios = np.divide(errs["conj:cardioid"], errs["cardioid"])
-    assert np.all(ratios == 1) if layers % 2 == 0 else np.all(ratios <= 2)
+def _parity_programs(spec, strategy):
+    """Programs whose sigma networks have an even and an odd count of hidden
+    layers: shallow ones of 4 and 5 layers, or z, conj z and z conj z, whose
+    NMplus4 networks cross 1, 2 and 10 or 13 hidden layers."""
+    if strategy.startswith("NonPoly"):
+        return [_shallow_program(layers + n, n, m, layers)[0]
+                for layers in (4, 5) for n, m in ((1, 1), (2, 2))]
+    kind = plan_lowering(spec, strategy, PROF).mul_kind
+    return [poly_to_register([PolyZZbar(1, ((1 + 0j, zd, bd),))], kind)
+            for zd, bd in (((1,), (0,)), ((0,), (1,)), ((1,), (1,)))]
 
 
-def test_an_even_parity_network_is_cardioids_with_every_other_map_conjugated():
-    """conj:cardioid's identity point, cardioid's lone-d point, is real, so
-    its conjugation block is the conjugate of cardioid's identity block, and
-    the network's maps are cardioid's, conjugated after every odd count of
-    hidden layers."""
-    program, _ = _shallow_program(3, 2, 1, 6)
-    assert plan_lowering(CONJ_CARD, "NonPoly_NMplus1", PROF).id_row.z0.imag == 0
-    card = lower(program, CARD, "NonPoly_NMplus1", 1e-3, PROF).affine_maps
-    conj = lower(program, CONJ_CARD, "NonPoly_NMplus1", 1e-3, PROF).affine_maps
-    assert len(card) == len(conj) == 7
-    for k, (a, b) in enumerate(zip(card, conj)):
-        flip = np.conj if k % 2 else np.asarray
-        assert np.array_equal(flip(a.matrix), b.matrix) and np.array_equal(flip(a.bias), b.bias)
+def _values_or_failure(net, zs, fn):
+    try:
+        return eval_cvnn(net, zs, fn)
+    except EvaluationFailure:
+        return None
+
+
+def test_a_commuting_conj_sigma_network_is_sigmas_with_every_odd_map_conjugated():
+    """For every catalog form that takes a conj sigma and commutes with conj,
+    under every strategy that plans: its network's maps are sigma's
+    network's, every odd one conjugated, and its values are sigma's
+    network's, bit for bit.  After an odd count of hidden layers sigma's
+    network counts with one more stage, of sigma's identity blocks on the
+    outputs, which crosses them before the conjugation."""
+    h = 1e-3
+    seen = set()
+    for name in [form for base in available_activations() for form in (base, "conj:" + base)]:
+        spec = get_activation(name)
+        for strategy in STRATEGIES:
+            try:
+                plan = plan_lowering(spec, strategy, PROF)
+            except (StrategyMismatch, ConstructionError):
+                continue
+            if plan.sigma is spec or not spec.conj_equivariant:
+                continue
+            for program in _parity_programs(spec, strategy):
+                maps = list(lower(program, plan.sigma, strategy, h, PROF).affine_maps)
+                seen.add((name, strategy, len(maps) % 2))
+                if len(maps) % 2 == 0:
+                    m = program.output_dim
+                    blk = identity_block(plan.id_row, h)
+                    out = lowering._stage([(blk, [j], [j]) for j in range(m)], m, np.zeros(m))
+                    maps[-1:] = [core.fuse_arrays(out.pre, maps[-1]), out.post]
+                net = lower(program, spec, strategy, h, PROF)
+                assert len(net.affine_maps) == len(maps)
+                for k, (a, b) in enumerate(zip(maps, net.affine_maps)):
+                    flip = np.conj if k % 2 else np.asarray
+                    assert np.array_equal(flip(a.matrix), b.matrix), (name, strategy, k)
+                    assert np.array_equal(flip(a.bias), b.bias), (name, strategy, k)
+                zs = random_points(np.random.default_rng(0), 20, program.input_dim, scale=0.5)
+                want = _values_or_failure(core.Cvnn(maps, plan.sigma.activation_id), zs,
+                                          plan.sigma.fn)
+                got = _values_or_failure(net, zs, spec.fn)
+                assert (got is None and want is None) or np.array_equal(got, want)
+    # both strategies, at an even and an odd count
+    assert {(s, odd) for name, s, odd in seen if name == "conj:cardioid"} == {
+        (s, odd) for s in ("NonPoly_NMplus1", "Poly_NMplus4") for odd in (0, 1)}
 
 
 #: (activation, strategy) of the catalog plans whose kit builds a conjugation
-#: realizer, and of those that cross their registers under a parity
-REALIZED = {("conj:cardioid", "Poly_NMplus4"), ("conj:z_plus_zbar_sq", "Poly_NMplus4")}
-PARITY = {(name, "NonPoly_NMplus1") for name in
-          ("antiholo_exp", "conj:cardioid", "conj:exp", "conj:r_affine", "conj:z_plus_zbar_sq")}
+#: realizer: none, since every catalog activation that takes a conj sigma
+#: commutes with conj
+REALIZED = set()
 
 
 def test_the_realizer_builds_only_for_the_listed_plans(monkeypatch):
     """Over every catalog name and its conj: form under every strategy that
-    plans and builds, only poly plans keep the realizer; a new path that
-    takes a conj sigma, or one that drops the realizer, shows here."""
+    plans and builds, no plan keeps the realizer; a new path that takes a
+    conj sigma over an activation that does not commute with conj shows
+    here.  ROTATED, which does not, still takes it."""
     realized = []
     make = lowering._make_conj_realizer
     monkeypatch.setattr(lowering, "_make_conj_realizer",
                         lambda spec, *args: realized.append(spec) or make(spec, *args))
-    seen, parity = set(), set()
+    seen = set()
     for name in [form for base in available_activations() for form in (base, "conj:" + base)]:
         spec = get_activation(name)
         for strategy in STRATEGIES:
@@ -814,13 +863,12 @@ def test_the_realizer_builds_only_for_the_listed_plans(monkeypatch):
                 plan = plan_lowering(spec, strategy, PROF)
             except (StrategyMismatch, ConstructionError):
                 continue
-            kit = lowering._build_kit(spec, plan, 1e-3)
+            lowering._build_kit(spec, plan, 1e-3)
             if realized[before:] == [spec]:
                 seen.add((name, strategy))
-            if kit.parity:
-                parity.add((name, strategy))
     assert seen == REALIZED and len(realized) == len(REALIZED)
-    assert parity == PARITY
+    lowering._build_kit(ROTATED, plan_lowering(ROTATED, "NonPoly_NMplus1", PROF), 1e-3)
+    assert realized == [ROTATED]
 
 
 # ---------------------------------------------------------------------------
@@ -895,7 +943,8 @@ NO_PROBE_CASES = [
     (RE_SQ, "Poly_Wide_2N2Mplus12"),
     (CARD, "Poly_Narrow_2N2Mplus5"),
     (ZB, "Poly_NMplus4"),
-    (CONJ_CARD, "Poly_NMplus4"),               # conjugation realizer
+    (CONJ_CARD, "Poly_NMplus4"),               # conjugation parity
+    (ROTATED, "NonPoly_NMplus1"),              # conjugation realizer
 ]
 
 
