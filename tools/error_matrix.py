@@ -52,6 +52,8 @@ def _cells():
     """(activation, strategy, target, fit label, compile) of every row, in
     catalog, strategy, target and seed order; compile() returns the
     CompileReport."""
+    # imported here, in the subprocess, whose path holds src/: the calling
+    # process need not have the package installed
     from deepnarrow import (CompactBox, ConstructionError, FitConfig, GridSpec, STRATEGIES,
                             StrategyMismatch, available_activations, classify_activation,
                             end_to_end_nonpoly, end_to_end_poly, get_activation)
