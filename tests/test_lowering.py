@@ -778,6 +778,42 @@ def test_fused_equals_unfused_on_conj_sigma_chains(spec, layers, n, m, h):
     _assert_fused_equals_unfused(program, spec, "NonPoly_NMplus1", h, zs, rng)
 
 
+@pytest.mark.parametrize("layers", [4, 5])
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 2)])
+def test_a_parity_chain_converges_like_cardioid(layers, n, m):
+    """The network against its program, evaluated with sigma = cardioid,
+    falls about 10x per decade of h from 1e-2 to 1e-4, as cardioid's own
+    lowering does.  At an even layer count the errors are cardioid's; at an
+    odd one, with the outputs' stage of identity blocks, within 2x of them."""
+    program, _ = _shallow_program(layers + n + m, n, m, layers)
+    box, grid = CompactBox.square(n, 1.0), GridSpec(5)
+    errs = {}
+    for spec in (CARD, CONJ_CARD):
+        net = {h: lower(program, spec, "NonPoly_NMplus1", h, PROF) for h in (1e-2, 1e-3, 1e-4)}
+        errs[spec.name] = [sup_error(lambda zs: eval_register(program, zs, CARD.fn),
+                                     lambda zs: eval_cvnn(net[h], zs, spec.fn), box, grid)
+                           for h in net]
+        assert depth_of(net[1e-2]) == layers + 1 + (spec is CONJ_CARD and layers % 2)
+    for e in errs.values():
+        assert 5 * e[1] <= e[0] <= 20 * e[1] and 5 * e[2] <= e[1] <= 20 * e[2]
+    ratios = np.divide(errs["conj:cardioid"], errs["cardioid"])
+    assert np.all(ratios == 1) if layers % 2 == 0 else np.all(ratios <= 2)
+
+
+def test_an_even_parity_network_is_cardioids_with_every_other_map_conjugated():
+    """conj:cardioid's plan keeps cardioid's real lone-d point as its
+    identity point, and at an even count of hidden layers the network's maps
+    are cardioid's, every odd one conjugated."""
+    program, _ = _shallow_program(3, 2, 1, 6)
+    assert plan_lowering(CONJ_CARD, "NonPoly_NMplus1", PROF).id_row.z0.imag == 0
+    card = lower(program, CARD, "NonPoly_NMplus1", 1e-3, PROF).affine_maps
+    conj = lower(program, CONJ_CARD, "NonPoly_NMplus1", 1e-3, PROF).affine_maps
+    assert len(card) == len(conj) == 7
+    for k, (a, b) in enumerate(zip(card, conj)):
+        flip = np.conj if k % 2 else np.asarray
+        assert np.array_equal(flip(a.matrix), b.matrix) and np.array_equal(flip(a.bias), b.bias)
+
+
 def _parity_programs(spec, strategy):
     """Programs whose sigma networks have an even and an odd count of hidden
     layers: shallow ones of 4 and 5 layers, or z, conj z and z conj z, whose
