@@ -16,12 +16,12 @@ real work.  The width budgets, for input dimension n and output dimension m:
                                      activation has a lone-d point, else via
                                      pair blocks; the multiplication block
                                      runs as an inner register program with
-                                     the rest of the budget as compute slots:
-                                     m+3 neurons per layer, else 1
+                                     the rest of the budget as compute slots
   Poly_NMplus4           n+m+4      width-1 identity blocks everywhere plus a
                                      single conjugation register refreshed on
-                                     demand by one 2-neuron pair block; one
-                                     multiplication neuron per layer
+                                     demand by one 2-neuron pair block; the
+                                     multiplication block runs as under
+                                     Narrow
 
 The two lone-derivative strategies, NonPoly_NMplus1 and Poly_NMplus4, need a
 point with exactly one nonzero first derivative.  Where the activation has a
@@ -30,11 +30,12 @@ lone d it is, with sigma's own blocks.  Over an activation that commutes
 with conj (``ActivationSpec.conj_equivariant``) one rule serves both: the
 assembled network is sigma's, with every odd map conjugated
 (``_conjugate_odd_maps``), since act(conj t) = sigma(t) and
-conj(A) conj(x) + conj(b) = conj(A x + b); an odd hidden-layer count first
-crosses the outputs through one more stage of identity blocks.  It has
-sigma's depth, plus one at most.  Over an activation that does not commute,
-every sigma layer is realized as an act layer followed by a
-width-preserving conjugation-block layer, which doubles the depth.
+conj(A) conj(x) + conj(b) = conj(A x + b); after an odd hidden-layer count
+sigma's chain first crosses the outputs through one more stage of its
+identity blocks.  It has sigma's depth, plus one at most.  Over an
+activation that does not commute, every sigma layer is realized as an act
+layer followed by a width-preserving conjugation-block layer, which doubles
+the depth.
 
 A hidden stage is a list of block placements (block, in slots, out slots)
 on the register slots of the state, built into arrays by one function
@@ -464,8 +465,11 @@ def _lower_poly(program: RegisterProgram, kit: _Kit, strategy: str) -> list:
     Wide applies the multiplication block inline; Narrow and NMplus4 run it
     as an inner register program (``_emit_mul_ladder``), whose hidden stage
     also crosses the accumulator and gives the rest of the width budget to
-    compute slots, one raw neuron each: m + 3 under Narrow with an identity
-    point, else 1.
+    compute slots, one raw neuron each.  An output that no flush has
+    written yet holds 0, which the stage's zero bias writes, so the ladder
+    leaves it uncrossed and gives its block's width to compute slots too,
+    but only where that lowers ceil(K / p): otherwise the stage is the one
+    that crosses every output.
     A product met while w holds exactly 1 (after T_init or a flush) is
     neither: it is a load (``_load_map``) of the slot holding mul(x, 1),
     x's own under mul1 and mul2 and conj x's under mul3, after a refresh of
@@ -482,9 +486,10 @@ def _lower_poly(program: RegisterProgram, kit: _Kit, strategy: str) -> list:
         return [(kit.pair_blk, [q], [q, n + q if pairs else n]) if pairs or q == refresh
                 else (kit.id_blk, [q], [q]) for q in range(n)]
 
-    def registers(refresh=None, op_idx=None):
-        """The placements of every register, in slot order; given ``op_idx``
-        (Wide), w crosses the multiplication block with that operand."""
+    def registers(refresh=None, op_idx=None, outputs=range(m)):
+        """The placements of the registers, in slot order, of the outputs
+        among them only those in ``outputs``; given ``op_idx`` (Wide), w
+        crosses the multiplication block with that operand."""
         placed = inputs(refresh)
         if not pairs and refresh is None:
             placed.append((kit.id_blk, [n], [n]))
@@ -492,19 +497,44 @@ def _lower_poly(program: RegisterProgram, kit: _Kit, strategy: str) -> list:
             placed.append((kit.id_blk, [iw], [iw]))
         else:
             placed.append((kit.mul_blk, [op_idx, iw], [iw]))
-        return placed + [(kit.id_blk, [iv + j], [iv + j]) for j in range(m)]
+        return placed + [(kit.id_blk, [iv + j], [iv + j]) for j in outputs]
+
+    def crossing(outputs):
+        """The placements of a ladder stage's registers, the outputs among
+        them only those in ``outputs``, and of the accumulator, which
+        crosses like a register; and p, the budget left to compute slots."""
+        crossed = registers(outputs=outputs) + [(kit.id_blk, [s], [s])]
+        return crossed, strategy_width_budget(strategy, n, m) - sum(
+            blk.width for blk, _, _ in crossed)
+
+    ladders = {}     # (stages, p) of each tuple of crossed outputs
+
+    def ladder(written):
+        """The stages and p of a ladder run while the outputs in ``written``
+        hold flushed values, built once per tuple of crossed outputs."""
+        outputs, every = tuple(sorted(written)), tuple(range(m))
+        layers = [-(-kit.mul_blk.width // crossing(o)[1]) for o in (outputs, every)]
+        if layers[0] == layers[1]:
+            outputs = every
+        if outputs not in ladders:
+            crossed, p = crossing(outputs)
+            computes = [(_RAW, [q], [q]) for q in range(s + 1, s + 1 + p)]
+            stage = _stage(crossed + computes, s + 1 + p, np.zeros(s + 1 + p))
+            ladders[outputs] = kit.realize(stage), p
+        return ladders[outputs]
 
     # T_init: (z, conj z or g = 0, w = 1, v = 0) built by one hidden layer
     init_b = np.zeros(s)
     init_b[iw] = 1
     pieces = list(kit.realize(_stage(inputs(), n, init_b)))
 
-    ladder = None
+    written = set()  # the outputs a flush has written
     conj_src = None
     w_is_one = True
     for lay in program.layers:
         if isinstance(lay, FlushLayer):
             pieces.append(_flush_map(lay, s, iw, iv))
+            written.add(lay.dst)
             w_is_one = True
             continue
         side, i = lay.operand
@@ -522,14 +552,8 @@ def _lower_poly(program: RegisterProgram, kit: _Kit, strategy: str) -> list:
         if strategy == "Poly_Wide_2N2Mplus12":
             pieces += kit.realize(_stage(registers(op_idx=op_idx), s, np.zeros(s)))
             continue
-        if ladder is None:
-            # the accumulator crosses like a register; the rest of the
-            # budget goes to compute slots
-            crossed = registers() + [(kit.id_blk, [s], [s])]
-            p = strategy_width_budget(strategy, n, m) - sum(blk.width for blk, _, _ in crossed)
-            computes = [(_RAW, [q], [q]) for q in range(s + 1, s + 1 + p)]
-            ladder = kit.realize(_stage(crossed + computes, s + 1 + p, np.zeros(s + 1 + p)))
-        _emit_mul_ladder(pieces, kit, ladder, s, p, op_idx, iw)
+        stages, p = ladder(written)
+        _emit_mul_ladder(pieces, kit, stages, s, p, op_idx, iw)
 
     pieces.append(_end_map(program, s))
     return pieces
@@ -586,22 +610,23 @@ def assemble_pieces(pieces: list, activation_id) -> Cvnn:
     return Cvnn(maps, activation_id)
 
 
-def _conjugate_odd_maps(net: Cvnn, plan: LoweringPlan, h: float) -> Cvnn:
+def _conjugate_odd_maps(net: Cvnn) -> Cvnn:
     """sigma's network as one over act, where sigma = conj o act and act
     commutes with conj: act(t) = conj sigma(t) and act(conj t) = sigma(t),
     and conj(A) conj(x) + conj(b) = conj(A x + b).  So with every odd map
     conjugated, each odd hidden layer reads sigma's network's input and
     gives the conjugate of its output, each even one reads the conjugate
     and gives the output itself, and the last map reads the output it is
-    written for only after an even count.  After an odd count the outputs
-    first cross one more stage of sigma's identity blocks, built at h."""
-    maps = list(net.affine_maps)
-    if len(maps) % 2 == 0:
-        m, id_blk = net.output_dim, identity_block(plan.id_row, h)
-        out = _stage([(id_blk, [j], [j]) for j in range(m)], m, np.zeros(m))
-        maps[-1:] = [fuse_arrays(out.pre, maps[-1]), out.post]
+    written for, since ``lower_pieces`` gives sigma's chain an even count of
+    hidden layers."""
     return Cvnn([AffineArrays(a.matrix.conj(), a.bias.conj()) if k % 2 else a
-                 for k, a in enumerate(maps)], net.activation)
+                 for k, a in enumerate(net.affine_maps)], net.activation)
+
+
+def _hidden_layers(pieces: list) -> int:
+    """The hidden layers of the network the pieces assemble into."""
+    return sum(1 if isinstance(obj, Stage) else (len(obj.trans.matrix) - 1) * len(obj.stages)
+               for obj in pieces if not isinstance(obj, AffineArrays))
 
 
 def eval_pieces(pieces: list, spec: ActivationSpec, z) -> np.ndarray:
@@ -629,7 +654,10 @@ def lower_pieces(program: RegisterProgram, spec: ActivationSpec, strategy: str,
                  h: float, prof: ToleranceProfile = ToleranceProfile()):
     """Strategy dispatch; returns the pieces without fusing: the chain
     written against the plan's sigma (realized as act layers where a conj
-    sigma's activation does not commute with conj)."""
+    sigma's activation does not commute with conj).  Where it does commute,
+    an odd count of hidden layers is followed by one more stage, which
+    crosses the outputs through the kit's identity blocks, so that
+    ``_conjugate_odd_maps`` can turn the network into one over act."""
     if strategy not in STRATEGIES:
         raise StrategyMismatch(f"unknown strategy {strategy!r}")
     if strategy.startswith("NonPoly") and program.family != "shallow":
@@ -643,8 +671,13 @@ def lower_pieces(program: RegisterProgram, spec: ActivationSpec, strategy: str,
             f"affords {plan.mul_kind}")
     kit = _build_kit(spec, plan, h)
     if program.family == "shallow":
-        return _lower_shallow(program, kit)
-    return _lower_poly(program, kit, strategy)
+        pieces = _lower_shallow(program, kit)
+    else:
+        pieces = _lower_poly(program, kit, strategy)
+    if plan.sigma is not spec and spec.conj_equivariant and _hidden_layers(pieces) % 2:
+        m = program.output_dim
+        pieces.append(_stage([(kit.id_blk, [j], [j]) for j in range(m)], m, np.zeros(m)))
+    return pieces
 
 
 def lower(program: RegisterProgram, spec: ActivationSpec, strategy: str,
@@ -656,7 +689,7 @@ def lower(program: RegisterProgram, spec: ActivationSpec, strategy: str,
     net = assemble_pieces(pieces, spec.activation_id)
     plan = plan_lowering(spec, strategy, prof)
     if plan.sigma is not spec and spec.conj_equivariant:
-        net = _conjugate_odd_maps(net, plan, h)
+        net = _conjugate_odd_maps(net)
     budget = strategy_width_budget(strategy, program.input_dim, program.output_dim)
     w = width_of(net)
     if w > budget:

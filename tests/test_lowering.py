@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib
 import json
 
@@ -202,7 +203,9 @@ def test_depth_reported_not_bounded():
     p = PolyZZbar(1, ((1 + 0j, (0,), (2,)),))
     program = poly_to_register([p], "mul2")
     net = lower(program, RE_SQ, "Poly_Narrow_2N2Mplus5", 1e-3, PROF)
-    assert depth_of(net) > 10  # each product expands into inner layers
+    # the init stage, then the product's 12 neurons, 3 to a layer: v is not
+    # yet written, so the ladder gives its pair block to compute slots
+    assert depth_of(net) == 6
     assert max_coeff(net) > 1
 
 
@@ -217,9 +220,9 @@ def test_hidden_widths_within_budget_per_layer():
     ("Poly_Narrow_2N2Mplus5", RE_SQ, ["square", "pair"]),
     ("Poly_Wide_2N2Mplus12", RE_SQ, ["square", "pair"]),
     ("Poly_NMplus4", ZB, ["square", "identity", "pair"]),
-    ("Poly_NMplus4", CONJ_ZB, ["square", "identity", "pair", "identity"]),
+    ("Poly_NMplus4", CONJ_ZB, ["square", "identity", "pair"]),
     ("NonPoly_NMplus1", CARD, ["identity"]),
-    ("NonPoly_Conj_NMplus1", CONJ_CARD, ["identity", "identity"]),
+    ("NonPoly_Conj_NMplus1", CONJ_CARD, ["identity"]),
     ("NonPoly_2N2Mplus1", MODRELU, ["pair"]),
     ("NonPoly_Conj_NMplus1", ROTATED, ["conjugation", "identity"]),
 ])
@@ -227,9 +230,9 @@ def test_each_block_built_at_its_h(monkeypatch, rng, case, spec, roles):
     """The identity, pair and conjugation blocks are built at h; the square
     block at sqrt(h), or at h under Poly_Wide_2N2Mplus12.  "conjugation" is
     the realizer's block.  A conj sigma over an activation that commutes
-    with conj builds sigma's blocks, and after an odd count of hidden layers
-    (3 here, and 9 for the NMplus4 program) one more identity block for the
-    outputs' stage."""
+    with conj builds sigma's blocks alone: the outputs' stage after an odd
+    count of hidden layers (3 here, and 9 for the NMplus4 program) crosses
+    the kit's identity blocks."""
     strategy = LOWERING_CASES[case][0]
     h = 1e-4
     built = []
@@ -307,11 +310,11 @@ def test_assemble_rejects_inf_in_a_stage_post_matrix(rng):
 def test_lower_validates_only_network_and_block_maps(monkeypatch, rng, case):
     """One lower of a depth-L shallow program checks each run of the network
     for non-finite entries once, and constructs a ComplexAffineMap only for
-    the blocks built at that h.  Under a conj sigma sigma's network, of 3
-    runs, is checked before its odd maps are conjugated; its 25 layers are
-    an odd count, so the output crosses one more stage, of identity blocks
-    built for it: that stage's entry map and its exit map are runs of their
-    own."""
+    the blocks built at that h.  Under a conj sigma sigma's network is
+    checked before its odd maps are conjugated; its 25 layers are an odd
+    count, so the output crosses one more stage, of the kit's identity
+    blocks: that stage's entry map and its exit map are runs of their own,
+    4 runs in all, and no block is built for it."""
     strategy, spec = LOWERING_CASES[case]
     program = shallow_to_register(random_shallow(rng, 2, 1, 25, spec.activation_id))
     built, checked = [], []
@@ -344,11 +347,11 @@ def test_lower_validates_only_network_and_block_maps(monkeypatch, rng, case):
     # the first map, one run of every map between program layers, the last
     # map (under a parity, the last two)
     assert [len(m) for m, _ in net.runs] == [1, 24, 1] + [1] * parity
-    sigma_runs = 3 * parity
+    sigma_runs = 4 * parity
     assert len(checked) == sigma_runs + len(net.runs)
     assert all(a is m for a, (m, _) in zip(checked[sigma_runs:], net.runs))
     assert kit_maps == [2]        # one block: pre and post
-    assert len(built) == kit_maps[0] * (1 + parity)
+    assert len(built) == kit_maps[0]
 
 
 def _monomial(factors, n):
@@ -546,8 +549,9 @@ def _json_map_by_map(net):
 
 
 @pytest.mark.parametrize("case, n, shapes", [
-    # a 4-wide layer, then a run of 11 x 11 maps
-    ("Poly_Narrow_2N2Mplus5", 2, [(1, 4, 2), (1, 11, 4), (23, 11, 11), (1, 1, 11)]),
+    # a 4-wide layer, then a run of 11 x 11 maps: a ladder of 4 layers
+    # before the flush (p = 3) and one of 12 after it (p = 1)
+    ("Poly_Narrow_2N2Mplus5", 2, [(1, 4, 2), (1, 11, 4), (15, 11, 11), (1, 1, 11)]),
     # five layers of cardioid's network, then the outputs' stage of identity
     # blocks, every odd map conjugated
     ("NonPoly_Conj_NMplus1", 1, [(1, 3, 1), (4, 3, 3), (1, 1, 3), (1, 1, 1)]),
@@ -588,7 +592,8 @@ def _ladder_runs(pieces):
     ladder enters by one map that widens the state (the end map's input) by
     the accumulator and p compute slots and leaves by one that narrows it
     back; the stages between are its hidden layers."""
-    s = pieces[-1].matrix.shape[1]
+    end = next(obj for obj in reversed(pieces) if isinstance(obj, core.AffineArrays))
+    s = end.matrix.shape[1]
     runs, inside = [], False
     for obj in pieces:
         if isinstance(obj, lowering.Stage):
@@ -665,20 +670,35 @@ MUL_NEURONS = {"mul1": 8, "mul2": 12, "mul3": 8}
 
 PACKED_CASES = [pytest.param(spec, id=spec.name) for spec in (CARD, ZB)]
 
-#: (activation, strategy, network depths of _test_poly at (n, m) = (1, 1),
-#: (2, 1), (1, 2)) of plans whose ladder has room for only one neuron per
-#: layer; conj:z_plus_zbar_sq's are z_plus_zbar_sq's, plus the outputs'
-#: stage after an odd count of hidden layers
+#: (activation, strategy, the p of each ladder of _test_poly and the
+#: network depths, at (n, m) = (1, 1), (2, 1), (1, 2)) of plans whose ladder
+#: has room for only one neuron per layer once every output is written;
+#: conj:z_plus_zbar_sq's are z_plus_zbar_sq's, plus the outputs' stage after
+#: an odd count of hidden layers
 SINGLE_CASES = [
-    pytest.param(RE_SQ, "Poly_Narrow_2N2Mplus5", (14, 26, 26), id="re_square-Narrow"),
-    pytest.param(ABS_SQ, "Poly_Narrow_2N2Mplus5", (14, 26, 26), id="abs_square-Narrow"),
-    pytest.param(MODRELU, "Poly_Narrow_2N2Mplus5", (14, 26, 26), id="modrelu-Narrow"),
-    pytest.param(CARD, "Poly_NMplus4", (15, 27, 27), id="cardioid-NMplus4"),
-    pytest.param(ZB, "Poly_NMplus4", (10, 19, 18), id="z_plus_zbar_sq-NMplus4"),
-    pytest.param(CONJ_ZB, "Poly_NMplus4", (11, 19, 19), id="conj:z_plus_zbar_sq-NMplus4"),
+    pytest.param(RE_SQ, "Poly_Narrow_2N2Mplus5", ([1], [3, 1], [3, 1]), (14, 18, 18),
+                 id="re_square-Narrow"),
+    pytest.param(ABS_SQ, "Poly_Narrow_2N2Mplus5", ([1], [3, 1], [3, 1]), (14, 18, 18),
+                 id="abs_square-Narrow"),
+    pytest.param(MODRELU, "Poly_Narrow_2N2Mplus5", ([1], [3, 1], [3, 1]), (14, 18, 18),
+                 id="modrelu-Narrow"),
+    pytest.param(CARD, "Poly_NMplus4", ([1], [2, 1], [2, 1]), (15, 21, 21),
+                 id="cardioid-NMplus4"),
+    pytest.param(ZB, "Poly_NMplus4", ([1], [2, 1], [2, 1]), (10, 15, 14),
+                 id="z_plus_zbar_sq-NMplus4"),
+    pytest.param(CONJ_ZB, "Poly_NMplus4", ([1], [2, 1], [2, 1]), (11, 15, 15),
+                 id="conj:z_plus_zbar_sq-NMplus4"),
 ]
 
 SHAPES = [(1, 1), (2, 1), (1, 2)]
+
+#: the p of each ladder of _test_poly under Narrow over a packed activation,
+#: by (activation, n, m)
+PACKED_P = {
+    ("cardioid", 1, 1): [4], ("cardioid", 2, 1): [4, 4], ("cardioid", 1, 2): [6, 5],
+    ("z_plus_zbar_sq", 1, 1): [4], ("z_plus_zbar_sq", 2, 1): [4, 4],
+    ("z_plus_zbar_sq", 1, 2): [5, 5],
+}
 
 
 @pytest.mark.parametrize("spec", PACKED_CASES)
@@ -687,45 +707,117 @@ def test_narrow_with_an_identity_point_fills_its_budget_with_the_ladder(spec, n,
     """With a lone-d point, w, the v_j and the accumulator cross through
     width-1 identity blocks and the z slots through pair blocks: 2n + m + 2
     neurons, so the ladder stage holds p = m + 3 multiplication neurons,
-    sits exactly at the budget, and a product takes ceil(K / p) layers."""
+    sits exactly at the budget, and a product takes ceil(K / p) layers.  At
+    (1, 2) cardioid's first ladder runs before v_2 is written and leaves it
+    uncrossed, p = m + 4, since that cuts its 12 neurons' layers from 3 to
+    2; z_plus_zbar_sq's 8 take 2 layers either way, so its ladder crosses
+    every output."""
     strategy = "Poly_Narrow_2N2Mplus5"
     plan = plan_lowering(spec, strategy, PROF)
     assert plan.id_row is not None
     budget = strategy_width_budget(strategy, n, m)
     pieces, _ = _lowered(strategy, n, m, seed=0, spec=spec)
     runs = _ladder_runs(pieces)
-    p = m + 3
-    assert runs
+    assert [slots for slots, _ in runs] == PACKED_P[spec.name, n, m]
     for slots, widths in runs:
-        assert slots == p
-        assert widths == [budget] * -(-MUL_NEURONS[plan.mul_kind] // p)
+        assert widths == [budget] * -(-MUL_NEURONS[plan.mul_kind] // slots)
     assert width_of(assemble_pieces(pieces, spec.activation_id)) == budget
 
 
-@pytest.mark.parametrize("spec, strategy, depths", SINGLE_CASES)
-def test_a_ladder_without_room_runs_one_neuron_per_layer(spec, strategy, depths):
+@pytest.mark.parametrize("spec, strategy, ps, depths", SINGLE_CASES)
+def test_a_ladder_without_room_runs_one_neuron_per_layer(spec, strategy, ps, depths):
     """Narrow without an identity point crosses every register through a
-    pair block, and NMplus4's budget is n + m + 4: either way one compute
-    slot is left, and the depths stay as they were before the packing."""
+    pair block, and NMplus4's budget is n + m + 4: either way a ladder that
+    crosses every output has one compute slot left.  A ladder that runs
+    before an output's first flush leaves that output uncrossed and gives
+    its block's width to compute slots: 2 under Narrow, 1 under NMplus4.
+    At (2, 1) the first monomial, z1 conj(z2), is a product; at (1, 2) the
+    second output's flush comes after the first output's product."""
     plan = plan_lowering(spec, strategy, PROF)
     got = []
-    for n, m in SHAPES:
+    for (n, m), want in zip(SHAPES, ps):
         program, _, _ = _case_program(strategy, n, m, seed=0, spec=spec)
         runs = _ladder_runs(lower_pieces(program, spec, strategy, 1e-3, PROF))
-        assert runs
+        assert [slots for slots, _ in runs] == want
         for slots, widths in runs:
-            assert slots == 1
-            assert len(widths) == MUL_NEURONS[plan.mul_kind]
+            assert len(widths) == -(-MUL_NEURONS[plan.mul_kind] // slots)
         got.append(depth_of(lower(program, spec, strategy, 1e-3, PROF)))
     assert tuple(got) == depths
+
+
+#: (activation, strategy) of the cases of the unwritten-output rule: Narrow
+#: with and without an identity point, NMplus4, and NMplus4 over a conj sigma
+UNWRITTEN_CASES = [
+    pytest.param(CARD, "Poly_Narrow_2N2Mplus5", id="cardioid-Narrow"),
+    pytest.param(RE_SQ, "Poly_Narrow_2N2Mplus5", id="re_square-Narrow"),
+    pytest.param(ZB, "Poly_NMplus4", id="z_plus_zbar_sq-NMplus4"),
+    pytest.param(CONJ_ZB, "Poly_NMplus4", id="conj:z_plus_zbar_sq-NMplus4"),
+]
+
+
+def _assert_ladders_and_values(program, spec, strategy, ps):
+    """The program's ladders run ps compute slots, every hidden layer of its
+    network is within the budget, and the network agrees with the program."""
+    h = 1e-4
+    runs = _ladder_runs(lower_pieces(program, spec, strategy, h, PROF))
+    assert [slots for slots, _ in runs] == ps
+    net = lower(program, spec, strategy, h, PROF)
+    budget = strategy_width_budget(strategy, program.input_dim, program.output_dim)
+    assert max(hidden_widths(net)) <= budget
+    err = sup_error(lambda zs: eval_register(program, zs),
+                    lambda zs: eval_cvnn(net, zs, spec.fn), CompactBox.square(1, 1.0),
+                    GridSpec(11))
+    assert err < 1e-2
+
+
+@pytest.mark.parametrize("spec, strategy", UNWRITTEN_CASES)
+def test_an_output_never_flushed_leaves_every_ladder(spec, strategy):
+    """(z conj z, 0), norm0's shape: no flush writes v_2, so the ladder
+    crosses neither output (m = 2): under Narrow that frees 2 or 4 neurons
+    for compute slots, p = 7 with an identity point (12 neurons in 2
+    layers, not 3) and p = 5 without (3 layers, not 12); under NMplus4
+    p = 3 (3 layers of its 8 neurons, not 8)."""
+    plan = plan_lowering(spec, strategy, PROF)
+    program = poly_to_register([PolyZZbar(1, ((1 + 0j, (1,), (1,)),)), PolyZZbar(1, ())],
+                               plan.mul_kind)
+    assert {lay.dst for lay in program.layers if isinstance(lay, FlushLayer)} == {0}
+    ps = {"cardioid": [7], "re_square": [5]}.get(spec.name, [3])
+    _assert_ladders_and_values(program, spec, strategy, ps)
+
+
+@pytest.mark.parametrize("spec, strategy", UNWRITTEN_CASES)
+def test_a_ladder_after_a_flush_crosses_the_written_output(spec, strategy):
+    """(z conj z, conj(z)^2): the first ladder runs before any flush and
+    crosses neither output, the second runs after v_1's flush and crosses
+    it alone, with one block's width less for compute slots."""
+    plan = plan_lowering(spec, strategy, PROF)
+    program = poly_to_register([PolyZZbar(1, ((1 + 0j, (1,), (1,)),)),
+                                PolyZZbar(1, ((1 + 0j, (0,), (2,)),))], plan.mul_kind)
+    ps = {"cardioid": [7, 6], "re_square": [5, 3]}.get(spec.name, [3, 2])
+    _assert_ladders_and_values(program, spec, strategy, ps)
+
+
+def test_a_ladder_that_cannot_shorten_crosses_every_output():
+    """z1 conj(z2) over cardioid under Narrow, the n = 2 benchmark compile's
+    program: with v uncrossed the ladder would have p = 5, but its 12
+    neurons would still take ceil(12 / 5) = 3 layers, so it crosses v with
+    p = 4, and the network's bytes are those of a ladder that crosses every
+    output."""
+    program = poly_to_register([PolyZZbar(2, ((1 + 0j, (1, 0), (0, 1)),))], "mul2")
+    pieces = lower_pieces(program, CARD, "Poly_Narrow_2N2Mplus5", 1e-4, PROF)
+    assert [slots for slots, _ in _ladder_runs(pieces)] == [4]
+    text = cvnn_to_json(lower(program, CARD, "Poly_Narrow_2N2Mplus5", 1e-4, PROF))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "509f051c4b1ad4400e2c3beaa8a8c9713a5e0efb7379db0a2dddba3014967132")
 
 
 @settings(max_examples=100)
 @given(n=st.integers(1, 2), m=st.integers(1, 2), h=st.sampled_from((1e-2, 1e-3, 1e-4)),
        seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_fused_equals_unfused_on_packed_narrow_programs(n, m, h, seed, data):
-    """Narrow over cardioid packs m + 3 neurons per ladder layer, so at
-    m = 2 the last of the 12 neurons' groups holds 2 of 5 slots."""
+    """Narrow over cardioid packs m + 3 neurons per ladder layer, m + 4 or
+    m + 5 before outputs' first flushes where that saves a layer, so at
+    m = 2 the last of the 12 neurons' groups holds 2 of 5 slots or 5 of 7."""
     rng = np.random.default_rng(seed)
     polys = [_random_poly(data.draw, rng, n) for _ in range(m)]
     program = poly_to_register(polys, "mul2")
@@ -741,8 +833,9 @@ def test_fused_equals_unfused_on_packed_narrow_programs(n, m, h, seed, data):
 def test_a_packed_ladder_converges_like_h(n, polys):
     """The packed cardioid lowering keeps the O(h) truncation regime: its
     error against the program falls at least 5x per decade of h, also with
-    m = 2, where the last of each ladder's three layers runs 2 neurons in
-    its 5 compute slots."""
+    m = 2, where the first ladder runs before any flush, 7 and then 5
+    neurons in its 7 compute slots, and the second after v_1's, 6 in each
+    of its two layers."""
     program = poly_to_register(polys, "mul2")
     errs = []
     for h in (1e-2, 1e-3, 1e-4):
@@ -798,6 +891,29 @@ def test_a_parity_chain_converges_like_cardioid(layers, n, m):
         assert 5 * e[1] <= e[0] <= 20 * e[1] and 5 * e[2] <= e[1] <= 20 * e[2]
     ratios = np.divide(errs["conj:cardioid"], errs["cardioid"])
     assert np.all(ratios == 1) if layers % 2 == 0 else np.all(ratios <= 2)
+
+
+def test_an_odd_parity_lowering_builds_the_identity_block_once(monkeypatch):
+    """25 program layers give cardioid's network an odd count of hidden
+    layers, so conj:cardioid's crosses the outputs through one more stage,
+    of the kit's identity blocks: it builds as many identity blocks as
+    cardioid's lowering."""
+    program, _ = _shallow_program(5, 1, 1, 25)
+    build = lowering.identity_block
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(lowering, "identity_block", counting)
+    counts = []
+    for spec in (CARD, CONJ_CARD):
+        calls.clear()
+        net = lower(program, spec, "NonPoly_NMplus1", 1e-3, PROF)
+        assert depth_of(net) == 26 + (spec is CONJ_CARD)
+        counts.append(len(calls))
+    assert counts == [1, 1]
 
 
 def test_an_even_parity_network_is_cardioids_with_every_other_map_conjugated():

@@ -1,5 +1,5 @@
-"""No module of the package or of its test suite imports a name it never
-uses.
+"""No module of the package, of its test suite or of its tools imports a
+name it never uses.
 
 No linter is part of the toolchain, so this reads each module's syntax tree:
 every name an import binds must be read somewhere in the module, or be
@@ -14,9 +14,12 @@ import pytest
 
 import deepnarrow
 
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
 MODULES = (sorted(p for p in Path(deepnarrow.__file__).parent.glob("*.py")
                   if p.name != "__init__.py")
-           + sorted(Path(__file__).parent.glob("*.py")))
+           + sorted(Path(__file__).parent.glob("*.py"))
+           + sorted(TOOLS.glob("*.py")))
 
 
 def unused_imports(source: str) -> list:

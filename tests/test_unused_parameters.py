@@ -1,4 +1,5 @@
-"""Every parameter of every function the package defines is read by its body.
+"""Every parameter of every function the package and its tools define is
+read by its body.
 
 A parameter that the body never reads changes nothing a caller can see, yet
 every caller must pass it, and a value that must match some other fact (a
@@ -19,8 +20,11 @@ from pathlib import Path
 
 import deepnarrow
 
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
 SOURCES = {p.name: p.read_text()
            for p in sorted(Path(deepnarrow.__file__).parent.glob("*.py"))}
+SOURCES.update({f"tools/{p.name}": p.read_text() for p in sorted(TOOLS.glob("*.py"))})
 
 
 def _parameters(args: ast.arguments) -> list:
@@ -73,4 +77,5 @@ def test_detects_an_unused_parameter():
 
 
 def test_package_reads_every_parameter():
+    assert "tools/error_matrix.py" in SOURCES
     assert unused_parameters(SOURCES) == []

@@ -5,10 +5,11 @@ catalog activation under every strategy its plan accepts.
 
 The rows cover every catalog name and its conj: form whose verdict is
 universal, every lowering strategy that plans for it, and the targets zzbar,
-re and abs on the unit box.  A NonPoly strategy fits 40 random features
-(ridge 1e-6) with seeds 1, 2 and 3; a Poly strategy fits degree 2.  Both fit
-on the 9^2 grid, verify on the 18^2 lattice and sweep the default h
-schedule, as ``deepnarrow compile`` does with those flags.
+re, abs and norm0 on the unit box; norm0, (|z|, 0), has two outputs, and no
+flush writes its second under a Poly strategy.  A NonPoly strategy fits 40
+random features (ridge 1e-6) with seeds 1, 2 and 3; a Poly strategy fits
+degree 2.  Both fit on the 9^2 grid, verify on the 18^2 lattice and sweep
+the default h schedule, as ``deepnarrow compile`` does with those flags.
 
 Each row gives the best row's depth, width, h, sup error and largest post
 coefficient, and the lowering-only error at that h: the network against
@@ -37,7 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
-TARGETS = ("zzbar", "re", "abs")
+TARGETS = ("zzbar", "re", "abs", "norm0")
 FEATURES = 40
 RIDGE = 1e-6
 SEEDS = (1, 2, 3)
