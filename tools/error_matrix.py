@@ -4,9 +4,13 @@ catalog activation under every strategy its plan accepts.
     python tools/error_matrix.py [--out PATH]
 
 The rows cover every catalog name and its conj: form whose verdict is
-universal, every lowering strategy that plans for it, and the targets zzbar,
-re, abs and norm0 on the unit box; norm0, (|z|, 0), has two outputs, and no
-flush writes its second under a Poly strategy.  A NonPoly strategy fits 40
+universal, then conj:scale((0.5+0.5j)):cardioid, conj o (0.5+0.5j) cardioid:
+like conj:cardioid it has a lone dbar and no lone d, so NonPoly_NMplus1 and
+Poly_NMplus4 lower it against the conj sigma, but unlike every catalog form
+it does not commute with conj.  They cover every lowering strategy that
+plans for each activation, and the targets zzbar, re, abs and norm0 on the
+unit box; norm0, (|z|, 0), has two outputs, and no flush writes its second
+under a Poly strategy.  A NonPoly strategy fits 40
 random features (ridge 1e-6) with seeds 1, 2 and 3; a Poly strategy fits
 degree 2.  Both fit on the 9^2 grid, verify on the 18^2 lattice and sweep
 the default h schedule, as ``deepnarrow compile`` does with those flags.
@@ -57,13 +61,16 @@ def _cells():
     # process need not have the package installed
     from deepnarrow import (CompactBox, ConstructionError, FitConfig, GridSpec, STRATEGIES,
                             StrategyMismatch, available_activations, classify_activation,
-                            end_to_end_nonpoly, end_to_end_poly, get_activation)
+                            conjugate_activation, end_to_end_nonpoly, end_to_end_poly,
+                            get_activation, scale_activation)
     from deepnarrow.lowering import plan_lowering
     from deepnarrow.verifier import named_target
 
     box = CompactBox.square(1, 1.0)
-    for name in [form for base in available_activations() for form in (base, "conj:" + base)]:
-        spec = get_activation(name)
+    specs = [get_activation(form) for base in available_activations()
+             for form in (base, "conj:" + base)]
+    specs.append(conjugate_activation(scale_activation(get_activation("cardioid"), 0.5 + 0.5j)))
+    for spec in specs:
         if not classify_activation(spec).verdict.startswith("Universal"):
             continue
         for strategy in STRATEGIES:
