@@ -26,16 +26,16 @@ real work.  The width budgets, for input dimension n and output dimension m:
 The two lone-derivative strategies, NonPoly_NMplus1 and Poly_NMplus4, need a
 point with exactly one nonzero first derivative.  Where the activation has a
 lone dbar but no lone d, they are written against sigma = conj o act, whose
-lone d it is, with sigma's own blocks.  Over an activation that commutes
-with conj (``ActivationSpec.conj_equivariant``) one rule serves both: the
-assembled network is sigma's, with every odd map conjugated
-(``_conjugate_odd_maps``), since act(conj t) = sigma(t) and
-conj(A) conj(x) + conj(b) = conj(A x + b); after an odd hidden-layer count
-sigma's chain first crosses the outputs through one more stage of its
-identity blocks.  It has sigma's depth, plus one at most.  Over an
-activation that does not commute, every sigma layer is realized as an act
-layer followed by a width-preserving conjugation-block layer, which doubles
-the depth.
+lone d it is, with sigma's own blocks, and ``lower`` turns sigma's
+assembled maps into a network over act by one of two transforms.  Over an
+activation that commutes with conj (``ActivationSpec.conj_equivariant``)
+every odd map is conjugated (``_conjugate_odd_maps``), since act(conj t) =
+sigma(t) and conj(A) conj(x) + conj(b) = conj(A x + b); after an odd
+hidden-layer count sigma's chain first crosses the outputs through one more
+stage of its identity blocks.  It has sigma's depth, plus one at most.  Over
+an activation that does not commute, every hidden layer is followed by a
+width-preserving stage of conjugation blocks (``_conj_layers``), which
+doubles the depth.
 
 A hidden stage is a list of block placements (block, in slots, out slots)
 on the register slots of the state, built into arrays by one function
@@ -61,12 +61,13 @@ result, with zero tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .activations import ActivationSpec, _conjugate
-from .blocks import _SQUARE_TO_MUL, ShallowBlock, identity_block, mul_block, routed_pair_block
+from .blocks import (_SQUARE_TO_MUL, ShallowBlock, conj_block, identity_block, mul_block,
+                     routed_pair_block)
 from .core import (AffineArrays, ComplexAffineMap, Cvnn, eval_affine, fuse_arrays,
                    width_of)
 from .errors import StrategyMismatch
@@ -116,12 +117,12 @@ class Stage:
 
 @dataclass(frozen=True)
 class Layers:
-    """L program layers that cross the same stages.  Their first crossing is
-    emitted as ``Stage`` pieces, since it fuses with the preceding map;
+    """L program layers that cross the same stage.  Their first crossing is
+    emitted as a ``Stage`` piece, since it fuses with the preceding map;
     this piece follows it with transition 0 of ``trans``, an (L, s, s)
-    stack, then for each later l the stages in order and transition l."""
+    stack, then for each later l the stage and transition l."""
 
-    stages: tuple
+    stage: Stage
     trans: AffineArrays
 
 
@@ -157,45 +158,6 @@ def _affine(rows, biases) -> AffineArrays:
 
 
 # ---------------------------------------------------------------------------
-# Realizers: how a stage written against sigma-neurons becomes actual layers
-# ---------------------------------------------------------------------------
-
-
-def _direct_realizer(stage: Stage) -> list:
-    return [stage]
-
-
-def _make_conj_realizer(spec: ActivationSpec, row: PointRow, hc: float) -> Callable:
-    """Each sigma-neuron layer becomes an activation layer followed by one
-    conjugation-block layer of the same width (sigma = conj o activation),
-    at the activation's row of a lone-dbar point.  This doubles the depth;
-    only activations that do not commute with conj take it, since the rest
-    conjugate every odd map of sigma's network instead.
-
-    The conjugation block's Taylor remainder at a unit's nominal output y0
-    (its value at zero stage input) is a constant; since the consuming sigma
-    posts divide by h, that constant would not vanish with h.  It is computed
-    exactly from two activation evaluations and folded into the block bias,
-    leaving only the O(h)-decaying input-dependent remainder.
-    """
-    z0c, f0, dbar = row.z0, row.f0, row.dbar
-    cc = 1.0 / (hc * dbar)
-
-    def realize(stage: Stage) -> list:
-        h = stage.pre.out_dim
-        eye = np.eye(h, dtype=np.complex128)
-        pass_through = _affine(eye, np.zeros(h))
-        y0 = spec(stage.pre.bias)
-        theta0 = (spec(z0c + hc * y0) - f0 - dbar * np.conj(hc * y0)) * cc
-        conj_pre = _affine(hc * eye, np.full(h, z0c, dtype=np.complex128))
-        conj_post = _affine(cc * eye, -f0 * cc - theta0)
-        return [Stage(stage.pre, pass_through),
-                Stage(conj_pre, fuse_arrays(stage.post, conj_post))]
-
-    return realize
-
-
-# ---------------------------------------------------------------------------
 # Plan (h-independent) and block kit (one per h)
 # ---------------------------------------------------------------------------
 
@@ -207,10 +169,11 @@ class LoweringPlan:
     sigma is the activation the program's neurons are written against: the
     activation itself, or conj o activation where a lone-derivative strategy
     finds a lone dbar but no lone d.  The chain is lowered against sigma
-    with sigma's blocks, and ``lower`` undoes the conj with one rule: over
-    an activation that commutes with conj it conjugates every odd map of
-    sigma's network, else a realizer adds a conjugation layer to every
-    sigma layer (``_build_kit``).  That sigma is the conjugate kept on the
+    with sigma's blocks, and ``lower`` undoes the conj on sigma's assembled
+    maps: over an activation that commutes with conj it conjugates every
+    odd map (``_conjugate_odd_maps``), else it follows every hidden layer
+    with a stage of conjugation blocks at the conj row
+    (``_conj_layers``).  That sigma is the conjugate kept on the
     activation's spec (``conjugate_activation``): for a ``conj:X``
     activation it is the shared spec of X, with the atlas and plans X
     already holds.
@@ -219,7 +182,8 @@ class LoweringPlan:
     blocks localize at, read from the probe atlases: the identity block's
     and the (z, conj z) pair route's on sigma's atlas, the square block's
     with its square kind, and under a conj sigma the activation's own row
-    at the identity point, where a realizer's conjugation blocks go.  Each
+    at the identity point, where ``_conj_layers`` puts its conjugation
+    blocks.  Each
     is None where the strategy needs no such block.  Narrow's identity row
     is optional: sigma's lone-d point where it has one, else None, and the
     pair block crosses the registers.  The blocks read their rows and probe
@@ -292,27 +256,19 @@ def _plan(spec: ActivationSpec, strategy: str, prof: ToleranceProfile) -> Loweri
 
 @dataclass
 class _Kit:
-    realize: Callable
     id_blk: Optional[ShallowBlock] = None     # identity; the pair where the plan has none
     pair_blk: Optional[ShallowBlock] = None   # width-2 (z, conj z)
     mul_blk: Optional[ShallowBlock] = None
     mul_f0: complex = 0j                      # sigma at the multiplication block's point
 
 
-def _build_kit(spec: ActivationSpec, plan: LoweringPlan, h: float) -> _Kit:
+def _build_kit(plan: LoweringPlan, h: float) -> _Kit:
     """Build the plan's blocks at localization scale h from its rows: the
-    identity, pair and conjugation blocks at h, the square block at
-    sqrt(h), or at h under Poly_Wide_2N2Mplus12.  Without an identity row,
-    the first output of the pair block is the identity crossing.
-
-    The blocks are sigma's, so the kit's stages are written against sigma.
-    Over an activation that commutes with conj, ``lower`` conjugates every
-    odd map of the assembled network; over any other a conj sigma's layers
-    are realized at the plan's conj row (``_make_conj_realizer``)."""
-    realize = _direct_realizer
-    if plan.conj_row is not None and not spec.conj_equivariant:
-        realize = _make_conj_realizer(spec, plan.conj_row, h)
-    kit = _Kit(realize=realize)
+    identity and pair blocks at h, the square block at sqrt(h), or at h
+    under Poly_Wide_2N2Mplus12.  Without an identity row, the first output
+    of the pair block is the identity crossing.  The blocks are sigma's, so
+    the kit's stages are written against sigma."""
+    kit = _Kit()
     # The serialized poly variants (Narrow, NMplus4) cross the running
     # accumulator through first-order blocks whose per-layer drift is O(h);
     # pairing that drift with the square block's h^-2 post-scale would leave
@@ -350,12 +306,12 @@ def _lower_shallow(program: RegisterProgram, kit: _Kit) -> list:
     init_b[iu] = load_bias[0]
 
     # Every program layer crosses the registers through the same blocks and
-    # applies the activation to u, so the hidden stage is built and realized
-    # once; only the transitions carry a layer's flush and reload, and they
-    # are built as one stack.
+    # applies the activation to u, so the hidden stage is built once; only
+    # the transitions carry a layer's flush and reload, and they are built
+    # as one stack.
     placements = [(kit.id_blk, [i], [i]) for i in range(s)]
     placements[iu] = (_RAW, [iu], [iu])
-    stages = tuple(kit.realize(_stage(placements, s, np.zeros(s))))
+    stage = _stage(placements, s, np.zeros(s))
 
     # the transition after layer k flushes it and reloads u with layer k+1's
     # preactivation; after the last layer u is left at 0
@@ -366,7 +322,7 @@ def _lower_shallow(program: RegisterProgram, kit: _Kit) -> list:
     trans[:-1, iu, :n] = loads[1:]
     trans_b = np.zeros((len(flush), s), dtype=np.complex128)
     trans_b[:-1, iu] = load_bias[1:]
-    return [_affine(init, init_b), *stages, Layers(stages, AffineArrays(trans, trans_b)),
+    return [_affine(init, init_b), stage, Layers(stage, AffineArrays(trans, trans_b)),
             _end_map(program, s)]
 
 
@@ -394,14 +350,14 @@ def _load_map(s: int, iw: int, src: int) -> AffineArrays:
     return _affine(trans, np.zeros(s))
 
 
-def _emit_mul_ladder(pieces: list, kit: _Kit, stages: list, s: int, p: int,
+def _emit_mul_ladder(pieces: list, kit: _Kit, stage: Stage, s: int, p: int,
                      op_idx: int, iw: int):
     """w <- operand * w as an inner register program over the K neurons of
     the multiplication block (value sum_k c_k y_k + c_bias), p neurons per
     hidden layer.  The state widens by an accumulator (slot s) and p compute
     slots (s + 1 ..).  The load map puts the first p neurons'
     preactivations into the compute slots; the map after each hidden layer
-    (``stages``) but the last accumulates their outputs and loads the next
+    (``stage``) but the last accumulates their outputs and loads the next
     p; the exit map after the last writes the block value back into w.  So
     a product takes ceil(K / p) hidden layers.  Every neuron has the same
     pre bias z0; a compute slot with no neuron left in the last group reads
@@ -430,7 +386,7 @@ def _emit_mul_ladder(pieces: list, kit: _Kit, stages: list, s: int, p: int,
     pieces.append(_affine(enter, enter_b))
 
     for group, following in zip(groups, groups[1:]):
-        pieces += stages
+        pieces.append(stage)
         step = np.eye(s + 1 + p, dtype=np.complex128)
         step_b = np.zeros(s + 1 + p, dtype=np.complex128)
         for q, k in enumerate(group, s + 1):
@@ -443,7 +399,7 @@ def _emit_mul_ladder(pieces: list, kit: _Kit, stages: list, s: int, p: int,
         load(step, step_b, following)
         pieces.append(_affine(step, step_b))
 
-    pieces += stages
+    pieces.append(stage)
     last = groups[-1]
     exit_m = np.eye(s, s + 1 + p, dtype=np.complex128)
     exit_b = np.zeros(s, dtype=np.complex128)
@@ -507,10 +463,10 @@ def _lower_poly(program: RegisterProgram, kit: _Kit, strategy: str) -> list:
         return crossed, strategy_width_budget(strategy, n, m) - sum(
             blk.width for blk, _, _ in crossed)
 
-    ladders = {}     # (stages, p) of each tuple of crossed outputs
+    ladders = {}     # (stage, p) of each tuple of crossed outputs
 
     def ladder(written):
-        """The stages and p of a ladder run while the outputs in ``written``
+        """The stage and p of a ladder run while the outputs in ``written``
         hold flushed values, built once per tuple of crossed outputs."""
         outputs, every = tuple(sorted(written)), tuple(range(m))
         layers = [-(-kit.mul_blk.width // crossing(o)[1]) for o in (outputs, every)]
@@ -519,14 +475,13 @@ def _lower_poly(program: RegisterProgram, kit: _Kit, strategy: str) -> list:
         if outputs not in ladders:
             crossed, p = crossing(outputs)
             computes = [(_RAW, [q], [q]) for q in range(s + 1, s + 1 + p)]
-            stage = _stage(crossed + computes, s + 1 + p, np.zeros(s + 1 + p))
-            ladders[outputs] = kit.realize(stage), p
+            ladders[outputs] = _stage(crossed + computes, s + 1 + p, np.zeros(s + 1 + p)), p
         return ladders[outputs]
 
     # T_init: (z, conj z or g = 0, w = 1, v = 0) built by one hidden layer
     init_b = np.zeros(s)
     init_b[iw] = 1
-    pieces = list(kit.realize(_stage(inputs(), n, init_b)))
+    pieces = [_stage(inputs(), n, init_b)]
 
     written = set()  # the outputs a flush has written
     conj_src = None
@@ -541,7 +496,7 @@ def _lower_poly(program: RegisterProgram, kit: _Kit, strategy: str) -> list:
         if w_is_one and program.mul_kind == "mul3":
             side = "zbar" if side == "z" else "z"   # mul3(x, 1) = conj x
         if not pairs and side == "zbar" and conj_src != i:
-            pieces += kit.realize(_stage(registers(refresh=i), s, np.zeros(s)))
+            pieces.append(_stage(registers(refresh=i), s, np.zeros(s)))
             conj_src = i
         op_idx = i if side == "z" else (n + i if pairs else n)
 
@@ -550,10 +505,10 @@ def _lower_poly(program: RegisterProgram, kit: _Kit, strategy: str) -> list:
             w_is_one = False
             continue
         if strategy == "Poly_Wide_2N2Mplus12":
-            pieces += kit.realize(_stage(registers(op_idx=op_idx), s, np.zeros(s)))
+            pieces.append(_stage(registers(op_idx=op_idx), s, np.zeros(s)))
             continue
-        stages, p = ladder(written)
-        _emit_mul_ladder(pieces, kit, stages, s, p, op_idx, iw)
+        stage, p = ladder(written)
+        _emit_mul_ladder(pieces, kit, stage, s, p, op_idx, iw)
 
     pieces.append(_end_map(program, s))
     return pieces
@@ -564,24 +519,10 @@ def _lower_poly(program: RegisterProgram, kit: _Kit, strategy: str) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _interleave(heads: AffineArrays, links: list) -> AffineArrays:
-    """One stack of heads[0], links..., heads[1], links..., ...: the maps of
-    consecutive layers that cross the same stages."""
-    if not links:
-        return heads
-
-    def stack(head, rest):
-        per_layer = np.stack([head] + [np.broadcast_to(a, head.shape) for a in rest], axis=1)
-        return per_layer.reshape((-1,) + head.shape[1:])
-
-    return AffineArrays(stack(heads.matrix, [a.matrix for a in links]),
-                        stack(heads.bias, [a.bias for a in links]))
-
-
 def assemble_pieces(pieces: list, activation_id) -> Cvnn:
     """Fuse the alternating affine/stage chain into a strict network.  A
     Layers piece is fused as stacks: its transitions with the post of the
-    stage crossed before them, then those with the first stage's pre, two
+    stage crossed before them, then those with the stage's pre, two
     batched products.  Consecutive maps of one shape form one run of the
     network, checked once for non-finite entries."""
     pending = None
@@ -593,14 +534,12 @@ def assemble_pieces(pieces: list, activation_id) -> Cvnn:
             maps.append(obj.pre if pending is None else fuse_arrays(obj.pre, pending))
             pending = obj.post
         else:
-            if pending is not obj.stages[-1].post:
-                raise StrategyMismatch("a Layers piece must follow its stages' first crossing")
+            if pending is not obj.stage.post:
+                raise StrategyMismatch("a Layers piece must follow its stage's first crossing")
             crossed = fuse_arrays(obj.trans, pending)
             if len(crossed.matrix) > 1:
-                links = [fuse_arrays(b.pre, a.post) for a, b in zip(obj.stages, obj.stages[1:])]
-                heads = fuse_arrays(obj.stages[0].pre,
-                                    AffineArrays(crossed.matrix[:-1], crossed.bias[:-1]))
-                maps.append(_interleave(heads, links))
+                maps.append(fuse_arrays(obj.stage.pre,
+                                        AffineArrays(crossed.matrix[:-1], crossed.bias[:-1])))
             pending = AffineArrays(crossed.matrix[-1], crossed.bias[-1])
     if pending is None:
         raise StrategyMismatch("no affine maps produced")
@@ -610,22 +549,51 @@ def assemble_pieces(pieces: list, activation_id) -> Cvnn:
     return Cvnn(maps, activation_id)
 
 
-def _conjugate_odd_maps(net: Cvnn) -> Cvnn:
-    """sigma's network as one over act, where sigma = conj o act and act
-    commutes with conj: act(t) = conj sigma(t) and act(conj t) = sigma(t),
-    and conj(A) conj(x) + conj(b) = conj(A x + b).  So with every odd map
-    conjugated, each odd hidden layer reads sigma's network's input and
-    gives the conjugate of its output, each even one reads the conjugate
-    and gives the output itself, and the last map reads the output it is
-    written for, since ``lower_pieces`` gives sigma's chain an even count of
-    hidden layers."""
-    return Cvnn([AffineArrays(a.matrix.conj(), a.bias.conj()) if k % 2 else a
-                 for k, a in enumerate(net.affine_maps)], net.activation)
+def _conjugate_odd_maps(maps) -> list:
+    """sigma's network's maps as those of one over act, where sigma = conj o
+    act and act commutes with conj: act(t) = conj sigma(t) and act(conj t)
+    = sigma(t), and conj(A) conj(x) + conj(b) = conj(A x + b).  So with
+    every odd map conjugated, each odd hidden layer reads sigma's network's
+    input and gives the conjugate of its output, each even one reads the
+    conjugate and gives the output itself, and the last map reads the
+    output it is written for, since ``lower_pieces`` gives sigma's chain an
+    even count of hidden layers."""
+    return [AffineArrays(a.matrix.conj(), a.bias.conj()) if k % 2 else a
+            for k, a in enumerate(maps)]
+
+
+def _conj_layers(maps, spec: ActivationSpec, row: PointRow, h: float) -> list:
+    """sigma's network's maps as those of one over act, where sigma = conj o
+    act: each hidden layer, now of act, is followed by one stage of
+    conjugation blocks at the row's lone-dbar point, one block per unit,
+    whose output is conj act(t) = sigma(t) up to the blocks' Taylor
+    remainder.  sigma's L maps become 2L - 1: the stage's pre after each
+    hidden layer, and each later map fused with the stage's post.
+
+    A unit's remainder at its nominal output y0 is a constant; since the
+    consuming map's coefficients scale like 1/h, that constant would not
+    vanish with h.  It is computed exactly from two activation evaluations
+    and taken out of the post bias, leaving only the O(h)-decaying
+    input-dependent remainder.  y0 is act of the unit's pre-activation in
+    sigma's network at input 0, from one forward pass of that point."""
+    blk = conj_block(row, h)
+    cc = 1.0 / (h * row.dbar)
+    out = [maps[0]]
+    cur = np.zeros(maps[0].in_dim, dtype=np.complex128)
+    for a, following in zip(maps, maps[1:]):
+        y0 = spec(eval_affine(a, cur))
+        cur = np.conj(y0)                  # sigma at the pre-activation
+        theta0 = (spec(row.z0 + h * y0) - row.f0 - row.dbar * np.conj(h * y0)) * cc
+        width = len(y0)
+        stage = _stage([(blk, [i], [i]) for i in range(width)], width, np.zeros(width))
+        post = AffineArrays(stage.post.matrix, stage.post.bias - theta0)
+        out += [stage.pre, fuse_arrays(following, post)]
+    return out
 
 
 def _hidden_layers(pieces: list) -> int:
     """The hidden layers of the network the pieces assemble into."""
-    return sum(1 if isinstance(obj, Stage) else (len(obj.trans.matrix) - 1) * len(obj.stages)
+    return sum(1 if isinstance(obj, Stage) else len(obj.trans.matrix) - 1
                for obj in pieces if not isinstance(obj, AffineArrays))
 
 
@@ -644,8 +612,7 @@ def eval_pieces(pieces: list, spec: ActivationSpec, z) -> np.ndarray:
         else:
             for k, trans in enumerate(zip(*obj.trans)):
                 if k:
-                    for stage in obj.stages:
-                        cur = cross(stage, cur)
+                    cur = cross(obj.stage, cur)
                 cur = eval_affine(AffineArrays(*trans), cur)
     return cur
 
@@ -653,11 +620,11 @@ def eval_pieces(pieces: list, spec: ActivationSpec, z) -> np.ndarray:
 def lower_pieces(program: RegisterProgram, spec: ActivationSpec, strategy: str,
                  h: float, prof: ToleranceProfile = ToleranceProfile()):
     """Strategy dispatch; returns the pieces without fusing: the chain
-    written against the plan's sigma (realized as act layers where a conj
-    sigma's activation does not commute with conj).  Where it does commute,
-    an odd count of hidden layers is followed by one more stage, which
-    crosses the outputs through the kit's identity blocks, so that
-    ``_conjugate_odd_maps`` can turn the network into one over act."""
+    written against the plan's sigma.  Where a conj sigma's activation
+    commutes with conj, an odd count of hidden layers is followed by one
+    more stage, which crosses the outputs through the kit's identity blocks,
+    so that ``_conjugate_odd_maps`` can turn the network into one over
+    act."""
     if strategy not in STRATEGIES:
         raise StrategyMismatch(f"unknown strategy {strategy!r}")
     if strategy.startswith("NonPoly") and program.family != "shallow":
@@ -669,7 +636,7 @@ def lower_pieces(program: RegisterProgram, spec: ActivationSpec, strategy: str,
         raise StrategyMismatch(
             f"program was planned for {program.mul_kind} but the activation "
             f"affords {plan.mul_kind}")
-    kit = _build_kit(spec, plan, h)
+    kit = _build_kit(plan, h)
     if program.family == "shallow":
         pieces = _lower_shallow(program, kit)
     else:
@@ -688,8 +655,10 @@ def lower(program: RegisterProgram, spec: ActivationSpec, strategy: str,
     pieces = lower_pieces(program, spec, strategy, h, prof)
     net = assemble_pieces(pieces, spec.activation_id)
     plan = plan_lowering(spec, strategy, prof)
-    if plan.sigma is not spec and spec.conj_equivariant:
-        net = _conjugate_odd_maps(net)
+    if plan.sigma is not spec:
+        maps = net.affine_maps
+        net = Cvnn(_conjugate_odd_maps(maps) if spec.conj_equivariant
+                   else _conj_layers(maps, spec, plan.conj_row, h), net.activation)
     budget = strategy_width_budget(strategy, program.input_dim, program.output_dim)
     w = width_of(net)
     if w > budget:

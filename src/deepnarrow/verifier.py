@@ -451,8 +451,9 @@ def end_to_end_nonpoly(f: Callable, spec: ActivationSpec, cfg: FitConfig, strate
     activation's lone first derivative is dbar.  If the activation commutes
     with conj, the network is sigma's with every odd map conjugated, at
     sigma's depth (+1 for an odd feature count, whose outputs cross one
-    more stage of identity blocks); otherwise the lowering realizes each
-    layer as an activation layer followed by conjugation blocks.
+    more stage of identity blocks); otherwise each hidden layer of sigma's
+    network is followed by a stage of conjugation blocks, at twice the
+    depth.
     Returns the CompileReport, whose ``best_net()`` is the best network; its
     ``fit_sup_error`` is the shallow fit's error on the fit grid, so total
     error can be compared against fit error + lowering slack, and

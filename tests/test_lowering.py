@@ -11,7 +11,7 @@ import deepnarrow
 from deepnarrow import core, lowering, wirtinger
 from deepnarrow.activations import (available_activations, conjugate_activation, get_activation,
                                     scale_activation)
-from deepnarrow.blocks import identity_block
+from deepnarrow.blocks import conj_block, identity_block
 from deepnarrow.core import (ComplexAffineMap, depth_of, eval_cvnn, hidden_widths, max_coeff,
                              width_of)
 from deepnarrow.errors import ConstructionError, EvaluationFailure, StrategyMismatch
@@ -36,7 +36,8 @@ ABS_SQ = get_activation("abs_square")
 ZB = get_activation("z_plus_zbar_sq")
 CONJ_ZB = get_activation("conj:z_plus_zbar_sq")
 #: conj o (0.5+0.5j) cardioid: a lone dbar and no lone d, like conj:cardioid,
-#: but it does not commute with conj, so a realizer lowers it
+#: but it does not commute with conj, so ``lower`` follows each hidden layer
+#: of sigma's network with a stage of conjugation blocks
 ROTATED = conjugate_activation(scale_activation(CARD, 0.5 + 0.5j))
 
 
@@ -224,12 +225,14 @@ def test_hidden_widths_within_budget_per_layer():
     ("NonPoly_NMplus1", CARD, ["identity"]),
     ("NonPoly_Conj_NMplus1", CONJ_CARD, ["identity"]),
     ("NonPoly_2N2Mplus1", MODRELU, ["pair"]),
-    ("NonPoly_Conj_NMplus1", ROTATED, ["conjugation", "identity"]),
+    ("NonPoly_Conj_NMplus1", ROTATED, ["identity", "conjugation"]),
 ])
 def test_each_block_built_at_its_h(monkeypatch, rng, case, spec, roles):
     """The identity, pair and conjugation blocks are built at h; the square
     block at sqrt(h), or at h under Poly_Wide_2N2Mplus12.  "conjugation" is
-    the realizer's block.  A conj sigma over an activation that commutes
+    the block of the stages that follow sigma's hidden layers where the
+    activation does not commute with conj, built after sigma's network is
+    assembled.  A conj sigma over an activation that commutes
     with conj builds sigma's blocks alone: the outputs' stage after an odd
     count of hidden layers (3 here, and 9 for the NMplus4 program) crosses
     the kit's identity blocks."""
@@ -244,7 +247,7 @@ def test_each_block_built_at_its_h(monkeypatch, rng, case, spec, roles):
         return wrapped
 
     for role, name in [("identity", "identity_block"), ("pair", "routed_pair_block"),
-                       ("square", "mul_block"), ("conjugation", "_make_conj_realizer")]:
+                       ("square", "mul_block"), ("conjugation", "conj_block")]:
         monkeypatch.setattr(lowering, name, recording(role, getattr(lowering, name)))
     if strategy.startswith("NonPoly"):
         program = shallow_to_register(random_shallow(rng, 1, 1, 3, spec.activation_id))
@@ -279,7 +282,7 @@ def _shallow_pieces(rng):
     # as one stack (the later layers cross the same stage), end
     assert [type(obj) for obj in pieces] == [lowering.AffineArrays, lowering.Stage,
                                              lowering.Layers, lowering.AffineArrays]
-    assert pieces[2].stages == (pieces[1],)
+    assert pieces[2].stage is pieces[1]
     assert pieces[2].trans.matrix.shape == (3, 3, 3)
     assemble_pieces(pieces, CARD.activation_id)
     return pieces
@@ -301,7 +304,7 @@ def test_assemble_rejects_inf_in_a_stage_post_matrix(rng):
     post = stage.post.matrix.copy()
     post[0, 0] = np.inf
     pieces[1] = dataclasses.replace(stage, post=stage.post._replace(matrix=post))
-    pieces[2] = dataclasses.replace(pieces[2], stages=(pieces[1],))
+    pieces[2] = dataclasses.replace(pieces[2], stage=pieces[1])
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite entries"):
         assemble_pieces(pieces, CARD.activation_id)
 
@@ -380,11 +383,9 @@ def _assert_fused_equals_unfused(program, spec, strategy, h, zs, rng):
     (modrelu's dead zone outputs exact zeros).  When the unfused chain
     diverges to a non-finite value, the fused network must fail to evaluate.
     The chain is written against the plan's sigma, so both are evaluated
-    with it, but with the activation itself where a realizer turned a conj
-    sigma's stages into layers of the activation."""
+    with it."""
     pieces = lower_pieces(program, spec, strategy, h, PROF)
-    sigma = plan_lowering(spec, strategy, PROF).sigma
-    act = sigma if spec.conj_equivariant else spec
+    act = plan_lowering(spec, strategy, PROF).sigma
     fused = assemble_pieces(pieces, act.activation_id)
     with np.errstate(over="ignore", invalid="ignore"):
         a = eval_pieces(pieces, act, zs)
@@ -457,7 +458,7 @@ def _assemble_map_by_map(pieces):
     for obj in pieces:
         if isinstance(obj, lowering.Layers):
             for k, (m, b) in enumerate(zip(*obj.trans)):
-                chain += list(obj.stages) if k else []
+                chain += [obj.stage] if k else []
                 chain.append(lowering.AffineArrays(m, b))
         else:
             chain.append(obj)
@@ -505,9 +506,9 @@ def test_stacked_assembly_equals_fusing_map_by_map(case, n, m):
 
 
 #: (case, activation) of every lowering case, then Poly_NMplus4 over
-#: conj:z_plus_zbar_sq and NonPoly_NMplus1 over ROTATED; the two conj:
-#: activations are plans written against a conj sigma with sigma's own
-#: stages, and a conjugation realizer turns ROTATED's stages into layers
+#: conj:z_plus_zbar_sq and NonPoly_NMplus1 over ROTATED; all three are plans
+#: written against a conj sigma with sigma's own stages, and ``lower``
+#: follows each hidden layer of ROTATED's with a stage of conjugation blocks
 STAGE_CASES = ([pytest.param(c, LOWERING_CASES[c][1], id=c) for c in LOWERING_CASES]
                + [pytest.param("Poly_NMplus4", CONJ_ZB, id="Poly_NMplus4-conj"),
                   pytest.param("NonPoly_NMplus1", ROTATED, id="NonPoly_NMplus1-realizer")])
@@ -520,18 +521,21 @@ def test_stage_maps_hold_no_negative_zero(case, spec, n, h):
     """A placement adds a block's rows into zero rows, so every zero weight
     of a stage is +0, also where the block's own entry is -0 (some post rows
     hold one); assigning the rows would keep those -0 and change the bytes
-    of some networks.  The realizer's stages keep that rule."""
+    of some networks.  The conjugation stages after ROTATED's hidden layers
+    keep that rule: their pres are the network's odd maps."""
     conj_sigma = spec.name.startswith("conj:")
     assert (plan_lowering(spec, LOWERING_CASES[case][0], PROF).sigma is not spec) == conj_sigma
-    pieces, _ = _lowered(case, n, 1, seed=n, h=h, spec=spec)
+    program, strategy, _ = _case_program(case, n, 1, seed=n, spec=spec)
+    pieces = lower_pieces(program, spec, strategy, h, PROF)
     stages = [obj for obj in pieces if isinstance(obj, lowering.Stage)]
-    stages += [stage for obj in pieces if isinstance(obj, lowering.Layers)
-               for stage in obj.stages]
+    stages += [obj.stage for obj in pieces if isinstance(obj, lowering.Layers)]
     assert stages
-    for stage in stages:
-        for a in (stage.pre.matrix, stage.post.matrix):
-            parts = np.concatenate([a.real.ravel(), a.imag.ravel()])
-            assert not np.any((parts == 0) & np.signbit(parts))
+    arrays = [a for stage in stages for a in (stage.pre.matrix, stage.post.matrix)]
+    if spec is ROTATED:
+        arrays += [a.matrix for a in lower(program, spec, strategy, h, PROF).affine_maps[1::2]]
+    for a in arrays:
+        parts = np.concatenate([a.real.ravel(), a.imag.ravel()])
+        assert not np.any((parts == 0) & np.signbit(parts))
 
 
 def _json_map_by_map(net):
@@ -574,7 +578,7 @@ def test_json_equals_writing_map_by_map(case, n, shapes):
 #: (activation, poly strategy) for every strategy that plans for cardioid
 #: (mul2), z_plus_zbar_sq (mul3), its conjugate (mul1 under Wide and
 #: Narrow, mul3 against sigma = z_plus_zbar_sq under NMplus4) and ROTATED
-#: (behind a conjugation realizer under NMplus4)
+#: (whose hidden layers are followed by conjugation stages under NMplus4)
 LOAD_CASES = [(spec, strategy) for spec in (CARD, ZB, CONJ_ZB, ROTATED)
               for strategy in STRATEGIES if strategy.startswith("Poly")]
 
@@ -616,9 +620,11 @@ def test_one_factor_program_lowers_to_the_init_stage_alone(spec, strategy, side)
     """z or conj z: the init stage, then one affine map that loads w from
     that monomial's slot (under mul3 the program's operand is the other
     one, since mul3(x, 1) = conj x).  NMplus4 first refreshes g for conj z.
-    Under a conj sigma the realizer doubles each stage; where the activation
-    commutes with conj an odd count of stages is followed instead by the
-    outputs' stage of identity blocks."""
+    Under a conj sigma over an activation that does not commute with conj,
+    each hidden layer is followed by a stage of conjugation blocks, which
+    doubles the count; where the activation commutes with conj an odd count
+    of stages is followed instead by the outputs' stage of identity
+    blocks."""
     plan = plan_lowering(spec, strategy, PROF)
     zd, bd = ((1,), (0,)) if side == "z" else ((0,), (1,))
     program = poly_to_register([PolyZZbar(1, ((1 + 0j, zd, bd),))], plan.mul_kind)
@@ -850,7 +856,8 @@ def test_a_packed_ladder_converges_like_h(n, polys):
 
 # ---------------------------------------------------------------------------
 # A conj sigma over an activation that commutes with conj: sigma's network,
-# every odd map conjugated; over one that does not, a realizer
+# every odd map conjugated; over one that does not, a stage of conjugation
+# blocks after each hidden layer
 # ---------------------------------------------------------------------------
 
 
@@ -864,8 +871,9 @@ def _shallow_program(seed, n, m, layers):
 @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (1, 2), (2, 2)])
 @pytest.mark.parametrize("h", [1e-2, 1e-4])
 def test_fused_equals_unfused_on_conj_sigma_chains(spec, layers, n, m, h):
-    """The two lowerings of a conj sigma, at an even and an odd layer count:
-    sigma's own chain, and the realizer's."""
+    """The chains of both kinds of conj sigma, at an even and an odd layer
+    count: each is sigma's own chain, whichever transform ``lower`` then
+    applies to its assembled maps."""
     program, rng = _shallow_program(layers + 7 * n + 3 * m, n, m, layers)
     zs = random_points(rng, 30, n, scale=0.5)
     _assert_fused_equals_unfused(program, spec, "NonPoly_NMplus1", h, zs, rng)
@@ -991,35 +999,71 @@ def test_a_commuting_conj_sigma_network_is_sigmas_with_every_odd_map_conjugated(
         (s, odd) for s in ("NonPoly_NMplus1", "Poly_NMplus4") for odd in (0, 1)}
 
 
-#: (activation, strategy) of the catalog plans whose kit builds a conjugation
-#: realizer: none, since every catalog activation that takes a conj sigma
-#: commutes with conj
+def test_a_non_commuting_conj_sigma_network_follows_each_hidden_layer_with_conj_blocks():
+    """ROTATED does not commute with conj.  Under each strategy that takes
+    its conj sigma, its network has 2L - 1 maps for sigma's network's L:
+    the first is sigma's, every odd one is the pre of a stage of
+    conjugation blocks at the plan's conj row, one per unit of the hidden
+    layer before it, and every even one past the first is sigma's next map
+    fused with that stage's post.  The post's bias also takes out each
+    unit's constant Taylor remainder at its value for input 0, so there the
+    network gives sigma's network's value to rounding (at most 1.8e-10 at
+    h = 1e-2), while on other points it is O(h) away (2e-3 to 4e-2)."""
+    h = 1e-2
+    for strategy in ("NonPoly_NMplus1", "Poly_NMplus4"):
+        plan = plan_lowering(ROTATED, strategy, PROF)
+        assert plan.sigma is not ROTATED
+        blk = conj_block(plan.conj_row, h)
+        for program in _parity_programs(ROTATED, strategy):
+            sigma = lower(program, plan.sigma, strategy, h, PROF)
+            net = lower(program, ROTATED, strategy, h, PROF)
+            maps = net.affine_maps
+            assert len(maps) == 2 * len(sigma.affine_maps) - 1
+            assert np.array_equal(maps[0].matrix, sigma.affine_maps[0].matrix)
+            assert np.array_equal(maps[0].bias, sigma.affine_maps[0].bias)
+            for k, following in enumerate(sigma.affine_maps[1:]):
+                width = following.in_dim
+                stage = lowering._stage([(blk, [i], [i]) for i in range(width)], width,
+                                        np.zeros(width))
+                pre, fused = maps[2 * k + 1], maps[2 * k + 2]
+                assert pre.matrix.tobytes() == stage.pre.matrix.tobytes()
+                assert pre.bias.tobytes() == stage.pre.bias.tobytes()
+                assert np.array_equal(fused.matrix, core.fuse_arrays(following, stage.post).matrix)
+            zero = np.zeros((1, program.input_dim))
+            err = np.abs(eval_cvnn(net, zero, ROTATED.fn) - eval_cvnn(sigma, zero, plan.sigma.fn))
+            assert np.max(err) <= 1e-9
+
+
+#: (activation, strategy) of the catalog plans whose lowering adds
+#: conjugation stages (``_conj_layers``): none, since every catalog activation
+#: that takes a conj sigma commutes with conj
 REALIZED = set()
 
 
 def test_the_realizer_builds_only_for_the_listed_plans(monkeypatch):
     """Over every catalog name and its conj: form under every strategy that
-    plans and builds, no plan keeps the realizer; a new path that takes a
+    plans, no lowering adds conjugation stages; a new path that takes a
     conj sigma over an activation that does not commute with conj shows
     here.  ROTATED, which does not, still takes it."""
     realized = []
-    make = lowering._make_conj_realizer
-    monkeypatch.setattr(lowering, "_make_conj_realizer",
-                        lambda spec, *args: realized.append(spec) or make(spec, *args))
+    conj_layers = lowering._conj_layers
+    monkeypatch.setattr(lowering, "_conj_layers",
+                        lambda maps, spec, *args: realized.append(spec)
+                        or conj_layers(maps, spec, *args))
     seen = set()
-    for name in [form for base in available_activations() for form in (base, "conj:" + base)]:
+    for name in CATALOG_FORMS:
         spec = get_activation(name)
         for strategy in STRATEGIES:
             before = len(realized)
             try:
-                plan = plan_lowering(spec, strategy, PROF)
+                plan_lowering(spec, strategy, PROF)
             except (StrategyMismatch, ConstructionError):
                 continue
-            lowering._build_kit(spec, plan, 1e-3)
+            lower(_family_program(spec, strategy), spec, strategy, 1e-3, PROF)
             if realized[before:] == [spec]:
                 seen.add((name, strategy))
     assert seen == REALIZED and len(realized) == len(REALIZED)
-    lowering._build_kit(ROTATED, plan_lowering(ROTATED, "NonPoly_NMplus1", PROF), 1e-3)
+    lower(_family_program(ROTATED, "NonPoly_NMplus1"), ROTATED, "NonPoly_NMplus1", 1e-3, PROF)
     assert realized == [ROTATED]
 
 
@@ -1096,7 +1140,7 @@ NO_PROBE_CASES = [
     (CARD, "Poly_Narrow_2N2Mplus5"),
     (ZB, "Poly_NMplus4"),
     (CONJ_CARD, "Poly_NMplus4"),               # conjugation parity
-    (ROTATED, "NonPoly_NMplus1"),              # conjugation realizer
+    (ROTATED, "NonPoly_NMplus1"),              # conjugation stages
 ]
 
 

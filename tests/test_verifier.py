@@ -195,8 +195,8 @@ def test_conj_of_a_rotated_cardioid_compiles_through_the_conjugation_realizer():
     """conj o (0.5+0.5j) cardioid does not commute with conj, so conjugating
     every odd map of sigma's network does not give its network; it has a
     lone dbar and no lone d, and compiles under NonPoly_NMplus1 against
-    sigma = the scaled spec itself, each sigma layer followed by a
-    conjugation-block layer."""
+    sigma = the scaled spec itself, each hidden layer of sigma's network
+    followed by a stage of conjugation blocks."""
     scaled = scale_activation(get_activation("cardioid"), 0.5 + 0.5j)
     spec = conjugate_activation(scaled)
     z = np.array([0.3 + 0.7j, -1 + 0.2j])
