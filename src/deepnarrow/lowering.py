@@ -236,7 +236,8 @@ def _plan(spec: ActivationSpec, strategy: str, prof: ToleranceProfile) -> Loweri
     s_lone_d, _, s_both = atlas.pattern_points()
     if strategy in _LONE_DERIVATIVE and s_lone_d is None:
         raise StrategyMismatch(
-            f"{strategy}: needs a point with exactly one nonzero first derivative")
+            f"{strategy}: needs a point with exactly one nonzero first derivative "
+            "that passes the first-order remainder probe")
 
     if strategy == "NonPoly_NMplus1":
         return LoweringPlan(strategy, sigma, id_row=s_lone_d, conj_row=conj_row)
@@ -244,7 +245,8 @@ def _plan(spec: ActivationSpec, strategy: str, prof: ToleranceProfile) -> Loweri
     if strategy == "NonPoly_2N2Mplus1":
         if s_both is None:
             raise StrategyMismatch(
-                f"{strategy}: needs a point with both Wirtinger derivatives nonzero")
+                f"{strategy}: needs a point with both Wirtinger derivatives nonzero "
+                "that passes the first-order remainder probe")
         return LoweringPlan(strategy, sigma, pair_route=(s_both,))
 
     square = atlas.square_point()

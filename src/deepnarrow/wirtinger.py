@@ -570,15 +570,19 @@ class ProbeAtlas:
     # -- point rules -------------------------------------------------------
 
     def _by_pattern(self) -> list:
-        """(points, conditioning scores) per pattern "d", "dbar", "both": the
-        score is |d|, |dbar| or min(|d|, |dbar|)."""
+        """(points, conditioning scores) per pattern "d", "dbar", "both",
+        among the points that pass the first-order remainder probe
+        (``taylor_passing``), in grid order: the score is |d|, |dbar| or
+        min(|d|, |dbar|)."""
         ad, adb = self._mags
-        idxs = [np.flatnonzero(self.codes == code) for code in (1, 2, 3)]
+        passing = np.array(self.taylor_passing(), dtype=int)
+        idxs = [passing[self.codes[passing] == code] for code in (1, 2, 3)]
         return [(idx, score[idx]) for idx, score in zip(idxs, (ad, adb, np.minimum(ad, adb)))]
 
     def pattern_points(self) -> tuple:
-        """The row of the best point per first-order pattern: (lone d, lone
-        dbar, both), each None when absent.
+        """The row of the best point per first-order pattern among those that
+        pass the first-order remainder probe: (lone d, lone dbar, both), each
+        None when absent.
 
         Within 2x of the best conditioning score, the point with the least
         |f(z0)| wins: the activation magnitude at the localization point sets
@@ -590,15 +594,18 @@ class ProbeAtlas:
     def pair_route(self):
         """The rows where a width-2 (z, conj z) block localizes: (z0,) at the
         "both" point of the best conditioning score when there is one, else
-        (z_id, z_conj) at the best lone-d and the best lone-dbar point.
-        Raises ConstructionError when either is missing."""
+        (z_id, z_conj) at the best lone-d and the best lone-dbar point, each
+        among the points that pass the first-order remainder probe.  Raises
+        ConstructionError when either is missing."""
         lone_d, lone_db, both = self._by_pattern()
         if both[0].size:
             return (self.row(_best(*both)),)
         if not lone_d[0].size or not lone_db[0].size:
             raise ConstructionError(
-                "no usable probe points for id/conj pair: activation appears "
-                "holomorphic, antiholomorphic, or R-affine on the probe grid")
+                "no usable probe points for id/conj pair: no point that passes the "
+                "first-order remainder probe has both derivatives nonzero, and not "
+                "both a lone d and a lone dbar; activation appears holomorphic, "
+                "antiholomorphic, R-affine or nowhere differentiable on the probe grid")
         return self.row(_best(*lone_d)), self.row(_best(*lone_db))
 
     def active_point(self) -> Optional[complex]:

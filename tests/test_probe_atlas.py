@@ -109,19 +109,17 @@ GOLDEN = {
                 ('modrelu', None, ((-1-0.5j),), (-1-0.5j), 'mul2'),
             'Poly_NMplus4': StrategyMismatch,
         }),
+    # no point passes the first-order remainder probe, so no block point
+    # is ranked and every plan is refused: the lone-derivative and both
+    # patterns by the plan, the poly strategies by the pair route
     'nowhere_diff': (
         'Inconclusive', None, None, ((-1+0j), 'ddbar'),
         {
-            'NonPoly_NMplus1':
-                ('nowhere_diff', (-1.5+0.5j), None, None, None),
-            'NonPoly_2N2Mplus1':
-                ('nowhere_diff', None, ((-1.5+2j),), None, None),
-            'Poly_Wide_2N2Mplus12':
-                ('nowhere_diff', None, ((-2-0.5j),), (-1+0j), 'mul2'),
-            'Poly_Narrow_2N2Mplus5':
-                ('nowhere_diff', (-1.5+0.5j), ((-2-0.5j),), (-1+0j), 'mul2'),
-            'Poly_NMplus4':
-                ('nowhere_diff', (-1.5+0.5j), ((-2-0.5j),), (-1+0j), 'mul2'),
+            'NonPoly_NMplus1': StrategyMismatch,
+            'NonPoly_2N2Mplus1': StrategyMismatch,
+            'Poly_Wide_2N2Mplus12': ConstructionError,
+            'Poly_Narrow_2N2Mplus5': ConstructionError,
+            'Poly_NMplus4': StrategyMismatch,
         }),
     'r_affine': (
         'NonUniversalHolomorphic', None, (-2-2j), None,

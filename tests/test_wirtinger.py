@@ -631,15 +631,20 @@ def test_pattern_points_evaluate_f_z0_in_one_call():
     """A fresh cardioid atlas evaluates f(z0) at every point in one call on
     its first pattern query, and a second query keeps that evaluation.  The
     scan itself calls the activation once: cardioid's first derivatives are
-    closed-form, and the R-affine check probes one second derivative."""
+    closed-form, and the R-affine check probes one second derivative.  The
+    first pattern query ranks only the points that pass the first-order
+    remainder probe, so it first makes the Taylor batch's one call: f(z0)
+    and 64 circle points at each of the 76 of the 80 points with a
+    pattern."""
     calls, spec = [], get_activation("cardioid")
     spec = dataclasses.replace(spec, fn=_counting(spec, calls).fn)
     atlas = probe_atlas(spec, PROF)
     assert calls == [17]
+    assert len(atlas) == 80 and np.count_nonzero(atlas.codes) == 76
     lone_d, _, _ = atlas.pattern_points()
-    assert lone_d is not None and calls == [17, len(atlas)]
+    assert lone_d is not None and calls == [17, 76 * 65, 80]
     atlas.pattern_points()
-    assert calls == [17, len(atlas)]
+    assert calls == [17, 76 * 65, 80]
 
 
 @pytest.mark.parametrize("name", available_activations())
