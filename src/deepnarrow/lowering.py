@@ -183,11 +183,10 @@ class LoweringPlan:
     and the (z, conj z) pair route's on sigma's atlas, the square block's
     with its square kind, and under a conj sigma the activation's own row
     at the identity point, where ``_conj_layers`` puts its conjugation
-    blocks.  Each
-    is None where the strategy needs no such block.  Narrow's identity row
-    is optional: sigma's lone-d point where it has one, else None, and the
-    pair block crosses the registers.  The blocks read their rows and probe
-    nothing.
+    blocks.  Each is None where the strategy needs no such block.  Narrow's
+    identity row is optional: sigma's lone-d point where it has one, else
+    None, and the pair block crosses the registers.  The blocks read their
+    rows and probe nothing.
     """
 
     strategy: str
