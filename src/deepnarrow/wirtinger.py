@@ -602,10 +602,11 @@ class ProbeAtlas:
             return (self.row(_best(*both)),)
         if not lone_d[0].size or not lone_db[0].size:
             raise ConstructionError(
-                "no usable probe points for id/conj pair: no point that passes the "
-                "first-order remainder probe has both derivatives nonzero, and not "
-                "both a lone d and a lone dbar; activation appears holomorphic, "
-                "antiholomorphic, R-affine or nowhere differentiable on the probe grid")
+                "no usable probe points for id/conj pair: among the points that pass "
+                "the first-order remainder probe none has both derivatives nonzero, "
+                "and there is no lone-d and lone-dbar pair; the activation appears "
+                "holomorphic, antiholomorphic, R-affine or nowhere differentiable on "
+                "the probe grid")
         return self.row(_best(*lone_d)), self.row(_best(*lone_db))
 
     def active_point(self) -> Optional[complex]:
