@@ -841,7 +841,12 @@ def classify_activation(spec: ActivationSpec,
                         prof: ToleranceProfile = ToleranceProfile()) -> Classification:
     """Full decision tree.  The verdict depends on the activation alone; the
     widths its name quotes are formulas in the dimensions n and m of the
-    networks C^n -> C^m."""
+    networks C^n -> C^m.  It is kept on the spec, as the atlas is: every
+    call on one spec and profile returns one Classification."""
+    return spec.derived(("classification", prof), lambda: _classify(spec, prof))
+
+
+def _classify(spec: ActivationSpec, prof: ToleranceProfile) -> Classification:
     flags = spec.class_flags
     for flag, verdict in (
         ("holomorphic", "NonUniversalHolomorphic"),

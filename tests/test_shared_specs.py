@@ -254,6 +254,24 @@ def test_a_replaced_spec_starts_with_an_empty_store():
     assert probe_atlas(spec, PROF) is atlas and plan_lowering(spec, "NonPoly_NMplus1", PROF) is plan
 
 
+@pytest.mark.parametrize("name", ["cardioid", "re_square", "tanh_re"])
+def test_a_classification_is_kept_on_its_spec(monkeypatch, name):
+    """classify_activation computes a spec's verdict once per profile: a
+    second call on a shared spec returns the first call's Classification
+    and makes no probe, and a spec made by dataclasses.replace classifies
+    anew."""
+    spec = get_activation(name)
+    first = wirtinger.classify_activation(spec, PROF)
+    probes = [_counted(monkeypatch, wirtinger, fn) for fn in
+              ("_scan", "first_derivs", "second_derivs", "taylor_remainder_probe")]
+    assert wirtinger.classify_activation(spec, PROF) is first
+    assert probes == [[], [], [], []]
+    fresh = dataclasses.replace(spec, fn=spec.fn)
+    again = wirtinger.classify_activation(fresh, PROF)
+    assert again is not first and again.verdict == first.verdict
+    assert probes[0] == [name]
+
+
 def test_threads_asking_one_fresh_spec_share_one_atlas():
     """Four threads that ask one fresh spec for its atlas at once all get
     the one atlas that the spec keeps.  Each activation call waits, so the
