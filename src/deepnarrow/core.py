@@ -240,6 +240,16 @@ class Cvnn:
         return self.runs[-1][0].shape[1]
 
 
+def _cvnn_of_checked_runs(runs: tuple, activation: ActivationId) -> Cvnn:
+    """A network over runs already read-only, chained and finite, as a
+    transform that keeps every finite entry finite leaves a network's runs:
+    taken as they are, neither copied nor checked again."""
+    net = object.__new__(Cvnn)
+    object.__setattr__(net, "runs", runs)
+    object.__setattr__(net, "activation", activation)
+    return net
+
+
 def _resolve_activation(net: Cvnn, activation_fn) -> Callable:
     if activation_fn is not None:
         return activation_fn

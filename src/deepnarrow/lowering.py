@@ -68,8 +68,8 @@ import numpy as np
 from .activations import ActivationSpec, _conjugate
 from .blocks import (_SQUARE_TO_MUL, ShallowBlock, conj_block, identity_block, mul_block,
                      routed_pair_block)
-from .core import (AffineArrays, ComplexAffineMap, Cvnn, eval_affine, fuse_arrays,
-                   width_of)
+from .core import (AffineArrays, ComplexAffineMap, Cvnn, _cvnn_of_checked_runs, eval_affine,
+                   fuse_arrays, width_of)
 from .errors import StrategyMismatch
 from .register import FlushLayer, RegisterProgram
 from .wirtinger import PointRow, ToleranceProfile, probe_atlas
@@ -550,17 +550,27 @@ def assemble_pieces(pieces: list, activation_id) -> Cvnn:
     return Cvnn(maps, activation_id)
 
 
-def _conjugate_odd_maps(maps) -> list:
-    """sigma's network's maps as those of one over act, where sigma = conj o
-    act and act commutes with conj: act(t) = conj sigma(t) and act(conj t)
-    = sigma(t), and conj(A) conj(x) + conj(b) = conj(A x + b).  So with
-    every odd map conjugated, each odd hidden layer reads sigma's network's
-    input and gives the conjugate of its output, each even one reads the
-    conjugate and gives the output itself, and the last map reads the
-    output it is written for, since ``lower_pieces`` gives sigma's chain an
-    even count of hidden layers."""
-    return [AffineArrays(a.matrix.conj(), a.bias.conj()) if k % 2 else a
-            for k, a in enumerate(maps)]
+def _conjugate_odd_maps(net: Cvnn) -> Cvnn:
+    """sigma's network as one over act, where sigma = conj o act and act
+    commutes with conj: act(t) = conj sigma(t) and act(conj t) = sigma(t),
+    and conj(A) conj(x) + conj(b) = conj(A x + b).  So with every odd map
+    conjugated, each odd hidden layer reads sigma's network's input and
+    gives the conjugate of its output, each even one reads the conjugate
+    and gives the output itself, and the last map reads the output it is
+    written for, since ``lower_pieces`` gives sigma's chain an even count
+    of hidden layers.  The odd maps are conjugated on copies of sigma's
+    runs, which are not checked again: a conjugate of a finite entry is
+    finite."""
+    runs, k = [], 0
+    for run in net.runs:
+        run = tuple(a.copy() for a in run)
+        odd = slice((k + 1) % 2, None, 2)
+        for a in run:
+            np.conjugate(a[odd], out=a[odd])
+            a.setflags(write=False)
+        runs.append(run)
+        k += len(run[0])
+    return _cvnn_of_checked_runs(tuple(runs), net.activation)
 
 
 def _conj_layers(maps, spec: ActivationSpec, row: PointRow, h: float) -> list:
@@ -576,7 +586,10 @@ def _conj_layers(maps, spec: ActivationSpec, row: PointRow, h: float) -> list:
     vanish with h.  It is computed exactly from two activation evaluations
     and taken out of the post bias, leaving only the O(h)-decaying
     input-dependent remainder.  y0 is act of the unit's pre-activation in
-    sigma's network at input 0, from one forward pass of that point."""
+    sigma's network at input 0, from one forward pass of that point.
+
+    The network built from these maps is checked again: a fused map's
+    products can overflow where sigma's maps are finite."""
     blk = conj_block(row, h)
     cc = 1.0 / (h * row.dbar)
     out = [maps[0]]
@@ -657,9 +670,9 @@ def lower(program: RegisterProgram, spec: ActivationSpec, strategy: str,
     net = assemble_pieces(pieces, spec.activation_id)
     plan = plan_lowering(spec, strategy, prof)
     if plan.sigma is not spec:
-        maps = net.affine_maps
-        net = Cvnn(_conjugate_odd_maps(maps) if spec.conj_equivariant
-                   else _conj_layers(maps, spec, plan.conj_row, h), net.activation)
+        net = (_conjugate_odd_maps(net) if spec.conj_equivariant
+               else Cvnn(_conj_layers(net.affine_maps, spec, plan.conj_row, h),
+                         net.activation))
     budget = strategy_width_budget(strategy, program.input_dim, program.output_dim)
     w = width_of(net)
     if w > budget:

@@ -314,10 +314,11 @@ def test_lower_validates_only_network_and_block_maps(monkeypatch, rng, case):
     """One lower of a depth-L shallow program checks each run of the network
     for non-finite entries once, and constructs a ComplexAffineMap only for
     the blocks built at that h.  Under a conj sigma sigma's network is
-    checked before its odd maps are conjugated; its 25 layers are an odd
-    count, so the output crosses one more stage, of the kit's identity
-    blocks: that stage's entry map and its exit map are runs of their own,
-    4 runs in all, and no block is built for it."""
+    checked, once, before its odd maps are conjugated on copies of its runs,
+    which are not checked again; its 25 layers are an odd count, so the
+    output crosses one more stage, of the kit's identity blocks: that
+    stage's entry map and its exit map are runs of their own, 4 runs in
+    all, and no block is built for it."""
     strategy, spec = LOWERING_CASES[case]
     program = shallow_to_register(random_shallow(rng, 2, 1, 25, spec.activation_id))
     built, checked = [], []
@@ -350,9 +351,15 @@ def test_lower_validates_only_network_and_block_maps(monkeypatch, rng, case):
     # the first map, one run of every map between program layers, the last
     # map (under a parity, the last two)
     assert [len(m) for m, _ in net.runs] == [1, 24, 1] + [1] * parity
-    sigma_runs = 4 * parity
-    assert len(checked) == sigma_runs + len(net.runs)
-    assert all(a is m for a, (m, _) in zip(checked[sigma_runs:], net.runs))
+    assert len(checked) == 3 + parity
+    if parity:
+        # the checked runs are sigma's: the network's with every odd map conjugated
+        sigma_maps = [m for run in checked for m in run]
+        assert len(sigma_maps) == depth_of(net)
+        for k, (a, m) in enumerate(zip(net.affine_maps, sigma_maps)):
+            assert np.array_equal(a.matrix, m.conj() if k % 2 else m)
+    else:
+        assert all(a is m for a, (m, _) in zip(checked, net.runs))
     assert kit_maps == [2]        # one block: pre and post
     assert len(built) == kit_maps[0]
 
