@@ -469,7 +469,29 @@ def _affine_from_dict(d: dict) -> ComplexAffineMap:
     return ComplexAffineMap(m, b)
 
 
+#: maps per json.dumps call of ``cvnn_to_json``: the writer holds the lists
+#: and dicts of at most this many maps at a time
+JSON_CHUNK = 64
+
+
+def _map_dicts(net: Cvnn):
+    """Every map of the network as its JSON dict, made JSON_CHUNK maps at a
+    time."""
+    for ms, bs in net.runs:
+        _, rows, cols = ms.shape
+        for start in range(0, len(ms), JSON_CHUNK):
+            parts = (ms[start:start + JSON_CHUNK], bs[start:start + JSON_CHUNK])
+            mats, biases = (a.view(np.float64).reshape(len(a), -1, 2).tolist() for a in parts)
+            yield from ({"rows": rows, "cols": cols, "matrix": m, "bias": b}
+                        for m, b in zip(mats, biases))
+
+
 def cvnn_to_json(net: Cvnn) -> str:
+    """The network as a JSON document, its keys sorted.  The document is
+    dumped with the first JSON_CHUNK maps, and each later chunk of maps is
+    dumped alone and spliced in before the dimensions that close it, so
+    that the text is that of one ``json.dumps`` of the whole document."""
+    maps = _map_dicts(net)
     doc = {
         "input_dim": net.input_dim,
         "output_dim": net.output_dim,
@@ -477,16 +499,17 @@ def cvnn_to_json(net: Cvnn) -> str:
             "name": net.activation.name,
             "params": {k: _param_value_to_json(v) for k, v in net.activation.params},
         },
-        "affine_maps": [],
+        "affine_maps": list(itertools.islice(maps, JSON_CHUNK)),
     }
-    for ms, bs in net.runs:
-        length, rows, cols = ms.shape
-        mats, biases = (np.ascontiguousarray(a).view(np.float64).reshape(length, -1, 2).tolist()
-                        for a in (ms, bs))
-        doc["affine_maps"] += [{"rows": rows, "cols": cols, "matrix": m, "bias": b}
-                               for m, b in zip(mats, biases)]
-    # the document is built fresh from lists and dicts, so it holds no cycle
-    return json.dumps(doc, sort_keys=True, check_circular=False)
+    # the documents are built fresh from lists and dicts, so they hold no cycle
+    text = json.dumps(doc, sort_keys=True, check_circular=False)
+    # under sorted keys the two dimensions, plain ints, follow the maps
+    tail = f'], "input_dim": {net.input_dim}, "output_dim": {net.output_dim}}}'
+    parts = [text[:-len(tail)]]
+    while chunk := list(itertools.islice(maps, JSON_CHUNK)):
+        parts.append(json.dumps(chunk, sort_keys=True, check_circular=False)[1:-1])
+    parts[-1] += tail
+    return ", ".join(parts)
 
 
 def cvnn_from_json(text: str) -> Cvnn:

@@ -26,8 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .activations import ActivationSpec
-from .core import (CompactBox, ComplexAffineMap, Cvnn, GridSpec, _as_batch, eval_cvnn,
-                   sample_box)
+from .core import CompactBox, ComplexAffineMap, Cvnn, GridSpec, _as_batch, sample_box
 from .errors import FitSingular
 from .register import PolyZZbar, _graded_lex_key, _monomial
 
@@ -56,9 +55,11 @@ class FitConfig:
 def solve_complex_ridge(design: np.ndarray, targets: np.ndarray, ridge: float) -> np.ndarray:
     """Minimize ||design @ c - targets||^2 + ridge ||c||^2 over complex c.
 
-    Solved via the doubled real system.  With ridge > 0 and more columns than
-    rows, the equivalent dual (kernel) system is used, which is much smaller.
-    Raises FitSingular for a rank-deficient system when ridge == 0.
+    Solved via the doubled real system, filled block by block into one
+    (2p, 2w) array; the ridge is added to the Gram diagonal in place.  With
+    ridge > 0 and more columns than rows, the equivalent dual (kernel)
+    system is used, which is much smaller.  Raises FitSingular for a
+    rank-deficient system when ridge == 0.
     """
     a = np.asarray(design, dtype=np.complex128)
     y = np.asarray(targets, dtype=np.complex128)
@@ -66,7 +67,11 @@ def solve_complex_ridge(design: np.ndarray, targets: np.ndarray, ridge: float) -
     if squeeze:
         y = y[:, None]
     p, w = a.shape
-    ar = np.block([[a.real, -a.imag], [a.imag, a.real]])   # (2p, 2w)
+    ar = np.empty((2 * p, 2 * w))
+    ar[:p, :w] = a.real
+    np.negative(a.imag, out=ar[:p, w:])
+    ar[p:, :w] = a.imag
+    ar[p:, w:] = a.real
     yr = np.vstack([y.real, y.imag])                        # (2p, k)
     if ridge == 0:
         sol, _, rank, _ = np.linalg.lstsq(ar, yr, rcond=None)
@@ -75,10 +80,12 @@ def solve_complex_ridge(design: np.ndarray, targets: np.ndarray, ridge: float) -
                 "normal equations are singular with ridge=0; set ridge > 0")
     elif 2 * w > 2 * p:
         # dual form: c = A^T (A A^T + ridge I)^-1 y
-        gram = ar @ ar.T + ridge * np.eye(2 * p)
+        gram = ar @ ar.T
+        gram.flat[::2 * p + 1] += ridge
         sol = ar.T @ np.linalg.solve(gram, yr)
     else:
-        gram = ar.T @ ar + ridge * np.eye(2 * w)
+        gram = ar.T @ ar
+        gram.flat[::2 * w + 1] += ridge
         sol = np.linalg.solve(gram, ar.T @ yr)
     c = sol[:w] + 1j * sol[w:]
     return c[:, 0] if squeeze else c
@@ -91,6 +98,10 @@ def _complex_normal(rng: np.random.Generator, shape, scale: float = 1.0) -> np.n
 
 def _sup_err(values: np.ndarray, targets: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(values - targets, axis=1)))
+
+
+#: most hidden values fit_shallow passes to one activation call
+ACTIVATION_BLOCK = 2 ** 15
 
 
 def fit_shallow(f: Callable, spec: ActivationSpec, cfg: FitConfig = FitConfig()):
@@ -108,13 +119,21 @@ def fit_shallow(f: Callable, spec: ActivationSpec, cfg: FitConfig = FitConfig())
     b1 = _complex_normal(rng, w, cfg.weight_scale) / np.sqrt(2)
     pts = sample_box(cfg.box, cfg.grid)
     targets = _as_batch(f(pts), pts.shape[0])
-    feats = spec(pts @ a1.T + b1)
-    design = np.hstack([feats, np.ones((pts.shape[0], 1), dtype=np.complex128)])
+    # the hidden layer, evaluated once, in place: one product (a product
+    # split by columns can round differently), then the activation a block
+    # of columns at a time, then the ones column of the output bias
+    design = np.empty((pts.shape[0], w + 1), dtype=np.complex128)
+    hidden = design[:, :w]
+    np.matmul(pts, a1.T, out=hidden)
+    hidden += b1
+    step = max(1, ACTIVATION_BLOCK // pts.shape[0])
+    for j in range(0, w, step):
+        hidden[:, j:j + step] = spec(hidden[:, j:j + step])
+    design[:, w] = 1
     coef = solve_complex_ridge(design, targets, cfg.ridge)
-    v1 = ComplexAffineMap(a1, b1)
-    v2 = ComplexAffineMap(coef[:w].T, coef[w])
-    net = Cvnn((v1, v2), spec.activation_id)
-    achieved = _sup_err(eval_cvnn(net, pts, spec.fn), targets)
+    net = Cvnn((ComplexAffineMap(a1, b1), ComplexAffineMap(coef[:w].T, coef[w])),
+               spec.activation_id)
+    achieved = _sup_err(hidden @ coef[:w] + coef[w], targets)
     return net, achieved
 
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from deepnarrow.activations import get_activation
-from deepnarrow.core import (MAX_SAMPLE_POINTS, AffineArrays, CompactBox, ComplexAffineMap, Cvnn,
-                             GridSpec, cvnn_from_json, cvnn_to_json, depth_of, eval_affine,
+from deepnarrow.core import (JSON_CHUNK, MAX_SAMPLE_POINTS, AffineArrays, CompactBox,
+                             ComplexAffineMap, Cvnn, GridSpec, cvnn_from_json, cvnn_to_json, depth_of, eval_affine,
                              eval_cvnn, eval_cvnns, fuse_affine, hidden_widths, max_coeff,
                              sample_box, width_of)
 from deepnarrow.errors import DimensionMismatch, EvaluationFailure
@@ -227,6 +227,70 @@ def test_serialization_schema_fields(rng):
     assert first["rows"] == 3 and first["cols"] == 2
     assert len(first["matrix"]) == 6 and len(first["matrix"][0]) == 2
     assert len(first["bias"]) == 3
+
+
+def _whole_document(net):
+    """The network's JSON document built whole and dumped by one call."""
+    maps = [{"rows": a.out_dim, "cols": a.in_dim,
+             "matrix": [[float(x.real), float(x.imag)] for x in a.matrix.ravel()],
+             "bias": [[float(x.real), float(x.imag)] for x in a.bias]} for a in net.affine_maps]
+    params = {k: [v.real, v.imag] if isinstance(v, complex) else v
+              for k, v in net.activation.params}
+    doc = {"input_dim": net.input_dim, "output_dim": net.output_dim,
+           "activation": {"name": net.activation.name, "params": params},
+           "affine_maps": maps}
+    return json.dumps(doc, sort_keys=True)
+
+
+@pytest.mark.parametrize("square_runs", [(5,), (2 * JSON_CHUNK + 5,),
+                                         (JSON_CHUNK - 2, JSON_CHUNK)])
+def test_chunked_json_is_one_dump_of_the_whole_document(rng, square_runs):
+    """The maps dumped a chunk at a time and spliced in give the text of one
+    json.dumps of the whole document: for one chunk, for a run longer than
+    two chunks, and for chunks that end at a run's end and inside a run;
+    the activation's params are complex.  The text reads back to the
+    network and writes itself again."""
+    spec = get_activation("r_affine", {"a": 2 - 0.5j, "b": 0.25j, "c": -1})
+    maps, width = [], 2
+    for k, length in enumerate(square_runs):
+        maps.append(random_affine(rng, 3 + k, width))
+        width = 3 + k
+        maps += [random_affine(rng, width, width) for _ in range(length)]
+    maps.append(random_affine(rng, 1, width))
+    lengths = [n for length in square_runs for n in (1, length)] + [1]
+    net = Cvnn(maps, spec.activation_id)
+    assert [len(m) for m, _ in net.runs] == list(lengths)
+    text = cvnn_to_json(net)
+    assert text == _whole_document(net)
+    back = cvnn_from_json(text)
+    assert back.activation == net.activation
+    assert all(a.tobytes() == b.tobytes()
+               for (ma, ba), (mb, bb) in zip(net.runs, back.runs) for a, b in ((ma, mb), (ba, bb)))
+    assert cvnn_to_json(back) == text
+
+
+def test_chunked_json_of_a_deep_network_traces_under_a_megabyte_and_a_half():
+    """The NonPoly_NMplus1 network of a 1,000-layer program (depth 1,001,
+    width 3) is written holding the text, its chunks and the maps of one
+    chunk; the whole document's lists took 4.4 MB."""
+    import tracemalloc
+
+    from deepnarrow.lowering import lower
+    from deepnarrow.register import shallow_to_register
+
+    card = get_activation("cardioid")
+    program = shallow_to_register(random_shallow(np.random.default_rng(0), 1, 1, 1000,
+                                                 card.activation_id))
+    net = lower(program, card, "NonPoly_NMplus1", 1e-3)
+    assert (depth_of(net), width_of(net)) == (1001, 3)
+    text = cvnn_to_json(net)
+    tracemalloc.start()
+    try:
+        assert cvnn_to_json(net) == text
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20
 
 
 def test_eval_cvnn_identity_block_net():

@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from deepnarrow import fitting
 from deepnarrow.activations import get_activation
-from deepnarrow.core import CompactBox, GridSpec, cvnn_to_json, eval_cvnn, sample_box
+from deepnarrow.core import (CompactBox, ComplexAffineMap, Cvnn, GridSpec, _as_batch,
+                             cvnn_to_json, eval_cvnn, sample_box)
 from deepnarrow.errors import DimensionMismatch, FitSingular
 from deepnarrow.fitting import (FitConfig, fit_poly, fit_shallow,
                                 monomial_exponents, solve_complex_ridge)
@@ -36,6 +39,105 @@ def test_solve_complex_ridge_dual_matches_primal(rng):
     primal = np.linalg.solve(ar.T @ ar + ridge * np.eye(120), ar.T @ yr)
     primal_c = primal[:60] + 1j * primal[60:]
     assert np.max(np.abs(dual - primal_c)) < 1e-8
+
+
+def _reference_ridge(a, y, ridge):
+    """solve_complex_ridge's doubled real system written whole: np.block
+    for the system and ridge * np.eye for the penalty."""
+    w = a.shape[1]
+    ar = np.block([[a.real, -a.imag], [a.imag, a.real]])
+    yr = np.vstack([y.real, y.imag])
+    if ridge == 0:
+        sol, _, rank, _ = np.linalg.lstsq(ar, yr, rcond=None)
+        if rank < 2 * w:
+            raise FitSingular("singular")
+    elif w > a.shape[0]:
+        sol = ar.T @ np.linalg.solve(ar @ ar.T + ridge * np.eye(len(ar)), yr)
+    else:
+        sol = np.linalg.solve(ar.T @ ar + ridge * np.eye(2 * w), ar.T @ yr)
+    return sol[:w] + 1j * sol[w:]
+
+
+@given(p=st.integers(1, 12), w=st.integers(1, 12), k=st.sampled_from([1, 2]),
+       ridge=st.sampled_from([0.0, 1e-8, 1e-3, 2.0]), real_column=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_solve_complex_ridge_is_the_block_formulation_bit_for_bit(p, w, k, ridge,
+                                                                  real_column, seed):
+    """The system filled in place, and the ridge added to the Gram diagonal
+    in place, give the bits of np.block and ridge * np.eye, with more rows
+    than columns and fewer; a column with zero imaginary parts puts -0.0
+    into the system."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((p, w)) + 1j * rng.standard_normal((p, w))
+    if real_column:
+        a[:, -1] = a[:, -1].real
+    y = rng.standard_normal((p, k)) + 1j * rng.standard_normal((p, k))
+    try:
+        want = _reference_ridge(a, y, ridge)
+    except FitSingular:
+        with pytest.raises(FitSingular):
+            solve_complex_ridge(a, y, ridge)
+        return
+    got = solve_complex_ridge(a, y, ridge)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _reference_fit(f, spec, cfg):
+    """fit_shallow as the whole design: the features through np.hstack, the
+    achieved error from eval_cvnn of the network."""
+    rng = np.random.default_rng(cfg.seed)
+    w = cfg.num_features
+    a1 = fitting._complex_normal(rng, (w, cfg.box.n), cfg.weight_scale) / np.sqrt(2)
+    b1 = fitting._complex_normal(rng, w, cfg.weight_scale) / np.sqrt(2)
+    pts = sample_box(cfg.box, cfg.grid)
+    targets = _as_batch(f(pts), pts.shape[0])
+    feats = spec(pts @ a1.T + b1)
+    design = np.hstack([feats, np.ones((pts.shape[0], 1), dtype=np.complex128)])
+    coef = _reference_ridge(design, targets, cfg.ridge)
+    net = Cvnn((ComplexAffineMap(a1, b1), ComplexAffineMap(coef[:w].T, coef[w])),
+               spec.activation_id)
+    err = float(np.max(np.linalg.norm(eval_cvnn(net, pts, spec.fn) - targets, axis=1)))
+    return net, err
+
+
+@pytest.mark.parametrize("ridge", [0.0, 1e-8])
+@pytest.mark.parametrize("n, target, points_per_axis", [
+    (1, "zzbar", 9), (1, "norm0", 9), (1, "zzbar", 64), (1, "norm0", 64),
+    (2, "z1zbar2", 4), (2, "norm0", 4), (2, "z1zbar2", 7), (2, "norm0", 7)])
+@pytest.mark.parametrize("activation", ["cardioid", "tanh_re"])
+def test_fit_shallow_is_the_reference_fit_bit_for_bit(activation, n, target,
+                                                      points_per_axis, ridge):
+    """The hidden layer evaluated once, in place and a block of columns at
+    a time, and the error read from the design give the reference's network
+    JSON and error repr.  The 9- and 4-point grids pass all 40 features to
+    one activation call, the 64- and 7-point grids split them over several."""
+    spec = get_activation(activation)
+    cfg = FitConfig(num_features=40, ridge=ridge, box=CompactBox.square(n, 1.0),
+                    grid=GridSpec(points_per_axis), seed=5)
+    points = cfg.grid.axis_points ** (2 * n)
+    blocks = -(-cfg.num_features // max(1, fitting.ACTIVATION_BLOCK // points))
+    assert (blocks > 1) == (points_per_axis in (64, 7))
+    net, err = fit_shallow(named_target(target), spec, cfg)
+    want_net, want_err = _reference_fit(named_target(target), spec, cfg)
+    assert cvnn_to_json(net) == cvnn_to_json(want_net)
+    assert repr(err) == repr(want_err)
+
+
+def test_fit_shallow_holds_one_copy_of_its_system():
+    """A 9 x 9 grid fit with 1,000 features traces at most 5 MB: the design
+    (81 x 1,001 complex) once, its doubled real system once, and no second
+    evaluation of the hidden layer (6.5 MB before, with np.hstack, np.block
+    and eval_cvnn)."""
+    cfg = FitConfig(num_features=1000, grid=GridSpec(9), seed=1)
+    f = named_target("zzbar")
+    fit_shallow(f, CARD, cfg)
+    tracemalloc.start()
+    try:
+        fit_shallow(f, CARD, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2**20
 
 
 def test_fit_shallow_determinism():

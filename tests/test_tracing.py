@@ -68,6 +68,33 @@ def test_traced_deep_compile_counts_only_validated_maps(tmp_path):
     assert 0 < metrics["core.affine_maps_built"] <= 6 * (depth + 8)
 
 
+def test_traced_deep_compile_records_the_fit_and_the_written_bytes(tmp_path):
+    """The in-place fit and the chunked network writer keep the names the
+    tracer wraps: a compile whose network is longer than one JSON chunk
+    records fit time, and as many network bytes as its .net.json holds.
+    The fit reads its error from its design, so every eval_cvnn call the
+    tracer counts in core.point_layers is the sweep's."""
+    from deepnarrow.core import JSON_CHUNK
+
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    installed = tracing.install(tracer, deepnarrow)
+    try:
+        assert cli.main(["compile", "--target", "zzbar", "--activation", "cardioid",
+                         "--features", str(2 * JSON_CHUNK), "--no-timestamp",
+                         "--out", str(tmp_path / "run")]) == 0
+        metrics = tracing.layer_metrics(tracer)
+        spans = list(tracer.spans)
+    finally:
+        installed.restore()
+    text = (tmp_path / "run.net.json").read_text()
+    assert len(text) > 0 and metrics["core.net_json_bytes"] == len(text)
+    assert metrics["fitting.fit_s"] > 0
+    fit = [s for s in spans if s[1] == "fitting.fit_shallow"]
+    assert len(fit) == 1
+    assert not [s for s in spans if s[1] == "core.eval_cvnn" and fit[0][2] <= s[2] <= fit[0][3]]
+
+
 def test_traced_shallow_compile_reports_rows_and_register_work(tmp_path):
     """A nonpoly compile keeps the names the tracer wraps on the shallow
     path: one per-h row per schedule value and the program's layers counted
