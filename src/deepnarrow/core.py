@@ -241,9 +241,10 @@ class Cvnn:
 
 
 def _cvnn_of_checked_runs(runs: tuple, activation: ActivationId) -> Cvnn:
-    """A network over runs already read-only, chained and finite, as a
-    transform that keeps every finite entry finite leaves a network's runs:
-    taken as they are, neither copied nor checked again."""
+    """A network over runs that are already read-only, chained and finite,
+    such as those a transform that keeps finite entries finite makes of a
+    checked network's runs: taken as they are, neither copied nor checked
+    again."""
     net = object.__new__(Cvnn)
     object.__setattr__(net, "runs", runs)
     object.__setattr__(net, "activation", activation)
@@ -480,8 +481,9 @@ def _map_dicts(net: Cvnn):
     for ms, bs in net.runs:
         _, rows, cols = ms.shape
         for start in range(0, len(ms), JSON_CHUNK):
-            parts = (ms[start:start + JSON_CHUNK], bs[start:start + JSON_CHUNK])
-            mats, biases = (a.view(np.float64).reshape(len(a), -1, 2).tolist() for a in parts)
+            stop = start + JSON_CHUNK
+            mats, biases = (a.view(np.float64).reshape(len(a), -1, 2).tolist()
+                            for a in (ms[start:stop], bs[start:stop]))
             yield from ({"rows": rows, "cols": cols, "matrix": m, "bias": b}
                         for m, b in zip(mats, biases))
 
