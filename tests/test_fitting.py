@@ -124,10 +124,10 @@ def test_fit_shallow_is_the_reference_fit_bit_for_bit(activation, n, target,
 
 
 def test_fit_shallow_holds_one_copy_of_its_system():
-    """A 9 x 9 grid fit with 1,000 features traces at most 5 MB: the design
-    (81 x 1,001 complex) once, its doubled real system once, and no second
-    evaluation of the hidden layer (6.5 MB before, with np.hstack, np.block
-    and eval_cvnn)."""
+    """A 9 x 9 grid fit with 1,000 features traces at most 5 MB: room for
+    the design (81 x 1,001 complex, 1.3 MB) once, its doubled real system
+    once and the activation's temporaries, but not for a second copy of
+    the design or a second evaluation of the hidden layer."""
     cfg = FitConfig(num_features=1000, grid=GridSpec(9), seed=1)
     f = named_target("zzbar")
     fit_shallow(f, CARD, cfg)
