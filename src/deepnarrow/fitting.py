@@ -7,13 +7,11 @@ results are deterministic functions of the config).  fit_poly projects a
 target onto all monomials in z_1..z_n and their conjugates up to a total
 degree, the working form of the density of such polynomials.
 
-Complex least squares is solved through the equivalent real system of twice
-the size: with c = cr + i ci and y = yr + i yi,
-
-    [ Re A  -Im A ] [cr]   [yr]
-    [ Im A   Re A ] [ci] ~ [yi]
-
-and the ridge penalty on (cr, ci) equals the complex penalty |c|^2.
+Every fit solves for its output coefficients in the complex numbers
+(solve_complex_ridge): complex lstsq without a ridge, as in fit_poly, else
+the Hermitian normal equations of the ridge problem, primal
+(A^H A + ridge I) c = A^H y, or dual c = A^H (A A^H + ridge I)^-1 y when
+the design has more columns than rows.
 """
 
 from __future__ import annotations
@@ -55,40 +53,29 @@ class FitConfig:
 def solve_complex_ridge(design: np.ndarray, targets: np.ndarray, ridge: float) -> np.ndarray:
     """Minimize ||design @ c - targets||^2 + ridge ||c||^2 over complex c.
 
-    Solved via the doubled real system, filled block by block into one
-    (2p, 2w) array; the ridge is added to the Gram diagonal in place.  With
-    ridge > 0 and more columns than rows, the equivalent dual (kernel)
-    system is used, which is much smaller.  Raises FitSingular for a
-    rank-deficient system when ridge == 0.
+    With ridge == 0, complex least squares; a rank-deficient design raises
+    FitSingular.  With ridge > 0, the Hermitian normal equations with the
+    ridge added to the Gram diagonal in place: the dual (kernel) system
+    A^H (A A^H + ridge I)^-1 y when there are more columns than rows, which
+    is much smaller, else the primal (A^H A + ridge I) c = A^H y.
     """
     a = np.asarray(design, dtype=np.complex128)
     y = np.asarray(targets, dtype=np.complex128)
-    squeeze = y.ndim == 1
-    if squeeze:
-        y = y[:, None]
     p, w = a.shape
-    ar = np.empty((2 * p, 2 * w))
-    ar[:p, :w] = a.real
-    np.negative(a.imag, out=ar[:p, w:])
-    ar[p:, :w] = a.imag
-    ar[p:, w:] = a.real
-    yr = np.vstack([y.real, y.imag])                        # (2p, k)
     if ridge == 0:
-        sol, _, rank, _ = np.linalg.lstsq(ar, yr, rcond=None)
-        if rank < 2 * w:
+        c, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
+        if rank < w:
             raise FitSingular(
-                "normal equations are singular with ridge=0; set ridge > 0")
-    elif 2 * w > 2 * p:
-        # dual form: c = A^T (A A^T + ridge I)^-1 y
-        gram = ar @ ar.T
-        gram.flat[::2 * p + 1] += ridge
-        sol = ar.T @ np.linalg.solve(gram, yr)
-    else:
-        gram = ar.T @ ar
-        gram.flat[::2 * w + 1] += ridge
-        sol = np.linalg.solve(gram, ar.T @ yr)
-    c = sol[:w] + 1j * sol[w:]
-    return c[:, 0] if squeeze else c
+                "the design is rank deficient with ridge=0; set ridge > 0")
+        return c
+    ah = a.conj().T
+    if w > p:
+        gram = a @ ah
+        gram.flat[::p + 1] += ridge
+        return ah @ np.linalg.solve(gram, y)
+    gram = ah @ a
+    gram.flat[::w + 1] += ridge
+    return np.linalg.solve(gram, ah @ y)
 
 
 def _complex_normal(rng: np.random.Generator, shape, scale: float = 1.0) -> np.ndarray:
