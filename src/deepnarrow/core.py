@@ -15,6 +15,7 @@ and evaluation is pure.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import json
@@ -261,12 +262,15 @@ def _resolve_activation(net: Cvnn, activation_fn) -> Callable:
 
 def eval_cvnns(nets: Sequence[Cvnn], z, activation_fn=None) -> tuple:
     """Evaluate H networks of one shape on (N, in) points, or on (H, N, in),
-    in one pass: per layer one batched matmul and one activation call
-    (``activation_fn`` overrides the catalog lookup).  Returns (values,
-    failed_at): the (H, N, out) values, each network's bit for bit those it
-    gives alone; per network the index of the map after which its
-    activation first gave a non-finite value, or -1.  A failed network's
-    values are inf, and it changes no other network's."""
+    in one pass: per layer one matmul, one bias add and one activation call
+    (``activation_fn`` overrides the catalog lookup).  One network runs as
+    2-d products over its runs' matrix and bias stacks as they are; several
+    are stacked along axis 1 of each run, so that each layer is one batched
+    matmul over the H networks.  Returns (values, failed_at): the
+    (H, N, out) values, each network's bit for bit those it gives alone;
+    per network the index of the map after which its activation first gave
+    a non-finite value, or -1.  A failed network's values are inf, and it
+    changes no other network's."""
     shapes = [[m.shape for m, _ in net.runs] for net in nets]
     if any(shape != shapes[0] for shape in shapes):
         raise DimensionMismatch("networks evaluated together must have one shape")
@@ -276,29 +280,35 @@ def eval_cvnns(nets: Sequence[Cvnn], z, activation_fn=None) -> tuple:
             or cur.shape[:-2] not in ((), (len(nets),))):
         raise DimensionMismatch(f"input shape {cur.shape} for {len(nets)} networks of "
                                 f"input dimension {nets[0].input_dim}")
+    if len(nets) == 1:
+        cur = cur.reshape(cur.shape[-2:])
+        runs = [(m.swapaxes(-1, -2), b) for m, b in nets[0].runs]
+    else:
+        # run r of every network as (L, H, in, out) matrices and (L, H, 1, out) biases
+        runs = [(np.stack(ms, axis=1).swapaxes(-1, -2), np.stack(bs, axis=1)[:, :, None])
+                for ms, bs in (zip(*run) for run in zip(*(net.runs for net in nets)))]
     failed_at = np.full(len(nets), -1)
     last = depth_of(nets[0]) - 1
     k = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for r in range(len(shapes[0])):
-            mats = np.stack([net.runs[r][0] for net in nets]).swapaxes(-1, -2)
-            biases = np.stack([net.runs[r][1] for net in nets])[:, :, None, :]
-            for l in range(mats.shape[1]):
-                cur = np.matmul(cur, mats[:, l])
-                cur += biases[:, l]
+        for mats, biases in runs:
+            for mat, bias in zip(mats, biases):
+                cur = cur @ mat
+                cur += bias
                 if k < last:
                     cur = np.asarray(act(cur), dtype=np.complex128)
-                    # one BLAS dot: a finite sum of squares has no non-finite
-                    # term (a sum that overflows from finite terms only costs
-                    # the per-network test, which then finds nothing)
-                    flat = cur.view(np.float64).ravel()
-                    if not np.isfinite(flat @ flat):
-                        bad = ~np.isfinite(flat).reshape(len(nets), -1).all(axis=1)
+                    # one BLAS dot whose real part is the sum of squared
+                    # moduli: a finite sum has no non-finite term, and a sum
+                    # that overflows from finite terms only costs the
+                    # per-network test, which then finds nothing
+                    if not cmath.isfinite(np.vdot(cur, cur)):
+                        bad = ~np.isfinite(cur).reshape(len(nets), -1).all(axis=1)
                         failed_at[bad & (failed_at < 0)] = k
-                        cur[bad] = 0
+                        cur = np.where(bad.reshape((-1,) + (1,) * (cur.ndim - 1)), 0, cur)
                 k += 1
-    cur[failed_at >= 0] = np.inf
-    return cur, failed_at
+    values = cur.reshape((len(nets),) + cur.shape[-2:])
+    values[failed_at >= 0] = np.inf
+    return values, failed_at
 
 
 def eval_cvnn(net: Cvnn, z, activation_fn=None) -> np.ndarray:

@@ -418,6 +418,83 @@ def test_failure_is_caught_at_its_map_when_later_values_are_finite_again(rng):
         eval_cvnn(nets[1], zs, _exp_re_or_zero)
 
 
+def test_a_sum_of_squares_that_overflows_from_finite_values_is_no_failure(rng):
+    """Activation outputs near 1e200 are finite, but their sum of squared
+    moduli overflows, so the one-dot test of the layer sends them to the
+    per-network test.  That test finds nothing: failed_at stays -1 and the
+    values are the map-by-map pass's, for the network alone and stacked
+    with one whose activation does go non-finite (after map 1)."""
+    big = [AffineArrays(random_affine(rng, 3, 1, 0.5).matrix, np.full(3, 1e200 + 0j)),
+           random_affine(rng, 3, 3, 0.5), random_affine(rng, 1, 3, 0.5)]
+    failing = list(big)
+    failing[1] = AffineArrays(np.full((3, 3), 1e200 + 0j), big[1].bias)
+    big, failing = (Cvnn(maps, _CARD.activation_id) for maps in (big, failing))
+    zs = random_points(rng, 20, 1)
+    hidden = _CARD.fn(eval_affine(big.affine_maps[0], zs))
+    assert np.isfinite(hidden).all() and not np.isfinite(np.vdot(hidden, hidden))
+    want = _eval_map_by_map(big, zs, _CARD.fn)
+    assert np.isfinite(want).all()
+    assert _eval_map_by_map(failing, zs, _CARD.fn) == 1
+    values, failed_at = eval_cvnns((big,), zs, _CARD.fn)
+    assert failed_at.tolist() == [-1]
+    assert values[0].tobytes() == want.tobytes()
+    assert eval_cvnn(big, zs, _CARD.fn).tobytes() == want.tobytes()
+    for nets, good in (((big, failing), 0), ((failing, big), 1)):
+        values, failed_at = eval_cvnns(nets, zs, _CARD.fn)
+        assert failed_at[good] == -1 and failed_at[1 - good] == 1
+        assert values[good].tobytes() == want.tobytes()
+        assert np.all(values[1 - good] == np.inf)
+
+
+def test_a_deep_narrow_run_equals_the_map_by_map_pass():
+    """One run of 600 width-3 maps, the shape of a NonPoly_NMplus1 network,
+    gives the map-by-map pass's values bit for bit: alone, stacked with two
+    other networks, and through eval_cvnn on one point and on one row (each
+    against the map-by-map pass on that (1, in) row)."""
+    rng = np.random.default_rng(7)
+    nets = []
+    for _ in range(3):
+        # unitary maps scaled by 2 keep the values near 1 and apart from point to point
+        unitary = np.linalg.qr(rng.standard_normal((600, 3, 3))
+                               + 1j * rng.standard_normal((600, 3, 3)))[0]
+        run = AffineArrays(2.0 * unitary, 0.1 * random_points(rng, 600, 3))
+        nets.append(Cvnn([random_affine(rng, 3, 1), run, random_affine(rng, 1, 3)],
+                         _CARD.activation_id))
+    assert [m.shape for m, _ in nets[0].runs] == [(1, 3, 1), (600, 3, 3), (1, 1, 3)]
+    zs = random_points(rng, 40, 1)
+    wants = [_eval_map_by_map(net, zs, _CARD.fn) for net in nets]
+    assert len(np.unique(wants[0])) == len(zs)
+    stacked, failed_at = eval_cvnns(nets, zs, _CARD.fn)
+    assert failed_at.tolist() == [-1] * 3
+    for net, want, values in zip(nets, wants, stacked):
+        assert values.tobytes() == want.tobytes()
+        assert eval_cvnns((net,), zs, _CARD.fn)[0][0].tobytes() == want.tobytes()
+        assert eval_cvnn(net, zs, _CARD.fn).tobytes() == want.tobytes()
+        one_row = _eval_map_by_map(net, zs[:1], _CARD.fn)
+        assert eval_cvnn(net, zs[:1], _CARD.fn).tobytes() == one_row.tobytes()
+        assert eval_cvnn(net, zs[0], _CARD.fn).tobytes() == one_row[0].tobytes()
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_one_activation_call_per_hidden_layer(rng, count):
+    """A pass over H networks calls the activation once per hidden layer,
+    on that layer's values of all H networks, and not after the last map."""
+    dims = (2, 3, 4, 4, 4, 5, 1)
+    nets = [Cvnn([random_affine(rng, out, inp, 0.5) for inp, out in zip(dims, dims[1:])],
+                 _CARD.activation_id) for _ in range(count)]
+    zs = random_points(rng, 9, 2)
+    shapes = []
+
+    def counting(z):
+        shapes.append(z.shape)
+        return _CARD.fn(z)
+
+    eval_cvnns(nets, zs, counting)
+    lead = () if count == 1 else (count,)
+    assert len(shapes) == depth_of(nets[0]) - 1
+    assert shapes == [lead + (len(zs), width) for width in hidden_widths(nets[0])]
+
+
 def test_batched_pass_refuses_mismatched_shapes(rng):
     a = random_shallow(rng, 2, 1, 3, _CARD.activation_id)
     b = random_shallow(rng, 2, 1, 4, _CARD.activation_id)

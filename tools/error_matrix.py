@@ -119,16 +119,22 @@ def matrix_csv() -> str:
     return buf.getvalue()
 
 
+def one_thread_stdout(child: str) -> str:
+    """The standard output of the Python code ``child``, run in a subprocess
+    with one BLAS thread whose path holds src/ and tools/."""
+    env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), str(ROOT / "tools"), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", child], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=str(ROOT / "ERROR_MATRIX.csv"))
     args = parser.parse_args(argv)
-    env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), str(ROOT / "tools"), os.environ.get("PYTHONPATH")) if p)
-    child = "import sys, error_matrix; sys.stdout.write(error_matrix.matrix_csv())"
-    text = subprocess.run([sys.executable, "-c", child], env=env, check=True,
-                          capture_output=True, text=True).stdout
+    text = one_thread_stdout(
+        "import sys, error_matrix; sys.stdout.write(error_matrix.matrix_csv())")
     Path(args.out).write_text(text)
     return 0
 
