@@ -424,9 +424,14 @@ def _lower_poly(program: RegisterProgram, kit: _Kit, strategy: str) -> list:
     also crosses the accumulator and gives the rest of the width budget to
     compute slots, one raw neuron each.  An output that no flush has
     written yet holds 0, which the stage's zero bias writes, so the ladder
-    leaves it uncrossed and gives its block's width to compute slots too,
-    but only where that lowers ceil(K / p): otherwise the stage is the one
-    that crosses every output.
+    may leave it uncrossed and give its block's width to compute slots too.
+    So may an input that neither the ladder's own product nor any later
+    product reads: its pair block under Narrow, which also rebuilds its
+    conjugate, or its identity block under NMplus4, where g stays crossed.
+    Among (every output or the written ones) x (every input or the live
+    ones) the ladder takes the first crossing with the least ceil(K / p),
+    fuller crossings first, so a ladder that cannot shorten is the one
+    that crosses every register.
     A product met while w holds exactly 1 (after T_init or a flush) is
     neither: it is a load (``_load_map``) of the slot holding mul(x, 1),
     x's own under mul1 and mul2 and conj x's under mul3, after a refresh of
@@ -437,17 +442,19 @@ def _lower_poly(program: RegisterProgram, kit: _Kit, strategy: str) -> list:
     s = (2 * n if pairs else n + 1) + m + 1
     iw, iv = s - m - 1, s - m
 
-    def inputs(refresh=None):
-        """The placements on the z slots; a pair block also rebuilds a
-        conjugate: every one with ``pairs``, else g from z_refresh."""
+    def inputs(refresh=None, live=range(n)):
+        """The placements on the z slots in ``live``; a pair block also
+        rebuilds a conjugate: every one with ``pairs``, else g from
+        z_refresh."""
         return [(kit.pair_blk, [q], [q, n + q if pairs else n]) if pairs or q == refresh
-                else (kit.id_blk, [q], [q]) for q in range(n)]
+                else (kit.id_blk, [q], [q]) for q in live]
 
-    def registers(refresh=None, op_idx=None, outputs=range(m)):
+    def registers(refresh=None, op_idx=None, outputs=range(m), live=range(n)):
         """The placements of the registers, in slot order, of the outputs
-        among them only those in ``outputs``; given ``op_idx`` (Wide), w
-        crosses the multiplication block with that operand."""
-        placed = inputs(refresh)
+        and inputs among them only those in ``outputs`` and ``live``; given
+        ``op_idx`` (Wide), w crosses the multiplication block with that
+        operand."""
+        placed = inputs(refresh, live)
         if not pairs and refresh is None:
             placed.append((kit.id_blk, [n], [n]))
         if op_idx is None:
@@ -456,28 +463,37 @@ def _lower_poly(program: RegisterProgram, kit: _Kit, strategy: str) -> list:
             placed.append((kit.mul_blk, [op_idx, iw], [iw]))
         return placed + [(kit.id_blk, [iv + j], [iv + j]) for j in outputs]
 
-    def crossing(outputs):
-        """The placements of a ladder stage's registers, the outputs among
-        them only those in ``outputs``, and of the accumulator, which
-        crosses like a register; and p, the budget left to compute slots."""
-        crossed = registers(outputs=outputs) + [(kit.id_blk, [s], [s])]
+    def crossing(outputs, live):
+        """The placements of a ladder stage's registers, the outputs and
+        inputs among them only those in ``outputs`` and ``live``, and of the
+        accumulator, which crosses like a register; and p, the budget left
+        to compute slots."""
+        crossed = registers(outputs=outputs, live=live) + [(kit.id_blk, [s], [s])]
         return crossed, strategy_width_budget(strategy, n, m) - sum(
             blk.width for blk, _, _ in crossed)
 
-    ladders = {}     # (stage, p) of each tuple of crossed outputs
+    ladders = {}     # (stage, p) of each (crossed outputs, crossed inputs)
 
-    def ladder(written):
+    def ladder(written, live):
         """The stage and p of a ladder run while the outputs in ``written``
-        hold flushed values, built once per tuple of crossed outputs."""
-        outputs, every = tuple(sorted(written)), tuple(range(m))
-        layers = [-(-kit.mul_blk.width // crossing(o)[1]) for o in (outputs, every)]
-        if layers[0] == layers[1]:
-            outputs = every
-        if outputs not in ladders:
-            crossed, p = crossing(outputs)
+        hold flushed values and the inputs in ``live`` are still read,
+        built once per crossing."""
+        options = [(o, i) for o in (tuple(range(m)), tuple(sorted(written)))
+                   for i in (tuple(range(n)), tuple(sorted(live)))]
+        key = min(options, key=lambda o: -(-kit.mul_blk.width // crossing(*o)[1]))
+        if key not in ladders:
+            crossed, p = crossing(*key)
             computes = [(_RAW, [q], [q]) for q in range(s + 1, s + 1 + p)]
-            ladders[outputs] = _stage(crossed + computes, s + 1 + p, np.zeros(s + 1 + p)), p
-        return ladders[outputs]
+            ladders[key] = _stage(crossed + computes, s + 1 + p, np.zeros(s + 1 + p)), p
+        return ladders[key]
+
+    # the inputs that the product at each layer or a later one reads
+    reads, later = [], set()
+    for lay in reversed(program.layers):
+        if not isinstance(lay, FlushLayer):
+            later = later | {lay.operand[1]}
+        reads.append(later)
+    reads.reverse()
 
     # T_init: (z, conj z or g = 0, w = 1, v = 0) built by one hidden layer
     init_b = np.zeros(s)
@@ -487,7 +503,7 @@ def _lower_poly(program: RegisterProgram, kit: _Kit, strategy: str) -> list:
     written = set()  # the outputs a flush has written
     conj_src = None
     w_is_one = True
-    for lay in program.layers:
+    for lay, live in zip(program.layers, reads):
         if isinstance(lay, FlushLayer):
             pieces.append(_flush_map(lay, s, iw, iv))
             written.add(lay.dst)
@@ -508,7 +524,7 @@ def _lower_poly(program: RegisterProgram, kit: _Kit, strategy: str) -> list:
         if strategy == "Poly_Wide_2N2Mplus12":
             pieces.append(_stage(registers(op_idx=op_idx), s, np.zeros(s)))
             continue
-        stage, p = ladder(written)
+        stage, p = ladder(written, live)
         _emit_mul_ladder(pieces, kit, stage, s, p, op_idx, iw)
 
     pieces.append(_end_map(program, s))

@@ -561,8 +561,9 @@ def _json_map_by_map(net):
 
 @pytest.mark.parametrize("case, n, shapes", [
     # a 4-wide layer, then a run of 11 x 11 maps: a ladder of 4 layers
-    # before the flush (p = 3) and one of 12 after it (p = 1)
-    ("Poly_Narrow_2N2Mplus5", 2, [(1, 4, 2), (1, 11, 4), (15, 11, 11), (1, 1, 11)]),
+    # before the flush (p = 3, v uncrossed) and one of 4 after it (p = 3,
+    # z_2 uncrossed: no later product reads it)
+    ("Poly_Narrow_2N2Mplus5", 2, [(1, 4, 2), (1, 11, 4), (7, 11, 11), (1, 1, 11)]),
     # five layers of cardioid's network, then the outputs' stage of identity
     # blocks, every odd map conjugated
     ("NonPoly_Conj_NMplus1", 1, [(1, 3, 1), (4, 3, 3), (1, 1, 3), (1, 1, 1)]),
@@ -648,12 +649,12 @@ def test_one_factor_program_lowers_to_the_init_stage_alone(spec, strategy, side)
 
 def test_a_product_of_two_factors_lowers_with_one_ladder():
     """z1 conj(z2), the n = 2 benchmark compile's monomial: the first factor
-    is loaded, so one ladder follows the init stage, its 12 neurons run 4
-    to a hidden layer."""
+    is loaded, so one ladder follows the init stage, its 12 neurons run 6
+    to a hidden layer, since z2, loaded into w, leaves the ladder."""
     program = poly_to_register([PolyZZbar(2, ((1 + 0j, (1, 0), (0, 1)),))], "mul2")
     pieces = lower_pieces(program, CARD, "Poly_Narrow_2N2Mplus5", 1e-4, PROF)
     assert len(_ladder_runs(pieces)) == 1
-    assert depth_of(assemble_pieces(pieces, CARD.activation_id)) == 5
+    assert depth_of(assemble_pieces(pieces, CARD.activation_id)) == 4
 
 
 @pytest.mark.parametrize("strategy", ["Poly_Narrow_2N2Mplus5", "Poly_NMplus4"])
@@ -685,21 +686,21 @@ PACKED_CASES = [pytest.param(spec, id=spec.name) for spec in (CARD, ZB)]
 
 #: (activation, strategy, the p of each ladder of _test_poly and the
 #: network depths, at (n, m) = (1, 1), (2, 1), (1, 2)) of plans whose ladder
-#: has room for only one neuron per layer once every output is written;
-#: conj:z_plus_zbar_sq's are z_plus_zbar_sq's, plus the outputs' stage after
-#: an odd count of hidden layers
+#: has room for only one neuron per layer once every output is written and
+#: every input is still read; conj:z_plus_zbar_sq's are z_plus_zbar_sq's,
+#: plus the outputs' stage after an odd count of hidden layers
 SINGLE_CASES = [
-    pytest.param(RE_SQ, "Poly_Narrow_2N2Mplus5", ([1], [3, 1], [3, 1]), (14, 18, 18),
+    pytest.param(RE_SQ, "Poly_Narrow_2N2Mplus5", ([1], [3, 3], [3, 1]), (14, 10, 18),
                  id="re_square-Narrow"),
-    pytest.param(ABS_SQ, "Poly_Narrow_2N2Mplus5", ([1], [3, 1], [3, 1]), (14, 18, 18),
+    pytest.param(ABS_SQ, "Poly_Narrow_2N2Mplus5", ([1], [3, 3], [3, 1]), (14, 10, 18),
                  id="abs_square-Narrow"),
-    pytest.param(MODRELU, "Poly_Narrow_2N2Mplus5", ([1], [3, 1], [3, 1]), (14, 18, 18),
+    pytest.param(MODRELU, "Poly_Narrow_2N2Mplus5", ([1], [3, 3], [3, 1]), (14, 10, 18),
                  id="modrelu-Narrow"),
-    pytest.param(CARD, "Poly_NMplus4", ([1], [2, 1], [2, 1]), (15, 21, 21),
+    pytest.param(CARD, "Poly_NMplus4", ([1], [2, 2], [2, 1]), (15, 15, 21),
                  id="cardioid-NMplus4"),
-    pytest.param(ZB, "Poly_NMplus4", ([1], [2, 1], [2, 1]), (10, 15, 14),
+    pytest.param(ZB, "Poly_NMplus4", ([1], [2, 2], [2, 1]), (10, 11, 14),
                  id="z_plus_zbar_sq-NMplus4"),
-    pytest.param(CONJ_ZB, "Poly_NMplus4", ([1], [2, 1], [2, 1]), (11, 15, 15),
+    pytest.param(CONJ_ZB, "Poly_NMplus4", ([1], [2, 2], [2, 1]), (11, 11, 15),
                  id="conj:z_plus_zbar_sq-NMplus4"),
 ]
 
@@ -708,7 +709,7 @@ SHAPES = [(1, 1), (2, 1), (1, 2)]
 #: the p of each ladder of _test_poly under Narrow over a packed activation,
 #: by (activation, n, m)
 PACKED_P = {
-    ("cardioid", 1, 1): [4], ("cardioid", 2, 1): [4, 4], ("cardioid", 1, 2): [6, 5],
+    ("cardioid", 1, 1): [4], ("cardioid", 2, 1): [4, 6], ("cardioid", 1, 2): [6, 5],
     ("z_plus_zbar_sq", 1, 1): [4], ("z_plus_zbar_sq", 2, 1): [4, 4],
     ("z_plus_zbar_sq", 1, 2): [5, 5],
 }
@@ -723,8 +724,10 @@ def test_narrow_with_an_identity_point_fills_its_budget_with_the_ladder(spec, n,
     sits exactly at the budget, and a product takes ceil(K / p) layers.  At
     (1, 2) cardioid's first ladder runs before v_2 is written and leaves it
     uncrossed, p = m + 4, since that cuts its 12 neurons' layers from 3 to
-    2; z_plus_zbar_sq's 8 take 2 layers either way, so its ladder crosses
-    every output."""
+    2; at (2, 1) its second ladder, z1 conj(z2)'s, leaves z2 uncrossed,
+    which no later product reads, p = m + 5, for the same cut.
+    z_plus_zbar_sq's 8 take 2 layers either way, so its ladders cross every
+    register."""
     strategy = "Poly_Narrow_2N2Mplus5"
     plan = plan_lowering(spec, strategy, PROF)
     assert plan.id_row is not None
@@ -741,11 +744,13 @@ def test_narrow_with_an_identity_point_fills_its_budget_with_the_ladder(spec, n,
 def test_a_ladder_without_room_runs_one_neuron_per_layer(spec, strategy, ps, depths):
     """Narrow without an identity point crosses every register through a
     pair block, and NMplus4's budget is n + m + 4: either way a ladder that
-    crosses every output has one compute slot left.  A ladder that runs
+    crosses every register has one compute slot left.  A ladder that runs
     before an output's first flush leaves that output uncrossed and gives
     its block's width to compute slots: 2 under Narrow, 1 under NMplus4.
-    At (2, 1) the first monomial, z1 conj(z2), is a product; at (1, 2) the
-    second output's flush comes after the first output's product."""
+    At (2, 1) the first monomial, conj(z1)^2, is a product before the
+    flush, and the second, z1 conj(z2), loads z2, which no later product
+    reads, so its ladder leaves z2 uncrossed for the same 2 or 1; at (1, 2)
+    the second output's flush comes after the first output's product."""
     plan = plan_lowering(spec, strategy, PROF)
     got = []
     for (n, m), want in zip(SHAPES, ps):
@@ -778,8 +783,8 @@ def _assert_ladders_and_values(program, spec, strategy, ps):
     budget = strategy_width_budget(strategy, program.input_dim, program.output_dim)
     assert max(hidden_widths(net)) <= budget
     err = sup_error(lambda zs: eval_register(program, zs),
-                    lambda zs: eval_cvnn(net, zs, spec.fn), CompactBox.square(1, 1.0),
-                    GridSpec(11))
+                    lambda zs: eval_cvnn(net, zs, spec.fn),
+                    CompactBox.square(program.input_dim, 1.0), GridSpec(11))
     assert err < 1e-2
 
 
@@ -812,16 +817,88 @@ def test_a_ladder_after_a_flush_crosses_the_written_output(spec, strategy):
 
 def test_a_ladder_that_cannot_shorten_crosses_every_output():
     """z1 conj(z2) over cardioid under Narrow, the n = 2 benchmark compile's
-    program: with v uncrossed the ladder would have p = 5, but its 12
-    neurons would still take ceil(12 / 5) = 3 layers, so it crosses v with
-    p = 4, and the network's bytes are those of a ladder that crosses every
-    output."""
+    program: z2, loaded into w, leaves the ladder, p = 6, and its 12 neurons
+    take 2 layers.  With v uncrossed as well the ladder would have p = 7,
+    but still ceil(12 / 7) = 2 layers, so it crosses v with p = 6, and the
+    network's bytes are those of a ladder that crosses every output."""
     program = poly_to_register([PolyZZbar(2, ((1 + 0j, (1, 0), (0, 1)),))], "mul2")
     pieces = lower_pieces(program, CARD, "Poly_Narrow_2N2Mplus5", 1e-4, PROF)
-    assert [slots for slots, _ in _ladder_runs(pieces)] == [4]
+    assert [slots for slots, _ in _ladder_runs(pieces)] == [6]
     text = cvnn_to_json(lower(program, CARD, "Poly_Narrow_2N2Mplus5", 1e-4, PROF))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "509f051c4b1ad4400e2c3beaa8a8c9713a5e0efb7379db0a2dddba3014967132")
+        "1883485859e920fb8cf7a64b29d1024c90e58776b2aad00f848a313f92ff0093")
+
+
+def _ladder_reads(pieces, slots):
+    """Of the given slots, those each ladder's stage reads, in ladder order:
+    the stage after each map that widens the state (the end map's input) by
+    the accumulator and compute slots."""
+    s = next(obj for obj in reversed(pieces) if isinstance(obj, core.AffineArrays)).in_dim
+    return [[q for q in slots if np.any(stage.pre.matrix[:, q])]
+            for enter, stage in zip(pieces, pieces[1:])
+            if isinstance(enter, core.AffineArrays) and enter.in_dim == s < enter.out_dim]
+
+
+#: z1 conj(z2): the product after the load of one factor reads the other
+Z1_ZBAR2 = PolyZZbar(2, ((1 + 0j, (1, 0), (0, 1)),))
+
+
+def test_a_ladder_leaves_an_input_that_no_later_product_reads():
+    """Over cardioid under Narrow, z1 conj(z2) loads z2 and its ladder
+    reads z1 alone: the ladder leaves z2's pair block out, p = 6, and the
+    network is 4 maps deep.  In _test_poly's (2, 1) program, conj(z1)^2
+    comes first and z1 conj(z2) after its flush, so the first ladder still
+    crosses z2, which the later load reads, at p = 4, though leaving it out
+    would cut 3 layers to 2; the second leaves z2 out at p = 6."""
+    strategy = "Poly_Narrow_2N2Mplus5"
+    program = poly_to_register([Z1_ZBAR2], "mul2")
+    pieces = lower_pieces(program, CARD, strategy, 1e-4, PROF)
+    assert [slots for slots, _ in _ladder_runs(pieces)] == [6]
+    assert _ladder_reads(pieces, range(2)) == [[0]]
+    assert depth_of(assemble_pieces(pieces, CARD.activation_id)) == 4
+    program = poly_to_register(_test_poly(2, 1), "mul2")
+    pieces = lower_pieces(program, CARD, strategy, 1e-4, PROF)
+    assert [slots for slots, _ in _ladder_runs(pieces)] == [4, 6]
+    assert _ladder_reads(pieces, range(2)) == [[0, 1], [0]]
+    _assert_ladders_and_values(program, CARD, strategy, [4, 6])
+
+
+def test_a_dead_input_that_cannot_shorten_the_ladder_stays_crossed():
+    """Over z_plus_zbar_sq under Narrow, z1 conj(z2) loads z1 (mul3(x, 1) =
+    conj x) and its ladder reads z2: without z1's pair block p would be 6,
+    but its 8 neurons take ceil(8 / 4) = 2 layers at p = 4 too, so the
+    ladder crosses z1, and the network's bytes are those of a ladder that
+    crosses every register."""
+    strategy = "Poly_Narrow_2N2Mplus5"
+    program = poly_to_register([Z1_ZBAR2], "mul3")
+    pieces = lower_pieces(program, ZB, strategy, 1e-4, PROF)
+    assert [slots for slots, _ in _ladder_runs(pieces)] == [4]
+    assert _ladder_reads(pieces, range(2)) == [[0, 1]]
+    text = cvnn_to_json(lower(program, ZB, strategy, 1e-4, PROF))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "16d4170c498d88e1a08befc01dca8e35128cd34156169daea3a6a940297649f8")
+
+
+@pytest.mark.parametrize("spec", [CARD, ZB, CONJ_ZB, ROTATED],
+                         ids=["cardioid", "z_plus_zbar_sq", "conj:z_plus_zbar_sq", "realizer"])
+@pytest.mark.parametrize("h", [1e-2, 1e-4])
+def test_nmplus4_leaves_a_dead_input_and_keeps_g(spec, h):
+    """Under NMplus4 at n = 2, z1 conj(z2)'s ladder leaves the loaded
+    factor's identity block out and crosses g: with v unwritten as well,
+    p = 3, so cardioid's 12 neurons take 4 layers, not 12, and
+    z_plus_zbar_sq's 8 take 3, not 8.  The network agrees with the program,
+    and the fused chain with the unfused one, also under a conj sigma."""
+    strategy = "Poly_NMplus4"
+    plan = plan_lowering(spec, strategy, PROF)
+    program = poly_to_register([Z1_ZBAR2], plan.mul_kind)
+    pieces = lower_pieces(program, spec, strategy, h, PROF)
+    loaded = 1 if plan.mul_kind == "mul2" else 0
+    # z_1, z_2 and g, slot n = 2
+    assert _ladder_reads(pieces, range(3)) == [[1 - loaded, 2]]
+    _assert_ladders_and_values(program, spec, strategy, [3])
+    rng = np.random.default_rng(38)
+    _assert_fused_equals_unfused(program, spec, strategy, h,
+                                 random_points(rng, 30, 2, scale=0.5), rng)
 
 
 @settings(max_examples=100)
