@@ -270,7 +270,8 @@ def eval_cvnns(nets: Sequence[Cvnn], z, activation_fn=None) -> tuple:
     (H, N, out) values, each network's bit for bit those it gives alone;
     per network the index of the map after which its activation first gave
     a non-finite value, or -1.  A failed network's values are inf, and it
-    changes no other network's."""
+    changes no other network's; once every network has failed, no later
+    layer runs."""
     shapes = [[m.shape for m, _ in net.runs] for net in nets]
     if any(shape != shapes[0] for shape in shapes):
         raise DimensionMismatch("networks evaluated together must have one shape")
@@ -304,6 +305,9 @@ def eval_cvnns(nets: Sequence[Cvnn], z, activation_fn=None) -> tuple:
                     if not cmath.isfinite(np.vdot(cur, cur)):
                         bad = ~np.isfinite(cur).reshape(len(nets), -1).all(axis=1)
                         failed_at[bad & (failed_at < 0)] = k
+                        if (failed_at >= 0).all():
+                            return np.full((len(nets), cur.shape[-2], nets[0].output_dim),
+                                           np.inf, dtype=np.complex128), failed_at
                         cur = np.where(bad.reshape((-1,) + (1,) * (cur.ndim - 1)), 0, cur)
                 k += 1
     values = cur.reshape((len(nets),) + cur.shape[-2:])

@@ -418,6 +418,33 @@ def test_failure_is_caught_at_its_map_when_later_values_are_finite_again(rng):
         eval_cvnn(nets[1], zs, _exp_re_or_zero)
 
 
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("fail_at", [0, 2, 4])
+def test_no_layer_runs_once_every_network_has_failed(rng, count, fail_at):
+    """Networks that all fail at map k make k + 1 activation calls, not one
+    per hidden layer, and give inf values of the output shape with the same
+    failed_at and EvaluationFailure as a full pass."""
+    calls = []
+
+    def counted(z):
+        calls.append(z.shape)
+        return _card_or_inf(z)
+
+    maps = [random_affine(rng, 3, 2, 0.5)] + [random_affine(rng, 3, 3, 0.5) for _ in range(5)]
+    maps.append(random_affine(rng, 2, 3, 0.5))
+    maps[fail_at] = AffineArrays(maps[fail_at].matrix, maps[fail_at].bias + 1e8)
+    nets = [Cvnn(maps, _CARD.activation_id)] * count
+    zs = random_points(rng, 20, 2)
+    values, failed_at = eval_cvnns(nets, zs, counted)
+    assert len(calls) == fail_at + 1
+    assert failed_at.tolist() == [fail_at] * count
+    assert values.shape == (count, 20, 2) and np.all(values == np.inf)
+    assert _eval_map_by_map(nets[0], zs, _card_or_inf) == fail_at
+    with pytest.raises(EvaluationFailure,
+                       match=f"non-finite values after affine map {fail_at}$"):
+        eval_cvnn(nets[0], zs, counted)
+
+
 def test_a_sum_of_squares_that_overflows_from_finite_values_is_no_failure(rng):
     """Activation outputs near 1e200 are finite, but their sum of squared
     moduli overflows, so the one-dot test of the layer sends them to the
