@@ -647,11 +647,15 @@ def test_one_factor_program_lowers_to_the_init_stage_alone(spec, strategy, side)
     assert err < 1e-3
 
 
+#: z1 conj(z2): the product after the load of one factor reads the other
+Z1_ZBAR2 = PolyZZbar(2, ((1 + 0j, (1, 0), (0, 1)),))
+
+
 def test_a_product_of_two_factors_lowers_with_one_ladder():
     """z1 conj(z2), the n = 2 benchmark compile's monomial: the first factor
     is loaded, so one ladder follows the init stage, its 12 neurons run 6
     to a hidden layer, since z2, loaded into w, leaves the ladder."""
-    program = poly_to_register([PolyZZbar(2, ((1 + 0j, (1, 0), (0, 1)),))], "mul2")
+    program = poly_to_register([Z1_ZBAR2], "mul2")
     pieces = lower_pieces(program, CARD, "Poly_Narrow_2N2Mplus5", 1e-4, PROF)
     assert len(_ladder_runs(pieces)) == 1
     assert depth_of(assemble_pieces(pieces, CARD.activation_id)) == 4
@@ -821,7 +825,7 @@ def test_a_ladder_that_cannot_shorten_crosses_every_output():
     take 2 layers.  With v uncrossed as well the ladder would have p = 7,
     but still ceil(12 / 7) = 2 layers, so it crosses v with p = 6, and the
     network's bytes are those of a ladder that crosses every output."""
-    program = poly_to_register([PolyZZbar(2, ((1 + 0j, (1, 0), (0, 1)),))], "mul2")
+    program = poly_to_register([Z1_ZBAR2], "mul2")
     pieces = lower_pieces(program, CARD, "Poly_Narrow_2N2Mplus5", 1e-4, PROF)
     assert [slots for slots, _ in _ladder_runs(pieces)] == [6]
     text = cvnn_to_json(lower(program, CARD, "Poly_Narrow_2N2Mplus5", 1e-4, PROF))
@@ -837,10 +841,6 @@ def _ladder_reads(pieces, slots):
     return [[q for q in slots if np.any(stage.pre.matrix[:, q])]
             for enter, stage in zip(pieces, pieces[1:])
             if isinstance(enter, core.AffineArrays) and enter.in_dim == s < enter.out_dim]
-
-
-#: z1 conj(z2): the product after the load of one factor reads the other
-Z1_ZBAR2 = PolyZZbar(2, ((1 + 0j, (1, 0), (0, 1)),))
 
 
 def test_a_ladder_leaves_an_input_that_no_later_product_reads():
@@ -916,7 +916,7 @@ def test_fused_equals_unfused_on_packed_narrow_programs(n, m, h, seed, data):
 
 
 @pytest.mark.parametrize("n, polys", [
-    (2, [PolyZZbar(2, ((1 + 0j, (1, 0), (0, 1)),))]),
+    (2, [Z1_ZBAR2]),
     (1, [PolyZZbar(1, ((1 + 0j, (1,), (1,)),))]),
     (1, [PolyZZbar(1, ((1 + 0j, (1,), (1,)),)), PolyZZbar(1, ((1j, (0,), (2,)),))]),
 ], ids=["z1zbar2", "zzbar", "zzbar-and-zbar2"])
