@@ -139,6 +139,18 @@ def monomial_exponents(n: int, degree: int) -> list:
 PRUNE_TOL = 1e-12
 
 
+def _poly_design(pts: np.ndarray, exps: list) -> np.ndarray:
+    """The monomial of each exponent pair at each point, one column each,
+    written in place into a column-major design: each column is contiguous,
+    and lstsq copies its input into column-major storage whatever the
+    layout, so the solve is that of the row-major design, bit for bit."""
+    conj = np.conj(pts)
+    design = np.empty((pts.shape[0], len(exps)), dtype=np.complex128, order="F")
+    for k, (zd, bd) in enumerate(exps):
+        design[:, k] = _monomial(pts, conj, zd, bd)
+    return design
+
+
 def fit_poly(f: Callable, degree: int, box: CompactBox, grid: GridSpec) -> list:
     """Least-squares fit of all monomials z^alpha conj(z)^beta with
     |alpha| + |beta| <= degree on the grid, z the box's n coordinates.
@@ -160,9 +172,7 @@ def fit_poly(f: Callable, degree: int, box: CompactBox, grid: GridSpec) -> list:
             "refine the grid or lower the degree")
     targets = _as_batch(f(pts), pts.shape[0])
     exps = monomial_exponents(box.n, degree)
-    conj = np.conj(pts)
-    design = np.column_stack([_monomial(pts, conj, zd, bd) for zd, bd in exps])
-    coef = solve_complex_ridge(design, targets, 0.0)
+    coef = solve_complex_ridge(_poly_design(pts, exps), targets, 0.0)
     polys = []
     for col in coef.T:
         cut = PRUNE_TOL * (1.0 + float(np.max(np.abs(col))))

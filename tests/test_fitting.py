@@ -12,6 +12,7 @@ from deepnarrow.core import (CompactBox, ComplexAffineMap, Cvnn, GridSpec, _as_b
 from deepnarrow.errors import DimensionMismatch, FitSingular
 from deepnarrow.fitting import (FitConfig, fit_poly, fit_shallow,
                                 monomial_exponents, solve_complex_ridge)
+from deepnarrow.register import _monomial
 from deepnarrow.verifier import named_target, sup_error
 
 from conftest import random_shallow
@@ -286,6 +287,27 @@ def test_fit_poly_keeps_the_monomials_of_an_exact_target(target, degree):
     assert got.keys() == monomials.keys()
     for key, coeff in got.items():
         assert abs(coeff - monomials[key]) < 1e-9
+
+
+@pytest.mark.parametrize("n, degree, target", [(1, 2, "zzbar"), (1, 6, "abs"),
+                                               (2, 2, "z1zbar2"), (2, 4, "norm0")])
+def test_fit_poly_design_and_coefficients_are_the_stacked_designs_bit_for_bit(n, degree, target):
+    """fit_poly writes each monomial column into one preallocated design:
+    its bytes are those of the columns stacked by np.column_stack, and its
+    coefficients those of the stacked design's solve."""
+    box = CompactBox.square(n, 1.0)
+    pts = sample_box(box, GridSpec(9))
+    exps = monomial_exponents(n, degree)
+    stacked = np.column_stack([_monomial(pts, np.conj(pts), zd, bd) for zd, bd in exps])
+    assert fitting._poly_design(pts, exps).tobytes() == stacked.tobytes()
+    f = named_target(target)
+    coef = solve_complex_ridge(stacked, _as_batch(f(pts), pts.shape[0]), 0.0)
+    polys = fit_poly(f, degree, box, GridSpec(9))
+    assert polys[0].terms
+    for poly, col in zip(polys, coef.T):
+        want = dict(zip(exps, col))
+        for c, zd, bd in poly.terms:
+            assert np.complex128(c).tobytes() == want[zd, bd].tobytes()
 
 
 def test_fit_poly_recovers_re_cubed_exactly():
