@@ -55,3 +55,50 @@ def test_error_matrix_regenerates_byte_for_byte(tmp_path):
                    env=env, check=True, timeout=60)
     new, old = out.read_bytes(), (ROOT / "ERROR_MATRIX.csv").read_bytes()
     assert new == old, _moved_rows(old.decode(), new.decode())
+
+
+def test_diff_prints_the_changed_rows_and_their_counts(tmp_path):
+    """``--diff OLD NEW`` regenerates nothing: it prints one table line per
+    row that differs, with depth, sup error and best h old -> new (a value
+    alone where both agree, floats to the digits that tell them apart),
+    then the counts of changed, better, worse and > 1 % worse rows and the
+    depth changes per strategy."""
+    head = ",".join(("activation", "strategy", "target", "fit", "depth", "width", "best_h",
+                     "sup_error", "lowering_error", "max_post_coeff", "failure"))
+    old = tmp_path / "old.csv"
+    new = tmp_path / "new.csv"
+    old.write_text("\n".join([
+        head,
+        "a,P,zzbar,degree=2,3,16,1e-06,1e-06,1e-06,1.0,",
+        "a,P,abs,degree=2,3,16,1e-06,0.27981,0.1,1.0,",
+        "a,Q,zzbar,degree=2,6,9,1e-05,2.0e-05,1e-05,1.0,",
+        "a,Q,re,degree=2,6,9,1e-05,3.0e-05,1e-05,1.0,",
+        "b,N,zzbar,seed=1,41,3,1e-06,0.5,0.1,1.0,",
+        "b,N,abs,seed=1,,,,,,,EvaluationFailure: x"]) + "\n")
+    new.write_text("\n".join([
+        head,
+        "a,P,zzbar,degree=2,2,16,0.1,2e-15,2e-15,1.0,",
+        "a,P,abs,degree=2,2,16,1e-06,0.279812,0.1,1.0,",
+        "a,Q,zzbar,degree=2,4,9,1e-05,2.5e-05,1e-05,1.0,",
+        "a,Q,re,degree=2,6,9,1e-05,3.0e-05,1e-05,1.0,",
+        "b,N,zzbar,seed=1,41,3,1e-06,0.5,0.1,1.0,",
+        "b,N,abs,seed=1,41,3,1e-06,0.4,0.1,1.0,",
+        "c,N,re,seed=1,41,3,1e-06,0.3,0.1,1.0,"]) + "\n")
+    before = (old.read_bytes(), new.read_bytes())
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "error_matrix.py"), "--diff",
+                          str(old), str(new)], check=True, capture_output=True, text=True,
+                         timeout=60).stdout
+    assert (old.read_bytes(), new.read_bytes()) == before
+    assert out.splitlines() == [
+        "| activation | strategy | target | fit | depth | sup error | best h |",
+        "| --- | --- | --- | --- | --- | --- | --- |",
+        "| a | P | zzbar | degree=2 | 3 → 2 | 1.00e-06 → 2.00e-15 | 1e-06 → 0.1 |",
+        "| a | P | abs | degree=2 | 3 → 2 | 0.279810 → 0.279812 | 1e-06 |",
+        "| a | Q | zzbar | degree=2 | 6 → 4 | 2.00e-05 → 2.50e-05 | 1e-05 |",
+        "| b | N | abs | seed=1 | failed → 41 | failed → 0.4 | failed → 1e-06 |",
+        "| c | N | re | seed=1 | absent → 41 | absent → 0.3 | absent → 1e-06 |",
+        "",
+        "5 of 7 rows changed: 1 better, 2 worse, 1 worse by more than 1 %",
+        "depth change under P: -1 × 2",
+        "depth change under Q: -2 × 1",
+    ]

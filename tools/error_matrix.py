@@ -2,6 +2,7 @@
 catalog activation under every strategy its plan accepts.
 
     python tools/error_matrix.py [--out PATH]
+    python tools/error_matrix.py --diff OLD.csv NEW.csv
 
 The rows cover every catalog name and its conj: form whose verdict is
 universal, then conj:scale((0.5+0.5j)):cardioid, conj o (0.5+0.5j) cardioid:
@@ -30,6 +31,12 @@ line of its message under ``failure``.  The file holds no timestamp.
 The matrix is computed in a subprocess with one BLAS thread whatever the
 caller's environment, so its bytes do not depend on the host's thread
 count; a change that moves a network shows as a diff of this file.
+
+``--diff`` regenerates nothing.  It compares two matrix files and prints a
+markdown table with one line per row that differs: its depth, sup error
+and best h, old -> new.  Then it prints how many rows changed, how many
+got better, worse and worse by more than 1 %, and the depth changes per
+strategy.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ import io
 import os
 import subprocess
 import sys
+from collections import Counter, defaultdict
 from functools import partial
 from pathlib import Path
 
@@ -142,6 +150,67 @@ def matrix_csv() -> str:
     return buf.getvalue()
 
 
+#: the columns that name a row of the matrix
+KEY = COLUMNS[:4]
+
+
+def _rows(text: str) -> dict:
+    return {tuple(row[k] for k in KEY): row for row in csv.DictReader(io.StringIO(text))}
+
+
+def _error(row):
+    """A row's sup error, or None where its compile failed or it is absent."""
+    return float(row["sup_error"]) if row and row["sup_error"] else None
+
+
+def _shown(old: str, new: str, floats: bool = False) -> str:
+    """"old → new", or the value alone where both sides agree; with
+    ``floats``, two values written with the fewest significant digits (3 at
+    least) that tell them apart."""
+    if floats and old != new and "" not in (old, new):
+        a, b = float(old), float(new)
+        k = next((k for k in range(3, 18) if f"{a:.{k}g}" != f"{b:.{k}g}"), 17)
+        old, new = f"{a:#.{k}g}", f"{b:#.{k}g}"
+    old, new = old or "failed", new or "failed"
+    return old if old == new else f"{old} → {new}"
+
+
+def diff_markdown(old_text: str, new_text: str) -> str:
+    """The rows of two matrix texts that differ, as a markdown table, then
+    the counts; a row missing on one side reads "absent" there."""
+    before, after = _rows(old_text), _rows(new_text)
+    keys = list(before) + [key for key in after if key not in before]
+    absent = dict.fromkeys(COLUMNS, "absent")
+    lines = ["| activation | strategy | target | fit | depth | sup error | best h |",
+             "| --- | --- | --- | --- | --- | --- | --- |"]
+    counts = Counter()
+    depths = defaultdict(Counter)
+    for key in keys:
+        old, new = before.get(key), after.get(key)
+        if old == new:
+            continue
+        counts["changed"] += 1
+        a, b = (old or absent), (new or absent)
+        lines.append("| " + " | ".join([*key, _shown(a["depth"], b["depth"]),
+                                        _shown(a["sup_error"], b["sup_error"], bool(old and new)),
+                                        _shown(a["best_h"], b["best_h"])]) + " |")
+        err_a, err_b = _error(old), _error(new)
+        if err_a is not None and err_b is not None:
+            counts["better"] += err_b < err_a
+            counts["worse"] += err_b > err_a
+            counts["worse by more than 1 %"] += err_b > 1.01 * err_a
+        if old and new and old["depth"] and new["depth"]:
+            depths[key[1]][int(new["depth"]) - int(old["depth"])] += 1
+    lines.append("")
+    lines.append(f"{counts['changed']} of {len(keys)} rows changed: {counts['better']} better, "
+                 f"{counts['worse']} worse, {counts['worse by more than 1 %']} worse by more "
+                 "than 1 %")
+    for strategy, deltas in depths.items():
+        shown = ", ".join(f"{delta:+d} × {count}" for delta, count in sorted(deltas.items()))
+        lines.append(f"depth change under {strategy}: {shown}")
+    return "\n".join(lines) + "\n"
+
+
 def one_thread_stdout(child: str) -> str:
     """The standard output of the Python code ``child``, run in a subprocess
     with one BLAS thread whose path holds src/ and tools/."""
@@ -155,7 +224,13 @@ def one_thread_stdout(child: str) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=str(ROOT / "ERROR_MATRIX.csv"))
+    parser.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"),
+                        help="print the rows that differ between two matrix files")
     args = parser.parse_args(argv)
+    if args.diff:
+        old, new = (Path(path).read_text() for path in args.diff)
+        sys.stdout.write(diff_markdown(old, new))
+        return 0
     text = one_thread_stdout(
         "import sys, error_matrix; sys.stdout.write(error_matrix.matrix_csv())")
     Path(args.out).write_text(text)
