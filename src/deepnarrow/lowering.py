@@ -48,9 +48,10 @@ Only the runs of the assembled network are validated, each once.  That
 catches every non-finite entry of a piece: inf * 0 = nan, so fusion spreads
 it to a whole row or column of each later product.
 A poly chain's first product multiplies by w = 1, which holds after the
-init stage and after every flush: mul(x, 1) is x (conj x under mul3), so
+init map and after every flush: mul(x, 1) is x (conj x under mul3), so
 that product is one affine map that copies the slot holding it into w and
-costs no hidden layer.
+costs no hidden layer.  The init map puts the inputs into their registers
+and is affine too, a hidden stage only where the chain needs one there.
 The plan (``plan_lowering``) checks each strategy's derivative
 preconditions once, on the probe atlas, raising StrategyMismatch when they
 fail, and keeps the row of every point it picks; the blocks are built from
@@ -412,7 +413,7 @@ def _emit_mul_ladder(pieces: list, kit: _Kit, stage: Stage, s: int, p: int,
     pieces.append(_affine(exit_m, exit_b))
 
 
-def _lower_poly(program: RegisterProgram, kit: _Kit, strategy: str) -> list:
+def _lower_poly(program: RegisterProgram, kit: _Kit, strategy: str, even: bool) -> list:
     """Registers (z_1..z_n, conjugates, w, v_1..v_m), w starting at 1.
 
     Wide and Narrow keep conj z_1..conj z_n and rebuild each pair (z, conj z)
@@ -436,6 +437,18 @@ def _lower_poly(program: RegisterProgram, kit: _Kit, strategy: str) -> list:
     neither: it is a load (``_load_map``) of the slot holding mul(x, 1),
     x's own under mul1 and mul2 and conj x's under mul3, after a refresh of
     g where that is a conjugate under NMplus4.
+
+    T_init sets z to the input, the conjugates (or g) to 0, w to 1 and v to
+    0.  It is an affine map that fuses into the next map: every hidden stage
+    under Wide and Narrow crosses each input that it or a later product
+    reads through its pair block, which rebuilds the conjugate, and NMplus4
+    refreshes g before it reads it.  T_init is instead a hidden stage that
+    crosses the inputs through their pair blocks (identity blocks under
+    NMplus4) where a load or product reads
+    a conjugate slot before any stage, where the chain has no other hidden
+    stage, or, with ``even`` (a conj sigma over an activation that commutes
+    with conj), where the chain has an odd count of hidden layers: the
+    outputs' stage that ``lower_pieces`` adds would only take its place.
     """
     n, m = program.input_dim, program.output_dim
     pairs = strategy != "Poly_NMplus4"
@@ -495,14 +508,11 @@ def _lower_poly(program: RegisterProgram, kit: _Kit, strategy: str) -> list:
         reads.append(later)
     reads.reverse()
 
-    # T_init: (z, conj z or g = 0, w = 1, v = 0) built by one hidden layer
-    init_b = np.zeros(s)
-    init_b[iw] = 1
-    pieces = [_stage(inputs(), n, init_b)]
-
+    pieces = []
     written = set()  # the outputs a flush has written
     conj_src = None
     w_is_one = True
+    cold = False     # whether a conjugate slot is read before any hidden stage
     for lay, live in zip(program.layers, reads):
         if isinstance(lay, FlushLayer):
             pieces.append(_flush_map(lay, s, iw, iv))
@@ -512,6 +522,10 @@ def _lower_poly(program: RegisterProgram, kit: _Kit, strategy: str) -> list:
         side, i = lay.operand
         if w_is_one and program.mul_kind == "mul3":
             side = "zbar" if side == "z" else "z"   # mul3(x, 1) = conj x
+        # every hidden stage under Wide and Narrow rebuilds the conjugate of
+        # each input that it or a later product reads
+        cold = cold or (pairs and side == "zbar"
+                        and not any(isinstance(obj, Stage) for obj in pieces))
         if not pairs and side == "zbar" and conj_src != i:
             pieces.append(_stage(registers(refresh=i), s, np.zeros(s)))
             conj_src = i
@@ -528,7 +542,14 @@ def _lower_poly(program: RegisterProgram, kit: _Kit, strategy: str) -> list:
         _emit_mul_ladder(pieces, kit, stage, s, p, op_idx, iw)
 
     pieces.append(_end_map(program, s))
-    return pieces
+
+    # T_init: (z, conj z or g = 0, w = 1, v = 0); the stage builds conj z
+    init_b = np.zeros(s)
+    init_b[iw] = 1
+    layers = _hidden_layers(pieces)
+    if cold or not layers or (even and layers % 2):
+        return [_stage(inputs(), n, init_b)] + pieces
+    return [_affine(np.eye(s, n), init_b)] + pieces
 
 
 # ---------------------------------------------------------------------------
@@ -667,11 +688,12 @@ def lower_pieces(program: RegisterProgram, spec: ActivationSpec, strategy: str,
             f"program was planned for {program.mul_kind} but the activation "
             f"affords {plan.mul_kind}")
     kit = _build_kit(plan, h)
+    parity = plan.sigma is not spec and spec.conj_equivariant
     if program.family == "shallow":
         pieces = _lower_shallow(program, kit)
     else:
-        pieces = _lower_poly(program, kit, strategy)
-    if plan.sigma is not spec and spec.conj_equivariant and _hidden_layers(pieces) % 2:
+        pieces = _lower_poly(program, kit, strategy, parity)
+    if parity and _hidden_layers(pieces) % 2:
         m = program.output_dim
         pieces.append(_stage([(kit.id_blk, [j], [j]) for j in range(m)], m, np.zeros(m)))
     return pieces

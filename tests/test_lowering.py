@@ -20,7 +20,7 @@ from deepnarrow.lowering import (STRATEGIES, assemble_pieces, default_strategy,
                                  strategy_width_budget)
 from deepnarrow.register import (FlushLayer, PolyZZbar, eval_register, poly_to_register,
                                  shallow_to_register)
-from deepnarrow.verifier import DEFAULT_SWEEP_SCHEDULE, sup_error
+from deepnarrow.verifier import DEFAULT_SWEEP_SCHEDULE, named_target, sup_error
 from deepnarrow.wirtinger import ToleranceProfile, classify_activation, point_row
 from deepnarrow.core import CompactBox, GridSpec, cvnn_from_json, cvnn_to_json
 
@@ -625,20 +625,21 @@ def _ladder_runs(pieces):
                          ids=[f"{spec.name}-{strategy}" for spec, strategy in LOAD_CASES])
 @pytest.mark.parametrize("side", ["z", "zbar"])
 def test_one_factor_program_lowers_to_the_init_stage_alone(spec, strategy, side):
-    """z or conj z: the init stage, then one affine map that loads w from
+    """z or conj z: one hidden stage, then one affine map that loads w from
     that monomial's slot (under mul3 the program's operand is the other
-    one, since mul3(x, 1) = conj x).  NMplus4 first refreshes g for conj z.
-    Under a conj sigma over an activation that does not commute with conj,
-    each hidden layer is followed by a stage of conjugation blocks, which
-    doubles the count; where the activation commutes with conj an odd count
-    of stages is followed instead by the outputs' stage of identity
-    blocks."""
+    one, since mul3(x, 1) = conj x).  That stage is the init stage, which a
+    chain with no other stage keeps; NMplus4 refreshes g for conj z, and
+    its refresh stage is the only one, after an affine init.  Under a conj
+    sigma over an activation that does not commute with conj, each hidden
+    layer is followed by a stage of conjugation blocks, which doubles the
+    count; where the activation commutes with conj an odd count of stages
+    is followed instead by the outputs' stage of identity blocks, and
+    NMplus4's conj z keeps its init stage before the refresh, since an
+    affine init would leave the same depth."""
     plan = plan_lowering(spec, strategy, PROF)
     zd, bd = ((1,), (0,)) if side == "z" else ((0,), (1,))
     program = poly_to_register([PolyZZbar(1, ((1 + 0j, zd, bd),))], plan.mul_kind)
-    stages = 2 if strategy == "Poly_NMplus4" and side == "zbar" else 1
-    if plan.sigma is not spec:
-        stages = stages + stages % 2 if spec.conj_equivariant else 2 * stages
+    stages = 1 if plan.sigma is spec else 2
     net = lower(program, spec, strategy, 1e-4, PROF)
     assert depth_of(net) == 1 + stages
     err = sup_error(lambda zs: eval_register(program, zs),
@@ -653,12 +654,12 @@ Z1_ZBAR2 = PolyZZbar(2, ((1 + 0j, (1, 0), (0, 1)),))
 
 def test_a_product_of_two_factors_lowers_with_one_ladder():
     """z1 conj(z2), the n = 2 benchmark compile's monomial: the first factor
-    is loaded, so one ladder follows the init stage, its 12 neurons run 6
+    is loaded, so one ladder follows the affine init, its 12 neurons run 6
     to a hidden layer, since z2, loaded into w, leaves the ladder."""
     program = poly_to_register([Z1_ZBAR2], "mul2")
     pieces = lower_pieces(program, CARD, "Poly_Narrow_2N2Mplus5", 1e-4, PROF)
     assert len(_ladder_runs(pieces)) == 1
-    assert depth_of(assemble_pieces(pieces, CARD.activation_id)) == 4
+    assert depth_of(assemble_pieces(pieces, CARD.activation_id)) == 3
 
 
 @pytest.mark.parametrize("strategy", ["Poly_Narrow_2N2Mplus5", "Poly_NMplus4"])
@@ -692,7 +693,8 @@ PACKED_CASES = [pytest.param(spec, id=spec.name) for spec in (CARD, ZB)]
 #: network depths, at (n, m) = (1, 1), (2, 1), (1, 2)) of plans whose ladder
 #: has room for only one neuron per layer once every output is written and
 #: every input is still read; conj:z_plus_zbar_sq's are z_plus_zbar_sq's,
-#: plus the outputs' stage after an odd count of hidden layers
+#: plus one stage after an odd count of hidden layers: the init stage,
+#: where z_plus_zbar_sq's network opens with an affine init
 SINGLE_CASES = [
     pytest.param(RE_SQ, "Poly_Narrow_2N2Mplus5", ([1], [3, 3], [3, 1]), (14, 10, 18),
                  id="re_square-Narrow"),
@@ -700,11 +702,11 @@ SINGLE_CASES = [
                  id="abs_square-Narrow"),
     pytest.param(MODRELU, "Poly_Narrow_2N2Mplus5", ([1], [3, 3], [3, 1]), (14, 10, 18),
                  id="modrelu-Narrow"),
-    pytest.param(CARD, "Poly_NMplus4", ([1], [2, 2], [2, 1]), (15, 15, 21),
+    pytest.param(CARD, "Poly_NMplus4", ([1], [2, 2], [2, 1]), (14, 14, 20),
                  id="cardioid-NMplus4"),
-    pytest.param(ZB, "Poly_NMplus4", ([1], [2, 2], [2, 1]), (10, 11, 14),
+    pytest.param(ZB, "Poly_NMplus4", ([1], [2, 2], [2, 1]), (9, 10, 13),
                  id="z_plus_zbar_sq-NMplus4"),
-    pytest.param(CONJ_ZB, "Poly_NMplus4", ([1], [2, 2], [2, 1]), (11, 11, 15),
+    pytest.param(CONJ_ZB, "Poly_NMplus4", ([1], [2, 2], [2, 1]), (9, 11, 13),
                  id="conj:z_plus_zbar_sq-NMplus4"),
 ]
 
@@ -830,7 +832,7 @@ def test_a_ladder_that_cannot_shorten_crosses_every_output():
     assert [slots for slots, _ in _ladder_runs(pieces)] == [6]
     text = cvnn_to_json(lower(program, CARD, "Poly_Narrow_2N2Mplus5", 1e-4, PROF))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "1883485859e920fb8cf7a64b29d1024c90e58776b2aad00f848a313f92ff0093")
+        "b7fe53bdd98b2415481195c1c234b41127e17695b6bc77fe57bf642612f01a78")
 
 
 def _ladder_reads(pieces, slots):
@@ -846,7 +848,7 @@ def _ladder_reads(pieces, slots):
 def test_a_ladder_leaves_an_input_that_no_later_product_reads():
     """Over cardioid under Narrow, z1 conj(z2) loads z2 and its ladder
     reads z1 alone: the ladder leaves z2's pair block out, p = 6, and the
-    network is 4 maps deep.  In _test_poly's (2, 1) program, conj(z1)^2
+    network is 3 maps deep.  In _test_poly's (2, 1) program, conj(z1)^2
     comes first and z1 conj(z2) after its flush, so the first ladder still
     crosses z2, which the later load reads, at p = 4, though leaving it out
     would cut 3 layers to 2; the second leaves z2 out at p = 6."""
@@ -855,7 +857,7 @@ def test_a_ladder_leaves_an_input_that_no_later_product_reads():
     pieces = lower_pieces(program, CARD, strategy, 1e-4, PROF)
     assert [slots for slots, _ in _ladder_runs(pieces)] == [6]
     assert _ladder_reads(pieces, range(2)) == [[0]]
-    assert depth_of(assemble_pieces(pieces, CARD.activation_id)) == 4
+    assert depth_of(assemble_pieces(pieces, CARD.activation_id)) == 3
     program = poly_to_register(_test_poly(2, 1), "mul2")
     pieces = lower_pieces(program, CARD, strategy, 1e-4, PROF)
     assert [slots for slots, _ in _ladder_runs(pieces)] == [4, 6]
@@ -936,6 +938,143 @@ def test_a_packed_ladder_converges_like_h(n, polys):
                               lambda zs: eval_cvnn(net, zs, CARD.fn),
                               CompactBox.square(n, 1.0), GridSpec(9)))
     assert errs[0] >= 5 * errs[1] and errs[1] >= 5 * errs[2]
+
+
+# ---------------------------------------------------------------------------
+# The inputs enter through an affine map where no stage has to build them
+# ---------------------------------------------------------------------------
+
+
+def _sha(net) -> str:
+    return hashlib.sha256(cvnn_to_json(net).encode()).hexdigest()
+
+
+def test_z1_zbar2_opens_with_an_affine_map_into_its_ladder():
+    """z1 conj(z2) under Narrow over cardioid reads no conjugate slot, so
+    the inputs enter through an affine map fused into the ladder's load:
+    two hidden layers, the ladder's, 11 wide, and a first map that reads
+    both inputs."""
+    program = poly_to_register([Z1_ZBAR2], "mul2")
+    pieces = lower_pieces(program, CARD, "Poly_Narrow_2N2Mplus5", 1e-4, PROF)
+    assert isinstance(pieces[0], core.AffineArrays)
+    net = lower(program, CARD, "Poly_Narrow_2N2Mplus5", 1e-4, PROF)
+    assert hidden_widths(net) == (11, 11) and depth_of(net) == 3
+    first = net.affine_maps[0].matrix
+    assert first.shape == (11, 2) and np.all(np.any(first != 0, axis=0))
+
+
+#: networks whose chain keeps the init stage, at h = 1e-4, by their sha256:
+#: z, whose chain has no other stage; re = (z + conj z) / 2 under Wide and
+#: Narrow, which loads conj z before any stage has built it; and, under
+#: NMplus4 over conj:cardioid, conj z and re, whose chain of the refresh
+#: stage alone would cross the outputs' stage in the init stage's place
+KEPT_INIT = [
+    pytest.param(CARD, "Poly_Narrow_2N2Mplus5", ((1,), (0,)), 2,
+                 "0c26d01178e132ebd084c25c2379a6e4f6ad79f24bc41aa84f3eef387145e6e0",
+                 id="z-cardioid-Narrow"),
+    pytest.param(CARD, "Poly_NMplus4", ((1,), (0,)), 2,
+                 "22196bcb6a0754e98a32fa76097117cd02aeaf3bc84373857c6ed453e25edcb5",
+                 id="z-cardioid-NMplus4"),
+    pytest.param(CARD, "Poly_Narrow_2N2Mplus5", "re", 2,
+                 "512ec5e61a190c3681df0e1ead6ba32599e7472816d183ec9c4a0c30d7294eee",
+                 id="re-cardioid-Narrow"),
+    pytest.param(ABS_SQ, "Poly_Wide_2N2Mplus12", "re", 2,
+                 "346838f5d51181e64f66988694a3bd058e0497f7c1e36533fdd4c16e74440d8a",
+                 id="re-abs_square-Wide"),
+    pytest.param(CONJ_CARD, "Poly_NMplus4", ((0,), (1,)), 3,
+                 "b9bae6480566ade95f5b1844cef519b8becb130c6edb0e8fada87f35f7cfe43e",
+                 id="zbar-conj:cardioid-NMplus4"),
+    pytest.param(CONJ_CARD, "Poly_NMplus4", "re", 3,
+                 "125ae0cf91383f26c9be747c9abddf4a91c07d5cbae4cd5dc6bc5131d60b01d2",
+                 id="re-conj:cardioid-NMplus4"),
+]
+
+
+@pytest.mark.parametrize("spec, strategy, monomial, depth, sha", KEPT_INIT)
+def test_a_chain_that_needs_its_init_stage_keeps_its_bytes(spec, strategy, monomial, depth,
+                                                           sha):
+    """The chain opens with the init stage, a hidden layer that reads the
+    inputs alone, and the network's bytes are those it had before inputs
+    could enter through an affine map."""
+    terms = (((0.5 + 0j, (1,), (0,)), (0.5 + 0j, (0,), (1,))) if monomial == "re"
+             else ((1 + 0j, *monomial),))
+    program = poly_to_register([PolyZZbar(1, terms)],
+                               plan_lowering(spec, strategy, PROF).mul_kind)
+    pieces = lower_pieces(program, spec, strategy, 1e-4, PROF)
+    assert isinstance(pieces[0], lowering.Stage) and pieces[0].pre.in_dim == 1
+    net = lower(program, spec, strategy, 1e-4, PROF)
+    assert depth_of(net) == depth
+    assert _sha(net) == sha
+
+
+@pytest.mark.parametrize("spec", [ABS_SQ, RE_SQ], ids=["abs_square", "re_square"])
+@pytest.mark.parametrize("target", ["zzbar", "z1zbar2"])
+def test_wide_over_an_exact_square_is_exact_without_the_init_stage(spec, target):
+    """abs_square and re_square afford an exact multiplication block, and
+    zzbar's and z1zbar2's programs read no conjugate slot before Wide's
+    stage: with no crossing before it, the one-hidden-layer network is the
+    product to rounding."""
+    n = 2 if target == "z1zbar2" else 1
+    report = deepnarrow.end_to_end_poly(named_target(target), spec, 2, "Poly_Wide_2N2Mplus12",
+                                        CompactBox.square(n, 1.0))
+    assert report.best_row().depth == 2
+    assert report.best_row().sup_error < 1e-12
+
+
+#: (activation, poly strategy) of every poly strategy, and NMplus4 over
+#: the conj sigmas of conj:cardioid and conj:z_plus_zbar_sq (which commute
+#: with conj) and of ROTATED (which does not)
+AFFINE_INIT_CASES = [(CARD, "Poly_Wide_2N2Mplus12"), (CARD, "Poly_Narrow_2N2Mplus5"),
+                     (RE_SQ, "Poly_Narrow_2N2Mplus5"), (ZB, "Poly_NMplus4"),
+                     (CONJ_CARD, "Poly_NMplus4"), (CONJ_ZB, "Poly_NMplus4"),
+                     (ROTATED, "Poly_NMplus4")]
+
+
+@pytest.mark.parametrize("spec, strategy", AFFINE_INIT_CASES,
+                         ids=[f"{spec.name}-{strategy}" for spec, strategy in AFFINE_INIT_CASES])
+@pytest.mark.parametrize("n", [1, 2])
+def test_every_poly_strategy_opens_with_an_affine_init_somewhere(spec, strategy, n):
+    """Each case lowers z conj z or conj(z)^2 at n = 1, and z1 conj(z2) at
+    n = 2, from an affine init, so the random programs below reach that
+    path under every poly strategy and conj sigma."""
+    polys = [Z1_ZBAR2] if n == 2 else [ZZBAR, PolyZZbar(1, ((1 + 0j, (0,), (2,)),))]
+    opened = []
+    for poly in polys:
+        program = poly_to_register([poly], plan_lowering(spec, strategy, PROF).mul_kind)
+        pieces = lower_pieces(program, spec, strategy, 1e-4, PROF)
+        opened.append(isinstance(pieces[0], core.AffineArrays))
+        _assert_agrees_with_its_program(program, spec, strategy, np.random.default_rng(n))
+    assert any(opened)
+
+
+def _assert_agrees_with_its_program(program, spec, strategy, rng):
+    """At h = 1e-4 the network is within 2e-2 of its program, relative to
+    1 + the program's largest value, on 30 points of scale 0.5 (the worst
+    of 320 random programs read 4.2e-3); a conjugate slot read as the 0 an
+    affine init leaves would be off by the whole term.  Fused and unfused
+    agree too."""
+    n = program.input_dim
+    zs = random_points(rng, 30, n, scale=0.5)
+    want = eval_register(program, zs)
+    got = eval_cvnn(lower(program, spec, strategy, 1e-4, PROF), zs, spec.fn)
+    assert np.max(np.abs(got - want)) <= 2e-2 * (1 + np.max(np.abs(want)))
+    _assert_fused_equals_unfused(program, spec, strategy, 1e-4, zs, rng)
+
+
+@settings(max_examples=100)
+@given(case=st.sampled_from(range(len(AFFINE_INIT_CASES))), n=st.integers(1, 2),
+       m=st.integers(1, 2), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_networks_with_or_without_the_init_stage_agree_with_their_programs(case, n, m, seed,
+                                                                           data):
+    """Random programs of 1-3 monomials of degree <= 2 per output, which
+    open with an affine init or with the init stage as they read their
+    conjugates: the network agrees with eval_register and the fused chain
+    with the unfused one."""
+    spec, strategy = AFFINE_INIT_CASES[case]
+    rng = np.random.default_rng(seed)
+    polys = [_random_poly(data.draw, rng, n) for _ in range(m)]
+    program = poly_to_register(polys, plan_lowering(spec, strategy, PROF).mul_kind)
+    _assert_agrees_with_its_program(program, spec, strategy, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -1047,7 +1186,9 @@ def test_a_commuting_conj_sigma_network_is_sigmas_with_every_odd_map_conjugated(
     network's, every odd one conjugated, and its values are sigma's
     network's, bit for bit.  After an odd count of hidden layers sigma's
     network counts with one more stage, of sigma's identity blocks on the
-    outputs, which crosses them before the conjugation."""
+    outputs, which crosses them before the conjugation; but where sigma's
+    poly network opens with an affine init, the chain keeps the init stage
+    in its place, a first hidden layer of one identity block per input."""
     h = 1e-3
     seen = set()
     for name in [form for base in available_activations() for form in (base, "conj:" + base)]:
@@ -1060,9 +1201,17 @@ def test_a_commuting_conj_sigma_network_is_sigmas_with_every_odd_map_conjugated(
             if plan.sigma is spec or not spec.conj_equivariant:
                 continue
             for program in _parity_programs(spec, strategy):
-                maps = list(lower(program, plan.sigma, strategy, h, PROF).affine_maps)
+                own = lower(program, plan.sigma, strategy, h, PROF)
+                maps = list(own.affine_maps)
                 seen.add((name, strategy, len(maps) % 2))
-                if len(maps) % 2 == 0:
+                n = program.input_dim
+                if len(maps) % 2 == 0 and strategy.startswith("Poly") and hidden_widths(own)[0] > n:
+                    pieces = lower_pieces(program, spec, strategy, h, PROF)
+                    chain = assemble_pieces(pieces, plan.sigma.activation_id)
+                    assert len(chain.affine_maps) == len(maps) + 1
+                    assert hidden_widths(chain)[0] == n
+                    maps = list(chain.affine_maps)
+                elif len(maps) % 2 == 0:
                     m = program.output_dim
                     blk = identity_block(plan.id_row, h)
                     out = lowering._stage([(blk, [j], [j]) for j in range(m)], m, np.zeros(m))
